@@ -35,10 +35,12 @@
 //!   only run non-blocking tasks (service dispatch, pacers, watchers) —
 //!   and replies are always produced by non-blocking tasks, so the wait
 //!   always makes progress even with a single worker.
-//! * **One I/O thread.** TCP ingress uses the non-blocking
-//!   [`PollEndpoint`](videopipe_net::PollEndpoint) poll loop: one thread
-//!   drains every endpoint of every pipeline and feeds completed frames to
-//!   the readiness queues. No per-connection reader threads.
+//! * **One I/O thread.** TCP ingress is one thread blocked in a
+//!   [`Poller`](videopipe_net::Poller) over the sockets of every
+//!   [`PollEndpoint`](videopipe_net::PollEndpoint) of every pipeline: it
+//!   wakes when bytes arrive, services exactly the sockets that are ready
+//!   and feeds completed frames to the readiness queues. No per-connection
+//!   reader threads, no polling interval.
 //!
 //! Thread count is `workers (≈ cores) + 1 timer + 1 I/O (TCP only)`,
 //! independent of pipeline count. Two deliberate semantic deltas from the
@@ -71,7 +73,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use videopipe_media::{codec, FrameStore};
 use videopipe_net::{
-    InprocHub, InprocReceiver, MessageKind, MsgReceiver, MsgSender, PollEndpoint, WireMessage,
+    InprocHub, InprocReceiver, MessageKind, MsgReceiver, MsgSender, PollEndpoint, Poller, Serviced,
+    WireMessage,
 };
 
 /// Executor knobs for a [`ReactorRuntime`].
@@ -151,8 +154,8 @@ const SERVICE_BATCH_QUANTUM: usize = 4;
 /// every worker, which doubles as a pressure valve.
 const LOCAL_QUEUE_CAP: usize = 256;
 
-/// Frames one TCP endpoint may deliver per I/O poll pass before the
-/// shared I/O thread moves on to its siblings.
+/// Frames one TCP connection may deliver per I/O wake-up before the
+/// shared I/O thread moves on to the other ready sockets.
 const IO_POLL_BUDGET: usize = 256;
 
 /// Per-device frame-store capacity under the reactor. Small on purpose:
@@ -516,6 +519,8 @@ struct Core {
     timers: TimerWheel,
     /// Per-pipeline runtime registrations, indexed by pipeline id.
     pipelines: RwLock<Vec<Arc<PipeRt>>>,
+    /// Times the I/O thread came out of its readiness wait (a statistic).
+    io_wakeups: AtomicU64,
     stop: AtomicBool,
 }
 
@@ -852,28 +857,83 @@ impl Core {
         }
     }
 
-    fn io_loop(&self, registry: &Receiver<IoEndpoint>) {
+    /// The I/O thread: blocks until a registered socket is readable or
+    /// someone notifies `poller` (a deploy that queued endpoints on
+    /// `registry`, or shutdown), then services exactly the ready sockets.
+    fn io_loop(&self, poller: &Arc<Poller>, registry: &Receiver<IoEndpoint>) {
+        // Indexed by the token in the high half of each endpoint's keys.
         let mut endpoints: Vec<IoEndpoint> = Vec::new();
+        let mut ready: Vec<u64> = Vec::new();
+        // Keys whose budget ran out with decoded frames still queued: no
+        // readiness event will announce those, so the next wait must not
+        // block and must service them again.
+        let mut backlog: Vec<u64> = Vec::new();
+        // Listeners paused after a hard `accept` error, with their retry
+        // time; normally empty.
+        let mut retries: Vec<(Instant, u64)> = Vec::new();
         while !self.stop.load(Ordering::SeqCst) {
-            while let Ok(ep) = registry.try_recv() {
+            let timeout = if backlog.is_empty() {
+                let next_retry = retries.iter().map(|&(at, _)| at).min();
+                next_retry.map(|at| at.saturating_duration_since(Instant::now()))
+            } else {
+                Some(Duration::ZERO)
+            };
+            ready.clear();
+            if let Err(e) = poller.wait(&mut ready, timeout) {
+                // Nothing to fall back on: say so where reports look.
+                for ep in &endpoints {
+                    let mut errors = ep.pipe.shared.errors.lock();
+                    errors.push(format!("tcp ingress stopped: readiness wait failed: {e}"));
+                }
+                return;
+            }
+            self.io_wakeups.fetch_add(1, Ordering::Relaxed);
+            while let Ok(mut ep) = registry.try_recv() {
+                let registered = match u32::try_from(endpoints.len()) {
+                    Ok(token) => ep.endpoint.register(poller, token),
+                    Err(_) => Err(std::io::Error::other("endpoint tokens exhausted").into()),
+                };
+                if let Err(e) = registered {
+                    let mut errors = ep.pipe.shared.errors.lock();
+                    errors.push(format!("tcp ingress endpoint not registered: {e}"));
+                }
+                // Kept even when unregistered, so tokens stay indices.
                 endpoints.push(ep);
             }
-            let mut delivered = 0usize;
-            for ep in &mut endpoints {
-                let pipe = Arc::clone(&ep.pipe);
-                // Budgeted poll: one hot endpoint cannot pin the shared
-                // I/O thread; frames wake the pipeline's home worker.
-                delivered += ep.endpoint.poll_budget(IO_POLL_BUDGET, &mut |msg| {
+            ready.append(&mut backlog);
+            if !retries.is_empty() {
+                let now = Instant::now();
+                retries.retain(|&(at, key)| {
+                    let due = at <= now;
+                    if due {
+                        ready.push(key);
+                    }
+                    !due
+                });
+            }
+            // A key can be both ready and carried over; run it once.
+            ready.sort_unstable();
+            ready.dedup();
+            for &key in &ready {
+                let Some(ep) = endpoints.get_mut((key >> 32) as usize) else {
+                    continue;
+                };
+                let pipe = &ep.pipe;
+                // Budgeted: one hot connection cannot pin the shared I/O
+                // thread; frames wake the pipeline's home worker.
+                let (_, next) = ep.endpoint.service(key, IO_POLL_BUDGET, &mut |msg| {
                     let chan = msg.channel.clone();
                     if let Ok(sender) = pipe.shared.hub.connect(&chan) {
                         if sender.send(msg).is_ok() {
-                            self.wake_channel(&pipe, &chan);
+                            self.wake_channel(pipe, &chan);
                         }
                     }
                 });
-            }
-            if delivered == 0 {
-                std::thread::sleep(Duration::from_millis(1));
+                match next {
+                    Serviced::Idle => {}
+                    Serviced::Backlog => backlog.push(key),
+                    Serviced::RetryAt(at) => retries.push((at, key)),
+                }
             }
         }
     }
@@ -1987,8 +2047,9 @@ impl TaskRunner for TelemetryRunner {
 pub struct ReactorRuntime {
     core: Arc<Core>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    io_tx: Sender<IoEndpoint>,
-    io_rx: Option<Receiver<IoEndpoint>>,
+    /// The I/O thread's inbox and waker; `None` until the first TCP
+    /// pipeline spawns the thread.
+    io: Option<(Sender<IoEndpoint>, Arc<Poller>)>,
     /// Read-chunk pool shared by every TCP ingress endpoint this runtime
     /// binds: the I/O thread drives them all, so chunks recycle across
     /// pipelines instead of each endpoint cold-starting its own pool.
@@ -2021,6 +2082,7 @@ impl ReactorRuntime {
             nb_ready: unbounded(),
             mod_ready: unbounded(),
             pipelines: RwLock::new(Vec::new()),
+            io_wakeups: AtomicU64::new(0),
             stop: AtomicBool::new(false),
         });
         let mut threads = Vec::new();
@@ -2042,29 +2104,45 @@ impl ReactorRuntime {
                     .expect("spawn reactor timer"),
             );
         }
-        let (io_tx, io_rx) = unbounded();
         ReactorRuntime {
             core,
             threads,
-            io_tx,
-            // The I/O thread is spawned lazily by the first TCP pipeline.
-            io_rx: Some(io_rx),
+            io: None,
             ingress_pool: Arc::new(videopipe_net::BufferPool::default()),
             pipeline_names: Vec::new(),
             task_ranges: Vec::new(),
         }
     }
 
-    fn ensure_io_thread(&mut self) {
-        if let Some(rx) = self.io_rx.take() {
-            let core = Arc::clone(&self.core);
+    /// Hands `endpoints` to the I/O thread — spawned here by the first
+    /// TCP pipeline — and wakes it: it blocks without a timeout, so an
+    /// endpoint it is not told about would never be serviced.
+    fn register_ingress(
+        &mut self,
+        pipe: &Arc<PipeRt>,
+        endpoints: Vec<PollEndpoint>,
+    ) -> Result<(), PipelineError> {
+        if self.io.is_none() {
+            let poller = Arc::new(Poller::new().map_err(videopipe_net::NetError::from)?);
+            let (tx, rx) = unbounded();
+            let (core, waker) = (Arc::clone(&self.core), Arc::clone(&poller));
             self.threads.push(
                 std::thread::Builder::new()
                     .name("vp-reactor-io".into())
-                    .spawn(move || core.io_loop(&rx))
+                    .spawn(move || core.io_loop(&waker, &rx))
                     .expect("spawn reactor io"),
             );
+            self.io = Some((tx, poller));
         }
+        let (tx, poller) = self.io.as_ref().expect("set just above");
+        for endpoint in endpoints {
+            let _ = tx.send(IoEndpoint {
+                pipe: Arc::clone(pipe),
+                endpoint,
+            });
+        }
+        poller.notify();
+        Ok(())
     }
 
     /// The next task id (single-writer: `add_pipeline` takes `&mut self`).
@@ -2215,13 +2293,7 @@ impl ReactorRuntime {
         });
         self.core.pipelines.write().push(Arc::clone(&pipe));
         if !io_endpoints.is_empty() {
-            for endpoint in io_endpoints {
-                let _ = self.io_tx.send(IoEndpoint {
-                    pipe: Arc::clone(&pipe),
-                    endpoint,
-                });
-            }
-            self.ensure_io_thread();
+            self.register_ingress(&pipe, io_endpoints)?;
         }
         let mut initial_wakes = Vec::new();
 
@@ -2514,6 +2586,13 @@ impl ReactorRuntime {
         self.core.scheduler_stats()
     }
 
+    /// Times the TCP I/O thread has come out of its readiness wait: one
+    /// per batch of ready sockets, deploy or shutdown. It stays put while
+    /// no bytes arrive — an idle fleet costs no I/O wake-ups.
+    pub fn io_wakeups(&self) -> u64 {
+        self.core.io_wakeups.load(Ordering::Relaxed)
+    }
+
     /// The latest checkpoint taken for `module` on pipeline `id`, if any
     /// (periodic while running; refreshed one last time by
     /// [`ReactorRuntime::stop_pipeline`] and at shutdown).
@@ -2624,6 +2703,9 @@ impl ReactorRuntime {
             wq.parker.unpark();
         }
         self.core.timers.kick();
+        if let Some((_, poller)) = &self.io {
+            poller.notify();
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -2862,8 +2944,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn reactor_tcp_transport_crosses_devices_via_io_thread() {
+    fn two_device_plan(name: &str) -> DeploymentPlan {
         let devices = vec![
             DeviceSpec::new("phone", 1.0),
             DeviceSpec::new("desktop", 1.0)
@@ -2874,7 +2955,12 @@ mod tests {
             .assign("src", "phone")
             .assign("mid", "desktop")
             .assign("sink", "phone");
-        let plan = plan(&test_spec("tcp"), &devices, &placement).unwrap();
+        plan(&test_spec(name), &devices, &placement).unwrap()
+    }
+
+    #[test]
+    fn reactor_tcp_transport_crosses_devices_via_io_thread() {
+        let plan = two_device_plan("tcp");
         let (modules, services) = registries();
         let mut rt = ReactorRuntime::new(ReactorConfig {
             workers: 2,
@@ -2898,6 +2984,104 @@ mod tests {
             report.errors
         );
         assert!(report.errors.is_empty(), "{:?}", report.errors);
+    }
+
+    /// One frame every 10 s: the first is due at deploy, after which the
+    /// pipeline sends nothing for the rest of the test.
+    fn quiet_tcp_config() -> RuntimeConfig {
+        RuntimeConfig {
+            fps: 0.1,
+            transport: EdgeTransport::Tcp,
+            ..RuntimeConfig::default()
+        }
+    }
+
+    /// Waits for pipeline `id`'s first frame, then until the I/O thread
+    /// has gone a while without waking: it is back in its wait.
+    fn settle_after_first_frame(rt: &ReactorRuntime, id: usize) -> Duration {
+        let start = Instant::now();
+        while rt.deliveries_for(id) == 0 {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "pipeline {id} never delivered its first frame"
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let first_frame = start.elapsed();
+        let mut seen = rt.io_wakeups();
+        loop {
+            std::thread::sleep(Duration::from_millis(20));
+            let now = rt.io_wakeups();
+            if now == seen {
+                return first_frame;
+            }
+            seen = now;
+        }
+    }
+
+    #[test]
+    fn reactor_idle_tcp_pipeline_costs_no_io_wakeups() {
+        let (modules, services) = registries();
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        let id = rt
+            .add_pipeline(
+                &two_device_plan("idle"),
+                &modules,
+                &services,
+                quiet_tcp_config(),
+            )
+            .unwrap();
+        settle_after_first_frame(&rt, id);
+        let before = rt.io_wakeups();
+        assert!(
+            before > 0,
+            "the first frame crossed TCP without the I/O thread"
+        );
+        std::thread::sleep(Duration::from_millis(300));
+        // A timed scan would have come round some 300 times.
+        let woke = rt.io_wakeups() - before;
+        assert!(woke <= 5, "{woke} I/O wake-ups in 300 ms of silence");
+        // The thread sits in a wait with no timeout; shutdown has to wake it.
+        let start = Instant::now();
+        let reports = rt.finish();
+        assert!(
+            start.elapsed() < Duration::from_millis(100),
+            "finish() took {:?} with the I/O thread blocked",
+            start.elapsed()
+        );
+        assert!(reports[0].errors.is_empty(), "{:?}", reports[0].errors);
+    }
+
+    #[test]
+    fn reactor_tcp_pipelines_added_while_io_thread_blocks_start_promptly() {
+        let (modules, services) = registries();
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        for i in 0..8 {
+            // Every earlier pipeline is silent and the I/O thread blocked
+            // (`settle_after_first_frame`), so only the deploy's own
+            // notify can get the new endpoints registered and serviced.
+            let id = rt
+                .add_pipeline(
+                    &two_device_plan(&format!("late{i}")),
+                    &modules,
+                    &services,
+                    quiet_tcp_config(),
+                )
+                .unwrap();
+            let first_frame = settle_after_first_frame(&rt, id);
+            assert!(
+                first_frame < Duration::from_millis(50),
+                "pipeline {i}: first frame {first_frame:?} after deploy"
+            );
+        }
+        let reports = rt.finish();
+        assert!(reports.iter().all(|r| r.errors.is_empty()));
     }
 
     #[test]

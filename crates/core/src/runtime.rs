@@ -2625,7 +2625,7 @@ mod tests {
             ) -> Result<(), PipelineError> {
                 if let Event::Message(msg) = event {
                     self.calls += 1;
-                    if self.calls % 3 == 0 {
+                    if self.calls.is_multiple_of(3) {
                         panic!("injected module panic");
                     }
                     let Payload::FrameRef(id) = msg.payload else {

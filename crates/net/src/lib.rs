@@ -18,8 +18,13 @@
 //!   displays and telemetry.
 //! * [`broker`] — a deliberately *brokered* relay used only as the ablation
 //!   baseline that quantifies the paper's extra-hop claim.
+//! * [`Poller`] — readiness waiting (`epoll` + `eventfd` on Linux) so one
+//!   I/O thread blocks until a [`PollEndpoint`] socket has something to
+//!   read, instead of scanning them all on a timer.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the `poller` module alone opts back in, for the
+// four `epoll`/`eventfd` foreign calls no vendored crate wraps.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod broker;
@@ -28,6 +33,8 @@ mod endpoint;
 mod error;
 mod inproc;
 pub mod patterns;
+#[allow(unsafe_code)]
+mod poller;
 pub mod pool;
 pub mod tcp;
 pub mod telemetry;
@@ -36,8 +43,9 @@ mod wire;
 pub use endpoint::{Endpoint, EndpointMode, EndpointTransport};
 pub use error::NetError;
 pub use inproc::{InprocHub, InprocReceiver, InprocSender};
+pub use poller::Poller;
 pub use pool::{BufferPool, PoolStats};
-pub use tcp::PollEndpoint;
+pub use tcp::{PollEndpoint, Serviced};
 pub use wire::{
     read_frame, write_frame, FrameBatch, MessageKind, StreamDecoder, WireMessage, MAX_CHANNEL_LEN,
     MAX_FRAME_LEN,

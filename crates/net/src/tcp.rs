@@ -11,6 +11,7 @@
 //! payload copy.
 
 use crate::error::NetError;
+use crate::poller::Poller;
 use crate::pool::BufferPool;
 use crate::wire::{FrameBatch, StreamDecoder, WireMessage};
 use crate::{MsgReceiver, MsgSender};
@@ -565,24 +566,68 @@ impl MsgSender for TcpSender {
 
 /// A non-blocking poll-mode TCP ingress: the same wire format as
 /// [`TcpListenerHandle`], but with *zero* background threads. One caller —
-/// typically a reactor I/O thread multiplexing many endpoints — drives
-/// [`PollEndpoint::poll`], which accepts pending peers, drains whatever
-/// bytes the kernel has buffered, and emits every completed frame into the
-/// provided sink. Each connection reads straight into a pooled
-/// [`StreamDecoder`] chunk — decoded payloads are zero-copy slices of the
-/// read buffer — and partial frames persist across calls, so frames may
-/// arrive byte-by-byte without ever blocking the poller.
+/// typically a reactor I/O thread multiplexing many endpoints — drives it,
+/// in one of two ways that share every line of the socket handling:
+///
+/// * **Scan:** [`PollEndpoint::poll`] accepts pending peers and services
+///   every connection. The caller decides when to come back.
+/// * **Readiness:** after [`PollEndpoint::register`], a [`Poller`] reports
+///   which of the endpoint's sockets have something to read, and the
+///   caller hands each reported key to [`PollEndpoint::service`]. An idle
+///   endpoint then costs nothing at all.
+///
+/// Each connection reads straight into a pooled [`StreamDecoder`] chunk —
+/// decoded payloads are zero-copy slices of the read buffer — and partial
+/// frames persist across calls, so frames may arrive byte-by-byte without
+/// ever blocking the caller.
 pub struct PollEndpoint {
     listener: TcpListener,
     local_port: u16,
+    /// Open connections, ascending by `id` (ids only grow, and removal
+    /// keeps the order), so a key resolves by binary search.
     conns: Vec<PollConn>,
+    /// Id for the next accepted connection. Ids are never reused: a
+    /// readiness event for a connection that is gone resolves to nothing
+    /// instead of to whichever connection took its place.
+    next_conn: u32,
     accepted: u64,
     pool: Arc<BufferPool>,
+    /// Where the sockets are registered, and the high half of their keys.
+    registration: Option<(Arc<Poller>, u32)>,
+    /// Set while the listener is paused after a hard `accept` error.
+    accept_retry_at: Option<Instant>,
 }
 
 struct PollConn {
+    id: u32,
     stream: TcpStream,
     decoder: StreamDecoder,
+}
+
+/// The low half of the listener's key; connections count up from 1.
+const LISTENER_ID: u32 = 0;
+
+/// How long a listener stays paused after `accept` failed with something
+/// other than "nothing pending" (typically `EMFILE`: the process is out of
+/// descriptors, and the pending peer keeps the listener readable).
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// What the driver owes a key after [`PollEndpoint::service`] ran it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Serviced {
+    /// Nothing is left over: the key's next readiness event says when.
+    Idle,
+    /// The budget ran out with decoded frames still queued. No new bytes
+    /// need arrive for them, so no readiness event will announce them:
+    /// service the key again without waiting.
+    Backlog,
+    /// The listener hit a hard `accept` error and is off the readiness set
+    /// until then: service the key again at this instant.
+    RetryAt(Instant),
+}
+
+fn poll_key(token: u32, id: u32) -> u64 {
+    u64::from(token) << 32 | u64::from(id)
 }
 
 impl PollEndpoint {
@@ -610,8 +655,11 @@ impl PollEndpoint {
             listener,
             local_port,
             conns: Vec::new(),
+            next_conn: LISTENER_ID + 1,
             accepted: 0,
             pool,
+            registration: None,
+            accept_retry_at: None,
         })
     }
 
@@ -630,7 +678,77 @@ impl PollEndpoint {
         self.accepted
     }
 
-    /// One poll pass: accepts pending peers, reads every connection until
+    /// Registers the listener and every open connection with `poller`;
+    /// connections accepted later register themselves, and a connection is
+    /// taken off the poller before its socket closes. Every key has
+    /// `token` in its high 32 bits — the caller's way back from a ready
+    /// key to this endpoint — and an id that is never reused in its low 32.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the poller's registration failure (nothing stays
+    /// registered then); `AlreadyExists` when called twice.
+    pub fn register(&mut self, poller: &Arc<Poller>, token: u32) -> Result<(), NetError> {
+        if self.registration.is_some() {
+            return Err(std::io::Error::from(std::io::ErrorKind::AlreadyExists).into());
+        }
+        self.registration = Some((Arc::clone(poller), token));
+        let added = poller
+            .add(&self.listener, poll_key(token, LISTENER_ID))
+            .and_then(|()| {
+                self.conns
+                    .iter()
+                    .try_for_each(|conn| poller.add(&conn.stream, poll_key(token, conn.id)))
+            });
+        if let Err(e) = added {
+            self.deregister();
+            return Err(e.into());
+        }
+        Ok(())
+    }
+
+    /// Takes every socket off the poller (those never added just fail).
+    fn deregister(&mut self) {
+        if let Some((poller, _)) = self.registration.take() {
+            let _ = poller.delete(&self.listener);
+            for conn in &self.conns {
+                let _ = poller.delete(&conn.stream);
+            }
+        }
+    }
+
+    /// Services the socket behind one ready `key`: the listener accepts
+    /// every pending peer; a connection reads until the kernel has nothing
+    /// more or `budget` frames went to `sink`. A key whose connection is
+    /// gone (or that is not this endpoint's) does nothing. Never blocks;
+    /// returns the frames delivered and what the key needs next.
+    pub fn service(
+        &mut self,
+        key: u64,
+        budget: usize,
+        sink: &mut dyn FnMut(WireMessage),
+    ) -> (usize, Serviced) {
+        let token = self.registration.as_ref().map_or(0, |(_, token)| *token);
+        // Truncation is the point: the low half of the key is the id.
+        let id = key as u32;
+        if key >> 32 != u64::from(token) {
+            return (0, Serviced::Idle);
+        }
+        if id == LISTENER_ID {
+            return (0, self.accept_pending());
+        }
+        let Ok(idx) = self.conns.binary_search_by_key(&id, |conn| conn.id) else {
+            return (0, Serviced::Idle);
+        };
+        let (delivered, kept) = self.service_at(idx, budget, sink);
+        if kept && self.conns[idx].decoder.pending_frames() > 0 {
+            (delivered, Serviced::Backlog)
+        } else {
+            (delivered, Serviced::Idle)
+        }
+    }
+
+    /// One scan pass: accepts pending peers, reads every connection until
     /// the kernel has nothing more, and feeds each completed frame to
     /// `sink`. Dead or corrupt connections are dropped. Never blocks;
     /// returns the number of frames delivered (0 means "nothing ready —
@@ -640,100 +758,181 @@ impl PollEndpoint {
     }
 
     /// Like [`PollEndpoint::poll`], but stops reading once `budget` frames
-    /// have been delivered in this pass. A shared I/O thread multiplexing
-    /// many endpoints uses this so one firehose peer cannot pin the poll
-    /// loop while its siblings starve; undelivered bytes stay in the
+    /// have been delivered in this pass; undelivered bytes stay in the
     /// kernel socket buffer (and the reassembly buffer) for the next pass.
     pub fn poll_budget(&mut self, budget: usize, sink: &mut dyn FnMut(WireMessage)) -> usize {
+        self.accept_pending();
+        let mut delivered = 0usize;
+        let mut idx = 0usize;
+        while idx < self.conns.len() && delivered < budget {
+            let (n, kept) = self.service_at(idx, budget - delivered, sink);
+            delivered += n;
+            if kept {
+                idx += 1;
+            }
+        }
+        delivered
+    }
+
+    /// Accepts every pending peer. A hard `accept` error pauses the
+    /// listener — off the poller, no `accept` calls — for
+    /// [`ACCEPT_BACKOFF`]: with level-triggered readiness the peer that
+    /// could not be accepted would otherwise wake the waiter at once,
+    /// forever.
+    fn accept_pending(&mut self) -> Serviced {
+        if let Some(at) = self.accept_retry_at {
+            if Instant::now() < at {
+                return Serviced::RetryAt(at);
+            }
+        }
         loop {
             match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_ok() {
-                        let _ = stream.set_nodelay(true);
-                        self.accepted += 1;
-                        self.conns.push(PollConn {
-                            stream,
-                            decoder: StreamDecoder::new(Arc::clone(&self.pool)),
-                        });
+                Ok((stream, _peer)) => self.adopt(stream),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted
+                    ) => {}
+                Err(_) => return self.pause_accepts(),
+            }
+        }
+        if self.accept_retry_at.take().is_some() {
+            if let Some((poller, token)) = &self.registration {
+                if poller
+                    .add(&self.listener, poll_key(*token, LISTENER_ID))
+                    .is_err()
+                {
+                    return self.pause_accepts();
+                }
+            }
+        }
+        Serviced::Idle
+    }
+
+    fn pause_accepts(&mut self) -> Serviced {
+        if self.accept_retry_at.is_none() {
+            if let Some((poller, _)) = &self.registration {
+                let _ = poller.delete(&self.listener);
+            }
+        }
+        let at = Instant::now() + ACCEPT_BACKOFF;
+        self.accept_retry_at = Some(at);
+        Serviced::RetryAt(at)
+    }
+
+    /// Takes ownership of an accepted peer. A peer that cannot be made
+    /// non-blocking, numbered or registered is closed on the spot: nobody
+    /// would ever service it.
+    fn adopt(&mut self, stream: TcpStream) {
+        let Some(next) = self.next_conn.checked_add(1) else {
+            return;
+        };
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        let id = self.next_conn;
+        if let Some((poller, token)) = &self.registration {
+            if poller.add(&stream, poll_key(*token, id)).is_err() {
+                return;
+            }
+        }
+        self.next_conn = next;
+        self.accepted += 1;
+        self.conns.push(PollConn {
+            id,
+            stream,
+            decoder: StreamDecoder::new(Arc::clone(&self.pool)),
+        });
+    }
+
+    /// Services `conns[idx]`; a connection that is finished (EOF, corrupt
+    /// stream, I/O error — each once its decoded frames are out) comes off
+    /// the poller and is closed. Returns the frames delivered and whether
+    /// the connection is still at `idx`.
+    fn service_at(
+        &mut self,
+        idx: usize,
+        budget: usize,
+        sink: &mut dyn FnMut(WireMessage),
+    ) -> (usize, bool) {
+        let (delivered, keep) = self.conns[idx].drain(budget, sink);
+        if !keep {
+            let conn = self.conns.remove(idx);
+            if let Some((poller, _)) = &self.registration {
+                let _ = poller.delete(&conn.stream);
+            }
+        }
+        (delivered, keep)
+    }
+}
+
+impl PollConn {
+    /// Hands queued frames to `sink` until `budget` is spent or none is
+    /// left; returns how many.
+    fn flush(&mut self, budget: usize, sink: &mut dyn FnMut(WireMessage)) -> usize {
+        let mut delivered = 0usize;
+        while delivered < budget {
+            match self.decoder.next_frame() {
+                Some(msg) => {
+                    sink(msg);
+                    delivered += 1;
+                }
+                None => break,
+            }
+        }
+        delivered
+    }
+
+    /// Delivers up to `budget` frames: first those decoded but left over
+    /// from a budget-capped call (they must drain even when the kernel has
+    /// nothing new), then whatever can be read. Returns the frames
+    /// delivered and whether the connection should be kept.
+    fn drain(&mut self, budget: usize, sink: &mut dyn FnMut(WireMessage)) -> (usize, bool) {
+        let mut delivered = self.flush(budget, sink);
+        if self.decoder.is_corrupt() {
+            // Good frames decoded before the poison point deliver first;
+            // once the queue is dry the connection goes.
+            return (delivered, self.decoder.pending_frames() > 0);
+        }
+        while delivered < budget {
+            // Read straight into the decoder's pooled chunk: no
+            // intermediate stack buffer, no copy into a reassembly Vec.
+            let space = self.decoder.read_space();
+            if space.is_empty() {
+                break;
+            }
+            match self.stream.read(space) {
+                Ok(0) => {
+                    // Clean EOF: flush complete frames already decoded (up
+                    // to the budget), then drop the connection — unless
+                    // the budget cut the flush short, in which case it
+                    // stays for the next call.
+                    delivered += self.flush(budget - delivered, sink);
+                    return (delivered, self.decoder.pending_frames() > 0);
+                }
+                Ok(n) => {
+                    self.decoder.commit(n);
+                    delivered += self.flush(budget - delivered, sink);
+                    if self.decoder.is_corrupt() {
+                        return (delivered, self.decoder.pending_frames() > 0);
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return (delivered, false),
             }
         }
-        let mut delivered = 0usize;
-        self.conns.retain_mut(|conn| {
-            if delivered >= budget {
-                return true;
-            }
-            // Frames decoded but undelivered by an earlier budget-capped
-            // pass must drain even when the kernel has nothing new to read.
-            while delivered < budget {
-                match conn.decoder.next_frame() {
-                    Some(msg) => {
-                        sink(msg);
-                        delivered += 1;
-                    }
-                    None => break,
-                }
-            }
-            if conn.decoder.is_corrupt() {
-                // Good frames decoded before the poison point deliver
-                // first; once the queue is dry the connection goes.
-                return conn.decoder.pending_frames() > 0;
-            }
-            loop {
-                if delivered >= budget {
-                    // Budget exhausted mid-pass: keep the connection and
-                    // whatever the kernel still holds for the next pass.
-                    return true;
-                }
-                // Read straight into the decoder's pooled chunk: no
-                // intermediate stack buffer, no copy into a reassembly Vec.
-                let space = conn.decoder.read_space();
-                if space.is_empty() {
-                    break;
-                }
-                match conn.stream.read(space) {
-                    Ok(0) => {
-                        // Clean EOF: flush complete frames already decoded
-                        // (up to the budget), then drop the connection —
-                        // unless the budget cut the flush short, in which
-                        // case it stays for the next pass.
-                        while delivered < budget {
-                            match conn.decoder.next_frame() {
-                                Some(msg) => {
-                                    sink(msg);
-                                    delivered += 1;
-                                }
-                                None => break,
-                            }
-                        }
-                        return conn.decoder.pending_frames() > 0;
-                    }
-                    Ok(n) => {
-                        conn.decoder.commit(n);
-                        while delivered < budget {
-                            match conn.decoder.next_frame() {
-                                Some(msg) => {
-                                    sink(msg);
-                                    delivered += 1;
-                                }
-                                None => break,
-                            }
-                        }
-                        if conn.decoder.is_corrupt() {
-                            return conn.decoder.pending_frames() > 0;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => return false,
-                }
-            }
-            true
-        });
-        delivered
+        // Nothing more to read, or the budget is spent: keep the connection
+        // and whatever the kernel still holds for the next call.
+        (delivered, true)
+    }
+}
+
+impl Drop for PollEndpoint {
+    fn drop(&mut self) {
+        self.deregister();
     }
 }
 
@@ -1007,12 +1206,100 @@ mod tests {
         assert_eq!(sender.dropped_frames(), 0);
     }
 
-    #[test]
-    fn poll_endpoint_merges_peers_without_threads() {
-        let mut ep = PollEndpoint::bind("127.0.0.1:0").unwrap();
-        let addr = format!("127.0.0.1:{}", ep.local_port());
-        let s1 = TcpSender::connect_retry(&addr, Duration::from_secs(2)).unwrap();
-        let s2 = TcpSender::connect_retry(&addr, Duration::from_secs(2)).unwrap();
+    /// The two ways to drive a [`PollEndpoint`]; the `poll_*` tests below
+    /// run once through each and must not be able to tell them apart.
+    #[derive(Clone, Copy)]
+    enum Driver {
+        /// `poll_budget` over every socket, napping when nothing came.
+        Scan,
+        /// `Poller::wait`, then `service` for exactly the ready keys.
+        Readiness,
+    }
+
+    struct Driven {
+        ep: PollEndpoint,
+        poller: Option<Arc<Poller>>,
+        /// Keys `service` left with a backlog.
+        carry: Vec<u64>,
+    }
+
+    impl Driven {
+        fn bind(driver: Driver) -> Self {
+            let mut ep = PollEndpoint::bind("127.0.0.1:0").unwrap();
+            let poller = match driver {
+                Driver::Scan => None,
+                Driver::Readiness => {
+                    let poller = Arc::new(Poller::new().unwrap());
+                    ep.register(&poller, 7).unwrap();
+                    Some(poller)
+                }
+            };
+            Driven {
+                ep,
+                poller,
+                carry: Vec::new(),
+            }
+        }
+
+        fn addr(&self) -> String {
+            format!("127.0.0.1:{}", self.ep.local_port())
+        }
+
+        /// One pass of the driver, at most `budget` frames per connection;
+        /// waits up to a few milliseconds when there is nothing to do.
+        fn pass(&mut self, budget: usize, sink: &mut dyn FnMut(WireMessage)) -> usize {
+            let Some(poller) = &self.poller else {
+                let n = self.ep.poll_budget(budget, sink);
+                if n == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                return n;
+            };
+            let timeout = if self.carry.is_empty() {
+                Duration::from_millis(5)
+            } else {
+                Duration::ZERO
+            };
+            let mut ready = std::mem::take(&mut self.carry);
+            poller.wait(&mut ready, Some(timeout)).unwrap();
+            ready.sort_unstable();
+            ready.dedup();
+            let mut delivered = 0;
+            for key in ready {
+                let (n, next) = self.ep.service(key, budget, sink);
+                delivered += n;
+                if next == Serviced::Backlog {
+                    self.carry.push(key);
+                }
+            }
+            delivered
+        }
+    }
+
+    /// Runs `$body(driver)` as two tests, `$name::scan` and
+    /// `$name::readiness`.
+    macro_rules! both_drivers {
+        ($name:ident, $body:expr) => {
+            mod $name {
+                use super::*;
+
+                #[test]
+                fn scan() {
+                    $body(Driver::Scan);
+                }
+
+                #[test]
+                fn readiness() {
+                    $body(Driver::Readiness);
+                }
+            }
+        };
+    }
+
+    both_drivers!(poll_endpoint_merges_peers_without_threads, |driver| {
+        let mut d = Driven::bind(driver);
+        let s1 = TcpSender::connect_retry(&d.addr(), Duration::from_secs(2)).unwrap();
+        let s2 = TcpSender::connect_retry(&d.addr(), Duration::from_secs(2)).unwrap();
         for i in 0..50u64 {
             s1.send(WireMessage::signal("a", i)).unwrap();
             s2.send(WireMessage::signal("b", i)).unwrap();
@@ -1021,33 +1308,24 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         while got.len() < 100 {
             assert!(Instant::now() < deadline, "only {} frames", got.len());
-            let n = ep.poll(&mut |msg| got.push(msg));
-            if n == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            d.pass(usize::MAX, &mut |msg| got.push(msg));
         }
-        assert_eq!(ep.connections(), 2);
-        assert_eq!(ep.accepted(), 2);
+        assert_eq!(d.ep.connections(), 2);
+        assert_eq!(d.ep.accepted(), 2);
         // Per-peer ordering survives the merge.
-        let a: Vec<u64> = got
-            .iter()
-            .filter(|m| m.channel == "a")
-            .map(|m| m.seq)
-            .collect();
-        let b: Vec<u64> = got
-            .iter()
-            .filter(|m| m.channel == "b")
-            .map(|m| m.seq)
-            .collect();
-        assert_eq!(a, (0..50).collect::<Vec<_>>());
-        assert_eq!(b, (0..50).collect::<Vec<_>>());
-    }
+        for chan in ["a", "b"] {
+            let seqs: Vec<u64> = got
+                .iter()
+                .filter(|m| m.channel == chan)
+                .map(|m| m.seq)
+                .collect();
+            assert_eq!(seqs, (0..50).collect::<Vec<_>>());
+        }
+    });
 
-    #[test]
-    fn poll_budget_caps_one_pass_without_losing_frames() {
-        let mut ep = PollEndpoint::bind("127.0.0.1:0").unwrap();
-        let addr = format!("127.0.0.1:{}", ep.local_port());
-        let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2)).unwrap();
+    both_drivers!(poll_budget_caps_one_pass_without_losing_frames, |driver| {
+        let mut d = Driven::bind(driver);
+        let sender = TcpSender::connect_retry(&d.addr(), Duration::from_secs(2)).unwrap();
         for i in 0..50u64 {
             sender.send(WireMessage::signal("x", i)).unwrap();
         }
@@ -1056,90 +1334,267 @@ mod tests {
         let mut got = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            let n = ep.poll_budget(10, &mut |m| got.push(m));
+            let n = d.pass(10, &mut |m| got.push(m));
             assert!(n <= 10, "budgeted pass delivered {n} frames");
             if n == 10 {
                 break;
             }
             assert!(Instant::now() < deadline, "budget cap never reached");
-            std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(ep.connections(), 1, "capped pass must keep the peer");
+        assert_eq!(d.ep.connections(), 1, "capped pass must keep the peer");
         // The remainder drains across later passes with nothing lost and
         // per-peer ordering intact.
         while got.len() < 50 {
             assert!(Instant::now() < deadline, "only {} frames", got.len());
-            if ep.poll_budget(10, &mut |m| got.push(m)) == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            d.pass(10, &mut |m| got.push(m));
         }
         let seqs: Vec<u64> = got.iter().map(|m| m.seq).collect();
         assert_eq!(seqs, (0..50).collect::<Vec<_>>());
-    }
+    });
 
-    #[test]
-    fn poll_endpoint_reassembles_split_frames() {
-        let mut ep = PollEndpoint::bind("127.0.0.1:0").unwrap();
-        let addr = format!("127.0.0.1:{}", ep.local_port());
-        let mut raw = TcpStream::connect(&addr).unwrap();
+    both_drivers!(poll_endpoint_reassembles_split_frames, |driver| {
+        let mut d = Driven::bind(driver);
+        let mut raw = TcpStream::connect(d.addr()).unwrap();
         raw.set_nodelay(true).unwrap();
         let msg = WireMessage::data("chan", 42, 7, Bytes::from(vec![9u8; 300]));
         let mut framed = BytesMut::new();
         msg.encode_framed_into(&mut framed).unwrap();
-        // Dribble the frame one byte at a time across many poll passes.
+        // Dribble the frame one byte per write. The first passes also
+        // accept the peer, so every later byte is its own read.
         let mut got = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while d.ep.connections() == 0 {
+            assert!(Instant::now() < deadline, "peer never accepted");
+            d.pass(usize::MAX, &mut |m| got.push(m));
+        }
         for byte in framed.iter() {
             raw.write_all(&[*byte]).unwrap();
             raw.flush().unwrap();
-            ep.poll(&mut |m| got.push(m));
+            d.pass(usize::MAX, &mut |m| got.push(m));
         }
-        let deadline = Instant::now() + Duration::from_secs(5);
         while got.is_empty() {
             assert!(Instant::now() < deadline, "frame never reassembled");
-            ep.poll(&mut |m| got.push(m));
-            std::thread::sleep(Duration::from_millis(1));
+            d.pass(usize::MAX, &mut |m| got.push(m));
         }
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].seq, 42);
         assert_eq!(got[0].payload.len(), 300);
-    }
+    });
 
-    #[test]
-    fn poll_endpoint_drops_corrupt_connection() {
-        let mut ep = PollEndpoint::bind("127.0.0.1:0").unwrap();
-        let addr = format!("127.0.0.1:{}", ep.local_port());
-        let mut raw = TcpStream::connect(&addr).unwrap();
+    both_drivers!(poll_endpoint_drops_corrupt_connection, |driver| {
+        let mut d = Driven::bind(driver);
+        let mut raw = TcpStream::connect(d.addr()).unwrap();
         // An implausible length prefix (beyond MAX_FRAME_LEN).
         raw.write_all(&u32::MAX.to_be_bytes()).unwrap();
         raw.flush().unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            ep.poll(&mut |_| panic!("no frame should decode"));
-            if ep.accepted() == 1 && ep.connections() == 0 {
+            d.pass(usize::MAX, &mut |_| panic!("no frame should decode"));
+            if d.ep.accepted() == 1 && d.ep.connections() == 0 {
                 break; // accepted, then dropped as corrupt
             }
             assert!(Instant::now() < deadline, "corrupt peer never dropped");
-            std::thread::sleep(Duration::from_millis(1));
         }
-    }
+    });
 
-    #[test]
-    fn poll_endpoint_handles_peer_disconnect() {
-        let mut ep = PollEndpoint::bind("127.0.0.1:0").unwrap();
-        let addr = format!("127.0.0.1:{}", ep.local_port());
-        let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2)).unwrap();
+    both_drivers!(poll_endpoint_handles_peer_disconnect, |driver| {
+        let mut d = Driven::bind(driver);
+        let sender = TcpSender::connect_retry(&d.addr(), Duration::from_secs(2)).unwrap();
         sender.send(WireMessage::signal("x", 1)).unwrap();
         drop(sender);
         let mut got = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while got.is_empty() || ep.connections() > 0 {
+        while got.is_empty() || d.ep.connections() > 0 {
             assert!(Instant::now() < deadline, "disconnect never processed");
-            ep.poll(&mut |m| got.push(m));
-            std::thread::sleep(Duration::from_millis(1));
+            d.pass(usize::MAX, &mut |m| got.push(m));
         }
         // The in-flight frame still arrived before the close was seen.
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].seq, 1);
+    });
+
+    both_drivers!(peer_hang_up_drops_exactly_that_connection, |driver| {
+        let mut d = Driven::bind(driver);
+        let leaver = TcpSender::connect_retry(&d.addr(), Duration::from_secs(2)).unwrap();
+        let stayer = TcpSender::connect_retry(&d.addr(), Duration::from_secs(2)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while d.ep.connections() < 2 {
+            assert!(Instant::now() < deadline, "peers never accepted");
+            d.pass(usize::MAX, &mut |_| panic!("nothing was sent"));
+        }
+        // Accept order is connect order: the leaver holds the lower id.
+        let (gone, kept) = (d.ep.conns[0].id, d.ep.conns[1].id);
+        drop(leaver);
+        while d.ep.connections() > 1 {
+            assert!(Instant::now() < deadline, "hang-up never processed");
+            d.pass(usize::MAX, &mut |_| panic!("nothing was sent"));
+        }
+        assert_eq!(d.ep.conns[0].id, kept);
+        // An event still in flight for the dead key lands nowhere — above
+        // all not on the connection that now sits in its slot.
+        let token = d.ep.registration.as_ref().map_or(0, |(_, token)| *token);
+        let stale = d.ep.service(poll_key(token, gone), usize::MAX, &mut |_| {
+            panic!("a dead key delivered a frame")
+        });
+        assert_eq!(stale, (0, Serviced::Idle));
+        assert_eq!(d.ep.connections(), 1);
+        // The survivor still works, and a newcomer gets a fresh id.
+        stayer.send(WireMessage::signal("x", 5)).unwrap();
+        let _newcomer = TcpSender::connect_retry(&d.addr(), Duration::from_secs(2)).unwrap();
+        let mut got = Vec::new();
+        while got.is_empty() || d.ep.connections() < 2 {
+            assert!(Instant::now() < deadline, "survivor went quiet");
+            d.pass(usize::MAX, &mut |m| got.push(m));
+        }
+        assert_eq!(got[0].seq, 5);
+        assert!(
+            d.ep.conns[1].id > kept,
+            "connection ids must never be reused"
+        );
+    });
+
+    #[test]
+    fn peer_connecting_while_the_waiter_is_blocked_is_served_promptly() {
+        let mut ep = PollEndpoint::bind("127.0.0.1:0").unwrap();
+        let addr = format!("127.0.0.1:{}", ep.local_port());
+        let poller = Arc::new(Poller::new().unwrap());
+        ep.register(&poller, 0).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (blocked_tx, blocked_rx) = std::sync::mpsc::channel();
+        let (frame_tx, frame_rx) = std::sync::mpsc::channel();
+        let io = {
+            let (poller, stop) = (Arc::clone(&poller), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut ready = Vec::new();
+                while !stop.load(Ordering::SeqCst) {
+                    blocked_tx.send(()).unwrap();
+                    // No timeout: only the peer (or the final notify) can
+                    // end this wait.
+                    poller.wait(&mut ready, None).unwrap();
+                    for key in ready.drain(..) {
+                        ep.service(key, usize::MAX, &mut |m| {
+                            frame_tx.send((m.seq, Instant::now())).unwrap();
+                        });
+                    }
+                }
+                ep.accepted()
+            })
+        };
+        blocked_rx.recv().unwrap();
+        let sent = Instant::now();
+        let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2)).unwrap();
+        sender.send(WireMessage::signal("x", 3)).unwrap();
+        let (seq, at) = frame_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the blocked waiter never saw the new peer");
+        assert_eq!(seq, 3);
+        // Generous for a loaded CI box, yet far below any poll interval
+        // that would have had to rescue a missed wake-up.
+        assert!(
+            at - sent < Duration::from_millis(250),
+            "first frame took {:?}",
+            at - sent
+        );
+        stop.store(true, Ordering::SeqCst);
+        poller.notify();
+        assert_eq!(io.join().unwrap(), 1);
+    }
+
+    /// What only real readiness can show: that nothing is reported for a
+    /// socket with nothing to read. The portable `Poller` reports every
+    /// key on every wait, so there these would fail by design.
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    mod readiness_only {
+        use super::*;
+
+        #[test]
+        fn budget_leftovers_are_delivered_with_no_new_bytes() {
+            let mut d = Driven::bind(Driver::Readiness);
+            let mut raw = TcpStream::connect(d.addr()).unwrap();
+            let mut framed = BytesMut::new();
+            for i in 0..25u64 {
+                WireMessage::signal("x", i)
+                    .encode_framed_into(&mut framed)
+                    .unwrap();
+            }
+            raw.write_all(&framed).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while d.ep.connections() == 0 {
+                assert!(Instant::now() < deadline, "peer never accepted");
+                d.ep.accept_pending();
+            }
+            // Let the whole burst reach the socket, so one read takes it all
+            // and everything after the first call is leftovers.
+            let mut probe = vec![0u8; framed.len()];
+            while d.ep.conns[0].stream.peek(&mut probe).unwrap_or(0) < framed.len() {
+                assert!(Instant::now() < deadline, "burst never arrived");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let key = poll_key(7, d.ep.conns[0].id);
+            let mut got = Vec::new();
+            assert_eq!(
+                d.ep.service(key, 10, &mut |m| got.push(m)),
+                (10, Serviced::Backlog)
+            );
+            // The kernel is drained: readiness has nothing more to say...
+            let mut ready = Vec::new();
+            d.poller
+                .as_ref()
+                .unwrap()
+                .wait(&mut ready, Some(Duration::ZERO))
+                .unwrap();
+            assert!(ready.is_empty(), "unexpected readiness: {ready:?}");
+            // ...and only the backlog report gets the other 15 out.
+            assert_eq!(
+                d.ep.service(key, 10, &mut |m| got.push(m)),
+                (10, Serviced::Backlog)
+            );
+            assert_eq!(
+                d.ep.service(key, 10, &mut |m| got.push(m)),
+                (5, Serviced::Idle)
+            );
+            let seqs: Vec<u64> = got.iter().map(|m| m.seq).collect();
+            assert_eq!(seqs, (0..25).collect::<Vec<_>>());
+        }
+
+        #[test]
+        fn hard_accept_error_pauses_the_listener_instead_of_spinning() {
+            let mut d = Driven::bind(Driver::Readiness);
+            let poller = Arc::clone(d.poller.as_ref().unwrap());
+            // What `accept` failing with EMFILE leads to; the peer that could
+            // not be accepted stays pending and keeps the listener readable.
+            let Serviced::RetryAt(at) = d.ep.pause_accepts() else {
+                panic!("a paused listener must name its retry time");
+            };
+            let _peer = TcpStream::connect(d.addr()).unwrap();
+            let mut ready = Vec::new();
+            poller
+                .wait(&mut ready, Some(Duration::from_millis(5)))
+                .unwrap();
+            assert!(ready.is_empty(), "paused listener woke the waiter");
+            // Early calls neither accept nor move the deadline.
+            let listener = poll_key(7, LISTENER_ID);
+            assert_eq!(
+                d.ep.service(listener, 1, &mut |_| {}),
+                (0, Serviced::RetryAt(at))
+            );
+            assert_eq!(d.ep.connections(), 0);
+            std::thread::sleep(at.saturating_duration_since(Instant::now()));
+            assert_eq!(d.ep.service(listener, 1, &mut |_| {}), (0, Serviced::Idle));
+            assert_eq!(d.ep.connections(), 1);
+            // Back on the readiness set: the next peer is announced again.
+            let _second = TcpStream::connect(d.addr()).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !ready.contains(&listener) {
+                assert!(Instant::now() < deadline, "listener never re-armed");
+                poller
+                    .wait(&mut ready, Some(Duration::from_millis(50)))
+                    .unwrap();
+            }
+        }
     }
 
     #[test]

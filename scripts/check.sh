@@ -11,8 +11,18 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (offline, deny warnings)"
 cargo clippy --offline --all-targets -- -D warnings
 
-echo "==> cargo test"
+echo "==> cargo test (whole workspace: default-members covers every crate)"
 cargo test -q
+
+echo "==> vpbench (its own package: unit tests, then one quick workload)"
+# The benchmark is outside the workspace, so nothing above builds it. The
+# quick run is a smoke of the reactor over loopback TCP end to end (3 s
+# windows, bounds printed, not enforced). Neither step may touch the
+# package's lock file: the driver builds from the committed one.
+cargo test --release --offline --manifest-path vpbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path vpbench/Cargo.toml -- \
+    --quick --workload baseline_remote
+git diff --exit-code -- vpbench/Cargo.lock
 
 echo "==> chaos smoke (fixed-seed device crash + self-healing failover)"
 # Deterministic virtual-time replay: a mid-pipeline device dies and the

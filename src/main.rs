@@ -5,6 +5,7 @@
 //! videopipe apps
 //! videopipe run fitness --arch baseline --fps 30 --duration 20
 //! videopipe run gesture --gesture wave --runtime local
+//! videopipe run fitness --runtime reactor --transport tcp
 //! videopipe validate my_pipeline.vpc
 //! videopipe placement
 //! ```
@@ -16,6 +17,7 @@ use videopipe::apps::experiments::{run_fitness, Arch, ExperimentConfig};
 use videopipe::apps::{fall, fitness, gesture, iot::IotHub, retail};
 use videopipe::core::deploy::{autoplace_pinned, estimate_latency, plan, Placement};
 use videopipe::core::prelude::*;
+use videopipe::core::runtime::{EdgeTransport, RunReport};
 use videopipe::media::motion::ExerciseKind;
 use videopipe::sim::{Scenario, SimProfile};
 
@@ -33,7 +35,10 @@ RUN OPTIONS:
     --fps <rate>                  source frame rate (default 30)
     --duration <seconds>          run length (default 15)
     --credits <n>                 flow-control credits (default 1)
-    --runtime <sim|local>         simulator or real threads (default sim)
+    --runtime <sim|local|reactor> simulator, a thread per module, or the
+                                  event-driven worker pool (default sim)
+    --transport <inproc|tcp>      cross-device edges in-process or over
+                                  loopback TCP (local|reactor; default inproc)
     --gesture <wave|clap|idle>    gesture app motion (default clap)
     --pose-instances <n>          pose service pool size (sim only)
     --seed <n>                    RNG seed (default 42)
@@ -41,12 +46,24 @@ RUN OPTIONS:
                                   degradation lattice (default off)
 ";
 
+/// Which engine `run` executes the pipeline on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Engine {
+    /// The discrete-event simulator (modeled time).
+    Sim,
+    /// `LocalRuntime`: one OS thread per module, pacer and executor.
+    Local,
+    /// `ReactorRuntime`: tasks on a worker pool sized to cores.
+    Reactor,
+}
+
 struct Options {
     arch: Arch,
     fps: f64,
     duration: Duration,
     credits: u32,
-    local: bool,
+    engine: Engine,
+    transport: EdgeTransport,
     gesture: ExerciseKind,
     pose_instances: usize,
     seed: u64,
@@ -60,7 +77,8 @@ impl Default for Options {
             fps: 30.0,
             duration: Duration::from_secs(15),
             credits: 1,
-            local: false,
+            engine: Engine::Sim,
+            transport: EdgeTransport::Inproc,
             gesture: ExerciseKind::Clap,
             pose_instances: 1,
             seed: 42,
@@ -112,10 +130,18 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--runtime" => {
-                opts.local = match value()?.as_str() {
-                    "local" => true,
-                    "sim" => false,
+                opts.engine = match value()?.as_str() {
+                    "sim" => Engine::Sim,
+                    "local" => Engine::Local,
+                    "reactor" => Engine::Reactor,
                     other => return Err(format!("unknown runtime {other:?}")),
+                }
+            }
+            "--transport" => {
+                opts.transport = match value()?.as_str() {
+                    "inproc" => EdgeTransport::Inproc,
+                    "tcp" => EdgeTransport::Tcp,
+                    other => return Err(format!("unknown transport {other:?}")),
                 }
             }
             "--gesture" => {
@@ -145,6 +171,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             other => return Err(format!("unknown option {other:?}")),
         }
+    }
+    if opts.engine == Engine::Sim && opts.transport == EdgeTransport::Tcp {
+        return Err("--transport tcp needs --runtime local or reactor".into());
     }
     Ok(opts)
 }
@@ -206,7 +235,8 @@ fn run_sim(
     Ok(())
 }
 
-fn run_local(
+/// Runs on real threads and sockets: `LocalRuntime` or `ReactorRuntime`.
+fn run_real(
     plan: &DeploymentPlan,
     modules: &ModuleRegistry,
     services: &ServiceRegistry,
@@ -214,22 +244,33 @@ fn run_local(
     slo: Option<SloConfig>,
 ) -> Result<(), String> {
     let slo_enabled = slo.is_some();
-    let runtime = LocalRuntime::deploy(
-        plan,
-        modules,
-        services,
-        RuntimeConfig {
-            fps: opts.fps,
-            credits: opts.credits,
-            slo,
-            ..RuntimeConfig::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    println!(
-        "running on real threads for {:.1} s...",
-        opts.duration.as_secs_f64()
-    );
+    let config = RuntimeConfig {
+        fps: opts.fps,
+        credits: opts.credits,
+        slo,
+        transport: opts.transport,
+        ..RuntimeConfig::default()
+    };
+    let finish: Box<dyn FnOnce() -> RunReport> = if opts.engine == Engine::Reactor {
+        let mut runtime = ReactorRuntime::new(ReactorConfig::default());
+        runtime
+            .add_pipeline(plan, modules, services, config)
+            .map_err(|e| e.to_string())?;
+        println!(
+            "running on the reactor ({} threads) for {:.1} s...",
+            runtime.thread_count(),
+            opts.duration.as_secs_f64()
+        );
+        Box::new(move || runtime.finish().remove(0))
+    } else {
+        let runtime =
+            LocalRuntime::deploy(plan, modules, services, config).map_err(|e| e.to_string())?;
+        println!(
+            "running on real threads for {:.1} s...",
+            opts.duration.as_secs_f64()
+        );
+        Box::new(move || runtime.finish())
+    };
     // Graceful shutdown: SIGTERM/SIGINT ends the run early through the
     // same drain path as the deadline — in-flight frames complete, every
     // module takes a final checkpoint, and senders close cleanly.
@@ -244,7 +285,7 @@ fn run_local(
     if videopipe::cluster::signals::termination_requested() {
         println!("signal received — draining pipelines...");
     }
-    let report = runtime.finish();
+    let report = finish();
     if slo_enabled {
         println!(
             "slo: finished at lattice level {} ({} move(s), {} flap(s))",
@@ -272,6 +313,19 @@ fn run_local(
     Ok(())
 }
 
+fn run_plan(
+    plan: &DeploymentPlan,
+    modules: &ModuleRegistry,
+    services: &ServiceRegistry,
+    opts: &Options,
+    slo: Option<SloConfig>,
+) -> Result<(), String> {
+    match opts.engine {
+        Engine::Sim => run_sim(plan, modules, services, opts, slo),
+        Engine::Local | Engine::Reactor => run_real(plan, modules, services, opts, slo),
+    }
+}
+
 fn cmd_run(app: &str, opts: &Options) -> Result<(), String> {
     // Each app declares its own degradation priorities (what it can afford
     // to lose first); --slo only picks the target the lattice defends.
@@ -283,26 +337,13 @@ fn cmd_run(app: &str, opts: &Options) -> Result<(), String> {
     });
     match app {
         "fitness" => {
-            if opts.local {
+            if opts.engine != Engine::Sim || slo.is_some() {
                 let plan = match opts.arch {
                     Arch::VideoPipe => fitness::videopipe_plan(),
                     Arch::Baseline => fitness::baseline_plan(),
                 }
                 .map_err(|e| e.to_string())?;
-                run_local(
-                    &plan,
-                    &fitness::module_registry(opts.seed),
-                    &fitness::service_registry(opts.seed),
-                    opts,
-                    slo,
-                )
-            } else if slo.is_some() {
-                let plan = match opts.arch {
-                    Arch::VideoPipe => fitness::videopipe_plan(),
-                    Arch::Baseline => fitness::baseline_plan(),
-                }
-                .map_err(|e| e.to_string())?;
-                run_sim(
+                run_plan(
                     &plan,
                     &fitness::module_registry(opts.seed),
                     &fitness::service_registry(opts.seed),
@@ -341,11 +382,7 @@ fn cmd_run(app: &str, opts: &Options) -> Result<(), String> {
             let plan = gesture::videopipe_plan().map_err(|e| e.to_string())?;
             let modules = gesture::module_registry(opts.seed, opts.gesture, Arc::clone(&hub));
             let services = gesture::service_registry(opts.seed);
-            if opts.local {
-                run_local(&plan, &modules, &services, opts, slo)?;
-            } else {
-                run_sim(&plan, &modules, &services, opts, slo)?;
-            }
+            run_plan(&plan, &modules, &services, opts, slo)?;
             println!(
                 "IoT state after the run: light {}, doorbell {}, {} command(s)",
                 if hub.light_on() { "ON" } else { "off" },
@@ -358,21 +395,13 @@ fn cmd_run(app: &str, opts: &Options) -> Result<(), String> {
             let plan = fall::videopipe_plan().map_err(|e| e.to_string())?;
             let modules = fall::module_registry(opts.seed, 1.5);
             let services = fall::service_registry();
-            if opts.local {
-                run_local(&plan, &modules, &services, opts, slo)
-            } else {
-                run_sim(&plan, &modules, &services, opts, slo)
-            }
+            run_plan(&plan, &modules, &services, opts, slo)
         }
         "retail" => {
             let plan = retail::videopipe_plan().map_err(|e| e.to_string())?;
             let modules = retail::module_registry(opts.seed, retail::default_shelf());
             let services = retail::service_registry();
-            if opts.local {
-                run_local(&plan, &modules, &services, opts, slo)
-            } else {
-                run_sim(&plan, &modules, &services, opts, slo)
-            }
+            run_plan(&plan, &modules, &services, opts, slo)
         }
         other => Err(format!(
             "unknown app {other:?}; `videopipe apps` lists the available ones"
@@ -485,7 +514,8 @@ mod tests {
         assert_eq!(opts.arch, Arch::VideoPipe);
         assert_eq!(opts.fps, 30.0);
         assert_eq!(opts.credits, 1);
-        assert!(!opts.local);
+        assert_eq!(opts.engine, Engine::Sim);
+        assert_eq!(opts.transport, EdgeTransport::Inproc);
     }
 
     #[test]
@@ -501,6 +531,8 @@ mod tests {
             "2",
             "--runtime",
             "local",
+            "--transport",
+            "tcp",
             "--gesture",
             "wave",
             "--pose-instances",
@@ -515,11 +547,39 @@ mod tests {
         assert_eq!(opts.fps, 12.5);
         assert_eq!(opts.duration, Duration::from_secs_f64(3.5));
         assert_eq!(opts.credits, 2);
-        assert!(opts.local);
+        assert_eq!(opts.engine, Engine::Local);
+        assert_eq!(opts.transport, EdgeTransport::Tcp);
         assert_eq!(opts.gesture, ExerciseKind::Wave);
         assert_eq!(opts.pose_instances, 3);
         assert_eq!(opts.seed, 7);
         assert_eq!(opts.slo, Some(Duration::from_millis(150)));
+    }
+
+    #[test]
+    fn reactor_runtime_and_transport() {
+        let opts = parse(&["--runtime", "reactor"]).unwrap();
+        assert_eq!(opts.engine, Engine::Reactor);
+        assert_eq!(opts.transport, EdgeTransport::Inproc);
+        let opts = parse(&["--transport", "tcp", "--runtime", "reactor"]).unwrap();
+        assert_eq!(opts.engine, Engine::Reactor);
+        assert_eq!(opts.transport, EdgeTransport::Tcp);
+        assert!(parse(&["--runtime", "sim", "--transport", "inproc"]).is_ok());
+        // The simulator models links; it has no sockets to put them on.
+        assert!(parse(&["--transport", "tcp"]).is_err());
+        assert!(parse(&["--runtime", "sim", "--transport", "tcp"]).is_err());
+        assert!(parse(&["--transport", "udp", "--runtime", "local"]).is_err());
+        assert!(parse(&["--transport"]).is_err());
+    }
+
+    #[test]
+    fn reactor_runs_an_app_over_tcp() {
+        let opts = Options {
+            engine: Engine::Reactor,
+            transport: EdgeTransport::Tcp,
+            duration: Duration::from_millis(300),
+            ..Options::default()
+        };
+        cmd_run("fall", &opts).unwrap();
     }
 
     #[test]
