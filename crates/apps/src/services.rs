@@ -235,9 +235,9 @@ impl Service for ActivityClassifierService {
     }
 
     fn cost(&self, _request: &ServiceRequest) -> ServiceCost {
-        // Followers ride the batched k-NN distance-matrix kernel (cached
-        // sample norms, one matrix per query tile) instead of a per-query
-        // scan.
+        // Followers ride the batched k-NN distance-matrix kernel (one
+        // matrix per query tile against the training block frozen at fit)
+        // instead of a per-query scan.
         ServiceCost::flat(Duration::from_millis(9)).with_batched_base(Duration::from_millis(3))
     }
 }
@@ -905,6 +905,54 @@ mod tests {
         }
         assert_eq!(successes, 4);
         assert!(svc.handle_batch(&[], &store).is_empty());
+    }
+
+    #[test]
+    fn activity_single_query_batch_matches_handle_on_the_squat_ring() {
+        // The production shape: the deployed 450 × 510 model, a 2 s squat
+        // at the 15 fps camera rate replayed as a ring of 30 poses, one
+        // `Payload::Vector` window per request and — as the reactor always
+        // dispatches it — one request per `handle_batch` call.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use videopipe_ml::features::{window_features, WINDOW_LEN};
+        const RING: usize = 30;
+        let svc = ActivityClassifierService::new(crate::training::trained_fitness_classifier(42));
+        let store = FrameStore::new();
+        let ring = MotionClip::new(ExerciseKind::Squat, 2.0)
+            .with_jitter(0.004)
+            .sample_sequence(
+                0,
+                2_000_000_000 / RING as u64,
+                RING,
+                &mut StdRng::seed_from_u64(42),
+            );
+        let requests: Vec<ServiceRequest> = (0..RING)
+            .map(|start| {
+                let window: Vec<Pose> = (0..WINDOW_LEN)
+                    .map(|i| ring[(start + i) % RING].clone())
+                    .collect();
+                let features = window_features(&window).expect("full window");
+                ServiceRequest::new("classify", Payload::Vector(features))
+            })
+            .collect();
+        let whole = svc.handle_batch(&requests, &store);
+        assert_eq!(whole.len(), RING);
+        let mut squats = 0;
+        for (request, batched) in requests.iter().zip(whole) {
+            let single = svc.handle(request, &store).unwrap().payload;
+            assert_eq!(batched.unwrap().payload, single);
+            let [alone] = &svc.handle_batch(std::slice::from_ref(request), &store)[..] else {
+                panic!("one result per request");
+            };
+            assert_eq!(alone.as_ref().unwrap().payload, single);
+            squats +=
+                usize::from(matches!(&single, Payload::Label { label, .. } if label == "squat"));
+        }
+        assert!(
+            squats >= RING * 95 / 100,
+            "{squats}/{RING} windows are squats"
+        );
     }
 
     #[test]

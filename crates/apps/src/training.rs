@@ -13,21 +13,21 @@ use rand::{Rng, SeedableRng};
 use videopipe_media::codec::{self, Quality};
 use videopipe_media::motion::{ExerciseKind, MotionClip};
 use videopipe_media::scene::SceneRenderer;
-use videopipe_ml::activity::{ActivityModel, ActivityRecognizer};
-use videopipe_ml::dataset::{generate_rep_sequence, generate_windows, DatasetConfig};
+use videopipe_ml::activity::{synthetic_split, ActivityModel, ActivityRecognizer};
+use videopipe_ml::dataset::{generate_rep_sequence, DatasetConfig};
 use videopipe_ml::features::WINDOW_LEN;
 use videopipe_ml::reps::count_sequence;
 use videopipe_ml::PoseDetector;
 
-/// Trains the fitness activity classifier (five exercise classes).
+/// Trains the fitness activity classifier (five exercise classes). This is
+/// what every deploy runs, so it trains and nothing else — the withheld
+/// test set is [`activity_test_accuracy`]'s business.
 pub fn trained_fitness_classifier(seed: u64) -> ActivityModel {
     let config = DatasetConfig {
         seed,
         ..DatasetConfig::default()
     };
-    ActivityRecognizer::train_synthetic(&ExerciseKind::FITNESS, &config)
-        .model()
-        .clone()
+    ActivityModel::train_synthetic(&ExerciseKind::FITNESS, &config)
 }
 
 /// Trains the gesture classifier (wave / clap / idle).
@@ -36,9 +36,7 @@ pub fn trained_gesture_classifier(seed: u64) -> ActivityModel {
         seed: seed ^ 0x6E57,
         ..DatasetConfig::default()
     };
-    ActivityRecognizer::train_synthetic(&ExerciseKind::GESTURES, &config)
-        .model()
-        .clone()
+    ActivityModel::train_synthetic(&ExerciseKind::GESTURES, &config)
 }
 
 /// Trains on `classes` and reports accuracy on the withheld test set
@@ -71,9 +69,7 @@ pub fn activity_test_accuracy_at_quality(
         seed,
         ..DatasetConfig::default()
     };
-    let model = ActivityRecognizer::train_synthetic(classes, &config)
-        .model()
-        .clone();
+    let model = ActivityModel::train_synthetic(classes, &config);
     let renderer = SceneRenderer::new(320, 240);
     let detector = PoseDetector::new();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC0DEC);
@@ -116,9 +112,8 @@ pub fn activity_per_class_accuracy(classes: &[ExerciseKind], seed: u64) -> Vec<(
         seed,
         ..DatasetConfig::default()
     };
-    let dataset = generate_windows(classes, &config);
-    let (train, test) = dataset.split(0.25, seed ^ 0x7E57);
-    let model = ActivityModel::train(ActivityRecognizer::DEFAULT_K, &train)
+    let (train, test) = synthetic_split(classes, &config);
+    let model = ActivityModel::train(ActivityRecognizer::DEFAULT_K, train)
         .expect("synthetic dataset is valid");
     classes
         .iter()

@@ -57,18 +57,21 @@ use videopipe_net::{
 };
 use videopipe_sim::{FailoverConfig, FaultPlan, LoadPlan, Scenario, SimProfile};
 
-/// Counts heap allocation calls so the wire cell can report
-/// allocations/frame. Lives in this binary (its own compilation unit), so
-/// the library crates keep `#![forbid(unsafe_code)]`.
+/// Counts heap allocation calls and requested bytes so the wire cell can
+/// report allocations/frame and the k-NN cell bytes/call. Lives in this
+/// binary (its own compilation unit), so the library crates keep
+/// `#![forbid(unsafe_code)]`.
 struct CountingAlloc;
 
 static ALLOC_CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static ALLOC_BYTES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 // SAFETY: every method delegates directly to the system allocator; the
-// only addition is a relaxed counter bump, which allocates nothing.
+// only addition is two relaxed counter bumps, which allocate nothing.
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, std::sync::atomic::Ordering::Relaxed);
         unsafe { std::alloc::System.alloc(layout) }
     }
 
@@ -78,6 +81,7 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, std::sync::atomic::Ordering::Relaxed);
         unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
     }
 }
@@ -116,6 +120,19 @@ fn parse_args() -> Args {
         }
     }
     args
+}
+
+/// Heap allocation calls and requested bytes made by `iters` calls of `f`,
+/// per call. Counts are process-wide: call it while nothing else runs.
+fn allocs_per_call(iters: usize, mut f: impl FnMut()) -> (f64, f64) {
+    use std::sync::atomic::Ordering::Relaxed;
+    let (calls, bytes) = (ALLOC_CALLS.load(Relaxed), ALLOC_BYTES.load(Relaxed));
+    for _ in 0..iters {
+        f();
+    }
+    let calls = ALLOC_CALLS.load(Relaxed) - calls;
+    let bytes = ALLOC_BYTES.load(Relaxed) - bytes;
+    (calls as f64 / iters as f64, bytes as f64 / iters as f64)
 }
 
 /// Median-of-3 wall time for `iters` calls of `f`, in seconds.
@@ -421,6 +438,7 @@ fn lcg_vecs(n: usize, dim: usize, seed: &mut u64) -> Vec<Vec<f32>> {
 /// `scripts/check.sh` can gate it with the same awk extractor as the
 /// codec cells.
 fn ml_section(quick: bool, out: &mut String) {
+    use videopipe_apps::services::ActivityClassifierService;
     use videopipe_ml::knn::KnnClassifier;
     use videopipe_ml::math::{
         distances_block_into, distances_into, distances_into_scalar, squared_distance_scalar,
@@ -458,8 +476,8 @@ fn ml_section(quick: bool, out: &mut String) {
         r#"    "pose": {{"scalar_fps": {pose_scalar_fps:.0}, "word_fps": {pose_word_fps:.0}, "speedup_x": {pose_speedup:.2}}},"#
     );
 
-    // Fused distance matrix (cached point norms) vs the per-pair scalar
-    // oracle, at the window-feature shape the activity classifier uses.
+    // Fused distance matrix (one-shot form: transpose + norms paid once
+    // per 64-query call) vs the per-pair scalar oracle.
     let mut seed = 0x5EED_CAFE_u64;
     let queries = lcg_vecs(64, 34, &mut seed);
     let points = lcg_vecs(512, 34, &mut seed);
@@ -565,9 +583,89 @@ fn ml_section(quick: bool, out: &mut String) {
     );
     let _ = writeln!(
         out,
-        r#"    "knn": {{"scalar_queries_s": {knn_scalar_qs:.0}, "batch_queries_s": {knn_batch_qs:.0}, "speedup_x": {knn_speedup:.2}}}"#
+        r#"    "knn": {{"scalar_queries_s": {knn_scalar_qs:.0}, "batch_queries_s": {knn_batch_qs:.0}, "speedup_x": {knn_speedup:.2}}},"#
+    );
+
+    // The production shape the cell above misses: the deployed fitness
+    // model (450 samples × dim 510), one `Payload::Vector` window per
+    // `handle_batch` call — the reactor's mean batch is 1.0 — cycling
+    // through a 30-window squat ring. The "transposes every call" arm is
+    // the same query's distance row through one-shot `distances_into`,
+    // which is what every classify paid before the training block was
+    // frozen at fit; it omits top-k and the vote, so the ratio is a floor.
+    let model = training::trained_fitness_classifier(42);
+    let config = videopipe_ml::dataset::DatasetConfig {
+        seed: 42,
+        ..Default::default()
+    };
+    let (train, _) = videopipe_ml::activity::synthetic_split(
+        &videopipe_media::motion::ExerciseKind::FITNESS,
+        &config,
+    );
+    assert_eq!(
+        (model.training_size(), model.dim()),
+        (train.features.len(), train.features[0].len()),
+        "the transpose arm must scan the deployed model's training set"
+    );
+    let ring = squat_ring_requests();
+    let svc = ActivityClassifierService::new(model);
+    let store = FrameStore::new();
+    let iters = if quick { 300 } else { 3000 };
+    let mut next = (0..ring.len()).cycle();
+    let transpose_s = time_iters(iters, || {
+        let Payload::Vector(features) = &ring[next.next().expect("cycle")].payload else {
+            unreachable!("the ring holds feature vectors");
+        };
+        distances_into(&[features], &train.features, &mut dists);
+        std::hint::black_box(&dists);
+    });
+    let mut classify = || {
+        let request = &ring[next.next().expect("cycle")];
+        std::hint::black_box(svc.handle_batch(std::slice::from_ref(request), &store));
+    };
+    let frozen_s = time_iters(iters, &mut classify);
+    let (allocs, alloc_bytes) = allocs_per_call(iters, &mut classify);
+    let transpose_us = transpose_s / iters as f64 * 1e6;
+    let frozen_us = frozen_s / iters as f64 * 1e6;
+    let single_speedup = transpose_s / frozen_s.max(1e-12);
+    println!(
+        "k-NN single query {}x{} k=5: transpose per call {transpose_us:.1} us -> frozen block \
+         {frozen_us:.1} us per handle_batch ({single_speedup:.2}x), {allocs:.1} allocs / \
+         {alloc_bytes:.0} B per call",
+        train.features.len(),
+        train.features[0].len(),
+    );
+    let _ = writeln!(
+        out,
+        r#"    "knn_single_query": {{"transpose_us": {transpose_us:.1}, "frozen_us": {frozen_us:.1}, "speedup_x": {single_speedup:.2}, "allocs_per_call": {allocs:.1}, "alloc_bytes_per_call": {alloc_bytes:.0}}}"#
     );
     let _ = writeln!(out, r#"  }},"#);
+}
+
+/// Classify requests for a 2 s squat at the 15 fps camera rate, replayed as
+/// a ring: one pre-extracted 15-pose window per starting frame.
+fn squat_ring_requests() -> Vec<ServiceRequest> {
+    use rand::SeedableRng;
+    use videopipe_media::motion::{ExerciseKind, MotionClip};
+    use videopipe_ml::features::{window_features, WINDOW_LEN};
+    const RING: usize = 30;
+    let poses = MotionClip::new(ExerciseKind::Squat, 2.0)
+        .with_jitter(0.004)
+        .sample_sequence(
+            0,
+            2_000_000_000 / RING as u64,
+            RING,
+            &mut rand::rngs::StdRng::seed_from_u64(42),
+        );
+    (0..RING)
+        .map(|start| {
+            let window: Vec<Pose> = (0..WINDOW_LEN)
+                .map(|i| poses[(start + i) % RING].clone())
+                .collect();
+            let features = window_features(&window).expect("full window");
+            ServiceRequest::new("classify", Payload::Vector(features))
+        })
+        .collect()
 }
 
 /// Fan-out transcoding: N remote destinations with and without the store's

@@ -59,8 +59,9 @@ use crate::metrics::PipelineMetrics;
 use crate::module::{Event, Module, ModuleCtx, ModuleFactory, ModuleRegistry};
 use crate::resilience::{seed_for, DegradationPolicy, SeededJitter};
 use crate::runtime::{
-    collect_report, fc_chan, hb_chan, mod_chan, panic_message, reply_chan, EdgeTransport,
-    KnobActuators, ModuleWiring, Router, RunReport, RuntimeConfig, Shared, ShutdownGate, POLL,
+    collect_report, fc_chan, hb_chan, mod_chan, panic_message, reply_chan, supervised_batch,
+    EdgeTransport, KnobActuators, ModuleWiring, Router, RunReport, RuntimeConfig, Shared,
+    ShutdownGate, POLL,
 };
 use crate::service::{Service, ServiceRegistry, ServiceRequest, ServiceResponse};
 use crate::slo::{SloAction, SloController};
@@ -1583,41 +1584,9 @@ impl ServiceRunner {
             }
         }
 
-        // Supervised batch handler (see service_executor_loop).
-        let ready: Vec<ServiceRequest> = slots
-            .iter()
-            .filter_map(|slot| slot.as_ref().ok().cloned())
-            .collect();
-        let handled: Vec<Result<ServiceResponse, PipelineError>> = if ready.is_empty() {
-            Vec::new()
-        } else {
-            match catch_unwind(AssertUnwindSafe(|| self.image.handle_batch(&ready, store))) {
-                Ok(results) => results,
-                Err(panic) => {
-                    let reason = format!("panicked: {}", panic_message(panic.as_ref()));
-                    (0..ready.len())
-                        .map(|_| {
-                            Err(PipelineError::Service {
-                                service: self.image.name().to_string(),
-                                reason: reason.clone(),
-                            })
-                        })
-                        .collect()
-                }
-            }
-        };
-        let mut handled = handled.into_iter();
+        let responses = supervised_batch(self.image.as_ref(), slots, store);
         let mut replies: Vec<WireMessage> = Vec::with_capacity(msgs.len());
-        for (m, slot) in msgs.iter().zip(slots) {
-            let response = match slot {
-                Ok(_) => handled.next().unwrap_or_else(|| {
-                    Err(PipelineError::Service {
-                        service: self.image.name().to_string(),
-                        reason: "handle_batch returned too few results".to_string(),
-                    })
-                }),
-                Err(e) => Err(e),
-            };
+        for (m, response) in msgs.iter().zip(responses) {
             match response {
                 Ok(resp) => replies.push(WireMessage::response_to(m, resp.encode())),
                 Err(e) => {

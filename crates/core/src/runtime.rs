@@ -23,7 +23,7 @@ use crate::module::{Event, Module, ModuleCtx, ModuleFactory, ModuleRegistry};
 use crate::resilience::{
     seed_for, BreakerSnapshot, CircuitBreaker, DegradationPolicy, ResilienceConfig, SeededJitter,
 };
-use crate::service::{ServiceRegistry, ServiceRequest, ServiceResponse};
+use crate::service::{Service, ServiceRegistry, ServiceRequest, ServiceResponse};
 use crate::slo::{KnobSettings, SloAction, SloConfig, SloController};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -1386,7 +1386,7 @@ pub(crate) const POLL: Duration = Duration::from_millis(20);
 fn service_executor_loop(
     shared: Arc<Shared>,
     inbox: videopipe_net::InprocReceiver,
-    image: Arc<dyn crate::service::Service>,
+    image: Arc<dyn Service>,
     device: String,
     speed: f64,
 ) {
@@ -1521,47 +1521,8 @@ fn service_executor_loop(
             }
         }
 
-        // Supervise the batch handler: a panicking service (a crashed
-        // container) must not take the executor thread with it. A panic
-        // fails every request of the batch with a typed error reply, so the
-        // caller side records one breaker event per *request*, never one
-        // per batch.
-        let ready: Vec<ServiceRequest> = slots
-            .iter()
-            .filter_map(|slot| slot.as_ref().ok().cloned())
-            .collect();
-        let handled: Vec<Result<ServiceResponse, PipelineError>> = if ready.is_empty() {
-            Vec::new()
-        } else {
-            match catch_unwind(AssertUnwindSafe(|| image.handle_batch(&ready, store))) {
-                Ok(results) => results,
-                Err(panic) => {
-                    let reason = format!("panicked: {}", panic_message(panic.as_ref()));
-                    (0..ready.len())
-                        .map(|_| {
-                            Err(PipelineError::Service {
-                                service: image.name().to_string(),
-                                reason: reason.clone(),
-                            })
-                        })
-                        .collect()
-                }
-            }
-        };
-        let mut handled = handled.into_iter();
-        for (m, slot) in msgs.iter().zip(slots) {
-            let response = match slot {
-                Ok(_) => handled.next().unwrap_or_else(|| {
-                    // A handle_batch override returned too few results;
-                    // surface that as a per-request error rather than
-                    // misaligning replies.
-                    Err(PipelineError::Service {
-                        service: image.name().to_string(),
-                        reason: "handle_batch returned too few results".to_string(),
-                    })
-                }),
-                Err(e) => Err(e),
-            };
+        let responses = supervised_batch(image.as_ref(), slots, store);
+        for (m, response) in msgs.iter().zip(responses) {
             match response {
                 Ok(resp) => {
                     let _ = shared
@@ -1595,6 +1556,66 @@ fn service_executor_loop(
             .lock()
             .record_dispatch_batch(&host, busy_ns, queue_depth, batch_len);
     }
+}
+
+/// Runs `image.handle_batch` over the decoded slots of one dispatch batch
+/// and returns one result per slot, in slot order.
+///
+/// The decoded requests are *moved* into the contiguous slice the handler
+/// takes — a slot that failed to decode keeps its error in place and is
+/// skipped — so dispatch never deep-copies a payload.
+///
+/// The handler is supervised: a panicking service (a crashed container)
+/// must not take the executor with it. A panic fails every request of the
+/// batch with a typed error, so the caller side records one breaker event
+/// per *request*, never one per batch. A `handle_batch` override that
+/// returns too few results fails the unanswered slots the same way rather
+/// than misaligning replies.
+pub(crate) fn supervised_batch(
+    image: &dyn Service,
+    slots: Vec<Result<ServiceRequest, PipelineError>>,
+    store: &FrameStore,
+) -> Vec<Result<ServiceResponse, PipelineError>> {
+    let service_err = |reason: String| PipelineError::Service {
+        service: image.name().to_string(),
+        reason,
+    };
+    let mut ready: Vec<ServiceRequest> = Vec::with_capacity(slots.len());
+    let undecoded: Vec<Option<PipelineError>> = slots
+        .into_iter()
+        .map(|slot| match slot {
+            Ok(request) => {
+                ready.push(request);
+                None
+            }
+            Err(e) => Some(e),
+        })
+        .collect();
+    let handled = if ready.is_empty() {
+        Vec::new()
+    } else {
+        catch_unwind(AssertUnwindSafe(|| image.handle_batch(&ready, store))).unwrap_or_else(
+            |panic| {
+                let reason = format!("panicked: {}", panic_message(panic.as_ref()));
+                ready
+                    .iter()
+                    .map(|_| Err(service_err(reason.clone())))
+                    .collect()
+            },
+        )
+    };
+    let mut handled = handled.into_iter();
+    undecoded
+        .into_iter()
+        .map(|slot| match slot {
+            Some(e) => Err(e),
+            None => handled.next().unwrap_or_else(|| {
+                Err(service_err(
+                    "handle_batch returned too few results".to_string(),
+                ))
+            }),
+        })
+        .collect()
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1986,6 +2007,92 @@ mod tests {
         fn cost(&self, _request: &ServiceRequest) -> ServiceCost {
             ServiceCost::flat(Duration::from_millis(1))
         }
+    }
+
+    #[test]
+    fn supervised_batch_answers_every_slot_in_slot_order() {
+        /// Doubles counts; `Empty` panics the batch, `Label` truncates it.
+        struct Fragile;
+        impl Service for Fragile {
+            fn name(&self) -> &str {
+                "fragile"
+            }
+            fn handle(
+                &self,
+                request: &ServiceRequest,
+                store: &FrameStore,
+            ) -> Result<ServiceResponse, PipelineError> {
+                Doubler.handle(request, store)
+            }
+            fn handle_batch(
+                &self,
+                requests: &[ServiceRequest],
+                store: &FrameStore,
+            ) -> Vec<Result<ServiceResponse, PipelineError>> {
+                let counts = requests
+                    .iter()
+                    .take_while(|r| !matches!(r.payload, Payload::Label { .. }));
+                counts
+                    .map(|r| match r.payload {
+                        Payload::Empty => panic!("container crashed"),
+                        _ => self.handle(r, store),
+                    })
+                    .collect()
+            }
+        }
+        let store = FrameStore::new();
+        let count = |n| Ok(ServiceRequest::new("double", Payload::Count(n)));
+        let undecoded = || {
+            Err(PipelineError::Service {
+                service: "fragile".into(),
+                reason: "undecodable".into(),
+            })
+        };
+        let reasons = |slots| -> Vec<Result<Payload, String>> {
+            supervised_batch(&Fragile, slots, &store)
+                .into_iter()
+                .map(|r| r.map(|resp| resp.payload).map_err(|e| e.to_string()))
+                .collect()
+        };
+
+        // Undecoded slots keep their own error, in place; the decoded ones
+        // reach the handler intact and in order.
+        let mixed = reasons(vec![undecoded(), count(1), undecoded(), count(2)]);
+        assert!(mixed[0].as_ref().unwrap_err().contains("undecodable"));
+        assert_eq!(mixed[1], Ok(Payload::Count(2)));
+        assert!(mixed[2].as_ref().unwrap_err().contains("undecodable"));
+        assert_eq!(mixed[3], Ok(Payload::Count(4)));
+        assert!(reasons(vec![undecoded()])[0].is_err());
+
+        // A panic fails every decoded request of the batch, one error each.
+        let crashed = reasons(vec![
+            count(1),
+            undecoded(),
+            Ok(ServiceRequest::new("double", Payload::Empty)),
+        ]);
+        assert!(crashed[0]
+            .as_ref()
+            .unwrap_err()
+            .contains("container crashed"));
+        assert!(crashed[1].as_ref().unwrap_err().contains("undecodable"));
+        assert!(crashed[2]
+            .as_ref()
+            .unwrap_err()
+            .contains("container crashed"));
+
+        // Too few results: the answered prefix stands, the rest fail typed.
+        let label = Payload::Label {
+            label: "stop".into(),
+            confidence: 1.0,
+        };
+        let short = reasons(vec![
+            count(3),
+            Ok(ServiceRequest::new("double", label)),
+            count(4),
+        ]);
+        assert_eq!(short[0], Ok(Payload::Count(6)));
+        assert!(short[1].as_ref().unwrap_err().contains("too few results"));
+        assert!(short[2].as_ref().unwrap_err().contains("too few results"));
     }
 
     fn test_spec() -> PipelineSpec {

@@ -7,6 +7,7 @@
 use crate::dataset::{generate_windows, DatasetConfig, WindowDataset};
 use crate::features::{window_features, WINDOW_DIM};
 use crate::knn::{KnnClassifier, KnnError};
+use std::collections::BTreeSet;
 use videopipe_media::motion::ExerciseKind;
 use videopipe_media::Pose;
 
@@ -17,18 +18,38 @@ pub struct ActivityModel {
     classes: Vec<String>,
 }
 
+/// The §4.1.2 protocol's data: synthetic windows for `classes`, shuffled
+/// and split into `(train, withheld test)` at 75 % / 25 %. Every trainer
+/// below goes through this one split, so a deployed model and the model
+/// whose test accuracy is reported are the same model.
+pub fn synthetic_split(
+    classes: &[ExerciseKind],
+    config: &DatasetConfig,
+) -> (WindowDataset, WindowDataset) {
+    generate_windows(classes, config).split(0.25, config.seed ^ 0x7E57)
+}
+
 impl ActivityModel {
-    /// Trains on an explicit dataset.
+    /// Trains on an explicit dataset, which the model takes over (the
+    /// feature vectors become the k-NN training set without a copy).
     ///
     /// # Errors
     ///
     /// Propagates [`KnnError`] for malformed datasets.
-    pub fn train(k: usize, dataset: &WindowDataset) -> Result<Self, KnnError> {
-        let knn = KnnClassifier::fit(k, dataset.features.clone(), dataset.labels.clone())?;
-        let mut classes = dataset.labels.clone();
-        classes.sort();
-        classes.dedup();
+    pub fn train(k: usize, dataset: WindowDataset) -> Result<Self, KnnError> {
+        let classes: BTreeSet<&String> = dataset.labels.iter().collect();
+        let classes = classes.into_iter().cloned().collect();
+        let knn = KnnClassifier::fit(k, dataset.features, dataset.labels)?;
         Ok(ActivityModel { knn, classes })
+    }
+
+    /// Trains the deployable model on the training side of
+    /// [`synthetic_split`] and stops there: the withheld windows are not
+    /// classified (see [`ActivityRecognizer::train_synthetic`] for the
+    /// evaluated form — same split, so the same model).
+    pub fn train_synthetic(classes: &[ExerciseKind], config: &DatasetConfig) -> Self {
+        let (train, _withheld) = synthetic_split(classes, config);
+        Self::train(ActivityRecognizer::DEFAULT_K, train).expect("synthetic dataset is valid")
     }
 
     /// The class labels the model can emit.
@@ -53,9 +74,8 @@ impl ActivityModel {
 
     /// Classifies a batch of pre-extracted feature vectors, one label per
     /// vector in order. Window features are high-dimensional, so this rides
-    /// the k-NN brute-force batch path: one fused distance matrix per query
-    /// tile against sample norms cached at training time, instead of a
-    /// per-query scan.
+    /// the k-NN brute-force path: one fused distance matrix per query tile
+    /// against the training block frozen at training time.
     ///
     /// # Errors
     ///
@@ -102,10 +122,9 @@ impl ActivityRecognizer {
     /// test set and recording its accuracy (the paper's >90% claim is
     /// checked in the evaluation harness).
     pub fn train_synthetic(classes: &[ExerciseKind], config: &DatasetConfig) -> Self {
-        let dataset = generate_windows(classes, config);
-        let (train, test) = dataset.split(0.25, config.seed ^ 0x7E57);
+        let (train, test) = synthetic_split(classes, config);
         let model =
-            ActivityModel::train(Self::DEFAULT_K, &train).expect("synthetic dataset is valid");
+            ActivityModel::train(Self::DEFAULT_K, train).expect("synthetic dataset is valid");
         let test_accuracy = model.accuracy(&test);
         ActivityRecognizer {
             model,

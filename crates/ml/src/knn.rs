@@ -9,15 +9,15 @@
 //!
 //! Both paths run on the blocked kernels from [`crate::math`]: the KD-tree
 //! buckets points into leaves of [`KDTREE_LEAF_SIZE`] and scans each leaf
-//! with the blocked [`squared_distance`], while [`KnnClassifier::predict_batch`]
-//! feeds whole query tiles through the fused
-//! [`distances_with_norms_into`](crate::math::distances_with_norms_into)
-//! distance-matrix kernel against sample norms cached at fit time.
-//! [`KnnClassifier::brute_force_scalar`] keeps the pre-kernel scan as the
-//! reference oracle.
+//! with the blocked [`squared_distance`], while the brute-force path freezes
+//! the training set into a [`PointBlock`] at fit time and answers every
+//! query — single or batched — through the fused
+//! [`distances_block_into`] distance-matrix kernel, so a query pays only the
+//! row-parallel walk. [`KnnClassifier::brute_force`] and
+//! [`KnnClassifier::brute_force_scalar`] keep the per-sample row scans as
+//! the reference oracles.
 
-use crate::math::{distances_with_norms_into, squared_distance, squared_distance_scalar};
-use std::collections::HashMap;
+use crate::math::{distances_block_into, squared_distance, squared_distance_scalar, PointBlock};
 use std::error::Error;
 use std::fmt;
 
@@ -197,6 +197,11 @@ impl KdTree {
 }
 
 fn insert_candidate(best: &mut Vec<(f32, usize)>, k: usize, d: f32, idx: usize) {
+    // Most candidates lose to a full list outright; skip the search and the
+    // insert-then-pop they would amount to.
+    if best.len() == k && best.last().is_some_and(|&(worst, _)| d > worst) {
+        return;
+    }
     let pos = best
         .binary_search_by(|(bd, _)| bd.partial_cmp(&d).unwrap_or(std::cmp::Ordering::Equal))
         .unwrap_or_else(|p| p);
@@ -206,20 +211,29 @@ fn insert_candidate(best: &mut Vec<(f32, usize)>, k: usize, d: f32, idx: usize) 
     }
 }
 
+/// How a fitted classifier finds neighbours; decided once, at fit time.
+#[derive(Debug, Clone)]
+enum Index {
+    /// Low dimensions: tree search over the row-major samples.
+    Tree(KdTree),
+    /// High dimensions: the training set frozen column-major with its
+    /// norms, so a query never transposes or allocates the model again.
+    Block(PointBlock),
+}
+
 /// A k-NN classifier over string labels.
 #[derive(Debug, Clone)]
 pub struct KnnClassifier {
     k: usize,
     samples: Vec<Vec<f32>>,
     labels: Vec<String>,
-    /// Cached `‖sample‖²` per sample, so batched prediction can use the
-    /// norm-decomposition distance matrix without a per-call norm pass.
-    norms: Vec<f32>,
-    tree: Option<KdTree>,
+    index: Index,
 }
 
 impl KnnClassifier {
-    /// Trains ("memorises") the classifier.
+    /// Trains ("memorises") the classifier: builds the KD-tree for
+    /// dimensions up to [`KDTREE_MAX_DIM`], otherwise freezes the samples
+    /// into the brute-force [`PointBlock`].
     ///
     /// # Errors
     ///
@@ -247,18 +261,16 @@ impl KnnClassifier {
                 });
             }
         }
-        let tree = if dim <= KDTREE_MAX_DIM {
-            Some(KdTree::build(&samples))
+        let index = if dim <= KDTREE_MAX_DIM {
+            Index::Tree(KdTree::build(&samples))
         } else {
-            None
+            Index::Block(PointBlock::new(&samples))
         };
-        let norms = crate::math::squared_norms(&samples);
         Ok(KnnClassifier {
             k,
             samples,
             labels,
-            norms,
-            tree,
+            index,
         })
     }
 
@@ -283,9 +295,21 @@ impl KnnClassifier {
         self.samples[0].len()
     }
 
-    /// Whether predictions go through the KD-tree index.
+    /// Whether predictions go through the KD-tree index (otherwise they
+    /// query the frozen brute-force block).
     pub fn uses_kdtree(&self) -> bool {
-        self.tree.is_some()
+        matches!(self.index, Index::Tree(_))
+    }
+
+    fn check_dim(&self, query: &[f32]) -> Result<(), KnnError> {
+        if query.len() == self.dim() {
+            Ok(())
+        } else {
+            Err(KnnError::DimensionMismatch {
+                expected: self.dim(),
+                actual: query.len(),
+            })
+        }
     }
 
     /// Predicts the majority label among the `k` nearest neighbours
@@ -296,64 +320,75 @@ impl KnnClassifier {
     /// Returns [`KnnError::DimensionMismatch`] if the query has the wrong
     /// dimension.
     pub fn predict(&self, query: &[f32]) -> Result<&str, KnnError> {
-        let neighbours = self.neighbours(query)?;
-        Ok(self.vote(&neighbours))
+        Ok(self.predict_batch(&[query])?[0])
     }
 
     /// Predicts a whole batch of queries.
     ///
     /// On the brute-force path (high-dimensional features) this runs the
-    /// fused norm-decomposition distance-matrix kernel over query tiles,
-    /// reusing one distance buffer and the sample norms cached at fit time;
-    /// on the KD-tree path it falls back to per-query search (tree pruning
-    /// already skips most distance work there).
+    /// fused norm-decomposition distance-matrix kernel over query tiles
+    /// against the block frozen at fit time, reusing one distance buffer and
+    /// one top-k buffer for the whole batch; on the KD-tree path it searches
+    /// per query (tree pruning already skips most distance work there).
     ///
     /// # Errors
     ///
     /// Returns [`KnnError::DimensionMismatch`] on the first wrong-sized
-    /// query.
+    /// query, before any distance is computed.
     pub fn predict_batch<Q: AsRef<[f32]>>(&self, queries: &[Q]) -> Result<Vec<&str>, KnnError> {
         for q in queries {
-            if q.as_ref().len() != self.dim() {
-                return Err(KnnError::DimensionMismatch {
-                    expected: self.dim(),
-                    actual: q.as_ref().len(),
-                });
-            }
-        }
-        if self.tree.is_some() {
-            return queries.iter().map(|q| self.predict(q.as_ref())).collect();
+            self.check_dim(q.as_ref())?;
         }
         let mut out = Vec::with_capacity(queries.len());
-        let mut dists: Vec<f32> = Vec::new();
-        let mut best: Vec<(f32, usize)> = Vec::with_capacity(self.k + 1);
-        for tile in queries.chunks(KNN_BATCH_TILE) {
-            distances_with_norms_into(tile, &self.samples, &self.norms, &mut dists);
-            for row in dists.chunks_exact(self.samples.len()) {
-                best.clear();
-                for (i, &d) in row.iter().enumerate() {
-                    insert_candidate(&mut best, self.k, d, i);
+        match &self.index {
+            Index::Tree(tree) => {
+                for q in queries {
+                    let neighbours = tree.nearest(&self.samples, q.as_ref(), self.k);
+                    out.push(self.vote(neighbours.iter().copied()));
                 }
-                let neighbours: Vec<usize> = best.iter().map(|&(_, i)| i).collect();
-                out.push(self.vote(&neighbours));
+            }
+            Index::Block(block) => {
+                let mut dists: Vec<f32> = Vec::new();
+                let mut best: Vec<(f32, usize)> = Vec::with_capacity(self.k + 1);
+                for tile in queries.chunks(KNN_BATCH_TILE) {
+                    distances_block_into(tile, block, &mut dists);
+                    for row in dists.chunks_exact(block.len()) {
+                        self.select_nearest(row, &mut best);
+                        out.push(self.vote(best.iter().map(|&(_, i)| i)));
+                    }
+                }
             }
         }
         Ok(out)
     }
 
-    /// Majority vote among neighbour indices (closest-first), ties broken
-    /// by the nearest neighbour among tied labels.
-    fn vote(&self, neighbours: &[usize]) -> &str {
-        let mut votes: HashMap<&str, usize> = HashMap::new();
-        for &i in neighbours {
-            *votes.entry(self.labels[i].as_str()).or_insert(0) += 1;
+    /// Refills `best` with the `k` smallest `(distance, index)` pairs of one
+    /// distance-matrix row, closest first.
+    fn select_nearest(&self, row: &[f32], best: &mut Vec<(f32, usize)>) {
+        best.clear();
+        for (i, &d) in row.iter().enumerate() {
+            insert_candidate(best, self.k, d, i);
         }
-        let max_votes = *votes.values().max().expect("at least one neighbour");
-        neighbours
-            .iter()
-            .map(|&i| self.labels[i].as_str())
-            .find(|l| votes[l] == max_votes)
-            .expect("at least one neighbour")
+    }
+
+    /// Majority vote among neighbour indices (closest-first), ties broken
+    /// by the nearest neighbour among tied labels. Counts by comparing the
+    /// (at most `k`) neighbours pairwise, so it allocates nothing.
+    fn vote(&self, neighbours: impl Iterator<Item = usize> + Clone) -> &str {
+        let mut winner: Option<(&str, usize)> = None;
+        for i in neighbours.clone() {
+            let label = self.labels[i].as_str();
+            let votes = neighbours
+                .clone()
+                .filter(|&j| self.labels[j] == label)
+                .count();
+            // Strictly more votes only: an equal count keeps the earlier,
+            // nearer label.
+            if winner.is_none_or(|(_, most)| votes > most) {
+                winner = Some((label, votes));
+            }
+        }
+        winner.expect("at least one neighbour").0
     }
 
     /// Indices of the `k` nearest training samples, closest first.
@@ -362,20 +397,22 @@ impl KnnClassifier {
     ///
     /// Returns [`KnnError::DimensionMismatch`] on a wrong-sized query.
     pub fn neighbours(&self, query: &[f32]) -> Result<Vec<usize>, KnnError> {
-        if query.len() != self.dim() {
-            return Err(KnnError::DimensionMismatch {
-                expected: self.dim(),
-                actual: query.len(),
-            });
-        }
-        Ok(match &self.tree {
-            Some(tree) => tree.nearest(&self.samples, query, self.k),
-            None => self.brute_force(query),
+        self.check_dim(query)?;
+        Ok(match &self.index {
+            Index::Tree(tree) => tree.nearest(&self.samples, query, self.k),
+            Index::Block(block) => {
+                let mut dists = Vec::new();
+                let mut best = Vec::with_capacity(self.k + 1);
+                distances_block_into(&[query], block, &mut dists);
+                self.select_nearest(&dists, &mut best);
+                best.into_iter().map(|(_, i)| i).collect()
+            }
         })
     }
 
-    /// Brute-force nearest neighbours on the blocked distance kernel (also
-    /// used by benchmarks to compare against the KD-tree).
+    /// Per-sample row scan on the blocked distance kernel: the reference
+    /// the frozen-block path is tested against, and the brute-force arm of
+    /// the KD-tree benchmarks. Not on the prediction path.
     pub fn brute_force(&self, query: &[f32]) -> Vec<usize> {
         let mut best: Vec<(f32, usize)> = Vec::with_capacity(self.k + 1);
         for (i, s) in self.samples.iter().enumerate() {
@@ -395,15 +432,19 @@ impl KnnClassifier {
         best.into_iter().map(|(_, i)| i).collect()
     }
 
-    /// Fraction of `(sample, label)` pairs classified correctly.
+    /// Fraction of `(sample, label)` pairs classified correctly; a
+    /// wrong-dimension sample fails the whole evaluation (0.0).
     pub fn accuracy(&self, samples: &[Vec<f32>], labels: &[String]) -> f32 {
         if samples.is_empty() {
             return 0.0;
         }
-        let correct = samples
+        let Ok(predicted) = self.predict_batch(samples) else {
+            return 0.0;
+        };
+        let correct = predicted
             .iter()
-            .zip(labels.iter())
-            .filter(|(s, l)| self.predict(s).map(|p| p == l.as_str()).unwrap_or(false))
+            .zip(labels)
+            .filter(|(p, l)| **p == l.as_str())
             .count();
         correct as f32 / samples.len() as f32
     }
@@ -497,47 +538,116 @@ mod tests {
         }
     }
 
-    #[test]
-    fn predict_batch_matches_per_query_predict() {
-        // Brute-force path: high-dimensional separable clusters.
-        let mut rng = StdRng::seed_from_u64(7);
-        let dim = 34;
-        let mut samples = Vec::new();
-        let mut labels: Vec<String> = Vec::new();
-        for i in 0..40 {
-            let centre = if i % 2 == 0 { 0.0 } else { 4.0 };
-            samples.push(
-                (0..dim)
-                    .map(|_| centre + rng.gen_range(-0.5f32..0.5))
-                    .collect::<Vec<f32>>(),
-            );
-            labels.push(if i % 2 == 0 { "a".into() } else { "b".into() });
-        }
-        let knn = KnnClassifier::fit(5, samples.clone(), labels).unwrap();
-        assert!(!knn.uses_kdtree());
-        let queries: Vec<Vec<f32>> = (0..9)
+    /// Two well-separated clusters in `dim` dimensions, labels alternating.
+    fn clustered(rng: &mut StdRng, n: usize, dim: usize) -> (Vec<Vec<f32>>, Vec<String>) {
+        (0..n)
             .map(|i| {
                 let centre = if i % 2 == 0 { 0.0 } else { 4.0 };
-                (0..dim)
+                let sample: Vec<f32> = (0..dim)
                     .map(|_| centre + rng.gen_range(-0.5f32..0.5))
-                    .collect()
+                    .collect();
+                (sample, if i % 2 == 0 { "a" } else { "b" }.to_string())
             })
-            .collect();
-        let batch = knn.predict_batch(&queries).unwrap();
-        for (q, &b) in queries.iter().zip(batch.iter()) {
-            assert_eq!(b, knn.predict(q).unwrap());
+            .unzip()
+    }
+
+    #[test]
+    fn block_path_matches_row_scans() {
+        // Brute-force path: high-dimensional separable clusters. The frozen
+        // block answers predict, predict_batch and neighbours; the row
+        // scans are the oracle for which samples are nearest.
+        let mut rng = StdRng::seed_from_u64(7);
+        let dim = 34;
+        let (samples, labels) = clustered(&mut rng, 40, dim);
+        let knn = KnnClassifier::fit(5, samples, labels).unwrap();
+        assert!(!knn.uses_kdtree());
+        let (queries, expected) = clustered(&mut rng, 9, dim);
+        assert_eq!(knn.predict_batch(&queries).unwrap(), expected);
+        for (q, label) in queries.iter().zip(&expected) {
+            assert_eq!(knn.predict(q).unwrap(), label);
+            // Random points: no distance ties, so the sets match exactly.
+            let found = knn.neighbours(q).unwrap();
+            assert_eq!(found, knn.brute_force(q));
+            assert_eq!(found, knn.brute_force_scalar(q));
         }
-        // KD-tree path delegates to per-query predict.
+        // KD-tree path searches per query.
         let (s, l) = grid_data();
-        let knn = KnnClassifier::fit(3, s.clone(), l).unwrap();
+        let knn = KnnClassifier::fit(3, s.clone(), l.clone()).unwrap();
         assert!(knn.uses_kdtree());
-        let batch = knn.predict_batch(&s).unwrap();
-        for (q, &b) in s.iter().zip(batch.iter()) {
-            assert_eq!(b, knn.predict(q).unwrap());
-        }
+        assert_eq!(knn.predict_batch(&s).unwrap(), l);
         // Dimension errors surface, batch of none is fine.
         assert!(knn.predict_batch(&[vec![0.0]]).is_err());
         assert!(knn.predict_batch::<Vec<f32>>(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn vote_breaks_ties_towards_the_nearest_label() {
+        // One sample per index on a line; the query at 0 sees them in index
+        // order, so `labels` is the closest-first vote sequence.
+        let predict = |labels: &[&str]| {
+            let samples: Vec<Vec<f32>> = (0..labels.len()).map(|i| vec![i as f32]).collect();
+            let labels: Vec<String> = labels.iter().map(|l| l.to_string()).collect();
+            let knn = KnnClassifier::fit(labels.len(), samples, labels).unwrap();
+            knn.predict(&[-1.0]).unwrap().to_string()
+        };
+        assert_eq!(predict(&["b", "a", "a", "b"]), "b"); // 2-2: nearest wins
+        assert_eq!(predict(&["a", "b", "b"]), "b"); // majority beats nearest
+        assert_eq!(predict(&["c", "a", "b"]), "c"); // all tied: nearest
+        assert_eq!(predict(&["a", "b", "c", "c", "b"]), "b"); // b and c tied: b nearer
+    }
+
+    #[test]
+    fn fit_freezes_a_block_exactly_when_there_is_no_tree() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for (dim, tree) in [(KDTREE_MAX_DIM, true), (KDTREE_MAX_DIM + 1, false)] {
+            let (samples, labels) = clustered(&mut rng, 12, dim);
+            let knn = KnnClassifier::fit(3, samples.clone(), labels).unwrap();
+            assert_eq!(knn.uses_kdtree(), tree, "dim {dim}");
+            match &knn.index {
+                Index::Tree(t) => assert_eq!(t.dim(), dim),
+                Index::Block(block) => {
+                    assert_eq!((block.len(), block.dim()), (12, dim));
+                    assert_eq!(block, &PointBlock::new(&samples));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clone_keeps_the_frozen_block() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let (samples, labels) = clustered(&mut rng, 20, 40);
+        let knn = KnnClassifier::fit(3, samples, labels).unwrap();
+        let copy = knn.clone();
+        let (Index::Block(a), Index::Block(b)) = (&knn.index, &copy.index) else {
+            panic!("dim 40 must freeze a block, and the clone must keep it");
+        };
+        assert_eq!(a, b);
+        let (queries, _) = clustered(&mut rng, 6, 40);
+        assert_eq!(
+            knn.predict_batch(&queries).unwrap(),
+            copy.predict_batch(&queries).unwrap()
+        );
+    }
+
+    #[test]
+    fn block_path_rejects_wrong_dimension_before_the_kernel() {
+        // The distance kernel panics on a length mismatch, so an `Err`
+        // here proves the query never reached the block.
+        let mut rng = StdRng::seed_from_u64(3);
+        let (samples, labels) = clustered(&mut rng, 10, 40);
+        let knn = KnnClassifier::fit(3, samples.clone(), labels).unwrap();
+        let mismatch = Err(KnnError::DimensionMismatch {
+            expected: 40,
+            actual: 39,
+        });
+        let short = vec![0.0f32; 39];
+        assert_eq!(knn.predict(&short), mismatch);
+        assert_eq!(knn.neighbours(&short).map(|_| ""), mismatch);
+        // One bad query fails the batch, wherever it sits in the tile.
+        let mut queries = samples;
+        queries.push(short);
+        assert_eq!(knn.predict_batch(&queries).map(|_| ""), mismatch);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | [`axpy`] | bit-identical (same per-element operations) |
 //! | [`mean`] | bit-identical (per-column `f64` sums in the same order) |
 //! | [`dot`], [`squared_distance`] | ε-bounded (8-lane tree sum re-associates the reduction) |
-//! | [`distances_into`] | ε-bounded (‖a−b‖² = ‖a‖²+‖b‖²−2a·b decomposition, clamped at 0) |
+//! | [`distances_block_into`], [`distances_into`] | ε-bounded (‖a−b‖² = ‖a‖²+‖b‖²−2a·b decomposition, clamped at 0) |
 //!
 //! Building `videopipe-ml` with the `force-scalar` feature routes every
 //! dispatching kernel through its scalar oracle, which keeps the fallback
@@ -210,125 +210,22 @@ pub fn mean_scalar<V: AsRef<[f32]>>(vectors: &[V]) -> Option<Vec<f32>> {
     Some(acc.into_iter().map(|a| (a / n) as f32).collect())
 }
 
-/// Squared norms ‖p‖² of a set of points, for [`distances_with_norms_into`]
-/// callers that amortise the norm pass across many batches (k-NN caches
-/// these at fit time).
+/// Squared norms ‖p‖² of a set of points (the per-point half of the
+/// ‖a‖² + ‖b‖² − 2·a·b decomposition; [`PointBlock`] caches them).
 pub fn squared_norms<P: AsRef<[f32]>>(points: &[P]) -> Vec<f32> {
     points.iter().map(|p| dot(p.as_ref(), p.as_ref())).collect()
-}
-
-/// Fused batch distance-matrix kernel:
-/// `out[q * points.len() + p] = ‖queries[q] − points[p]‖²`.
-///
-/// Uses the ‖a−b‖² = ‖a‖² + ‖b‖² − 2·a·b decomposition with the point norms
-/// computed **once** per call (instead of per pair), over a column-major
-/// copy of the points: each output row is initialised to ‖q‖² + ‖p‖² and
-/// then walked once per dimension, subtracting `2·q_d·p_d` across the whole
-/// row of contiguous point components. Every row element is independent, so
-/// the inner loop autovectorizes without any reduction chain. Results are
-/// clamped at 0 (the decomposition can go fractionally negative when a
-/// query coincides with a point) and are ε-bounded, not bit-identical,
-/// against [`distances_into_scalar`]:
-/// `|d − d_scalar| ≤ 1e-3 · (1 + ‖a‖² + ‖b‖²)`, the documented policy the
-/// property tests pin.
-///
-/// `out` is cleared and refilled, so one buffer can be reused across calls.
-///
-/// # Panics
-///
-/// Panics when any query or point length differs from the rest.
-pub fn distances_into<Q: AsRef<[f32]>, P: AsRef<[f32]>>(
-    queries: &[Q],
-    points: &[P],
-    out: &mut Vec<f32>,
-) {
-    let norms = squared_norms(points);
-    distances_with_norms_into(queries, points, &norms, out);
-}
-
-/// [`distances_into`] with caller-cached point norms (`norms[p] = ‖points[p]‖²`).
-///
-/// # Panics
-///
-/// Panics when `norms.len() != points.len()` or any vector length differs.
-pub fn distances_with_norms_into<Q: AsRef<[f32]>, P: AsRef<[f32]>>(
-    queries: &[Q],
-    points: &[P],
-    norms: &[f32],
-    out: &mut Vec<f32>,
-) {
-    assert_eq!(norms.len(), points.len(), "one norm per point");
-    out.clear();
-    if FORCE_SCALAR {
-        distances_into_scalar(queries, points, out);
-        return;
-    }
-    let Some(dim) = points.first().map(|p| p.as_ref().len()) else {
-        return;
-    };
-    let transposed = transpose_points(points, dim);
-    distances_transposed(queries, &transposed, points.len(), dim, norms, out);
-}
-
-/// Column-major copy of `points`: slot `d * points.len() + p` holds
-/// component `d` of point `p`, so a whole "column" of one dimension is
-/// contiguous.
-///
-/// # Panics
-///
-/// Panics when any point length differs from `dim`.
-fn transpose_points<P: AsRef<[f32]>>(points: &[P], dim: usize) -> Vec<f32> {
-    let np = points.len();
-    let mut transposed = vec![0.0f32; np * dim];
-    for (p, point) in points.iter().enumerate() {
-        let point = point.as_ref();
-        assert_eq!(point.len(), dim, "vector length mismatch");
-        for (d, &v) in point.iter().enumerate() {
-            transposed[d * np + p] = v;
-        }
-    }
-    transposed
-}
-
-/// Shared core of the fused distance matrix: the row-parallel walk over a
-/// column-major point block.
-fn distances_transposed<Q: AsRef<[f32]>>(
-    queries: &[Q],
-    transposed: &[f32],
-    np: usize,
-    dim: usize,
-    norms: &[f32],
-    out: &mut Vec<f32>,
-) {
-    out.clear();
-    out.resize(queries.len() * np, 0.0);
-    for (qi, q) in queries.iter().enumerate() {
-        let q = q.as_ref();
-        assert_eq!(q.len(), dim, "vector length mismatch");
-        let qn = dot(q, q);
-        let row = &mut out[qi * np..(qi + 1) * np];
-        for (r, &pn) in row.iter_mut().zip(norms) {
-            *r = qn + pn;
-        }
-        for (d, &qd) in q.iter().enumerate() {
-            let column = &transposed[d * np..(d + 1) * np];
-            let coeff = -2.0 * qd;
-            for (r, &pv) in row.iter_mut().zip(column) {
-                *r += coeff * pv;
-            }
-        }
-        for r in row.iter_mut() {
-            *r = r.max(0.0);
-        }
-    }
 }
 
 /// A point set frozen for repeated distance-matrix calls: the column-major
 /// copy and the squared norms are built once, so per-call work is only the
 /// row-parallel walk. k-means freezes its samples this way at fit time and
-/// reuses the block across every assignment iteration.
+/// reuses the block across every assignment iteration; the brute-force
+/// k-NN classifier freezes its training set the same way and queries it
+/// once per frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointBlock {
+    /// Column-major: slot `d * len + p` holds component `d` of point `p`,
+    /// so a whole "column" of one dimension is contiguous.
     transposed: Vec<f32>,
     norms: Vec<f32>,
     len: usize,
@@ -342,11 +239,20 @@ impl PointBlock {
     ///
     /// Panics when the points have inconsistent lengths.
     pub fn new<P: AsRef<[f32]>>(points: &[P]) -> Self {
+        let len = points.len();
         let dim = points.first().map_or(0, |p| p.as_ref().len());
+        let mut transposed = vec![0.0f32; len * dim];
+        for (p, point) in points.iter().enumerate() {
+            let point = point.as_ref();
+            assert_eq!(point.len(), dim, "vector length mismatch");
+            for (d, &v) in point.iter().enumerate() {
+                transposed[d * len + p] = v;
+            }
+        }
         PointBlock {
-            transposed: transpose_points(points, dim),
+            transposed,
             norms: squared_norms(points),
-            len: points.len(),
+            len,
             dim,
         }
     }
@@ -367,12 +273,24 @@ impl PointBlock {
     }
 }
 
-/// [`distances_into`] against a prebuilt [`PointBlock`]:
-/// `out[q * block.len() + p] = ‖queries[q] − points[p]‖²` with the
-/// transpose and norm passes already paid. Same ε policy and 0-clamp as
-/// [`distances_with_norms_into`]. Under `force-scalar` the block's
-/// column-major layout is walked in ascending-dimension order per pair,
-/// which reproduces [`distances_into_scalar`]'s accumulation exactly.
+/// Fused batch distance-matrix kernel against a frozen [`PointBlock`]:
+/// `out[q * block.len() + p] = ‖queries[q] − points[p]‖²`.
+///
+/// Uses the ‖a−b‖² = ‖a‖² + ‖b‖² − 2·a·b decomposition over the block's
+/// column-major copy of the points: each output row is initialised to
+/// ‖q‖² + ‖p‖² and then walked once per dimension, subtracting `2·q_d·p_d`
+/// across the whole row of contiguous point components. Every row element
+/// is independent, so the inner loop autovectorizes without any reduction
+/// chain. Results are clamped at 0 (the decomposition can go fractionally
+/// negative when a query coincides with a point) and are ε-bounded, not
+/// bit-identical, against [`distances_into_scalar`]:
+/// `|d − d_scalar| ≤ 1e-3 · (1 + ‖a‖² + ‖b‖²)`, the documented policy the
+/// property tests pin. Under `force-scalar` the column-major layout is
+/// walked in ascending-dimension order per pair, which reproduces
+/// [`distances_into_scalar`]'s accumulation exactly.
+///
+/// `out` is cleared and refilled, so one buffer can be reused across calls;
+/// an empty block yields an empty `out`.
 ///
 /// # Panics
 ///
@@ -383,16 +301,20 @@ pub fn distances_block_into<Q: AsRef<[f32]>>(
     block: &PointBlock,
     out: &mut Vec<f32>,
 ) {
+    out.clear();
+    if block.is_empty() {
+        return;
+    }
+    let np = block.len;
     if FORCE_SCALAR {
-        out.clear();
-        out.reserve(queries.len() * block.len);
+        out.reserve(queries.len() * np);
         for q in queries {
             let q = q.as_ref();
             assert_eq!(q.len(), block.dim, "vector length mismatch");
-            for p in 0..block.len {
+            for p in 0..np {
                 let mut d = 0.0f32;
                 for (dd, &qd) in q.iter().enumerate() {
-                    let diff = qd - block.transposed[dd * block.len + p];
+                    let diff = qd - block.transposed[dd * np + p];
                     d += diff * diff;
                 }
                 out.push(d);
@@ -400,14 +322,44 @@ pub fn distances_block_into<Q: AsRef<[f32]>>(
         }
         return;
     }
-    distances_transposed(
-        queries,
-        &block.transposed,
-        block.len,
-        block.dim,
-        &block.norms,
-        out,
-    );
+    out.resize(queries.len() * np, 0.0);
+    for (q, row) in queries.iter().zip(out.chunks_exact_mut(np)) {
+        let q = q.as_ref();
+        assert_eq!(q.len(), block.dim, "vector length mismatch");
+        let qn = dot(q, q);
+        for (r, &pn) in row.iter_mut().zip(&block.norms) {
+            *r = qn + pn;
+        }
+        for (&qd, column) in q.iter().zip(block.transposed.chunks_exact(np)) {
+            let coeff = -2.0 * qd;
+            for (r, &pv) in row.iter_mut().zip(column) {
+                *r += coeff * pv;
+            }
+        }
+        for r in row.iter_mut() {
+            *r = r.max(0.0);
+        }
+    }
+}
+
+/// One-shot [`distances_block_into`] over points that are not frozen yet.
+///
+/// **Transposes per call:** every call builds a fresh [`PointBlock`] — it
+/// allocates `points.len() × dim` floats and scatter-transposes the whole
+/// point set — so the cost is only amortised when one call carries many
+/// queries. A caller that meets the same points again (a classifier
+/// answering one query at a time, an iterative fit) freezes a
+/// [`PointBlock`] once and calls [`distances_block_into`] instead.
+///
+/// # Panics
+///
+/// Panics when any query or point length differs from the rest.
+pub fn distances_into<Q: AsRef<[f32]>, P: AsRef<[f32]>>(
+    queries: &[Q],
+    points: &[P],
+    out: &mut Vec<f32>,
+) {
+    distances_block_into(queries, &PointBlock::new(points), out);
 }
 
 /// Scalar reference oracle for [`distances_into`]: a direct
@@ -617,13 +569,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn mean_rejects_mismatch() {
         let _ = mean(&[vec![0.0, 1.0], vec![0.0]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one norm per point")]
-    fn distances_reject_norm_count_mismatch() {
-        let mut out = Vec::new();
-        distances_with_norms_into(&[[0.0f32]], &[[0.0f32]], &[], &mut out);
     }
 
     #[test]

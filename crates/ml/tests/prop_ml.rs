@@ -1,6 +1,9 @@
 //! Property tests for the ML substrate.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use videopipe_ml::kmeans::KMeans;
 use videopipe_ml::knn::{KdTree, KnnClassifier};
 use videopipe_ml::math::{
@@ -199,6 +202,105 @@ proptest! {
         prop_assert_eq!(td.len(), bd.len());
         for (a, b) in td.iter().zip(bd.iter()) {
             prop_assert!((a - b).abs() <= 1e-3 * (1.0 + a.abs()), "tree {} vs brute {}", a, b);
+        }
+    }
+}
+
+/// Map-based majority vote over closest-first neighbour indices, ties to
+/// the nearest tied label: the oracle for the classifier's own vote.
+fn oracle_vote<'a>(labels: &'a [String], neighbours: &[usize]) -> &'a str {
+    let mut votes: HashMap<&str, usize> = HashMap::new();
+    for &i in neighbours {
+        *votes.entry(labels[i].as_str()).or_insert(0) += 1;
+    }
+    let max_votes = *votes.values().max().expect("at least one neighbour");
+    neighbours
+        .iter()
+        .map(|&i| labels[i].as_str())
+        .find(|l| votes[l] == max_votes)
+        .expect("at least one neighbour")
+}
+
+/// Class centres on the diagonal, unevenly spaced so that no query sits
+/// midway between two classes: with ±1 noise per component the squared
+/// gap between classes (≥ 100·dim) dwarfs the kernel's ε (≈ 2·dim), so
+/// the class make-up of the k nearest — and with it the label — is the
+/// same whichever kernel measured the distances.
+const CENTRES: [f32; 3] = [0.0, 10.0, 30.0];
+
+fn noisy_point(rng: &mut StdRng, class: usize, dim: usize) -> Vec<f32> {
+    (0..dim)
+        .map(|_| CENTRES[class] + rng.gen_range(-1.0f32..1.0))
+        .collect()
+}
+
+proptest! {
+    // Each case is up to 300 × 600 floats scanned a few hundred times.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The brute-force path — one frozen column-major block behind
+    /// `predict`, `neighbours` and `predict_batch` — agrees with the
+    /// row-scan scalar oracle: same labels for single queries and for
+    /// batches on every side of the 64-query tile boundary, and neighbour
+    /// sets at the same distances up to the distance-matrix ε policy.
+    /// Duplicated training points put exact distance ties in every set.
+    #[test]
+    fn knn_block_path_matches_scalar_oracle(
+        dim in 17usize..=600,
+        distinct in 1usize..=240,
+        duplicates in 0usize..=60,
+        k in 1usize..=7,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut samples = Vec::with_capacity(distinct + duplicates);
+        let mut labels = Vec::with_capacity(distinct + duplicates);
+        for _ in 0..distinct {
+            let class = rng.gen_range(0..CENTRES.len());
+            samples.push(noisy_point(&mut rng, class, dim));
+            labels.push(format!("c{class}"));
+        }
+        for _ in 0..duplicates {
+            let original = rng.gen_range(0..distinct);
+            samples.push(samples[original].clone());
+            labels.push(labels[original].clone());
+        }
+        let knn = KnnClassifier::fit(k, samples.clone(), labels.clone()).unwrap();
+        prop_assert!(!knn.uses_kdtree());
+
+        let queries: Vec<Vec<f32>> = (0..65)
+            .map(|_| {
+                let class = rng.gen_range(0..CENTRES.len());
+                noisy_point(&mut rng, class, dim)
+            })
+            .collect();
+        let max_norm = samples.iter().map(|s| dot(s, s)).fold(0.0f32, f32::max);
+        let mut expected = Vec::with_capacity(queries.len());
+        for q in &queries {
+            let oracle = knn.brute_force_scalar(q);
+            let label = oracle_vote(&labels, &oracle);
+            prop_assert_eq!(knn.predict(q).unwrap(), label);
+            expected.push(label);
+
+            // Selecting on ε-perturbed distances moves each order statistic
+            // by at most ε, and re-measuring the chosen points moves it by
+            // ε again.
+            let found = knn.neighbours(q).unwrap();
+            prop_assert_eq!(found.len(), oracle.len());
+            let eps = 2e-3 * (1.0 + dot(q, q) + max_norm);
+            let d = |idx: &usize| squared_distance_scalar(q, &samples[*idx]);
+            let mut fd: Vec<f32> = found.iter().map(d).collect();
+            fd.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for (a, b) in fd.iter().zip(oracle.iter().map(d)) {
+                prop_assert!((a - b).abs() <= eps, "block {} vs oracle {}", a, b);
+            }
+        }
+        for tile in [1, 63, 64, 65] {
+            prop_assert_eq!(
+                knn.predict_batch(&queries[..tile]).unwrap(),
+                &expected[..tile],
+                "batch of {}", tile
+            );
         }
     }
 }

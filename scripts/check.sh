@@ -245,6 +245,46 @@ if ! ml_gate target/bench_smoke.json; then
     ml_gate target/bench_smoke.json
 fi
 
+echo "==> k-NN single-query gates (production shape: 450 x 510 model, batch of one)"
+# The ml.knn cell above amortises any per-call set-up over 64 queries of
+# dim 34, which is how a per-call transpose of the whole training set went
+# unseen. This cell classifies as the pipeline does — one 510-dim window
+# per handle_batch against the deployed model — next to the same query
+# through one-shot distances_into, which transposes on every call. Two
+# bars, neither tied to runner speed: the frozen-block path must be at
+# least 3x faster than the transposing arm measured in the SAME run (the
+# two slow down together under load; a transpose creeping back drags the
+# ratio to ~1), and a call may allocate at most 16 KB (request and
+# response plumbing plus one 450-float distance row; the transpose alone
+# was 918 KB). Allocation counts are deterministic.
+knn_single_gate() { # knn_single_gate SNAPSHOT -> 0 if ratio and bytes hold
+    local snapshot="$1"
+    speedup=$(extract "$snapshot" knn_single_query speedup_x)
+    bytes=$(extract "$snapshot" knn_single_query alloc_bytes_per_call)
+    allocs=$(extract "$snapshot" knn_single_query allocs_per_call)
+    awk -v speedup="$speedup" -v bytes="$bytes" -v allocs="$allocs" 'BEGIN {
+        if (speedup == "" || bytes == "" || allocs == "") {
+            printf "FAIL: knn_single_query cell missing from snapshot\n"
+            exit 1
+        }
+        if (speedup + 0 < 3.0) {
+            printf "FAIL: single-query k-NN only %.2fx faster than transposing per call (< 3x): is the training block rebuilt per query?\n", speedup
+            exit 1
+        }
+        if (bytes + 0 > 16384) {
+            printf "FAIL: single-query classify allocates %.0f B per call, over the 16 KB ceiling\n", bytes
+            exit 1
+        }
+        printf "ok: single-query k-NN %.2fx vs transpose-per-call, %.1f allocs / %.0f B per call (ceiling 16384 B)\n", speedup, allocs, bytes
+    }' || return 1
+}
+if ! knn_single_gate target/bench_smoke.json; then
+    echo "gate missed; re-measuring once to rule out a cold start"
+    cargo run --release -q -p videopipe-bench --bin bench_snapshot -- \
+        --quick --out target/bench_smoke.json
+    knn_single_gate target/bench_smoke.json
+fi
+
 echo "==> saturated batched dispatch floor (vs committed BENCH_PR3.json)"
 # Extracting throughput_rps from the one-line "saturated" cell picks the
 # LAST occurrence on the line (awk's greedy .*), i.e. the batch=8 number.
