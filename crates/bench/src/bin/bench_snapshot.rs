@@ -15,7 +15,9 @@
 //! reactor scale cells (`pipelines_per_core`, `memory_per_pipeline`, OS
 //! thread count, and the threaded-runtime comparison arm that quantifies
 //! the thread-per-module ceiling), the reactor low-load latency cell
-//! (comparable to the saturation `low_load` cell of BENCH_PR6), and the
+//! (comparable to the saturation `low_load` cell of BENCH_PR6), the
+//! `reactor.timer_lag` cell (how late 1000 recurring 25 Hz deadlines fire,
+//! idle and next to a CPU-bound fleet, and how often workers sleep), and the
 //! multi-core `reactor_scaling` sweep (the same CPU-bound fleet drained
 //! at `workers=1` vs `workers=cores`, with work-stealing and wake
 //! counters; skipped with an explicit marker on single-core runners) —
@@ -802,33 +804,39 @@ impl Service for SpinWork {
     }
 }
 
-/// One arm of the scaling sweep: a credit-clocked fleet (fps far above
-/// what the CPU can serve, so delivery rate tracks compute capacity) on a
-/// reactor with `workers` workers. Returns frames/s and the per-worker
-/// scheduler stats snapshot from the run report.
+/// Adds `pipelines` credit-clocked [`SpinWork`] pipelines to `rt`: fps far
+/// above what the CPU can serve, so their delivery rate tracks compute
+/// capacity and they keep every worker busy.
+fn add_spin_fleet(rt: &mut ReactorRuntime, pipelines: usize, time_scale: f64) {
+    let (modules, _) = fleet_registries();
+    let mut services = ServiceRegistry::new();
+    services.install(Arc::new(SpinWork));
+    let plan = fleet_plan("spin");
+    for _ in 0..pipelines {
+        let config = RuntimeConfig {
+            fps: 1_000.0,
+            credits: 2,
+            time_scale,
+            ..RuntimeConfig::default()
+        };
+        rt.add_pipeline(&plan, &modules, &services, config)
+            .expect("spin pipeline");
+    }
+}
+
+/// One arm of the scaling sweep: a CPU-bound fleet on a reactor with
+/// `workers` workers. Returns frames/s and the per-worker scheduler stats
+/// snapshot from the run report.
 fn scaling_arm(
     workers: usize,
     pipelines: usize,
     wall: Duration,
 ) -> (f64, Vec<videopipe_core::metrics::WorkerSchedStats>) {
-    let (modules, _) = fleet_registries();
-    let mut services = ServiceRegistry::new();
-    services.install(Arc::new(SpinWork));
     let mut rt = ReactorRuntime::new(ReactorConfig {
         workers,
         ..ReactorConfig::default()
     });
-    let plan = fleet_plan("scale");
-    for _ in 0..pipelines {
-        let config = RuntimeConfig {
-            fps: 1_000.0,
-            credits: 2,
-            time_scale: 1.0,
-            ..RuntimeConfig::default()
-        };
-        rt.add_pipeline(&plan, &modules, &services, config)
-            .expect("scaling pipeline");
-    }
+    add_spin_fleet(&mut rt, pipelines, 1.0);
     let started = Instant::now();
     let reports = rt.run_for(wall);
     let elapsed = started.elapsed().as_secs_f64();
@@ -870,10 +878,11 @@ fn reactor_scaling_section(quick: bool, out: &mut String) {
     let steals_attempted: u64 = sched.iter().map(|w| w.steals_attempted).sum();
     let steals_succeeded: u64 = sched.iter().map(|w| w.steals_succeeded).sum();
     let unparks: u64 = sched.iter().map(|w| w.unparks).sum();
+    let parks: u64 = sched.iter().map(|w| w.parks).sum();
     println!(
         "reactor scaling ({pipelines} pipelines, ~80 us service, {cores} cores): \
          1 worker {fps1:.0} f/s -> {cores} workers {fps_max:.0} f/s ({speedup:.2}x); \
-         steals {steals_succeeded}/{steals_attempted}, unparks {unparks}"
+         steals {steals_succeeded}/{steals_attempted}, unparks {unparks}, parks {parks}"
     );
     let _ = writeln!(
         out,
@@ -1561,6 +1570,7 @@ fn reactor_section(quick: bool, out: &mut String) {
     let tasks_run: u64 = sched.iter().map(|w| w.tasks_run).sum();
     let steals_succeeded: u64 = sched.iter().map(|w| w.steals_succeeded).sum();
     let unparks: u64 = sched.iter().map(|w| w.unparks).sum();
+    let parks: u64 = sched.iter().map(|w| w.parks).sum();
     let live = reports
         .iter()
         .filter(|r| r.metrics.frames_delivered > 0)
@@ -1598,7 +1608,7 @@ fn reactor_section(quick: bool, out: &mut String) {
     );
     let _ = writeln!(
         out,
-        r#"  "reactor": {{"pipelines": {n}, "live_pipelines": {live}, "cores": {cores}, "reactor_workers": {reactor_workers}, "reactor_threads": {reactor_threads}, "process_threads": {process_threads:.0}, "pipelines_per_core": {pipelines_per_core:.0}, "memory_per_pipeline_kb": {memory_per_pipeline_kb:.1}, "delivered": {delivered}, "tasks_run": {tasks_run}, "steals_succeeded": {steals_succeeded}, "unparks": {unparks}, "threaded_threads_per_pipeline": {threads_per_pipeline:.1}, "threaded_capacity_at_1024_threads": {threaded_capacity:.0}, "scale_x": {scale_x:.1}}},"#
+        r#"  "reactor": {{"pipelines": {n}, "live_pipelines": {live}, "cores": {cores}, "reactor_workers": {reactor_workers}, "reactor_threads": {reactor_threads}, "process_threads": {process_threads:.0}, "pipelines_per_core": {pipelines_per_core:.0}, "memory_per_pipeline_kb": {memory_per_pipeline_kb:.1}, "delivered": {delivered}, "tasks_run": {tasks_run}, "steals_succeeded": {steals_succeeded}, "unparks": {unparks}, "parks": {parks}, "threaded_threads_per_pipeline": {threads_per_pipeline:.1}, "threaded_capacity_at_1024_threads": {threaded_capacity:.0}, "scale_x": {scale_x:.1}}},"#
     );
 }
 
@@ -1681,6 +1691,113 @@ fn reactor_low_load_section(quick: bool, out: &mut String) {
     );
 }
 
+/// The whole pipeline of the timer-lag cell: a source that is also the
+/// sink. It notes how late each tick was admitted and hands its credit
+/// straight back. Tick `seq` is due `(seq − 1)` intervals after the pacer
+/// was built, which is a few microseconds after the pipeline's clock
+/// started; those microseconds count as lateness here.
+struct LagSrc {
+    interval_ns: u64,
+    late_us: Arc<Mutex<Vec<f64>>>,
+}
+
+impl Module for LagSrc {
+    fn on_event(&mut self, event: Event, ctx: &mut dyn ModuleCtx) -> Result<(), PipelineError> {
+        if let Event::FrameTick { t_ns } = event {
+            let seq = ctx.header().frame_seq;
+            // The first ticks run while the rest of the fleet deploys.
+            if seq > 2 {
+                let late_ns = t_ns.saturating_sub((seq - 1) * self.interval_ns);
+                self.late_us.lock().unwrap().push(late_ns as f64 / 1e3);
+            }
+            ctx.signal_source()?;
+        }
+        Ok(())
+    }
+}
+
+/// One arm of the timer-lag cell: `deadlines` recurring 25 Hz pacer ticks
+/// with evenly spread phases, alone or next to a CPU-bound filler fleet.
+/// Returns (p50 µs, p99 µs, parks per second).
+fn timer_lag_arm(deadlines: usize, filler: usize, wall: Duration) -> (f64, f64, f64) {
+    const INTERVAL_NS: u64 = 40_000_000;
+    let late_us = Arc::new(Mutex::new(Vec::new()));
+    let mut modules = ModuleRegistry::new();
+    let sink = Arc::clone(&late_us);
+    modules.register("LagSrc", move || {
+        Box::new(LagSrc {
+            interval_ns: INTERVAL_NS,
+            late_us: Arc::clone(&sink),
+        })
+    });
+    let devices = [DeviceSpec::new("one", 1.0)];
+    let lag_plan = plan(
+        &PipelineSpec::new("lag").with_module(ModuleSpec::new("src", "LagSrc")),
+        &devices,
+        &Placement::new().assign("src", "one"),
+    )
+    .expect("timer-lag plan");
+    let mut rt = ReactorRuntime::new(ReactorConfig::default());
+    add_spin_fleet(&mut rt, filler, 0.0);
+    // A pipeline's ticks are due at its start plus whole intervals: start
+    // them 7/`deadlines` of an interval apart (7 shares no factor with the
+    // fleet sizes used), which spreads the phases evenly over the interval
+    // and leaves each `add_pipeline` time to finish.
+    let spacing = Duration::from_nanos(INTERVAL_NS * 7 / deadlines as u64);
+    let no_services = ServiceRegistry::new();
+    let deploy = Instant::now();
+    for i in 0..deadlines {
+        while deploy.elapsed() < spacing * i as u32 {
+            std::hint::spin_loop();
+        }
+        let config = RuntimeConfig {
+            fps: 25.0,
+            ..RuntimeConfig::default()
+        };
+        rt.add_pipeline(&lag_plan, &modules, &no_services, config)
+            .expect("timer-lag pipeline");
+    }
+    let parks = |rt: &ReactorRuntime| -> u64 { rt.scheduler_stats().iter().map(|w| w.parks).sum() };
+    let parks_before = parks(&rt);
+    let started = Instant::now();
+    std::thread::sleep(wall);
+    let parks_per_s = (parks(&rt) - parks_before) as f64 / started.elapsed().as_secs_f64();
+    drop(rt.finish());
+    let mut late = late_us.lock().unwrap().clone();
+    late.sort_by(f64::total_cmp);
+    (
+        percentile(&late, 50.0),
+        percentile(&late, 99.0),
+        parks_per_s,
+    )
+}
+
+/// `reactor.timer_lag`: how late the reactor's timers fire. 1000 recurring
+/// 25 Hz deadlines (pacer ticks of single-module pipelines) with evenly
+/// spread phases — 25k firings a second — on an otherwise idle reactor,
+/// then again with a CPU-bound filler fleet keeping every worker busy, in
+/// which case a deadline waits for the task in front of it. Reports p50 /
+/// p99 lateness and how often the workers went to sleep.
+fn reactor_timer_lag_section(quick: bool, out: &mut String) {
+    let deadlines = 1_000;
+    let wall = if quick {
+        Duration::from_millis(1_000)
+    } else {
+        Duration::from_secs(3)
+    };
+    let (idle_p50, idle_p99, idle_parks) = timer_lag_arm(deadlines, 0, wall);
+    let (busy_p50, busy_p99, busy_parks) = timer_lag_arm(deadlines, 32, wall);
+    println!(
+        "reactor timer lag ({deadlines} x 25 Hz deadlines): idle p50 {idle_p50:.0} us, \
+         p99 {idle_p99:.0} us, {idle_parks:.0} parks/s; with a CPU-bound filler fleet \
+         p50 {busy_p50:.0} us, p99 {busy_p99:.0} us, {busy_parks:.0} parks/s"
+    );
+    let _ = writeln!(
+        out,
+        r#"  "reactor_timer_lag": {{"deadlines": {deadlines}, "hz": 25, "idle_p50_us": {idle_p50:.1}, "idle_p99_us": {idle_p99:.1}, "idle_parks_per_s": {idle_parks:.0}, "loaded_p50_us": {busy_p50:.1}, "loaded_p99_us": {busy_p99:.1}, "loaded_parks_per_s": {busy_parks:.0}}},"#
+    );
+}
+
 fn main() {
     let args = parse_args();
     println!(
@@ -1703,6 +1820,7 @@ fn main() {
     slo_section(args.quick, &mut json);
     reactor_section(args.quick, &mut json);
     reactor_low_load_section(args.quick, &mut json);
+    reactor_timer_lag_section(args.quick, &mut json);
     saturation_section(args.quick, &mut json);
     json.push_str("}\n");
     std::fs::write(&args.out, &json).expect("write snapshot json");

@@ -263,10 +263,13 @@ pub struct WorkerSchedStats {
     pub steals_succeeded: u64,
     /// Deepest local run-queue depth observed at push time.
     pub queue_high_water: u64,
-    /// Timer-wheel entries fired from this worker's wheel shard.
+    /// Timer entries this worker fired (from its own shard, or from an
+    /// overdue sibling's).
     pub timer_fires: u64,
     /// Times this worker was unparked by a targeted wake.
     pub unparks: u64,
+    /// Times this worker went to sleep for want of anything to run.
+    pub parks: u64,
 }
 
 /// Metrics for one pipeline run.

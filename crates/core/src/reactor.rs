@@ -23,12 +23,15 @@
 //!   from siblings (randomized victim sweep) as the escape valve under
 //!   imbalance, and local-queue overflow spills to a pair of global MPMC
 //!   queues visible to all.
-//! * **Timer wheel, not sleeps.** Pacer ticks, SLO/heartbeat/telemetry
-//!   intervals, checkpoint periods and *modeled service costs* are entries
-//!   on a coalescing timer wheel, sharded per worker so 10k pipelines'
-//!   recurring ticks don't serialize on one mutex, served by one thread. A
-//!   slow modeled service defers its replies through the wheel instead of
-//!   occupying a worker, so it cannot starve co-hosted services.
+//! * **Worker-owned timers, not sleeps.** Pacer ticks, SLO/heartbeat/
+//!   telemetry intervals, checkpoint periods and *modeled service costs*
+//!   are exact nanosecond deadlines on the timer shard of the pipeline's
+//!   home worker. A worker fires its shard's due entries at the top of
+//!   every scheduling step (one clock read, one atomic load) and, with
+//!   nothing to run, sleeps until its next deadline: a pacer goes from
+//!   "due" to "running" on one thread. A slow modeled service defers its
+//!   replies through the shard instead of occupying a worker, so it
+//!   cannot starve co-hosted services.
 //! * **Wait by helping.** [`ModuleCtx::call_service`] is synchronous by
 //!   contract. A module task waiting for a reply runs *other* ready tasks
 //!   inline instead of parking its worker. Helpers above a bounded depth
@@ -42,9 +45,9 @@
 //!   and feeds completed frames to the readiness queues. No per-connection
 //!   reader threads, no polling interval.
 //!
-//! Thread count is `workers (≈ cores) + 1 timer + 1 I/O (TCP only)`,
-//! independent of pipeline count. Two deliberate semantic deltas from the
-//! threaded runtime, both documented in DESIGN.md §5.11: service dispatch
+//! Thread count is `workers (≈ cores) + 1 I/O (TCP only)`, independent of
+//! pipeline count; there is no timer thread. Two deliberate semantic deltas
+//! from the threaded runtime, both in DESIGN.md §5.11: service dispatch
 //! free-drains whatever is queued but never *holds* a partial batch open
 //! (requests accumulate naturally while a batch waits for a worker), and
 //! per-device `cores` no longer multiplies executor threads — service
@@ -69,7 +72,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use videopipe_media::{codec, FrameStore};
@@ -88,8 +91,9 @@ pub struct ReactorConfig {
     /// tasks. Helpers above this depth only run non-blocking tasks, which
     /// bounds stack growth while keeping service replies reachable.
     pub help_depth: usize,
-    /// Timer-wheel tick width. Deferred work (pacer ticks, modeled costs,
-    /// watcher intervals) is quantized to this granularity.
+    /// No effect on scheduling: timers keep exact deadlines. The field
+    /// (name, type, default) stays only because the benchmark, which a PR
+    /// claiming a gain may not edit, reads it to phase tenant starts.
     pub timer_granularity: Duration,
     /// Messages one module task drains per scheduling quantum before
     /// yielding its worker.
@@ -141,10 +145,11 @@ const DIRTY: u8 = 3;
 /// and no helpable work is available.
 const HELP_PARK: Duration = Duration::from_micros(200);
 
-/// How long an idle worker parks before re-polling its queues. A push
-/// that races a worker's park entry may lose its wake; the timeout bounds
-/// the cost of that race to latency, never progress.
-const IDLE_PARK: Duration = Duration::from_micros(500);
+/// How far past its deadline a sibling's timer must be before an idle
+/// worker (stealing on) fires it for the owner: an owner merely asleep
+/// fires within the kernel's timer slack (≈ 60 µs), one stuck in a long
+/// handler does not.
+const SIBLING_GRACE_NS: u64 = 1_000_000;
 
 /// Batches one service task dispatches per quantum before yielding.
 const SERVICE_BATCH_QUANTUM: usize = 4;
@@ -189,9 +194,9 @@ trait TaskRunner: Send {
 
 struct Task {
     /// Home worker (pipeline affinity): wakes from off-worker threads
-    /// (timer, I/O, deploy) land on this worker's local queue so one
-    /// pipeline's tasks tend to share a core; stealing is the escape
-    /// valve under imbalance.
+    /// (I/O, deploy) land on this worker's local queue and the task's
+    /// deadlines on this worker's timer shard, so one pipeline's tasks
+    /// tend to share a core; stealing is the escape valve under imbalance.
     home: usize,
     /// Module tasks may block (wait-by-helping) inside `call_service`;
     /// everything else never blocks and is always safe to help with.
@@ -202,57 +207,31 @@ struct Task {
     runner: Mutex<Box<dyn TaskRunner>>,
 }
 
-/// One worker's park/unpark latch. Unlike the old pool-wide doorbell,
-/// wakes are *targeted*: a push unparks at most one specific worker — no
-/// broadcast, no thundering herd. `notified` makes an unpark that lands
-/// just before the park call stick; the remaining race window (a push
-/// between a worker's last queue check and its park) is tolerated because
-/// workers re-poll on [`IDLE_PARK`], so a missed wake costs bounded
-/// latency, never progress.
+/// One worker's sleep state. A worker with nothing to run *announces*
+/// itself by setting `idle`, *re-checks* every place work or a deadline
+/// can appear (own queues, global queues, stealable sibling work, timer
+/// shards) and only then sleeps — until its next deadline, or without a
+/// timeout if it has none. Whoever makes work appear does the mirror
+/// image: publish it, then read `idle`. A `SeqCst` fence between the two
+/// steps on each side means at least one party sees the other: either the
+/// re-check finds the work, or the publisher finds `idle` set and unparks.
+/// The unpark cannot be lost either — `Thread::unpark` leaves a token
+/// that makes the next `park` return at once. So no wake is ever missed
+/// and nothing polls. Wakes are *targeted*: at most one specific worker
+/// per push, never a broadcast.
+#[derive(Default)]
 struct Parker {
-    /// Advisory "inside park": wake targeting scans this.
+    /// Set from the announcement until the worker is running again.
     idle: AtomicBool,
-    /// A pending unpark not yet consumed by a park.
-    notified: AtomicBool,
-    mutex: std::sync::Mutex<()>,
-    cv: std::sync::Condvar,
+    /// The worker's thread, set by the worker itself before it first
+    /// announces `idle` — so whoever reads `idle == true` also sees it.
+    thread: std::sync::OnceLock<std::thread::Thread>,
 }
 
 impl Parker {
-    fn new() -> Self {
-        Parker {
-            idle: AtomicBool::new(false),
-            notified: AtomicBool::new(false),
-            mutex: std::sync::Mutex::new(()),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    fn park(&self, timeout: Duration) {
-        if self.notified.swap(false, Ordering::SeqCst) {
-            return;
-        }
-        self.idle.store(true, Ordering::SeqCst);
-        {
-            let guard = self.mutex.lock().unwrap_or_else(|e| e.into_inner());
-            // Re-check under the lock: an unpark between the first check
-            // and here has set `notified` and must not be slept through.
-            if !self.notified.swap(false, Ordering::SeqCst) {
-                let _ = self
-                    .cv
-                    .wait_timeout(guard, timeout)
-                    .unwrap_or_else(|e| e.into_inner());
-                self.notified.store(false, Ordering::SeqCst);
-            }
-        }
-        self.idle.store(false, Ordering::SeqCst);
-    }
-
     fn unpark(&self) {
-        self.notified.store(true, Ordering::SeqCst);
-        if self.idle.load(Ordering::SeqCst) {
-            let _guard = self.mutex.lock().unwrap_or_else(|e| e.into_inner());
-            self.cv.notify_one();
+        if let Some(thread) = self.thread.get() {
+            thread.unpark();
         }
     }
 }
@@ -260,6 +239,7 @@ impl Parker {
 /// Per-worker scheduler counters (low-cardinality: one set per worker
 /// thread, never per task). Snapshotted into [`WorkerSchedStats`] for
 /// reports and the bench artifact.
+#[derive(Default)]
 struct WorkerStats {
     tasks_run: AtomicU64,
     steals_attempted: AtomicU64,
@@ -267,26 +247,14 @@ struct WorkerStats {
     queue_high_water: AtomicU64,
     timer_fires: AtomicU64,
     unparks: AtomicU64,
-}
-
-impl WorkerStats {
-    fn new() -> Self {
-        WorkerStats {
-            tasks_run: AtomicU64::new(0),
-            steals_attempted: AtomicU64::new(0),
-            steals_succeeded: AtomicU64::new(0),
-            queue_high_water: AtomicU64::new(0),
-            timer_fires: AtomicU64::new(0),
-            unparks: AtomicU64::new(0),
-        }
-    }
+    parks: AtomicU64,
 }
 
 /// One worker's scheduling state: a LIFO slot for the just-woken task, a
-/// pair of bounded FIFO local queues split by blocking capability, a
-/// targeted parker and the scheduler counters. Each `WorkerQueue` lives
-/// in its own cache line(s); siblings touch it only to push affine work
-/// or to steal.
+/// pair of bounded FIFO local queues split by blocking capability, its
+/// timer shard, a targeted parker and the scheduler counters. Each
+/// `WorkerQueue` lives in its own cache line(s); siblings touch it only to
+/// push affine work, arm a deadline or steal.
 struct WorkerQueue {
     /// The task most recently woken *by this worker* — usually the
     /// consumer of a message it just produced. Running it next keeps the
@@ -296,6 +264,7 @@ struct WorkerQueue {
     nb_local: Mutex<VecDeque<Arc<Task>>>,
     /// Blocking-capable module tasks (runnable only within `help_depth`).
     md_local: Mutex<VecDeque<Arc<Task>>>,
+    timers: TimerShard,
     parker: Parker,
     /// Owner-only xorshift state for randomized steal victim selection.
     steal_seed: AtomicU64,
@@ -308,26 +277,32 @@ impl WorkerQueue {
             lifo: Mutex::new(None),
             nb_local: Mutex::new(VecDeque::new()),
             md_local: Mutex::new(VecDeque::new()),
-            parker: Parker::new(),
+            timers: TimerShard {
+                queue: Mutex::new(TimerQueue::default()),
+                earliest: AtomicU64::new(u64::MAX),
+            },
+            parker: Parker::default(),
             steal_seed: AtomicU64::new(seed | 1),
-            stats: WorkerStats::new(),
+            stats: WorkerStats::default(),
         }
     }
 }
 
 thread_local! {
     /// Index of the current thread in its reactor's worker pool;
-    /// `usize::MAX` on non-worker threads (timer, I/O, deploy).
+    /// `usize::MAX` on non-worker threads (I/O, deploy).
     static WORKER_ID: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+    /// Helping depth of the task this thread is running right now.
+    static RUN_DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Deferred work on the timer wheel.
+/// Deferred work on a timer shard.
 enum TimerEntry {
     /// Wake a task at the deadline.
     Wake(usize),
     /// Deliver already-computed messages at the deadline (timer-deferred
     /// modeled service cost: the replies exist, the latency is modeled by
-    /// the wheel instead of a sleeping worker).
+    /// the deadline instead of a sleeping worker).
     Deliver {
         pipe: Arc<PipeRt>,
         from_device: String,
@@ -335,124 +310,26 @@ enum TimerEntry {
     },
 }
 
-/// A coalescing timer wheel, sharded per worker: a pipeline's deadlines
-/// (pacer ticks, watcher sweeps, deferred modeled costs) land in its home
-/// worker's shard, so 10k pipelines arming recurring ticks lock 1/Nth of
-/// the wheel instead of serializing on one mutex. One thread still serves
-/// every shard: it sleeps towards the earliest armed tick — maintained as
-/// an atomic lower bound with `fetch_min` — and fires everything due
-/// across all shards in one sweep. Entries due on the same tick share one
-/// wakeup, and recurring-tick dedup lives in [`Rearm`] exactly as before.
-/// One timer-wheel shard: due tick → entries, padded to its own line.
-type WheelShard = CachePadded<std::sync::Mutex<std::collections::BTreeMap<u64, Vec<TimerEntry>>>>;
-
-struct TimerWheel {
-    granularity_ns: u64,
-    origin: Instant,
-    shards: Vec<WheelShard>,
-    /// Lower bound on the earliest armed tick across all shards
-    /// (`u64::MAX` when the bound is unknown or nothing is armed).
+/// One worker's timers: a pipeline's deadlines (pacer ticks, watcher
+/// sweeps, deferred modeled costs) land in its home worker's shard, so 10k
+/// pipelines arming recurring ticks lock 1/Nth of the timers, and almost
+/// always from the thread that also fires them. Deadlines are exact —
+/// nanoseconds since [`Core::origin`] — and recurring-tick dedup lives in
+/// [`Rearm`].
+struct TimerShard {
+    queue: Mutex<TimerQueue>,
+    /// The earliest armed deadline, `u64::MAX` when nothing is armed.
+    /// Written only under `queue`'s lock, read without it: the owner's
+    /// "anything due?" check is this one load.
     earliest: AtomicU64,
-    sleep_mutex: std::sync::Mutex<()>,
-    cv: std::sync::Condvar,
 }
 
-impl TimerWheel {
-    fn new(granularity: Duration, shards: usize) -> Self {
-        TimerWheel {
-            granularity_ns: (granularity.as_nanos() as u64).max(1),
-            origin: Instant::now(),
-            shards: (0..shards.max(1))
-                .map(|_| CachePadded(std::sync::Mutex::new(std::collections::BTreeMap::new())))
-                .collect(),
-            earliest: AtomicU64::new(u64::MAX),
-            sleep_mutex: std::sync::Mutex::new(()),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    fn schedule(&self, shard: usize, at: Instant, entry: TimerEntry) {
-        let ns = at.saturating_duration_since(self.origin).as_nanos() as u64;
-        let tick = ns.div_ceil(self.granularity_ns);
-        {
-            let shard = &self.shards[shard % self.shards.len()];
-            let mut slots = shard.lock().unwrap_or_else(|e| e.into_inner());
-            slots.entry(tick).or_default().push(entry);
-        }
-        if self.earliest.fetch_min(tick, Ordering::SeqCst) > tick {
-            // The wheel thread may be sleeping towards a later deadline.
-            // Taking the sleep mutex orders this notify against its
-            // earliest-recheck-then-wait, so the wake cannot be lost.
-            let _guard = self.sleep_mutex.lock().unwrap_or_else(|e| e.into_inner());
-            self.cv.notify_all();
-        }
-    }
-
-    fn kick(&self) {
-        let _guard = self.sleep_mutex.lock().unwrap_or_else(|e| e.into_inner());
-        self.cv.notify_all();
-    }
-
-    /// Blocks until at least one entry is due (or shutdown), then returns
-    /// everything due right now, grouped as `(shard, entries)`.
-    fn next_due(&self, stop: &AtomicBool) -> Vec<(usize, Vec<TimerEntry>)> {
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                return Vec::new();
-            }
-            let now_ns = self.origin.elapsed().as_nanos() as u64;
-            let now_tick = now_ns / self.granularity_ns;
-            let mut due = Vec::new();
-            let mut next_tick = u64::MAX;
-            if self.earliest.load(Ordering::SeqCst) <= now_tick {
-                // Claim the sweep. A schedule() racing in with an earlier
-                // deadline fetch_mins the bound back down and re-notifies.
-                self.earliest.store(u64::MAX, Ordering::SeqCst);
-                for (i, shard) in self.shards.iter().enumerate() {
-                    let mut slots = shard.lock().unwrap_or_else(|e| e.into_inner());
-                    let mut fired = Vec::new();
-                    while let Some((&tick, _)) = slots.first_key_value() {
-                        if tick > now_tick {
-                            break;
-                        }
-                        if let Some((_, mut entries)) = slots.pop_first() {
-                            fired.append(&mut entries);
-                        }
-                    }
-                    if let Some((&tick, _)) = slots.first_key_value() {
-                        next_tick = next_tick.min(tick);
-                    }
-                    if !fired.is_empty() {
-                        due.push((i, fired));
-                    }
-                }
-                self.earliest.fetch_min(next_tick, Ordering::SeqCst);
-            } else {
-                next_tick = self.earliest.load(Ordering::SeqCst);
-            }
-            if !due.is_empty() {
-                return due;
-            }
-            let wait = if next_tick == u64::MAX {
-                // Nothing scheduled: park until the next schedule() kicks.
-                Duration::from_millis(50)
-            } else {
-                let target_ns = next_tick * self.granularity_ns;
-                Duration::from_nanos(target_ns.saturating_sub(now_ns).max(1))
-            };
-            let guard = self.sleep_mutex.lock().unwrap_or_else(|e| e.into_inner());
-            // Recheck under the sleep mutex: a schedule() that lowered the
-            // bound after `next_tick` was computed notified while nobody
-            // waited; sleeping `wait` here would overshoot its deadline.
-            if self.earliest.load(Ordering::SeqCst) < next_tick {
-                continue;
-            }
-            let _ = self
-                .cv
-                .wait_timeout(guard, wait)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
+/// Entries keyed `(deadline_ns, arm order)`: same-instant deadlines fire
+/// in the order they were armed, and no deadline needs its own `Vec`.
+#[derive(Default)]
+struct TimerQueue {
+    armed: u64,
+    entries: std::collections::BTreeMap<(u64, u64), TimerEntry>,
 }
 
 /// A TCP ingress endpoint owned by the reactor's single I/O thread.
@@ -495,21 +372,16 @@ impl PipeRt {
     }
 }
 
-/// Shared reactor core: task table, ready queues, timer wheel, wake map.
-/// Index of the calling thread in `workers`, or `None` for non-worker
-/// threads (timer, I/O, the deploying thread).
-fn current_worker(workers: usize) -> Option<usize> {
-    let id = WORKER_ID.with(|c| c.get());
-    (id < workers).then_some(id)
-}
-
+/// Shared reactor core: task table, ready queues, timer shards, wake map.
 struct Core {
     cfg: ReactorConfig,
-    /// Task table for cold-path lookup by id (timer wakes, finalize).
-    /// Hot paths carry `Arc<Task>` through the queues and never touch it.
+    /// Zero of the timer shards' nanosecond clock.
+    origin: Instant,
+    /// Task table for lookup by id (timer wakes, finalize). The queues
+    /// carry `Arc<Task>` and never touch it.
     tasks: RwLock<Vec<Arc<Task>>>,
     /// Per-worker scheduling state: LIFO slot, bounded local queues,
-    /// targeted parker, steal seed, counters.
+    /// timer shard, targeted parker, steal seed, counters.
     workers: Vec<CachePadded<WorkerQueue>>,
     /// Global overflow/injection queues on the lock-free MPMC channel
     /// layer: non-blocking tasks (always helpable) and blocking-capable
@@ -517,7 +389,6 @@ struct Core {
     /// reactor has a single worker's worth of backlog everywhere.
     nb_ready: (Sender<Arc<Task>>, Receiver<Arc<Task>>),
     mod_ready: (Sender<Arc<Task>>, Receiver<Arc<Task>>),
-    timers: TimerWheel,
     /// Per-pipeline runtime registrations, indexed by pipeline id.
     pipelines: RwLock<Vec<Arc<PipeRt>>>,
     /// Times the I/O thread came out of its readiness wait (a statistic).
@@ -526,8 +397,11 @@ struct Core {
 }
 
 impl Core {
+    /// Index of the calling thread in `workers`, or `None` for non-worker
+    /// threads (I/O, the deploying thread).
     fn current_worker(&self) -> Option<usize> {
-        current_worker(self.workers.len())
+        let id = WORKER_ID.with(|c| c.get());
+        (id < self.workers.len()).then_some(id)
     }
 
     fn wake_task(&self, id: usize) {
@@ -571,14 +445,23 @@ impl Core {
 
     /// Queues a freshly-woken task. A worker waking a task claims its own
     /// LIFO slot — the woken task is usually the consumer of a message the
-    /// worker just produced, and running it next keeps the handoff on warm
-    /// caches. Off-worker wakes (timer, I/O, deploy) go to the task's home
-    /// worker so a pipeline's steps stay on one core.
+    /// worker just produced (or a pacer whose deadline it just fired), and
+    /// running it next keeps the handoff on warm caches. Off-worker wakes
+    /// (I/O, deploy) go to the task's home worker so a pipeline's steps
+    /// stay on one core.
     fn push_ready(&self, task: &Arc<Task>) {
         if let Some(wid) = self.current_worker() {
             let displaced = self.workers[wid].lifo.lock().replace(Arc::clone(task));
             if let Some(prev) = displaced {
                 self.push_local(wid, prev);
+            }
+            // Nobody is told of a slot entry, and from a helper nested
+            // beyond `help_depth` this worker cannot run a module task
+            // until it has unwound: have an idle sibling come and take it.
+            if task.blocking && self.cfg.steal && RUN_DEPTH.with(|d| d.get()) > self.cfg.help_depth
+            {
+                fence(Ordering::SeqCst);
+                self.notify_any_idle();
             }
             return;
         }
@@ -617,44 +500,155 @@ impl Core {
                 Some(task)
             }
         };
-        match overflow {
-            None => self.notify_push(wid),
-            Some(task) => {
-                // Spill: the overflow becomes visible to every worker,
-                // which doubles as a pressure valve for a hot home.
-                let global = if blocking {
-                    &self.mod_ready.0
-                } else {
-                    &self.nb_ready.0
-                };
-                let _ = global.send(task);
-                self.notify_any_idle();
-            }
+        let spilled = overflow.is_some();
+        if let Some(task) = overflow {
+            // Spill: the overflow becomes visible to every worker,
+            // which doubles as a pressure valve for a hot home.
+            let global = if blocking {
+                &self.mod_ready.0
+            } else {
+                &self.nb_ready.0
+            };
+            let _ = global.send(task);
+        }
+        // Publish, fence, then read `idle`: the pusher's half of the
+        // protocol described on [`Parker`].
+        fence(Ordering::SeqCst);
+        if spilled {
+            self.notify_any_idle();
+        } else {
+            self.notify_push(wid);
         }
     }
 
-    /// Wakes the queue's owner if it is parked; otherwise, when stealing
-    /// is on, wakes one parked sibling to come steal. Never a broadcast.
-    fn notify_push(&self, wid: usize) {
+    /// Unparks worker `wid` if it has announced itself idle. A worker
+    /// never unparks itself: while it re-checks after announcing, what it
+    /// pushes or arms it also finds.
+    fn unpark_if_idle(&self, wid: usize) -> bool {
         let wq = &self.workers[wid];
-        if wq.parker.idle.load(Ordering::SeqCst) {
-            wq.stats.unparks.fetch_add(1, Ordering::Relaxed);
-            wq.parker.unpark();
-            return;
+        if self.current_worker() == Some(wid) || !wq.parker.idle.load(Ordering::SeqCst) {
+            return false;
         }
-        if self.cfg.steal {
+        wq.stats.unparks.fetch_add(1, Ordering::Relaxed);
+        wq.parker.unpark();
+        true
+    }
+
+    /// After work or an earlier deadline appeared on worker `wid`: wakes
+    /// the owner if it is idle; otherwise, when stealing is on, wakes one
+    /// idle sibling to come and take it. Never a broadcast. The caller has
+    /// published and fenced.
+    fn notify_push(&self, wid: usize) {
+        if !self.unpark_if_idle(wid) && self.cfg.steal {
             self.notify_any_idle();
         }
     }
 
     fn notify_any_idle(&self) {
-        for wq in &self.workers {
-            if wq.parker.idle.load(Ordering::SeqCst) {
-                wq.stats.unparks.fetch_add(1, Ordering::Relaxed);
-                wq.parker.unpark();
-                return;
+        let _ = (0..self.workers.len()).any(|wid| self.unpark_if_idle(wid));
+    }
+
+    /// Nanoseconds since `origin`: the timer shards' clock.
+    fn now_ns(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
+    }
+
+    /// Arms `entry` for `at` on worker `shard`'s timers. The owner arming
+    /// its own shard — a pacer re-arming its next tick — tells nobody: it
+    /// looks at `earliest` again before it sleeps. From any other thread
+    /// (deploy, a stealer, a `Deliver` armed where its service ran) the
+    /// owner's sleep may now be too long, so a deadline that became the
+    /// shard's earliest is announced like a push.
+    fn arm(&self, shard: usize, at: Instant, entry: TimerEntry) {
+        let at_ns = at.saturating_duration_since(self.origin).as_nanos() as u64;
+        let timers = &self.workers[shard].timers;
+        let lowered = {
+            let mut queue = timers.queue.lock();
+            queue.armed += 1;
+            let key = (at_ns, queue.armed);
+            queue.entries.insert(key, entry);
+            let lowered = at_ns < timers.earliest.load(Ordering::SeqCst);
+            if lowered {
+                timers.earliest.store(at_ns, Ordering::SeqCst);
+            }
+            lowered
+        };
+        if lowered && self.current_worker() != Some(shard) {
+            fence(Ordering::SeqCst);
+            self.notify_push(shard);
+        }
+    }
+
+    /// Fires, on worker `me`, every entry of worker `shard`'s timers due
+    /// by `cutoff_ns`; woken tasks land in `me`'s LIFO slot and local
+    /// queues. Nothing due costs one load of `earliest`. A sibling's shard
+    /// is only `try_lock`ed: if it is contended, its owner is at it.
+    fn fire_due(&self, shard: usize, cutoff_ns: u64, me: usize) {
+        let timers = &self.workers[shard].timers;
+        let mut fired = 0;
+        while timers.earliest.load(Ordering::SeqCst) <= cutoff_ns {
+            // One entry per lock hold: firing sends messages and takes
+            // queue locks, none of which belongs under the shard's lock.
+            let entry = {
+                let queue = if shard == me {
+                    Some(timers.queue.lock())
+                } else {
+                    timers.queue.try_lock()
+                };
+                let Some(mut queue) = queue else { break };
+                let Some(first) = queue.entries.first_entry() else {
+                    break;
+                };
+                if first.key().0 > cutoff_ns {
+                    break;
+                }
+                let entry = first.remove();
+                let next = queue.entries.first_key_value();
+                timers
+                    .earliest
+                    .store(next.map_or(u64::MAX, |(key, _)| key.0), Ordering::SeqCst);
+                entry
+            };
+            fired += 1;
+            match entry {
+                TimerEntry::Wake(id) => self.wake_task(id),
+                TimerEntry::Deliver {
+                    pipe,
+                    from_device,
+                    msgs,
+                } => {
+                    for msg in msgs {
+                        let _ = self.send_and_wake(&pipe, &from_device, msg);
+                    }
+                }
             }
         }
+        if fired > 0 {
+            let stats = &self.workers[me].stats;
+            stats.timer_fires.fetch_add(fired, Ordering::Relaxed);
+        }
+    }
+
+    /// When worker `wid` should next be awake for a deadline, in
+    /// nanoseconds on the shards' clock (`u64::MAX`: never): its own
+    /// earliest deadline and, with stealing on, each sibling's earliest
+    /// plus [`SIBLING_GRACE_NS`].
+    fn next_deadline_ns(&self, wid: usize) -> u64 {
+        let earliest = |w: usize| self.workers[w].timers.earliest.load(Ordering::SeqCst);
+        (0..self.workers.len())
+            .filter(|&w| w != wid && self.cfg.steal)
+            .map(|w| earliest(w).saturating_add(SIBLING_GRACE_NS))
+            .fold(earliest(wid), u64::min)
+    }
+
+    /// Caps a helper's nap at the calling worker's next deadline: a module
+    /// waiting inside `call_service` still fires its worker's ticks.
+    fn cap_nap(&self, nap: Duration) -> Duration {
+        let Some(wid) = self.current_worker() else {
+            return nap;
+        };
+        let earliest = self.workers[wid].timers.earliest.load(Ordering::SeqCst);
+        nap.min(Duration::from_nanos(earliest.saturating_sub(self.now_ns())))
     }
 
     fn wake_channel(&self, pipe: &PipeRt, channel: &str) {
@@ -676,41 +670,56 @@ impl Core {
         Ok(())
     }
 
-    /// Pops and runs one ready task, if any is runnable at `depth`:
-    /// own LIFO slot, then own local queues, then the global queues, then
-    /// a randomized steal sweep over siblings. Non-blocking tasks are
-    /// always runnable; module tasks only while the helping depth stays
-    /// within the configured bound.
+    /// Pops and runs one ready task, if any is runnable at `depth`.
     fn try_run_one(&self, depth: usize) -> bool {
+        let task = self.next_task(depth);
+        if let Some(task) = &task {
+            self.run_queued(task, depth);
+        }
+        task.is_some()
+    }
+
+    /// Fires the calling worker's due timers, then pops the next task
+    /// runnable at `depth`: own LIFO slot, own local queues, the global
+    /// queues, a randomized steal sweep over siblings, then — stealing on
+    /// and nothing else to do — siblings' overdue timers. Non-blocking
+    /// tasks are always runnable; module tasks only within `help_depth`.
+    /// Every way a worker gets a task or goes to sleep starts here, at
+    /// depth 0 and from wait-by-helping alike, so its deadlines are served
+    /// wherever it happens to be.
+    fn next_task(&self, depth: usize) -> Option<Arc<Task>> {
         let help_mods = depth <= self.cfg.help_depth;
         let me = self.current_worker();
         if let Some(wid) = me {
+            self.fire_due(wid, self.now_ns(), wid);
             if let Some(task) = self.pop_local(wid, help_mods) {
-                self.run_queued(&task, depth);
-                return true;
+                return Some(task);
             }
         }
         if let Ok(task) = self.nb_ready.1.try_recv() {
-            self.run_queued(&task, depth);
-            return true;
+            return Some(task);
         }
         if help_mods {
             if let Ok(task) = self.mod_ready.1.try_recv() {
-                self.run_queued(&task, depth);
-                return true;
+                return Some(task);
             }
         }
         // Local and global queues are dry: steal. Non-worker threads
         // (deploy-time init helping its own service calls) always sweep —
         // the work they are waiting on may sit in a worker's local queue.
-        let may_steal = me.is_none() || (self.cfg.steal && self.workers.len() > 1);
-        if may_steal {
+        let steal = self.cfg.steal && self.workers.len() > 1;
+        if me.is_none() || steal {
             if let Some(task) = self.try_steal(me, help_mods) {
-                self.run_queued(&task, depth);
-                return true;
+                return Some(task);
             }
         }
-        false
+        let wid = me.filter(|_| steal)?;
+        // A sibling stuck in a long handler cannot fire its own shard.
+        let cutoff = self.now_ns().saturating_sub(SIBLING_GRACE_NS);
+        for shard in (0..self.workers.len()).filter(|&w| w != wid) {
+            self.fire_due(shard, cutoff, wid);
+        }
+        self.pop_local(wid, help_mods)
     }
 
     fn pop_local(&self, wid: usize, help_mods: bool) -> Option<Arc<Task>> {
@@ -805,7 +814,10 @@ impl Core {
         task.state.store(RUNNING, Ordering::SeqCst);
         let more = {
             let mut runner = task.runner.lock();
-            runner.run(self, depth)
+            let outer = RUN_DEPTH.with(|d| d.replace(depth));
+            let more = runner.run(self, depth);
+            RUN_DEPTH.with(|d| d.set(outer));
+            more
         };
         if more {
             task.state.store(QUEUED, Ordering::SeqCst);
@@ -825,35 +837,28 @@ impl Core {
 
     fn worker_loop(&self, wid: usize) {
         WORKER_ID.with(|c| c.set(wid));
+        let wq = &self.workers[wid];
+        let _ = wq.parker.thread.set(std::thread::current());
         while !self.stop.load(Ordering::SeqCst) {
-            if self.try_run_one(0) {
-                continue;
-            }
-            self.workers[wid].parker.park(IDLE_PARK);
-        }
-    }
-
-    fn timer_loop(&self) {
-        while !self.stop.load(Ordering::SeqCst) {
-            for (shard, entries) in self.timers.next_due(&self.stop) {
-                self.workers[shard % self.workers.len()]
-                    .stats
-                    .timer_fires
-                    .fetch_add(entries.len() as u64, Ordering::Relaxed);
-                for entry in entries {
-                    match entry {
-                        TimerEntry::Wake(id) => self.wake_task(id),
-                        TimerEntry::Deliver {
-                            pipe,
-                            from_device,
-                            msgs,
-                        } => {
-                            for msg in msgs {
-                                let _ = self.send_and_wake(&pipe, &from_device, msg);
-                            }
-                        }
+            let mut task = self.next_task(0);
+            if task.is_none() {
+                // Announce, re-check, park: see [`Parker`]. The re-check is
+                // the search that just came back empty, timers included.
+                wq.parker.idle.store(true, Ordering::SeqCst);
+                fence(Ordering::SeqCst);
+                task = self.next_task(0);
+                if task.is_none() && !self.stop.load(Ordering::SeqCst) {
+                    // No deadline is `u64::MAX`: a nap of centuries.
+                    let nap = self.next_deadline_ns(wid).saturating_sub(self.now_ns());
+                    if nap > 0 {
+                        wq.stats.parks.fetch_add(1, Ordering::Relaxed);
+                        std::thread::park_timeout(Duration::from_nanos(nap));
                     }
                 }
+                wq.parker.idle.store(false, Ordering::SeqCst);
+            }
+            if let Some(task) = task {
+                self.run_queued(&task, 0);
             }
         }
     }
@@ -948,7 +953,7 @@ impl Core {
                 return;
             }
             if !self.try_run_one(depth + 1) {
-                std::thread::sleep((deadline - now).min(HELP_PARK));
+                std::thread::sleep(self.cap_nap((deadline - now).min(HELP_PARK)));
             }
         }
     }
@@ -966,6 +971,7 @@ impl Core {
                 queue_high_water: wq.stats.queue_high_water.load(Ordering::Relaxed),
                 timer_fires: wq.stats.timer_fires.load(Ordering::Relaxed),
                 unparks: wq.stats.unparks.load(Ordering::Relaxed),
+                parks: wq.stats.parks.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -979,9 +985,9 @@ fn rsvc_chan(pipeline: &str, device: &str, service: &str) -> String {
 }
 
 /// Recurring-timer dedup: tracks the deadline already armed for a task so
-/// message-driven wakes don't flood the wheel with duplicate entries. The
+/// message-driven wakes don't flood the timers with duplicate entries. The
 /// shard is the task's home worker: a pipeline's recurring ticks lock only
-/// its own wheel shard.
+/// its own worker's shard.
 struct Rearm {
     id: usize,
     shard: usize,
@@ -999,8 +1005,7 @@ impl Rearm {
 
     fn ensure(&mut self, core: &Core, at: Instant) {
         if self.armed_for != Some(at) {
-            core.timers
-                .schedule(self.shard, at, TimerEntry::Wake(self.id));
+            core.arm(self.shard, at, TimerEntry::Wake(self.id));
             self.armed_for = Some(at);
         }
     }
@@ -1131,7 +1136,7 @@ impl ReactorCtx<'_> {
             if !self.core.try_run_one(self.depth + 1) {
                 // Nothing helpable right now: park briefly on the reply
                 // channel itself, so a reply landing mid-park wakes us.
-                let wait = (deadline - now).min(HELP_PARK);
+                let wait = self.core.cap_nap((deadline - now).min(HELP_PARK));
                 if let Ok(msg) = self.st.reply_rx.recv_timeout(wait) {
                     if let Some(result) = self.check_reply(msg, corr_id, remote, service) {
                         return result;
@@ -1377,7 +1382,7 @@ impl TaskRunner for ModuleRunner {
         if self.shared.stop.load(Ordering::SeqCst) {
             return false;
         }
-        // Periodic checkpoint, self-armed on the timer wheel so it fires
+        // Periodic checkpoint, self-armed on the worker's timers so it fires
         // even while the inbox is quiet.
         if let Some(period) = self.shared.config.checkpoint_period {
             if self.last_checkpoint.elapsed() >= period {
@@ -1515,7 +1520,7 @@ impl TaskRunner for ModuleRunner {
 /// Runs one (device, service) host as a non-blocking task. Dispatches up
 /// to [`SERVICE_BATCH_QUANTUM`] micro-batches per run. Modeled compute
 /// costs are timer-deferred: the batch is computed eagerly and its replies
-/// ride the wheel, so a slow modeled service never occupies a worker.
+/// wait on a timer, so a slow modeled service never occupies a worker.
 struct ServiceRunner {
     shared: Arc<Shared>,
     pipe: Arc<PipeRt>,
@@ -1602,7 +1607,7 @@ impl ServiceRunner {
             }
         }
 
-        // Timer-deferred modeled latency: replies ride the wheel for the
+        // Timer-deferred modeled latency: replies wait on a timer for the
         // scaled cost instead of a worker sleeping it out.
         let scale = self.shared.config.time_scale;
         let deferral = if scale > 0.0 && !modeled.is_zero() {
@@ -1611,7 +1616,7 @@ impl ServiceRunner {
             None
         };
         match deferral {
-            Some(delay) => core.timers.schedule(
+            Some(delay) => core.arm(
                 self.pipe.home,
                 Instant::now() + delay,
                 TimerEntry::Deliver {
@@ -1673,12 +1678,12 @@ impl TaskRunner for ServiceRunner {
 
 /// The per-pipeline pacer as a non-blocking task: drains completion
 /// signals, expires credit leases, fences dead epochs and emits camera
-/// ticks, then re-arms itself on the timer wheel for the next tick.
+/// ticks, then re-arms itself on its worker's timers for the next tick.
 struct PacerRunner {
     shared: Arc<Shared>,
     pipe: Arc<PipeRt>,
-    pipeline: String,
-    sources: Vec<String>,
+    /// The sources' inbox channels, named once at deploy.
+    source_channels: Vec<String>,
     source_device: String,
     fc_inbox: InprocReceiver,
     pacer: SourcePacer,
@@ -1790,13 +1795,13 @@ impl TaskRunner for PacerRunner {
                     self.outstanding.insert(self.pacer.ticks(), Instant::now());
                 }
                 let t_ns = self.shared.now_ns();
-                for source in &self.sources {
+                for channel in &self.source_channels {
                     let _ = core.send_and_wake(
                         &self.pipe,
                         &self.source_device,
                         WireMessage {
                             kind: MessageKind::Signal,
-                            channel: mod_chan(&self.pipeline, source),
+                            channel: channel.clone(),
                             reply_to: String::new(),
                             corr_id: 0,
                             seq: self.pacer.ticks(),
@@ -2010,8 +2015,8 @@ impl TaskRunner for TelemetryRunner {
 /// An event-driven multi-pipeline runtime with a bounded thread count.
 ///
 /// Deploy any number of pipelines with [`ReactorRuntime::add_pipeline`];
-/// they all share one worker pool sized to cores, one timer thread and (in
-/// TCP mode) one I/O thread. The `Module`/`Service` traits and
+/// they all share one worker pool sized to cores and (in TCP mode) one
+/// I/O thread. The `Module`/`Service` traits and
 /// [`RuntimeConfig`] are exactly those of the threaded runtime.
 pub struct ReactorRuntime {
     core: Arc<Core>,
@@ -2032,12 +2037,12 @@ pub struct ReactorRuntime {
 }
 
 impl ReactorRuntime {
-    /// Starts the worker pool and timer thread.
+    /// Starts the worker pool.
     pub fn new(cfg: ReactorConfig) -> Self {
         let workers = cfg.effective_workers();
         let core = Arc::new(Core {
-            timers: TimerWheel::new(cfg.timer_granularity, workers),
             cfg,
+            origin: Instant::now(),
             tasks: RwLock::new(Vec::new()),
             workers: (0..workers)
                 // Fixed per-worker steal seeds (golden-ratio stride): no
@@ -2062,15 +2067,6 @@ impl ReactorRuntime {
                     .name(format!("vp-reactor-worker-{i}"))
                     .spawn(move || core.worker_loop(i))
                     .expect("spawn reactor worker"),
-            );
-        }
-        {
-            let core = Arc::clone(&core);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("vp-reactor-timer".into())
-                    .spawn(move || core.timer_loop())
-                    .expect("spawn reactor timer"),
             );
         }
         ReactorRuntime {
@@ -2483,8 +2479,10 @@ impl ReactorRuntime {
             Box::new(PacerRunner {
                 shared: Arc::clone(&shared),
                 pipe: Arc::clone(&pipe),
-                pipeline: pipeline.clone(),
-                sources: source_names,
+                source_channels: source_names
+                    .iter()
+                    .map(|source| mod_chan(&pipeline, source))
+                    .collect(),
                 source_device,
                 fc_inbox,
                 pacer,
@@ -2517,7 +2515,7 @@ impl ReactorRuntime {
         Ok(pipeline_id)
     }
 
-    /// Threads owned by this reactor (workers + timer + optional I/O) —
+    /// Threads owned by this reactor (workers + optional I/O) —
     /// constant in the number of deployed pipelines.
     pub fn thread_count(&self) -> usize {
         self.threads.len()
@@ -2671,7 +2669,6 @@ impl ReactorRuntime {
         for wq in &self.core.workers {
             wq.parker.unpark();
         }
-        self.core.timers.kick();
         if let Some((_, poller)) = &self.io {
             poller.notify();
         }
@@ -2870,9 +2867,10 @@ mod tests {
             )
             .unwrap();
         }
-        // Inproc pipelines add ZERO threads: workers + timer only.
+        // Inproc pipelines add ZERO threads, and nothing but the workers
+        // runs them: no timer thread.
         assert_eq!(rt.thread_count(), base);
-        assert_eq!(base, 3); // 2 workers + 1 timer
+        assert_eq!(base, 2);
         let reports = rt.run_until_total_deliveries(40 * 3, Duration::from_secs(20));
         assert_eq!(reports.len(), 40);
         for (i, report) in reports.iter().enumerate() {
@@ -2943,7 +2941,7 @@ mod tests {
         };
         rt.add_pipeline(&plan, &modules, &services, config).unwrap();
         // TCP adds exactly one I/O thread, once, regardless of devices.
-        assert_eq!(rt.thread_count(), base + 1);
+        assert_eq!((base, rt.thread_count()), (2, 3));
         let reports = rt.run_until_total_deliveries(10, Duration::from_secs(15));
         let report = &reports[0];
         assert!(
@@ -3184,5 +3182,375 @@ mod tests {
             IDLE,
             "task did not settle back to IDLE"
         );
+    }
+
+    /// Registers a [`ProbeRunner`] task homed on `home`; returns the task
+    /// and its `pending` wake counter.
+    fn probe_task(rt: &ReactorRuntime, home: usize, blocking: bool) -> (Arc<Task>, Arc<AtomicU64>) {
+        let pending = Arc::new(AtomicU64::new(0));
+        let task = rt.register_task(
+            home,
+            blocking,
+            Box::new(ProbeRunner {
+                pending: Arc::clone(&pending),
+                runs: Arc::new(AtomicU64::new(0)),
+                overlap: Arc::new(AtomicBool::new(false)),
+            }),
+        );
+        (task, pending)
+    }
+
+    /// Waits until a run of the probe has drained `pending`; returns how
+    /// long that took.
+    fn await_drained(pending: &AtomicU64, limit: Duration, what: &str) -> Duration {
+        let start = Instant::now();
+        while pending.load(Ordering::SeqCst) != 0 {
+            assert!(start.elapsed() < limit, "{what}: not run within {limit:?}");
+            std::thread::yield_now();
+        }
+        start.elapsed()
+    }
+
+    fn await_all_parked(core: &Core) {
+        let start = Instant::now();
+        while !core
+            .workers
+            .iter()
+            .all(|wq| wq.parker.idle.load(Ordering::SeqCst))
+        {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "workers did not all go back to sleep"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// The announce–re-check–park protocol under fire: no worker has any
+    /// reason to wake other than an unpark or a deadline it was told of,
+    /// so one lost wake or one unannounced deadline is a stall. Every
+    /// pusher and armer waits for each of its wakes to run before making
+    /// the next, which sends the workers through their park entry as
+    /// often as possible. Three phases — pushes alone, pushes and
+    /// deadlines together, deadlines alone — because either kind of
+    /// traffic would rescue a worker that slept through the other.
+    fn lost_wake_stress(steal: bool) {
+        const WORKERS: usize = 4;
+        const WAKES_PER_PUSHER: u64 = 20_000;
+        const DEADLINES_PER_ARMER: u64 = 300;
+        // Deadlines each armer still arms once the pushers have finished.
+        const QUIET_DEADLINES: u64 = 50;
+        const STALL: Duration = Duration::from_millis(50);
+        let rt = ReactorRuntime::new(ReactorConfig {
+            workers: WORKERS,
+            steal,
+            ..ReactorConfig::default()
+        });
+        let mut probes: Vec<_> = (0..WORKERS).map(|t| probe_task(&rt, t, false)).collect();
+        let spawn_pushers = |probes: &[(Arc<Task>, Arc<AtomicU64>)]| -> Vec<_> {
+            probes
+                .iter()
+                .map(|(task, pending)| {
+                    let (task, pending) = (Arc::clone(task), Arc::clone(pending));
+                    let core = Arc::clone(&rt.core);
+                    std::thread::spawn(move || {
+                        for _ in 0..WAKES_PER_PUSHER / 2 {
+                            pending.fetch_add(1, Ordering::SeqCst);
+                            core.wake(&task);
+                            await_drained(&pending, STALL, "pushed wake");
+                        }
+                    })
+                })
+                .collect()
+        };
+        for h in spawn_pushers(&probes) {
+            h.join().unwrap();
+        }
+        let pushers = spawn_pushers(&probes);
+        let pushers_done = Arc::new(AtomicBool::new(false));
+        let mut armers = Vec::new();
+        for t in 0..WORKERS {
+            let id = rt.next_task_id();
+            let (task, pending) = probe_task(&rt, t, false);
+            probes.push((task, Arc::clone(&pending)));
+            let core = Arc::clone(&rt.core);
+            let pushers_done = Arc::clone(&pushers_done);
+            armers.push(std::thread::spawn(move || {
+                let mut seed = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let (mut armed, mut quiet) = (0, 0);
+                while armed < DEADLINES_PER_ARMER || quiet < QUIET_DEADLINES {
+                    quiet += u64::from(pushers_done.load(Ordering::SeqCst));
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    let delay = Duration::from_micros(seed % 2_000);
+                    pending.fetch_add(1, Ordering::SeqCst);
+                    core.arm(t, Instant::now() + delay, TimerEntry::Wake(id));
+                    await_drained(&pending, delay + STALL, "armed deadline");
+                    armed += 1;
+                }
+                armed
+            }));
+        }
+        for h in pushers {
+            h.join().unwrap();
+        }
+        pushers_done.store(true, Ordering::SeqCst);
+        let armed: u64 = armers.into_iter().map(|h| h.join().unwrap()).sum();
+        await_all_parked(&rt.core);
+        for (task, _) in &probes {
+            assert_eq!(task.state.load(Ordering::SeqCst), IDLE);
+        }
+        let stats = rt.scheduler_stats();
+        let fired: u64 = stats.iter().map(|w| w.timer_fires).sum();
+        assert_eq!(fired, armed);
+    }
+
+    #[test]
+    fn no_wake_or_deadline_is_lost_without_an_idle_poll() {
+        // Stealing off: nothing but the owner's own wake-up can serve a
+        // push or a deadline, so a lost one cannot be papered over.
+        lost_wake_stress(false);
+    }
+
+    #[test]
+    fn no_wake_or_deadline_is_lost_with_stealing_siblings() {
+        lost_wake_stress(true);
+    }
+
+    #[test]
+    fn earlier_deadline_armed_from_outside_cuts_the_owners_sleep_short() {
+        let rt = ReactorRuntime::new(ReactorConfig {
+            workers: 1,
+            ..ReactorConfig::default()
+        });
+        let far_id = rt.next_task_id();
+        let (_far, _) = probe_task(&rt, 0, false);
+        let near_id = rt.next_task_id();
+        let (_near, pending) = probe_task(&rt, 0, false);
+        rt.core.arm(
+            0,
+            Instant::now() + Duration::from_millis(200),
+            TimerEntry::Wake(far_id),
+        );
+        // The owner is asleep towards the 200 ms deadline once it has
+        // announced itself and slept at least once.
+        await_all_parked(&rt.core);
+        while rt.scheduler_stats()[0].parks == 0 {
+            std::thread::yield_now();
+        }
+        pending.fetch_add(1, Ordering::SeqCst);
+        rt.core.arm(
+            0,
+            Instant::now() + Duration::from_millis(1),
+            TimerEntry::Wake(near_id),
+        );
+        let took = await_drained(&pending, Duration::from_millis(100), "near deadline");
+        assert!(took < Duration::from_millis(10), "fired after {took:?}");
+    }
+
+    /// Occupies whichever worker runs it: reports that worker, then
+    /// sleeps.
+    struct StallRunner {
+        started: Sender<usize>,
+        hold: Duration,
+    }
+
+    impl TaskRunner for StallRunner {
+        fn run(&mut self, core: &Core, _depth: usize) -> bool {
+            let _ = self
+                .started
+                .send(core.current_worker().expect("on a worker"));
+            std::thread::sleep(self.hold);
+            false
+        }
+    }
+
+    /// Arms a 1 ms deadline on the shard of a worker that is 20 ms into a
+    /// handler, with one idle sibling; returns how long the deadline's
+    /// task took to run.
+    fn deadline_behind_a_stuck_owner(steal: bool) -> Duration {
+        let rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            steal,
+            ..ReactorConfig::default()
+        });
+        let (started, on) = unbounded();
+        let stall = rt.register_task(
+            0,
+            false,
+            Box::new(StallRunner {
+                started,
+                hold: Duration::from_millis(20),
+            }),
+        );
+        let probe_id = rt.next_task_id();
+        let (_probe, pending) = probe_task(&rt, 0, false);
+        await_all_parked(&rt.core);
+        rt.core.wake(&stall);
+        let owner = on.recv().expect("stall task started");
+        pending.fetch_add(1, Ordering::SeqCst);
+        rt.core.arm(
+            owner,
+            Instant::now() + Duration::from_millis(1),
+            TimerEntry::Wake(probe_id),
+        );
+        await_drained(&pending, Duration::from_millis(200), "deadline")
+    }
+
+    #[test]
+    fn idle_sibling_fires_the_deadline_of_an_owner_stuck_in_a_handler() {
+        let took = deadline_behind_a_stuck_owner(true);
+        assert!(took < Duration::from_millis(5), "fired after {took:?}");
+    }
+
+    #[test]
+    fn without_stealing_a_stuck_owners_deadline_waits_for_the_handler() {
+        let took = deadline_behind_a_stuck_owner(false);
+        assert!(took >= Duration::from_millis(15), "fired after {took:?}");
+    }
+
+    /// Runs at depth 0 on its worker, wakes `inner` (into the LIFO slot)
+    /// and runs it from a helper at depth 2.
+    struct NestRunner {
+        inner: Arc<Task>,
+    }
+
+    impl TaskRunner for NestRunner {
+        fn run(&mut self, core: &Core, _depth: usize) -> bool {
+            core.wake(&self.inner);
+            assert!(core.try_run_one(2));
+            false
+        }
+    }
+
+    /// Wakes a module task, then keeps its worker for a while.
+    struct WakeThenStall {
+        target: Arc<Task>,
+        pending: Arc<AtomicU64>,
+        woke_at: Sender<Instant>,
+    }
+
+    impl TaskRunner for WakeThenStall {
+        fn run(&mut self, core: &Core, _depth: usize) -> bool {
+            self.pending.fetch_add(1, Ordering::SeqCst);
+            let _ = self.woke_at.send(Instant::now());
+            core.wake(&self.target);
+            std::thread::sleep(Duration::from_millis(20));
+            false
+        }
+    }
+
+    #[test]
+    fn module_task_woken_from_a_deep_helper_goes_to_an_idle_sibling() {
+        let rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        // Blocking-capable, like a module task: at depth 2 > help_depth
+        // the worker that woke it cannot run it.
+        let (module, pending) = probe_task(&rt, 0, true);
+        let (woke_at, woke) = unbounded();
+        let inner = rt.register_task(
+            0,
+            false,
+            Box::new(WakeThenStall {
+                target: module,
+                pending: Arc::clone(&pending),
+                woke_at,
+            }),
+        );
+        let outer = rt.register_task(0, false, Box::new(NestRunner { inner }));
+        await_all_parked(&rt.core);
+        rt.core.wake(&outer);
+        let woke_at = woke.recv().expect("inner task ran");
+        await_drained(&pending, Duration::from_millis(200), "module task");
+        let took = woke_at.elapsed();
+        assert!(took < Duration::from_millis(5), "ran after {took:?}");
+    }
+
+    #[test]
+    fn idle_fleet_parks_once_per_event_not_on_a_poll() {
+        let (modules, services) = registries();
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        for i in 0..100 {
+            let config = RuntimeConfig {
+                fps: 1.0,
+                ..RuntimeConfig::default()
+            };
+            rt.add_pipeline(
+                &single_device_plan(&format!("idle{i}")),
+                &modules,
+                &services,
+                config,
+            )
+            .unwrap();
+        }
+        let reports = rt.run_for(Duration::from_millis(300));
+        let ticks: u64 = reports.iter().map(|r| r.metrics.frames_offered).sum();
+        let parks: u64 = reports[0].scheduler.iter().map(|w| w.parks).sum();
+        assert!(ticks >= 100, "{ticks} ticks");
+        // A 500 µs idle poll alone would be 2 × 600 parks.
+        assert!(
+            parks <= 2 * ticks + 2 * 2 + 10,
+            "{parks} parks, {ticks} ticks"
+        );
+    }
+
+    /// Re-arms itself every `interval` and records how late each firing
+    /// ran.
+    struct LatenessRunner {
+        due: Instant,
+        interval: Duration,
+        rearm: Rearm,
+        late_us: Arc<Mutex<Vec<u64>>>,
+    }
+
+    impl TaskRunner for LatenessRunner {
+        fn run(&mut self, core: &Core, _depth: usize) -> bool {
+            let now = Instant::now();
+            while now >= self.due {
+                self.late_us
+                    .lock()
+                    .push((now - self.due).as_micros() as u64);
+                self.due += self.interval;
+            }
+            self.rearm.ensure(core, self.due);
+            false
+        }
+    }
+
+    #[test]
+    fn one_khz_deadlines_fire_within_the_kernels_timer_slack() {
+        let rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        let late_us = Arc::new(Mutex::new(Vec::new()));
+        let id = rt.next_task_id();
+        rt.register_task(
+            0,
+            false,
+            Box::new(LatenessRunner {
+                due: Instant::now() + Duration::from_millis(1),
+                interval: Duration::from_millis(1),
+                rearm: Rearm::new(id, 0),
+                late_us: Arc::clone(&late_us),
+            }),
+        );
+        rt.core.wake_task(id);
+        let start = Instant::now();
+        while late_us.lock().len() < 500 {
+            assert!(start.elapsed() < Duration::from_secs(10));
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let mut late = late_us.lock().clone();
+        late.sort_unstable();
+        let median = late[late.len() / 2];
+        // Half a 200 µs wheel slot plus two sleeps was ≈ 170 µs.
+        assert!(median < 150, "median lateness {median} µs");
     }
 }

@@ -16,7 +16,9 @@
 # cost, and the reactor fleet cells — pipelines per core, memory per
 # pipeline, OS thread count and the threaded-runtime comparison arm —
 # plus the reactor low-load latency cell comparable to BENCH_PR6's
-# saturation.low_load).
+# saturation.low_load, and the reactor timer-lag cell: how late 1000
+# recurring 25 Hz deadlines fire, idle and next to a CPU-bound fleet, and
+# how often the workers sleep).
 #
 # Usage: scripts/bench_snapshot.sh [--quick] [--out PATH]
 #   --quick    shrink iteration counts (CI smoke; numbers are noisier)

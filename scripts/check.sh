@@ -354,35 +354,38 @@ fi
 
 echo "==> reactor scale gates (vs committed BENCH_PR7.json)"
 # Three probes on the reactor fleet cell. The committed baseline is a
-# full-mode 10k-pipeline run while the smoke run deploys 1.5k, so the
-# liveness floor is normalised per deployed pipeline: the fraction of
-# deployed pipelines that delivered, per core, must stay within 80% of the
-# committed fraction (on the same runner both are simply "every pipeline
-# delivered"). The memory ceiling compares KiB per pipeline directly
-# (50% slack for allocator noise at the smaller fleet). The thread
-# assertion is absolute: an inproc fleet must run on at most cores + 2
-# threads (workers + timer), whatever the pipeline count — the property
-# the reactor exists to provide.
+# full-mode 10k-pipeline run while the smoke run deploys 1.5k, possibly on
+# a different core count, so liveness is compared as the fraction of
+# deployed pipelines that delivered (pipelines_per_core x cores /
+# pipelines, on both sides): it must stay within 80% of the committed
+# fraction (normally both are simply "every pipeline delivered"). The
+# memory ceiling compares KiB per pipeline directly (50% slack for
+# allocator noise at the smaller fleet). The thread assertion is absolute:
+# an inproc fleet runs on the workers alone — at most cores + 1 threads,
+# whatever the pipeline count — the property the reactor exists to
+# provide.
 reactor_gate() { # reactor_gate SNAPSHOT -> 0 if scale, memory and threads hold
     local snapshot="$1"
     base_ppc=$(extract BENCH_PR7.json reactor pipelines_per_core)
     base_n=$(extract BENCH_PR7.json reactor pipelines)
     base_mem=$(extract BENCH_PR7.json reactor memory_per_pipeline_kb)
+    base_cores=$(extract BENCH_PR7.json reactor cores)
     now_ppc=$(extract "$snapshot" reactor pipelines_per_core)
     now_n=$(extract "$snapshot" reactor pipelines)
     now_mem=$(extract "$snapshot" reactor memory_per_pipeline_kb)
     now_threads=$(extract "$snapshot" reactor reactor_threads)
     now_cores=$(extract "$snapshot" reactor cores)
-    awk -v bppc="$base_ppc" -v bn="$base_n" -v bmem="$base_mem" \
+    awk -v bppc="$base_ppc" -v bn="$base_n" -v bmem="$base_mem" -v bcores="$base_cores" \
         -v ppc="$now_ppc" -v n="$now_n" -v mem="$now_mem" \
         -v threads="$now_threads" -v cores="$now_cores" 'BEGIN {
-        if (bppc == "" || bn == "" || bmem == "" || ppc == "" || n == "" || mem == "" || threads == "" || cores == "") {
+        if (bppc == "" || bn == "" || bmem == "" || bcores == "" || ppc == "" || n == "" || mem == "" || threads == "" || cores == "") {
             printf "FAIL: reactor cell missing from snapshot or baseline\n"
             exit 1
         }
-        floor = 0.8 * (bppc / bn)
-        if (ppc / n < floor) {
-            printf "FAIL: reactor liveness regressed: %.2f live/core per deployed pipeline < floor %.2f\n", ppc / n, floor
+        floor = 0.8 * (bppc * bcores / bn)
+        live = ppc * cores / n
+        if (live < floor) {
+            printf "FAIL: reactor liveness regressed: %.2f of deployed pipelines live < floor %.2f\n", live, floor
             exit 1
         }
         ceiling = bmem * 1.5
@@ -390,8 +393,8 @@ reactor_gate() { # reactor_gate SNAPSHOT -> 0 if scale, memory and threads hold
             printf "FAIL: reactor memory regressed: %.1f KiB/pipeline > 150%% of committed %.1f\n", mem, bmem
             exit 1
         }
-        if (threads + 0 > cores + 2) {
-            printf "FAIL: reactor thread count not O(cores): %d threads > %d cores + 2\n", threads, cores
+        if (threads + 0 > cores + 1) {
+            printf "FAIL: reactor thread count not O(cores): %d threads > %d cores + 1\n", threads, cores
             exit 1
         }
         printf "ok: reactor %s pipelines live/core (of %s deployed), %.1f KiB/pipeline (ceiling %.1f), %d threads on %d core(s)\n", ppc, n, mem, ceiling, threads, cores
@@ -402,6 +405,37 @@ if ! reactor_gate target/bench_smoke.json; then
     cargo run --release -q -p videopipe-bench --bin bench_snapshot -- \
         --quick --out target/bench_smoke.json
     reactor_gate target/bench_smoke.json
+fi
+
+echo "==> reactor timer lag gate (idle p50 lateness <= 100 us)"
+# The reactor.timer_lag cell fires 1000 recurring 25 Hz deadlines on an
+# idle reactor. Workers own their timers and sleep straight towards the
+# next deadline, so a tick is late by the kernel's timer slack (~50 us)
+# and little else; a timer thread, a slot quantisation or a poll in that
+# path shows up here as 150 us and more. The loaded arm (a CPU-bound fleet
+# in front of every deadline) is reported, not gated. One retry.
+timer_lag_gate() { # timer_lag_gate SNAPSHOT -> 0 if idle p50 lateness holds
+    local snapshot="$1"
+    p50=$(extract "$snapshot" reactor_timer_lag idle_p50_us)
+    p99=$(extract "$snapshot" reactor_timer_lag idle_p99_us)
+    parks=$(extract "$snapshot" reactor_timer_lag idle_parks_per_s)
+    awk -v p50="$p50" -v p99="$p99" -v parks="$parks" 'BEGIN {
+        if (p50 == "" || p99 == "" || parks == "") {
+            printf "FAIL: reactor_timer_lag cell missing from snapshot\n"
+            exit 1
+        }
+        if (p50 + 0 > 100) {
+            printf "FAIL: idle timer lateness p50 %.0f us > 100 us\n", p50
+            exit 1
+        }
+        printf "ok: idle timer lateness p50 %.0f us (ceiling 100), p99 %.0f us, %.0f parks/s\n", p50, p99, parks
+    }' || return 1
+}
+if ! timer_lag_gate target/bench_smoke.json; then
+    echo "timer lag gate missed; re-measuring once to rule out a perturbed runner"
+    cargo run --release -q -p videopipe-bench --bin bench_snapshot -- \
+        --quick --out target/bench_smoke.json
+    timer_lag_gate target/bench_smoke.json
 fi
 
 echo "==> multi-core reactor scaling gate (>=1.6x at N workers vs 1)"
@@ -443,8 +477,8 @@ fi
 
 echo "==> reactor chaos stress at workers=1 and workers=cores (release)"
 # The 1,000-pipeline chaos matrix must hold under both the single-worker
-# scheduler and the full multi-core pool (local queues, stealing, sharded
-# timers): delivery, credit conservation and wedge-freedom are
+# scheduler and the full multi-core pool (local queues, stealing,
+# worker-owned timers): delivery, credit conservation and wedge-freedom are
 # worker-count-invariant properties. Release build — debug is too slow
 # for a 2,000-pipeline aggregate run in CI.
 cargo test -q --release --test reactor_stress one_thousand_pipelines

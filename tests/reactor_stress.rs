@@ -119,18 +119,23 @@ fn service_registry(chaos: Option<ChaosMode>) -> ServiceRegistry {
     services
 }
 
-/// OS threads of this process, from /proc/self/status (Linux CI target).
-fn os_thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
+/// The reactor's OS threads in this process, by name, from /proc (Linux
+/// CI target). Only `vp-reactor-*` threads count: the test harness starts
+/// the other tests' threads whenever it likes, also mid-deploy. A thread
+/// names itself once it runs, so a just-spawned one may not count yet.
+fn reactor_os_threads() -> usize {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
+    };
+    tasks
+        .flatten()
+        .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+        .filter(|name| name.starts_with("vp-reactor"))
+        .count()
 }
 
 /// Serializes the two chaos-stress variants: each deploys 1,000 pipelines
-/// and measures process-wide thread counts, so overlapping runs would see
+/// and counts the process's reactor threads, so overlapping runs would see
 /// each other's threads and load.
 static STRESS_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -159,8 +164,16 @@ fn chaos_stress(workers: usize) {
         workers,
         ..ReactorConfig::default()
     });
-    let threads_before = os_thread_count();
     let base_threads = rt.thread_count();
+    let spawned = Instant::now();
+    while reactor_os_threads() != base_threads {
+        assert!(
+            spawned.elapsed() < Duration::from_secs(5),
+            "{} reactor threads in /proc, runtime reports {base_threads}",
+            reactor_os_threads()
+        );
+        std::thread::yield_now();
+    }
     for i in 0..PIPELINES {
         let services = match i % 7 {
             0 => &flaky,
@@ -190,10 +203,10 @@ fn chaos_stress(workers: usize) {
     assert_eq!(rt.pipeline_count(), PIPELINES);
     // Deploying 1,000 pipelines must not spawn a single extra thread.
     assert_eq!(rt.thread_count(), base_threads);
-    let threads_after = os_thread_count();
-    assert!(
-        threads_after <= threads_before,
-        "deploy grew the process thread count: {threads_before} -> {threads_after}"
+    assert_eq!(
+        reactor_os_threads(),
+        base_threads,
+        "deploy changed the reactor's OS thread count"
     );
 
     let started = Instant::now();
