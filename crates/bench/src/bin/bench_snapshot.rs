@@ -53,7 +53,7 @@ use videopipe_core::slo::{Knob, SloConfig};
 use videopipe_core::spec::{ModuleSpec, PipelineSpec};
 use videopipe_core::PipelineError;
 use videopipe_media::scene::SceneRenderer;
-use videopipe_media::{codec, FrameStore, Pose};
+use videopipe_media::{codec, Frame, FrameStore, Pose};
 use videopipe_net::{
     BufferPool, FrameBatch, InprocHub, MsgReceiver, MsgSender, StreamDecoder, WireMessage,
 };
@@ -173,51 +173,151 @@ fn improvement_pct(before: f64, after: f64) -> f64 {
     }
 }
 
-/// Codec throughput: the word-wide kernels against the scalar oracle.
-fn codec_section(quick: bool, out: &mut String) {
-    let frame = SceneRenderer::new(320, 240).render(&Pose::default(), 0, 0);
-    let quality = codec::Quality::default();
-    let iters = if quick { 60 } else { 400 };
-    let raw_mb = frame.raw_size() as f64 / 1e6;
+/// Runs per frame and the share of pixels in zero-valued runs — what the
+/// codec kernels' cost depends on — read off valid encodings.
+fn run_profile(encoded: &[bytes::Bytes]) -> (f64, f64) {
+    fn varint(body: &mut &[u8]) -> u64 {
+        let (mut v, mut shift) = (0u64, 0);
+        loop {
+            let byte = body[0];
+            *body = &body[1..];
+            v |= u64::from(byte & 0x7F) << shift;
+            shift += 7;
+            if byte & 0x80 == 0 {
+                return v;
+            }
+        }
+    }
+    let (mut runs, mut zero, mut pixels) = (0u64, 0u64, 0u64);
+    for frame in encoded {
+        // Magic, version, shift, width, height; then seq and timestamp.
+        let mut body = &frame[14..];
+        varint(&mut body);
+        varint(&mut body);
+        while !body.is_empty() {
+            let run = varint(&mut body);
+            runs += 1;
+            pixels += run;
+            if body[0] == 0 {
+                zero += run;
+            }
+            body = &body[1..];
+        }
+    }
+    (
+        runs as f64 / encoded.len() as f64,
+        zero as f64 / pixels as f64,
+    )
+}
 
-    let scalar_s = time_iters(iters, || {
-        std::hint::black_box(codec::encode_scalar(&frame, quality));
+/// Median-of-3 time of one call of `f`, in µs, with `f` handed the indices
+/// `0..len` in a cycle: a kernel timed on one repeated input trains the
+/// branch predictor on it.
+fn time_cycled_us(iters: usize, len: usize, mut f: impl FnMut(usize)) -> f64 {
+    let mut i = 0;
+    let total_s = time_iters(iters, || {
+        f(i % len);
+        i += 1;
     });
-    let word_s = time_iters(iters, || {
-        std::hint::black_box(codec::encode(&frame, quality));
-    });
-    let encode_scalar_mb_s = raw_mb * iters as f64 / scalar_s;
-    let encode_word_mb_s = raw_mb * iters as f64 / word_s;
+    total_s / iters as f64 * 1e6
+}
 
-    let encoded = codec::encode(&frame, quality);
-    let dec_scalar_s = time_iters(iters, || {
-        std::hint::black_box(codec::decode_scalar(&encoded).unwrap());
+/// One codec cell: the kernels against the scalar oracle on `frames`.
+fn codec_cell(
+    name: &str,
+    frames: &[Frame],
+    quality: codec::Quality,
+    iters: usize,
+    out: &mut String,
+) {
+    use std::hint::black_box;
+    let n = frames.len();
+    let encoded: Vec<bytes::Bytes> = frames.iter().map(|f| codec::encode(f, quality)).collect();
+    let scalar_encode_us = time_cycled_us(iters, n, |i| {
+        black_box(codec::encode_scalar(black_box(&frames[i]), quality));
     });
-    let dec_word_s = time_iters(iters, || {
-        std::hint::black_box(codec::decode(&encoded).unwrap());
+    let encode_us = time_cycled_us(iters, n, |i| {
+        black_box(codec::encode(black_box(&frames[i]), quality));
     });
-    let decode_scalar_mb_s = raw_mb * iters as f64 / dec_scalar_s;
-    let decode_word_mb_s = raw_mb * iters as f64 / dec_word_s;
-
+    let scalar_decode_us = time_cycled_us(iters, n, |i| {
+        black_box(codec::decode_scalar(black_box(&encoded[i])).unwrap());
+    });
+    let decode_us = time_cycled_us(iters, n, |i| {
+        black_box(codec::decode(black_box(&encoded[i])).unwrap());
+    });
+    let mut next = 0..n;
+    let (encode_allocs, encode_alloc_bytes) = allocs_per_call(n, || {
+        black_box(codec::encode(&frames[next.next().unwrap()], quality));
+    });
+    let mut next = 0..n;
+    let (decode_allocs, decode_alloc_bytes) = allocs_per_call(n, || {
+        black_box(codec::decode(&encoded[next.next().unwrap()]).unwrap());
+    });
+    // The last hop of the receive path: from a message's payload to the
+    // encoded frame inside it, which is a slice of that payload.
+    let payloads: Vec<bytes::Bytes> = encoded
+        .iter()
+        .map(|e| Payload::EncodedFrame(e.clone()).encode())
+        .collect();
+    let mut next = 0..n;
+    let (rx_allocs, rx_alloc_bytes) = allocs_per_call(n, || {
+        black_box(Payload::decode(&payloads[next.next().unwrap()]).unwrap());
+    });
+    let (runs, zero_share) = run_profile(&encoded);
+    let encoded_bytes = encoded.iter().map(|e| e.len()).sum::<usize>() as f64 / n as f64;
+    let pixels = frames[0].raw_size();
+    let (encode_x, decode_x) = (scalar_encode_us / encode_us, scalar_decode_us / decode_us);
     println!(
-        "encode 320x240: scalar {encode_scalar_mb_s:.1} MB/s -> word {encode_word_mb_s:.1} MB/s \
-         ({:+.1}%)",
-        improvement_pct(encode_scalar_mb_s, encode_word_mb_s)
+        "codec {name}: encode {scalar_encode_us:.1} -> {encode_us:.1} us ({encode_x:.2}x), decode \
+         {scalar_decode_us:.1} -> {decode_us:.1} us ({decode_x:.2}x); {runs:.0} runs/frame, \
+         {:.1}% zero-delta pixels, {encoded_bytes:.0} B; allocated {encode_alloc_bytes:.0} B \
+         per encode, {decode_alloc_bytes:.0} B per decode, {rx_alloc_bytes:.0} B per \
+         Payload::decode",
+        zero_share * 100.0
     );
-    println!(
-        "decode 320x240: scalar {decode_scalar_mb_s:.1} MB/s -> word {decode_word_mb_s:.1} MB/s \
-         ({:+.1}%)",
-        improvement_pct(decode_scalar_mb_s, decode_word_mb_s)
-    );
-
-    let _ = write!(
+    let _ = writeln!(
         out,
-        r#"  "encode": {{"scalar_mb_s": {encode_scalar_mb_s:.1}, "word_mb_s": {encode_word_mb_s:.1}, "improvement_pct": {:.1}}},
-  "decode": {{"scalar_mb_s": {decode_scalar_mb_s:.1}, "word_mb_s": {decode_word_mb_s:.1}, "improvement_pct": {:.1}}},
-"#,
-        improvement_pct(encode_scalar_mb_s, encode_word_mb_s),
-        improvement_pct(decode_scalar_mb_s, decode_word_mb_s),
+        r#"  "codec_{name}": {{"scalar_encode_us": {scalar_encode_us:.1}, "encode_us": {encode_us:.1}, "encode_speedup_x": {encode_x:.2}, "scalar_decode_us": {scalar_decode_us:.1}, "decode_us": {decode_us:.1}, "decode_speedup_x": {decode_x:.2}, "runs_per_frame": {runs:.0}, "zero_delta_share": {zero_share:.4}, "pixels": {pixels}, "encoded_bytes": {encoded_bytes:.0}, "encode_allocs": {encode_allocs:.1}, "encode_alloc_bytes": {encode_alloc_bytes:.0}, "decode_allocs": {decode_allocs:.1}, "decode_alloc_bytes": {decode_alloc_bytes:.0}, "rx_payload_allocs": {rx_allocs:.1}, "rx_payload_alloc_bytes": {rx_alloc_bytes:.0}}},"#
     );
+}
+
+/// Codec kernels against the scalar oracle on three kinds of 320x240
+/// frame: as the fitness app's camera films them (sensor noise σ = 1.5 —
+/// the traffic every cross-device edge carries), the same scene without
+/// noise (a ninth of the runs; what this section timed alone before
+/// PR 15), and uniformly random pixels, lossless (every run of length 1:
+/// the worst case).
+fn codec_section(quick: bool, out: &mut String) {
+    use videopipe_media::motion::{ExerciseKind, MotionClip};
+    const RING: u64 = 30;
+    let mut camera = videopipe_media::SyntheticVideoSource::new(
+        videopipe_apps::fitness::source_config(42),
+        MotionClip::new(ExerciseKind::Squat, 2.0).with_jitter(0.004),
+    );
+    let ring: Vec<Frame> = (0..RING)
+        .map(|i| camera.capture(i * (2_000_000_000 / RING)))
+        .collect();
+    let noise_free = [SceneRenderer::new(320, 240).render(&Pose::default(), 0, 0)];
+    let mut seed = 42u64;
+    let random: Vec<u8> = (0..320 * 240)
+        .map(|_| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as u8
+        })
+        .collect();
+    let dense = [Frame::from_pixels(320, 240, random, 0, 0)];
+    let iters = if quick { 150 } else { 900 };
+    codec_cell("camera", &ring, codec::Quality::default(), iters, out);
+    codec_cell(
+        "noise_free",
+        &noise_free,
+        codec::Quality::default(),
+        iters,
+        out,
+    );
+    codec_cell("dense", &dense, codec::Quality::LOSSLESS, iters / 5, out);
 }
 
 #[derive(Clone, Copy)]

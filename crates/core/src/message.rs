@@ -178,19 +178,25 @@ impl Payload {
 
     /// Decodes a payload previously produced by [`Payload::encode`].
     ///
+    /// Takes the shared buffer the message arrived in: the byte-carrying
+    /// variants ([`Payload::Blob`], [`Payload::EncodedFrame`]) come back as
+    /// O(1) slices of it, not as copies.
+    ///
     /// # Errors
     ///
     /// Returns [`PipelineError::BadPayload`] on truncation, unknown tags or
     /// trailing bytes.
-    pub fn decode(mut buf: &[u8]) -> Result<Payload, PipelineError> {
-        let payload = Self::decode_inner(&mut buf)?;
+    pub fn decode(encoded: &Bytes) -> Result<Payload, PipelineError> {
+        let mut buf: &[u8] = encoded;
+        let payload = Self::decode_inner(encoded, &mut buf)?;
         if buf.has_remaining() {
             return Err(PipelineError::BadPayload("trailing bytes"));
         }
         Ok(payload)
     }
 
-    fn decode_inner(buf: &mut &[u8]) -> Result<Payload, PipelineError> {
+    /// `buf` is the unread tail of `encoded`.
+    fn decode_inner(encoded: &Bytes, buf: &mut &[u8]) -> Result<Payload, PipelineError> {
         fn need(buf: &&[u8], n: usize) -> Result<(), PipelineError> {
             if buf.remaining() < n {
                 Err(PipelineError::BadPayload("truncated payload"))
@@ -207,9 +213,9 @@ impl Payload {
                 need(buf, 4)?;
                 let len = buf.get_u32() as usize;
                 need(buf, len)?;
-                let b = Bytes::copy_from_slice(&buf[..len]);
+                let at = encoded.len() - buf.len();
                 buf.advance(len);
-                Payload::Blob(b)
+                Payload::Blob(encoded.slice(at..at + len))
             }
             3 => {
                 need(buf, 8)?;
@@ -219,9 +225,9 @@ impl Payload {
                 need(buf, 4)?;
                 let len = buf.get_u32() as usize;
                 need(buf, len)?;
-                let b = Bytes::copy_from_slice(&buf[..len]);
+                let at = encoded.len() - buf.len();
                 buf.advance(len);
-                Payload::EncodedFrame(b)
+                Payload::EncodedFrame(encoded.slice(at..at + len))
             }
             5 => {
                 need(buf, 4)?;
@@ -398,12 +404,30 @@ mod tests {
     }
 
     #[test]
+    fn byte_payloads_decode_as_slices_of_the_message_buffer() {
+        for payload in [
+            Payload::Blob(Bytes::from(vec![7u8; 64])),
+            Payload::EncodedFrame(Bytes::from(vec![9u8; 64])),
+        ] {
+            let encoded = payload.encode();
+            let (Payload::Blob(bytes) | Payload::EncodedFrame(bytes)) =
+                Payload::decode(&encoded).unwrap()
+            else {
+                panic!("variant changed in the round trip");
+            };
+            // Tag byte + u32 length, then the bytes themselves: no copy.
+            assert!(std::ptr::eq(bytes.as_ptr(), encoded[5..].as_ptr()));
+            assert_eq!(bytes.len(), 64);
+        }
+    }
+
+    #[test]
     fn truncation_always_errors() {
         for payload in all_payloads() {
             let encoded = payload.encode();
             for len in 0..encoded.len() {
                 assert!(
-                    Payload::decode(&encoded[..len]).is_err(),
+                    Payload::decode(&encoded.slice(..len)).is_err(),
                     "{} decoded at {len}",
                     payload.kind_name()
                 );
@@ -415,12 +439,12 @@ mod tests {
     fn trailing_bytes_rejected() {
         let mut encoded = Payload::Count(1).encode().to_vec();
         encoded.push(0);
-        assert!(Payload::decode(&encoded).is_err());
+        assert!(Payload::decode(&encoded.into()).is_err());
     }
 
     #[test]
     fn unknown_tag_rejected() {
-        assert!(Payload::decode(&[99]).is_err());
+        assert!(Payload::decode(&Bytes::from_static(&[99])).is_err());
     }
 
     #[test]

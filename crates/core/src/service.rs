@@ -53,7 +53,7 @@ impl ServiceRequest {
     /// # Errors
     ///
     /// Returns [`PipelineError::BadPayload`] on truncation or bad UTF-8.
-    pub fn decode(buf: &[u8]) -> Result<Self, PipelineError> {
+    pub fn decode(buf: &bytes::Bytes) -> Result<Self, PipelineError> {
         if buf.is_empty() {
             return Err(PipelineError::BadPayload("empty service request"));
         }
@@ -64,7 +64,7 @@ impl ServiceRequest {
         let op = std::str::from_utf8(&buf[1..1 + op_len])
             .map_err(|_| PipelineError::BadPayload("op not utf-8"))?
             .to_string();
-        let payload = Payload::decode(&buf[1 + op_len..])?;
+        let payload = Payload::decode(&buf.slice(1 + op_len..))?;
         Ok(ServiceRequest { op, payload })
     }
 }
@@ -92,7 +92,7 @@ impl ServiceResponse {
     /// # Errors
     ///
     /// Returns [`PipelineError::BadPayload`] on malformed bytes.
-    pub fn decode(buf: &[u8]) -> Result<Self, PipelineError> {
+    pub fn decode(buf: &bytes::Bytes) -> Result<Self, PipelineError> {
         Ok(ServiceResponse {
             payload: Payload::decode(buf)?,
         })
@@ -711,8 +711,18 @@ mod tests {
             confidence: 0.9,
         });
         assert_eq!(ServiceResponse::decode(&resp.encode()).unwrap(), resp);
-        assert!(ServiceRequest::decode(&[]).is_err());
-        assert!(ServiceRequest::decode(&[5, b'a']).is_err());
+        // A frame in a request is a slice of the request's buffer.
+        let frame = bytes::Bytes::from(vec![3u8; 32]);
+        let wire = ServiceRequest::new("detect", Payload::EncodedFrame(frame)).encode();
+        let Payload::EncodedFrame(back) = ServiceRequest::decode(&wire).unwrap().payload else {
+            panic!("variant changed in the round trip");
+        };
+        assert!(std::ptr::eq(
+            back.as_ptr(),
+            wire[wire.len() - 32..].as_ptr()
+        ));
+        assert!(ServiceRequest::decode(&bytes::Bytes::new()).is_err());
+        assert!(ServiceRequest::decode(&bytes::Bytes::from_static(&[5, b'a'])).is_err());
     }
 
     #[test]

@@ -16,14 +16,34 @@
 //!
 //! # Kernels
 //!
-//! The default [`encode`]/[`decode`] pair runs word-wide kernels: the
-//! quantise and row-delta passes process eight pixels per `u64` operation,
-//! the RLE scan skips through runs with 8-byte broadcast compares, and the
-//! per-thread delta plane is pooled so steady-state encoding does not
-//! allocate scratch. [`encode_scalar`]/[`decode_scalar`] keep the original
-//! byte-at-a-time implementation as the reference oracle; the word-wide
-//! kernels are required (and property-tested) to be **byte-identical** to
-//! it for every frame and quality.
+//! The kernels are built for what the traffic is: on a camera frame with
+//! sensor noise ≈ 97 % of the delta bytes are zero and the rest sit in a
+//! few thousand runs of mostly length 1, so the cost is per *run*, not per
+//! byte.
+//!
+//! [`encode`] makes one pass over the source pixels, 512 at a time, and
+//! keeps no frame-sized delta plane. A block's delta bytes go into a stack
+//! buffer — `(a >> s) ^ (b >> s) = (a ^ b) >> s`, so quantise and row-XOR
+//! are one expression on a pixel and the pixel `width` bytes back — and run
+//! emission compares every byte of it with its predecessor, eight at a
+//! time: a word without a run boundary is skipped, each boundary is one
+//! `trailing_zeros`, and a run is written with plain stores into room
+//! checked once per block, the one-byte varint being the straight-line
+//! case. The bytes are assembled in a per-thread buffer (as large as the
+//! largest encoded frame so far) and handed out as an exact-size [`Bytes`]:
+//! one allocation of the encoded length per frame.
+//!
+//! [`decode`] touches the frame twice: the pixel buffer starts zeroed and
+//! only non-zero runs are filled in, then one top-down sweep XORs each row
+//! with the one above and, in the same step, widens the row above (which
+//! nothing reads again) to band centres. The buffer then moves into the
+//! [`Frame`]; nothing copies it. [`decode_batch`] is `decode` mapped over a
+//! batch — there is no per-batch state to amortise.
+//!
+//! [`encode_scalar`]/[`decode_scalar`] keep the original byte-at-a-time
+//! implementation as the reference oracle; the kernels are required (and
+//! property-tested) to be **byte-identical** to it for every frame and
+//! quality, and to agree with it, error for error, on malformed input.
 //!
 //! # Example
 //!
@@ -142,260 +162,233 @@ fn put_header(out: &mut BytesMut, frame: &Frame, shift: u8) {
 }
 
 // ---------------------------------------------------------------------------
-// Word-wide kernels (hot path)
+// Kernels (hot path)
 // ---------------------------------------------------------------------------
 
-/// Broadcasts a byte into all eight lanes of a `u64`.
+/// Loads eight bytes as a little-endian word: lane `i` is byte `i`.
 #[inline]
-fn splat(b: u8) -> u64 {
-    u64::from(b) * 0x0101_0101_0101_0101
+fn load(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
 }
 
-/// Quantises `pixels` into `out` (`out[i] = pixels[i] >> shift`), eight
-/// pixels per `u64` operation. Shifting the whole word leaks each byte's low
-/// bits into its lower neighbour's high bits; masking every lane with
-/// `0xFF >> shift` clears exactly those leaked bits.
-#[inline]
-fn quantise_words(pixels: &[u8], shift: u8, out: &mut [u8]) {
-    debug_assert_eq!(pixels.len(), out.len());
-    if shift == 0 {
-        out.copy_from_slice(pixels);
-        return;
-    }
-    let mask = splat(0xFF >> shift);
-    let mut src = pixels.chunks_exact(8);
-    let mut dst = out.chunks_exact_mut(8);
-    for (s, d) in (&mut src).zip(&mut dst) {
-        let w = u64::from_le_bytes(s.try_into().unwrap());
-        d.copy_from_slice(&((w >> shift) & mask).to_le_bytes());
-    }
-    for (s, d) in src.remainder().iter().zip(dst.into_remainder()) {
-        *d = s >> shift;
-    }
+/// Pixels per [`Runs::block`] call: the delta bytes of one block live on
+/// the stack, and output room is checked once per block, not per run.
+const BLOCK: usize = 512;
+/// What the first row is XOR-ed with.
+static NO_ROW_ABOVE: [u8; BLOCK] = [0; BLOCK];
+
+/// Run emission over a delta plane that exists one block at a time: `pos`
+/// bytes are written, the open run started at pixel `start`, and `last` is
+/// the delta byte before the next block, i.e. the open run's value.
+struct Runs {
+    pos: usize,
+    start: usize,
+    last: u8,
 }
 
-/// XORs `row` with `prev` in place, eight bytes per operation.
-#[inline]
-fn xor_rows(row: &mut [u8], prev: &[u8]) {
-    debug_assert_eq!(row.len(), prev.len());
-    let mut dst = row.chunks_exact_mut(8);
-    let mut src = prev.chunks_exact(8);
-    for (d, s) in (&mut dst).zip(&mut src) {
-        let a = u64::from_le_bytes((&*d).try_into().unwrap());
-        let b = u64::from_le_bytes(s.try_into().unwrap());
-        d.copy_from_slice(&(a ^ b).to_le_bytes());
+impl Runs {
+    /// Worst case of what one [`Runs::block`] call writes for `pixels`
+    /// pixels: a run costs at most two bytes per pixel it covers, except
+    /// that the run open at the block's start and the one open at its end
+    /// (closed by the caller after the last block) may each cost a full
+    /// varint and a value whatever they cover.
+    const fn room(pixels: usize) -> usize {
+        2 * pixels + 2 * 11
     }
-    for (d, s) in dst.into_remainder().iter_mut().zip(src.remainder()) {
-        *d ^= s;
-    }
-}
 
-/// RLE-encodes `delta` into `out` as `(varint run, value)` pairs, skipping
-/// through runs with 8-byte broadcast compares. Produces the exact maximal
-/// runs the scalar scan does.
-#[inline]
-fn rle_words(delta: &[u8], out: &mut BytesMut) {
-    let n = delta.len();
-    let mut i = 0;
-    while i < n {
-        let value = delta[i];
-        let word = splat(value);
-        let mut j = i + 1;
-        while j + 8 <= n && u64::from_le_bytes(delta[j..j + 8].try_into().unwrap()) == word {
-            j += 8;
+    /// Emits the runs that end inside `cur`, the pixels from `at` on, whose
+    /// row above is `above`; `out[self.pos..]` has [`Runs::room`] for them.
+    fn block(&mut self, out: &mut [u8], at: usize, cur: &[u8], above: &[u8], shift: u8) {
+        // `(a >> s) ^ (b >> s) = (a ^ b) >> s`: quantise and row-XOR are one
+        // expression per pixel, a byte loop the compiler vectorises.
+        // `plane[7]` is the delta byte in front of the block.
+        let mut plane = [0u8; 8 + BLOCK];
+        plane[7] = self.last;
+        for ((delta, pixel), up) in plane[8..].iter_mut().zip(cur).zip(above) {
+            *delta = (pixel ^ up) >> shift;
         }
-        while j < n && delta[j] == value {
-            j += 1;
-        }
-        put_varint(out, (j - i) as u64);
-        out.put_u8(value);
-        i = j;
-    }
-}
+        self.last = plane[7 + cur.len()];
 
-struct Scratch {
-    /// Quantised/delta plane reused across frames on this thread.
-    delta: Vec<u8>,
-    /// Output accumulator; `split().freeze()` hands the filled bytes out.
-    out: BytesMut,
+        let full = cur.len() & !7;
+        for word in (0..full).step_by(8) {
+            self.word(out, at + word, &plane[word + 7..word + 16], u64::MAX);
+        }
+        if full < cur.len() {
+            let valid = u64::MAX >> (64 - 8 * (cur.len() - full));
+            self.word(out, at + full, &plane[full + 7..full + 16], valid);
+        }
+    }
+
+    /// Closes the runs that end in the eight delta bytes `window[1..]`
+    /// (those in the `valid` lanes; lane 0 is pixel `at`) by comparing every
+    /// byte with its predecessor at once: a word without a run boundary
+    /// costs two loads, an XOR and a compare, and each boundary is one
+    /// `trailing_zeros`.
+    #[inline(always)]
+    fn word(&mut self, out: &mut [u8], at: usize, window: &[u8], valid: u64) {
+        const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+        let before = load(&window[..8]);
+        let differs = (before ^ load(&window[1..])) & valid;
+        if differs != 0 {
+            // Bit 7 of every lane that differs from its predecessor (no
+            // carry crosses a lane: 0x7F + 0x7F < 0x100).
+            let mut edges = (((differs & LOW7) + LOW7) | differs) & !LOW7;
+            while edges != 0 {
+                let lane = edges.trailing_zeros() as usize / 8;
+                self.close(out, at + lane, (before >> (8 * lane)) as u8);
+                edges &= edges - 1;
+            }
+        }
+    }
+
+    /// Writes the open run, of `value`, as ending before pixel `end`, where
+    /// the next one starts. A run shorter than 128 is a one-byte varint: the
+    /// straight-line case.
+    #[inline(always)]
+    fn close(&mut self, out: &mut [u8], end: usize, value: u8) {
+        let mut run = end - self.start;
+        self.start = end;
+        while run >= 0x80 {
+            out[self.pos] = run as u8 | 0x80;
+            self.pos += 1;
+            run >>= 7;
+        }
+        out[self.pos..self.pos + 2].copy_from_slice(&[run as u8, value]);
+        self.pos += 2;
+    }
 }
 
 thread_local! {
-    static SCRATCH: RefCell<Scratch> = const {
-        RefCell::new(Scratch {
-            delta: Vec::new(),
-            out: BytesMut::new(),
-        })
-    };
+    /// Where a frame's bytes are assembled before they are copied out at
+    /// exact size; as large as the largest encoded frame this thread has
+    /// produced.
+    static ENCODE_OUT: RefCell<BytesMut> = const { RefCell::new(BytesMut::new()) };
 }
 
 /// Encodes a frame. Infallible: any frame can be encoded at any quality.
 ///
-/// Runs the word-wide kernels on pooled per-thread scratch; output is
-/// byte-identical to [`encode_scalar`].
+/// One pass over the pixels (see the module docs); output is byte-identical
+/// to [`encode_scalar`].
 pub fn encode(frame: &Frame, quality: Quality) -> Bytes {
     let width = frame.width() as usize;
-    let height = frame.height() as usize;
     let shift = quality.shift;
     let pixels = frame.pixels();
 
-    SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        let out = &mut scratch.out;
-        out.reserve(64 + pixels.len() / 16);
-        put_header(out, frame, shift);
-
-        // Quantise eight pixels per word into the pooled delta plane, then
-        // XOR each row with the one above bottom-up so the plane can be
-        // transformed in place without a second buffer.
-        let delta = &mut scratch.delta;
-        delta.resize(pixels.len(), 0);
-        quantise_words(pixels, shift, delta);
-        for row in (1..height).rev() {
-            let (above, cur) = delta.split_at_mut(row * width);
-            xor_rows(&mut cur[..width], &above[(row - 1) * width..]);
+    let mut out = ENCODE_OUT.take();
+    out.clear();
+    put_header(&mut out, frame, shift);
+    let mut runs = Runs {
+        pos: out.len(),
+        start: 0,
+        last: pixels[0] >> shift,
+    };
+    // The first row has nothing above it; every later pixel is XOR-ed with
+    // the one `width` bytes back, whatever rows a block straddles.
+    let (first, rest) = pixels.split_at(width);
+    let blocks = first
+        .chunks(BLOCK)
+        .map(|cur| (cur, &NO_ROW_ABOVE[..]))
+        .chain(rest.chunks(BLOCK).zip(pixels.chunks(BLOCK)));
+    let mut at = 0;
+    for (cur, above) in blocks {
+        let room = runs.pos + Runs::room(cur.len());
+        if out.len() < room {
+            // All of the capacity at once: one fill per frame, not per block.
+            out.resize(room.max(out.capacity()), 0);
         }
-
-        rle_words(delta, out);
-        out.split().freeze()
-    })
+        runs.block(&mut out, at, cur, above, shift);
+        at += cur.len();
+    }
+    runs.close(&mut out, pixels.len(), runs.last);
+    let encoded = Bytes::copy_from_slice(&out[..runs.pos]);
+    ENCODE_OUT.set(out);
+    encoded
 }
 
 /// Decodes an encoded frame.
 ///
-/// Word-wide counterpart of [`decode_scalar`]: run-fills the delta plane
-/// directly into the output pixel buffer, undoes the row delta eight bytes
-/// per XOR, then dequantises through a 256-entry lookup table. Produces
-/// frames byte-identical to the scalar path.
+/// Fills the non-zero runs into a zeroed pixel buffer, then undoes the row
+/// delta and the quantisation in one sweep (see the module docs). Produces
+/// frames byte-identical to [`decode_scalar`], and the same error on a
+/// malformed input.
 ///
 /// # Errors
 ///
 /// Returns [`MediaError`] if the buffer is truncated, has bad magic, an
-/// unsupported version, implausible dimensions, or an inconsistent pixel
-/// count.
+/// unsupported version or shift, implausible dimensions, or an inconsistent
+/// pixel count.
 pub fn decode(encoded: &[u8]) -> Result<Frame, MediaError> {
     let mut buf = encoded;
     let (width, height, shift, seq, timestamp_ns) = decode_header(&mut buf)?;
 
-    // Run-fill straight into the buffer the frame will own.
-    let total = width as usize * height as usize;
-    let mut pixels = Vec::with_capacity(total);
-    while pixels.len() < total {
-        let run = get_varint(&mut buf)? as usize;
-        if !buf.has_remaining() {
-            return Err(MediaError::Truncated {
-                available: 0,
-                needed: 1,
-            });
-        }
-        let value = buf.get_u8();
-        if run == 0 || pixels.len() + run > total {
+    let (w, total) = (width as usize, width as usize * height as usize);
+    let mut pixels = vec![0u8; total];
+    let mut at = 0;
+    while at < total {
+        // A run shorter than 128 is a one-byte varint: the straight-line
+        // case.
+        let (run, value) = match *buf {
+            [run, value, ref rest @ ..] if run < 0x80 => {
+                buf = rest;
+                (u64::from(run), value)
+            }
+            _ => {
+                let run = get_varint(&mut buf)?;
+                if !buf.has_remaining() {
+                    return Err(MediaError::Truncated {
+                        available: 0,
+                        needed: 1,
+                    });
+                }
+                (run, buf.get_u8())
+            }
+        };
+        // `run` is straight off the wire and can be `u64::MAX`: compare it
+        // with what is left, never add it to what is done.
+        if run == 0 || run > (total - at) as u64 {
             return Err(MediaError::PixelCountMismatch {
                 expected: total,
-                actual: pixels.len() + run,
+                actual: at.saturating_add(run as usize),
             });
         }
-        pixels.resize(pixels.len() + run, value);
+        let run = run as usize;
+        if run == 1 {
+            pixels[at] = value;
+        } else if value != 0 {
+            pixels[at..at + run].fill(value);
+        }
+        at += run;
     }
 
-    // Undo the row delta top-down (each row XORs the already-recovered row
-    // above), then widen quantised values back to band centres via LUT.
-    let w = width as usize;
+    // Top-down: row r becomes quantised pixels by XOR-ing the quantised row
+    // above, which is then final and is widened to band centres in the same
+    // step (byte loops the compiler vectorises). Only the low `8 - shift`
+    // bits of the row above take part, as in the oracle (a valid stream has
+    // no others).
+    let (low, half) = (0xFF >> shift, (1u8 << shift) / 2);
+    let dequant = |q: u8| (q << shift) | if q != 0 { half } else { 0 };
     for row in 1..height as usize {
-        let (above, cur) = pixels.split_at_mut(row * w);
-        xor_rows(&mut cur[..w], &above[(row - 1) * w..]);
+        let (above, cur) = pixels[(row - 1) * w..(row + 1) * w].split_at_mut(w);
+        for (up, pixel) in above.iter_mut().zip(cur) {
+            *pixel ^= *up & low;
+            *up = dequant(*up);
+        }
     }
-    let lut = dequant_lut(shift);
-    for p in &mut pixels {
-        *p = lut[*p as usize];
+    for pixel in &mut pixels[total - w..] {
+        *pixel = dequant(*pixel);
     }
 
     Ok(Frame::from_pixels(width, height, pixels, seq, timestamp_ns))
 }
 
 /// Decodes a batch of encoded frames, returning one result per input in
-/// order.
-///
-/// The batch counterpart of [`decode`], built for the executor drain path:
-/// every frame run-fills and undoes its row delta inside one pooled
-/// per-thread scratch plane, and the dequantisation LUT is rebuilt only when
-/// the quality shift changes between frames — a batch encoded at one quality
-/// pays for the table once. Each output is byte-identical to what
-/// [`decode`] produces for the same input, and a malformed frame yields a
-/// per-slot error without aborting the rest of the batch.
+/// order: [`decode`] mapped over the batch, so a malformed frame yields a
+/// per-slot error without aborting the rest.
 pub fn decode_batch<'a, I>(encoded: I) -> Vec<Result<Frame, MediaError>>
 where
     I: IntoIterator<Item = &'a [u8]>,
 {
-    SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        let delta = &mut scratch.delta;
-        let mut lut_cache: Option<(u8, [u8; 256])> = None;
-        encoded
-            .into_iter()
-            .map(|bytes| decode_pooled(bytes, delta, &mut lut_cache))
-            .collect()
-    })
-}
-
-/// One frame of [`decode_batch`]: like [`decode`] but staged through the
-/// caller's scratch plane, with the output buffer sized exactly by the LUT
-/// pass at the end.
-fn decode_pooled(
-    encoded: &[u8],
-    delta: &mut Vec<u8>,
-    lut_cache: &mut Option<(u8, [u8; 256])>,
-) -> Result<Frame, MediaError> {
-    let mut buf = encoded;
-    let (width, height, shift, seq, timestamp_ns) = decode_header(&mut buf)?;
-
-    let total = width as usize * height as usize;
-    delta.clear();
-    while delta.len() < total {
-        let run = get_varint(&mut buf)? as usize;
-        if !buf.has_remaining() {
-            return Err(MediaError::Truncated {
-                available: 0,
-                needed: 1,
-            });
-        }
-        let value = buf.get_u8();
-        if run == 0 || delta.len() + run > total {
-            return Err(MediaError::PixelCountMismatch {
-                expected: total,
-                actual: delta.len() + run,
-            });
-        }
-        let new_len = delta.len() + run;
-        delta.resize(new_len, value);
-    }
-
-    let w = width as usize;
-    for row in 1..height as usize {
-        let (above, cur) = delta.split_at_mut(row * w);
-        xor_rows(&mut cur[..w], &above[(row - 1) * w..]);
-    }
-    if !matches!(lut_cache, Some((s, _)) if *s == shift) {
-        *lut_cache = Some((shift, dequant_lut(shift)));
-    }
-    let (_, lut) = lut_cache.as_ref().expect("lut cache just filled");
-    let pixels: Vec<u8> = delta.iter().map(|&p| lut[p as usize]).collect();
-    Ok(Frame::from_pixels(width, height, pixels, seq, timestamp_ns))
-}
-
-/// Reconstruction table: quantised value → band-centre pixel value.
-#[inline]
-fn dequant_lut(shift: u8) -> [u8; 256] {
-    let mut lut = [0u8; 256];
-    for (q, slot) in lut.iter_mut().enumerate() {
-        let q = q as u8;
-        *slot = if shift == 0 {
-            q
-        } else {
-            (q << shift) | ((1u8 << shift) / 2 * u8::from(q != 0))
-        };
-    }
-    lut
+    encoded.into_iter().map(decode).collect()
 }
 
 fn decode_header(buf: &mut &[u8]) -> Result<(u32, u32, u8, u64, u64), MediaError> {
@@ -424,7 +417,7 @@ fn decode_header(buf: &mut &[u8]) -> Result<(u32, u32, u8, u64, u64), MediaError
     }
     let shift = buf.get_u8();
     if shift > 7 {
-        return Err(MediaError::UnsupportedVersion(version));
+        return Err(MediaError::BadShift(shift));
     }
     let width = buf.get_u32();
     let height = buf.get_u32();
@@ -508,10 +501,10 @@ pub fn decode_scalar(encoded: &[u8]) -> Result<Frame, MediaError> {
             });
         }
         let value = buf.get_u8();
-        if run == 0 || delta.len() + run > total {
+        if run == 0 || run > total - delta.len() {
             return Err(MediaError::PixelCountMismatch {
                 expected: total,
-                actual: delta.len() + run,
+                actual: delta.len().saturating_add(run),
             });
         }
         delta.extend(std::iter::repeat_n(value, run));
@@ -670,8 +663,6 @@ mod tests {
     #[test]
     fn decode_batch_matches_decode_per_slot() {
         let renderer = SceneRenderer::new(160, 120);
-        // Mixed qualities and sizes exercise both the LUT cache (runs of
-        // equal shifts) and scratch-plane reuse across differing frames.
         let mut encoded: Vec<Bytes> = Vec::new();
         for (i, shift) in [2u8, 2, 0, 5, 5, 2].iter().enumerate() {
             let pose = standing_pose().translated(i as f32 * 0.01, 0.0);
@@ -695,7 +686,7 @@ mod tests {
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(MediaError::BadMagic { .. })));
         assert!(results[2].is_err());
-        // A bad slot must not poison scratch state for the next one.
+        // A bad slot must not affect the next one.
         assert_eq!(
             results[3].as_ref().unwrap().pixels(),
             results[0].as_ref().unwrap().pixels()
@@ -738,6 +729,55 @@ mod tests {
             decode(&encoded).unwrap_err(),
             MediaError::UnsupportedVersion(99)
         ));
+    }
+
+    #[test]
+    fn decode_reports_a_bad_shift_as_such() {
+        let mut encoded = encode(&test_frame(), Quality::default()).to_vec();
+        encoded[5] = 8;
+        assert_eq!(decode(&encoded).unwrap_err(), MediaError::BadShift(8));
+    }
+
+    #[test]
+    fn decode_rejects_a_run_length_that_overflows_the_pixel_count() {
+        // 8x8, lossless, seq 0, t 0; then a run of 1, a run of `u64::MAX`
+        // (nine 0xFF and a 0x01) and a run of 64. `1 + u64::MAX` wraps to 0:
+        // a decoder that adds before it compares panics in a debug build
+        // and, in release, accepts a frame whose runs never covered it.
+        let mut bytes = b"VPF1\x01\x00\x00\x00\x00\x08\x00\x00\x00\x08\x00\x00".to_vec();
+        bytes.extend_from_slice(&[0x01, 0x07]);
+        bytes.extend_from_slice(&[0xFF; 9]);
+        bytes.extend_from_slice(&[0x01, 0x09, 0x40, 0x03]);
+        let expected = MediaError::PixelCountMismatch {
+            expected: 64,
+            actual: usize::MAX,
+        };
+        assert_eq!(decode(&bytes).unwrap_err(), expected);
+        assert_eq!(decode_scalar(&bytes).unwrap_err(), expected);
+        assert_eq!(decode_batch([&bytes[..]]), [Err(expected)]);
+    }
+
+    #[test]
+    fn flat_frame_is_one_three_byte_varint_run() {
+        // 256x80 of one value: the first row is a run of 256, and the
+        // 20 224 zero deltas below it are a single run that crosses 79 row
+        // ends and needs a three-byte varint (>= 16 384).
+        let mut buf = FrameBuf::new(256, 80);
+        buf.fill(0xDC);
+        let frame = buf.freeze(1, 2);
+        for shift in 0..=7u8 {
+            let quality = Quality::new(shift);
+            let encoded = encode(&frame, quality);
+            assert_eq!(encoded, encode_scalar(&frame, quality), "shift {shift}");
+            let header = 4 + 1 + 1 + 4 + 4 + 1 + 1;
+            assert_eq!(
+                encoded[header..],
+                [0x80, 0x02, 0xDC >> shift, 0x80, 0x9E, 0x01, 0x00],
+                "shift {shift}"
+            );
+            let decoded = decode(&encoded).unwrap();
+            assert_eq!(decoded, decode_scalar(&encoded).unwrap(), "shift {shift}");
+        }
     }
 
     #[test]

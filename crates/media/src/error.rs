@@ -34,6 +34,8 @@ pub enum MediaError {
     },
     /// The codec version in the header is not supported by this build.
     UnsupportedVersion(u8),
+    /// The quantisation shift in the header is larger than 7.
+    BadShift(u8),
     /// A [`FrameId`](crate::FrameId) was not present in the frame store
     /// (already released, evicted, or never inserted).
     UnknownFrame(u64),
@@ -58,6 +60,9 @@ impl fmt::Display for MediaError {
             ),
             MediaError::UnsupportedVersion(v) => {
                 write!(f, "unsupported codec version {v}")
+            }
+            MediaError::BadShift(shift) => {
+                write!(f, "quantisation shift {shift} is larger than 7")
             }
             MediaError::UnknownFrame(id) => {
                 write!(f, "frame id {id} not found in frame store")
@@ -89,6 +94,7 @@ mod tests {
                 actual: 5,
             },
             MediaError::UnsupportedVersion(9),
+            MediaError::BadShift(8),
             MediaError::UnknownFrame(3),
         ];
         for v in variants {

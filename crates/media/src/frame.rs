@@ -128,7 +128,7 @@ impl FrameBuf {
             timestamp_ns,
             width: self.width,
             height: self.height,
-            pixels: Arc::from(self.pixels.into_boxed_slice()),
+            pixels: Arc::new(self.pixels),
         }
     }
 }
@@ -154,7 +154,9 @@ pub struct Frame {
     timestamp_ns: u64,
     width: u32,
     height: u32,
-    pixels: Arc<[u8]>,
+    /// `Arc<Vec<u8>>`, not `Arc<[u8]>`: a `Vec` moves behind the `Arc`,
+    /// where the slice form allocates again and copies the frame.
+    pixels: Arc<Vec<u8>>,
 }
 
 impl Frame {
@@ -181,7 +183,7 @@ impl Frame {
             timestamp_ns,
             width,
             height,
-            pixels: Arc::from(pixels.into_boxed_slice()),
+            pixels: Arc::new(pixels),
         }
     }
 

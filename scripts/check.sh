@@ -37,12 +37,21 @@ cargo build --release -q -p videopipe --bins
 cargo run --release -q -p videopipe-bench --bin bench_snapshot -- \
     --quick --out target/bench_smoke.json
 
-echo "==> codec throughput floor (vs committed BENCH_PR2.json, 20% slack)"
-# Offline regression gate: the quick smoke run must stay within 20% of the
-# committed PR 2 codec numbers. Keys are extracted with awk so the gate
-# needs no JSON tooling. A failing probe gets one re-measure before the
-# gate fails hard: quick-mode runs on shared single-core runners dip on
-# cold starts without any real regression.
+echo "==> codec kernel gates (speed-up over the scalar oracle, bytes allocated per frame)"
+# The codec cells time the kernels next to the byte-at-a-time oracle in the
+# SAME run, so the gate is the ratio: both slow down together on a loaded
+# runner, and a kernel that has lost its fast path drags the ratio towards
+# 1 whatever the runner's speed. The bars sit on the frames the app's
+# camera films (sensor noise: ~3900 runs a frame, where the cost is per
+# run) — encode and decode at least 1.7x — and on the dense worst case
+# (random pixels, every run of length 1), where the kernels must not be
+# slower than the oracle. Allocation is gated in bytes, which repeat
+# exactly: one encode plus one decode of a camera frame may allocate the
+# encoded length plus the pixel count plus 256 B — the output and the
+# frame, nothing of the codec's own — and unwrapping the encoded frame from
+# a message payload may allocate nothing (it is a slice of the payload).
+# Keys are extracted with awk so the
+# gate needs no JSON tooling. One re-measure before the gate fails hard.
 extract() { # extract FILE SECTION KEY -> number
     awk -v section="\"$2\":" -v key="\"$3\":" '
         $0 ~ section {
@@ -53,40 +62,56 @@ extract() { # extract FILE SECTION KEY -> number
             exit
         }' "$1"
 }
-gate() { # gate SNAPSHOT -> 0 if every probe clears the floor
+codec_gate() { # codec_gate SNAPSHOT -> 0 if ratios and allocation hold
     local snapshot="$1"
-    for probe in "encode scalar_mb_s" "encode word_mb_s" "decode scalar_mb_s" "decode word_mb_s"; do
+    for probe in "codec_camera encode 1.7" "codec_camera decode 1.7" "codec_dense encode 1.0" "codec_dense decode 1.0"; do
         set -- $probe
-        floor=$(extract BENCH_PR2.json "$1" "$2")
-        now=$(extract "$snapshot" "$1" "$2")
-        awk -v floor="$floor" -v now="$now" -v name="$1.$2" 'BEGIN {
-            if (floor == "" || now == "") {
-                printf "FAIL: %s missing from snapshot or baseline\n", name
+        now=$(extract "$snapshot" "$1" "$2_speedup_x")
+        awk -v now="$now" -v floor="$3" -v name="$1.$2_speedup_x" 'BEGIN {
+            if (now == "") {
+                printf "FAIL: %s missing from snapshot\n", name
                 exit 1
             }
-            limit = floor * 0.8
-            if (now + 0 < limit) {
-                printf "FAIL: %s regressed: %.1f MB/s < 80%% of committed %.1f MB/s\n", name, now, floor
+            if (now + 0 < floor + 0) {
+                printf "FAIL: %s %.2fx < %.1fx over the scalar oracle\n", name, now, floor
                 exit 1
             }
-            printf "ok: %s %.1f MB/s (floor %.1f)\n", name, now, limit
+            printf "ok: %s %.2fx (floor %.1fx)\n", name, now, floor
         }' || return 1
     done
+    enc=$(extract "$snapshot" codec_camera encode_alloc_bytes)
+    dec=$(extract "$snapshot" codec_camera decode_alloc_bytes)
+    rx=$(extract "$snapshot" codec_camera rx_payload_alloc_bytes)
+    encoded=$(extract "$snapshot" codec_camera encoded_bytes)
+    pixels=$(extract "$snapshot" codec_camera pixels)
+    awk -v enc="$enc" -v dec="$dec" -v rx="$rx" -v encoded="$encoded" -v pixels="$pixels" 'BEGIN {
+        if (enc == "" || dec == "" || rx == "" || encoded == "" || pixels == "") {
+            printf "FAIL: codec_camera allocation counters missing from snapshot\n"
+            exit 1
+        }
+        limit = encoded + pixels + 256
+        if (enc + dec > limit) {
+            printf "FAIL: codec allocates %.0f + %.0f B per camera frame, over encoded + pixels + 256 = %.0f B\n", enc, dec, limit
+            exit 1
+        }
+        if (rx + 0 != 0) {
+            printf "FAIL: Payload::decode allocates %.0f B per encoded frame; it should slice the message buffer\n", rx
+            exit 1
+        }
+        printf "ok: codec allocates %.0f B per encode + %.0f B per decode (ceiling %.0f B), Payload::decode 0 B\n", enc, dec, limit
+    }' || return 1
 }
-gate_with_retry() {
-    if ! gate target/bench_smoke.json; then
-        echo "floor missed; re-measuring once to rule out a cold start"
-        cargo run --release -q -p videopipe-bench --bin bench_snapshot -- \
-            --quick --out target/bench_smoke.json
-        gate target/bench_smoke.json
-    fi
-}
-gate_with_retry
+if ! codec_gate target/bench_smoke.json; then
+    echo "codec gate missed; re-measuring once to rule out a cold start"
+    cargo run --release -q -p videopipe-bench --bin bench_snapshot -- \
+        --quick --out target/bench_smoke.json
+    codec_gate target/bench_smoke.json
+fi
 
 echo "==> wire data-plane gates (vs committed BENCH_PR10.json)"
-# Two probes on the zero-copy wire cell. Throughput follows the codec-gate
-# pattern: single-connection loopback MB/s must stay within 20% of the
-# committed snapshot, with one re-measure for cold starts. Allocations are
+# Two probes on the zero-copy wire cell. Throughput is a floor against the
+# committed snapshot: single-connection loopback MB/s must stay within 20%
+# of it, with one re-measure for cold starts. Allocations are
 # gated two ways: an absolute ceiling (4 allocations/frame — the zero-copy
 # receive path allocates only the channel string plus amortised chunk
 # rotations) and a relative bar (at most half of the legacy arm measured
@@ -213,7 +238,7 @@ if ! fleet_gate target/bench_smoke.json; then
 fi
 
 echo "==> ML kernel speedup floors (vs committed BENCH_PR5.json, 20% slack)"
-# Unlike the codec gate, this one floors the word/scalar *speedup ratio*
+# Like the codec gate, this one floors the word/scalar *speedup ratio*
 # rather than absolute throughput: quick-mode absolute numbers on a shared
 # single-core runner swing +/-30% with load, but scalar and word kernels
 # slow down together, so the ratio cancels runner speed. A real regression

@@ -52,7 +52,7 @@ proptest! {
 
     #[test]
     fn payload_decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Payload::decode(&bytes); // must not panic
+        let _ = Payload::decode(&bytes.into()); // must not panic
     }
 
     #[test]
