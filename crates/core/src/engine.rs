@@ -1,0 +1,1823 @@
+//! The engine: every decision the runtime takes *per message*, written once.
+//!
+//! The paper's module API is three calls (`call_service`, `call_module`,
+//! `signal_source`) over one flow-control loop. This module owns all of it —
+//! the [`ModuleCtx`] implementation (breaker gate → cached transcode → retry
+//! loop → last-known-good), the module step, the service batch, the pacer's
+//! credit accounting, the SLO / heartbeat / telemetry tick bodies and the
+//! deploy-time wiring — generic over the three-method [`Exec`] seam, which
+//! is the whole difference between the two drivers:
+//!
+//! * [`LocalRuntime`](crate::runtime::LocalRuntime) decides *when to run* by
+//!   giving every task a thread that blocks on its inbox, and *how to wait*
+//!   by blocking (`recv_timeout`, `thread::sleep`).
+//! * [`ReactorRuntime`](crate::reactor::ReactorRuntime) runs the same steps
+//!   as scheduled tasks and waits by helping other ready tasks.
+//!
+//! The seam is a generic parameter, never `dyn` and never an enum of
+//! engines: nothing in here knows which driver it is serving, and the
+//! `&mut dyn ModuleCtx` handed to handlers stays the only virtual call on
+//! the path. (`videopipe-sim`'s `SimCtx` is deliberately *not* a third user:
+//! it records calls for virtual-time replay and has no retry chain to share.)
+
+use crate::deploy::DeploymentPlan;
+use crate::error::PipelineError;
+use crate::flow::{CreditController, SourcePacer};
+use crate::health::FailureDetector;
+use crate::message::{Header, Message, Payload};
+use crate::metrics::PipelineMetrics;
+use crate::module::{Event, Module, ModuleCtx, ModuleFactory, ModuleRegistry};
+use crate::resilience::{seed_for, CircuitBreaker, DegradationPolicy, SeededJitter};
+use crate::runtime::{EdgeTransport, RunReport, RuntimeConfig, ShutdownGate};
+use crate::service::{Service, ServiceRegistry, ServiceRequest, ServiceResponse};
+use crate::slo::{KnobSettings, SloAction, SloController};
+use crate::spec::ModuleSpec;
+use parking_lot::Mutex;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use videopipe_media::{codec, FrameStore};
+use videopipe_net::{InprocHub, InprocReceiver, MessageKind, MsgReceiver, MsgSender, WireMessage};
+
+/// What a driver lends the engine: how a message leaves, how a module waits
+/// for a reply, and how modeled time passes. Statically dispatched.
+pub(crate) trait Exec {
+    /// Routes `msg` from `from_device` to its channel and makes sure whoever
+    /// consumes that channel gets to run.
+    fn send(&self, from_device: &str, msg: WireMessage) -> Result<(), PipelineError>;
+
+    /// Waits for the next message on `rx`, for at most one driver-sized
+    /// slice and never past `until`. `None` means "nothing yet": the engine
+    /// re-checks its deadline and the stop flag and asks again, so a driver
+    /// may return early whenever it likes.
+    fn await_reply(&self, rx: &InprocReceiver, until: Instant) -> Option<WireMessage>;
+
+    /// Lets `dur` of wall time pass (modeled link transfers, retry backoff).
+    fn pause(&self, dur: Duration);
+}
+
+/// Routes a message to its destination channel: in-process when the
+/// destination lives on the sender's device (or in `Inproc` mode), over the
+/// destination device's TCP ingress socket otherwise.
+pub(crate) struct Router {
+    pub(crate) hub: InprocHub,
+    /// channel → owning device (empty in `Inproc` mode: everything local).
+    pub(crate) channel_device: HashMap<String, String>,
+    /// device → TCP sender towards that device's ingress socket.
+    pub(crate) tcp_peers: HashMap<String, Arc<videopipe_net::tcp::TcpSender>>,
+}
+
+impl Router {
+    pub(crate) fn inproc(hub: InprocHub) -> Self {
+        Router {
+            hub,
+            channel_device: HashMap::new(),
+            tcp_peers: HashMap::new(),
+        }
+    }
+
+    /// In `Tcp` mode every device gets a loopback ingress socket —
+    /// `bind_ingress` binds one the driver's way and returns its port — and
+    /// all cross-device channels route through it.
+    fn tcp(
+        hub: InprocHub,
+        plan: &DeploymentPlan,
+        source_device: &str,
+        mut bind_ingress: impl FnMut() -> Result<u16, PipelineError>,
+    ) -> Result<Self, PipelineError> {
+        let pipeline = &plan.pipeline.name;
+        let mut channel_device = HashMap::new();
+        for m in &plan.pipeline.modules {
+            let device = device_of(plan, &m.name)?;
+            channel_device.insert(mod_chan(pipeline, &m.name), device.clone());
+            channel_device.insert(reply_chan(pipeline, &m.name), device);
+        }
+        for b in &plan.service_bindings {
+            channel_device.insert(svc_chan(pipeline, &b.device, &b.service), b.device.clone());
+        }
+        channel_device.insert(fc_chan(pipeline), source_device.to_string());
+        // Heartbeats converge on the monitor, which runs alongside the
+        // pacer on the source device.
+        channel_device.insert(hb_chan(pipeline), source_device.to_string());
+
+        let mut tcp_peers = HashMap::new();
+        for d in &plan.devices {
+            let addr = format!("127.0.0.1:{}", bind_ingress()?);
+            let sender =
+                videopipe_net::tcp::TcpSender::connect_retry(&addr, Duration::from_secs(5))?
+                    // Survive mid-stream disconnects: buffer and reconnect
+                    // with backoff instead of failing the pipeline edge.
+                    .with_reconnect(videopipe_net::tcp::ReconnectPolicy::default());
+            tcp_peers.insert(d.name.clone(), Arc::new(sender));
+        }
+        Ok(Router {
+            hub,
+            channel_device,
+            tcp_peers,
+        })
+    }
+
+    pub(crate) fn send_from(
+        &self,
+        from_device: &str,
+        msg: WireMessage,
+    ) -> Result<(), PipelineError> {
+        if let Some(dest_device) = self.channel_device.get(&msg.channel) {
+            if dest_device != from_device {
+                if let Some(peer) = self.tcp_peers.get(dest_device) {
+                    return peer.send(msg).map_err(PipelineError::from);
+                }
+            }
+        }
+        self.hub
+            .connect(&msg.channel)
+            .and_then(|s| s.send(msg))
+            .map_err(PipelineError::from)
+    }
+}
+
+/// Shared state for one running pipeline.
+pub(crate) struct Shared {
+    pub(crate) pipeline: String,
+    /// Source module names; the pacer ticks them, on `source_device`.
+    pub(crate) sources: Vec<String>,
+    pub(crate) source_device: String,
+    pub(crate) hub: InprocHub,
+    pub(crate) router: Router,
+    pub(crate) stores: HashMap<String, Arc<FrameStore>>,
+    pub(crate) metrics: Mutex<PipelineMetrics>,
+    pub(crate) logs: Mutex<Vec<String>>,
+    pub(crate) errors: Mutex<Vec<String>>,
+    pub(crate) stop: AtomicBool,
+    pub(crate) epoch: Instant,
+    pub(crate) deliveries: AtomicU64,
+    pub(crate) config: RuntimeConfig,
+    pub(crate) breakers: Mutex<HashMap<String, CircuitBreaker>>,
+    pub(crate) restarts: AtomicU64,
+    /// Pipeline fence epoch: bumped once per confirmed device loss;
+    /// messages stamped with an older epoch are fenced by the pacer.
+    pub(crate) fence_epoch: AtomicU64,
+    /// Heartbeat failure detector (`None` when heartbeats are disabled).
+    pub(crate) detector: Mutex<Option<FailureDetector>>,
+    /// Latest module snapshots by module name, for checkpointed restarts.
+    pub(crate) checkpoints: Mutex<HashMap<String, Vec<u8>>>,
+    /// Devices whose heartbeat sender is suppressed (chaos hook).
+    pub(crate) muted_heartbeats: Mutex<HashSet<String>>,
+    /// Live SLO knob actuators, written by the controller tick and read
+    /// lock-free at the actuation sites (encode path, executor drain, pacer
+    /// admission). All-baseline when no controller is configured.
+    pub(crate) knobs: KnobActuators,
+    /// Prompt-teardown latch for interval-driven watcher threads.
+    pub(crate) gate: ShutdownGate,
+}
+
+/// Lock-free actuation state for the SLO controller's knob lattice.
+pub(crate) struct KnobActuators {
+    /// Codec quality override for cross-device frames; `NO_QUALITY` (255)
+    /// means "use the configured quality".
+    pub(crate) quality_shift: AtomicU8,
+    /// Floor applied over every service's configured `max_batch`; 0 means
+    /// no override.
+    pub(crate) batch_floor: AtomicUsize,
+    /// Source sampling divisor (1 = every camera tick).
+    pub(crate) sample_divisor: AtomicU32,
+    /// Shedding factor applied after sampling (1 = keep everything).
+    pub(crate) shed_one_in: AtomicU32,
+    /// Current lattice level, for telemetry and reports.
+    pub(crate) level: AtomicUsize,
+    /// Knob moves / direction reversals, mirrored from the controller.
+    pub(crate) moves: AtomicU64,
+    pub(crate) flaps: AtomicU64,
+}
+
+pub(crate) const NO_QUALITY: u8 = u8::MAX;
+
+impl KnobActuators {
+    pub(crate) fn baseline() -> Self {
+        KnobActuators {
+            quality_shift: AtomicU8::new(NO_QUALITY),
+            batch_floor: AtomicUsize::new(0),
+            sample_divisor: AtomicU32::new(1),
+            shed_one_in: AtomicU32::new(1),
+            level: AtomicUsize::new(0),
+            moves: AtomicU64::new(0),
+            flaps: AtomicU64::new(0),
+        }
+    }
+
+    pub(crate) fn apply(&self, settings: KnobSettings, level: usize) {
+        self.quality_shift.store(
+            settings.quality_shift.unwrap_or(NO_QUALITY),
+            Ordering::Relaxed,
+        );
+        self.batch_floor
+            .store(settings.max_batch.unwrap_or(0), Ordering::Relaxed);
+        self.sample_divisor
+            .store(settings.sample_divisor.max(1), Ordering::Relaxed);
+        self.shed_one_in
+            .store(settings.shed_one_in.max(1), Ordering::Relaxed);
+        self.level.store(level, Ordering::Relaxed);
+    }
+
+    pub(crate) fn admit_stride(&self) -> u64 {
+        u64::from(self.sample_divisor.load(Ordering::Relaxed).max(1))
+            * u64::from(self.shed_one_in.load(Ordering::Relaxed).max(1))
+    }
+}
+
+fn device_of(plan: &DeploymentPlan, module: &str) -> Result<String, PipelineError> {
+    plan.placement
+        .device_for(module)
+        .map(str::to_string)
+        .ok_or_else(|| PipelineError::Deploy(format!("module {module:?} unplaced")))
+}
+
+impl Shared {
+    /// Builds one pipeline's shared state from its plan: a private hub, one
+    /// frame store per device (`new_store`), the router (`bind_ingress` is
+    /// called once per device in `Tcp` mode and never otherwise) and the
+    /// failure detector.
+    ///
+    /// # Errors
+    ///
+    /// Invalid configs, an unplaced source, or ingress/connect failures.
+    pub(crate) fn deploy(
+        plan: &DeploymentPlan,
+        config: RuntimeConfig,
+        new_store: impl Fn() -> FrameStore,
+        bind_ingress: impl FnMut() -> Result<u16, PipelineError>,
+    ) -> Result<Arc<Self>, PipelineError> {
+        config.validate()?;
+        let hub = InprocHub::new();
+        let sources: Vec<String> = plan
+            .pipeline
+            .sources()
+            .iter()
+            .map(|m| m.name.clone())
+            .collect();
+        let source_device = sources
+            .first()
+            .and_then(|s| plan.placement.device_for(s))
+            .ok_or_else(|| PipelineError::Deploy("pipeline has no placed source".into()))?
+            .to_string();
+        let router = match config.transport {
+            EdgeTransport::Inproc => Router::inproc(hub.clone()),
+            EdgeTransport::Tcp => Router::tcp(hub.clone(), plan, &source_device, bind_ingress)?,
+        };
+        let detector = config.heartbeats.clone().map(|h| {
+            let mut d = FailureDetector::new(h);
+            for dev in &plan.devices {
+                d.expect(&dev.name, 0);
+            }
+            d
+        });
+        Ok(Arc::new(Shared {
+            pipeline: plan.pipeline.name.clone(),
+            sources,
+            source_device,
+            hub,
+            router,
+            stores: plan
+                .devices
+                .iter()
+                .map(|d| (d.name.clone(), Arc::new(new_store())))
+                .collect(),
+            metrics: Mutex::new(PipelineMetrics::new()),
+            logs: Mutex::new(Vec::new()),
+            errors: Mutex::new(Vec::new()),
+            stop: AtomicBool::new(false),
+            epoch: Instant::now(),
+            deliveries: AtomicU64::new(0),
+            config,
+            breakers: Mutex::new(HashMap::new()),
+            restarts: AtomicU64::new(0),
+            fence_epoch: AtomicU64::new(0),
+            detector: Mutex::new(detector),
+            checkpoints: Mutex::new(HashMap::new()),
+            muted_heartbeats: Mutex::new(HashSet::new()),
+            knobs: KnobActuators::baseline(),
+            gate: ShutdownGate::new(),
+        }))
+    }
+
+    pub(crate) fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    pub(crate) fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    fn store(&self, device: &str) -> Arc<FrameStore> {
+        Arc::clone(
+            self.stores
+                .get(device)
+                .expect("every plan device has a store"),
+        )
+    }
+
+    /// The codec quality in effect right now: the SLO controller's override
+    /// when one is applied, the configured quality otherwise.
+    pub(crate) fn effective_quality(&self) -> codec::Quality {
+        match self.knobs.quality_shift.load(Ordering::Relaxed) {
+            shift if shift < 8 => codec::Quality::new(shift),
+            _ => self.config.codec_quality,
+        }
+    }
+
+    /// The micro-batch ceiling in effect for `service` right now: the
+    /// configured policy, raised to the controller's batch floor when the
+    /// batch knob is engaged.
+    pub(crate) fn effective_max_batch(&self, service: &str) -> usize {
+        self.config
+            .batch_for(service)
+            .max_batch
+            .max(1)
+            .max(self.knobs.batch_floor.load(Ordering::Relaxed))
+    }
+
+    /// Scales a modeled cost by the configured emulation factor (`None`
+    /// when emulation is off or there is nothing to emulate).
+    fn scaled(&self, modeled: Duration, speed: f64) -> Option<Duration> {
+        let scale = self.config.time_scale;
+        (scale > 0.0 && !modeled.is_zero()).then(|| modeled.mul_f64(scale / speed))
+    }
+
+    /// Builds the end-of-run report from the pipeline's shared state.
+    pub(crate) fn report(&self) -> RunReport {
+        let run_duration_ns = self.now_ns();
+        let mut metrics = self.metrics.lock().clone();
+        metrics.run_duration_ns = run_duration_ns;
+        let breakers = self
+            .breakers
+            .lock()
+            .iter()
+            .map(|(name, b)| (name.clone(), b.snapshot()))
+            .collect();
+        let device_statuses = self
+            .detector
+            .lock()
+            .as_ref()
+            .map(|d| d.statuses(run_duration_ns))
+            .unwrap_or_default();
+        RunReport {
+            metrics,
+            logs: std::mem::take(&mut *self.logs.lock()),
+            errors: std::mem::take(&mut *self.errors.lock()),
+            restarts: self.restarts.load(Ordering::Relaxed),
+            breakers,
+            device_statuses,
+            fence_epoch: self.fence_epoch.load(Ordering::SeqCst),
+            slo_level: self.knobs.level.load(Ordering::Relaxed),
+            slo_moves: self.knobs.moves.load(Ordering::Relaxed),
+            slo_flaps: self.knobs.flaps.load(Ordering::Relaxed),
+            scheduler: Vec::new(),
+            checkpoints: self.checkpoints.lock().clone(),
+        }
+    }
+}
+
+pub(crate) fn mod_chan(pipeline: &str, module: &str) -> String {
+    format!("mod/{pipeline}/{module}")
+}
+pub(crate) fn reply_chan(pipeline: &str, module: &str) -> String {
+    format!("rpl/{pipeline}/{module}")
+}
+/// Pipeline-scoped, so pipelines binding the same (device, service) pair
+/// stay disjoint in any map keyed by channel.
+pub(crate) fn svc_chan(pipeline: &str, device: &str, service: &str) -> String {
+    format!("svc/{pipeline}/{device}/{service}")
+}
+pub(crate) fn fc_chan(pipeline: &str) -> String {
+    format!("fc/{pipeline}")
+}
+pub(crate) fn hb_chan(pipeline: &str) -> String {
+    format!("hb/{pipeline}")
+}
+
+/// A payload-free message carrying a frame's identity: flow-control
+/// signals, error-path credit returns and camera ticks.
+fn frame_msg(kind: MessageKind, channel: String, header: Header, epoch: u64) -> WireMessage {
+    WireMessage {
+        kind,
+        channel,
+        reply_to: String::new(),
+        corr_id: 0,
+        seq: header.frame_seq,
+        timestamp_ns: header.capture_ts_ns,
+        epoch,
+        payload: bytes::Bytes::new(),
+    }
+}
+
+/// Modeled transfer of `bytes` over the emulated link (~Wi-Fi: 2.5 ms +
+/// 100 Mbit/s). Sender-side: the module blocks on the round trip anyway.
+fn link_cost(bytes: usize) -> Duration {
+    Duration::from_micros(2_500 + bytes as u64 * 8 / 100)
+}
+
+/// Wiring facts one module needs, resolved from the plan at deploy.
+struct ModuleWiring {
+    name: String,
+    device: String,
+    /// The device-local frame store.
+    store: Arc<FrameStore>,
+    /// next module -> (channel, cross_device)
+    nexts: HashMap<String, (String, bool)>,
+    /// service -> (channel, remote)
+    services: HashMap<String, (String, bool)>,
+    is_source: bool,
+}
+
+/// Per-module context state that survives from one event to the next.
+struct CtxState {
+    header: Header,
+    /// Fence epoch of the event being processed; stamped onto every
+    /// outgoing message so the pacer can fence frames admitted before a
+    /// failover.
+    epoch: u64,
+    corr: u64,
+    reply_rx: InprocReceiver,
+    /// Last successful response per service, for
+    /// [`DegradationPolicy::LastKnownGood`]. Stored in encoded form: the
+    /// per-success insert is then an O(1) refcount bump of the wire bytes,
+    /// and the (rare) degraded path pays the decode.
+    lkg: HashMap<String, bytes::Bytes>,
+    /// Deterministic per-module retry jitter stream.
+    jitter: SeededJitter,
+}
+
+/// The execution context handed to module handlers, on either driver.
+struct Ctx<'a, X: Exec> {
+    exec: &'a X,
+    shared: &'a Shared,
+    wiring: &'a ModuleWiring,
+    st: &'a mut CtxState,
+}
+
+impl<X: Exec> Ctx<'_, X> {
+    fn emulate(&self, modeled: Duration) {
+        if let Some(dur) = self.shared.scaled(modeled, 1.0) {
+            self.exec.pause(dur);
+        }
+    }
+
+    /// Checks one inbound reply against the outstanding correlation id.
+    /// `None` = stale response to a timed-out attempt; skip it.
+    fn check_reply(
+        &self,
+        msg: WireMessage,
+        corr_id: u64,
+        remote: bool,
+        service: &str,
+    ) -> Option<Result<(ServiceResponse, bytes::Bytes), PipelineError>> {
+        if msg.kind != MessageKind::Response || msg.corr_id != corr_id {
+            return None;
+        }
+        if remote {
+            self.emulate(link_cost(msg.payload.len()));
+        }
+        Some(ServiceResponse::decode(&msg.payload).and_then(|resp| {
+            // Executors answer failures with a typed error payload.
+            match &resp.payload {
+                Payload::Error(reason) => Err(PipelineError::Service {
+                    service: service.to_string(),
+                    reason: reason.clone(),
+                }),
+                _ => Ok((resp, msg.payload)),
+            }
+        }))
+    }
+
+    /// One request/response exchange with a service host, bounded by the
+    /// configured per-call deadline. Returns the decoded response plus its
+    /// raw wire bytes (shared, for the last-known-good cache).
+    fn attempt_service_call(
+        &mut self,
+        service: &str,
+        channel: &str,
+        remote: bool,
+        bytes: bytes::Bytes,
+    ) -> Result<(ServiceResponse, bytes::Bytes), PipelineError> {
+        if remote {
+            self.emulate(link_cost(bytes.len()));
+        }
+        self.st.corr += 1;
+        let corr_id = self.st.corr;
+        self.exec.send(
+            &self.wiring.device,
+            WireMessage::request(
+                channel.to_string(),
+                reply_chan(&self.shared.pipeline, &self.wiring.name),
+                corr_id,
+                bytes,
+            ),
+        )?;
+        let started = Instant::now();
+        let deadline = started + self.shared.config.resilience.service_call_timeout;
+        loop {
+            // Drain anything already delivered before looking at the clock:
+            // a reply that beat the deadline counts even if we notice late.
+            while let Ok(msg) = self.st.reply_rx.try_recv() {
+                if let Some(result) = self.check_reply(msg, corr_id, remote, service) {
+                    return result;
+                }
+            }
+            if Instant::now() >= deadline {
+                return Err(PipelineError::Timeout {
+                    service: service.to_string(),
+                    elapsed: started.elapsed(),
+                });
+            }
+            if self.shared.stopped() {
+                return Err(PipelineError::Shutdown);
+            }
+            if let Some(msg) = self.exec.await_reply(&self.st.reply_rx, deadline) {
+                if let Some(result) = self.check_reply(msg, corr_id, remote, service) {
+                    return result;
+                }
+            }
+        }
+    }
+
+    fn breaker_allows(&self, service: &str) -> bool {
+        let now_ns = self.shared.now_ns();
+        let mut breakers = self.shared.breakers.lock();
+        breakers
+            .entry(service.to_string())
+            .or_insert_with(|| self.shared.config.resilience.make_breaker())
+            .allow(now_ns)
+    }
+
+    fn breaker_record(&self, service: &str, success: bool) {
+        let now_ns = self.shared.now_ns();
+        let mut breakers = self.shared.breakers.lock();
+        let breaker = breakers
+            .entry(service.to_string())
+            .or_insert_with(|| self.shared.config.resilience.make_breaker());
+        if success {
+            breaker.record_success();
+        } else {
+            breaker.record_failure(now_ns);
+        }
+    }
+
+    /// Applies the degradation policy once a call has been abandoned.
+    fn degrade(&self, service: &str, err: PipelineError) -> Result<ServiceResponse, PipelineError> {
+        if self.shared.config.resilience.degradation == DegradationPolicy::LastKnownGood {
+            if let Some(cached) = self.st.lkg.get(service) {
+                // Cached in wire form; decoding here keeps the success path
+                // free of deep response clones.
+                if let Ok(resp) = ServiceResponse::decode(cached) {
+                    return Ok(resp);
+                }
+            }
+        }
+        Err(err)
+    }
+
+    /// A frame reference cannot leave its device: swap it for the encoded
+    /// frame — at most once per (frame, quality), via the store's
+    /// transcoding cache. A frame fanned out to N remote destinations (or
+    /// retried M times) runs the codec exactly once; everyone else gets a
+    /// refcount bump of the same buffer.
+    fn encode_for_wire(&self, payload: Payload) -> Result<Payload, PipelineError> {
+        match payload {
+            Payload::FrameRef(id) => {
+                let quality = self.shared.effective_quality();
+                Ok(Payload::EncodedFrame(
+                    self.wiring.store.encoded(id, quality)?,
+                ))
+            }
+            other => Ok(other),
+        }
+    }
+
+    /// Error-path credit return: the frame died in this module. A
+    /// Control-kind message distinguishes this from a real completion so the
+    /// pacer does not count it as delivered.
+    fn return_credit(&self) {
+        let _ = self.exec.send(
+            &self.wiring.device,
+            frame_msg(
+                MessageKind::Control,
+                fc_chan(&self.shared.pipeline),
+                self.st.header,
+                self.st.epoch,
+            ),
+        );
+    }
+}
+
+impl<X: Exec> ModuleCtx for Ctx<'_, X> {
+    fn call_service(
+        &mut self,
+        service: &str,
+        mut request: ServiceRequest,
+    ) -> Result<ServiceResponse, PipelineError> {
+        let (shared, wiring) = (self.shared, self.wiring);
+        let (channel, remote) =
+            wiring
+                .services
+                .get(service)
+                .ok_or_else(|| PipelineError::ServiceUnavailable {
+                    module: wiring.name.clone(),
+                    service: service.to_string(),
+                })?;
+        let resilience = &shared.config.resilience;
+        // Circuit breaker gate: fast-fail while the service's breaker is
+        // open so a dead service costs microseconds per frame, not a
+        // deadline per frame.
+        if resilience.breaker_enabled() && !self.breaker_allows(service) {
+            return self.degrade(
+                service,
+                PipelineError::CircuitOpen {
+                    service: service.to_string(),
+                },
+            );
+        }
+        if *remote {
+            request.payload = self.encode_for_wire(request.payload)?;
+        }
+        let mut bytes = request.encode();
+        let max_attempts = resilience.retry.max_attempts.max(1);
+        let mut attempt = 0;
+        loop {
+            attempt += 1;
+            // Attempts share the serialized request by refcount; the final
+            // attempt moves it instead of cloning.
+            let attempt_bytes = if attempt >= max_attempts {
+                std::mem::take(&mut bytes)
+            } else {
+                bytes.clone()
+            };
+            match self.attempt_service_call(service, channel, *remote, attempt_bytes) {
+                Ok((resp, raw)) => {
+                    if resilience.breaker_enabled() {
+                        self.breaker_record(service, true);
+                    }
+                    if resilience.degradation == DegradationPolicy::LastKnownGood {
+                        self.st.lkg.insert(service.to_string(), raw);
+                    }
+                    return Ok(resp);
+                }
+                Err(PipelineError::Shutdown) => return Err(PipelineError::Shutdown),
+                Err(e) => {
+                    if resilience.breaker_enabled() {
+                        self.breaker_record(service, false);
+                    }
+                    if attempt >= max_attempts {
+                        return self.degrade(service, e);
+                    }
+                    let backoff = resilience.retry.backoff(attempt, &mut self.st.jitter);
+                    if !backoff.is_zero() {
+                        self.exec.pause(backoff);
+                    }
+                    if self.shared.stopped() {
+                        return Err(PipelineError::Shutdown);
+                    }
+                }
+            }
+        }
+    }
+
+    fn call_module(&mut self, target: &str, mut payload: Payload) -> Result<(), PipelineError> {
+        let (channel, cross_device) = self.wiring.nexts.get(target).ok_or_else(|| {
+            PipelineError::Validation(format!(
+                "module {:?} has no edge to {target:?}",
+                self.wiring.name
+            ))
+        })?;
+        if *cross_device {
+            payload = self.encode_for_wire(payload)?;
+            self.emulate(link_cost(payload.size_hint()));
+        }
+        self.exec.send(
+            &self.wiring.device,
+            WireMessage::data(
+                channel.clone(),
+                self.st.header.frame_seq,
+                self.st.header.capture_ts_ns,
+                payload.encode(),
+            )
+            .with_epoch(self.st.epoch),
+        )
+    }
+
+    fn signal_source(&mut self) -> Result<(), PipelineError> {
+        self.exec.send(
+            &self.wiring.device,
+            frame_msg(
+                MessageKind::Signal,
+                fc_chan(&self.shared.pipeline),
+                self.st.header,
+                self.st.epoch,
+            ),
+        )
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.shared.now_ns()
+    }
+
+    fn module_name(&self) -> &str {
+        &self.wiring.name
+    }
+
+    fn device_name(&self) -> &str {
+        &self.wiring.device
+    }
+
+    fn frame_store(&self) -> &FrameStore {
+        &self.wiring.store
+    }
+
+    fn header(&self) -> Header {
+        self.st.header
+    }
+
+    fn set_header(&mut self, header: Header) {
+        self.st.header = header;
+    }
+
+    fn log(&mut self, text: &str) {
+        self.shared
+            .logs
+            .lock()
+            .push(format!("{}: {text}", self.wiring.name));
+    }
+}
+
+/// One deployed module instance: its wiring, inbox, handler and the context
+/// state that outlives a single event. A driver owns the task and decides
+/// when [`ModuleTask::step`] runs.
+pub(crate) struct ModuleTask {
+    pub(crate) inbox: InprocReceiver,
+    wiring: ModuleWiring,
+    instance: Box<dyn Module>,
+    factory: ModuleFactory,
+    st: CtxState,
+    last_checkpoint: Instant,
+}
+
+impl ModuleTask {
+    /// Wires module `m` from the plan, binds its inbox and reply channel,
+    /// instantiates it and runs its `init` (which may already call
+    /// services, so the driver deploys service hosts first).
+    ///
+    /// # Errors
+    ///
+    /// Unknown includes, unplaced modules, binding or `init` failures.
+    pub(crate) fn deploy<X: Exec>(
+        shared: &Shared,
+        exec: &X,
+        plan: &DeploymentPlan,
+        m: &ModuleSpec,
+        modules: &ModuleRegistry,
+    ) -> Result<Self, PipelineError> {
+        let pipeline = &shared.pipeline;
+        let device = device_of(plan, &m.name)?;
+        let nexts = plan
+            .edges
+            .iter()
+            .filter(|e| e.from == m.name)
+            .map(|e| (e.to.clone(), (mod_chan(pipeline, &e.to), e.cross_device)))
+            .collect();
+        let services = plan
+            .service_bindings
+            .iter()
+            .filter(|b| b.module == m.name)
+            .map(|b| {
+                let channel = svc_chan(pipeline, &b.device, &b.service);
+                (b.service.clone(), (channel, b.remote))
+            })
+            .collect();
+        let mut task = ModuleTask {
+            inbox: shared.hub.bind(&mod_chan(pipeline, &m.name))?,
+            wiring: ModuleWiring {
+                name: m.name.clone(),
+                store: shared.store(&device),
+                device,
+                nexts,
+                services,
+                is_source: shared.sources.contains(&m.name),
+            },
+            instance: modules.instantiate(&m.include)?,
+            factory: modules.factory(&m.include)?,
+            st: CtxState {
+                header: Header::default(),
+                epoch: 0,
+                corr: 0,
+                reply_rx: shared.hub.bind(&reply_chan(pipeline, &m.name))?,
+                lkg: HashMap::new(),
+                jitter: SeededJitter::new(seed_for(shared.config.resilience.seed, &m.name)),
+            },
+            last_checkpoint: Instant::now(),
+        };
+        let mut ctx = Ctx {
+            exec,
+            shared,
+            wiring: &task.wiring,
+            st: &mut task.st,
+        };
+        task.instance.init(&mut ctx)?;
+        Ok(task)
+    }
+
+    fn checkpoint(&self, shared: &Shared) {
+        if let Some(snap) = self.instance.snapshot() {
+            let mut checkpoints = shared.checkpoints.lock();
+            checkpoints.insert(self.wiring.name.clone(), snap);
+        }
+    }
+
+    /// Periodic checkpoint: persists the instance's recoverable state when
+    /// a period has elapsed, so a restarted replacement resumes near where
+    /// this one died. Returns when the next one is due (`None`:
+    /// checkpointing is off).
+    pub(crate) fn checkpoint_if_due(&mut self, shared: &Shared) -> Option<Instant> {
+        let period = shared.config.checkpoint_period?;
+        if self.last_checkpoint.elapsed() >= period {
+            self.last_checkpoint = Instant::now();
+            self.checkpoint(shared);
+        }
+        Some(self.last_checkpoint + period)
+    }
+
+    /// Final checkpoint at teardown: a graceful shutdown (SIGTERM, drain)
+    /// should hand off the freshest recoverable state, not whatever the
+    /// last periodic tick happened to capture.
+    pub(crate) fn final_checkpoint(&self, shared: &Shared) {
+        if shared.config.checkpoint_period.is_some() {
+            self.checkpoint(shared);
+        }
+    }
+
+    /// Processes one inbox message: decode → `on_event` under supervision →
+    /// stage metric → error-path credit return.
+    pub(crate) fn step<X: Exec>(&mut self, shared: &Shared, exec: &X, msg: WireMessage) {
+        let ModuleTask {
+            wiring,
+            instance,
+            factory,
+            st,
+            ..
+        } = self;
+        st.epoch = msg.epoch;
+        let header = Header {
+            frame_seq: msg.seq,
+            capture_ts_ns: msg.timestamp_ns,
+        };
+        let event = match msg.kind {
+            MessageKind::Signal if wiring.is_source => Ok(Event::FrameTick {
+                t_ns: msg.timestamp_ns,
+            }),
+            // Cross-device frames arrive encoded; the handler sees a
+            // reference into the local store like any other frame.
+            MessageKind::Data => match Payload::decode(&msg.payload) {
+                Ok(Payload::EncodedFrame(bytes)) => codec::decode(&bytes)
+                    .map(|frame| Payload::FrameRef(wiring.store.insert(frame)))
+                    .map_err(|e| format!("frame decode failed: {e}")),
+                Ok(payload) => Ok(payload),
+                Err(e) => Err(format!("payload decode failed: {e}")),
+            }
+            .map(|payload| Event::Message(Message::new(header, payload))),
+            _ => return,
+        };
+        st.header = header;
+        let mut ctx = Ctx {
+            exec,
+            shared,
+            wiring,
+            st,
+        };
+        // A frame that fails to decode dies at ingress exactly as one whose
+        // handler fails dies mid-pipeline: one error path, one credit return.
+        let result = event.and_then(|event| {
+            let start = Instant::now();
+            let handled = catch_unwind(AssertUnwindSafe(|| instance.on_event(event, &mut ctx)));
+            let result = handled.unwrap_or_else(|panic| {
+                // Supervision: the instance may hold poisoned state, so
+                // replace it with a fresh one and keep the task alive. The
+                // in-flight frame dies and returns its credit below.
+                *instance = factory();
+                let _ = catch_unwind(AssertUnwindSafe(|| instance.init(&mut ctx)));
+                // Checkpointed restart: hand the replacement the latest
+                // snapshot so stateful modules resume rather than reset.
+                if let Some(snap) = shared.checkpoints.lock().get(&wiring.name).cloned() {
+                    instance.restore(&snap);
+                }
+                shared.restarts.fetch_add(1, Ordering::Relaxed);
+                Err(PipelineError::Module {
+                    module: wiring.name.clone(),
+                    reason: format!("panicked: {}", panic_message(panic.as_ref())),
+                })
+            });
+            let elapsed_ns = start.elapsed().as_nanos() as u64;
+            shared.metrics.lock().record_stage(&wiring.name, elapsed_ns);
+            result.map_err(|e| e.to_string())
+        });
+        if let Err(reason) = result {
+            // Errors caused by the runtime tearing down (peers already
+            // gone) are shutdown artifacts, not pipeline failures.
+            if shared.stopped() {
+                return;
+            }
+            shared
+                .errors
+                .lock()
+                .push(format!("{}: {reason}", wiring.name));
+            // The frame died here: return its credit so the pipeline keeps
+            // flowing — with the paper's single credit and no lease, a frame
+            // that dies silently stalls the source for good.
+            ctx.return_credit();
+        }
+    }
+}
+
+/// One (device, service) host actually bound by some module: the inbox its
+/// requests arrive on and everything needed to serve a batch of them.
+/// Cloning shares the inbox (competing consumers on one MPMC queue).
+#[derive(Clone)]
+pub(crate) struct ServiceHost {
+    pub(crate) inbox: InprocReceiver,
+    pub(crate) device: String,
+    /// The host device's core count (the threaded driver's pool size).
+    pub(crate) cores: u32,
+    image: Arc<dyn Service>,
+    store: Arc<FrameStore>,
+    speed: f64,
+    /// `device/service`, the dispatch-metrics key.
+    label: String,
+}
+
+impl ServiceHost {
+    /// Binds one host per distinct (device, service) pair in the plan.
+    ///
+    /// # Errors
+    ///
+    /// Unregistered service images, unknown devices, binding failures.
+    pub(crate) fn deploy_all(
+        shared: &Shared,
+        plan: &DeploymentPlan,
+        services: &ServiceRegistry,
+    ) -> Result<Vec<Self>, PipelineError> {
+        let mut hosted: Vec<(&str, &str)> = plan
+            .service_bindings
+            .iter()
+            .map(|b| (b.device.as_str(), b.service.as_str()))
+            .collect();
+        hosted.sort_unstable();
+        hosted.dedup();
+        hosted
+            .into_iter()
+            .map(|(device, service)| {
+                let image = services.get(service).ok_or_else(|| {
+                    PipelineError::Deploy(format!("service image {service:?} not registered"))
+                })?;
+                let dev_spec = plan
+                    .device(device)
+                    .ok_or_else(|| PipelineError::Deploy(format!("unknown device {device:?}")))?;
+                Ok(ServiceHost {
+                    inbox: shared
+                        .hub
+                        .bind(&svc_chan(&shared.pipeline, device, service))?,
+                    device: device.to_string(),
+                    cores: dev_spec.cores.max(1),
+                    store: shared.store(device),
+                    speed: dev_spec.speed_factor.max(1e-6),
+                    label: format!("{device}/{}", image.name()),
+                    image,
+                })
+            })
+            .collect()
+    }
+
+    pub(crate) fn service(&self) -> &str {
+        self.image.name()
+    }
+
+    /// Starts a batch from a dequeued message: `None` unless it is a
+    /// request; otherwise the request plus whatever is already queued (zero
+    /// added latency), up to the batch ceiling in effect right now — the
+    /// SLO controller may raise it mid-run. Also returns that ceiling and
+    /// the backlog behind `first`, sampled BEFORE the drain empties the
+    /// queue: `max_queue_depth` must keep reflecting true pressure.
+    pub(crate) fn free_drain(
+        &self,
+        shared: &Shared,
+        first: WireMessage,
+    ) -> Option<(Vec<WireMessage>, usize, u64)> {
+        if first.kind != MessageKind::Request {
+            return None;
+        }
+        let max_batch = shared.effective_max_batch(self.image.name());
+        let queue_depth = self.inbox.pending() as u64;
+        let mut msgs = vec![first];
+        while msgs.len() < max_batch {
+            match self.inbox.try_recv() {
+                Ok(m) if m.kind == MessageKind::Request => msgs.push(m),
+                Ok(_) => {}
+                Err(_) => break,
+            }
+        }
+        Some((msgs, max_batch, queue_depth))
+    }
+
+    /// Serves one batch and returns one reply per request, in request
+    /// order, plus the batch's scaled modeled cost (`None` when emulation
+    /// is off). The replies are computed eagerly; *when* they leave — after
+    /// the executor sleeps the cost out, or off a timer — is the driver's.
+    pub(crate) fn serve(
+        &self,
+        shared: &Shared,
+        msgs: &[WireMessage],
+        queue_depth: u64,
+    ) -> (Vec<WireMessage>, Option<Duration>) {
+        let started = Instant::now();
+        let name = self.image.name();
+        // Decode every request up front. A slot that fails here still gets
+        // a typed error reply below — a caller must never wait out its full
+        // deadline because the host dropped its request on the floor.
+        let mut slots: Vec<Result<ServiceRequest, PipelineError>> = msgs
+            .iter()
+            .map(|m| ServiceRequest::decode(&m.payload))
+            .collect();
+        // Cross-device frames arrive encoded; decode the whole batch in one
+        // pass into the local store so the service sees FrameRefs like any
+        // other request.
+        let encoded: Vec<(usize, bytes::Bytes)> = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| match slot {
+                Ok(ServiceRequest {
+                    payload: Payload::EncodedFrame(bytes),
+                    ..
+                }) => Some((i, bytes.clone())),
+                _ => None,
+            })
+            .collect();
+        let frames = codec::decode_batch(encoded.iter().map(|(_, b)| b.as_ref()));
+        for ((i, _), result) in encoded.iter().zip(frames) {
+            match result {
+                Ok(frame) => {
+                    if let Ok(req) = &mut slots[*i] {
+                        req.payload = Payload::FrameRef(self.store.insert(frame));
+                    }
+                }
+                Err(e) => {
+                    let reason = format!("frame decode failed: {e}");
+                    let mut errors = shared.errors.lock();
+                    errors.push(format!("service {name}: {reason}"));
+                    slots[*i] = Err(PipelineError::Service {
+                        service: name.to_string(),
+                        reason,
+                    });
+                }
+            }
+        }
+
+        // Modeled compute cost of the batch: the leading request pays its
+        // full base cost, followers pay the amortised batched base.
+        let mut modeled = Duration::ZERO;
+        let mut first = true;
+        for (slot, m) in slots.iter().zip(msgs) {
+            if let Ok(req) = slot {
+                modeled += self.image.cost(req).for_batch_item(first, m.payload.len());
+                first = false;
+            }
+        }
+        let delay = shared.scaled(modeled, self.speed);
+
+        let responses = supervised_batch(self.image.as_ref(), slots, &self.store);
+        let replies = msgs
+            .iter()
+            .zip(responses)
+            .map(|(m, response)| {
+                let response = response.unwrap_or_else(|e| {
+                    // A handler failure is not yet a pipeline error: the
+                    // typed error reply lets the caller fail fast and retry
+                    // or degrade instead of timing out, and only an
+                    // *unrecovered* failure is recorded (by the module
+                    // step). Keep a log line for diagnostics.
+                    shared.logs.lock().push(format!("service {name}: {e}"));
+                    ServiceResponse::new(Payload::Error(e.to_string()))
+                });
+                WireMessage::response_to(m, response.encode())
+            })
+            .collect();
+        // Modeled time counts as busy whichever way the driver spends it.
+        let busy = started.elapsed() + delay.unwrap_or_default();
+        shared.metrics.lock().record_dispatch_batch(
+            &self.label,
+            busy.as_nanos() as u64,
+            queue_depth,
+            msgs.len() as u64,
+        );
+        (replies, delay)
+    }
+}
+
+/// Runs `image.handle_batch` over the decoded slots of one dispatch batch
+/// and returns one result per slot, in slot order.
+///
+/// The decoded requests are *moved* into the contiguous slice the handler
+/// takes — a slot that failed to decode keeps its error in place and is
+/// skipped — so dispatch never deep-copies a payload.
+///
+/// The handler is supervised: a panicking service (a crashed container)
+/// must not take the executor with it. A panic fails every request of the
+/// batch with a typed error, so the caller side records one breaker event
+/// per *request*, never one per batch. A `handle_batch` override that
+/// returns too few results fails the unanswered slots the same way rather
+/// than misaligning replies.
+pub(crate) fn supervised_batch(
+    image: &dyn Service,
+    slots: Vec<Result<ServiceRequest, PipelineError>>,
+    store: &FrameStore,
+) -> Vec<Result<ServiceResponse, PipelineError>> {
+    let service_err = |reason: String| PipelineError::Service {
+        service: image.name().to_string(),
+        reason,
+    };
+    let mut ready: Vec<ServiceRequest> = Vec::with_capacity(slots.len());
+    let undecoded: Vec<Option<PipelineError>> = slots
+        .into_iter()
+        .map(|slot| match slot {
+            Ok(request) => {
+                ready.push(request);
+                None
+            }
+            Err(e) => Some(e),
+        })
+        .collect();
+    let handled = if ready.is_empty() {
+        Vec::new()
+    } else {
+        catch_unwind(AssertUnwindSafe(|| image.handle_batch(&ready, store))).unwrap_or_else(
+            |panic| {
+                let reason = format!("panicked: {}", panic_message(panic.as_ref()));
+                ready
+                    .iter()
+                    .map(|_| Err(service_err(reason.clone())))
+                    .collect()
+            },
+        )
+    };
+    let mut handled = handled.into_iter();
+    undecoded
+        .into_iter()
+        .map(|slot| match slot {
+            Some(e) => Err(e),
+            None => handled.next().unwrap_or_else(|| {
+                Err(service_err(
+                    "handle_batch returned too few results".to_string(),
+                ))
+            }),
+        })
+        .collect()
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = panic.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "unknown panic".to_string()
+    }
+}
+
+/// The per-pipeline pacer: camera ticks and the credit flow control at the
+/// source. A driver feeds it completion signals and calls
+/// [`Pacer::tick`] whenever [`Pacer::next_tick`] has passed.
+pub(crate) struct Pacer {
+    pub(crate) fc_inbox: InprocReceiver,
+    /// Wall-aligned deadline of the next camera tick.
+    pub(crate) next_tick: Instant,
+    /// The sources' inbox channels, named once at deploy.
+    source_channels: Vec<String>,
+    pacer: SourcePacer,
+    controller: CreditController,
+    interval: Duration,
+    lease: Option<Duration>,
+    /// Outstanding admissions are tracked by frame seq for credit-lease
+    /// expiry and for epoch fencing (either feature needs the set).
+    track_outstanding: bool,
+    outstanding: HashMap<u64, Instant>,
+    /// Fence epoch this pacer is admitting under. A bump (confirmed device
+    /// loss) fences everything in flight: those frames may be lost, half
+    /// delivered, or redelivered — their credits come back here and any
+    /// late signal they still produce is ignored.
+    current_epoch: u64,
+    /// Recently delivered frame seqs, for redelivery dedup (at-least-once
+    /// delivery must not double-count).
+    dedup_window: usize,
+    dedup_order: VecDeque<u64>,
+    dedup_set: HashSet<u64>,
+}
+
+impl Pacer {
+    /// Binds the pipeline's flow-control inbox; the first tick is due now.
+    ///
+    /// # Errors
+    ///
+    /// Propagates hub binding errors.
+    pub(crate) fn deploy(shared: &Shared) -> Result<Self, PipelineError> {
+        let config = &shared.config;
+        let pacer = SourcePacer::new(config.fps);
+        let lease = config.resilience.credit_timeout;
+        Ok(Pacer {
+            fc_inbox: shared.hub.bind(&fc_chan(&shared.pipeline))?,
+            next_tick: Instant::now(),
+            source_channels: shared
+                .sources
+                .iter()
+                .map(|source| mod_chan(&shared.pipeline, source))
+                .collect(),
+            interval: Duration::from_nanos(pacer.interval_ns()),
+            pacer,
+            controller: CreditController::new(config.credits),
+            lease,
+            track_outstanding: lease.is_some() || config.heartbeats.is_some(),
+            outstanding: HashMap::new(),
+            current_epoch: shared.fence_epoch.load(Ordering::SeqCst),
+            dedup_window: config.dedup_window,
+            dedup_order: VecDeque::with_capacity(config.dedup_window),
+            dedup_set: HashSet::with_capacity(config.dedup_window),
+        })
+    }
+
+    /// Epoch bump: proactively fault every outstanding admission so the
+    /// source regains its credits immediately instead of waiting out a
+    /// lease on frames the dead device will never finish.
+    pub(crate) fn check_fence(&mut self, shared: &Shared) {
+        let fence = shared.fence_epoch.load(Ordering::SeqCst);
+        if fence != self.current_epoch {
+            self.current_epoch = fence;
+            let fenced = self.outstanding.len() as u64;
+            for _ in self.outstanding.drain() {
+                self.controller.fault();
+            }
+            if fenced > 0 {
+                shared.logs.lock().push(format!(
+                    "pacer: fenced {fenced} in-flight frame(s) at epoch {fence}"
+                ));
+            }
+        }
+    }
+
+    /// Accounts one message from the flow-control inbox: a completion
+    /// signal or an error-path credit return.
+    pub(crate) fn on_signal(&mut self, shared: &Shared, msg: &WireMessage) {
+        // Redelivered frame already counted: drop the signal whole — its
+        // credit was settled the first time around.
+        if self.dedup_window > 0
+            && msg.kind == MessageKind::Signal
+            && self.dedup_set.contains(&msg.seq)
+        {
+            return;
+        }
+        // When admissions are tracked, only outstanding frames may return
+        // a credit: anything else is a late echo of an already expired
+        // lease or a fenced epoch, and honouring it would free a credit
+        // that belongs to a different frame.
+        let known = !self.track_outstanding || self.outstanding.remove(&msg.seq).is_some();
+        // Signals from a dead epoch are fenced: the credit (if still held)
+        // is reclaimed through the fault path, and the delivery is NOT
+        // counted.
+        let fenced = msg.epoch != self.current_epoch;
+        match msg.kind {
+            MessageKind::Signal if known && !fenced => {
+                self.controller.complete();
+                if self.dedup_window > 0 {
+                    if self.dedup_order.len() == self.dedup_window {
+                        if let Some(old) = self.dedup_order.pop_front() {
+                            self.dedup_set.remove(&old);
+                        }
+                    }
+                    self.dedup_order.push_back(msg.seq);
+                    self.dedup_set.insert(msg.seq);
+                }
+                let now_ns = shared.now_ns();
+                let latency = now_ns.saturating_sub(msg.timestamp_ns);
+                shared.metrics.lock().record_delivery(now_ns, latency);
+                shared.deliveries.fetch_add(1, Ordering::Relaxed);
+            }
+            // A fenced completion, or the error path: the frame died
+            // mid-pipeline.
+            MessageKind::Signal | MessageKind::Control if known => self.controller.fault(),
+            _ => {}
+        }
+    }
+
+    /// Expires credit leases: a frame that produced no signal within the
+    /// timeout (lost across a dead link, wedged beyond every deadline) has
+    /// its credit reclaimed so the source cannot stall forever.
+    pub(crate) fn expire_leases(&mut self, shared: &Shared) {
+        let Some(timeout) = self.lease else { return };
+        let now = Instant::now();
+        let expired: Vec<u64> = self
+            .outstanding
+            .iter()
+            .filter(|(_, admitted_at)| now.duration_since(**admitted_at) > timeout)
+            .map(|(seq, _)| *seq)
+            .collect();
+        for seq in expired {
+            self.outstanding.remove(&seq);
+            self.controller.fault();
+            let mut errors = shared.errors.lock();
+            errors.push(format!("pacer: credit lease expired for frame {seq}"));
+        }
+    }
+
+    /// One camera tick. The SLO controller's sampling/shedding knobs thin
+    /// admission here, before a credit is spent: with a stride of N only
+    /// every N-th camera tick competes for a credit at all, and the skipped
+    /// ticks are accounted as source drops.
+    pub(crate) fn tick<X: Exec>(&mut self, shared: &Shared, exec: &X) {
+        self.pacer.advance();
+        self.next_tick += self.interval;
+        let seq = self.pacer.ticks();
+        let stride = shared.knobs.admit_stride();
+        let sampled_out = stride > 1 && !seq.is_multiple_of(stride);
+        let admitted = !sampled_out && self.controller.try_admit();
+        {
+            let mut metrics = shared.metrics.lock();
+            metrics.frames_offered = metrics.frames_offered.saturating_add(1);
+            if !admitted {
+                metrics.frames_dropped = metrics.frames_dropped.saturating_add(1);
+            }
+        }
+        if !admitted {
+            return;
+        }
+        if self.track_outstanding {
+            self.outstanding.insert(seq, Instant::now());
+        }
+        let header = Header {
+            frame_seq: seq,
+            capture_ts_ns: shared.now_ns(),
+        };
+        for channel in &self.source_channels {
+            let tick = frame_msg(
+                MessageKind::Signal,
+                channel.clone(),
+                header,
+                self.current_epoch,
+            );
+            let _ = exec.send(&shared.source_device, tick);
+        }
+    }
+
+    /// Final credit accounting: lets reports prove no credit leaked
+    /// (admitted == delivered + faulted + in_flight). Idempotent.
+    pub(crate) fn finalize(&self, shared: &Shared) {
+        let mut metrics = shared.metrics.lock();
+        metrics.frames_admitted = self.controller.admitted();
+        metrics.frames_faulted = self.controller.faulted();
+        metrics.in_flight_at_end = self.controller.in_flight();
+    }
+}
+
+/// One tick of the SLO feedback controller. It reads cumulative metrics
+/// (the same histograms telemetry publishes), diffs them into a window,
+/// and actuates the knob lattice through the shared atomics — never
+/// touching the per-frame path.
+pub(crate) fn slo_tick(controller: &mut SloController, shared: &Shared) {
+    let (hist, queue_max) = {
+        let metrics = shared.metrics.lock();
+        let q = metrics
+            .dispatch
+            .values()
+            .map(|d| d.max_queue_depth)
+            .max()
+            .unwrap_or(0);
+        (metrics.end_to_end.clone(), q)
+    };
+    let action = controller.observe(shared.now_ns(), &hist, queue_max);
+    if action == SloAction::Hold {
+        return;
+    }
+    let level = controller.level();
+    shared.knobs.apply(controller.settings(), level);
+    let (moves, flaps) = (controller.moves(), controller.flaps());
+    shared.knobs.moves.store(moves, Ordering::Relaxed);
+    shared.knobs.flaps.store(flaps, Ordering::Relaxed);
+    let dir = match action {
+        SloAction::StepDown { .. } => "down",
+        _ => "up",
+    };
+    shared.logs.lock().push(format!(
+        "slo: step {dir} to level {level} \
+         (window p99 {:.1} ms vs target {:.1} ms, {:?})",
+        controller.last_window_p99_ns() as f64 / 1e6,
+        controller.config().slo.p99.as_secs_f64() * 1e3,
+        controller.settings(),
+    ));
+}
+
+/// One heartbeat from `device` towards the monitor, unless the chaos hook
+/// has muted the device or the pipeline is stopping.
+pub(crate) fn heartbeat<X: Exec>(shared: &Shared, exec: &X, device: &str) {
+    if shared.stopped() || shared.muted_heartbeats.lock().contains(device) {
+        return;
+    }
+    let at = Header {
+        frame_seq: 0,
+        capture_ts_ns: shared.now_ns(),
+    };
+    let beat = WireMessage {
+        payload: bytes::Bytes::copy_from_slice(device.as_bytes()),
+        ..frame_msg(MessageKind::Control, hb_chan(&shared.pipeline), at, 0)
+    };
+    let _ = exec.send(device, beat);
+}
+
+/// The heartbeat monitor: feeds the failure detector and bumps the fence
+/// epoch on a confirmed device loss.
+pub(crate) struct HbMonitor {
+    pub(crate) inbox: InprocReceiver,
+    confirmed: HashSet<String>,
+}
+
+impl HbMonitor {
+    /// Binds the pipeline's heartbeat inbox.
+    ///
+    /// # Errors
+    ///
+    /// Propagates hub binding errors.
+    pub(crate) fn deploy(shared: &Shared) -> Result<Self, PipelineError> {
+        Ok(HbMonitor {
+            inbox: shared.hub.bind(&hb_chan(&shared.pipeline))?,
+            confirmed: HashSet::new(),
+        })
+    }
+
+    pub(crate) fn on_beat(&self, shared: &Shared, msg: &WireMessage) {
+        if msg.kind != MessageKind::Control {
+            return;
+        }
+        if let Ok(device) = std::str::from_utf8(&msg.payload) {
+            if let Some(d) = shared.detector.lock().as_mut() {
+                d.record_heartbeat(device, shared.now_ns());
+            }
+        }
+    }
+
+    /// Walks suspicion to confirmed loss; each newly confirmed device
+    /// fences one epoch.
+    pub(crate) fn sweep(&mut self, shared: &Shared) {
+        let now_ns = shared.now_ns();
+        let dead = match shared.detector.lock().as_ref() {
+            Some(d) => d.dead_devices(now_ns),
+            None => Vec::new(),
+        };
+        for device in dead {
+            if self.confirmed.insert(device.clone()) {
+                let epoch = shared.fence_epoch.fetch_add(1, Ordering::SeqCst) + 1;
+                shared.logs.lock().push(format!(
+                    "monitor: device {device} confirmed dead; fencing epoch {epoch}"
+                ));
+            }
+        }
+    }
+}
+
+/// Publishes one telemetry snapshot (paper §7 monitoring).
+pub(crate) fn publish_telemetry(shared: &Shared) {
+    let mut snapshot = {
+        let metrics = shared.metrics.lock();
+        crate::telemetry::TelemetrySnapshot::from_metrics(
+            &shared.pipeline,
+            shared.now_ns(),
+            &metrics,
+        )
+    };
+    snapshot.slo_level = shared.knobs.level.load(Ordering::Relaxed) as u64;
+    snapshot.publish(&shared.hub);
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::resilience::{ResilienceConfig, RetryPolicy};
+    use std::cell::{Cell, RefCell};
+    use videopipe_media::FrameBuf;
+
+    /// A pipeline's shared state with nothing deployed on it: one device
+    /// (`"one"`), an in-process router, no detector.
+    pub(crate) fn bare_shared(config: RuntimeConfig) -> (Arc<Shared>, InprocHub) {
+        let hub = InprocHub::new();
+        let mut stores = HashMap::new();
+        stores.insert("one".to_string(), Arc::new(FrameStore::new()));
+        let shared = Arc::new(Shared {
+            pipeline: "test".to_string(),
+            sources: Vec::new(),
+            source_device: "one".to_string(),
+            hub: hub.clone(),
+            router: Router::inproc(hub.clone()),
+            stores,
+            metrics: Mutex::new(PipelineMetrics::new()),
+            logs: Mutex::new(Vec::new()),
+            errors: Mutex::new(Vec::new()),
+            stop: AtomicBool::new(false),
+            epoch: Instant::now(),
+            deliveries: AtomicU64::new(0),
+            config,
+            breakers: Mutex::new(HashMap::new()),
+            restarts: AtomicU64::new(0),
+            fence_epoch: AtomicU64::new(0),
+            detector: Mutex::new(None),
+            checkpoints: Mutex::new(HashMap::new()),
+            muted_heartbeats: Mutex::new(HashSet::new()),
+            knobs: KnobActuators::baseline(),
+            gate: ShutdownGate::new(),
+        });
+        (shared, hub)
+    }
+
+    impl ServiceHost {
+        /// A host for `image` on `device`, fed from an inbox the test bound.
+        pub(crate) fn bare(
+            shared: &Shared,
+            inbox: InprocReceiver,
+            image: Arc<dyn Service>,
+            device: &str,
+        ) -> Self {
+            ServiceHost {
+                inbox,
+                device: device.to_string(),
+                cores: 1,
+                store: shared.store(device),
+                speed: 1.0,
+                label: format!("{device}/{}", image.name()),
+                image,
+            }
+        }
+    }
+
+    /// What the scripted service does with the next request it is sent.
+    enum Script {
+        Reply(Payload),
+        /// A typed error reply, as a host answers a failed handler.
+        Fail,
+        /// An unrelated message and the answer to an older attempt, then
+        /// the real reply.
+        StaleThenReply(Payload),
+        /// No answer; the pipeline is stopped while the caller waits.
+        SilenceThenStop,
+    }
+
+    /// A driver with no threads and no clock: `send` answers requests from
+    /// a script straight into the reply channel, `await_reply` never waits
+    /// and `pause` only records what it was asked to sleep.
+    struct FakeExec<'a> {
+        shared: &'a Shared,
+        script: RefCell<VecDeque<Script>>,
+        /// Per request sent: was its payload the only handle on its buffer?
+        requests_unique: RefCell<Vec<bool>>,
+        request_payloads: RefCell<Vec<Payload>>,
+        pauses: RefCell<Vec<Duration>>,
+        stop_on_wait: Cell<bool>,
+    }
+
+    impl<'a> FakeExec<'a> {
+        fn new(shared: &'a Shared, script: Vec<Script>) -> Self {
+            FakeExec {
+                shared,
+                script: RefCell::new(script.into()),
+                requests_unique: RefCell::default(),
+                request_payloads: RefCell::default(),
+                pauses: RefCell::default(),
+                stop_on_wait: Cell::new(false),
+            }
+        }
+
+        fn requests(&self) -> usize {
+            self.requests_unique.borrow().len()
+        }
+    }
+
+    impl Exec for FakeExec<'_> {
+        fn send(&self, _from_device: &str, msg: WireMessage) -> Result<(), PipelineError> {
+            assert_eq!(msg.kind, MessageKind::Request);
+            self.requests_unique
+                .borrow_mut()
+                .push(msg.payload.is_unique());
+            let request = ServiceRequest::decode(&msg.payload).expect("well-formed request");
+            self.request_payloads.borrow_mut().push(request.payload);
+            let reply_to = self.shared.hub.connect(&msg.reply_to)?;
+            let answer = |payload: Payload| {
+                WireMessage::response_to(&msg, ServiceResponse::new(payload).encode())
+            };
+            let step = self.script.borrow_mut().pop_front();
+            match step.expect("script covers every request") {
+                Script::Reply(payload) => reply_to.send(answer(payload))?,
+                Script::Fail => reply_to.send(answer(Payload::Error("scripted failure".into())))?,
+                Script::StaleThenReply(payload) => {
+                    reply_to.send(WireMessage::signal(msg.reply_to.clone(), 0))?;
+                    let mut stale = answer(Payload::Count(u64::MAX));
+                    stale.corr_id = msg.corr_id - 1;
+                    reply_to.send(stale)?;
+                    reply_to.send(answer(payload))?;
+                }
+                Script::SilenceThenStop => self.stop_on_wait.set(true),
+            }
+            Ok(())
+        }
+
+        fn await_reply(&self, rx: &InprocReceiver, _until: Instant) -> Option<WireMessage> {
+            if self.stop_on_wait.get() {
+                self.shared.stop.store(true, Ordering::SeqCst);
+            }
+            rx.try_recv().ok()
+        }
+
+        fn pause(&self, dur: Duration) {
+            self.pauses.borrow_mut().push(dur);
+        }
+    }
+
+    /// One module's context on a bare pipeline, wired to a single service.
+    struct Rig {
+        shared: Arc<Shared>,
+        wiring: ModuleWiring,
+        st: CtxState,
+    }
+
+    impl Rig {
+        fn new(resilience: ResilienceConfig, remote: bool, time_scale: f64) -> Self {
+            let (shared, hub) = bare_shared(RuntimeConfig {
+                resilience,
+                time_scale,
+                ..RuntimeConfig::default()
+            });
+            let wiring = ModuleWiring {
+                name: "m".to_string(),
+                device: "one".to_string(),
+                store: shared.store("one"),
+                nexts: HashMap::new(),
+                services: HashMap::from([(
+                    "svc".to_string(),
+                    (svc_chan("test", "two", "svc"), remote),
+                )]),
+                is_source: false,
+            };
+            let st = CtxState {
+                header: Header::default(),
+                epoch: 0,
+                corr: 0,
+                reply_rx: hub.bind(&reply_chan("test", "m")).unwrap(),
+                lkg: HashMap::new(),
+                jitter: SeededJitter::new(1),
+            };
+            Rig { shared, wiring, st }
+        }
+
+        fn call(
+            &mut self,
+            exec: &FakeExec<'_>,
+            payload: Payload,
+        ) -> Result<ServiceResponse, PipelineError> {
+            let mut ctx = Ctx {
+                exec,
+                shared: &self.shared,
+                wiring: &self.wiring,
+                st: &mut self.st,
+            };
+            ctx.call_service("svc", ServiceRequest::new("op", payload))
+        }
+
+        fn breaker(&self) -> crate::resilience::BreakerSnapshot {
+            self.shared.breakers.lock()["svc"].snapshot()
+        }
+    }
+
+    fn retrying(max_attempts: u32, breaker_failure_threshold: u32) -> ResilienceConfig {
+        let backoff = Duration::from_millis(10);
+        ResilienceConfig {
+            retry: RetryPolicy::exponential(max_attempts, backoff, 4 * backoff).with_jitter(0.0),
+            breaker_failure_threshold,
+            breaker_cooldown: Duration::from_secs(3600),
+            ..ResilienceConfig::default()
+        }
+    }
+
+    #[test]
+    fn retries_stop_at_max_attempts_and_the_final_attempt_moves_the_request() {
+        let mut rig = Rig::new(retrying(3, 0), false, 0.0);
+        let shared = Arc::clone(&rig.shared);
+        let exec = FakeExec::new(&shared, vec![Script::Fail, Script::Fail, Script::Fail]);
+        let err = rig.call(&exec, Payload::Count(1)).unwrap_err();
+        assert!(matches!(err, PipelineError::Service { .. }), "{err:?}");
+        // Earlier attempts share the serialized request with the caller;
+        // the last one is handed the caller's own handle.
+        assert_eq!(*exec.requests_unique.borrow(), [false, false, true]);
+        // Two backoffs between three attempts, none of them slept.
+        let ms = Duration::from_millis;
+        assert_eq!(*exec.pauses.borrow(), [ms(10), ms(20)]);
+    }
+
+    #[test]
+    fn every_attempt_is_exactly_one_breaker_event() {
+        let mut rig = Rig::new(retrying(3, 10), false, 0.0);
+        let shared = Arc::clone(&rig.shared);
+        let script = vec![Script::Fail, Script::Fail, Script::Fail];
+        let exec = FakeExec::new(&shared, script);
+        rig.call(&exec, Payload::Count(1)).unwrap_err();
+        assert_eq!(rig.breaker().consecutive_failures, 3);
+        let exec = FakeExec::new(
+            &shared,
+            vec![Script::Fail, Script::Reply(Payload::Count(2))],
+        );
+        let resp = rig.call(&exec, Payload::Count(1)).unwrap();
+        assert_eq!(resp.payload, Payload::Count(2));
+        assert_eq!(exec.requests(), 2);
+        // Four failures, then one success clears the streak; never opened.
+        assert_eq!(rig.breaker().consecutive_failures, 0);
+        assert_eq!(rig.breaker().opened, 0);
+    }
+
+    #[test]
+    fn stale_and_foreign_replies_are_skipped() {
+        let mut rig = Rig::new(retrying(1, 0), false, 0.0);
+        let shared = Arc::clone(&rig.shared);
+        // Burn corr id 1 so the stale reply can carry it.
+        let exec = FakeExec::new(&shared, vec![Script::Reply(Payload::Empty)]);
+        rig.call(&exec, Payload::Empty).unwrap();
+        let exec = FakeExec::new(&shared, vec![Script::StaleThenReply(Payload::Count(9))]);
+        let resp = rig.call(&exec, Payload::Empty).unwrap();
+        assert_eq!(resp.payload, Payload::Count(9));
+        assert_eq!(exec.requests(), 1);
+    }
+
+    #[test]
+    fn shutdown_short_circuits_without_a_breaker_event_or_a_retry() {
+        let mut rig = Rig::new(retrying(3, 10), false, 0.0);
+        let shared = Arc::clone(&rig.shared);
+        let exec = FakeExec::new(&shared, vec![Script::SilenceThenStop]);
+        let err = rig.call(&exec, Payload::Empty).unwrap_err();
+        assert!(matches!(err, PipelineError::Shutdown), "{err:?}");
+        assert_eq!(exec.requests(), 1);
+        assert!(exec.pauses.borrow().is_empty());
+        assert_eq!(rig.breaker().consecutive_failures, 0);
+    }
+
+    #[test]
+    fn an_open_circuit_serves_last_known_good_only_when_the_policy_says_so() {
+        for (degradation, served) in [
+            (DegradationPolicy::LastKnownGood, true),
+            (DegradationPolicy::DropFrame, false),
+        ] {
+            let resilience = ResilienceConfig {
+                degradation,
+                ..retrying(1, 1)
+            };
+            let mut rig = Rig::new(resilience, false, 0.0);
+            let shared = Arc::clone(&rig.shared);
+            let script = vec![Script::Reply(Payload::Count(7)), Script::Fail];
+            let exec = FakeExec::new(&shared, script);
+            let good = rig.call(&exec, Payload::Empty).unwrap();
+            assert_eq!(good.payload, Payload::Count(7));
+            // The one allowed failure trips the breaker; the failed call
+            // itself already degrades.
+            let failed = rig.call(&exec, Payload::Empty);
+            assert_eq!(failed.is_ok(), served);
+            assert_eq!(rig.breaker().opened, 1);
+            // Open: answered (or refused) without a request leaving.
+            let open = rig.call(&exec, Payload::Empty);
+            assert_eq!(exec.requests(), 2);
+            match open {
+                Ok(resp) => assert!(served && resp.payload == Payload::Count(7)),
+                Err(e) => assert!(!served && matches!(e, PipelineError::CircuitOpen { .. })),
+            }
+        }
+    }
+
+    #[test]
+    fn a_remote_frame_ref_is_encoded_once_across_retries() {
+        let mut rig = Rig::new(retrying(3, 0), true, 1.0);
+        let shared = Arc::clone(&rig.shared);
+        let frame = rig.wiring.store.insert(FrameBuf::new(16, 16).freeze(1, 0));
+        let script = vec![Script::Fail, Script::Fail, Script::Reply(Payload::Empty)];
+        let exec = FakeExec::new(&shared, script);
+        rig.call(&exec, Payload::FrameRef(frame)).unwrap();
+        let stats = rig.wiring.store.stats();
+        assert_eq!((stats.encode_misses, stats.encode_hits), (1, 0));
+        let sent = exec.request_payloads.borrow();
+        assert_eq!(sent.len(), 3);
+        assert!(sent.iter().all(|p| matches!(p, Payload::EncodedFrame(_))));
+        // Modeled time is the driver's to spend: a link transfer out and
+        // back per attempt plus two backoffs, all virtual.
+        assert_eq!(exec.pauses.borrow().len(), 3 * 2 + 2);
+        drop(sent);
+        // The next call for the same frame is a cache hit.
+        let exec = FakeExec::new(&shared, vec![Script::Reply(Payload::Empty)]);
+        rig.call(&exec, Payload::FrameRef(frame)).unwrap();
+        assert_eq!(rig.wiring.store.stats().encode_hits, 1);
+    }
+}

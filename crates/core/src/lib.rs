@@ -33,7 +33,9 @@
 //! * [`reactor`] — the event-driven multi-pipeline executor: one worker
 //!   pool sized to cores runs module steps, service dispatch, pacer ticks
 //!   and watchers as scheduled tasks, so thread count stays O(cores) while
-//!   pipeline count scales to the tens of thousands.
+//!   pipeline count scales to the tens of thousands. Both runtimes drive
+//!   one crate-private engine that owns everything done per message; they
+//!   differ only in when a step runs and how a wait is spent.
 //! * [`slo`] — the per-pipeline SLO feedback controller: windowed-tail
 //!   observation over the metrics histograms, an ordered degradation knob
 //!   lattice, hysteresis and dwell.
@@ -58,6 +60,7 @@
 
 pub mod config;
 pub mod deploy;
+mod engine;
 mod error;
 pub mod flow;
 pub mod health;

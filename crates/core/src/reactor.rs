@@ -46,39 +46,37 @@
 //!   reader threads, no polling interval.
 //!
 //! Thread count is `workers (≈ cores) + 1 I/O (TCP only)`, independent of
-//! pipeline count; there is no timer thread. Two deliberate semantic deltas
-//! from the threaded runtime, both in DESIGN.md §5.11: service dispatch
+//! pipeline count; there is no timer thread.
+//!
+//! What a task *does* with a message — the module step, the service batch,
+//! the pacer's accounting, the watcher ticks — lives in the crate-private
+//! `engine` module, shared with the threaded runtime. This file keeps only
+//! what is genuinely scheduled: tasks, queues, stealing, timers, [`Rearm`],
+//! `Deliver` deferral and the I/O thread. Three deliberate semantic deltas
+//! from the threaded runtime, all in DESIGN.md §5.11: service dispatch
 //! free-drains whatever is queued but never *holds* a partial batch open
-//! (requests accumulate naturally while a batch waits for a worker), and
+//! (requests accumulate naturally while a batch waits for a worker);
 //! per-device `cores` no longer multiplies executor threads — service
-//! parallelism comes from the shared pool.
+//! parallelism comes from the shared pool; and a batch's modeled cost
+//! defers its replies on a timer instead of occupying an executor, so at
+//! `time_scale > 0` a service host's modeled concurrency is unbounded.
 
 use crate::deploy::DeploymentPlan;
+use crate::engine::{self, Exec, HbMonitor, ModuleTask, Pacer, ServiceHost, Shared};
 use crate::error::PipelineError;
-use crate::flow::{CreditController, SourcePacer};
-use crate::health::FailureDetector;
-use crate::message::{Header, Message, Payload};
-use crate::metrics::PipelineMetrics;
-use crate::module::{Event, Module, ModuleCtx, ModuleFactory, ModuleRegistry};
-use crate::resilience::{seed_for, DegradationPolicy, SeededJitter};
-use crate::runtime::{
-    collect_report, fc_chan, hb_chan, mod_chan, panic_message, reply_chan, supervised_batch,
-    EdgeTransport, KnobActuators, ModuleWiring, Router, RunReport, RuntimeConfig, Shared,
-    ShutdownGate, POLL,
-};
-use crate::service::{Service, ServiceRegistry, ServiceRequest, ServiceResponse};
-use crate::slo::{SloAction, SloController};
+use crate::module::ModuleRegistry;
+use crate::runtime::{RunReport, RuntimeConfig, POLL};
+use crate::service::ServiceRegistry;
+use crate::slo::SloController;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use videopipe_media::{codec, FrameStore};
+use videopipe_media::FrameStore;
 use videopipe_net::{
-    InprocHub, InprocReceiver, MessageKind, MsgReceiver, MsgSender, PollEndpoint, Poller, Serviced,
-    WireMessage,
+    InprocReceiver, MsgReceiver, MsgSender, PollEndpoint, Poller, Serviced, WireMessage,
 };
 
 /// Executor knobs for a [`ReactorRuntime`].
@@ -977,13 +975,6 @@ impl Core {
     }
 }
 
-/// Reactor-local service channel: pipeline-scoped so thousands of
-/// pipelines binding the same (device, service) pair on their private
-/// hubs stay disjoint in the reactor's global wake map.
-fn rsvc_chan(pipeline: &str, device: &str, service: &str) -> String {
-    format!("svc/{pipeline}/{device}/{service}")
-}
-
 /// Recurring-timer dedup: tracks the deadline already armed for a task so
 /// message-driven wakes don't flood the timers with duplicate entries. The
 /// shard is the task's home worker: a pipeline's recurring ticks lock only
@@ -1011,509 +1002,80 @@ impl Rearm {
     }
 }
 
-/// Per-module context state that survives across scheduling quanta.
-struct CtxState {
-    header: Header,
-    /// Fence epoch of the event being processed, stamped onto outputs.
-    epoch: u64,
-    corr: u64,
-    reply_rx: InprocReceiver,
-    /// Last successful response per service, in wire form (see `LocalCtx`).
-    lkg: HashMap<String, bytes::Bytes>,
-    /// Deterministic per-module retry jitter stream.
-    jitter: SeededJitter,
-}
-
-/// The [`ModuleCtx`] handed to module handlers on the reactor. Mirrors the
-/// threaded `LocalCtx` except that every wait — service replies, modeled
-/// link transfers, retry backoffs — helps run other ready tasks instead of
+/// The reactor's half of the [`Exec`] seam: a send also wakes the
+/// channel's task, and every wait — service replies, modeled link
+/// transfers, retry backoffs — helps run other ready tasks instead of
 /// parking the worker.
-struct ReactorCtx<'a> {
+struct ReactorExec<'a> {
     core: &'a Core,
+    pipe: &'a PipeRt,
+    /// Helping depth of the task this executor serves.
     depth: usize,
-    pipe: &'a Arc<PipeRt>,
-    pipeline: &'a str,
-    shared: &'a Arc<Shared>,
-    wiring: &'a ModuleWiring,
-    st: &'a mut CtxState,
 }
 
-impl ReactorCtx<'_> {
-    fn store(&self) -> &Arc<FrameStore> {
-        self.shared
-            .stores
-            .get(&self.wiring.device)
-            .expect("device store exists")
+impl Exec for ReactorExec<'_> {
+    fn send(&self, from_device: &str, msg: WireMessage) -> Result<(), PipelineError> {
+        self.core.send_and_wake(self.pipe, from_device, msg)
     }
 
-    /// Emulates a modeled cost by helping until the scaled deadline — the
-    /// wall-clock wait is identical to the threaded runtime's sleep, but
-    /// the worker keeps running other pipelines' tasks meanwhile.
-    fn emulate(&mut self, modeled: Duration) {
-        let scale = self.shared.config.time_scale;
-        if scale > 0.0 {
-            self.core
-                .help_until(self.depth, Instant::now() + modeled.mul_f64(scale));
-        }
-    }
-
-    /// Checks one inbound reply against the outstanding correlation id.
-    /// `None` = stale response to a timed-out attempt; skip it.
-    fn check_reply(
-        &mut self,
-        msg: WireMessage,
-        corr_id: u64,
-        remote: bool,
-        service: &str,
-    ) -> Option<Result<(ServiceResponse, bytes::Bytes), PipelineError>> {
-        if msg.kind != MessageKind::Response || msg.corr_id != corr_id {
+    /// Service tasks are always helpable, so the reply stays reachable even
+    /// on one worker.
+    fn await_reply(&self, rx: &InprocReceiver, until: Instant) -> Option<WireMessage> {
+        if self.core.try_run_one(self.depth + 1) {
             return None;
         }
-        if remote {
-            self.emulate(Duration::from_micros(
-                2_500 + msg.payload.len() as u64 * 8 / 100,
-            ));
-        }
-        let resp = match ServiceResponse::decode(&msg.payload) {
-            Ok(resp) => resp,
-            Err(e) => return Some(Err(e)),
-        };
-        // Executors answer failures with a typed error payload.
-        if let Payload::Error(reason) = &resp.payload {
-            return Some(Err(PipelineError::Service {
-                service: service.to_string(),
-                reason: reason.clone(),
-            }));
-        }
-        Some(Ok((resp, msg.payload)))
+        // Nothing helpable right now: park briefly on the reply channel
+        // itself, so a reply landing mid-park wakes us.
+        let remaining = until.saturating_duration_since(Instant::now());
+        let wait = self.core.cap_nap(remaining.min(HELP_PARK));
+        rx.recv_timeout(wait).ok()
     }
 
-    /// One request/response exchange, bounded by the per-call deadline.
-    /// The wait helps run other ready tasks; service tasks are always
-    /// helpable, so the reply stays reachable even on one worker.
-    fn attempt_service_call(
-        &mut self,
-        service: &str,
-        channel: &str,
-        remote: bool,
-        bytes: bytes::Bytes,
-    ) -> Result<(ServiceResponse, bytes::Bytes), PipelineError> {
-        if remote {
-            // Emulated request transfer (~wifi: 2.5ms + 100Mbit/s).
-            self.emulate(Duration::from_micros(2_500 + bytes.len() as u64 * 8 / 100));
-        }
-        self.st.corr += 1;
-        let corr_id = self.st.corr;
-        self.core.send_and_wake(
-            self.pipe,
-            &self.wiring.device,
-            WireMessage::request(
-                channel.to_string(),
-                reply_chan(self.pipeline, &self.wiring.name),
-                corr_id,
-                bytes,
-            ),
-        )?;
-        let started = Instant::now();
-        let deadline = started + self.shared.config.resilience.service_call_timeout;
-        loop {
-            // Drain anything already delivered.
-            while let Ok(msg) = self.st.reply_rx.try_recv() {
-                if let Some(result) = self.check_reply(msg, corr_id, remote, service) {
-                    return result;
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(PipelineError::Timeout {
-                    service: service.to_string(),
-                    elapsed: started.elapsed(),
-                });
-            }
-            if self.shared.stop.load(Ordering::SeqCst) {
-                return Err(PipelineError::Shutdown);
-            }
-            if !self.core.try_run_one(self.depth + 1) {
-                // Nothing helpable right now: park briefly on the reply
-                // channel itself, so a reply landing mid-park wakes us.
-                let wait = self.core.cap_nap((deadline - now).min(HELP_PARK));
-                if let Ok(msg) = self.st.reply_rx.recv_timeout(wait) {
-                    if let Some(result) = self.check_reply(msg, corr_id, remote, service) {
-                        return result;
-                    }
-                }
-            }
-        }
-    }
-
-    fn breaker_allows(&mut self, service: &str) -> bool {
-        let now_ns = self.shared.now_ns();
-        let mut breakers = self.shared.breakers.lock();
-        breakers
-            .entry(service.to_string())
-            .or_insert_with(|| self.shared.config.resilience.make_breaker())
-            .allow(now_ns)
-    }
-
-    fn breaker_record(&mut self, service: &str, success: bool) {
-        let now_ns = self.shared.now_ns();
-        let mut breakers = self.shared.breakers.lock();
-        let breaker = breakers
-            .entry(service.to_string())
-            .or_insert_with(|| self.shared.config.resilience.make_breaker());
-        if success {
-            breaker.record_success();
-        } else {
-            breaker.record_failure(now_ns);
-        }
-    }
-
-    /// Applies the degradation policy once a call has been abandoned.
-    fn degrade(
-        &mut self,
-        service: &str,
-        err: PipelineError,
-    ) -> Result<ServiceResponse, PipelineError> {
-        if self.shared.config.resilience.degradation == DegradationPolicy::LastKnownGood {
-            if let Some(cached) = self.st.lkg.get(service) {
-                if let Ok(resp) = ServiceResponse::decode(cached) {
-                    return Ok(resp);
-                }
-            }
-        }
-        Err(err)
-    }
-
-    /// Error-path credit return: the frame died in this module, so a
-    /// Control message hands its credit back to the pacer.
-    fn send_fault(&mut self) {
-        let _ = self.core.send_and_wake(
-            self.pipe,
-            &self.wiring.device,
-            WireMessage {
-                kind: MessageKind::Control,
-                channel: fc_chan(self.pipeline),
-                reply_to: String::new(),
-                corr_id: 0,
-                seq: self.st.header.frame_seq,
-                timestamp_ns: self.st.header.capture_ts_ns,
-                epoch: self.st.epoch,
-                payload: bytes::Bytes::new(),
-            },
-        );
-    }
-}
-
-impl ModuleCtx for ReactorCtx<'_> {
-    fn call_service(
-        &mut self,
-        service: &str,
-        mut request: ServiceRequest,
-    ) -> Result<ServiceResponse, PipelineError> {
-        let (channel, remote) = self.wiring.services.get(service).cloned().ok_or_else(|| {
-            PipelineError::ServiceUnavailable {
-                module: self.wiring.name.clone(),
-                service: service.to_string(),
-            }
-        })?;
-        let resilience = self.shared.config.resilience.clone();
-        // Circuit breaker gate: fast-fail while the breaker is open.
-        if resilience.breaker_enabled() && !self.breaker_allows(service) {
-            return self.degrade(
-                service,
-                PipelineError::CircuitOpen {
-                    service: service.to_string(),
-                },
-            );
-        }
-        // Frame references cannot leave their device: encode for remote
-        // calls via the store's transcoding cache (at most once per
-        // (frame, quality); see LocalCtx for the rationale).
-        if remote {
-            if let Payload::FrameRef(id) = request.payload {
-                let encoded = self.store().encoded(id, self.shared.effective_quality())?;
-                request.payload = Payload::EncodedFrame(encoded);
-            }
-        }
-        let mut bytes = request.encode();
-        let max_attempts = resilience.retry.max_attempts.max(1);
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            // Attempts share the serialized request by refcount; the final
-            // attempt moves it instead of cloning.
-            let attempt_bytes = if attempt >= max_attempts {
-                std::mem::take(&mut bytes)
-            } else {
-                bytes.clone()
-            };
-            match self.attempt_service_call(service, &channel, remote, attempt_bytes) {
-                Ok((resp, raw)) => {
-                    if resilience.breaker_enabled() {
-                        self.breaker_record(service, true);
-                    }
-                    if resilience.degradation == DegradationPolicy::LastKnownGood {
-                        self.st.lkg.insert(service.to_string(), raw);
-                    }
-                    return Ok(resp);
-                }
-                Err(PipelineError::Shutdown) => return Err(PipelineError::Shutdown),
-                Err(e) => {
-                    if resilience.breaker_enabled() {
-                        self.breaker_record(service, false);
-                    }
-                    if attempt >= max_attempts {
-                        return self.degrade(service, e);
-                    }
-                    let backoff = resilience.retry.backoff(attempt, &mut self.st.jitter);
-                    if !backoff.is_zero() {
-                        // Backoff by helping, not by occupying the worker.
-                        self.core.help_until(self.depth, Instant::now() + backoff);
-                    }
-                    if self.shared.stop.load(Ordering::SeqCst) {
-                        return Err(PipelineError::Shutdown);
-                    }
-                }
-            }
-        }
-    }
-
-    fn call_module(&mut self, target: &str, mut payload: Payload) -> Result<(), PipelineError> {
-        let (channel, cross_device) = self.wiring.nexts.get(target).cloned().ok_or_else(|| {
-            PipelineError::Validation(format!(
-                "module {:?} has no edge to {target:?}",
-                self.wiring.name
-            ))
-        })?;
-        if cross_device {
-            if let Payload::FrameRef(id) = payload {
-                let encoded = self.store().encoded(id, self.shared.effective_quality())?;
-                payload = Payload::EncodedFrame(encoded);
-            }
-            let bytes = payload.size_hint() as u64;
-            self.emulate(Duration::from_micros(2_500 + bytes * 8 / 100));
-        }
-        self.core.send_and_wake(
-            self.pipe,
-            &self.wiring.device,
-            WireMessage::data(
-                channel.clone(),
-                self.st.header.frame_seq,
-                self.st.header.capture_ts_ns,
-                payload.encode(),
-            )
-            .with_epoch(self.st.epoch),
-        )?;
-        Ok(())
-    }
-
-    fn signal_source(&mut self) -> Result<(), PipelineError> {
-        self.core.send_and_wake(
-            self.pipe,
-            &self.wiring.device,
-            WireMessage {
-                kind: MessageKind::Signal,
-                channel: fc_chan(self.pipeline),
-                reply_to: String::new(),
-                corr_id: 0,
-                seq: self.st.header.frame_seq,
-                timestamp_ns: self.st.header.capture_ts_ns,
-                epoch: self.st.epoch,
-                payload: bytes::Bytes::new(),
-            },
-        )?;
-        Ok(())
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.shared.now_ns()
-    }
-
-    fn module_name(&self) -> &str {
-        &self.wiring.name
-    }
-
-    fn device_name(&self) -> &str {
-        &self.wiring.device
-    }
-
-    fn frame_store(&self) -> &FrameStore {
-        self.shared
-            .stores
-            .get(&self.wiring.device)
-            .expect("device store exists")
-    }
-
-    fn header(&self) -> Header {
-        self.st.header
-    }
-
-    fn set_header(&mut self, header: Header) {
-        self.st.header = header;
-    }
-
-    fn log(&mut self, text: &str) {
-        self.shared
-            .logs
-            .lock()
-            .push(format!("{}: {text}", self.wiring.name));
+    /// The wall-clock wait is identical to the threaded runtime's sleep,
+    /// but the worker keeps running other pipelines' tasks meanwhile.
+    fn pause(&self, dur: Duration) {
+        self.core.help_until(self.depth, Instant::now() + dur);
     }
 }
 
 /// Runs one module instance as a blocking-capable task: drains up to
-/// `module_quantum` inbox messages per run, replicating the threaded
-/// `module_loop` (decode, supervision, checkpointing, error-path credit
-/// return) with a [`ReactorCtx`].
+/// `module_quantum` inbox messages per run.
 struct ModuleRunner {
-    shared: Arc<Shared>,
-    wiring: Arc<ModuleWiring>,
     pipe: Arc<PipeRt>,
-    pipeline: String,
-    inbox: InprocReceiver,
-    instance: Box<dyn Module>,
-    factory: ModuleFactory,
-    st: CtxState,
-    last_checkpoint: Instant,
+    task: ModuleTask,
     rearm: Rearm,
 }
 
 impl TaskRunner for ModuleRunner {
     fn run(&mut self, core: &Core, depth: usize) -> bool {
-        if self.shared.stop.load(Ordering::SeqCst) {
+        let shared = &self.pipe.shared;
+        if shared.stopped() {
             return false;
         }
         // Periodic checkpoint, self-armed on the worker's timers so it fires
         // even while the inbox is quiet.
-        if let Some(period) = self.shared.config.checkpoint_period {
-            if self.last_checkpoint.elapsed() >= period {
-                self.last_checkpoint = Instant::now();
-                if let Some(snap) = self.instance.snapshot() {
-                    self.shared
-                        .checkpoints
-                        .lock()
-                        .insert(self.wiring.name.clone(), snap);
-                }
-            }
-            let at = self.last_checkpoint + period;
+        if let Some(at) = self.task.checkpoint_if_due(shared) {
             self.rearm.ensure(core, at);
         }
-        let quantum = core.cfg.module_quantum.max(1);
-        let ModuleRunner {
-            shared,
-            wiring,
-            pipe,
-            pipeline,
-            inbox,
-            instance,
-            factory,
-            st,
-            ..
-        } = self;
-        let mut ctx = ReactorCtx {
+        let exec = ReactorExec {
             core,
+            pipe: &self.pipe,
             depth,
-            pipe,
-            pipeline,
-            shared,
-            wiring,
-            st,
         };
-        let mut processed = 0;
-        while processed < quantum {
-            if shared.stop.load(Ordering::SeqCst) {
+        for _ in 0..core.cfg.module_quantum.max(1) {
+            if shared.stopped() {
                 return false;
             }
-            let msg = match inbox.try_recv() {
-                Ok(m) => m,
-                Err(_) => break,
+            let Ok(msg) = self.task.inbox.try_recv() else {
+                break;
             };
-            processed += 1;
-            ctx.st.epoch = msg.epoch;
-            let event = match msg.kind {
-                MessageKind::Signal if wiring.is_source => {
-                    ctx.st.header = Header {
-                        frame_seq: msg.seq,
-                        capture_ts_ns: msg.timestamp_ns,
-                    };
-                    Event::FrameTick {
-                        t_ns: msg.timestamp_ns,
-                    }
-                }
-                MessageKind::Data => {
-                    let payload = match Payload::decode(&msg.payload) {
-                        Ok(Payload::EncodedFrame(bytes)) => match codec::decode(&bytes) {
-                            Ok(frame) => Payload::FrameRef(ctx.store().insert(frame)),
-                            Err(e) => {
-                                shared
-                                    .errors
-                                    .lock()
-                                    .push(format!("{}: frame decode failed: {e}", wiring.name));
-                                continue;
-                            }
-                        },
-                        Ok(p) => p,
-                        Err(e) => {
-                            shared
-                                .errors
-                                .lock()
-                                .push(format!("{}: payload decode failed: {e}", wiring.name));
-                            continue;
-                        }
-                    };
-                    ctx.st.header = Header {
-                        frame_seq: msg.seq,
-                        capture_ts_ns: msg.timestamp_ns,
-                    };
-                    Event::Message(Message::new(ctx.st.header, payload))
-                }
-                _ => continue,
-            };
-
-            let start = Instant::now();
-            let result = match catch_unwind(AssertUnwindSafe(|| instance.on_event(event, &mut ctx)))
-            {
-                Ok(result) => result,
-                Err(panic) => {
-                    // Supervision: replace the possibly-poisoned instance
-                    // and keep the task alive. The in-flight frame dies and
-                    // returns its credit through the error path below.
-                    *instance = factory();
-                    let _ = catch_unwind(AssertUnwindSafe(|| instance.init(&mut ctx)));
-                    if let Some(snap) = shared.checkpoints.lock().get(&wiring.name).cloned() {
-                        instance.restore(&snap);
-                    }
-                    shared.restarts.fetch_add(1, Ordering::Relaxed);
-                    Err(PipelineError::Module {
-                        module: wiring.name.clone(),
-                        reason: format!("panicked: {}", panic_message(panic.as_ref())),
-                    })
-                }
-            };
-            let elapsed_ns = start.elapsed().as_nanos() as u64;
-            shared.metrics.lock().record_stage(&wiring.name, elapsed_ns);
-            if let Err(e) = result {
-                // Errors caused by teardown are shutdown artifacts.
-                if shared.stop.load(Ordering::SeqCst) {
-                    continue;
-                }
-                shared.errors.lock().push(format!("{}: {e}", wiring.name));
-                ctx.send_fault();
-            }
+            self.task.step(shared, &exec, msg);
         }
-        inbox.pending() > 0
+        self.task.inbox.pending() > 0
     }
 
     fn finalize(&mut self, _core: &Core) {
-        // Final checkpoint at teardown: a graceful drain hands off the
-        // freshest recoverable state rather than the last periodic tick.
-        if self.shared.config.checkpoint_period.is_some() {
-            if let Some(snap) = self.instance.snapshot() {
-                self.shared
-                    .checkpoints
-                    .lock()
-                    .insert(self.wiring.name.clone(), snap);
-            }
-        }
+        self.task.final_checkpoint(&self.pipe.shared);
     }
 }
 
@@ -1522,157 +1084,45 @@ impl TaskRunner for ModuleRunner {
 /// costs are timer-deferred: the batch is computed eagerly and its replies
 /// wait on a timer, so a slow modeled service never occupies a worker.
 struct ServiceRunner {
-    shared: Arc<Shared>,
     pipe: Arc<PipeRt>,
-    inbox: InprocReceiver,
-    image: Arc<dyn Service>,
-    device: String,
-    speed: f64,
-    host: String,
-}
-
-impl ServiceRunner {
-    fn dispatch(&mut self, core: &Core, msgs: Vec<WireMessage>, queue_depth: u64) {
-        let started = Instant::now();
-        let batch_len = msgs.len() as u64;
-        let store = self.shared.stores.get(&self.device).expect("store");
-
-        // Decode every request up front; failed slots still get a typed
-        // error reply below.
-        let mut slots: Vec<Result<ServiceRequest, PipelineError>> = msgs
-            .iter()
-            .map(|m| ServiceRequest::decode(&m.payload))
-            .collect();
-        let encoded: Vec<(usize, bytes::Bytes)> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| match slot {
-                Ok(req) => match &req.payload {
-                    Payload::EncodedFrame(bytes) => Some((i, bytes.clone())),
-                    _ => None,
-                },
-                Err(_) => None,
-            })
-            .collect();
-        if !encoded.is_empty() {
-            let frames = codec::decode_batch(encoded.iter().map(|(_, b)| b.as_ref()));
-            for ((i, _), result) in encoded.iter().zip(frames) {
-                match result {
-                    Ok(frame) => {
-                        if let Ok(req) = &mut slots[*i] {
-                            req.payload = Payload::FrameRef(store.insert(frame));
-                        }
-                    }
-                    Err(e) => {
-                        self.shared.errors.lock().push(format!(
-                            "service {}: frame decode failed: {e}",
-                            self.image.name()
-                        ));
-                        slots[*i] = Err(PipelineError::Service {
-                            service: self.image.name().to_string(),
-                            reason: format!("frame decode failed: {e}"),
-                        });
-                    }
-                }
-            }
-        }
-
-        // Modeled compute cost for the batch: leading request pays the full
-        // base, followers the amortised batched base (same accounting as
-        // the threaded executor) — but deferred, never slept.
-        let mut modeled = Duration::ZERO;
-        let mut first = true;
-        for (slot, m) in slots.iter().zip(&msgs) {
-            if let Ok(req) = slot {
-                modeled += self.image.cost(req).for_batch_item(first, m.payload.len());
-                first = false;
-            }
-        }
-
-        let responses = supervised_batch(self.image.as_ref(), slots, store);
-        let mut replies: Vec<WireMessage> = Vec::with_capacity(msgs.len());
-        for (m, response) in msgs.iter().zip(responses) {
-            match response {
-                Ok(resp) => replies.push(WireMessage::response_to(m, resp.encode())),
-                Err(e) => {
-                    self.shared
-                        .logs
-                        .lock()
-                        .push(format!("service {}: {e}", self.image.name()));
-                    replies.push(WireMessage::response_to(
-                        m,
-                        ServiceResponse::new(Payload::Error(e.to_string())).encode(),
-                    ));
-                }
-            }
-        }
-
-        // Timer-deferred modeled latency: replies wait on a timer for the
-        // scaled cost instead of a worker sleeping it out.
-        let scale = self.shared.config.time_scale;
-        let deferral = if scale > 0.0 && !modeled.is_zero() {
-            Some(modeled.mul_f64(scale / self.speed.max(1e-6)))
-        } else {
-            None
-        };
-        match deferral {
-            Some(delay) => core.arm(
-                self.pipe.home,
-                Instant::now() + delay,
-                TimerEntry::Deliver {
-                    pipe: Arc::clone(&self.pipe),
-                    from_device: self.device.clone(),
-                    msgs: replies,
-                },
-            ),
-            None => {
-                for msg in replies {
-                    let _ = core.send_and_wake(&self.pipe, &self.device, msg);
-                }
-            }
-        }
-        // Modeled time counts as busy so utilization metrics keep parity
-        // with the threaded executor.
-        let busy = started.elapsed() + deferral.unwrap_or_default();
-        self.shared.metrics.lock().record_dispatch_batch(
-            &self.host,
-            busy.as_nanos() as u64,
-            queue_depth,
-            batch_len,
-        );
-    }
+    host: ServiceHost,
 }
 
 impl TaskRunner for ServiceRunner {
     fn run(&mut self, core: &Core, _depth: usize) -> bool {
-        if self.shared.stop.load(Ordering::SeqCst) {
+        let ServiceRunner { pipe, host } = self;
+        if pipe.shared.stopped() {
             return false;
         }
         for _ in 0..SERVICE_BATCH_QUANTUM {
-            let msg = loop {
-                match self.inbox.try_recv() {
-                    Ok(m) if m.kind == MessageKind::Request => break m,
-                    Ok(_) => continue,
-                    Err(_) => return false,
-                }
+            let Ok(msg) = host.inbox.try_recv() else {
+                return false;
             };
-            let max_batch = self.shared.effective_max_batch(self.image.name());
-            // Backlog sampled BEFORE the free drain empties the queue.
-            let queue_depth = self.inbox.pending() as u64;
-            let mut msgs = vec![msg];
             // Free drain only: no adaptive hold — under reactor scheduling,
             // requests accumulate naturally while this task waits for a
             // worker, which plays the same batching role.
-            while msgs.len() < max_batch {
-                match self.inbox.try_recv() {
-                    Ok(m) if m.kind == MessageKind::Request => msgs.push(m),
-                    Ok(_) => {}
-                    Err(_) => break,
+            let Some((msgs, _, queue_depth)) = host.free_drain(&pipe.shared, msg) else {
+                continue;
+            };
+            let (replies, modeled) = host.serve(&pipe.shared, &msgs, queue_depth);
+            match modeled {
+                Some(delay) => core.arm(
+                    pipe.home,
+                    Instant::now() + delay,
+                    TimerEntry::Deliver {
+                        pipe: Arc::clone(pipe),
+                        from_device: host.device.clone(),
+                        msgs: replies,
+                    },
+                ),
+                None => {
+                    for msg in replies {
+                        let _ = core.send_and_wake(pipe, &host.device, msg);
+                    }
                 }
             }
-            self.dispatch(core, msgs, queue_depth);
         }
-        self.inbox.pending() > 0
+        host.inbox.pending() > 0
     }
 }
 
@@ -1680,252 +1130,62 @@ impl TaskRunner for ServiceRunner {
 /// signals, expires credit leases, fences dead epochs and emits camera
 /// ticks, then re-arms itself on its worker's timers for the next tick.
 struct PacerRunner {
-    shared: Arc<Shared>,
     pipe: Arc<PipeRt>,
-    /// The sources' inbox channels, named once at deploy.
-    source_channels: Vec<String>,
-    source_device: String,
-    fc_inbox: InprocReceiver,
-    pacer: SourcePacer,
-    controller: CreditController,
-    interval: Duration,
-    lease: Option<Duration>,
-    track_outstanding: bool,
-    outstanding: HashMap<u64, Instant>,
-    current_epoch: u64,
-    dedup_window: usize,
-    dedup_order: VecDeque<u64>,
-    dedup_set: HashSet<u64>,
-    next_tick: Instant,
+    pacer: Pacer,
     rearm: Rearm,
-    finalized: bool,
 }
 
 impl TaskRunner for PacerRunner {
-    fn run(&mut self, core: &Core, _depth: usize) -> bool {
-        if self.shared.stop.load(Ordering::SeqCst) {
+    fn run(&mut self, core: &Core, depth: usize) -> bool {
+        let PacerRunner { pipe, pacer, rearm } = self;
+        let shared = &pipe.shared;
+        if shared.stopped() {
             return false;
         }
-        // Epoch bump (confirmed device loss): proactively fault every
-        // outstanding admission so credits return immediately.
-        let fence = self.shared.fence_epoch.load(Ordering::SeqCst);
-        if fence != self.current_epoch {
-            self.current_epoch = fence;
-            let fenced = self.outstanding.len() as u64;
-            for _ in self.outstanding.drain() {
-                self.controller.fault();
-            }
-            if fenced > 0 {
-                self.shared.logs.lock().push(format!(
-                    "pacer: fenced {fenced} in-flight frame(s) at epoch {}",
-                    self.current_epoch
-                ));
-            }
+        pacer.check_fence(shared);
+        while let Ok(msg) = pacer.fc_inbox.try_recv() {
+            pacer.on_signal(shared, &msg);
         }
-        // Drain completion signals (identical accounting to pacer_loop).
-        while let Ok(msg) = self.fc_inbox.try_recv() {
-            if self.dedup_window > 0
-                && msg.kind == MessageKind::Signal
-                && self.dedup_set.contains(&msg.seq)
-            {
-                continue;
-            }
-            let known = !self.track_outstanding || self.outstanding.remove(&msg.seq).is_some();
-            let fenced = msg.epoch != self.current_epoch;
-            match msg.kind {
-                MessageKind::Signal if known && !fenced => {
-                    self.controller.complete();
-                    if self.dedup_window > 0 {
-                        if self.dedup_order.len() == self.dedup_window {
-                            if let Some(old) = self.dedup_order.pop_front() {
-                                self.dedup_set.remove(&old);
-                            }
-                        }
-                        self.dedup_order.push_back(msg.seq);
-                        self.dedup_set.insert(msg.seq);
-                    }
-                    let now_ns = self.shared.now_ns();
-                    let latency = now_ns.saturating_sub(msg.timestamp_ns);
-                    self.shared.metrics.lock().record_delivery(now_ns, latency);
-                    self.shared.deliveries.fetch_add(1, Ordering::Relaxed);
-                }
-                MessageKind::Signal if known => self.controller.fault(),
-                MessageKind::Control if known => self.controller.fault(),
-                _ => {}
-            }
-        }
-        // Expire credit leases (checked once per run, same cadence as the
-        // threaded pacer's once-per-tick check).
-        if let Some(timeout) = self.lease {
-            let now = Instant::now();
-            let expired: Vec<u64> = self
-                .outstanding
-                .iter()
-                .filter(|(_, admitted_at)| now.duration_since(**admitted_at) > timeout)
-                .map(|(seq, _)| *seq)
-                .collect();
-            for seq in expired {
-                self.outstanding.remove(&seq);
-                self.controller.fault();
-                self.shared
-                    .errors
-                    .lock()
-                    .push(format!("pacer: credit lease expired for frame {seq}"));
-            }
-        }
+        // Checked once per run, the same cadence as the threaded pacer's
+        // once-per-tick check.
+        pacer.expire_leases(shared);
         // Camera ticks due now (catch-up preserves threaded semantics).
-        while Instant::now() >= self.next_tick {
-            if self.shared.stop.load(Ordering::SeqCst) {
+        let exec = ReactorExec { core, pipe, depth };
+        while Instant::now() >= pacer.next_tick {
+            if shared.stopped() {
                 return false;
             }
-            self.pacer.advance();
-            self.next_tick += self.interval;
-            let stride = self.shared.knobs.admit_stride();
-            let sampled_out = stride > 1 && !self.pacer.ticks().is_multiple_of(stride);
-            let admitted = !sampled_out && self.controller.try_admit();
-            {
-                let mut metrics = self.shared.metrics.lock();
-                metrics.frames_offered = metrics.frames_offered.saturating_add(1);
-                if !admitted {
-                    metrics.frames_dropped = metrics.frames_dropped.saturating_add(1);
-                }
-            }
-            if admitted {
-                if self.track_outstanding {
-                    self.outstanding.insert(self.pacer.ticks(), Instant::now());
-                }
-                let t_ns = self.shared.now_ns();
-                for channel in &self.source_channels {
-                    let _ = core.send_and_wake(
-                        &self.pipe,
-                        &self.source_device,
-                        WireMessage {
-                            kind: MessageKind::Signal,
-                            channel: channel.clone(),
-                            reply_to: String::new(),
-                            corr_id: 0,
-                            seq: self.pacer.ticks(),
-                            timestamp_ns: t_ns,
-                            epoch: self.current_epoch,
-                            payload: bytes::Bytes::new(),
-                        },
-                    );
-                }
-            }
+            pacer.tick(shared, &exec);
         }
-        self.rearm.ensure(core, self.next_tick);
+        rearm.ensure(core, pacer.next_tick);
         false
     }
 
     fn finalize(&mut self, _core: &Core) {
-        // Final credit accounting (admitted == delivered + faulted +
-        // in-flight), exactly once.
-        if !self.finalized {
-            self.finalized = true;
-            let mut metrics = self.shared.metrics.lock();
-            metrics.frames_admitted = self.controller.admitted();
-            metrics.frames_faulted = self.controller.faulted();
-            metrics.in_flight_at_end = self.controller.in_flight();
-        }
+        self.pacer.finalize(&self.pipe.shared);
     }
 }
 
-/// The SLO feedback controller as a self-rearming timer task (was a
-/// dedicated `slo-<pipeline>` thread).
-struct SloRunner {
-    shared: Arc<Shared>,
-    controller: SloController,
-    interval: Duration,
-    target_ms: f64,
-    next_at: Instant,
-    rearm: Rearm,
-}
-
-impl TaskRunner for SloRunner {
-    fn run(&mut self, core: &Core, _depth: usize) -> bool {
-        if self.shared.stop.load(Ordering::SeqCst) {
-            return false;
-        }
-        let now = Instant::now();
-        if now >= self.next_at {
-            self.next_at = now + self.interval;
-            let (hist, queue_max) = {
-                let metrics = self.shared.metrics.lock();
-                let q = metrics
-                    .dispatch
-                    .values()
-                    .map(|d| d.max_queue_depth)
-                    .max()
-                    .unwrap_or(0);
-                (metrics.end_to_end.clone(), q)
-            };
-            let action = self
-                .controller
-                .observe(self.shared.now_ns(), &hist, queue_max);
-            if action != SloAction::Hold {
-                let level = self.controller.level();
-                self.shared.knobs.apply(self.controller.settings(), level);
-                self.shared
-                    .knobs
-                    .moves
-                    .store(self.controller.moves(), Ordering::Relaxed);
-                self.shared
-                    .knobs
-                    .flaps
-                    .store(self.controller.flaps(), Ordering::Relaxed);
-                let dir = match action {
-                    SloAction::StepDown { .. } => "down",
-                    _ => "up",
-                };
-                self.shared.logs.lock().push(format!(
-                    "slo: step {dir} to level {level} \
-                     (window p99 {:.1} ms vs target {:.1} ms, {:?})",
-                    self.controller.last_window_p99_ns() as f64 / 1e6,
-                    self.target_ms,
-                    self.controller.settings(),
-                ));
-            }
-        }
-        self.rearm.ensure(core, self.next_at);
-        false
-    }
-}
-
-/// One device's heartbeat sender as a self-rearming timer task.
-struct HbBeatRunner {
-    shared: Arc<Shared>,
+/// A watcher (SLO controller, heartbeat sender, telemetry publisher) as a
+/// self-rearming timer task: runs `tick` each time `interval` has elapsed.
+struct IntervalRunner<F> {
     pipe: Arc<PipeRt>,
-    device: String,
-    channel: String,
     interval: Duration,
     next_at: Instant,
     rearm: Rearm,
+    tick: F,
 }
 
-impl TaskRunner for HbBeatRunner {
-    fn run(&mut self, core: &Core, _depth: usize) -> bool {
-        if self.shared.stop.load(Ordering::SeqCst) {
+impl<F: FnMut(&Shared, &ReactorExec<'_>) + Send> TaskRunner for IntervalRunner<F> {
+    fn run(&mut self, core: &Core, depth: usize) -> bool {
+        let pipe = &*self.pipe;
+        if pipe.shared.stopped() {
             return false;
         }
         let now = Instant::now();
         if now >= self.next_at {
             self.next_at = now + self.interval;
-            if !self.shared.muted_heartbeats.lock().contains(&self.device) {
-                let _ = core.send_and_wake(
-                    &self.pipe,
-                    &self.device,
-                    WireMessage {
-                        kind: MessageKind::Control,
-                        channel: self.channel.clone(),
-                        reply_to: String::new(),
-                        corr_id: 0,
-                        seq: 0,
-                        timestamp_ns: self.shared.now_ns(),
-                        epoch: 0,
-                        payload: bytes::Bytes::copy_from_slice(self.device.as_bytes()),
-                    },
-                );
-            }
+            (self.tick)(&pipe.shared, &ReactorExec { core, pipe, depth });
         }
         self.rearm.ensure(core, self.next_at);
         false
@@ -1935,77 +1195,25 @@ impl TaskRunner for HbBeatRunner {
 /// The heartbeat monitor as a task: woken by each beat (channel notify)
 /// and by a periodic sweep that walks suspicion to confirmed loss.
 struct HbMonitorRunner {
-    shared: Arc<Shared>,
-    inbox: InprocReceiver,
-    confirmed: HashSet<String>,
-    sweep: Duration,
+    pipe: Arc<PipeRt>,
+    monitor: HbMonitor,
     next_at: Instant,
     rearm: Rearm,
 }
 
 impl TaskRunner for HbMonitorRunner {
     fn run(&mut self, core: &Core, _depth: usize) -> bool {
-        if self.shared.stop.load(Ordering::SeqCst) {
+        let shared = &self.pipe.shared;
+        if shared.stopped() {
             return false;
         }
-        while let Ok(msg) = self.inbox.try_recv() {
-            if msg.kind == MessageKind::Control {
-                if let Ok(device) = std::str::from_utf8(&msg.payload) {
-                    if let Some(d) = self.shared.detector.lock().as_mut() {
-                        d.record_heartbeat(device, self.shared.now_ns());
-                    }
-                }
-            }
+        while let Ok(msg) = self.monitor.inbox.try_recv() {
+            self.monitor.on_beat(shared, &msg);
         }
-        let now_ns = self.shared.now_ns();
-        let dead = match self.shared.detector.lock().as_ref() {
-            Some(d) => d.dead_devices(now_ns),
-            None => Vec::new(),
-        };
-        for device in dead {
-            if self.confirmed.insert(device.clone()) {
-                let epoch = self.shared.fence_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-                self.shared.logs.lock().push(format!(
-                    "monitor: device {device} confirmed dead; fencing epoch {epoch}"
-                ));
-            }
-        }
+        self.monitor.sweep(shared);
         let now = Instant::now();
         if now >= self.next_at {
-            self.next_at = now + self.sweep;
-        }
-        self.rearm.ensure(core, self.next_at);
-        false
-    }
-}
-
-/// The telemetry publisher as a self-rearming timer task.
-struct TelemetryRunner {
-    shared: Arc<Shared>,
-    pipeline: String,
-    interval: Duration,
-    next_at: Instant,
-    rearm: Rearm,
-}
-
-impl TaskRunner for TelemetryRunner {
-    fn run(&mut self, core: &Core, _depth: usize) -> bool {
-        if self.shared.stop.load(Ordering::SeqCst) {
-            return false;
-        }
-        let now = Instant::now();
-        if now >= self.next_at {
-            self.next_at = now + self.interval;
-            let mut snapshot = {
-                let metrics = self.shared.metrics.lock();
-                crate::telemetry::TelemetrySnapshot::from_metrics(
-                    &self.pipeline,
-                    self.shared.now_ns(),
-                    &metrics,
-                )
-            };
-            snapshot.slo_level = self.shared.knobs.level.load(Ordering::Relaxed) as u64;
-            snapshot.publish(&self.shared.hub);
+            self.next_at = now + POLL;
         }
         self.rearm.ensure(core, self.next_at);
         false
@@ -2131,6 +1339,40 @@ impl ReactorRuntime {
         pipe.staging.lock().insert(channel, task);
     }
 
+    /// Registers a non-blocking task that re-arms itself on its home
+    /// worker's timers, and returns its id for the initial wake.
+    fn register_timed(
+        &self,
+        home: usize,
+        runner: impl FnOnce(Rearm) -> Box<dyn TaskRunner>,
+    ) -> (usize, Arc<Task>) {
+        let id = self.next_task_id();
+        (
+            id,
+            self.register_task(home, false, runner(Rearm::new(id, home))),
+        )
+    }
+
+    /// Registers a watcher ticking every `interval`, first at `first_at`.
+    fn register_interval(
+        &self,
+        pipe: &Arc<PipeRt>,
+        interval: Duration,
+        first_at: Instant,
+        tick: impl FnMut(&Shared, &ReactorExec<'_>) + Send + 'static,
+    ) -> usize {
+        let (id, _) = self.register_timed(pipe.home, |rearm| {
+            Box::new(IntervalRunner {
+                pipe: Arc::clone(pipe),
+                interval,
+                next_at: first_at,
+                rearm,
+                tick,
+            })
+        });
+        id
+    }
+
     /// Deploys one more pipeline onto the shared reactor and returns its
     /// pipeline id (index into the reports from [`ReactorRuntime::finish`]).
     ///
@@ -2150,361 +1392,130 @@ impl ReactorRuntime {
         services: &ServiceRegistry,
         config: RuntimeConfig,
     ) -> Result<usize, PipelineError> {
-        config.validate()?;
+        // In `Tcp` mode every device gets a *non-blocking* ingress socket
+        // registered with the reactor's single I/O thread.
+        let mut io_endpoints = Vec::new();
+        let shared = Shared::deploy(
+            plan,
+            config,
+            || FrameStore::with_capacity(REACTOR_STORE_CAPACITY),
+            || {
+                let pool = Arc::clone(&self.ingress_pool);
+                let endpoint = PollEndpoint::bind_with_pool("127.0.0.1:0", pool)?;
+                let port = endpoint.local_port();
+                io_endpoints.push(endpoint);
+                Ok(port)
+            },
+        )?;
         let pipeline_id = self.pipeline_names.len();
         let first_task_id = self.next_task_id();
-        let pipeline = plan.pipeline.name.clone();
-        let hub = InprocHub::new();
-        let mut stores = HashMap::new();
-        for d in &plan.devices {
-            stores.insert(
-                d.name.clone(),
-                Arc::new(FrameStore::with_capacity(REACTOR_STORE_CAPACITY)),
-            );
-        }
-        let source_device = plan
-            .pipeline
-            .sources()
-            .first()
-            .and_then(|s| plan.placement.device_for(&s.name))
-            .ok_or_else(|| PipelineError::Deploy("pipeline has no placed source".into()))?
-            .to_string();
-
-        // Router: in `Tcp` mode every device gets a *non-blocking* ingress
-        // socket registered with the reactor's single I/O thread.
-        let mut io_endpoints = Vec::new();
-        let router = match config.transport {
-            EdgeTransport::Inproc => Router::inproc(hub.clone()),
-            EdgeTransport::Tcp => {
-                let mut channel_device = HashMap::new();
-                for m in &plan.pipeline.modules {
-                    let device = plan
-                        .placement
-                        .device_for(&m.name)
-                        .ok_or_else(|| {
-                            PipelineError::Deploy(format!("module {:?} unplaced", m.name))
-                        })?
-                        .to_string();
-                    channel_device.insert(mod_chan(&pipeline, &m.name), device.clone());
-                    channel_device.insert(reply_chan(&pipeline, &m.name), device);
-                }
-                for b in &plan.service_bindings {
-                    channel_device.insert(
-                        rsvc_chan(&pipeline, &b.device, &b.service),
-                        b.device.clone(),
-                    );
-                }
-                channel_device.insert(fc_chan(&pipeline), source_device.clone());
-                channel_device.insert(hb_chan(&pipeline), source_device.clone());
-
-                let mut tcp_peers = HashMap::new();
-                for d in &plan.devices {
-                    let endpoint = PollEndpoint::bind_with_pool(
-                        "127.0.0.1:0",
-                        Arc::clone(&self.ingress_pool),
-                    )?;
-                    let addr = format!("127.0.0.1:{}", endpoint.local_port());
-                    let sender = videopipe_net::tcp::TcpSender::connect_retry(
-                        &addr,
-                        Duration::from_secs(5),
-                    )?
-                    .with_reconnect(videopipe_net::tcp::ReconnectPolicy::default());
-                    tcp_peers.insert(d.name.clone(), Arc::new(sender));
-                    io_endpoints.push(endpoint);
-                }
-                Router {
-                    hub: hub.clone(),
-                    channel_device,
-                    tcp_peers,
-                }
-            }
-        };
-
-        let shared = Arc::new(Shared {
-            hub: hub.clone(),
-            router,
-            stores,
-            metrics: Mutex::new(PipelineMetrics::new()),
-            logs: Mutex::new(Vec::new()),
-            errors: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            epoch: Instant::now(),
-            deliveries: AtomicU64::new(0),
-            config: config.clone(),
-            breakers: Mutex::new(HashMap::new()),
-            restarts: AtomicU64::new(0),
-            fence_epoch: AtomicU64::new(0),
-            detector: Mutex::new(config.heartbeats.clone().map(|h| {
-                let mut d = FailureDetector::new(h);
-                for dev in &plan.devices {
-                    d.expect(&dev.name, 0);
-                }
-                d
-            })),
-            checkpoints: Mutex::new(HashMap::new()),
-            muted_heartbeats: Mutex::new(HashSet::new()),
-            knobs: KnobActuators::baseline(),
-            gate: ShutdownGate::new(),
-        });
         // Pipeline affinity: home worker for every task of this pipeline.
         // Round-robin over workers by default spreads the fleet evenly;
         // `affinity` pins everything for scheduling experiments.
         let home = self.core.cfg.affinity.unwrap_or(pipeline_id) % self.core.workers.len();
         let pipe = Arc::new(PipeRt {
             home,
-            shared: Arc::clone(&shared),
+            shared,
             notify: std::sync::OnceLock::new(),
             staging: Mutex::new(HashMap::new()),
         });
+        let shared = &pipe.shared;
         self.core.pipelines.write().push(Arc::clone(&pipe));
         if !io_endpoints.is_empty() {
             self.register_ingress(&pipe, io_endpoints)?;
         }
         let mut initial_wakes = Vec::new();
+        let channel_of = |inbox: &InprocReceiver| inbox.channel().to_string();
 
         // --- Service hosts: one task per (device, service) actually bound.
         // Concurrency across hosts comes from the shared worker pool, so
         // per-device `cores` no longer multiplies threads.
-        let mut hosted: Vec<(String, String)> = plan
-            .service_bindings
-            .iter()
-            .map(|b| (b.device.clone(), b.service.clone()))
-            .collect();
-        hosted.sort();
-        hosted.dedup();
-        for (device, service) in hosted {
-            let image = services.get(&service).ok_or_else(|| {
-                PipelineError::Deploy(format!("service image {service:?} not registered"))
-            })?;
-            let dev_spec = plan
-                .device(&device)
-                .ok_or_else(|| PipelineError::Deploy(format!("unknown device {device:?}")))?;
-            let speed = dev_spec.speed_factor.max(1e-6);
-            let chan = rsvc_chan(&pipeline, &device, &service);
-            let inbox = hub.bind(&chan)?;
-            let host = format!("{device}/{}", image.name());
-            let task = self.register_task(
-                home,
-                false,
-                Box::new(ServiceRunner {
-                    shared: Arc::clone(&shared),
-                    pipe: Arc::clone(&pipe),
-                    inbox,
-                    image,
-                    device,
-                    speed,
-                    host,
-                }),
-            );
-            self.map_channel(&pipe, chan, task);
-        }
-
-        // --- Modules: one blocking-capable task each.
-        let source_names: Vec<String> = plan
-            .pipeline
-            .sources()
-            .iter()
-            .map(|m| m.name.clone())
-            .collect();
-        let sink_names: Vec<String> = plan
-            .pipeline
-            .sinks()
-            .iter()
-            .map(|m| m.name.clone())
-            .collect();
-        for m in &plan.pipeline.modules {
-            let device = plan
-                .placement
-                .device_for(&m.name)
-                .ok_or_else(|| PipelineError::Deploy(format!("module {:?} unplaced", m.name)))?
-                .to_string();
-            let mut nexts = HashMap::new();
-            for edge in plan.edges.iter().filter(|e| e.from == m.name) {
-                nexts.insert(
-                    edge.to.clone(),
-                    (mod_chan(&pipeline, &edge.to), edge.cross_device),
-                );
-            }
-            let mut svc_map = HashMap::new();
-            for b in plan.service_bindings.iter().filter(|b| b.module == m.name) {
-                svc_map.insert(
-                    b.service.clone(),
-                    (rsvc_chan(&pipeline, &b.device, &b.service), b.remote),
-                );
-            }
-            let wiring = Arc::new(ModuleWiring {
-                name: m.name.clone(),
-                device,
-                nexts,
-                services: svc_map,
-                is_source: source_names.contains(&m.name),
-                is_sink: sink_names.contains(&m.name),
-            });
-            let chan = mod_chan(&pipeline, &m.name);
-            let inbox = hub.bind(&chan)?;
-            let reply_rx = hub.bind(&reply_chan(&pipeline, &m.name))?;
-            let factory = modules.factory(&m.include)?;
-            let mut instance = modules.instantiate(&m.include)?;
-            let mut st = CtxState {
-                header: Header::default(),
-                epoch: 0,
-                corr: 0,
-                reply_rx,
-                lkg: HashMap::new(),
-                jitter: SeededJitter::new(seed_for(config.resilience.seed, &m.name)),
+        for host in ServiceHost::deploy_all(shared, plan, services)? {
+            let chan = channel_of(&host.inbox);
+            let pipe_rt = Arc::clone(&pipe);
+            let runner = ServiceRunner {
+                pipe: pipe_rt,
+                host,
             };
-            {
-                // Init runs inline at deploy, with service tasks already
-                // registered so init-time service calls can be helped.
-                let mut ctx = ReactorCtx {
-                    core: &self.core,
-                    depth: 0,
-                    pipe: &pipe,
-                    pipeline: &pipeline,
-                    shared: &shared,
-                    wiring: &wiring,
-                    st: &mut st,
-                };
-                instance.init(&mut ctx)?;
-            }
-            let id = self.next_task_id();
-            let task = self.register_task(
-                home,
-                true,
-                Box::new(ModuleRunner {
-                    shared: Arc::clone(&shared),
-                    wiring,
-                    pipe: Arc::clone(&pipe),
-                    pipeline: pipeline.clone(),
-                    inbox,
-                    instance,
-                    factory,
-                    st,
-                    last_checkpoint: Instant::now(),
-                    rearm: Rearm::new(id, home),
-                }),
-            );
+            let task = self.register_task(home, false, Box::new(runner));
             self.map_channel(&pipe, chan, task);
-            if config.checkpoint_period.is_some() {
-                initial_wakes.push(id);
-            }
         }
 
-        // --- SLO controller task (was a thread).
-        if let Some(slo_cfg) = config.slo.clone() {
-            let controller = SloController::new(slo_cfg);
-            let interval = controller.config().interval;
-            let target_ms = controller.config().slo.p99.as_secs_f64() * 1e3;
+        // --- Modules: one blocking-capable task each. Init runs inline at
+        // deploy, with service tasks already registered so init-time
+        // service calls can be helped.
+        for m in &plan.pipeline.modules {
+            let exec = ReactorExec {
+                core: &self.core,
+                pipe: &pipe,
+                depth: 0,
+            };
+            let task = ModuleTask::deploy(shared, &exec, plan, m, modules)?;
+            let chan = channel_of(&task.inbox);
             let id = self.next_task_id();
-            self.register_task(
-                home,
-                false,
-                Box::new(SloRunner {
-                    shared: Arc::clone(&shared),
-                    controller,
-                    interval,
-                    target_ms,
-                    next_at: Instant::now() + interval,
-                    rearm: Rearm::new(id, home),
-                }),
-            );
-            initial_wakes.push(id);
-        }
-
-        // --- Health layer tasks (were one thread per device + a monitor).
-        if let Some(health) = config.heartbeats.clone() {
-            let hb_channel = hb_chan(&pipeline);
-            let hb_inbox = hub.bind(&hb_channel)?;
-            for d in &plan.devices {
-                let id = self.next_task_id();
-                self.register_task(
-                    home,
-                    false,
-                    Box::new(HbBeatRunner {
-                        shared: Arc::clone(&shared),
-                        pipe: Arc::clone(&pipe),
-                        device: d.name.clone(),
-                        channel: hb_channel.clone(),
-                        interval: health.heartbeat_interval,
-                        next_at: Instant::now(),
-                        rearm: Rearm::new(id, home),
-                    }),
-                );
-                initial_wakes.push(id);
-            }
-            let id = self.next_task_id();
-            let task = self.register_task(
-                home,
-                false,
-                Box::new(HbMonitorRunner {
-                    shared: Arc::clone(&shared),
-                    inbox: hb_inbox,
-                    confirmed: HashSet::new(),
-                    sweep: POLL,
-                    next_at: Instant::now(),
-                    rearm: Rearm::new(id, home),
-                }),
-            );
-            self.map_channel(&pipe, hb_channel, task);
-            initial_wakes.push(id);
-        }
-
-        // --- Telemetry publisher task (was a thread).
-        if let Some(interval) = config.telemetry_interval {
-            let id = self.next_task_id();
-            self.register_task(
-                home,
-                false,
-                Box::new(TelemetryRunner {
-                    shared: Arc::clone(&shared),
-                    pipeline: pipeline.clone(),
-                    interval,
-                    next_at: Instant::now() + interval,
-                    rearm: Rearm::new(id, home),
-                }),
-            );
-            initial_wakes.push(id);
-        }
-
-        // --- Pacer task (was a thread). Its first run fires the first
-        // camera tick immediately, matching the threaded pacer.
-        let fc_channel = fc_chan(&pipeline);
-        let fc_inbox = hub.bind(&fc_channel)?;
-        let pacer = SourcePacer::new(config.fps);
-        let interval = Duration::from_nanos(pacer.interval_ns());
-        let id = self.next_task_id();
-        let task = self.register_task(
-            home,
-            false,
-            Box::new(PacerRunner {
-                shared: Arc::clone(&shared),
+            let runner = ModuleRunner {
                 pipe: Arc::clone(&pipe),
-                source_channels: source_names
-                    .iter()
-                    .map(|source| mod_chan(&pipeline, source))
-                    .collect(),
-                source_device,
-                fc_inbox,
-                pacer,
-                controller: CreditController::new(config.credits),
-                interval,
-                lease: config.resilience.credit_timeout,
-                track_outstanding: config.resilience.credit_timeout.is_some()
-                    || config.heartbeats.is_some(),
-                outstanding: HashMap::new(),
-                current_epoch: 0,
-                dedup_window: config.dedup_window,
-                dedup_order: VecDeque::with_capacity(config.dedup_window),
-                dedup_set: HashSet::with_capacity(config.dedup_window),
-                next_tick: Instant::now(),
+                task,
                 rearm: Rearm::new(id, home),
-                finalized: false,
-            }),
-        );
-        self.map_channel(&pipe, fc_channel, task);
+            };
+            let task = self.register_task(home, true, Box::new(runner));
+            self.map_channel(&pipe, chan, task);
+            if shared.config.checkpoint_period.is_some() {
+                initial_wakes.push(id);
+            }
+        }
+
+        // --- Watchers (threads of their own on the threaded runtime).
+        let now = Instant::now();
+        if let Some(slo_cfg) = shared.config.slo.clone() {
+            let mut slo = SloController::new(slo_cfg);
+            let interval = slo.config().interval;
+            let tick =
+                move |shared: &Shared, _: &ReactorExec<'_>| engine::slo_tick(&mut slo, shared);
+            initial_wakes.push(self.register_interval(&pipe, interval, now + interval, tick));
+        }
+        if let Some(health) = &shared.config.heartbeats {
+            let monitor = HbMonitor::deploy(shared)?;
+            for d in &plan.devices {
+                let device = d.name.clone();
+                let beat = move |shared: &Shared, exec: &ReactorExec<'_>| {
+                    engine::heartbeat(shared, exec, &device)
+                };
+                let interval = health.heartbeat_interval;
+                initial_wakes.push(self.register_interval(&pipe, interval, now, beat));
+            }
+            let chan = channel_of(&monitor.inbox);
+            let (id, task) = self.register_timed(home, |rearm| {
+                Box::new(HbMonitorRunner {
+                    pipe: Arc::clone(&pipe),
+                    monitor,
+                    next_at: now,
+                    rearm,
+                })
+            });
+            self.map_channel(&pipe, chan, task);
+            initial_wakes.push(id);
+        }
+        if let Some(interval) = shared.config.telemetry_interval {
+            let publish = |shared: &Shared, _: &ReactorExec<'_>| engine::publish_telemetry(shared);
+            initial_wakes.push(self.register_interval(&pipe, interval, now + interval, publish));
+        }
+
+        // --- Pacer task. Its first run fires the first camera tick
+        // immediately, matching the threaded pacer.
+        let pacer = Pacer::deploy(shared)?;
+        let chan = channel_of(&pacer.fc_inbox);
+        let (id, task) = self.register_timed(home, |rearm| {
+            Box::new(PacerRunner {
+                pipe: Arc::clone(&pipe),
+                pacer,
+                rearm,
+            })
+        });
+        self.map_channel(&pipe, chan, task);
         initial_wakes.push(id);
 
-        self.pipeline_names.push(pipeline);
+        self.pipeline_names.push(shared.pipeline.clone());
         self.task_ranges.push((first_task_id, self.next_task_id()));
         // Freeze the staging notify map into the immutable snapshot:
         // every steady-state send is now a lock-free HashMap probe.
@@ -2612,7 +1623,7 @@ impl ReactorRuntime {
             .pipelines
             .read()
             .get(id)
-            .map(|p| collect_report(&p.shared))
+            .map(|p| p.shared.report())
     }
 
     /// Chaos hook: silences `device`'s heartbeat sender on pipeline `id`
@@ -2650,7 +1661,7 @@ impl ReactorRuntime {
         pipelines
             .iter()
             .map(|p| {
-                let mut report = collect_report(&p.shared);
+                let mut report = p.shared.report();
                 report.scheduler = sched.clone();
                 report
             })
@@ -2704,8 +1715,10 @@ impl std::fmt::Debug for ReactorRuntime {
 mod tests {
     use super::*;
     use crate::deploy::{plan, DeviceSpec, Placement};
+    use crate::message::Payload;
     use crate::module::{Event, Module, ModuleCtx, ModuleRegistry};
-    use crate::service::{Service, ServiceCost, ServiceRegistry};
+    use crate::runtime::EdgeTransport;
+    use crate::service::{Service, ServiceCost, ServiceRegistry, ServiceRequest, ServiceResponse};
     use crate::spec::{ModuleSpec, PipelineSpec};
     use videopipe_media::{Frame, FrameBuf};
 

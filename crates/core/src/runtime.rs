@@ -1,4 +1,5 @@
-//! The local threaded runtime: executes a [`DeploymentPlan`] for real.
+//! The local threaded runtime: executes a [`DeploymentPlan`] for real, one
+//! OS thread per task — the paper's design, literally.
 //!
 //! Every module gets its own thread and inbox (the analogue of the paper's
 //! per-module Duktape context); services run executor-pool threads on their
@@ -8,31 +9,33 @@
 //! and cross-device edges transparently encode/decode frames, exactly as
 //! the paper's ZeroMQ data path does.
 //!
+//! What those threads *do* per message lives in the crate-private `engine`
+//! module, shared with the reactor. This file keeps only what is genuinely
+//! threaded: spawning a thread per task, blocking on inboxes in [`POLL`]
+//! slices, the executor's adaptive partial-batch hold (DESIGN.md §5.7), the
+//! `TcpListenerHandle` ingress pumps and [`ShutdownGate`] parking — plus the
+//! configuration and report types both runtimes share.
+//!
 //! Timing fidelity (Wi-Fi latency, heavyweight inference) is the simulator's
 //! job; the local runtime optionally *emulates* modeled costs with scaled
 //! sleeps so demos behave realistically, but the evaluation harness uses
 //! `videopipe-sim` for calibrated, deterministic numbers.
 
 use crate::deploy::DeploymentPlan;
+use crate::engine::{self, Exec, HbMonitor, ModuleTask, Pacer, ServiceHost, Shared};
 use crate::error::PipelineError;
-use crate::flow::{CreditController, SourcePacer};
-use crate::health::{DeviceStatus, FailureDetector, HealthConfig};
-use crate::message::{Header, Message, Payload};
+use crate::health::{DeviceStatus, HealthConfig};
 use crate::metrics::PipelineMetrics;
-use crate::module::{Event, Module, ModuleCtx, ModuleFactory, ModuleRegistry};
-use crate::resilience::{
-    seed_for, BreakerSnapshot, CircuitBreaker, DegradationPolicy, ResilienceConfig, SeededJitter,
-};
-use crate::service::{Service, ServiceRegistry, ServiceRequest, ServiceResponse};
-use crate::slo::{KnobSettings, SloAction, SloConfig, SloController};
-use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use crate::module::ModuleRegistry;
+use crate::resilience::{BreakerSnapshot, ResilienceConfig};
+use crate::service::ServiceRegistry;
+use crate::slo::{SloConfig, SloController};
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use videopipe_media::{codec, FrameStore};
-use videopipe_net::{InprocHub, MessageKind, MsgReceiver, MsgSender, WireMessage};
+use videopipe_net::{InprocReceiver, MsgReceiver, MsgSender, WireMessage};
 
 /// How cross-device traffic travels in the local runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -239,45 +242,6 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Routes a message to its destination channel: in-process when the
-/// destination lives on the sender's device (or in `Inproc` mode), over the
-/// destination device's TCP ingress socket otherwise.
-pub(crate) struct Router {
-    pub(crate) hub: InprocHub,
-    /// channel → owning device (empty in `Inproc` mode: everything local).
-    pub(crate) channel_device: HashMap<String, String>,
-    /// device → TCP sender towards that device's ingress socket.
-    pub(crate) tcp_peers: HashMap<String, Arc<videopipe_net::tcp::TcpSender>>,
-}
-
-impl Router {
-    pub(crate) fn inproc(hub: InprocHub) -> Self {
-        Router {
-            hub,
-            channel_device: HashMap::new(),
-            tcp_peers: HashMap::new(),
-        }
-    }
-
-    pub(crate) fn send_from(
-        &self,
-        from_device: &str,
-        msg: WireMessage,
-    ) -> Result<(), PipelineError> {
-        if let Some(dest_device) = self.channel_device.get(&msg.channel) {
-            if dest_device != from_device {
-                if let Some(peer) = self.tcp_peers.get(dest_device) {
-                    return peer.send(msg).map_err(PipelineError::from);
-                }
-            }
-        }
-        self.hub
-            .connect(&msg.channel)
-            .and_then(|s| s.send(msg))
-            .map_err(PipelineError::from)
-    }
-}
-
 /// The outcome of a runtime run.
 #[derive(Debug)]
 pub struct RunReport {
@@ -357,446 +321,27 @@ impl ShutdownGate {
     }
 }
 
-/// Shared state for one running pipeline.
-pub(crate) struct Shared {
-    pub(crate) hub: InprocHub,
-    pub(crate) router: Router,
-    pub(crate) stores: HashMap<String, Arc<FrameStore>>,
-    pub(crate) metrics: Mutex<PipelineMetrics>,
-    pub(crate) logs: Mutex<Vec<String>>,
-    pub(crate) errors: Mutex<Vec<String>>,
-    pub(crate) stop: AtomicBool,
-    pub(crate) epoch: Instant,
-    pub(crate) deliveries: AtomicU64,
-    pub(crate) config: RuntimeConfig,
-    pub(crate) breakers: Mutex<HashMap<String, CircuitBreaker>>,
-    pub(crate) restarts: AtomicU64,
-    /// Pipeline fence epoch: bumped once per confirmed device loss;
-    /// messages stamped with an older epoch are fenced by the pacer.
-    pub(crate) fence_epoch: AtomicU64,
-    /// Heartbeat failure detector (`None` when heartbeats are disabled).
-    pub(crate) detector: Mutex<Option<FailureDetector>>,
-    /// Latest module snapshots by module name, for checkpointed restarts.
-    pub(crate) checkpoints: Mutex<HashMap<String, Vec<u8>>>,
-    /// Devices whose heartbeat sender is suppressed (chaos hook).
-    pub(crate) muted_heartbeats: Mutex<HashSet<String>>,
-    /// Live SLO knob actuators, written by the controller thread and read
-    /// lock-free at the actuation sites (encode path, executor drain, pacer
-    /// admission). All-baseline when no controller is configured.
-    pub(crate) knobs: KnobActuators,
-    /// Prompt-teardown latch for interval-driven watcher threads.
-    pub(crate) gate: ShutdownGate,
-}
+/// How long a thread blocks on its inbox before re-checking the stop flag,
+/// so shutdown stays responsive even under a long per-call deadline.
+pub(crate) const POLL: Duration = Duration::from_millis(20);
 
-/// Lock-free actuation state for the SLO controller's knob lattice.
-pub(crate) struct KnobActuators {
-    /// Codec quality override for cross-device frames; `NO_QUALITY` (255)
-    /// means "use the configured quality".
-    pub(crate) quality_shift: AtomicU8,
-    /// Floor applied over every service's configured `max_batch`; 0 means
-    /// no override.
-    pub(crate) batch_floor: AtomicUsize,
-    /// Source sampling divisor (1 = every camera tick).
-    pub(crate) sample_divisor: AtomicU32,
-    /// Shedding factor applied after sampling (1 = keep everything).
-    pub(crate) shed_one_in: AtomicU32,
-    /// Current lattice level, for telemetry and reports.
-    pub(crate) level: AtomicUsize,
-    /// Knob moves / direction reversals, mirrored from the controller.
-    pub(crate) moves: AtomicU64,
-    pub(crate) flaps: AtomicU64,
-}
+/// The threaded driver's half of the [`Exec`] seam: send through the
+/// router (the receiver's thread is already blocked on its inbox), wait by
+/// blocking.
+struct ThreadExec<'a>(&'a Shared);
 
-pub(crate) const NO_QUALITY: u8 = u8::MAX;
-
-impl KnobActuators {
-    pub(crate) fn baseline() -> Self {
-        KnobActuators {
-            quality_shift: AtomicU8::new(NO_QUALITY),
-            batch_floor: AtomicUsize::new(0),
-            sample_divisor: AtomicU32::new(1),
-            shed_one_in: AtomicU32::new(1),
-            level: AtomicUsize::new(0),
-            moves: AtomicU64::new(0),
-            flaps: AtomicU64::new(0),
-        }
+impl Exec for ThreadExec<'_> {
+    fn send(&self, from_device: &str, msg: WireMessage) -> Result<(), PipelineError> {
+        self.0.router.send_from(from_device, msg)
     }
 
-    pub(crate) fn apply(&self, settings: KnobSettings, level: usize) {
-        self.quality_shift.store(
-            settings.quality_shift.unwrap_or(NO_QUALITY),
-            Ordering::Relaxed,
-        );
-        self.batch_floor
-            .store(settings.max_batch.unwrap_or(0), Ordering::Relaxed);
-        self.sample_divisor
-            .store(settings.sample_divisor.max(1), Ordering::Relaxed);
-        self.shed_one_in
-            .store(settings.shed_one_in.max(1), Ordering::Relaxed);
-        self.level.store(level, Ordering::Relaxed);
+    fn await_reply(&self, rx: &InprocReceiver, until: Instant) -> Option<WireMessage> {
+        let remaining = until.saturating_duration_since(Instant::now());
+        rx.recv_timeout(remaining.min(POLL)).ok()
     }
 
-    pub(crate) fn admit_stride(&self) -> u64 {
-        u64::from(self.sample_divisor.load(Ordering::Relaxed).max(1))
-            * u64::from(self.shed_one_in.load(Ordering::Relaxed).max(1))
-    }
-}
-
-impl Shared {
-    pub(crate) fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// The codec quality in effect right now: the SLO controller's override
-    /// when one is applied, the configured quality otherwise.
-    pub(crate) fn effective_quality(&self) -> codec::Quality {
-        match self.knobs.quality_shift.load(Ordering::Relaxed) {
-            shift if shift < 8 => codec::Quality::new(shift),
-            _ => self.config.codec_quality,
-        }
-    }
-
-    /// The micro-batch ceiling in effect for `service` right now: the
-    /// configured policy, raised to the controller's batch floor when the
-    /// batch knob is engaged.
-    pub(crate) fn effective_max_batch(&self, service: &str) -> usize {
-        self.config
-            .batch_for(service)
-            .max_batch
-            .max(1)
-            .max(self.knobs.batch_floor.load(Ordering::Relaxed))
-    }
-}
-
-pub(crate) fn mod_chan(pipeline: &str, module: &str) -> String {
-    format!("mod/{pipeline}/{module}")
-}
-pub(crate) fn reply_chan(pipeline: &str, module: &str) -> String {
-    format!("rpl/{pipeline}/{module}")
-}
-pub(crate) fn svc_chan(device: &str, service: &str) -> String {
-    format!("svc/{device}/{service}")
-}
-pub(crate) fn fc_chan(pipeline: &str) -> String {
-    format!("fc/{pipeline}")
-}
-pub(crate) fn hb_chan(pipeline: &str) -> String {
-    format!("hb/{pipeline}")
-}
-
-/// Wiring facts one module needs, derived from the plan.
-pub(crate) struct ModuleWiring {
-    pub(crate) name: String,
-    pub(crate) device: String,
-    /// next module -> (channel, cross_device)
-    pub(crate) nexts: HashMap<String, (String, bool)>,
-    /// service -> (channel, remote)
-    pub(crate) services: HashMap<String, (String, bool)>,
-    pub(crate) is_source: bool,
-    pub(crate) is_sink: bool,
-}
-
-/// The execution context handed to module handlers.
-struct LocalCtx {
-    shared: Arc<Shared>,
-    wiring: Arc<ModuleWiring>,
-    pipeline: String,
-    header: Header,
-    /// Fence epoch of the event being processed; stamped onto every
-    /// outgoing message so the pacer can fence frames admitted before a
-    /// failover.
-    epoch: u64,
-    corr: u64,
-    reply_rx: videopipe_net::InprocReceiver,
-    /// Last successful response per service, for
-    /// [`DegradationPolicy::LastKnownGood`]. Stored in encoded form: the
-    /// per-success insert is then an O(1) refcount bump of the wire bytes,
-    /// and the (rare) degraded path pays the decode.
-    lkg: HashMap<String, bytes::Bytes>,
-    /// Deterministic per-module retry jitter stream.
-    jitter: SeededJitter,
-}
-
-impl LocalCtx {
-    fn store(&self) -> &Arc<FrameStore> {
-        self.shared
-            .stores
-            .get(&self.wiring.device)
-            .expect("device store exists")
-    }
-
-    fn emulate(&self, modeled: Duration) {
-        let scale = self.shared.config.time_scale;
-        if scale > 0.0 {
-            std::thread::sleep(modeled.mul_f64(scale));
-        }
-    }
-
-    /// One request/response exchange with a service executor, bounded by
-    /// the configured per-call deadline. Returns the decoded response plus
-    /// its raw wire bytes (shared, for the last-known-good cache).
-    fn attempt_service_call(
-        &mut self,
-        service: &str,
-        channel: &str,
-        remote: bool,
-        bytes: bytes::Bytes,
-    ) -> Result<(ServiceResponse, bytes::Bytes), PipelineError> {
-        if remote {
-            // Emulated request transfer (sender-side: the module blocks on
-            // the round trip anyway).
-            self.emulate(Duration::from_micros(
-                2_500 + bytes.len() as u64 * 8 / 100, // ~wifi: 2.5ms + 100Mbit/s
-            ));
-        }
-        self.corr += 1;
-        let corr_id = self.corr;
-        self.shared.router.send_from(
-            &self.wiring.device,
-            WireMessage::request(
-                channel.to_string(),
-                reply_chan(&self.pipeline, &self.wiring.name),
-                corr_id,
-                bytes,
-            ),
-        )?;
-        let started = Instant::now();
-        let deadline = started + self.shared.config.resilience.service_call_timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(PipelineError::Timeout {
-                    service: service.to_string(),
-                    elapsed: started.elapsed(),
-                });
-            }
-            // Wait in short slices so shutdown stays responsive even under
-            // a long per-call deadline.
-            match self.reply_rx.recv_timeout(remaining.min(POLL)) {
-                Ok(msg) if msg.kind == MessageKind::Response && msg.corr_id == corr_id => {
-                    if remote {
-                        self.emulate(Duration::from_micros(
-                            2_500 + msg.payload.len() as u64 * 8 / 100,
-                        ));
-                    }
-                    let resp = ServiceResponse::decode(&msg.payload)?;
-                    // Executors answer failures with a typed error payload.
-                    if let Payload::Error(reason) = &resp.payload {
-                        return Err(PipelineError::Service {
-                            service: service.to_string(),
-                            reason: reason.clone(),
-                        });
-                    }
-                    return Ok((resp, msg.payload));
-                }
-                // Stale responses to timed-out attempts carry old corr ids.
-                Ok(_stale) => continue,
-                Err(_) => {
-                    if self.shared.stop.load(Ordering::SeqCst) {
-                        return Err(PipelineError::Shutdown);
-                    }
-                }
-            }
-        }
-    }
-
-    fn breaker_allows(&mut self, service: &str) -> bool {
-        let now_ns = self.shared.now_ns();
-        let mut breakers = self.shared.breakers.lock();
-        breakers
-            .entry(service.to_string())
-            .or_insert_with(|| self.shared.config.resilience.make_breaker())
-            .allow(now_ns)
-    }
-
-    fn breaker_record(&mut self, service: &str, success: bool) {
-        let now_ns = self.shared.now_ns();
-        let mut breakers = self.shared.breakers.lock();
-        let breaker = breakers
-            .entry(service.to_string())
-            .or_insert_with(|| self.shared.config.resilience.make_breaker());
-        if success {
-            breaker.record_success();
-        } else {
-            breaker.record_failure(now_ns);
-        }
-    }
-
-    /// Applies the degradation policy once a call has been abandoned.
-    fn degrade(
-        &mut self,
-        service: &str,
-        err: PipelineError,
-    ) -> Result<ServiceResponse, PipelineError> {
-        if self.shared.config.resilience.degradation == DegradationPolicy::LastKnownGood {
-            if let Some(cached) = self.lkg.get(service) {
-                // Cached in wire form; decoding here keeps the success path
-                // free of deep response clones.
-                if let Ok(resp) = ServiceResponse::decode(cached) {
-                    return Ok(resp);
-                }
-            }
-        }
-        Err(err)
-    }
-}
-
-impl ModuleCtx for LocalCtx {
-    fn call_service(
-        &mut self,
-        service: &str,
-        mut request: ServiceRequest,
-    ) -> Result<ServiceResponse, PipelineError> {
-        let (channel, remote) = self.wiring.services.get(service).cloned().ok_or_else(|| {
-            PipelineError::ServiceUnavailable {
-                module: self.wiring.name.clone(),
-                service: service.to_string(),
-            }
-        })?;
-        let resilience = self.shared.config.resilience.clone();
-        // Circuit breaker gate: fast-fail while the service's breaker is
-        // open so a dead service costs microseconds per frame, not a
-        // deadline per frame.
-        if resilience.breaker_enabled() && !self.breaker_allows(service) {
-            return self.degrade(
-                service,
-                PipelineError::CircuitOpen {
-                    service: service.to_string(),
-                },
-            );
-        }
-        // A frame reference cannot leave its device: encode for remote
-        // calls — at most once per (frame, quality), via the store's
-        // transcoding cache. A frame fanned out to N remote destinations
-        // (or retried M times) runs the codec exactly once; everyone else
-        // gets a refcount bump of the same buffer.
-        if remote {
-            if let Payload::FrameRef(id) = request.payload {
-                let encoded = self.store().encoded(id, self.shared.effective_quality())?;
-                request.payload = Payload::EncodedFrame(encoded);
-            }
-        }
-        let mut bytes = request.encode();
-        let max_attempts = resilience.retry.max_attempts.max(1);
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            // Attempts share the serialized request by refcount; the final
-            // attempt moves it instead of cloning.
-            let attempt_bytes = if attempt >= max_attempts {
-                std::mem::take(&mut bytes)
-            } else {
-                bytes.clone()
-            };
-            match self.attempt_service_call(service, &channel, remote, attempt_bytes) {
-                Ok((resp, raw)) => {
-                    if resilience.breaker_enabled() {
-                        self.breaker_record(service, true);
-                    }
-                    if resilience.degradation == DegradationPolicy::LastKnownGood {
-                        self.lkg.insert(service.to_string(), raw);
-                    }
-                    return Ok(resp);
-                }
-                Err(PipelineError::Shutdown) => return Err(PipelineError::Shutdown),
-                Err(e) => {
-                    if resilience.breaker_enabled() {
-                        self.breaker_record(service, false);
-                    }
-                    if attempt >= max_attempts {
-                        return self.degrade(service, e);
-                    }
-                    let backoff = resilience.retry.backoff(attempt, &mut self.jitter);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    if self.shared.stop.load(Ordering::SeqCst) {
-                        return Err(PipelineError::Shutdown);
-                    }
-                }
-            }
-        }
-    }
-
-    fn call_module(&mut self, target: &str, mut payload: Payload) -> Result<(), PipelineError> {
-        let (channel, cross_device) = self.wiring.nexts.get(target).cloned().ok_or_else(|| {
-            PipelineError::Validation(format!(
-                "module {:?} has no edge to {target:?}",
-                self.wiring.name
-            ))
-        })?;
-        if cross_device {
-            if let Payload::FrameRef(id) = payload {
-                // Cached transcode: a frame forwarded to several
-                // cross-device successors is encoded once, not per edge.
-                let encoded = self.store().encoded(id, self.shared.effective_quality())?;
-                payload = Payload::EncodedFrame(encoded);
-            }
-            let bytes = payload.size_hint() as u64;
-            self.emulate(Duration::from_micros(2_500 + bytes * 8 / 100));
-        }
-        self.shared.router.send_from(
-            &self.wiring.device,
-            WireMessage::data(
-                channel.clone(),
-                self.header.frame_seq,
-                self.header.capture_ts_ns,
-                payload.encode(),
-            )
-            .with_epoch(self.epoch),
-        )?;
-        Ok(())
-    }
-
-    fn signal_source(&mut self) -> Result<(), PipelineError> {
-        self.shared.router.send_from(
-            &self.wiring.device,
-            WireMessage {
-                kind: MessageKind::Signal,
-                channel: fc_chan(&self.pipeline),
-                reply_to: String::new(),
-                corr_id: 0,
-                seq: self.header.frame_seq,
-                timestamp_ns: self.header.capture_ts_ns,
-                epoch: self.epoch,
-                payload: bytes::Bytes::new(),
-            },
-        )?;
-        Ok(())
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.shared.now_ns()
-    }
-
-    fn module_name(&self) -> &str {
-        &self.wiring.name
-    }
-
-    fn device_name(&self) -> &str {
-        &self.wiring.device
-    }
-
-    fn frame_store(&self) -> &FrameStore {
-        self.shared
-            .stores
-            .get(&self.wiring.device)
-            .expect("device store exists")
-    }
-
-    fn header(&self) -> Header {
-        self.header
-    }
-
-    fn set_header(&mut self, header: Header) {
-        self.header = header;
-    }
-
-    fn log(&mut self, text: &str) {
-        self.shared
-            .logs
-            .lock()
-            .push(format!("{}: {text}", self.wiring.name));
+    fn pause(&self, dur: Duration) {
+        std::thread::sleep(dur);
     }
 }
 
@@ -804,7 +349,42 @@ impl ModuleCtx for LocalCtx {
 pub struct LocalRuntime {
     shared: Arc<Shared>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    pipeline: String,
+}
+
+/// The runtime's threads, each handed its own handle on the shared state.
+struct Threads<'a> {
+    shared: &'a Arc<Shared>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Threads<'_> {
+    fn spawn(&mut self, name: String, run: impl FnOnce(&Shared) + Send + 'static) {
+        let shared = Arc::clone(self.shared);
+        let thread = std::thread::Builder::new().name(name);
+        let handle = thread.spawn(move || run(&shared));
+        self.handles.push(handle.expect("spawn runtime thread"));
+    }
+
+    /// A watcher thread: runs `tick` once per `interval` (and once up front
+    /// when `at_start`). It parks for the *whole* interval: the gate wakes
+    /// it the instant teardown starts, so a long interval never delays
+    /// `finish()`.
+    fn spawn_watcher(
+        &mut self,
+        name: String,
+        interval: Duration,
+        at_start: bool,
+        mut tick: impl FnMut(&Shared) + Send + 'static,
+    ) {
+        self.spawn(name, move |shared| {
+            if at_start {
+                tick(shared);
+            }
+            while !shared.gate.wait_shutdown(interval) {
+                tick(shared);
+            }
+        });
+    }
 }
 
 impl LocalRuntime {
@@ -820,415 +400,105 @@ impl LocalRuntime {
         services: &ServiceRegistry,
         config: RuntimeConfig,
     ) -> Result<Self, PipelineError> {
-        config.validate()?;
-        let pipeline = plan.pipeline.name.clone();
-        let hub = InprocHub::new();
-        let mut stores = HashMap::new();
-        for d in &plan.devices {
-            stores.insert(d.name.clone(), Arc::new(FrameStore::new()));
-        }
-        let source_device = plan
-            .pipeline
-            .sources()
-            .first()
-            .and_then(|s| plan.placement.device_for(&s.name))
-            .ok_or_else(|| PipelineError::Deploy("pipeline has no placed source".into()))?
-            .to_string();
-
-        // Build the router: in `Tcp` mode every device gets a loopback
-        // ingress socket and all cross-device channels route through it.
         let mut listeners = Vec::new();
-        let router = match config.transport {
-            EdgeTransport::Inproc => Router::inproc(hub.clone()),
-            EdgeTransport::Tcp => {
-                let mut channel_device = HashMap::new();
-                for m in &plan.pipeline.modules {
-                    let device = plan
-                        .placement
-                        .device_for(&m.name)
-                        .ok_or_else(|| {
-                            PipelineError::Deploy(format!("module {:?} unplaced", m.name))
-                        })?
-                        .to_string();
-                    channel_device.insert(mod_chan(&pipeline, &m.name), device.clone());
-                    channel_device.insert(reply_chan(&pipeline, &m.name), device);
-                }
-                for b in &plan.service_bindings {
-                    channel_device.insert(svc_chan(&b.device, &b.service), b.device.clone());
-                }
-                channel_device.insert(fc_chan(&pipeline), source_device.clone());
-                // Heartbeats converge on the monitor, which runs alongside
-                // the pacer on the source device.
-                channel_device.insert(hb_chan(&pipeline), source_device.clone());
-
-                let mut tcp_peers = HashMap::new();
-                for d in &plan.devices {
-                    let listener = videopipe_net::tcp::TcpListenerHandle::bind("127.0.0.1:0")?;
-                    let addr = format!("127.0.0.1:{}", listener.local_port());
-                    let sender = videopipe_net::tcp::TcpSender::connect_retry(
-                        &addr,
-                        Duration::from_secs(5),
-                    )?
-                    // Survive mid-stream disconnects: buffer and reconnect
-                    // with backoff instead of failing the pipeline edge.
-                    .with_reconnect(videopipe_net::tcp::ReconnectPolicy::default());
-                    tcp_peers.insert(d.name.clone(), Arc::new(sender));
-                    listeners.push(listener);
-                }
-                Router {
-                    hub: hub.clone(),
-                    channel_device,
-                    tcp_peers,
-                }
-            }
+        let shared = Shared::deploy(plan, config, FrameStore::new, || {
+            let listener = videopipe_net::tcp::TcpListenerHandle::bind("127.0.0.1:0")?;
+            let port = listener.local_port();
+            listeners.push(listener);
+            Ok(port)
+        })?;
+        let pipeline = &shared.pipeline;
+        let mut threads = Threads {
+            shared: &shared,
+            handles: Vec::new(),
         };
 
-        let shared = Arc::new(Shared {
-            hub: hub.clone(),
-            router,
-            stores,
-            metrics: Mutex::new(PipelineMetrics::new()),
-            logs: Mutex::new(Vec::new()),
-            errors: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            epoch: Instant::now(),
-            deliveries: AtomicU64::new(0),
-            config: config.clone(),
-            breakers: Mutex::new(HashMap::new()),
-            restarts: AtomicU64::new(0),
-            fence_epoch: AtomicU64::new(0),
-            detector: Mutex::new(config.heartbeats.clone().map(|h| {
-                let mut d = FailureDetector::new(h);
-                for dev in &plan.devices {
-                    d.expect(&dev.name, 0);
-                }
-                d
-            })),
-            checkpoints: Mutex::new(HashMap::new()),
-            muted_heartbeats: Mutex::new(HashSet::new()),
-            knobs: KnobActuators::baseline(),
-            gate: ShutdownGate::new(),
-        });
-        let mut threads = Vec::new();
-
         // --- SLO feedback controller: one thread per pipeline, ticking at
-        // the configured interval. It reads cumulative metrics (the same
-        // histograms telemetry publishes), diffs them into a window, and
-        // actuates the knob lattice through the shared atomics — never
-        // touching the per-frame path.
-        if let Some(slo_cfg) = config.slo.clone() {
-            let shared_s = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("slo-{pipeline}"))
-                    .spawn(move || {
-                        let mut controller = SloController::new(slo_cfg);
-                        let interval = controller.config().interval;
-                        let target_ms = controller.config().slo.p99.as_secs_f64() * 1e3;
-                        // Park for the whole interval: the gate wakes this
-                        // thread the instant teardown starts, so a long
-                        // controller interval never delays `finish()`.
-                        while !shared_s.gate.wait_shutdown(interval) {
-                            let (hist, queue_max) = {
-                                let metrics = shared_s.metrics.lock();
-                                let q = metrics
-                                    .dispatch
-                                    .values()
-                                    .map(|d| d.max_queue_depth)
-                                    .max()
-                                    .unwrap_or(0);
-                                (metrics.end_to_end.clone(), q)
-                            };
-                            let action = controller.observe(shared_s.now_ns(), &hist, queue_max);
-                            if action != SloAction::Hold {
-                                let level = controller.level();
-                                shared_s.knobs.apply(controller.settings(), level);
-                                shared_s
-                                    .knobs
-                                    .moves
-                                    .store(controller.moves(), Ordering::Relaxed);
-                                shared_s
-                                    .knobs
-                                    .flaps
-                                    .store(controller.flaps(), Ordering::Relaxed);
-                                let dir = match action {
-                                    SloAction::StepDown { .. } => "down",
-                                    _ => "up",
-                                };
-                                shared_s.logs.lock().push(format!(
-                                    "slo: step {dir} to level {level} \
-                                     (window p99 {:.1} ms vs target {target_ms:.1} ms, {:?})",
-                                    controller.last_window_p99_ns() as f64 / 1e6,
-                                    controller.settings(),
-                                ));
-                            }
-                        }
-                    })
-                    .expect("spawn slo controller"),
-            );
+        // the configured interval.
+        if let Some(slo_cfg) = shared.config.slo.clone() {
+            let mut slo = SloController::new(slo_cfg);
+            let interval = slo.config().interval;
+            threads.spawn_watcher(format!("slo-{pipeline}"), interval, false, move |s| {
+                engine::slo_tick(&mut slo, s)
+            });
         }
 
-        // --- Health layer: per-device heartbeat senders plus one monitor
-        // that feeds the failure detector and bumps the fence epoch on a
-        // confirmed device loss.
-        if let Some(health) = config.heartbeats.clone() {
-            let hb_inbox = hub.bind(&hb_chan(&pipeline))?;
+        // --- Health layer: per-device heartbeat senders (beat immediately,
+        // then once per interval) plus one monitor.
+        if let Some(health) = &shared.config.heartbeats {
+            let mut monitor = HbMonitor::deploy(&shared)?;
             for d in &plan.devices {
-                let shared_hb = Arc::clone(&shared);
                 let device = d.name.clone();
-                let channel = hb_chan(&pipeline);
-                let interval = health.heartbeat_interval;
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("hb-{device}"))
-                        .spawn(move || {
-                            // Beat immediately, then once per interval; the
-                            // gate wakes the full-interval park on teardown.
-                            loop {
-                                if !shared_hb.stop.load(Ordering::SeqCst)
-                                    && !shared_hb.muted_heartbeats.lock().contains(&device)
-                                {
-                                    let _ = shared_hb.router.send_from(
-                                        &device,
-                                        WireMessage {
-                                            kind: MessageKind::Control,
-                                            channel: channel.clone(),
-                                            reply_to: String::new(),
-                                            corr_id: 0,
-                                            seq: 0,
-                                            timestamp_ns: shared_hb.now_ns(),
-                                            epoch: 0,
-                                            payload: bytes::Bytes::copy_from_slice(
-                                                device.as_bytes(),
-                                            ),
-                                        },
-                                    );
-                                }
-                                if shared_hb.gate.wait_shutdown(interval) {
-                                    break;
-                                }
-                            }
-                        })
-                        .expect("spawn heartbeat sender"),
-                );
+                let name = format!("hb-{device}");
+                threads.spawn_watcher(name, health.heartbeat_interval, true, move |s| {
+                    engine::heartbeat(s, &ThreadExec(s), &device)
+                });
             }
-            let shared_mon = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("hb-monitor-{pipeline}"))
-                    .spawn(move || {
-                        let mut confirmed: HashSet<String> = HashSet::new();
-                        while !shared_mon.stop.load(Ordering::SeqCst) {
-                            if let Ok(msg) = hb_inbox.recv_timeout(POLL) {
-                                if msg.kind == MessageKind::Control {
-                                    if let Ok(device) = std::str::from_utf8(&msg.payload) {
-                                        if let Some(d) = shared_mon.detector.lock().as_mut() {
-                                            d.record_heartbeat(device, shared_mon.now_ns());
-                                        }
-                                    }
-                                }
-                            }
-                            let now_ns = shared_mon.now_ns();
-                            let dead = match shared_mon.detector.lock().as_ref() {
-                                Some(d) => d.dead_devices(now_ns),
-                                None => Vec::new(),
-                            };
-                            for device in dead {
-                                if confirmed.insert(device.clone()) {
-                                    let epoch =
-                                        shared_mon.fence_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-                                    shared_mon.logs.lock().push(format!(
-                                        "monitor: device {device} confirmed dead; fencing epoch {epoch}"
-                                    ));
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawn heartbeat monitor"),
-            );
+            threads.spawn(format!("hb-monitor-{pipeline}"), move |shared| {
+                while !shared.stopped() {
+                    if let Ok(msg) = monitor.inbox.recv_timeout(POLL) {
+                        monitor.on_beat(shared, &msg);
+                    }
+                    monitor.sweep(shared);
+                }
+            });
         }
 
         // TCP ingress pumps: forward arriving wire messages to the local
         // in-process channel named by `msg.channel`.
         for listener in listeners {
-            let shared_in = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("vp-tcp-ingress".into())
-                    .spawn(move || {
-                        while !shared_in.stop.load(Ordering::SeqCst) {
-                            match listener.recv_timeout(POLL) {
-                                Ok(msg) => {
-                                    if let Ok(sender) = shared_in.hub.connect(&msg.channel) {
-                                        let _ = sender.send(msg);
-                                    }
-                                }
-                                Err(_) => continue,
-                            }
+            threads.spawn("vp-tcp-ingress".into(), move |shared| {
+                while !shared.stopped() {
+                    if let Ok(msg) = listener.recv_timeout(POLL) {
+                        if let Ok(sender) = shared.hub.connect(&msg.channel) {
+                            let _ = sender.send(msg);
                         }
-                        listener.shutdown();
-                    })
-                    .expect("spawn tcp ingress"),
-            );
+                    }
+                }
+                listener.shutdown();
+            });
         }
 
-        // --- Service hosts: one executor pool per (device, service) that is
-        // actually bound by some module.
-        let mut hosted: Vec<(String, String)> = plan
-            .service_bindings
-            .iter()
-            .map(|b| (b.device.clone(), b.service.clone()))
-            .collect();
-        hosted.sort();
-        hosted.dedup();
-        for (device, service) in hosted {
-            let image = services.get(&service).ok_or_else(|| {
-                PipelineError::Deploy(format!("service image {service:?} not registered"))
-            })?;
-            let dev_spec = plan
-                .device(&device)
-                .ok_or_else(|| PipelineError::Deploy(format!("unknown device {device:?}")))?;
-            let executors = dev_spec.cores.max(1);
-            // Each executor gets its own clone of the MPMC inbox: requests
-            // are pulled straight off the shared queue with no mutex
-            // hand-off, so executors never contend on a lock to dequeue.
-            let inbox = hub.bind(&svc_chan(&device, &service))?;
-            for ex in 0..executors {
-                let inbox = inbox.clone();
-                let image = Arc::clone(&image);
-                let shared = Arc::clone(&shared);
-                let device = device.clone();
-                let speed = dev_spec.speed_factor.max(1e-6);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("svc-{device}-{}-{ex}", image.name()))
-                        .spawn(move || service_executor_loop(shared, inbox, image, device, speed))
-                        .expect("spawn service executor"),
-                );
+        // --- Service hosts: one executor pool, sized to the host device's
+        // cores, per (device, service) that is actually bound by some
+        // module. Each executor gets its own clone of the MPMC inbox:
+        // requests are pulled straight off the shared queue with no mutex
+        // hand-off, so executors never contend on a lock to dequeue.
+        for host in ServiceHost::deploy_all(&shared, plan, services)? {
+            for ex in 0..host.cores {
+                let host = host.clone();
+                let name = format!("svc-{}-{}-{ex}", host.device, host.service());
+                threads.spawn(name, move |shared| service_executor_loop(shared, &host));
             }
         }
 
         // --- Modules.
-        let source_names: Vec<String> = plan
-            .pipeline
-            .sources()
-            .iter()
-            .map(|m| m.name.clone())
-            .collect();
-        let sink_names: Vec<String> = plan
-            .pipeline
-            .sinks()
-            .iter()
-            .map(|m| m.name.clone())
-            .collect();
         for m in &plan.pipeline.modules {
-            let device = plan
-                .placement
-                .device_for(&m.name)
-                .ok_or_else(|| PipelineError::Deploy(format!("module {:?} unplaced", m.name)))?
-                .to_string();
-            let mut nexts = HashMap::new();
-            for edge in plan.edges.iter().filter(|e| e.from == m.name) {
-                nexts.insert(
-                    edge.to.clone(),
-                    (mod_chan(&pipeline, &edge.to), edge.cross_device),
-                );
-            }
-            let mut svc_map = HashMap::new();
-            for b in plan.service_bindings.iter().filter(|b| b.module == m.name) {
-                svc_map.insert(
-                    b.service.clone(),
-                    (svc_chan(&b.device, &b.service), b.remote),
-                );
-            }
-            let wiring = Arc::new(ModuleWiring {
-                name: m.name.clone(),
-                device,
-                nexts,
-                services: svc_map,
-                is_source: source_names.contains(&m.name),
-                is_sink: sink_names.contains(&m.name),
+            let task = ModuleTask::deploy(&shared, &ThreadExec(&shared), plan, m, modules)?;
+            threads.spawn(format!("mod-{}", m.name), move |shared| {
+                module_loop(shared, task)
             });
-            let inbox = hub.bind(&mod_chan(&pipeline, &m.name))?;
-            let reply_rx = hub.bind(&reply_chan(&pipeline, &m.name))?;
-            let factory = modules.factory(&m.include)?;
-            let mut instance = modules.instantiate(&m.include)?;
-            let shared2 = Arc::clone(&shared);
-            let pipeline2 = pipeline.clone();
-            let mut ctx = LocalCtx {
-                shared: Arc::clone(&shared),
-                wiring: Arc::clone(&wiring),
-                pipeline: pipeline.clone(),
-                header: Header::default(),
-                epoch: 0,
-                corr: 0,
-                reply_rx,
-                lkg: HashMap::new(),
-                jitter: SeededJitter::new(seed_for(config.resilience.seed, &m.name)),
-            };
-            instance.init(&mut ctx)?;
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("mod-{}", m.name))
-                    .spawn(move || {
-                        module_loop(shared2, inbox, instance, ctx, pipeline2, wiring, factory)
-                    })
-                    .expect("spawn module thread"),
-            );
         }
 
         // --- Telemetry publisher (paper §7 monitoring).
-        if let Some(interval) = config.telemetry_interval {
-            let shared_t = Arc::clone(&shared);
-            let pipeline_t = pipeline.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("telemetry-{pipeline}"))
-                    .spawn(move || {
-                        // Full-interval park; the gate ends it on teardown.
-                        while !shared_t.gate.wait_shutdown(interval) {
-                            let mut snapshot = {
-                                let metrics = shared_t.metrics.lock();
-                                crate::telemetry::TelemetrySnapshot::from_metrics(
-                                    &pipeline_t,
-                                    shared_t.now_ns(),
-                                    &metrics,
-                                )
-                            };
-                            snapshot.slo_level =
-                                shared_t.knobs.level.load(Ordering::Relaxed) as u64;
-                            snapshot.publish(&shared_t.hub);
-                        }
-                    })
-                    .expect("spawn telemetry"),
-            );
+        if let Some(interval) = shared.config.telemetry_interval {
+            let name = format!("telemetry-{pipeline}");
+            threads.spawn_watcher(name, interval, false, engine::publish_telemetry);
         }
 
         // --- Pacer thread (flow control at the source).
-        let fc_inbox = hub.bind(&fc_chan(&pipeline))?;
-        let shared3 = Arc::clone(&shared);
-        let pipeline3 = pipeline.clone();
-        let sources = source_names.clone();
-        let pacer_device = source_device.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("pacer-{pipeline}"))
-                .spawn(move || {
-                    pacer_loop(shared3, fc_inbox, pipeline3, sources, pacer_device, config)
-                })
-                .expect("spawn pacer"),
-        );
+        let pacer = Pacer::deploy(&shared)?;
+        threads.spawn(format!("pacer-{pipeline}"), move |shared| {
+            pacer_loop(shared, pacer)
+        });
 
-        Ok(LocalRuntime {
-            shared,
-            threads,
-            pipeline,
-        })
+        let threads = threads.handles;
+        Ok(LocalRuntime { shared, threads })
     }
 
     /// The pipeline name.
     pub fn pipeline(&self) -> &str {
-        &self.pipeline
+        &self.shared.pipeline
     }
 
     /// Subscribes a telemetry monitor to this pipeline (snapshots flow only
@@ -1238,7 +508,7 @@ impl LocalRuntime {
     ///
     /// Propagates hub binding errors.
     pub fn monitor(&self) -> Result<crate::telemetry::TelemetryMonitor, PipelineError> {
-        crate::telemetry::TelemetryMonitor::subscribe(&self.shared.hub, &self.pipeline)
+        crate::telemetry::TelemetryMonitor::subscribe(&self.shared.hub, &self.shared.pipeline)
     }
 
     /// Frames delivered so far.
@@ -1334,613 +604,128 @@ impl LocalRuntime {
         for t in self.threads {
             let _ = t.join();
         }
-        collect_report(&self.shared)
-    }
-}
-
-/// Builds the end-of-run report from a pipeline's shared state (used by
-/// both the threaded runtime and the reactor).
-pub(crate) fn collect_report(shared: &Shared) -> RunReport {
-    let run_duration_ns = shared.now_ns();
-    let mut metrics = shared.metrics.lock().clone();
-    metrics.run_duration_ns = run_duration_ns;
-    let breakers = shared
-        .breakers
-        .lock()
-        .iter()
-        .map(|(name, b)| (name.clone(), b.snapshot()))
-        .collect();
-    let device_statuses = shared
-        .detector
-        .lock()
-        .as_ref()
-        .map(|d| d.statuses(run_duration_ns))
-        .unwrap_or_default();
-    RunReport {
-        metrics,
-        logs: std::mem::take(&mut *shared.logs.lock()),
-        errors: std::mem::take(&mut *shared.errors.lock()),
-        restarts: shared.restarts.load(Ordering::Relaxed),
-        breakers,
-        device_statuses,
-        fence_epoch: shared.fence_epoch.load(Ordering::SeqCst),
-        slo_level: shared.knobs.level.load(Ordering::Relaxed),
-        slo_moves: shared.knobs.moves.load(Ordering::Relaxed),
-        slo_flaps: shared.knobs.flaps.load(Ordering::Relaxed),
-        scheduler: Vec::new(),
-        checkpoints: shared.checkpoints.lock().clone(),
+        self.shared.report()
     }
 }
 
 impl std::fmt::Debug for LocalRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocalRuntime")
-            .field("pipeline", &self.pipeline)
+            .field("pipeline", &self.shared.pipeline)
             .field("threads", &self.threads.len())
             .finish()
     }
 }
 
-pub(crate) const POLL: Duration = Duration::from_millis(20);
-
-fn service_executor_loop(
-    shared: Arc<Shared>,
-    inbox: videopipe_net::InprocReceiver,
-    image: Arc<dyn Service>,
-    device: String,
-    speed: f64,
-) {
-    let host = format!("{device}/{}", image.name());
-    let batch = shared.config.batch_for(image.name());
+/// One service executor thread: block for a request, free-drain, hold a
+/// partial batch open under pressure, serve, sleep the modeled cost out,
+/// reply.
+fn service_executor_loop(shared: &Shared, host: &ServiceHost) {
+    let batch = shared.config.batch_for(host.service());
     // Observed inter-arrival gap (EWMA, ns): drives the adaptive drain
     // deadline. Starts at one POLL so an idle executor never waits for a
     // second request that isn't coming.
     let mut ewma_gap_ns = POLL.as_nanos() as f64;
     let mut last_arrival: Option<Instant> = None;
-    while !shared.stop.load(Ordering::SeqCst) {
-        let msg = match inbox.recv_timeout(POLL) {
-            Ok(m) => m,
-            Err(_) => continue,
-        };
-        if msg.kind != MessageKind::Request {
+    let exec = ThreadExec(shared);
+    while !shared.stopped() {
+        let Ok(msg) = host.inbox.recv_timeout(POLL) else {
             continue;
-        }
-        // Re-read per dispatch: the SLO controller may raise the batch
-        // ceiling mid-run (one relaxed atomic load; the drain policy and
-        // its adaptive wait are otherwise unchanged).
-        let max_batch = shared.effective_max_batch(image.name());
-        // Backlog behind this request, sampled BEFORE the drain below
-        // empties the queue — `max_queue_depth` must keep reflecting true
-        // pressure, not the post-drain emptiness.
-        let queue_depth = inbox.pending() as u64;
+        };
+        let Some((mut msgs, max_batch, queue_depth)) = host.free_drain(shared, msg) else {
+            continue;
+        };
         let now = Instant::now();
         if let Some(prev) = last_arrival {
             let gap = now.duration_since(prev).as_nanos() as f64;
             ewma_gap_ns = 0.8 * ewma_gap_ns + 0.2 * gap;
         }
         last_arrival = Some(now);
-
-        let mut msgs = vec![msg];
-        if max_batch > 1 {
-            // Free drain: anything already queued joins the batch with zero
-            // added latency.
+        // Adaptive wait: hold a partial batch open only under observed
+        // pressure — a backlog existed at dequeue, or arrivals are faster
+        // than the wait ceiling — for a deadline scaled by the measured
+        // arrival rate. At low load this branch never runs, so
+        // single-request p99 is untouched.
+        let pressured = queue_depth > 0 || ewma_gap_ns < batch.max_wait.as_nanos() as f64;
+        if msgs.len() < max_batch && pressured {
+            let missing = (max_batch - msgs.len()) as f64;
+            let deadline = Duration::from_nanos((ewma_gap_ns * missing) as u64).min(batch.max_wait);
+            let deadline_at = now + deadline;
             while msgs.len() < max_batch {
-                match inbox.try_recv() {
-                    Ok(m) if m.kind == MessageKind::Request => msgs.push(m),
+                let remaining = deadline_at.saturating_duration_since(Instant::now());
+                if remaining.is_zero() {
+                    break;
+                }
+                match host.inbox.recv_timeout(remaining) {
+                    Ok(m) if m.kind == videopipe_net::MessageKind::Request => msgs.push(m),
                     Ok(_) => {}
                     Err(_) => break,
                 }
             }
-            // Adaptive wait: hold a partial batch open only under observed
-            // pressure — a backlog existed at dequeue, or arrivals are
-            // faster than the wait ceiling — for a deadline scaled by the
-            // measured arrival rate. At low load this branch never runs, so
-            // single-request p99 is untouched.
-            let pressured = queue_depth > 0 || ewma_gap_ns < batch.max_wait.as_nanos() as f64;
-            if msgs.len() < max_batch && pressured {
-                let missing = (max_batch - msgs.len()) as f64;
-                let deadline =
-                    Duration::from_nanos((ewma_gap_ns * missing) as u64).min(batch.max_wait);
-                let deadline_at = now + deadline;
-                while msgs.len() < max_batch {
-                    let remaining = deadline_at.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        break;
-                    }
-                    match inbox.recv_timeout(remaining) {
-                        Ok(m) if m.kind == MessageKind::Request => msgs.push(m),
-                        Ok(_) => {}
-                        Err(_) => break,
-                    }
-                }
-            }
         }
 
-        let started = Instant::now();
-        let batch_len = msgs.len() as u64;
-        let store = shared.stores.get(&device).expect("store");
-
-        // Decode every request up front. A slot that fails here still gets
-        // a typed error reply below — a caller must never wait out its full
-        // deadline because the executor dropped its request on the floor.
-        let mut slots: Vec<Result<ServiceRequest, PipelineError>> = msgs
-            .iter()
-            .map(|m| ServiceRequest::decode(&m.payload))
-            .collect();
-        // Cross-device frames arrive encoded; decode the whole batch in one
-        // pass (shared scratch plane, per-shift LUT reuse) into the local
-        // store so the service sees FrameRefs like any other request.
-        let encoded: Vec<(usize, bytes::Bytes)> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| match slot {
-                Ok(req) => match &req.payload {
-                    Payload::EncodedFrame(bytes) => Some((i, bytes.clone())),
-                    _ => None,
-                },
-                Err(_) => None,
-            })
-            .collect();
-        if !encoded.is_empty() {
-            let frames = codec::decode_batch(encoded.iter().map(|(_, b)| b.as_ref()));
-            for ((i, _), result) in encoded.iter().zip(frames) {
-                match result {
-                    Ok(frame) => {
-                        if let Ok(req) = &mut slots[*i] {
-                            req.payload = Payload::FrameRef(store.insert(frame));
-                        }
-                    }
-                    Err(e) => {
-                        shared.errors.lock().push(format!(
-                            "service {}: frame decode failed: {e}",
-                            image.name()
-                        ));
-                        slots[*i] = Err(PipelineError::Service {
-                            service: image.name().to_string(),
-                            reason: format!("frame decode failed: {e}"),
-                        });
-                    }
-                }
-            }
+        let (replies, modeled) = host.serve(shared, &msgs, queue_depth);
+        // Emulate the modeled compute cost: one sleep for the whole batch,
+        // occupying this executor as the real service would.
+        if let Some(cost) = modeled {
+            exec.pause(cost);
         }
-
-        // Emulate the modeled compute cost: one sleep for the whole batch.
-        // The leading request pays its full base cost, followers pay the
-        // amortised batched base.
-        if shared.config.time_scale > 0.0 {
-            let mut modeled = Duration::ZERO;
-            let mut first = true;
-            for (slot, m) in slots.iter().zip(&msgs) {
-                if let Ok(req) = slot {
-                    modeled += image.cost(req).for_batch_item(first, m.payload.len());
-                    first = false;
-                }
-            }
-            if !modeled.is_zero() {
-                std::thread::sleep(modeled.mul_f64(shared.config.time_scale / speed.max(1e-6)));
-            }
-        }
-
-        let responses = supervised_batch(image.as_ref(), slots, store);
-        for (m, response) in msgs.iter().zip(responses) {
-            match response {
-                Ok(resp) => {
-                    let _ = shared
-                        .router
-                        .send_from(&device, WireMessage::response_to(m, resp.encode()));
-                }
-                Err(e) => {
-                    // A handler failure is not yet a pipeline error: the
-                    // typed error response below lets the caller retry, and
-                    // only an *unrecovered* failure is recorded (by the
-                    // module loop). Keep a log line for diagnostics.
-                    shared
-                        .logs
-                        .lock()
-                        .push(format!("service {}: {e}", image.name()));
-                    // Reply with a typed error payload so the caller fails
-                    // fast and can retry or degrade instead of timing out.
-                    let _ = shared.router.send_from(
-                        &device,
-                        WireMessage::response_to(
-                            m,
-                            ServiceResponse::new(Payload::Error(e.to_string())).encode(),
-                        ),
-                    );
-                }
-            }
-        }
-        let busy_ns = started.elapsed().as_nanos() as u64;
-        shared
-            .metrics
-            .lock()
-            .record_dispatch_batch(&host, busy_ns, queue_depth, batch_len);
-    }
-}
-
-/// Runs `image.handle_batch` over the decoded slots of one dispatch batch
-/// and returns one result per slot, in slot order.
-///
-/// The decoded requests are *moved* into the contiguous slice the handler
-/// takes — a slot that failed to decode keeps its error in place and is
-/// skipped — so dispatch never deep-copies a payload.
-///
-/// The handler is supervised: a panicking service (a crashed container)
-/// must not take the executor with it. A panic fails every request of the
-/// batch with a typed error, so the caller side records one breaker event
-/// per *request*, never one per batch. A `handle_batch` override that
-/// returns too few results fails the unanswered slots the same way rather
-/// than misaligning replies.
-pub(crate) fn supervised_batch(
-    image: &dyn Service,
-    slots: Vec<Result<ServiceRequest, PipelineError>>,
-    store: &FrameStore,
-) -> Vec<Result<ServiceResponse, PipelineError>> {
-    let service_err = |reason: String| PipelineError::Service {
-        service: image.name().to_string(),
-        reason,
-    };
-    let mut ready: Vec<ServiceRequest> = Vec::with_capacity(slots.len());
-    let undecoded: Vec<Option<PipelineError>> = slots
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(request) => {
-                ready.push(request);
-                None
-            }
-            Err(e) => Some(e),
-        })
-        .collect();
-    let handled = if ready.is_empty() {
-        Vec::new()
-    } else {
-        catch_unwind(AssertUnwindSafe(|| image.handle_batch(&ready, store))).unwrap_or_else(
-            |panic| {
-                let reason = format!("panicked: {}", panic_message(panic.as_ref()));
-                ready
-                    .iter()
-                    .map(|_| Err(service_err(reason.clone())))
-                    .collect()
-            },
-        )
-    };
-    let mut handled = handled.into_iter();
-    undecoded
-        .into_iter()
-        .map(|slot| match slot {
-            Some(e) => Err(e),
-            None => handled.next().unwrap_or_else(|| {
-                Err(service_err(
-                    "handle_batch returned too few results".to_string(),
-                ))
-            }),
-        })
-        .collect()
-}
-
-/// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn module_loop(
-    shared: Arc<Shared>,
-    inbox: videopipe_net::InprocReceiver,
-    mut instance: Box<dyn Module>,
-    mut ctx: LocalCtx,
-    _pipeline: String,
-    wiring: Arc<ModuleWiring>,
-    factory: ModuleFactory,
-) {
-    let checkpoint_period = shared.config.checkpoint_period;
-    let mut last_checkpoint = Instant::now();
-    while !shared.stop.load(Ordering::SeqCst) {
-        // Periodic checkpoint: persist the instance's recoverable state so
-        // a restarted replacement resumes near where this one died.
-        if let Some(period) = checkpoint_period {
-            if last_checkpoint.elapsed() >= period {
-                last_checkpoint = Instant::now();
-                if let Some(snap) = instance.snapshot() {
-                    shared.checkpoints.lock().insert(wiring.name.clone(), snap);
-                }
-            }
-        }
-        let msg = match inbox.recv_timeout(POLL) {
-            Ok(m) => m,
-            Err(_) => continue,
-        };
-        ctx.epoch = msg.epoch;
-        let event = match msg.kind {
-            MessageKind::Signal if wiring.is_source => {
-                ctx.set_header(Header {
-                    frame_seq: msg.seq,
-                    capture_ts_ns: msg.timestamp_ns,
-                });
-                Event::FrameTick {
-                    t_ns: msg.timestamp_ns,
-                }
-            }
-            MessageKind::Data => {
-                let payload = match Payload::decode(&msg.payload) {
-                    Ok(Payload::EncodedFrame(bytes)) => match codec::decode(&bytes) {
-                        Ok(frame) => Payload::FrameRef(ctx.store().insert(frame)),
-                        Err(e) => {
-                            shared
-                                .errors
-                                .lock()
-                                .push(format!("{}: frame decode failed: {e}", wiring.name));
-                            continue;
-                        }
-                    },
-                    Ok(p) => p,
-                    Err(e) => {
-                        shared
-                            .errors
-                            .lock()
-                            .push(format!("{}: payload decode failed: {e}", wiring.name));
-                        continue;
-                    }
-                };
-                ctx.set_header(Header {
-                    frame_seq: msg.seq,
-                    capture_ts_ns: msg.timestamp_ns,
-                });
-                Event::Message(Message::new(ctx.header(), payload))
-            }
-            _ => continue,
-        };
-
-        let start = Instant::now();
-        let result = match catch_unwind(AssertUnwindSafe(|| instance.on_event(event, &mut ctx))) {
-            Ok(result) => result,
-            Err(panic) => {
-                // Supervision: the instance may hold poisoned state, so
-                // replace it with a fresh one and keep the thread alive.
-                // The in-flight frame dies and returns its credit through
-                // the error path below.
-                instance = factory();
-                let _ = catch_unwind(AssertUnwindSafe(|| instance.init(&mut ctx)));
-                // Checkpointed restart: hand the replacement the latest
-                // snapshot so stateful modules resume rather than reset.
-                if let Some(snap) = shared.checkpoints.lock().get(&wiring.name).cloned() {
-                    instance.restore(&snap);
-                }
-                shared.restarts.fetch_add(1, Ordering::Relaxed);
-                Err(PipelineError::Module {
-                    module: wiring.name.clone(),
-                    reason: format!("panicked: {}", panic_message(panic.as_ref())),
-                })
-            }
-        };
-        let elapsed_ns = start.elapsed().as_nanos() as u64;
-        {
-            let mut metrics = shared.metrics.lock();
-            metrics.record_stage(&wiring.name, elapsed_ns);
-        }
-        match result {
-            Ok(()) => {
-                if wiring.is_sink {
-                    // End-to-end accounting happens at the pacer on the
-                    // completion signal; sinks that forget to signal stall
-                    // the pipeline, so signal on their behalf if they have
-                    // no explicit flow-control role.
-                }
-            }
-            Err(e) => {
-                // Errors caused by the runtime tearing down (peers already
-                // gone) are shutdown artifacts, not pipeline failures.
-                if shared.stop.load(Ordering::SeqCst) {
-                    continue;
-                }
-                shared.errors.lock().push(format!("{}: {e}", wiring.name));
-                // The frame died here: return its credit so the pipeline
-                // keeps flowing. A Control-kind message distinguishes this
-                // from a real completion so it is not counted as delivered.
-                let _ = shared.router.send_from(
-                    &wiring.device,
-                    WireMessage {
-                        kind: MessageKind::Control,
-                        channel: fc_chan(&ctx.pipeline),
-                        reply_to: String::new(),
-                        corr_id: 0,
-                        seq: ctx.header.frame_seq,
-                        timestamp_ns: ctx.header.capture_ts_ns,
-                        epoch: ctx.epoch,
-                        payload: bytes::Bytes::new(),
-                    },
-                );
-            }
-        }
-    }
-    // Final checkpoint at teardown: a graceful shutdown (SIGTERM, drain)
-    // should hand off the freshest recoverable state, not whatever the
-    // last periodic tick happened to capture.
-    if checkpoint_period.is_some() {
-        if let Some(snap) = instance.snapshot() {
-            shared.checkpoints.lock().insert(wiring.name.clone(), snap);
+        for reply in replies {
+            let _ = exec.send(&host.device, reply);
         }
     }
 }
 
-fn pacer_loop(
-    shared: Arc<Shared>,
-    fc_inbox: videopipe_net::InprocReceiver,
-    pipeline: String,
-    sources: Vec<String>,
-    source_device: String,
-    config: RuntimeConfig,
-) {
-    let mut pacer = SourcePacer::new(config.fps);
-    let mut controller = CreditController::new(config.credits);
-    let interval = Duration::from_nanos(pacer.interval_ns());
-    let epoch = Instant::now();
-    let lease = config.resilience.credit_timeout;
-    // Outstanding admissions are tracked by frame seq for credit-lease
-    // expiry and for epoch fencing (either feature needs the set).
-    let track_outstanding = lease.is_some() || config.heartbeats.is_some();
-    let mut outstanding: HashMap<u64, Instant> = HashMap::new();
-    // Fence epoch this pacer is admitting under. A bump (confirmed device
-    // loss) fences everything in flight: those frames may be lost, half
-    // delivered, or redelivered — their credits come back here and any
-    // late signal they still produce is ignored.
-    let mut current_epoch = shared.fence_epoch.load(Ordering::SeqCst);
-    // Recently delivered frame seqs, for redelivery dedup (at-least-once
-    // delivery must not double-count).
-    let dedup_window = config.dedup_window;
-    let mut dedup_order: VecDeque<u64> = VecDeque::with_capacity(dedup_window);
-    let mut dedup_set: HashSet<u64> = HashSet::with_capacity(dedup_window);
-    // Align pacer ticks to wall time.
-    let mut next_tick = epoch;
-    'run: while !shared.stop.load(Ordering::SeqCst) {
+fn module_loop(shared: &Shared, mut task: ModuleTask) {
+    let exec = ThreadExec(shared);
+    while !shared.stopped() {
+        task.checkpoint_if_due(shared);
+        if let Ok(msg) = task.inbox.recv_timeout(POLL) {
+            task.step(shared, &exec, msg);
+        }
+    }
+    task.final_checkpoint(shared);
+}
+
+fn pacer_loop(shared: &Shared, mut pacer: Pacer) {
+    let exec = ThreadExec(shared);
+    'run: while !shared.stopped() {
         // Drain completion signals until the next tick.
         loop {
             let now = Instant::now();
-            if now >= next_tick {
+            if now >= pacer.next_tick {
                 break;
             }
-            // Epoch bump: proactively fault every outstanding admission so
-            // the source regains its credits immediately instead of waiting
-            // out a lease on frames the dead device will never finish.
-            let fence = shared.fence_epoch.load(Ordering::SeqCst);
-            if fence != current_epoch {
-                current_epoch = fence;
-                let fenced = outstanding.len() as u64;
-                for _ in outstanding.drain() {
-                    controller.fault();
-                }
-                if fenced > 0 {
-                    shared.logs.lock().push(format!(
-                        "pacer: fenced {fenced} in-flight frame(s) at epoch {current_epoch}"
-                    ));
-                }
+            pacer.check_fence(shared);
+            let wait = (pacer.next_tick - now).min(POLL);
+            if let Ok(msg) = pacer.fc_inbox.recv_timeout(wait) {
+                pacer.on_signal(shared, &msg);
             }
-            let wait = (next_tick - now).min(POLL);
-            if let Ok(msg) = fc_inbox.recv_timeout(wait) {
-                // Redelivered frame already counted: drop the signal whole —
-                // its credit was settled the first time around.
-                if dedup_window > 0
-                    && msg.kind == MessageKind::Signal
-                    && dedup_set.contains(&msg.seq)
-                {
-                    continue;
-                }
-                // When admissions are tracked, only outstanding frames may
-                // return a credit: anything else is a late echo of an
-                // already expired lease or a fenced epoch, and honouring it
-                // would free a credit that belongs to a different frame.
-                let known = !track_outstanding || outstanding.remove(&msg.seq).is_some();
-                // Signals from a dead epoch are fenced: the credit (if
-                // still held) is reclaimed through the fault path, and the
-                // delivery is NOT counted.
-                let fenced = msg.epoch != current_epoch;
-                match msg.kind {
-                    MessageKind::Signal if known && !fenced => {
-                        controller.complete();
-                        if dedup_window > 0 {
-                            if dedup_order.len() == dedup_window {
-                                if let Some(old) = dedup_order.pop_front() {
-                                    dedup_set.remove(&old);
-                                }
-                            }
-                            dedup_order.push_back(msg.seq);
-                            dedup_set.insert(msg.seq);
-                        }
-                        let now_ns = shared.now_ns();
-                        let latency = now_ns.saturating_sub(msg.timestamp_ns);
-                        let mut metrics = shared.metrics.lock();
-                        metrics.record_delivery(now_ns, latency);
-                        drop(metrics);
-                        shared.deliveries.fetch_add(1, Ordering::Relaxed);
-                    }
-                    MessageKind::Signal if known => controller.fault(),
-                    // Error-path credit return: the frame died mid-pipeline.
-                    MessageKind::Control if known => controller.fault(),
-                    _ => {}
-                }
-            }
-            if shared.stop.load(Ordering::SeqCst) {
+            if shared.stopped() {
                 break 'run;
             }
         }
-        // Expire credit leases: a frame that produced no signal within the
-        // timeout (lost across a dead link, wedged beyond every deadline)
-        // has its credit reclaimed so the source cannot stall forever.
-        if let Some(timeout) = lease {
-            let now = Instant::now();
-            let expired: Vec<u64> = outstanding
-                .iter()
-                .filter(|(_, admitted_at)| now.duration_since(**admitted_at) > timeout)
-                .map(|(seq, _)| *seq)
-                .collect();
-            for seq in expired {
-                outstanding.remove(&seq);
-                controller.fault();
-                shared
-                    .errors
-                    .lock()
-                    .push(format!("pacer: credit lease expired for frame {seq}"));
-            }
-        }
-        // Camera tick. The SLO controller's sampling/shedding knobs thin
-        // admission here, before a credit is spent: with a stride of N only
-        // every N-th camera tick competes for a credit at all, and the
-        // skipped ticks are accounted as source drops.
-        pacer.advance();
-        next_tick += interval;
-        let stride = shared.knobs.admit_stride();
-        let sampled_out = stride > 1 && !pacer.ticks().is_multiple_of(stride);
-        let admitted = !sampled_out && controller.try_admit();
-        {
-            let mut metrics = shared.metrics.lock();
-            metrics.frames_offered = metrics.frames_offered.saturating_add(1);
-            if !admitted {
-                metrics.frames_dropped = metrics.frames_dropped.saturating_add(1);
-            }
-        }
-        if admitted {
-            if track_outstanding {
-                outstanding.insert(pacer.ticks(), Instant::now());
-            }
-            let t_ns = shared.now_ns();
-            for source in &sources {
-                let _ = shared.router.send_from(
-                    &source_device,
-                    WireMessage {
-                        kind: MessageKind::Signal,
-                        channel: mod_chan(&pipeline, source),
-                        reply_to: String::new(),
-                        corr_id: 0,
-                        seq: pacer.ticks(),
-                        timestamp_ns: t_ns,
-                        epoch: current_epoch,
-                        payload: bytes::Bytes::new(),
-                    },
-                );
-            }
-        }
+        pacer.expire_leases(shared);
+        pacer.tick(shared, &exec);
     }
-    // Final credit accounting: lets reports prove no credit leaked
-    // (admitted == delivered + faulted + in_flight).
-    let mut metrics = shared.metrics.lock();
-    metrics.frames_admitted = controller.admitted();
-    metrics.frames_faulted = controller.faulted();
-    metrics.in_flight_at_end = controller.in_flight();
+    pacer.finalize(shared);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deploy::{plan, DeviceSpec, Placement};
-    use crate::service::{Service, ServiceCost};
+    use crate::engine::tests::bare_shared;
+    use crate::engine::{supervised_batch, svc_chan};
+    use crate::message::Payload;
+    use crate::module::{Event, Module, ModuleCtx};
+    use crate::resilience::DegradationPolicy;
+    use crate::service::{Service, ServiceCost, ServiceRequest, ServiceResponse};
     use crate::spec::{ModuleSpec, PipelineSpec};
+    use parking_lot::Mutex;
+    use std::sync::atomic::AtomicBool;
     use videopipe_media::{Frame, FrameBuf};
+    use videopipe_net::MessageKind;
 
     /// Source: mints a tiny frame per tick and forwards the reference.
     struct TestSource;
@@ -3190,33 +1975,6 @@ mod tests {
     }
 
     /// Drives `service_executor_loop` directly against a preloaded queue.
-    fn bare_shared(config: RuntimeConfig) -> (Arc<Shared>, InprocHub) {
-        let hub = InprocHub::new();
-        let mut stores = HashMap::new();
-        stores.insert("one".to_string(), Arc::new(FrameStore::new()));
-        let shared = Arc::new(Shared {
-            hub: hub.clone(),
-            router: Router::inproc(hub.clone()),
-            stores,
-            metrics: Mutex::new(PipelineMetrics::new()),
-            logs: Mutex::new(Vec::new()),
-            errors: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            epoch: Instant::now(),
-            deliveries: AtomicU64::new(0),
-            config,
-            breakers: Mutex::new(HashMap::new()),
-            restarts: AtomicU64::new(0),
-            fence_epoch: AtomicU64::new(0),
-            detector: Mutex::new(None),
-            checkpoints: Mutex::new(HashMap::new()),
-            muted_heartbeats: Mutex::new(HashSet::new()),
-            knobs: KnobActuators::baseline(),
-            gate: ShutdownGate::new(),
-        });
-        (shared, hub)
-    }
-
     #[test]
     fn saturated_executor_batches_and_samples_depth_before_draining() {
         let config = RuntimeConfig {
@@ -3224,7 +1982,7 @@ mod tests {
             ..RuntimeConfig::default()
         };
         let (shared, hub) = bare_shared(config);
-        let channel = svc_chan("one", "doubler");
+        let channel = svc_chan("test", "one", "doubler");
         let inbox = hub.bind(&channel).unwrap();
         let reply_rx = hub.bind("rpl/test/driver").unwrap();
         // Preload a burst of six requests before the executor starts: the
@@ -3242,15 +2000,8 @@ mod tests {
             .unwrap();
         }
         let loop_shared = Arc::clone(&shared);
-        let executor = std::thread::spawn(move || {
-            service_executor_loop(
-                loop_shared,
-                inbox,
-                Arc::new(Doubler),
-                "one".to_string(),
-                1.0,
-            )
-        });
+        let host = ServiceHost::bare(&shared, inbox, Arc::new(Doubler), "one");
+        let executor = std::thread::spawn(move || service_executor_loop(&loop_shared, &host));
         let mut seen = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         while seen.len() < 6 && Instant::now() < deadline {

@@ -11,6 +11,25 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (offline, deny warnings)"
 cargo clippy --offline --all-targets -- -D warnings
 
+echo "==> one engine (a single ModuleCtx implementation; runtime + reactor + engine size)"
+# The per-message runtime logic lives once, in crates/core/src/engine.rs,
+# under two drivers. A second `impl ... ModuleCtx for` under crates/core/src
+# is a fork of the call chain (breaker, retry, LKG): fail. The line count —
+# lines before each file's first #[cfg(test)] — is printed, not gated, so
+# the next anchor reads the trend instead of recounting (4638 before PR 16).
+impls=$(grep -E '^\s*impl\b.*\bModuleCtx for\b' crates/core/src/*.rs || true)
+if [ "$(printf '%s\n' "$impls" | grep -c .)" -ne 1 ]; then
+    echo "expected exactly one ModuleCtx implementation under crates/core/src, found:"
+    printf '%s\n' "$impls"
+    exit 1
+fi
+awk 'FNR == 1 { counting = 1 }
+     /#\[cfg\(test\)\]/ { counting = 0 }
+     counting { lines[FILENAME]++; total++ }
+     END { for (f in lines) printf "    %6d %s\n", lines[f], f
+           printf "    %6d non-test lines in total\n", total }' \
+    crates/core/src/runtime.rs crates/core/src/reactor.rs crates/core/src/engine.rs
+
 echo "==> cargo test (whole workspace: default-members covers every crate)"
 cargo test -q
 

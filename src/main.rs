@@ -46,7 +46,9 @@ RUN OPTIONS:
                                   degradation lattice (default off)
 ";
 
-/// Which engine `run` executes the pipeline on.
+/// What `run` executes the pipeline on. `Local` and `Reactor` are two
+/// drivers of the same core engine (same per-message logic, different
+/// scheduling); `Sim` replays the module/service code in virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Engine {
     /// The discrete-event simulator (modeled time).

@@ -562,3 +562,98 @@ fn every_frame_failing_still_returns_credits() {
         chaos.calls()
     );
 }
+
+/// One corrupt frame on the wire must cost one frame, not the pipeline:
+/// the module that cannot decode it returns its credit like any other
+/// mid-pipeline death. With the paper's single credit and no lease, a
+/// silently dropped frame stalls the source forever — which is what both
+/// drivers did before the module step was written once.
+mod corrupt_frame {
+    use super::*;
+    use videopipe::core::runtime::RunReport;
+    use videopipe::media::{Frame, FrameBuf};
+
+    /// Every fifth tick forwards bytes that claim to be an encoded frame
+    /// and are not.
+    struct GlitchySrc;
+    impl Module for GlitchySrc {
+        fn on_event(&mut self, event: Event, ctx: &mut dyn ModuleCtx) -> Result<(), PipelineError> {
+            if let Event::FrameTick { t_ns } = event {
+                let seq = ctx.header().frame_seq;
+                if seq % 5 == 3 {
+                    let garbage = bytes::Bytes::from_static(b"not a VPF1 frame");
+                    return ctx.call_module("sink", Payload::EncodedFrame(garbage));
+                }
+                let frame: Frame = FrameBuf::new(16, 16).freeze(seq, t_ns);
+                let id = ctx.frame_store().insert(frame);
+                ctx.call_module("sink", Payload::FrameRef(id))?;
+            }
+            Ok(())
+        }
+    }
+
+    struct Sink;
+    impl Module for Sink {
+        fn on_event(&mut self, event: Event, ctx: &mut dyn ModuleCtx) -> Result<(), PipelineError> {
+            if let Event::Message(_) = event {
+                ctx.signal_source()?;
+            }
+            Ok(())
+        }
+    }
+
+    fn glitchy_pipeline() -> (DeploymentPlan, ModuleRegistry, RuntimeConfig) {
+        let spec = PipelineSpec::new("glitch")
+            .with_module(ModuleSpec::new("src", "src").with_next("sink"))
+            .with_module(ModuleSpec::new("sink", "sink"));
+        let devices = vec![DeviceSpec::new("one", 1.0)];
+        let placement = Placement::new().assign("src", "one").assign("sink", "one");
+        let mut modules = ModuleRegistry::new();
+        modules.register("src", || Box::new(GlitchySrc));
+        modules.register("sink", || Box::new(Sink));
+        let config = RuntimeConfig {
+            fps: 200.0,
+            credits: 1,
+            ..RuntimeConfig::default()
+        };
+        assert!(config.resilience.credit_timeout.is_none(), "no lease");
+        (plan(&spec, &devices, &placement).unwrap(), modules, config)
+    }
+
+    fn assert_survived(driver: &str, report: &RunReport) {
+        let m = &report.metrics;
+        assert!(
+            m.frames_delivered >= 20,
+            "{driver}: wedged on a corrupt frame after {} deliveries; errors {:?}",
+            m.frames_delivered,
+            report.errors.iter().take(3).collect::<Vec<_>>()
+        );
+        assert!(m.frames_faulted >= 4, "{driver}: {m:?}");
+        assert!(
+            report
+                .errors
+                .iter()
+                .all(|e| e.contains("frame decode failed")),
+            "{driver}: {:?}",
+            report.errors
+        );
+        assert!(m.credits_balanced(), "{driver}: credit leak: {m:?}");
+    }
+
+    #[test]
+    fn a_corrupt_encoded_frame_returns_its_credit_on_both_drivers() {
+        let (plan, modules, config) = glitchy_pipeline();
+        let services = ServiceRegistry::new();
+        let patience = Duration::from_secs(5);
+
+        let threaded = LocalRuntime::deploy(&plan, &modules, &services, config.clone()).unwrap();
+        assert_survived("threaded", &threaded.run_until_deliveries(20, patience));
+
+        let mut reactor = ReactorRuntime::new(ReactorConfig::default());
+        reactor
+            .add_pipeline(&plan, &modules, &services, config)
+            .unwrap();
+        let reports = reactor.run_until_total_deliveries(20, patience);
+        assert_survived("reactor", &reports[0]);
+    }
+}
