@@ -39,7 +39,10 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize,
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use videopipe_media::{codec, FrameStore};
-use videopipe_net::{InprocHub, InprocReceiver, MessageKind, MsgReceiver, MsgSender, WireMessage};
+use videopipe_net::{
+    BufferPool, InprocHub, InprocReceiver, MessageKind, MsgReceiver, MsgSender, PollEndpoint,
+    WireMessage,
+};
 
 /// What a driver lends the engine: how a message leaves, how a module waits
 /// for a reply, and how modeled time passes. Statically dispatched.
@@ -78,15 +81,15 @@ impl Router {
         }
     }
 
-    /// In `Tcp` mode every device gets a loopback ingress socket —
-    /// `bind_ingress` binds one the driver's way and returns its port — and
-    /// all cross-device channels route through it.
+    /// In `Tcp` mode every device gets a loopback ingress endpoint, bound
+    /// here and returned for the driver's [`videopipe_net::Ingress`] to
+    /// run, and all cross-device channels route through it.
     fn tcp(
         hub: InprocHub,
         plan: &DeploymentPlan,
         source_device: &str,
-        mut bind_ingress: impl FnMut() -> Result<u16, PipelineError>,
-    ) -> Result<Self, PipelineError> {
+        ingress_pool: &Arc<BufferPool>,
+    ) -> Result<(Self, Vec<PollEndpoint>), PipelineError> {
         let pipeline = &plan.pipeline.name;
         let mut channel_device = HashMap::new();
         for m in &plan.pipeline.modules {
@@ -103,8 +106,11 @@ impl Router {
         channel_device.insert(hb_chan(pipeline), source_device.to_string());
 
         let mut tcp_peers = HashMap::new();
+        let mut endpoints = Vec::new();
         for d in &plan.devices {
-            let addr = format!("127.0.0.1:{}", bind_ingress()?);
+            let endpoint = PollEndpoint::bind_with_pool("127.0.0.1:0", Arc::clone(ingress_pool))?;
+            let addr = format!("127.0.0.1:{}", endpoint.local_port());
+            endpoints.push(endpoint);
             let sender =
                 videopipe_net::tcp::TcpSender::connect_retry(&addr, Duration::from_secs(5))?
                     // Survive mid-stream disconnects: buffer and reconnect
@@ -112,11 +118,21 @@ impl Router {
                     .with_reconnect(videopipe_net::tcp::ReconnectPolicy::default());
             tcp_peers.insert(d.name.clone(), Arc::new(sender));
         }
-        Ok(Router {
+        let router = Router {
             hub,
             channel_device,
             tcp_peers,
-        })
+        };
+        Ok((router, endpoints))
+    }
+
+    /// Puts `msg` on the in-process channel it names — the tail of every
+    /// route, and all there is to do for a frame that came off a socket.
+    pub(crate) fn deliver_local(&self, msg: WireMessage) -> Result<(), PipelineError> {
+        self.hub
+            .connect(&msg.channel)
+            .and_then(|s| s.send(msg))
+            .map_err(PipelineError::from)
     }
 
     pub(crate) fn send_from(
@@ -131,10 +147,7 @@ impl Router {
                 }
             }
         }
-        self.hub
-            .connect(&msg.channel)
-            .and_then(|s| s.send(msg))
-            .map_err(PipelineError::from)
+        self.deliver_local(msg)
     }
 }
 
@@ -236,19 +249,20 @@ fn device_of(plan: &DeploymentPlan, module: &str) -> Result<String, PipelineErro
 
 impl Shared {
     /// Builds one pipeline's shared state from its plan: a private hub, one
-    /// frame store per device (`new_store`), the router (`bind_ingress` is
-    /// called once per device in `Tcp` mode and never otherwise) and the
-    /// failure detector.
+    /// frame store per device (`new_store`), the router and the failure
+    /// detector. In `Tcp` mode the second value is one ingress endpoint per
+    /// device, reading into `ingress_pool`, for the driver to run; it is
+    /// empty otherwise.
     ///
     /// # Errors
     ///
-    /// Invalid configs, an unplaced source, or ingress/connect failures.
+    /// Invalid configs, an unplaced source, or bind/connect failures.
     pub(crate) fn deploy(
         plan: &DeploymentPlan,
         config: RuntimeConfig,
         new_store: impl Fn() -> FrameStore,
-        bind_ingress: impl FnMut() -> Result<u16, PipelineError>,
-    ) -> Result<Arc<Self>, PipelineError> {
+        ingress_pool: &Arc<BufferPool>,
+    ) -> Result<(Arc<Self>, Vec<PollEndpoint>), PipelineError> {
         config.validate()?;
         let hub = InprocHub::new();
         let sources: Vec<String> = plan
@@ -262,9 +276,9 @@ impl Shared {
             .and_then(|s| plan.placement.device_for(s))
             .ok_or_else(|| PipelineError::Deploy("pipeline has no placed source".into()))?
             .to_string();
-        let router = match config.transport {
-            EdgeTransport::Inproc => Router::inproc(hub.clone()),
-            EdgeTransport::Tcp => Router::tcp(hub.clone(), plan, &source_device, bind_ingress)?,
+        let (router, endpoints) = match config.transport {
+            EdgeTransport::Inproc => (Router::inproc(hub.clone()), Vec::new()),
+            EdgeTransport::Tcp => Router::tcp(hub.clone(), plan, &source_device, ingress_pool)?,
         };
         let detector = config.heartbeats.clone().map(|h| {
             let mut d = FailureDetector::new(h);
@@ -273,7 +287,7 @@ impl Shared {
             }
             d
         });
-        Ok(Arc::new(Shared {
+        let shared = Arc::new(Shared {
             pipeline: plan.pipeline.name.clone(),
             sources,
             source_device,
@@ -299,7 +313,8 @@ impl Shared {
             muted_heartbeats: Mutex::new(HashSet::new()),
             knobs: KnobActuators::baseline(),
             gate: ShutdownGate::new(),
-        }))
+        });
+        Ok((shared, endpoints))
     }
 
     pub(crate) fn now_ns(&self) -> u64 {

@@ -38,8 +38,9 @@
 //!   only run non-blocking tasks (service dispatch, pacers, watchers) —
 //!   and replies are always produced by non-blocking tasks, so the wait
 //!   always makes progress even with a single worker.
-//! * **One I/O thread.** TCP ingress is one thread blocked in a
-//!   [`Poller`](videopipe_net::Poller) over the sockets of every
+//! * **One I/O thread.** TCP ingress is one thread turning one
+//!   [`Ingress`](videopipe_net::Ingress) — the readiness loop the threaded
+//!   runtime and `TcpListenerHandle` run too — over the sockets of every
 //!   [`PollEndpoint`](videopipe_net::PollEndpoint) of every pipeline: it
 //!   wakes when bytes arrive, services exactly the sockets that are ready
 //!   and feeds completed frames to the readiness queues. No per-connection
@@ -75,9 +76,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use videopipe_media::FrameStore;
-use videopipe_net::{
-    InprocReceiver, MsgReceiver, MsgSender, PollEndpoint, Poller, Serviced, WireMessage,
-};
+use videopipe_net::{Ingress, InprocReceiver, MsgReceiver, PollEndpoint, Poller, WireMessage};
 
 /// Executor knobs for a [`ReactorRuntime`].
 #[derive(Debug, Clone)]
@@ -85,37 +84,23 @@ pub struct ReactorConfig {
     /// Worker threads running ready tasks. `0` (the default) sizes the
     /// pool to the machine's available parallelism.
     pub workers: usize,
-    /// How deep wait-by-helping may nest through *blocking-capable* module
-    /// tasks. Helpers above this depth only run non-blocking tasks, which
-    /// bounds stack growth while keeping service replies reachable.
-    pub help_depth: usize,
     /// No effect on scheduling: timers keep exact deadlines. The field
     /// (name, type, default) stays only because the benchmark, which a PR
     /// claiming a gain may not edit, reads it to phase tenant starts.
     pub timer_granularity: Duration,
-    /// Messages one module task drains per scheduling quantum before
-    /// yielding its worker.
-    pub module_quantum: usize,
     /// Whether idle workers steal from sibling local queues. On by
     /// default; turning it off pins every pipeline strictly to its home
     /// worker (useful for isolating scheduling experiments). Non-worker
     /// threads helping their own service calls always sweep regardless.
     pub steal: bool,
-    /// Overrides the home worker for *every* pipeline deployed to this
-    /// runtime (modulo worker count). `None` (the default) assigns
-    /// pipeline `i` to worker `i % workers` at deploy time.
-    pub affinity: Option<usize>,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
             workers: 0,
-            help_depth: 1,
             timer_granularity: Duration::from_micros(200),
-            module_quantum: 32,
             steal: true,
-            affinity: None,
         }
     }
 }
@@ -149,6 +134,15 @@ const HELP_PARK: Duration = Duration::from_micros(200);
 /// handler does not.
 const SIBLING_GRACE_NS: u64 = 1_000_000;
 
+/// How deep wait-by-helping may nest through *blocking-capable* module
+/// tasks. Helpers above this depth only run non-blocking tasks, which
+/// bounds stack growth while keeping service replies reachable.
+const HELP_DEPTH: usize = 1;
+
+/// Messages one module task drains per scheduling quantum before yielding
+/// its worker.
+const MODULE_QUANTUM: usize = 32;
+
 /// Batches one service task dispatches per quantum before yielding.
 const SERVICE_BATCH_QUANTUM: usize = 4;
 
@@ -157,10 +151,6 @@ const SERVICE_BATCH_QUANTUM: usize = 4;
 /// worker's queue without bound — and spilled tasks become visible to
 /// every worker, which doubles as a pressure valve.
 const LOCAL_QUEUE_CAP: usize = 256;
-
-/// Frames one TCP connection may deliver per I/O wake-up before the
-/// shared I/O thread moves on to the other ready sockets.
-const IO_POLL_BUDGET: usize = 256;
 
 /// Per-device frame-store capacity under the reactor. Small on purpose:
 /// in-flight frames per pipeline are bounded by credits, and 10k pipelines
@@ -260,7 +250,7 @@ struct WorkerQueue {
     lifo: Mutex<Option<Arc<Task>>>,
     /// Non-blocking local tasks (service dispatch, pacers, watchers).
     nb_local: Mutex<VecDeque<Arc<Task>>>,
-    /// Blocking-capable module tasks (runnable only within `help_depth`).
+    /// Blocking-capable module tasks (runnable only within [`HELP_DEPTH`]).
     md_local: Mutex<VecDeque<Arc<Task>>>,
     timers: TimerShard,
     parker: Parker,
@@ -330,11 +320,9 @@ struct TimerQueue {
     entries: std::collections::BTreeMap<(u64, u64), TimerEntry>,
 }
 
-/// A TCP ingress endpoint owned by the reactor's single I/O thread.
-struct IoEndpoint {
-    pipe: Arc<PipeRt>,
-    endpoint: PollEndpoint,
-}
+/// A TCP ingress endpoint on its way to the reactor's single I/O thread,
+/// with the pipeline its frames belong to.
+type IoEndpoint = (Arc<PipeRt>, PollEndpoint);
 
 /// Per-pipeline runtime registration: the pipeline's shared state, its
 /// home worker (the deploy-time affinity hint) and the channel→task
@@ -454,10 +442,9 @@ impl Core {
                 self.push_local(wid, prev);
             }
             // Nobody is told of a slot entry, and from a helper nested
-            // beyond `help_depth` this worker cannot run a module task
+            // beyond `HELP_DEPTH` this worker cannot run a module task
             // until it has unwound: have an idle sibling come and take it.
-            if task.blocking && self.cfg.steal && RUN_DEPTH.with(|d| d.get()) > self.cfg.help_depth
-            {
+            if task.blocking && self.cfg.steal && RUN_DEPTH.with(|d| d.get()) > HELP_DEPTH {
                 fence(Ordering::SeqCst);
                 self.notify_any_idle();
             }
@@ -681,12 +668,12 @@ impl Core {
     /// runnable at `depth`: own LIFO slot, own local queues, the global
     /// queues, a randomized steal sweep over siblings, then — stealing on
     /// and nothing else to do — siblings' overdue timers. Non-blocking
-    /// tasks are always runnable; module tasks only within `help_depth`.
+    /// tasks are always runnable; module tasks only within [`HELP_DEPTH`].
     /// Every way a worker gets a task or goes to sleep starts here, at
     /// depth 0 and from wait-by-helping alike, so its deadlines are served
     /// wherever it happens to be.
     fn next_task(&self, depth: usize) -> Option<Arc<Task>> {
-        let help_mods = depth <= self.cfg.help_depth;
+        let help_mods = depth <= HELP_DEPTH;
         let me = self.current_worker();
         if let Some(wid) = me {
             self.fire_due(wid, self.now_ns(), wid);
@@ -861,84 +848,32 @@ impl Core {
         }
     }
 
-    /// The I/O thread: blocks until a registered socket is readable or
-    /// someone notifies `poller` (a deploy that queued endpoints on
-    /// `registry`, or shutdown), then services exactly the ready sockets.
-    fn io_loop(&self, poller: &Arc<Poller>, registry: &Receiver<IoEndpoint>) {
-        // Indexed by the token in the high half of each endpoint's keys.
-        let mut endpoints: Vec<IoEndpoint> = Vec::new();
-        let mut ready: Vec<u64> = Vec::new();
-        // Keys whose budget ran out with decoded frames still queued: no
-        // readiness event will announce those, so the next wait must not
-        // block and must service them again.
-        let mut backlog: Vec<u64> = Vec::new();
-        // Listeners paused after a hard `accept` error, with their retry
-        // time; normally empty.
-        let mut retries: Vec<(Instant, u64)> = Vec::new();
+    /// The I/O thread: takes over the endpoints deploys queued on
+    /// `registry`, then one [`Ingress::turn`] — blocked until a socket is
+    /// readable or someone notifies the waker (a deploy, shutdown) — whose
+    /// frames go to their pipeline's hub and wake its home worker.
+    fn io_loop(&self, mut ingress: Ingress<Arc<PipeRt>>, registry: &Receiver<IoEndpoint>) {
+        let report = |pipe: &PipeRt, what: String| pipe.shared.errors.lock().push(what);
         while !self.stop.load(Ordering::SeqCst) {
-            let timeout = if backlog.is_empty() {
-                let next_retry = retries.iter().map(|&(at, _)| at).min();
-                next_retry.map(|at| at.saturating_duration_since(Instant::now()))
-            } else {
-                Some(Duration::ZERO)
-            };
-            ready.clear();
-            if let Err(e) = poller.wait(&mut ready, timeout) {
+            while let Ok((pipe, endpoint)) = registry.try_recv() {
+                if let Err(e) = ingress.add(Arc::clone(&pipe), endpoint) {
+                    report(&pipe, format!("tcp ingress endpoint not registered: {e}"));
+                }
+            }
+            let turned = ingress.turn(|pipe, msg| {
+                let chan = msg.channel.clone();
+                if pipe.shared.router.deliver_local(msg).is_ok() {
+                    self.wake_channel(pipe, &chan);
+                }
+            });
+            if let Err(e) = turned {
                 // Nothing to fall back on: say so where reports look.
-                for ep in &endpoints {
-                    let mut errors = ep.pipe.shared.errors.lock();
-                    errors.push(format!("tcp ingress stopped: readiness wait failed: {e}"));
+                for pipe in ingress.tags() {
+                    report(pipe, format!("tcp ingress stopped: {e}"));
                 }
                 return;
             }
             self.io_wakeups.fetch_add(1, Ordering::Relaxed);
-            while let Ok(mut ep) = registry.try_recv() {
-                let registered = match u32::try_from(endpoints.len()) {
-                    Ok(token) => ep.endpoint.register(poller, token),
-                    Err(_) => Err(std::io::Error::other("endpoint tokens exhausted").into()),
-                };
-                if let Err(e) = registered {
-                    let mut errors = ep.pipe.shared.errors.lock();
-                    errors.push(format!("tcp ingress endpoint not registered: {e}"));
-                }
-                // Kept even when unregistered, so tokens stay indices.
-                endpoints.push(ep);
-            }
-            ready.append(&mut backlog);
-            if !retries.is_empty() {
-                let now = Instant::now();
-                retries.retain(|&(at, key)| {
-                    let due = at <= now;
-                    if due {
-                        ready.push(key);
-                    }
-                    !due
-                });
-            }
-            // A key can be both ready and carried over; run it once.
-            ready.sort_unstable();
-            ready.dedup();
-            for &key in &ready {
-                let Some(ep) = endpoints.get_mut((key >> 32) as usize) else {
-                    continue;
-                };
-                let pipe = &ep.pipe;
-                // Budgeted: one hot connection cannot pin the shared I/O
-                // thread; frames wake the pipeline's home worker.
-                let (_, next) = ep.endpoint.service(key, IO_POLL_BUDGET, &mut |msg| {
-                    let chan = msg.channel.clone();
-                    if let Ok(sender) = pipe.shared.hub.connect(&chan) {
-                        if sender.send(msg).is_ok() {
-                            self.wake_channel(pipe, &chan);
-                        }
-                    }
-                });
-                match next {
-                    Serviced::Idle => {}
-                    Serviced::Backlog => backlog.push(key),
-                    Serviced::RetryAt(at) => retries.push((at, key)),
-                }
-            }
         }
     }
 
@@ -1039,7 +974,7 @@ impl Exec for ReactorExec<'_> {
 }
 
 /// Runs one module instance as a blocking-capable task: drains up to
-/// `module_quantum` inbox messages per run.
+/// [`MODULE_QUANTUM`] inbox messages per run.
 struct ModuleRunner {
     pipe: Arc<PipeRt>,
     task: ModuleTask,
@@ -1062,7 +997,7 @@ impl TaskRunner for ModuleRunner {
             pipe: &self.pipe,
             depth,
         };
-        for _ in 0..core.cfg.module_quantum.max(1) {
+        for _ in 0..MODULE_QUANTUM {
             if shared.stopped() {
                 return false;
             }
@@ -1296,25 +1231,23 @@ impl ReactorRuntime {
         endpoints: Vec<PollEndpoint>,
     ) -> Result<(), PipelineError> {
         if self.io.is_none() {
-            let poller = Arc::new(Poller::new().map_err(videopipe_net::NetError::from)?);
+            let ingress = Ingress::new()?;
+            let waker = ingress.waker();
             let (tx, rx) = unbounded();
-            let (core, waker) = (Arc::clone(&self.core), Arc::clone(&poller));
+            let core = Arc::clone(&self.core);
             self.threads.push(
                 std::thread::Builder::new()
                     .name("vp-reactor-io".into())
-                    .spawn(move || core.io_loop(&waker, &rx))
+                    .spawn(move || core.io_loop(ingress, &rx))
                     .expect("spawn reactor io"),
             );
-            self.io = Some((tx, poller));
+            self.io = Some((tx, waker));
         }
-        let (tx, poller) = self.io.as_ref().expect("set just above");
+        let (tx, waker) = self.io.as_ref().expect("set just above");
         for endpoint in endpoints {
-            let _ = tx.send(IoEndpoint {
-                pipe: Arc::clone(pipe),
-                endpoint,
-            });
+            let _ = tx.send((Arc::clone(pipe), endpoint));
         }
-        poller.notify();
+        waker.notify();
         Ok(())
     }
 
@@ -1392,27 +1325,15 @@ impl ReactorRuntime {
         services: &ServiceRegistry,
         config: RuntimeConfig,
     ) -> Result<usize, PipelineError> {
-        // In `Tcp` mode every device gets a *non-blocking* ingress socket
-        // registered with the reactor's single I/O thread.
-        let mut io_endpoints = Vec::new();
-        let shared = Shared::deploy(
-            plan,
-            config,
-            || FrameStore::with_capacity(REACTOR_STORE_CAPACITY),
-            || {
-                let pool = Arc::clone(&self.ingress_pool);
-                let endpoint = PollEndpoint::bind_with_pool("127.0.0.1:0", pool)?;
-                let port = endpoint.local_port();
-                io_endpoints.push(endpoint);
-                Ok(port)
-            },
-        )?;
+        // In `Tcp` mode every device gets an ingress endpoint for the
+        // reactor's single I/O thread to run.
+        let new_store = || FrameStore::with_capacity(REACTOR_STORE_CAPACITY);
+        let (shared, io_endpoints) = Shared::deploy(plan, config, new_store, &self.ingress_pool)?;
         let pipeline_id = self.pipeline_names.len();
         let first_task_id = self.next_task_id();
         // Pipeline affinity: home worker for every task of this pipeline.
-        // Round-robin over workers by default spreads the fleet evenly;
-        // `affinity` pins everything for scheduling experiments.
-        let home = self.core.cfg.affinity.unwrap_or(pipeline_id) % self.core.workers.len();
+        // Round-robin over workers spreads the fleet evenly.
+        let home = pipeline_id % self.core.workers.len();
         let pipe = Arc::new(PipeRt {
             home,
             shared,
@@ -1680,8 +1601,8 @@ impl ReactorRuntime {
         for wq in &self.core.workers {
             wq.parker.unpark();
         }
-        if let Some((_, poller)) = &self.io {
-            poller.notify();
+        if let Some((_, waker)) = &self.io {
+            waker.notify();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -2460,7 +2381,7 @@ mod tests {
             workers: 2,
             ..ReactorConfig::default()
         });
-        // Blocking-capable, like a module task: at depth 2 > help_depth
+        // Blocking-capable, like a module task: at depth 2 > HELP_DEPTH
         // the worker that woke it cannot run it.
         let (module, pending) = probe_task(&rt, 0, true);
         let (woke_at, woke) = unbounded();

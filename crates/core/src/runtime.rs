@@ -13,7 +13,7 @@
 //! module, shared with the reactor. This file keeps only what is genuinely
 //! threaded: spawning a thread per task, blocking on inboxes in [`POLL`]
 //! slices, the executor's adaptive partial-batch hold (DESIGN.md §5.7), the
-//! `TcpListenerHandle` ingress pumps and [`ShutdownGate`] parking — plus the
+//! one TCP ingress thread and [`ShutdownGate`] parking — plus the
 //! configuration and report types both runtimes share.
 //!
 //! Timing fidelity (Wi-Fi latency, heavyweight inference) is the simulator's
@@ -35,7 +35,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use videopipe_media::{codec, FrameStore};
-use videopipe_net::{InprocReceiver, MsgReceiver, MsgSender, WireMessage};
+use videopipe_net::{BufferPool, Ingress, InprocReceiver, MsgReceiver, Poller, WireMessage};
 
 /// How cross-device traffic travels in the local runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -349,6 +349,8 @@ impl Exec for ThreadExec<'_> {
 pub struct LocalRuntime {
     shared: Arc<Shared>,
     threads: Vec<std::thread::JoinHandle<()>>,
+    /// Ends the ingress thread's wait at shutdown (`Tcp` transport only).
+    ingress_waker: Option<Arc<Poller>>,
 }
 
 /// The runtime's threads, each handed its own handle on the shared state.
@@ -400,13 +402,8 @@ impl LocalRuntime {
         services: &ServiceRegistry,
         config: RuntimeConfig,
     ) -> Result<Self, PipelineError> {
-        let mut listeners = Vec::new();
-        let shared = Shared::deploy(plan, config, FrameStore::new, || {
-            let listener = videopipe_net::tcp::TcpListenerHandle::bind("127.0.0.1:0")?;
-            let port = listener.local_port();
-            listeners.push(listener);
-            Ok(port)
-        })?;
+        let pool = Arc::new(BufferPool::default());
+        let (shared, endpoints) = Shared::deploy(plan, config, FrameStore::new, &pool)?;
         let pipeline = &shared.pipeline;
         let mut threads = Threads {
             shared: &shared,
@@ -444,18 +441,26 @@ impl LocalRuntime {
             });
         }
 
-        // TCP ingress pumps: forward arriving wire messages to the local
-        // in-process channel named by `msg.channel`.
-        for listener in listeners {
+        // TCP ingress: one thread for every device's endpoint, putting each
+        // arriving frame on the in-process channel it names.
+        let mut ingress_waker = None;
+        if !endpoints.is_empty() {
+            let mut ingress = Ingress::new()?;
+            for endpoint in endpoints {
+                ingress.add((), endpoint)?;
+            }
+            ingress_waker = Some(ingress.waker());
             threads.spawn("vp-tcp-ingress".into(), move |shared| {
                 while !shared.stopped() {
-                    if let Ok(msg) = listener.recv_timeout(POLL) {
-                        if let Ok(sender) = shared.hub.connect(&msg.channel) {
-                            let _ = sender.send(msg);
-                        }
+                    let turned = ingress.turn(|_, msg| {
+                        let _ = shared.router.deliver_local(msg);
+                    });
+                    if let Err(e) = turned {
+                        let mut errors = shared.errors.lock();
+                        errors.push(format!("tcp ingress stopped: {e}"));
+                        return;
                     }
                 }
-                listener.shutdown();
             });
         }
 
@@ -492,8 +497,11 @@ impl LocalRuntime {
             pacer_loop(shared, pacer)
         });
 
-        let threads = threads.handles;
-        Ok(LocalRuntime { shared, threads })
+        Ok(LocalRuntime {
+            threads: threads.handles,
+            shared,
+            ingress_waker,
+        })
     }
 
     /// The pipeline name.
@@ -601,6 +609,9 @@ impl LocalRuntime {
         // Wake every interval-parked watcher so joins are O(ms) even with
         // multi-second heartbeat/SLO/telemetry intervals.
         self.shared.gate.trigger();
+        if let Some(waker) = &self.ingress_waker {
+            waker.notify();
+        }
         for t in self.threads {
             let _ = t.join();
         }
@@ -725,7 +736,7 @@ mod tests {
     use parking_lot::Mutex;
     use std::sync::atomic::AtomicBool;
     use videopipe_media::{Frame, FrameBuf};
-    use videopipe_net::MessageKind;
+    use videopipe_net::{MessageKind, MsgSender};
 
     /// Source: mints a tiny frame per tick and forwards the reference.
     struct TestSource;
@@ -999,6 +1010,39 @@ mod tests {
             report.errors
         );
         assert!(report.errors.is_empty(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn tcp_transport_adds_exactly_one_ingress_thread() {
+        // Three devices, three ingress endpoints, any number of peer
+        // connections: one thread turns them all.
+        let devices = vec![
+            DeviceSpec::new("phone", 1.0),
+            DeviceSpec::new("desktop", 1.0)
+                .with_containers(2)
+                .with_service("doubler"),
+            DeviceSpec::new("tv", 1.0),
+        ];
+        let placement = Placement::new()
+            .assign("src", "phone")
+            .assign("mid", "desktop")
+            .assign("sink", "tv");
+        let plan = plan(&test_spec(), &devices, &placement).unwrap();
+        let (modules, services) = registries();
+        let threads_with = |transport| {
+            let config = RuntimeConfig {
+                transport,
+                ..RuntimeConfig::default()
+            };
+            let rt = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
+            let threads = rt.threads.len();
+            assert!(rt.finish().errors.is_empty());
+            threads
+        };
+        assert_eq!(
+            threads_with(EdgeTransport::Tcp),
+            threads_with(EdgeTransport::Inproc) + 1
+        );
     }
 
     /// Middle module that sends the *same frame* to the remote service

@@ -12,15 +12,21 @@
 //! * [`InprocHub`] — named in-process channels (crossbeam-backed) used for
 //!   co-located modules and services.
 //! * [`tcp`] — a real TCP transport with length-prefixed framing for
-//!   cross-device edges.
-//! * [`patterns`] — the ZeroMQ-style socket patterns the runtime needs:
-//!   PUSH/PULL for pipeline edges, REQ/REP for service calls, PUB/SUB for
-//!   displays and telemetry.
+//!   cross-device edges, with one way in and one way out: every receiver
+//!   is a [`PollEndpoint`] on an [`Ingress`] readiness loop (the reactor's
+//!   I/O thread, the threaded runtime's ingress thread and
+//!   [`tcp::TcpListenerHandle`] all turn the same loop), and
+//!   [`tcp::TcpSender`] has one stage → flush send path.
+//! * The ZeroMQ socket patterns are shapes of those pieces rather than
+//!   types of their own: PUSH/PULL is an [`InprocHub`] channel or a
+//!   `TcpSender` → `PollEndpoint` edge, REQ/REP is
+//!   [`WireMessage::request`] / [`WireMessage::response_to`] matched by
+//!   correlation id in the runtime, PUB/SUB is [`InprocHub::publish`].
 //! * [`broker`] — a deliberately *brokered* relay used only as the ablation
 //!   baseline that quantifies the paper's extra-hop claim.
-//! * [`Poller`] — readiness waiting (`epoll` + `eventfd` on Linux) so one
-//!   I/O thread blocks until a [`PollEndpoint`] socket has something to
-//!   read, instead of scanning them all on a timer.
+//! * [`Poller`] — readiness waiting (`epoll` + `eventfd` on Linux) under
+//!   [`Ingress`], so its thread blocks until a socket has something to
+//!   read instead of scanning them all on a timer.
 
 // `deny`, not `forbid`: the `poller` module alone opts back in, for the
 // four `epoll`/`eventfd` foreign calls no vendored crate wraps.
@@ -32,7 +38,6 @@ pub mod control;
 mod endpoint;
 mod error;
 mod inproc;
-pub mod patterns;
 #[allow(unsafe_code)]
 mod poller;
 pub mod pool;
@@ -45,10 +50,9 @@ pub use error::NetError;
 pub use inproc::{InprocHub, InprocReceiver, InprocSender};
 pub use poller::Poller;
 pub use pool::{BufferPool, PoolStats};
-pub use tcp::{PollEndpoint, Serviced};
+pub use tcp::{Ingress, PollEndpoint};
 pub use wire::{
-    read_frame, write_frame, FrameBatch, MessageKind, StreamDecoder, WireMessage, MAX_CHANNEL_LEN,
-    MAX_FRAME_LEN,
+    FrameBatch, MessageKind, StreamDecoder, WireMessage, MAX_CHANNEL_LEN, MAX_FRAME_LEN,
 };
 
 use std::time::Duration;

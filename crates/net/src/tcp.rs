@@ -1,35 +1,45 @@
 //! TCP transport with length-prefixed framing.
 //!
-//! Cross-device pipeline edges use this transport: a [`TcpListenerHandle`]
-//! accepts any number of peers and funnels their frames into one receiver
-//! (matching ZeroMQ PULL semantics), and [`TcpSender`] is the connecting
-//! side. Frames carry a `u32` length prefix; both directions run the
-//! zero-copy wire path — receivers reassemble frames in pooled chunks via
-//! [`StreamDecoder`] so payloads are shared slices of the read buffer, and
-//! senders stage frames in a [`FrameBatch`] flushed with vectored writes so
-//! a whole coalesced burst (see [`CoalescePolicy`]) is one syscall with no
-//! payload copy.
+//! **One way in.** Every TCP receiver is a [`PollEndpoint`] — a
+//! non-blocking listener plus its accepted connections, each reading
+//! straight into a pooled [`StreamDecoder`] chunk so payloads are shared
+//! slices of the read buffer — and every endpoint is driven by the same
+//! readiness loop, [`Ingress`]: wait on one [`Poller`], service exactly the
+//! ready sockets under a budget, carry backlogs and paused listeners to the
+//! next turn. The loop has three users, which differ only in the tag they
+//! hang on an endpoint and the sink they hand to [`Ingress::turn`]: the
+//! reactor's I/O thread (every pipeline's endpoints, tagged with the
+//! pipeline), the threaded runtime's one ingress thread, and
+//! [`TcpListenerHandle`] (one endpoint feeding a channel, the ZeroMQ PULL
+//! shape the cluster control plane uses).
+//!
+//! **One way out.** [`TcpSender::send`] stages the frame in a
+//! [`FrameBatch`] — header encoded into a pooled arena, payload shared, not
+//! copied — re-dials if a [`ReconnectPolicy`] says so, and flushes with
+//! vectored writes. There is nothing to select: no coalescing policy, no
+//! background flusher.
 
 use crate::error::NetError;
 use crate::poller::Poller;
 use crate::pool::BufferPool;
 use crate::wire::{FrameBatch, StreamDecoder, WireMessage};
 use crate::{MsgReceiver, MsgSender};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, TryRecvError};
 use parking_lot::Mutex;
 use std::io::Read;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A bound TCP endpoint: accepts peers in the background and exposes their
-/// merged frame stream as a [`MsgReceiver`].
+/// A bound TCP endpoint: one background thread runs an [`Ingress`] over it
+/// and exposes the merged frame stream of every peer as a [`MsgReceiver`].
 pub struct TcpListenerHandle {
     local_port: u16,
     rx: Receiver<WireMessage>,
     shutdown: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    waker: Arc<Poller>,
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl TcpListenerHandle {
@@ -39,22 +49,43 @@ impl TcpListenerHandle {
     ///
     /// Propagates socket errors.
     pub fn bind(addr: &str) -> Result<Self, NetError> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_port = listener.local_addr()?.port();
+        let mut ingress = Ingress::new()?;
+        ingress.add((), PollEndpoint::bind(addr)?)?;
+        Ok(Self::spawn(ingress))
+    }
+
+    /// Starts the thread that turns `ingress`, over its one endpoint, into
+    /// the channel.
+    fn spawn(mut ingress: Ingress<()>) -> Self {
+        let local_port = ingress.endpoints[0].1.local_port();
+        let waker = ingress.waker();
         let (tx, rx) = unbounded();
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("vp-tcp-accept-{local_port}"))
-            .spawn(move || accept_loop(listener, tx, flag))
-            .expect("spawn accept thread");
-        Ok(TcpListenerHandle {
+        let thread = std::thread::Builder::new()
+            .name(format!("vp-tcp-listen-{local_port}"))
+            .spawn(move || {
+                // The handle owns the receiver and joins this thread before
+                // dropping it, so a send cannot fail while the loop runs.
+                // A failed wait ends the loop: the channel disconnects and
+                // `recv*` says so.
+                while !flag.load(Ordering::SeqCst) {
+                    let turned = ingress.turn(|_, msg| {
+                        let _ = tx.send(msg);
+                    });
+                    if turned.is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn tcp listener thread");
+        TcpListenerHandle {
             local_port,
             rx,
             shutdown,
-            accept_thread: Some(accept_thread),
-        })
+            waker,
+            thread: Some(thread),
+        }
     }
 
     /// The port actually bound (useful with port 0).
@@ -62,18 +93,18 @@ impl TcpListenerHandle {
         self.local_port
     }
 
-    /// Requests shutdown of the accept loop (reader threads end when their
-    /// peers disconnect).
+    /// Stops the ingress thread, which closes the listener and every peer
+    /// connection; frames already received stay readable.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.waker.notify();
     }
 }
 
 impl Drop for TcpListenerHandle {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(handle) = self.accept_thread.take() {
-            // The accept loop polls every few ms; joining is quick.
+        if let Some(handle) = self.thread.take() {
             let _ = handle.join();
         }
     }
@@ -84,57 +115,6 @@ impl std::fmt::Debug for TcpListenerHandle {
         f.debug_struct("TcpListenerHandle")
             .field("local_port", &self.local_port)
             .finish_non_exhaustive()
-    }
-}
-
-fn accept_loop(listener: TcpListener, tx: Sender<WireMessage>, shutdown: Arc<AtomicBool>) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let tx = tx.clone();
-                let flag = Arc::clone(&shutdown);
-                let _ = std::thread::Builder::new()
-                    .name("vp-tcp-reader".into())
-                    .spawn(move || reader_loop(stream, tx, flag));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn reader_loop(mut stream: TcpStream, tx: Sender<WireMessage>, shutdown: Arc<AtomicBool>) {
-    // Blocking reads with a timeout so shutdown is honoured. Bytes land
-    // directly in the decoder's pooled chunk; decoded payloads are
-    // zero-copy slices of it.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut decoder = StreamDecoder::new(Arc::new(BufferPool::default()));
-    while !shutdown.load(Ordering::SeqCst) {
-        let space = decoder.read_space();
-        if space.is_empty() {
-            break; // corrupt stream
-        }
-        match stream.read(space) {
-            Ok(0) => break, // clean EOF
-            Ok(n) => {
-                decoder.commit(n);
-                while let Some(msg) = decoder.next_frame() {
-                    if tx.send(msg).is_err() {
-                        return; // receiver dropped
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break, // disconnect
-        }
     }
 }
 
@@ -185,38 +165,10 @@ impl Default for ReconnectPolicy {
     }
 }
 
-/// Small-message coalescing for a [`TcpSender`].
-///
-/// With a policy installed, messages are staged in the sender and flushed
-/// as one vectored batch write when the pending bytes reach `max_bytes`
-/// or the oldest staged message has waited `max_delay` (a background
-/// flusher honours the deadline when sends pause). Trades a bounded,
-/// sub-millisecond latency hit for one syscall per batch instead of one
-/// per message — the classic Nagle trade, but with an explicit budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoalescePolicy {
-    /// Flush once the staged batch reaches this many bytes.
-    pub max_bytes: usize,
-    /// Flush no later than this after the first message was staged.
-    pub max_delay: Duration,
-    /// Ceiling on I/O slices per vectored write (≈ 2 per frame: header +
-    /// payload). Bounds per-syscall setup cost and stays well under the
-    /// kernel's `IOV_MAX`.
-    pub max_iovecs: usize,
-}
-
-impl Default for CoalescePolicy {
-    fn default() -> Self {
-        CoalescePolicy {
-            max_bytes: 16 * 1024,
-            max_delay: Duration::from_micros(500),
-            max_iovecs: DEFAULT_MAX_IOVECS,
-        }
-    }
-}
-
-/// Default iovec ceiling per vectored write.
-pub const DEFAULT_MAX_IOVECS: usize = 64;
+/// Ceiling on I/O slices per vectored write (≈ 2 per frame: header +
+/// payload). Bounds per-syscall setup cost and stays well under the
+/// kernel's `IOV_MAX`.
+const DEFAULT_MAX_IOVECS: usize = 64;
 
 /// Ceiling on a single batch write: bounds the bytes that can be torn or
 /// resent around a mid-batch disconnect.
@@ -228,75 +180,34 @@ struct SenderState {
     /// Staged frames awaiting the wire: headers pre-encoded into pooled
     /// arenas, payloads shared — flushed with vectored writes.
     batch: FrameBatch,
-    /// When the oldest staged message was queued (coalescing deadline).
-    batch_since: Option<Instant>,
     next_attempt: Instant,
     backoff: Duration,
 }
 
 impl SenderState {
-    fn new(stream: Option<TcpStream>) -> Self {
-        SenderState {
-            stream,
-            batch: FrameBatch::new(),
-            batch_since: None,
-            next_attempt: Instant::now(),
-            backoff: Duration::from_millis(5),
-        }
-    }
-
-    fn clear_backlog(&mut self) {
-        self.batch.clear();
-        self.batch_since = None;
-    }
-}
-
-/// State and counters shared with the background deadline flusher.
-struct SenderShared {
-    state: Mutex<SenderState>,
-    dropped: AtomicU64,
-    reconnects: AtomicU64,
-    /// Vectored writes issued (each is one batch of frame segments).
-    wire_writes: AtomicU64,
-    /// Messages those writes carried.
-    wire_messages: AtomicU64,
-    /// Iovec ceiling per write (from [`CoalescePolicy::max_iovecs`]).
-    max_iovecs: AtomicUsize,
-}
-
-impl SenderShared {
     /// Writes as much of the backlog as the connection accepts, in order,
     /// flushing vectored batches of up to [`FLUSH_CHUNK`] bytes. On a
     /// disconnect-flavoured error the stream is dropped and the unsent
     /// tail stays staged for the next attempt, with the front frame's
     /// write cursor rewound so the replacement connection sees it whole.
-    fn flush(&self, state: &mut SenderState) -> Result<(), NetError> {
-        let max_iovecs = self.max_iovecs.load(Ordering::Relaxed);
-        let mut lost = false;
-        while !state.batch.is_empty() {
-            let Some(stream) = state.stream.as_mut() else {
+    fn flush(&mut self) -> Result<(), NetError> {
+        while !self.batch.is_empty() {
+            let Some(stream) = self.stream.as_mut() else {
                 break;
             };
-            match state.batch.write_some(stream, FLUSH_CHUNK, max_iovecs) {
-                Ok((completed, _bytes)) => {
-                    self.wire_writes.fetch_add(1, Ordering::Relaxed);
-                    self.wire_messages
-                        .fetch_add(completed as u64, Ordering::Relaxed);
-                }
+            match self
+                .batch
+                .write_some(stream, FLUSH_CHUNK, DEFAULT_MAX_IOVECS)
+            {
+                Ok(_) => {}
                 Err(e) if is_disconnect(e.kind()) => {
-                    lost = true;
+                    self.stream = None;
+                    self.batch.reset_cursor();
+                    self.next_attempt = Instant::now();
                     break;
                 }
                 Err(e) => return Err(NetError::Io(e)),
             }
-        }
-        if state.batch.is_empty() {
-            state.batch_since = None;
-        }
-        if lost {
-            state.stream = None;
-            state.batch.reset_cursor();
-            state.next_attempt = Instant::now();
         }
         Ok(())
     }
@@ -316,12 +227,11 @@ fn is_disconnect(kind: std::io::ErrorKind) -> bool {
 
 /// The connecting side of a TCP edge.
 pub struct TcpSender {
-    shared: Arc<SenderShared>,
+    state: Mutex<SenderState>,
+    dropped: AtomicU64,
+    reconnects: AtomicU64,
     peer: String,
     reconnect: Option<ReconnectPolicy>,
-    coalesce: Option<CoalescePolicy>,
-    stop_flusher: Arc<AtomicBool>,
-    flusher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl TcpSender {
@@ -334,19 +244,16 @@ impl TcpSender {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(TcpSender {
-            shared: Arc::new(SenderShared {
-                state: Mutex::new(SenderState::new(Some(stream))),
-                dropped: AtomicU64::new(0),
-                reconnects: AtomicU64::new(0),
-                wire_writes: AtomicU64::new(0),
-                wire_messages: AtomicU64::new(0),
-                max_iovecs: AtomicUsize::new(DEFAULT_MAX_IOVECS),
+            state: Mutex::new(SenderState {
+                stream: Some(stream),
+                batch: FrameBatch::new(),
+                next_attempt: Instant::now(),
+                backoff: Duration::from_millis(5),
             }),
+            dropped: AtomicU64::new(0),
+            reconnects: AtomicU64::new(0),
             peer: addr.to_string(),
             reconnect: None,
-            coalesce: None,
-            stop_flusher: Arc::new(AtomicBool::new(false)),
-            flusher: None,
         })
     }
 
@@ -375,44 +282,8 @@ impl TcpSender {
     /// re-dial instead of erroring.
     #[must_use]
     pub fn with_reconnect(mut self, policy: ReconnectPolicy) -> Self {
-        self.shared.state.lock().backoff = policy.base_backoff;
+        self.state.get_mut().backoff = policy.base_backoff;
         self.reconnect = Some(policy);
-        self
-    }
-
-    /// Installs a coalescing policy and starts the background deadline
-    /// flusher; see [`CoalescePolicy`].
-    #[must_use]
-    pub fn with_coalescing(mut self, policy: CoalescePolicy) -> Self {
-        self.coalesce = Some(policy);
-        self.shared
-            .max_iovecs
-            .store(policy.max_iovecs.max(1), Ordering::Relaxed);
-        let shared = Arc::clone(&self.shared);
-        let stop = Arc::clone(&self.stop_flusher);
-        // Tick well inside the deadline so a staged batch overshoots
-        // `max_delay` by at most ~half a tick.
-        let tick = (policy.max_delay / 2).max(Duration::from_micros(100));
-        let flusher = std::thread::Builder::new()
-            .name("vp-tcp-flush".into())
-            .spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick);
-                    let mut state = shared.state.lock();
-                    if state.stream.is_none() || state.batch.is_empty() {
-                        continue;
-                    }
-                    let expired = state
-                        .batch_since
-                        .is_some_and(|since| since.elapsed() >= policy.max_delay);
-                    if expired {
-                        // Errors surface on the caller's next send.
-                        let _ = shared.flush(&mut state);
-                    }
-                }
-            })
-            .expect("spawn tcp flusher thread");
-        self.flusher = Some(flusher);
         self
     }
 
@@ -423,45 +294,34 @@ impl TcpSender {
 
     /// Messages dropped because the reconnect buffer overflowed.
     pub fn dropped_frames(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
+        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Successful re-dials after a mid-stream disconnect.
     pub fn reconnects(&self) -> u64 {
-        self.shared.reconnects.load(Ordering::Relaxed)
+        self.reconnects.load(Ordering::Relaxed)
     }
 
-    /// Messages currently buffered awaiting a flush or reconnect.
+    /// Messages currently buffered awaiting a reconnect.
     pub fn buffered(&self) -> usize {
-        self.shared.state.lock().batch.len()
+        self.state.lock().batch.len()
     }
 
-    /// Vectored stream writes issued so far (each carries one batch of
-    /// one or more frames).
-    pub fn wire_writes(&self) -> u64 {
-        self.shared.wire_writes.load(Ordering::Relaxed)
-    }
-
-    /// Messages carried by those writes.
-    pub fn wire_messages(&self) -> u64 {
-        self.shared.wire_messages.load(Ordering::Relaxed)
-    }
-
-    /// Flushes any staged batch immediately (coalescing senders).
+    /// Flushes whatever a reconnecting sender still holds staged, without
+    /// waiting for the next `send`.
     ///
     /// # Errors
     ///
-    /// Propagates encode and I/O errors, as [`MsgSender::send`] does.
+    /// Propagates I/O errors, as [`MsgSender::send`] does.
     pub fn flush_now(&self) -> Result<(), NetError> {
-        let mut state = self.shared.state.lock();
-        self.shared.flush(&mut state)
+        self.state.lock().flush()
     }
 
     /// Severs the current connection (chaos testing): the next send either
     /// reports [`NetError::Disconnected`] or, with a reconnect policy,
     /// buffers and re-dials. Returns whether a live connection was cut.
     pub fn inject_disconnect(&self) -> bool {
-        let mut state = self.shared.state.lock();
+        let mut state = self.state.lock();
         state.next_attempt = Instant::now();
         // Any partially-written front frame must replay whole on the next
         // connection.
@@ -489,7 +349,7 @@ impl TcpSender {
                 let _ = stream.set_nodelay(true);
                 state.stream = Some(stream);
                 state.backoff = policy.base_backoff;
-                self.shared.reconnects.fetch_add(1, Ordering::Relaxed);
+                self.reconnects.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
                 state.next_attempt = now + state.backoff;
@@ -501,13 +361,8 @@ impl TcpSender {
 
 impl Drop for TcpSender {
     fn drop(&mut self) {
-        self.stop_flusher.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.flusher.take() {
-            let _ = handle.join();
-        }
-        // Best-effort: push any staged batch out before the socket closes.
-        let mut state = self.shared.state.lock();
-        let _ = self.shared.flush(&mut state);
+        // Best-effort: push any staged backlog out before the socket closes.
+        let _ = self.state.get_mut().flush();
     }
 }
 
@@ -516,65 +371,50 @@ impl std::fmt::Debug for TcpSender {
         f.debug_struct("TcpSender")
             .field("peer", &self.peer)
             .field("reconnect", &self.reconnect)
-            .field("coalesce", &self.coalesce)
             .finish()
     }
 }
 
 impl MsgSender for TcpSender {
     fn send(&self, msg: WireMessage) -> Result<(), NetError> {
-        let mut state = self.shared.state.lock();
+        let mut state = self.state.lock();
         // Without a reconnect policy a dead connection fails fast with a
         // typed error so callers can react.
         if self.reconnect.is_none() && state.stream.is_none() {
             return Err(NetError::Disconnected);
-        }
-        if state.batch.is_empty() {
-            state.batch_since = Some(Instant::now());
         }
         // Staging encodes the header now, so an unencodable message fails
         // here — at its own call site — and the batch is untouched.
         state.batch.stage(&msg)?;
         if let Some(policy) = &self.reconnect {
             if state.batch.len() > policy.buffer_limit && state.batch.drop_front().is_some() {
-                self.shared.dropped.fetch_add(1, Ordering::Relaxed);
+                self.dropped.fetch_add(1, Ordering::Relaxed);
             }
             self.try_redial(&mut state, policy);
         }
-        // Coalescing: hold the batch back while it is both small and
-        // young; the background flusher honours the deadline.
-        if let Some(policy) = &self.coalesce {
-            if state.stream.is_some()
-                && state.batch.pending_bytes() < policy.max_bytes
-                && state
-                    .batch_since
-                    .is_some_and(|since| since.elapsed() < policy.max_delay)
-            {
-                return Ok(());
-            }
-        }
-        let result = self.shared.flush(&mut state);
+        let result = state.flush();
         if self.reconnect.is_none() && state.stream.is_none() {
             // The write died mid-stream: report it and do not replay the
             // backlog into a future connection nobody asked for.
-            state.clear_backlog();
+            state.batch.clear();
             return Err(NetError::Disconnected);
         }
         result
     }
 }
 
-/// A non-blocking poll-mode TCP ingress: the same wire format as
-/// [`TcpListenerHandle`], but with *zero* background threads. One caller —
-/// typically a reactor I/O thread multiplexing many endpoints — drives it,
-/// in one of two ways that share every line of the socket handling:
+/// A non-blocking TCP ingress — a listener and the connections it accepted
+/// — with *zero* threads of its own. One caller drives it, in one of two
+/// ways that share every line of the socket handling:
 ///
+/// * **Readiness:** an [`Ingress`] registers the endpoint's sockets with its
+///   [`Poller`] and services exactly those reported readable. An idle
+///   endpoint then costs nothing at all. This is how the runtimes and
+///   [`TcpListenerHandle`] run it.
 /// * **Scan:** [`PollEndpoint::poll`] accepts pending peers and services
-///   every connection. The caller decides when to come back.
-/// * **Readiness:** after [`PollEndpoint::register`], a [`Poller`] reports
-///   which of the endpoint's sockets have something to read, and the
-///   caller hands each reported key to [`PollEndpoint::service`]. An idle
-///   endpoint then costs nothing at all.
+///   every connection; the caller decides when to come back. Kept as the
+///   reference arm of the `both_drivers!` tests and for the benchmark's
+///   receive cell, which polls one endpoint without sleeping.
 ///
 /// Each connection reads straight into a pooled [`StreamDecoder`] chunk —
 /// decoded payloads are zero-copy slices of the read buffer — and partial
@@ -612,9 +452,9 @@ const LISTENER_ID: u32 = 0;
 /// descriptors, and the pending peer keeps the listener readable).
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
-/// What the driver owes a key after [`PollEndpoint::service`] ran it.
+/// What [`Ingress`] owes a key after [`PollEndpoint::service`] ran it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Serviced {
+enum Serviced {
     /// Nothing is left over: the key's next readiness event says when.
     Idle,
     /// The budget ran out with decoded frames still queued. No new bytes
@@ -688,7 +528,7 @@ impl PollEndpoint {
     ///
     /// Propagates the poller's registration failure (nothing stays
     /// registered then); `AlreadyExists` when called twice.
-    pub fn register(&mut self, poller: &Arc<Poller>, token: u32) -> Result<(), NetError> {
+    fn register(&mut self, poller: &Arc<Poller>, token: u32) -> Result<(), NetError> {
         if self.registration.is_some() {
             return Err(std::io::Error::from(std::io::ErrorKind::AlreadyExists).into());
         }
@@ -722,7 +562,7 @@ impl PollEndpoint {
     /// more or `budget` frames went to `sink`. A key whose connection is
     /// gone (or that is not this endpoint's) does nothing. Never blocks;
     /// returns the frames delivered and what the key needs next.
-    pub fn service(
+    fn service(
         &mut self,
         key: u64,
         budget: usize,
@@ -945,6 +785,125 @@ impl std::fmt::Debug for PollEndpoint {
     }
 }
 
+/// Frames one socket may deliver per turn before the loop moves on to the
+/// other ready sockets: one hot connection cannot pin the shared thread.
+const TURN_BUDGET: usize = 256;
+
+/// The readiness loop that drives [`PollEndpoint`]s: one [`Poller`], the
+/// endpoints registered on it — each with a caller-chosen tag `T` that
+/// comes back with its frames — and what a turn owes the next one.
+///
+/// One thread owns an `Ingress` and calls [`Ingress::turn`] in a loop;
+/// everyone else holds the [`Ingress::waker`] and calls
+/// [`Poller::notify`] to get that thread out of its wait (new endpoints to
+/// [`Ingress::add`], shutdown). An idle loop costs nothing: the wait has no
+/// timeout unless a turn left work behind.
+pub struct Ingress<T> {
+    poller: Arc<Poller>,
+    /// Indexed by the token in the high half of each endpoint's keys.
+    endpoints: Vec<(T, PollEndpoint)>,
+    ready: Vec<u64>,
+    /// Keys whose budget ran out with decoded frames still queued: no
+    /// readiness event will announce those, so the next wait must not
+    /// block and must service them again.
+    backlog: Vec<u64>,
+    /// Listeners paused after a hard `accept` error, with their retry
+    /// time; normally empty.
+    retries: Vec<(Instant, u64)>,
+    budget: usize,
+}
+
+impl<T> Ingress<T> {
+    /// Creates a loop with no endpoints.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the failure to create the poller.
+    pub fn new() -> Result<Self, NetError> {
+        Ok(Ingress {
+            poller: Arc::new(Poller::new()?),
+            endpoints: Vec::new(),
+            ready: Vec::new(),
+            backlog: Vec::new(),
+            retries: Vec::new(),
+            budget: TURN_BUDGET,
+        })
+    }
+
+    /// The handle other threads use to end a wait in [`Ingress::turn`].
+    pub fn waker(&self) -> Arc<Poller> {
+        Arc::clone(&self.poller)
+    }
+
+    /// Takes over `endpoint`: its listener and connections join the
+    /// readiness set, and its frames reach the sink together with `tag`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a registration failure; the endpoint is closed then.
+    pub fn add(&mut self, tag: T, mut endpoint: PollEndpoint) -> Result<(), NetError> {
+        let token = u32::try_from(self.endpoints.len())
+            .map_err(|_| std::io::Error::other("endpoint tokens exhausted"))?;
+        endpoint.register(&self.poller, token)?;
+        self.endpoints.push((tag, endpoint));
+        Ok(())
+    }
+
+    /// The tags of every endpoint, in [`Ingress::add`] order.
+    pub fn tags(&self) -> impl Iterator<Item = &T> {
+        self.endpoints.iter().map(|(tag, _)| tag)
+    }
+
+    /// One turn: waits — not at all with a backlog, until the earliest
+    /// paused listener's retry time, else until a socket is readable or the
+    /// waker is notified — then services exactly the ready sockets, handing
+    /// each completed frame and its endpoint's tag to `sink`. Returns the
+    /// frames delivered (0 after a bare notify).
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed readiness wait; nothing was serviced.
+    pub fn turn(&mut self, mut sink: impl FnMut(&T, WireMessage)) -> Result<usize, NetError> {
+        let timeout = if self.backlog.is_empty() {
+            let next_retry = self.retries.iter().map(|&(at, _)| at).min();
+            next_retry.map(|at| at.saturating_duration_since(Instant::now()))
+        } else {
+            Some(Duration::ZERO)
+        };
+        self.ready.clear();
+        self.poller.wait(&mut self.ready, timeout)?;
+        self.ready.append(&mut self.backlog);
+        if !self.retries.is_empty() {
+            let now = Instant::now();
+            let ready = &mut self.ready;
+            self.retries.retain(|&(at, key)| {
+                let due = at <= now;
+                if due {
+                    ready.push(key);
+                }
+                !due
+            });
+        }
+        // A key can be both ready and carried over; run it once.
+        self.ready.sort_unstable();
+        self.ready.dedup();
+        let mut delivered = 0;
+        for &key in &self.ready {
+            let Some((tag, endpoint)) = self.endpoints.get_mut((key >> 32) as usize) else {
+                continue;
+            };
+            let (n, next) = endpoint.service(key, self.budget, &mut |msg| sink(tag, msg));
+            delivered += n;
+            match next {
+                Serviced::Idle => {}
+                Serviced::Backlog => self.backlog.push(key),
+                Serviced::RetryAt(at) => self.retries.push((at, key)),
+            }
+        }
+        Ok(delivered)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1105,174 +1064,67 @@ mod tests {
         assert_eq!(sender.dropped_frames(), 0);
     }
 
-    #[test]
-    fn coalescing_batches_small_messages_into_fewer_writes() {
-        let listener = TcpListenerHandle::bind("127.0.0.1:0").unwrap();
-        let addr = format!("127.0.0.1:{}", listener.local_port());
-        let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2))
-            .unwrap()
-            .with_coalescing(CoalescePolicy {
-                max_bytes: 4 * 1024,
-                max_delay: Duration::from_millis(5),
-                ..CoalescePolicy::default()
-            });
-        for i in 0..100u64 {
-            sender.send(WireMessage::signal("x", i)).unwrap();
-        }
-        // Everything arrives, in order.
-        for i in 0..100u64 {
-            let msg = listener.recv_timeout(Duration::from_secs(2)).unwrap();
-            assert_eq!(msg.seq, i);
-        }
-        assert_eq!(sender.wire_messages(), 100);
-        assert!(
-            sender.wire_writes() < 100,
-            "100 small messages took {} writes — nothing coalesced",
-            sender.wire_writes()
-        );
-    }
-
-    #[test]
-    fn coalescing_deadline_flushes_a_lone_message() {
-        let listener = TcpListenerHandle::bind("127.0.0.1:0").unwrap();
-        let addr = format!("127.0.0.1:{}", listener.local_port());
-        let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2))
-            .unwrap()
-            .with_coalescing(CoalescePolicy {
-                max_bytes: 1024 * 1024,
-                max_delay: Duration::from_millis(2),
-                ..CoalescePolicy::default()
-            });
-        // One message, far below max_bytes: only the deadline can flush it.
-        sender.send(WireMessage::signal("x", 7)).unwrap();
-        let msg = listener.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(msg.seq, 7);
-    }
-
-    #[test]
-    fn coalescing_oversized_batch_flushes_inline() {
-        let listener = TcpListenerHandle::bind("127.0.0.1:0").unwrap();
-        let addr = format!("127.0.0.1:{}", listener.local_port());
-        let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2))
-            .unwrap()
-            .with_coalescing(CoalescePolicy {
-                max_bytes: 256,
-                // A deadline long enough that only the size trigger can
-                // explain a prompt flush.
-                max_delay: Duration::from_secs(30),
-                ..CoalescePolicy::default()
-            });
-        let payload = Bytes::from(vec![3u8; 512]);
-        sender.send(WireMessage::data("m", 1, 0, payload)).unwrap();
-        let msg = listener.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(msg.seq, 1);
-        assert_eq!(msg.payload.len(), 512);
-    }
-
-    #[test]
-    fn coalescing_composes_with_reconnect() {
-        let listener = TcpListenerHandle::bind("127.0.0.1:0").unwrap();
-        let addr = format!("127.0.0.1:{}", listener.local_port());
-        let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2))
-            .unwrap()
-            .with_reconnect(ReconnectPolicy {
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(20),
-                buffer_limit: 256,
-            })
-            .with_coalescing(CoalescePolicy {
-                max_bytes: 4 * 1024,
-                max_delay: Duration::from_millis(2),
-                ..CoalescePolicy::default()
-            });
-        sender.send(WireMessage::signal("x", 0)).unwrap();
-        assert_eq!(
-            listener.recv_timeout(Duration::from_secs(2)).unwrap().seq,
-            0
-        );
-        assert!(sender.inject_disconnect());
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut seq = 1u64;
-        let received = loop {
-            sender.send(WireMessage::signal("x", seq)).unwrap();
-            seq += 1;
-            match listener.recv_timeout(Duration::from_millis(20)) {
-                Ok(msg) => break msg,
-                Err(_) => assert!(Instant::now() < deadline, "never reconnected"),
-            }
-        };
-        assert_eq!(received.seq, 1, "backlog must replay in order");
-        assert!(sender.reconnects() >= 1);
-        assert_eq!(sender.dropped_frames(), 0);
-    }
-
     /// The two ways to drive a [`PollEndpoint`]; the `poll_*` tests below
     /// run once through each and must not be able to tell them apart.
     #[derive(Clone, Copy)]
     enum Driver {
         /// `poll_budget` over every socket, napping when nothing came.
         Scan,
-        /// `Poller::wait`, then `service` for exactly the ready keys.
+        /// The production loop: [`Ingress::turn`].
         Readiness,
     }
 
-    struct Driven {
-        ep: PollEndpoint,
-        poller: Option<Arc<Poller>>,
-        /// Keys `service` left with a backlog.
-        carry: Vec<u64>,
+    enum Driven {
+        Scan(PollEndpoint),
+        Readiness(Ingress<()>),
+    }
+
+    /// An [`Ingress`] over one endpoint, and that endpoint's address.
+    fn ingress_of_one() -> (Ingress<()>, String) {
+        let mut ingress = Ingress::new().unwrap();
+        let ep = PollEndpoint::bind("127.0.0.1:0").unwrap();
+        let addr = format!("127.0.0.1:{}", ep.local_port());
+        ingress.add((), ep).unwrap();
+        (ingress, addr)
     }
 
     impl Driven {
         fn bind(driver: Driver) -> Self {
-            let mut ep = PollEndpoint::bind("127.0.0.1:0").unwrap();
-            let poller = match driver {
-                Driver::Scan => None,
-                Driver::Readiness => {
-                    let poller = Arc::new(Poller::new().unwrap());
-                    ep.register(&poller, 7).unwrap();
-                    Some(poller)
-                }
-            };
-            Driven {
-                ep,
-                poller,
-                carry: Vec::new(),
+            match driver {
+                Driver::Scan => Driven::Scan(PollEndpoint::bind("127.0.0.1:0").unwrap()),
+                Driver::Readiness => Driven::Readiness(ingress_of_one().0),
             }
         }
 
-        fn addr(&self) -> String {
-            format!("127.0.0.1:{}", self.ep.local_port())
+        fn ep(&mut self) -> &mut PollEndpoint {
+            match self {
+                Driven::Scan(ep) => ep,
+                Driven::Readiness(ingress) => &mut ingress.endpoints[0].1,
+            }
+        }
+
+        fn addr(&mut self) -> String {
+            format!("127.0.0.1:{}", self.ep().local_port())
         }
 
         /// One pass of the driver, at most `budget` frames per connection;
-        /// waits up to a few milliseconds when there is nothing to do.
+        /// naps a millisecond when there was nothing to do.
         fn pass(&mut self, budget: usize, sink: &mut dyn FnMut(WireMessage)) -> usize {
-            let Some(poller) = &self.poller else {
-                let n = self.ep.poll_budget(budget, sink);
-                if n == 0 {
-                    std::thread::sleep(Duration::from_millis(1));
+            let n = match self {
+                Driven::Scan(ep) => ep.poll_budget(budget, sink),
+                Driven::Readiness(ingress) => {
+                    ingress.budget = budget;
+                    // A turn waits for as long as nothing is readable; the
+                    // callers check a deadline between passes, so end the
+                    // wait the way another thread would.
+                    ingress.poller.notify();
+                    ingress.turn(|_, msg| sink(msg)).unwrap()
                 }
-                return n;
             };
-            let timeout = if self.carry.is_empty() {
-                Duration::from_millis(5)
-            } else {
-                Duration::ZERO
-            };
-            let mut ready = std::mem::take(&mut self.carry);
-            poller.wait(&mut ready, Some(timeout)).unwrap();
-            ready.sort_unstable();
-            ready.dedup();
-            let mut delivered = 0;
-            for key in ready {
-                let (n, next) = self.ep.service(key, budget, sink);
-                delivered += n;
-                if next == Serviced::Backlog {
-                    self.carry.push(key);
-                }
+            if n == 0 {
+                std::thread::sleep(Duration::from_millis(1));
             }
-            delivered
+            n
         }
     }
 
@@ -1310,8 +1162,8 @@ mod tests {
             assert!(Instant::now() < deadline, "only {} frames", got.len());
             d.pass(usize::MAX, &mut |msg| got.push(msg));
         }
-        assert_eq!(d.ep.connections(), 2);
-        assert_eq!(d.ep.accepted(), 2);
+        assert_eq!(d.ep().connections(), 2);
+        assert_eq!(d.ep().accepted(), 2);
         // Per-peer ordering survives the merge.
         for chan in ["a", "b"] {
             let seqs: Vec<u64> = got
@@ -1341,7 +1193,7 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "budget cap never reached");
         }
-        assert_eq!(d.ep.connections(), 1, "capped pass must keep the peer");
+        assert_eq!(d.ep().connections(), 1, "capped pass must keep the peer");
         // The remainder drains across later passes with nothing lost and
         // per-peer ordering intact.
         while got.len() < 50 {
@@ -1363,7 +1215,7 @@ mod tests {
         // accept the peer, so every later byte is its own read.
         let mut got = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while d.ep.connections() == 0 {
+        while d.ep().connections() == 0 {
             assert!(Instant::now() < deadline, "peer never accepted");
             d.pass(usize::MAX, &mut |m| got.push(m));
         }
@@ -1390,7 +1242,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             d.pass(usize::MAX, &mut |_| panic!("no frame should decode"));
-            if d.ep.accepted() == 1 && d.ep.connections() == 0 {
+            if d.ep().accepted() == 1 && d.ep().connections() == 0 {
                 break; // accepted, then dropped as corrupt
             }
             assert!(Instant::now() < deadline, "corrupt peer never dropped");
@@ -1404,7 +1256,7 @@ mod tests {
         drop(sender);
         let mut got = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while got.is_empty() || d.ep.connections() > 0 {
+        while got.is_empty() || d.ep().connections() > 0 {
             assert!(Instant::now() < deadline, "disconnect never processed");
             d.pass(usize::MAX, &mut |m| got.push(m));
         }
@@ -1418,66 +1270,60 @@ mod tests {
         let leaver = TcpSender::connect_retry(&d.addr(), Duration::from_secs(2)).unwrap();
         let stayer = TcpSender::connect_retry(&d.addr(), Duration::from_secs(2)).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while d.ep.connections() < 2 {
+        while d.ep().connections() < 2 {
             assert!(Instant::now() < deadline, "peers never accepted");
             d.pass(usize::MAX, &mut |_| panic!("nothing was sent"));
         }
         // Accept order is connect order: the leaver holds the lower id.
-        let (gone, kept) = (d.ep.conns[0].id, d.ep.conns[1].id);
+        let (gone, kept) = (d.ep().conns[0].id, d.ep().conns[1].id);
         drop(leaver);
-        while d.ep.connections() > 1 {
+        while d.ep().connections() > 1 {
             assert!(Instant::now() < deadline, "hang-up never processed");
             d.pass(usize::MAX, &mut |_| panic!("nothing was sent"));
         }
-        assert_eq!(d.ep.conns[0].id, kept);
+        assert_eq!(d.ep().conns[0].id, kept);
         // An event still in flight for the dead key lands nowhere — above
         // all not on the connection that now sits in its slot.
-        let token = d.ep.registration.as_ref().map_or(0, |(_, token)| *token);
-        let stale = d.ep.service(poll_key(token, gone), usize::MAX, &mut |_| {
+        let token = d.ep().registration.as_ref().map_or(0, |(_, token)| *token);
+        let stale = d.ep().service(poll_key(token, gone), usize::MAX, &mut |_| {
             panic!("a dead key delivered a frame")
         });
         assert_eq!(stale, (0, Serviced::Idle));
-        assert_eq!(d.ep.connections(), 1);
+        assert_eq!(d.ep().connections(), 1);
         // The survivor still works, and a newcomer gets a fresh id.
         stayer.send(WireMessage::signal("x", 5)).unwrap();
         let _newcomer = TcpSender::connect_retry(&d.addr(), Duration::from_secs(2)).unwrap();
         let mut got = Vec::new();
-        while got.is_empty() || d.ep.connections() < 2 {
+        while got.is_empty() || d.ep().connections() < 2 {
             assert!(Instant::now() < deadline, "survivor went quiet");
             d.pass(usize::MAX, &mut |m| got.push(m));
         }
         assert_eq!(got[0].seq, 5);
         assert!(
-            d.ep.conns[1].id > kept,
+            d.ep().conns[1].id > kept,
             "connection ids must never be reused"
         );
     });
 
     #[test]
     fn peer_connecting_while_the_waiter_is_blocked_is_served_promptly() {
-        let mut ep = PollEndpoint::bind("127.0.0.1:0").unwrap();
-        let addr = format!("127.0.0.1:{}", ep.local_port());
-        let poller = Arc::new(Poller::new().unwrap());
-        ep.register(&poller, 0).unwrap();
+        let (mut ingress, addr) = ingress_of_one();
+        let waker = ingress.waker();
         let stop = Arc::new(AtomicBool::new(false));
         let (blocked_tx, blocked_rx) = std::sync::mpsc::channel();
         let (frame_tx, frame_rx) = std::sync::mpsc::channel();
         let io = {
-            let (poller, stop) = (Arc::clone(&poller), Arc::clone(&stop));
+            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let mut ready = Vec::new();
                 while !stop.load(Ordering::SeqCst) {
                     blocked_tx.send(()).unwrap();
                     // No timeout: only the peer (or the final notify) can
-                    // end this wait.
-                    poller.wait(&mut ready, None).unwrap();
-                    for key in ready.drain(..) {
-                        ep.service(key, usize::MAX, &mut |m| {
-                            frame_tx.send((m.seq, Instant::now())).unwrap();
-                        });
-                    }
+                    // end this turn's wait.
+                    ingress
+                        .turn(|_, m| frame_tx.send((m.seq, Instant::now())).unwrap())
+                        .unwrap();
                 }
-                ep.accepted()
+                ingress.endpoints[0].1.accepted()
             })
         };
         blocked_rx.recv().unwrap();
@@ -1496,7 +1342,7 @@ mod tests {
             at - sent
         );
         stop.store(true, Ordering::SeqCst);
-        poller.notify();
+        waker.notify();
         assert_eq!(io.join().unwrap(), 1);
     }
 
@@ -1512,8 +1358,8 @@ mod tests {
 
         #[test]
         fn budget_leftovers_are_delivered_with_no_new_bytes() {
-            let mut d = Driven::bind(Driver::Readiness);
-            let mut raw = TcpStream::connect(d.addr()).unwrap();
+            let (mut ingress, addr) = ingress_of_one();
+            let mut raw = TcpStream::connect(addr).unwrap();
             let mut framed = BytesMut::new();
             for i in 0..25u64 {
                 WireMessage::signal("x", i)
@@ -1521,39 +1367,37 @@ mod tests {
                     .unwrap();
             }
             raw.write_all(&framed).unwrap();
+            let poller = ingress.waker();
+            let ep = &mut ingress.endpoints[0].1;
             let deadline = Instant::now() + Duration::from_secs(5);
-            while d.ep.connections() == 0 {
+            while ep.connections() == 0 {
                 assert!(Instant::now() < deadline, "peer never accepted");
-                d.ep.accept_pending();
+                ep.accept_pending();
             }
             // Let the whole burst reach the socket, so one read takes it all
             // and everything after the first call is leftovers.
             let mut probe = vec![0u8; framed.len()];
-            while d.ep.conns[0].stream.peek(&mut probe).unwrap_or(0) < framed.len() {
+            while ep.conns[0].stream.peek(&mut probe).unwrap_or(0) < framed.len() {
                 assert!(Instant::now() < deadline, "burst never arrived");
                 std::thread::sleep(Duration::from_millis(1));
             }
-            let key = poll_key(7, d.ep.conns[0].id);
+            let key = poll_key(0, ep.conns[0].id);
             let mut got = Vec::new();
             assert_eq!(
-                d.ep.service(key, 10, &mut |m| got.push(m)),
+                ep.service(key, 10, &mut |m| got.push(m)),
                 (10, Serviced::Backlog)
             );
             // The kernel is drained: readiness has nothing more to say...
             let mut ready = Vec::new();
-            d.poller
-                .as_ref()
-                .unwrap()
-                .wait(&mut ready, Some(Duration::ZERO))
-                .unwrap();
+            poller.wait(&mut ready, Some(Duration::ZERO)).unwrap();
             assert!(ready.is_empty(), "unexpected readiness: {ready:?}");
             // ...and only the backlog report gets the other 15 out.
             assert_eq!(
-                d.ep.service(key, 10, &mut |m| got.push(m)),
+                ep.service(key, 10, &mut |m| got.push(m)),
                 (10, Serviced::Backlog)
             );
             assert_eq!(
-                d.ep.service(key, 10, &mut |m| got.push(m)),
+                ep.service(key, 10, &mut |m| got.push(m)),
                 (5, Serviced::Idle)
             );
             let seqs: Vec<u64> = got.iter().map(|m| m.seq).collect();
@@ -1562,31 +1406,32 @@ mod tests {
 
         #[test]
         fn hard_accept_error_pauses_the_listener_instead_of_spinning() {
-            let mut d = Driven::bind(Driver::Readiness);
-            let poller = Arc::clone(d.poller.as_ref().unwrap());
+            let (mut ingress, addr) = ingress_of_one();
+            let poller = ingress.waker();
+            let ep = &mut ingress.endpoints[0].1;
             // What `accept` failing with EMFILE leads to; the peer that could
             // not be accepted stays pending and keeps the listener readable.
-            let Serviced::RetryAt(at) = d.ep.pause_accepts() else {
+            let Serviced::RetryAt(at) = ep.pause_accepts() else {
                 panic!("a paused listener must name its retry time");
             };
-            let _peer = TcpStream::connect(d.addr()).unwrap();
+            let _peer = TcpStream::connect(&addr).unwrap();
             let mut ready = Vec::new();
             poller
                 .wait(&mut ready, Some(Duration::from_millis(5)))
                 .unwrap();
             assert!(ready.is_empty(), "paused listener woke the waiter");
             // Early calls neither accept nor move the deadline.
-            let listener = poll_key(7, LISTENER_ID);
+            let listener = poll_key(0, LISTENER_ID);
             assert_eq!(
-                d.ep.service(listener, 1, &mut |_| {}),
+                ep.service(listener, 1, &mut |_| {}),
                 (0, Serviced::RetryAt(at))
             );
-            assert_eq!(d.ep.connections(), 0);
+            assert_eq!(ep.connections(), 0);
             std::thread::sleep(at.saturating_duration_since(Instant::now()));
-            assert_eq!(d.ep.service(listener, 1, &mut |_| {}), (0, Serviced::Idle));
-            assert_eq!(d.ep.connections(), 1);
+            assert_eq!(ep.service(listener, 1, &mut |_| {}), (0, Serviced::Idle));
+            assert_eq!(ep.connections(), 1);
             // Back on the readiness set: the next peer is announced again.
-            let _second = TcpStream::connect(d.addr()).unwrap();
+            let _second = TcpStream::connect(&addr).unwrap();
             let deadline = Instant::now() + Duration::from_secs(5);
             while !ready.contains(&listener) {
                 assert!(Instant::now() < deadline, "listener never re-armed");
@@ -1594,6 +1439,68 @@ mod tests {
                     .wait(&mut ready, Some(Duration::from_millis(50)))
                     .unwrap();
             }
+        }
+
+        /// Pauses the one listener of `ingress` as a hard `accept` error
+        /// does, and queues its key so the next turn hears the verdict from
+        /// `service` — the way the loop learns it in production, where the
+        /// failing `accept` happens inside a turn.
+        fn pause_listener(ingress: &mut Ingress<()>) -> Instant {
+            let Serviced::RetryAt(at) = ingress.endpoints[0].1.pause_accepts() else {
+                panic!("a paused listener must name its retry time");
+            };
+            ingress.backlog.push(poll_key(0, LISTENER_ID));
+            at
+        }
+
+        #[test]
+        fn paused_listener_is_retried_by_the_turns_own_timeout() {
+            let (mut ingress, addr) = ingress_of_one();
+            let at = pause_listener(&mut ingress);
+            // The kernel completes the handshake and holds the frame; the
+            // listener is off the readiness set, so no event announces it.
+            let sender = TcpSender::connect(&addr).unwrap();
+            sender.send(WireMessage::signal("x", 11)).unwrap();
+            // Turns run on their own thread so that a loop which never
+            // comes back fails this test instead of hanging it.
+            let (frame_tx, frame_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                // Nobody notifies: only the wait's own timeout can bring
+                // the listener back, and only readiness the frame.
+                let mut turns = 0;
+                let mut got = None;
+                while got.is_none() {
+                    ingress.turn(|_, m| got = Some(m.seq)).unwrap();
+                    turns += 1;
+                }
+                frame_tx.send((got, turns, Instant::now())).unwrap();
+            });
+            let (got, turns, when) = frame_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("the paused listener was never retried");
+            assert_eq!(got, Some(11));
+            assert!(when >= at, "the peer was accepted while paused");
+            // Hear the pause, time out and accept, read the frame.
+            assert!(turns <= 3, "{turns} turns: the loop spun through the pause");
+        }
+
+        #[test]
+        fn listener_handle_paused_by_an_accept_error_still_merges_a_later_peer() {
+            let (mut ingress, addr) = ingress_of_one();
+            pause_listener(&mut ingress);
+            let listener = TcpListenerHandle::spawn(ingress);
+            let early = TcpSender::connect(&addr).unwrap();
+            early.send(WireMessage::signal("x", 1)).unwrap();
+            assert_eq!(
+                listener.recv_timeout(Duration::from_secs(5)).unwrap().seq,
+                1
+            );
+            let late = TcpSender::connect(&addr).unwrap();
+            late.send(WireMessage::signal("x", 2)).unwrap();
+            assert_eq!(
+                listener.recv_timeout(Duration::from_secs(5)).unwrap().seq,
+                2
+            );
         }
     }
 

@@ -3,7 +3,7 @@ use crate::pool::BufferPool;
 use crate::telemetry;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
+use std::io::{IoSlice, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -157,7 +157,7 @@ impl WireMessage {
             + self.payload.len()
     }
 
-    /// Encodes into a fresh buffer (no length prefix; see [`write_frame`]).
+    /// Encodes into a fresh buffer (no length prefix).
     ///
     /// # Errors
     ///
@@ -165,24 +165,22 @@ impl WireMessage {
     /// [`MAX_CHANNEL_LEN`].
     pub fn encode(&self) -> Result<Bytes, NetError> {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
-        self.encode_into(&mut buf)?;
+        self.put_header(&mut buf)?;
+        buf.put_slice(&self.payload);
         Ok(buf.freeze())
     }
 
-    /// Appends the encoded message body (no length prefix) to `buf`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::BadFrame`] when a channel name exceeds
-    /// [`MAX_CHANNEL_LEN`]; `buf` is untouched on error.
-    pub fn encode_into(&self, buf: &mut BytesMut) -> Result<(), NetError> {
+    /// Appends every field up to and including the payload length — the
+    /// message body minus the payload bytes. The one place that spells out
+    /// the field order and checks the channel lengths; `buf` is untouched on
+    /// error.
+    fn put_header(&self, buf: &mut BytesMut) -> Result<(), NetError> {
         if self.channel.len() > MAX_CHANNEL_LEN {
             return Err(NetError::BadFrame("channel name too long"));
         }
         if self.reply_to.len() > MAX_CHANNEL_LEN {
             return Err(NetError::BadFrame("reply_to name too long"));
         }
-        buf.reserve(self.encoded_len());
         buf.put_u8(self.kind as u8);
         buf.put_u8(self.channel.len() as u8);
         buf.put_slice(self.channel.as_bytes());
@@ -193,7 +191,6 @@ impl WireMessage {
         buf.put_u64(self.timestamp_ns);
         buf.put_u64(self.epoch);
         buf.put_u32(self.payload.len() as u32);
-        buf.put_slice(&self.payload);
         Ok(())
     }
 
@@ -207,21 +204,10 @@ impl WireMessage {
     /// [`NetError::FrameTooLarge`] when the body exceeds [`MAX_FRAME_LEN`];
     /// `buf` is untouched on error.
     pub fn encode_framed_into(&self, buf: &mut BytesMut) -> Result<(), NetError> {
-        let body_len = self.encoded_len();
-        if body_len > MAX_FRAME_LEN {
-            return Err(NetError::FrameTooLarge { len: body_len });
-        }
-        buf.reserve(4 + body_len);
-        buf.put_u32(body_len as u32);
-        match self.encode_into(buf) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // Roll the prefix back so a failed append leaves no torn
-                // framing in a coalescing buffer.
-                buf.truncate(buf.len() - 4);
-                Err(e)
-            }
-        }
+        buf.reserve(4 + self.encoded_len());
+        self.encode_framed_header_into(buf)?;
+        buf.put_slice(&self.payload);
+        Ok(())
     }
 
     /// Appends only the *framed header* — the u32 length prefix plus every
@@ -235,30 +221,16 @@ impl WireMessage {
     ///
     /// Same contract as [`WireMessage::encode_framed_into`]; `buf` is
     /// untouched on error.
-    pub fn encode_framed_header_into(&self, buf: &mut BytesMut) -> Result<(), NetError> {
-        if self.channel.len() > MAX_CHANNEL_LEN {
-            return Err(NetError::BadFrame("channel name too long"));
-        }
-        if self.reply_to.len() > MAX_CHANNEL_LEN {
-            return Err(NetError::BadFrame("reply_to name too long"));
-        }
+    fn encode_framed_header_into(&self, buf: &mut BytesMut) -> Result<(), NetError> {
         let body_len = self.encoded_len();
         if body_len > MAX_FRAME_LEN {
             return Err(NetError::FrameTooLarge { len: body_len });
         }
-        buf.reserve(4 + body_len - self.payload.len());
+        let start = buf.len();
         buf.put_u32(body_len as u32);
-        buf.put_u8(self.kind as u8);
-        buf.put_u8(self.channel.len() as u8);
-        buf.put_slice(self.channel.as_bytes());
-        buf.put_u8(self.reply_to.len() as u8);
-        buf.put_slice(self.reply_to.as_bytes());
-        buf.put_u64(self.corr_id);
-        buf.put_u64(self.seq);
-        buf.put_u64(self.timestamp_ns);
-        buf.put_u64(self.epoch);
-        buf.put_u32(self.payload.len() as u32);
-        Ok(())
+        // Roll the prefix back so a failed append leaves no torn framing
+        // in a coalescing buffer.
+        self.put_header(buf).inspect_err(|_| buf.truncate(start))
     }
 
     /// Decodes a frame previously produced by [`WireMessage::encode`],
@@ -376,46 +348,6 @@ fn decode_fields(full: &[u8]) -> Result<(DecodedFields, std::ops::Range<usize>),
         },
         payload_start..payload_start + payload_len,
     ))
-}
-
-/// Writes one length-prefixed frame to a stream as a single contiguous
-/// write (prefix and body share one buffer — one syscall on an unbuffered
-/// socket, not two).
-///
-/// # Errors
-///
-/// Propagates encode and I/O errors.
-pub fn write_frame<W: Write>(writer: &mut W, msg: &WireMessage) -> Result<(), NetError> {
-    let mut framed = BytesMut::with_capacity(4 + msg.encoded_len());
-    msg.encode_framed_into(&mut framed)?;
-    writer.write_all(&framed)?;
-    writer.flush()?;
-    Ok(())
-}
-
-/// Reads one length-prefixed frame from a stream.
-///
-/// # Errors
-///
-/// Returns [`NetError::Disconnected`] on clean EOF before a frame starts,
-/// [`NetError::FrameTooLarge`] for implausible prefixes, and
-/// [`NetError::BadFrame`]/[`NetError::Io`] otherwise.
-pub fn read_frame<R: Read>(reader: &mut R) -> Result<WireMessage, NetError> {
-    let mut len_buf = [0u8; 4];
-    match reader.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-            return Err(NetError::Disconnected)
-        }
-        Err(e) => return Err(NetError::Io(e)),
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(NetError::FrameTooLarge { len });
-    }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    WireMessage::decode(&body)
 }
 
 /// Incremental, pooled frame decoder: the zero-copy receive path.
@@ -942,20 +874,21 @@ mod tests {
         assert_eq!(MessageKind::from_u8(99), None);
     }
 
+    /// Every frame the stream decoder gets out of `bytes`.
+    fn decode_stream(bytes: &[u8]) -> Vec<WireMessage> {
+        let mut dec = StreamDecoder::new(Arc::new(BufferPool::default()));
+        dec.feed(bytes);
+        std::iter::from_fn(|| dec.next_frame()).collect()
+    }
+
     #[test]
     fn stream_framing_roundtrip() {
-        let mut buf = Vec::new();
+        let mut buf = BytesMut::new();
         let a = sample();
         let b = WireMessage::signal("src", 5);
-        write_frame(&mut buf, &a).unwrap();
-        write_frame(&mut buf, &b).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut cursor).unwrap(), a);
-        assert_eq!(read_frame(&mut cursor).unwrap(), b);
-        assert!(matches!(
-            read_frame(&mut cursor).unwrap_err(),
-            NetError::Disconnected
-        ));
+        a.encode_framed_into(&mut buf).unwrap();
+        b.encode_framed_into(&mut buf).unwrap();
+        assert_eq!(decode_stream(&buf), [a, b]);
     }
 
     #[test]
@@ -977,14 +910,7 @@ mod tests {
         for msg in [&a, &b, &c] {
             msg.encode_framed_into(&mut batch).unwrap();
         }
-        let mut cursor = std::io::Cursor::new(batch.freeze());
-        assert_eq!(read_frame(&mut cursor).unwrap(), a);
-        assert_eq!(read_frame(&mut cursor).unwrap(), b);
-        assert_eq!(read_frame(&mut cursor).unwrap(), c);
-        assert!(matches!(
-            read_frame(&mut cursor).unwrap_err(),
-            NetError::Disconnected
-        ));
+        assert_eq!(decode_stream(&batch), [a, b, c]);
     }
 
     #[test]
@@ -996,28 +922,19 @@ mod tests {
         let len_before = batch.len();
         assert!(bad.encode_framed_into(&mut batch).is_err());
         assert_eq!(batch.len(), len_before, "torn frame left in batch buffer");
-        let mut cursor = std::io::Cursor::new(batch.freeze());
-        assert_eq!(read_frame(&mut cursor).unwrap(), good);
+        assert_eq!(decode_stream(&batch), [good]);
     }
 
     #[test]
-    fn read_frame_rejects_giant_prefix() {
-        let bytes = (u32::MAX).to_be_bytes().to_vec();
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert!(matches!(
-            read_frame(&mut cursor).unwrap_err(),
-            NetError::FrameTooLarge { .. }
-        ));
-    }
-
-    #[test]
-    fn mid_frame_eof_is_io_error() {
-        let a = sample();
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &a).unwrap();
-        buf.truncate(buf.len() - 3);
-        let mut cursor = std::io::Cursor::new(buf);
-        assert!(matches!(read_frame(&mut cursor), Err(NetError::Io(_))));
+    fn stream_decoder_holds_a_truncated_frame_as_partial() {
+        let mut buf = BytesMut::new();
+        sample().encode_framed_into(&mut buf).unwrap();
+        let mut dec = StreamDecoder::new(Arc::new(BufferPool::default()));
+        dec.feed(&buf[..buf.len() - 3]);
+        assert!(dec.next_frame().is_none());
+        assert!(dec.has_partial() && !dec.is_corrupt());
+        dec.feed(&buf[buf.len() - 3..]);
+        assert_eq!(dec.next_frame().unwrap(), sample());
     }
 
     #[test]

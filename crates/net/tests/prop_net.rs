@@ -94,23 +94,18 @@ proptest! {
     }
 
     /// Stream framing: any sequence of messages written to a buffer reads
-    /// back identically, then reports a clean disconnect.
+    /// back identically, with nothing left over.
     #[test]
     fn stream_framing_roundtrip(seqs in proptest::collection::vec((any::<u64>(), 0usize..256), 0..12)) {
-        use videopipe_net::{read_frame, write_frame};
-        let mut buf = Vec::new();
         let messages: Vec<WireMessage> = seqs
             .iter()
             .map(|(seq, len)| WireMessage::data("chan", *seq, 0, bytes::Bytes::from(vec![1u8; *len])))
             .collect();
-        for msg in &messages {
-            write_frame(&mut buf, msg).unwrap();
-        }
-        let mut cursor = std::io::Cursor::new(buf);
-        for msg in &messages {
-            prop_assert_eq!(&read_frame(&mut cursor).unwrap(), msg);
-        }
-        prop_assert!(read_frame(&mut cursor).is_err());
+        let mut decoder = StreamDecoder::new(Arc::new(BufferPool::default()));
+        decoder.feed(&legacy_framing(&messages));
+        let decoded: Vec<WireMessage> = std::iter::from_fn(|| decoder.next_frame()).collect();
+        prop_assert_eq!(decoded, messages);
+        prop_assert!(!decoder.has_partial() && !decoder.is_corrupt());
     }
 
     /// Decode is total on arbitrary bytes: it never panics, and when it
@@ -171,15 +166,17 @@ proptest! {
     }
 
     /// Stream reads with a hostile frame-length prefix fail fast: any
-    /// declared length beyond MAX_FRAME_LEN is a typed error without
+    /// declared length beyond MAX_FRAME_LEN poisons the stream without
     /// buffering a byte of body.
     #[test]
-    fn read_frame_hostile_length_rejected(extra in 1u32..u32::MAX - MAX_FRAME_LEN as u32, garbage in proptest::collection::vec(any::<u8>(), 0..64)) {
-        use videopipe_net::read_frame;
+    fn stream_decoder_hostile_length_rejected(extra in 1u32..u32::MAX - MAX_FRAME_LEN as u32, garbage in proptest::collection::vec(any::<u8>(), 0..64)) {
         let mut buf = (MAX_FRAME_LEN as u32 + extra).to_be_bytes().to_vec();
         buf.extend_from_slice(&garbage);
-        let mut cursor = std::io::Cursor::new(buf);
-        prop_assert!(read_frame(&mut cursor).is_err());
+        let mut decoder = StreamDecoder::new(Arc::new(BufferPool::default()));
+        decoder.feed(&buf);
+        prop_assert!(decoder.is_corrupt());
+        prop_assert!(decoder.next_frame().is_none());
+        prop_assert!(decoder.read_space().is_empty(), "a poisoned stream took more bytes");
     }
 
     /// Fleet control-plane payloads inherit the same totality: arbitrary

@@ -11,6 +11,14 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (offline, deny warnings)"
 cargo clippy --offline --all-targets -- -D warnings
 
+count_non_test() { # lines before each file's first #[cfg(test)], and their sum
+    awk 'FNR == 1 { counting = 1 }
+         /#\[cfg\(test\)\]/ { counting = 0 }
+         counting { lines[FILENAME]++; total++ }
+         END { for (f in lines) printf "    %6d %s\n", lines[f], f
+               printf "    %6d non-test lines in total\n", total }' "$@"
+}
+
 echo "==> one engine (a single ModuleCtx implementation; runtime + reactor + engine size)"
 # The per-message runtime logic lives once, in crates/core/src/engine.rs,
 # under two drivers. A second `impl ... ModuleCtx for` under crates/core/src
@@ -23,12 +31,24 @@ if [ "$(printf '%s\n' "$impls" | grep -c .)" -ne 1 ]; then
     printf '%s\n' "$impls"
     exit 1
 fi
-awk 'FNR == 1 { counting = 1 }
-     /#\[cfg\(test\)\]/ { counting = 0 }
-     counting { lines[FILENAME]++; total++ }
-     END { for (f in lines) printf "    %6d %s\n", lines[f], f
-           printf "    %6d non-test lines in total\n", total }' \
-    crates/core/src/runtime.rs crates/core/src/reactor.rs crates/core/src/engine.rs
+count_non_test crates/core/src/runtime.rs crates/core/src/reactor.rs crates/core/src/engine.rs
+
+echo "==> one ingress (a single accept loop and a single readiness loop; videopipe-net size)"
+# Every TCP receiver is a PollEndpoint turned by videopipe_net::Ingress. A
+# second `.accept()` in the shipping part of tcp.rs is a second receive
+# stack; a `Poller::wait` call under crates/core/src is a driver growing its
+# own copy of the wait -> service -> backlog/retry loop again: fail on
+# either. The line count is printed, not gated (3721 before PR 18).
+accepts=$(awk '/#\[cfg\(test\)\]/ { exit } /\.accept\(\)/ { n++ } END { print n + 0 }' crates/net/src/tcp.rs)
+if [ "$accepts" -ne 1 ]; then
+    echo "expected exactly one .accept() call in the non-test part of crates/net/src/tcp.rs, found $accepts"
+    exit 1
+fi
+if grep -nE 'Poller::wait|\.wait\(&mut ready' crates/core/src/*.rs; then
+    echo "crates/core/src waits on a Poller itself; that loop belongs to videopipe_net::Ingress"
+    exit 1
+fi
+count_non_test crates/net/src/*.rs
 
 echo "==> cargo test (whole workspace: default-members covers every crate)"
 cargo test -q

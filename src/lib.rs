@@ -9,7 +9,7 @@
 //! * [`core`] — modules, stateless services, pipeline DAGs, configuration,
 //!   deployment planning, flow control and metrics.
 //! * [`net`] — the messaging substrate: wire codec, in-process and TCP
-//!   transports, PUSH/PULL / REQ/REP / PUB/SUB patterns.
+//!   transports (one ingress loop, one send path).
 //! * [`media`] — frames, frame store, image codec, synthetic scenes and
 //!   video sources.
 //! * [`ml`] — the ML substrates built from scratch: k-means, k-NN, pose
