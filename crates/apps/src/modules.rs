@@ -3,8 +3,8 @@
 //! Modules hold the per-pipeline state (pose windows, rep-counter state
 //! machines, display fan-in buffers — "self-contained units with
 //! encapsulated states", §2.1) and delegate the heavy lifting to the
-//! stateless services. Every module here runs unchanged on the threaded
-//! local runtime and on the simulator.
+//! stateless services. Every module here runs unchanged on the runtime
+//! and on the simulator.
 
 use crate::iot::IotHub;
 use crate::services::{rep_classify_request, rep_model_from_payload};

@@ -5,7 +5,7 @@
 //! oracle), the ML/vision kernels (fused word-wide pose scan, fused
 //! distance matrix, k-means assignment, batched k-NN — each against its
 //! scalar oracle), per-(frame, quality) encode caching under fan-out,
-//! inproc transport roundtrips, multi-executor request draining, and the
+//! inproc transport roundtrips, and the
 //! service-dispatch saturation sweep (offered load × batch setting) —
 //! plus the self-healing failover MTTR cell (a deterministic sim crashes
 //! a mid-pipeline device and the recovery timeline is reported in
@@ -13,9 +13,7 @@
 //! with the degradation controller on vs the same config in shadow mode,
 //! with the quality knob's accuracy cost measured end-to-end) — plus the
 //! reactor scale cells (`pipelines_per_core`, `memory_per_pipeline`, OS
-//! thread count, and the threaded-runtime comparison arm that quantifies
-//! the thread-per-module ceiling), the reactor low-load latency cell
-//! (comparable to the saturation `low_load` cell of BENCH_PR6), the
+//! thread count), the
 //! `reactor.timer_lag` cell (how late 1000 recurring 25 Hz deadlines fire,
 //! idle and next to a CPU-bound fleet, and how often workers sleep), and the
 //! multi-core `reactor_scaling` sweep (the same CPU-bound fleet drained
@@ -45,7 +43,7 @@ use videopipe_core::deploy::{plan, DeviceSpec, Placement};
 use videopipe_core::message::Payload;
 use videopipe_core::module::{Event, Module, ModuleCtx, ModuleRegistry};
 use videopipe_core::reactor::{ReactorConfig, ReactorRuntime};
-use videopipe_core::runtime::{BatchConfig, LocalRuntime, RuntimeConfig};
+use videopipe_core::runtime::{BatchConfig, RuntimeConfig};
 use videopipe_core::service::{
     Service, ServiceCost, ServiceRegistry, ServiceRequest, ServiceResponse,
 };
@@ -1076,7 +1074,8 @@ struct SatResult {
 
 /// Runs one (offered load, batch setting) cell of the saturation sweep
 /// through the full runtime and reports dispatch throughput plus exact
-/// request-latency percentiles.
+/// request-latency percentiles. The one container serves one batch at a
+/// time in modeled time, so requests queue — and batch — behind it.
 fn saturation_run(workers: usize, fps: f64, max_batch: usize, duration: Duration) -> SatResult {
     let mut spec_src = ModuleSpec::new("src", "SatSource");
     for w in 0..workers {
@@ -1132,9 +1131,18 @@ fn saturation_run(workers: usize, fps: f64, max_batch: usize, duration: Duration
         batch: BatchConfig::up_to(max_batch),
         ..RuntimeConfig::default()
     };
-    let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).expect("deploy");
+    // One reactor worker per caller: a caller waiting in `call_service`
+    // keeps its worker (helping nests only one module deep), so this is
+    // what lets every caller have a request queued at the host at once.
+    let mut runtime = ReactorRuntime::new(ReactorConfig {
+        workers,
+        ..ReactorConfig::default()
+    });
+    runtime
+        .add_pipeline(&plan, &modules, &services, config)
+        .expect("deploy");
     let started = Instant::now();
-    let report = runtime.run_for(duration);
+    let report = runtime.run_for(duration).remove(0);
     let elapsed = started.elapsed().as_secs_f64();
 
     let dispatch = report
@@ -1144,7 +1152,7 @@ fn saturation_run(workers: usize, fps: f64, max_batch: usize, duration: Duration
         .copied()
         .unwrap_or_default();
     let mut us = latencies.lock().unwrap().clone();
-    // Drop warm-up samples (thread spawn, first-tick races) so tail
+    // Drop warm-up samples (first-tick races) so tail
     // percentiles reflect steady state. Samples are in arrival order here.
     let warmup = if us.len() > 24 { us.len() / 8 } else { 0 };
     us.drain(..warmup);
@@ -1171,7 +1179,7 @@ fn saturation_section(quick: bool, out: &mut String) {
     let cells: [(&str, usize, f64); 2] = [
         // One worker at 40 req/s: every request travels alone.
         ("low_load", 1, 40.0),
-        // Eight workers saturating one executor far beyond its 500 req/s
+        // Eight workers saturating one container far beyond its 500 req/s
         // unbatched capacity.
         ("saturated", 8, 300.0),
     ];
@@ -1624,14 +1632,8 @@ fn fleet_registries() -> (ModuleRegistry, ServiceRegistry) {
 
 /// Reactor scale cells: deploy a 10k-pipeline fleet (1.5k in quick mode)
 /// on one event-driven reactor, report pipelines-per-core, memory per
-/// pipeline and OS thread counts, then deploy a modest fleet on the
-/// thread-per-module runtime to measure its threads-per-pipeline and
-/// extrapolate the capacity a 1024-thread box gives it. 1024 is the
-/// budget a default 8 MiB pthread stack size allows in 8 GiB of address
-/// space and the order of typical per-container pid limits — generous to
-/// the threaded runtime, which thrashes long before that on real cores.
+/// pipeline and OS thread counts.
 fn reactor_section(quick: bool, out: &mut String) {
-    const THREAD_BUDGET: f64 = 1024.0;
     let n: usize = if quick { 1_500 } else { 10_000 };
     let fps = if quick { 5.0 } else { 2.0 };
     let wall = if quick {
@@ -1647,7 +1649,7 @@ fn reactor_section(quick: bool, out: &mut String) {
         ..RuntimeConfig::default()
     };
 
-    // Reactor arm: the whole fleet on one worker pool.
+    // The whole fleet on one worker pool.
     let rss_before = vm_rss_kb();
     let mut rt = ReactorRuntime::new(ReactorConfig::default());
     let plan = fleet_plan("fleet");
@@ -1677,117 +1679,15 @@ fn reactor_section(quick: bool, out: &mut String) {
         .count();
     let pipelines_per_core = live as f64 / cores as f64;
 
-    // Threaded arm: enough pipelines to measure threads-per-pipeline
-    // without swamping the runner, then extrapolate to the thread budget.
-    let m: usize = if quick { 12 } else { 48 };
-    let threads_before = os_threads();
-    let mut threaded = Vec::with_capacity(m);
-    for i in 0..m {
-        threaded.push(
-            LocalRuntime::deploy(&fleet_plan(&format!("t{i}")), &modules, &services, config())
-                .expect("threaded fleet pipeline"),
-        );
-    }
-    let threads_per_pipeline = (os_threads() - threads_before).max(0.0) / m as f64;
-    for runtime in threaded {
-        runtime.finish();
-    }
-    let threaded_capacity = THREAD_BUDGET / threads_per_pipeline.max(1.0);
-    let scale_x = live as f64 / threaded_capacity;
-
     println!(
         "reactor fleet: {live}/{n} pipelines live on {cores} core(s) \
          ({pipelines_per_core:.0} per core), {reactor_threads} reactor threads \
          ({process_threads:.0} process), {memory_per_pipeline_kb:.1} KiB/pipeline, \
          {delivered} frames in {elapsed:.1}s"
     );
-    println!(
-        "threaded runtime: {threads_per_pipeline:.1} threads/pipeline -> \
-         {threaded_capacity:.0} pipelines at a {THREAD_BUDGET:.0}-thread budget \
-         (reactor scale {scale_x:.1}x)"
-    );
     let _ = writeln!(
         out,
-        r#"  "reactor": {{"pipelines": {n}, "live_pipelines": {live}, "cores": {cores}, "reactor_workers": {reactor_workers}, "reactor_threads": {reactor_threads}, "process_threads": {process_threads:.0}, "pipelines_per_core": {pipelines_per_core:.0}, "memory_per_pipeline_kb": {memory_per_pipeline_kb:.1}, "delivered": {delivered}, "tasks_run": {tasks_run}, "steals_succeeded": {steals_succeeded}, "unparks": {unparks}, "parks": {parks}, "threaded_threads_per_pipeline": {threads_per_pipeline:.1}, "threaded_capacity_at_1024_threads": {threaded_capacity:.0}, "scale_x": {scale_x:.1}}},"#
-    );
-}
-
-/// Reactor low-load latency cell: the saturation sweep's `low_load` shape
-/// (one worker, 40 req/s offered, batch=1, 2 ms modeled service) run on
-/// the reactor, so the p50/p99 are directly comparable with the threaded
-/// `saturation.low_load.batch1` cell of BENCH_PR6 — the acceptance bar is
-/// staying within 20% of it.
-fn reactor_low_load_section(quick: bool, out: &mut String) {
-    let duration = if quick {
-        Duration::from_millis(700)
-    } else {
-        Duration::from_secs(2)
-    };
-    let workers = 1usize;
-    let mut spec_src = ModuleSpec::new("src", "SatSource");
-    for w in 0..workers {
-        spec_src = spec_src.with_next(format!("w{w}"));
-    }
-    let mut spec = PipelineSpec::new("reactor-low-load").with_module(spec_src);
-    for w in 0..workers {
-        spec = spec.with_module(
-            ModuleSpec::new(format!("w{w}"), "SatWorker")
-                .with_service("work")
-                .with_next("sink"),
-        );
-    }
-    spec = spec.with_module(ModuleSpec::new("sink", "SatSink"));
-    let devices = vec![DeviceSpec::new("one", 1.0)
-        .with_containers(1)
-        .with_service("work")];
-    let mut placement = Placement::new().assign("src", "one").assign("sink", "one");
-    for w in 0..workers {
-        placement = placement.assign(format!("w{w}"), "one");
-    }
-    let plan = plan(&spec, &devices, &placement).expect("reactor low-load plan");
-
-    let latencies = Arc::new(Mutex::new(Vec::new()));
-    let mut modules = ModuleRegistry::new();
-    modules.register("SatSource", move || {
-        Box::new(SatSource { workers: 1, seq: 0 })
-    });
-    let worker_latencies = Arc::clone(&latencies);
-    modules.register("SatWorker", move || {
-        Box::new(SatWorker {
-            latencies_us: Arc::clone(&worker_latencies),
-        })
-    });
-    modules.register("SatSink", move || {
-        Box::new(SatSink {
-            workers: 1,
-            seen: 0,
-        })
-    });
-    let mut services = ServiceRegistry::new();
-    services.install(Arc::new(ModeledWork));
-
-    let config = RuntimeConfig {
-        fps: 40.0,
-        time_scale: 1.0,
-        batch: BatchConfig::up_to(1),
-        ..RuntimeConfig::default()
-    };
-    let mut rt = ReactorRuntime::new(ReactorConfig::default());
-    let reactor_workers = rt.scheduler_stats().len();
-    rt.add_pipeline(&plan, &modules, &services, config)
-        .expect("deploy reactor low-load");
-    let _ = rt.run_for(duration);
-
-    let mut us = latencies.lock().unwrap().clone();
-    let warmup = if us.len() > 24 { us.len() / 8 } else { 0 };
-    us.drain(..warmup);
-    us.sort_by(f64::total_cmp);
-    let p50_ms = percentile(&us, 50.0) / 1e3;
-    let p99_ms = percentile(&us, 99.0) / 1e3;
-    println!("reactor low load (40 req/s, batch=1): p50 {p50_ms:.2} ms, p99 {p99_ms:.2} ms");
-    let _ = writeln!(
-        out,
-        r#"  "reactor_low_load": {{"reactor_workers": {reactor_workers}, "p50_ms": {p50_ms:.2}, "p99_ms": {p99_ms:.2}}},"#
+        r#"  "reactor": {{"pipelines": {n}, "live_pipelines": {live}, "cores": {cores}, "reactor_workers": {reactor_workers}, "reactor_threads": {reactor_threads}, "process_threads": {process_threads:.0}, "pipelines_per_core": {pipelines_per_core:.0}, "memory_per_pipeline_kb": {memory_per_pipeline_kb:.1}, "delivered": {delivered}, "tasks_run": {tasks_run}, "steals_succeeded": {steals_succeeded}, "unparks": {unparks}, "parks": {parks}}},"#
     );
 }
 
@@ -1919,7 +1819,6 @@ fn main() {
     fleet_section(args.quick, &mut json);
     slo_section(args.quick, &mut json);
     reactor_section(args.quick, &mut json);
-    reactor_low_load_section(args.quick, &mut json);
     reactor_timer_lag_section(args.quick, &mut json);
     saturation_section(args.quick, &mut json);
     json.push_str("}\n");

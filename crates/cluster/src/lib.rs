@@ -1,8 +1,8 @@
 //! Multi-process fleet layer for VideoPipe.
 //!
 //! Everything below this crate runs pipelines *inside* one OS process —
-//! the threaded [`LocalRuntime`](videopipe_core::runtime::LocalRuntime),
-//! the event-driven reactor, the simulator. This crate is the step to a
+//! the event-driven [`ReactorRuntime`](videopipe_core::reactor::ReactorRuntime)
+//! and the simulator. This crate is the step to a
 //! real fleet: tenant pipelines sharded across **real processes over real
 //! TCP**, surviving the loss of a machine.
 //!

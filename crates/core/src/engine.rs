@@ -5,20 +5,17 @@
 //! the [`ModuleCtx`] implementation (breaker gate → cached transcode → retry
 //! loop → last-known-good), the module step, the service batch, the pacer's
 //! credit accounting, the SLO / heartbeat / telemetry tick bodies and the
-//! deploy-time wiring — generic over the three-method [`Exec`] seam, which
-//! is the whole difference between the two drivers:
+//! deploy-time wiring — generic over the three-method [`Exec`] seam.
+//! [`ReactorRuntime`](crate::reactor::ReactorRuntime) decides *when* a step
+//! runs (scheduled tasks, timers) and lends its `Exec` for *how* a wait is
+//! spent (helping other ready tasks); the unit tests below lend a scripted
+//! one with no threads and no clock.
 //!
-//! * [`LocalRuntime`](crate::runtime::LocalRuntime) decides *when to run* by
-//!   giving every task a thread that blocks on its inbox, and *how to wait*
-//!   by blocking (`recv_timeout`, `thread::sleep`).
-//! * [`ReactorRuntime`](crate::reactor::ReactorRuntime) runs the same steps
-//!   as scheduled tasks and waits by helping other ready tasks.
-//!
-//! The seam is a generic parameter, never `dyn` and never an enum of
-//! engines: nothing in here knows which driver it is serving, and the
-//! `&mut dyn ModuleCtx` handed to handlers stays the only virtual call on
-//! the path. (`videopipe-sim`'s `SimCtx` is deliberately *not* a third user:
-//! it records calls for virtual-time replay and has no retry chain to share.)
+//! The seam is a generic parameter, never `dyn`: nothing in here knows who
+//! is driving it, and the `&mut dyn ModuleCtx` handed to handlers stays the
+//! only virtual call on the path. (`videopipe-sim`'s `SimCtx` is
+//! deliberately *not* a second user: it records calls for virtual-time
+//! replay and has no retry chain to share.)
 
 use crate::deploy::DeploymentPlan;
 use crate::error::PipelineError;
@@ -28,7 +25,7 @@ use crate::message::{Header, Message, Payload};
 use crate::metrics::PipelineMetrics;
 use crate::module::{Event, Module, ModuleCtx, ModuleFactory, ModuleRegistry};
 use crate::resilience::{seed_for, CircuitBreaker, DegradationPolicy, SeededJitter};
-use crate::runtime::{EdgeTransport, RunReport, RuntimeConfig, ShutdownGate};
+use crate::runtime::{EdgeTransport, RunReport, RuntimeConfig};
 use crate::service::{Service, ServiceRegistry, ServiceRequest, ServiceResponse};
 use crate::slo::{KnobSettings, SloAction, SloController};
 use crate::spec::ModuleSpec;
@@ -44,16 +41,16 @@ use videopipe_net::{
     WireMessage,
 };
 
-/// What a driver lends the engine: how a message leaves, how a module waits
-/// for a reply, and how modeled time passes. Statically dispatched.
+/// What the runtime lends the engine: how a message leaves, how a module
+/// waits for a reply, and how modeled time passes. Statically dispatched.
 pub(crate) trait Exec {
     /// Routes `msg` from `from_device` to its channel and makes sure whoever
     /// consumes that channel gets to run.
     fn send(&self, from_device: &str, msg: WireMessage) -> Result<(), PipelineError>;
 
-    /// Waits for the next message on `rx`, for at most one driver-sized
-    /// slice and never past `until`. `None` means "nothing yet": the engine
-    /// re-checks its deadline and the stop flag and asks again, so a driver
+    /// Waits for the next message on `rx`, for at most one short slice and
+    /// never past `until`. `None` means "nothing yet": the engine re-checks
+    /// its deadline and the stop flag and asks again, so an implementation
     /// may return early whenever it likes.
     fn await_reply(&self, rx: &InprocReceiver, until: Instant) -> Option<WireMessage>;
 
@@ -82,7 +79,7 @@ impl Router {
     }
 
     /// In `Tcp` mode every device gets a loopback ingress endpoint, bound
-    /// here and returned for the driver's [`videopipe_net::Ingress`] to
+    /// here and returned for the runtime's [`videopipe_net::Ingress`] to
     /// run, and all cross-device channels route through it.
     fn tcp(
         hub: InprocHub,
@@ -179,11 +176,9 @@ pub(crate) struct Shared {
     /// Devices whose heartbeat sender is suppressed (chaos hook).
     pub(crate) muted_heartbeats: Mutex<HashSet<String>>,
     /// Live SLO knob actuators, written by the controller tick and read
-    /// lock-free at the actuation sites (encode path, executor drain, pacer
+    /// lock-free at the actuation sites (encode path, service drain, pacer
     /// admission). All-baseline when no controller is configured.
     pub(crate) knobs: KnobActuators,
-    /// Prompt-teardown latch for interval-driven watcher threads.
-    pub(crate) gate: ShutdownGate,
 }
 
 /// Lock-free actuation state for the SLO controller's knob lattice.
@@ -247,12 +242,18 @@ fn device_of(plan: &DeploymentPlan, module: &str) -> Result<String, PipelineErro
         .ok_or_else(|| PipelineError::Deploy(format!("module {module:?} unplaced")))
 }
 
+/// Per-device frame-store capacity. Small on purpose: in-flight frames per
+/// pipeline are bounded by credits, and 10k pipelines each carrying a large
+/// store would dominate the memory budget. The store evicts oldest-first
+/// beyond this.
+const STORE_CAPACITY: usize = 16;
+
 impl Shared {
     /// Builds one pipeline's shared state from its plan: a private hub, one
-    /// frame store per device (`new_store`), the router and the failure
-    /// detector. In `Tcp` mode the second value is one ingress endpoint per
-    /// device, reading into `ingress_pool`, for the driver to run; it is
-    /// empty otherwise.
+    /// frame store per device, the router and the failure detector. In
+    /// `Tcp` mode the second value is one ingress endpoint per device,
+    /// reading into `ingress_pool`, for the runtime to run; it is empty
+    /// otherwise.
     ///
     /// # Errors
     ///
@@ -260,7 +261,6 @@ impl Shared {
     pub(crate) fn deploy(
         plan: &DeploymentPlan,
         config: RuntimeConfig,
-        new_store: impl Fn() -> FrameStore,
         ingress_pool: &Arc<BufferPool>,
     ) -> Result<(Arc<Self>, Vec<PollEndpoint>), PipelineError> {
         config.validate()?;
@@ -296,7 +296,10 @@ impl Shared {
             stores: plan
                 .devices
                 .iter()
-                .map(|d| (d.name.clone(), Arc::new(new_store())))
+                .map(|d| {
+                    let store = FrameStore::with_capacity(STORE_CAPACITY);
+                    (d.name.clone(), Arc::new(store))
+                })
                 .collect(),
             metrics: Mutex::new(PipelineMetrics::new()),
             logs: Mutex::new(Vec::new()),
@@ -312,7 +315,6 @@ impl Shared {
             checkpoints: Mutex::new(HashMap::new()),
             muted_heartbeats: Mutex::new(HashSet::new()),
             knobs: KnobActuators::baseline(),
-            gate: ShutdownGate::new(),
         });
         Ok((shared, endpoints))
     }
@@ -360,8 +362,10 @@ impl Shared {
         (scale > 0.0 && !modeled.is_zero()).then(|| modeled.mul_f64(scale / speed))
     }
 
-    /// Builds the end-of-run report from the pipeline's shared state.
-    pub(crate) fn report(&self) -> RunReport {
+    /// A report of the pipeline so far; `lines` hands over the log and
+    /// error lines — `std::mem::take` at the end of the run, a clone for a
+    /// mid-run snapshot that must leave them for the final report.
+    pub(crate) fn report(&self, lines: fn(&mut Vec<String>) -> Vec<String>) -> RunReport {
         let run_duration_ns = self.now_ns();
         let mut metrics = self.metrics.lock().clone();
         metrics.run_duration_ns = run_duration_ns;
@@ -379,8 +383,8 @@ impl Shared {
             .unwrap_or_default();
         RunReport {
             metrics,
-            logs: std::mem::take(&mut *self.logs.lock()),
-            errors: std::mem::take(&mut *self.errors.lock()),
+            logs: lines(&mut self.logs.lock()),
+            errors: lines(&mut self.errors.lock()),
             restarts: self.restarts.load(Ordering::Relaxed),
             breakers,
             device_statuses,
@@ -464,7 +468,7 @@ struct CtxState {
     jitter: SeededJitter,
 }
 
-/// The execution context handed to module handlers, on either driver.
+/// The execution context handed to module handlers.
 struct Ctx<'a, X: Exec> {
     exec: &'a X,
     shared: &'a Shared,
@@ -495,7 +499,7 @@ impl<X: Exec> Ctx<'_, X> {
             self.emulate(link_cost(msg.payload.len()));
         }
         Some(ServiceResponse::decode(&msg.payload).and_then(|resp| {
-            // Executors answer failures with a typed error payload.
+            // Hosts answer failures with a typed error payload.
             match &resp.payload {
                 Payload::Error(reason) => Err(PipelineError::Service {
                     service: service.to_string(),
@@ -533,18 +537,20 @@ impl<X: Exec> Ctx<'_, X> {
         let started = Instant::now();
         let deadline = started + self.shared.config.resilience.service_call_timeout;
         loop {
-            // Drain anything already delivered before looking at the clock:
-            // a reply that beat the deadline counts even if we notice late.
-            while let Ok(msg) = self.st.reply_rx.try_recv() {
-                if let Some(result) = self.check_reply(msg, corr_id, remote, service) {
-                    return result;
-                }
-            }
+            // The clock first: a wait spent helping run other tasks — maybe
+            // the very handler that answers — can end past the deadline with
+            // the reply already queued, and a caller that could not act on
+            // it in time has timed out.
             if Instant::now() >= deadline {
                 return Err(PipelineError::Timeout {
                     service: service.to_string(),
                     elapsed: started.elapsed(),
                 });
+            }
+            while let Ok(msg) = self.st.reply_rx.try_recv() {
+                if let Some(result) = self.check_reply(msg, corr_id, remote, service) {
+                    return result;
+                }
             }
             if self.shared.stopped() {
                 return Err(PipelineError::Shutdown);
@@ -766,8 +772,8 @@ impl<X: Exec> ModuleCtx for Ctx<'_, X> {
 }
 
 /// One deployed module instance: its wiring, inbox, handler and the context
-/// state that outlives a single event. A driver owns the task and decides
-/// when [`ModuleTask::step`] runs.
+/// state that outlives a single event. The runtime owns the task and
+/// decides when [`ModuleTask::step`] runs.
 pub(crate) struct ModuleTask {
     pub(crate) inbox: InprocReceiver,
     wiring: ModuleWiring,
@@ -780,7 +786,7 @@ pub(crate) struct ModuleTask {
 impl ModuleTask {
     /// Wires module `m` from the plan, binds its inbox and reply channel,
     /// instantiates it and runs its `init` (which may already call
-    /// services, so the driver deploys service hosts first).
+    /// services, so the runtime deploys service hosts first).
     ///
     /// # Errors
     ///
@@ -954,12 +960,11 @@ impl ModuleTask {
 
 /// One (device, service) host actually bound by some module: the inbox its
 /// requests arrive on and everything needed to serve a batch of them.
-/// Cloning shares the inbox (competing consumers on one MPMC queue).
-#[derive(Clone)]
 pub(crate) struct ServiceHost {
     pub(crate) inbox: InprocReceiver,
     pub(crate) device: String,
-    /// The host device's core count (the threaded driver's pool size).
+    /// The host device's core count: how many batches it serves at once in
+    /// modeled time (the runtime's per-host horizon).
     pub(crate) cores: u32,
     image: Arc<dyn Service>,
     store: Arc<FrameStore>,
@@ -1010,21 +1015,17 @@ impl ServiceHost {
             .collect()
     }
 
-    pub(crate) fn service(&self) -> &str {
-        self.image.name()
-    }
-
     /// Starts a batch from a dequeued message: `None` unless it is a
     /// request; otherwise the request plus whatever is already queued (zero
     /// added latency), up to the batch ceiling in effect right now — the
-    /// SLO controller may raise it mid-run. Also returns that ceiling and
-    /// the backlog behind `first`, sampled BEFORE the drain empties the
-    /// queue: `max_queue_depth` must keep reflecting true pressure.
+    /// SLO controller may raise it mid-run. Also returns the backlog behind
+    /// `first`, sampled BEFORE the drain empties the queue:
+    /// `max_queue_depth` must keep reflecting true pressure.
     pub(crate) fn free_drain(
         &self,
         shared: &Shared,
         first: WireMessage,
-    ) -> Option<(Vec<WireMessage>, usize, u64)> {
+    ) -> Option<(Vec<WireMessage>, u64)> {
         if first.kind != MessageKind::Request {
             return None;
         }
@@ -1038,13 +1039,13 @@ impl ServiceHost {
                 Err(_) => break,
             }
         }
-        Some((msgs, max_batch, queue_depth))
+        Some((msgs, queue_depth))
     }
 
     /// Serves one batch and returns one reply per request, in request
     /// order, plus the batch's scaled modeled cost (`None` when emulation
-    /// is off). The replies are computed eagerly; *when* they leave — after
-    /// the executor sleeps the cost out, or off a timer — is the driver's.
+    /// is off). The replies are computed eagerly; *when* they leave is the
+    /// runtime's (off a timer, once the modeled cost has passed).
     pub(crate) fn serve(
         &self,
         shared: &Shared,
@@ -1123,7 +1124,7 @@ impl ServiceHost {
                 WireMessage::response_to(m, response.encode())
             })
             .collect();
-        // Modeled time counts as busy whichever way the driver spends it.
+        // Modeled time counts as busy: the host is occupied while it passes.
         let busy = started.elapsed() + delay.unwrap_or_default();
         shared.metrics.lock().record_dispatch_batch(
             &self.label,
@@ -1143,7 +1144,7 @@ impl ServiceHost {
 /// skipped — so dispatch never deep-copies a payload.
 ///
 /// The handler is supervised: a panicking service (a crashed container)
-/// must not take the executor with it. A panic fails every request of the
+/// must not take the host with it. A panic fails every request of the
 /// batch with a typed error, so the caller side records one breaker event
 /// per *request*, never one per batch. A `handle_batch` override that
 /// returns too few results fails the unanswered slots the same way rather
@@ -1207,7 +1208,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The per-pipeline pacer: camera ticks and the credit flow control at the
-/// source. A driver feeds it completion signals and calls
+/// source. The runtime feeds it completion signals and calls
 /// [`Pacer::tick`] whenever [`Pacer::next_tick`] has passed.
 pub(crate) struct Pacer {
     pub(crate) fc_inbox: InprocReceiver,
@@ -1517,7 +1518,7 @@ pub(crate) fn publish_telemetry(shared: &Shared) {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::resilience::{ResilienceConfig, RetryPolicy};
     use std::cell::{Cell, RefCell};
@@ -1525,7 +1526,7 @@ pub(crate) mod tests {
 
     /// A pipeline's shared state with nothing deployed on it: one device
     /// (`"one"`), an in-process router, no detector.
-    pub(crate) fn bare_shared(config: RuntimeConfig) -> (Arc<Shared>, InprocHub) {
+    fn bare_shared(config: RuntimeConfig) -> (Arc<Shared>, InprocHub) {
         let hub = InprocHub::new();
         let mut stores = HashMap::new();
         stores.insert("one".to_string(), Arc::new(FrameStore::new()));
@@ -1550,14 +1551,13 @@ pub(crate) mod tests {
             checkpoints: Mutex::new(HashMap::new()),
             muted_heartbeats: Mutex::new(HashSet::new()),
             knobs: KnobActuators::baseline(),
-            gate: ShutdownGate::new(),
         });
         (shared, hub)
     }
 
     impl ServiceHost {
         /// A host for `image` on `device`, fed from an inbox the test bound.
-        pub(crate) fn bare(
+        fn bare(
             shared: &Shared,
             inbox: InprocReceiver,
             image: Arc<dyn Service>,
@@ -1587,7 +1587,7 @@ pub(crate) mod tests {
         SilenceThenStop,
     }
 
-    /// A driver with no threads and no clock: `send` answers requests from
+    /// An `Exec` with no threads and no clock: `send` answers requests from
     /// a script straight into the reply channel, `await_reply` never waits
     /// and `pause` only records what it was asked to sleep.
     struct FakeExec<'a> {
@@ -1826,7 +1826,7 @@ pub(crate) mod tests {
         let sent = exec.request_payloads.borrow();
         assert_eq!(sent.len(), 3);
         assert!(sent.iter().all(|p| matches!(p, Payload::EncodedFrame(_))));
-        // Modeled time is the driver's to spend: a link transfer out and
+        // Modeled time is the runtime's to spend: a link transfer out and
         // back per attempt plus two backoffs, all virtual.
         assert_eq!(exec.pauses.borrow().len(), 3 * 2 + 2);
         drop(sent);
@@ -1834,5 +1834,79 @@ pub(crate) mod tests {
         let exec = FakeExec::new(&shared, vec![Script::Reply(Payload::Empty)]);
         rig.call(&exec, Payload::FrameRef(frame)).unwrap();
         assert_eq!(rig.wiring.store.stats().encode_hits, 1);
+    }
+
+    /// Doubles counts.
+    struct Doubler;
+    impl Service for Doubler {
+        fn name(&self) -> &str {
+            "doubler"
+        }
+        fn handle(
+            &self,
+            request: &ServiceRequest,
+            _store: &FrameStore,
+        ) -> Result<ServiceResponse, PipelineError> {
+            match request.payload {
+                Payload::Count(n) => Ok(ServiceResponse::new(Payload::Count(n * 2))),
+                ref other => Err(crate::service::wrong_payload("doubler", "count", other)),
+            }
+        }
+    }
+
+    #[test]
+    fn free_drain_samples_depth_before_draining() {
+        let config = RuntimeConfig {
+            batch: crate::runtime::BatchConfig::up_to(4),
+            ..RuntimeConfig::default()
+        };
+        let (shared, hub) = bare_shared(config);
+        let channel = svc_chan("test", "one", "doubler");
+        let host = ServiceHost::bare(
+            &shared,
+            hub.bind(&channel).unwrap(),
+            Arc::new(Doubler),
+            "one",
+        );
+        let tx = hub.connect(&channel).unwrap();
+        // A burst of six requests queued before the host looks: one batch
+        // up to the ceiling, then the rest.
+        for i in 0..6u64 {
+            let request = ServiceRequest::new("double", Payload::Count(i)).encode();
+            tx.send(WireMessage::request(
+                channel.clone(),
+                "rpl/test/m",
+                i,
+                request,
+            ))
+            .unwrap();
+        }
+        let drain = || {
+            let first = host.inbox.try_recv().expect("a queued request");
+            host.free_drain(&shared, first).expect("a request leads")
+        };
+        let (batch, depth) = drain();
+        // Five requests were queued behind the leader when it was dequeued,
+        // though the drain then took three of them.
+        assert_eq!((batch.len(), depth), (4, 5));
+        let (replies, modeled) = host.serve(&shared, &batch, depth);
+        assert_eq!(modeled, None, "no cost emulation at time_scale 0");
+        for (reply, request) in replies.iter().zip(&batch) {
+            assert_eq!(reply.corr_id, request.corr_id);
+            let resp = ServiceResponse::decode(&reply.payload).unwrap();
+            assert_eq!(resp.payload, Payload::Count(request.corr_id * 2));
+        }
+        let (rest, depth) = drain();
+        assert_eq!((rest.len(), depth), (2, 1));
+        host.serve(&shared, &rest, depth);
+        // Only requests lead or join a batch.
+        tx.send(WireMessage::signal(channel.clone(), 0)).unwrap();
+        let signal = host.inbox.try_recv().unwrap();
+        assert!(host.free_drain(&shared, signal).is_none());
+
+        let metrics = shared.metrics.lock();
+        let dispatch = metrics.dispatch.get("one/doubler").expect("dispatch stats");
+        assert_eq!((dispatch.requests, dispatch.batches), (6, 2));
+        assert_eq!((dispatch.max_batch, dispatch.max_queue_depth), (4, 5));
     }
 }

@@ -10,8 +10,8 @@
 //! dropped packet never tears a pipeline apart.
 //!
 //! The detector is clock-agnostic: callers supply `now_ns` as nanoseconds
-//! on any monotonic axis. The threaded runtime feeds it nanoseconds since
-//! its start `Instant`; the simulator feeds it `SimTime` nanoseconds. That
+//! on any monotonic axis. The runtime feeds it nanoseconds since its
+//! pipeline's start `Instant`; the simulator feeds it `SimTime` nanoseconds. That
 //! keeps the transition logic identical — and identically testable — in
 //! both worlds.
 

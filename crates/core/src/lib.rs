@@ -1,6 +1,6 @@
 //! The VideoPipe core: modules, stateless services, pipeline DAGs,
-//! configuration, deployment planning, flow control, metrics and the local
-//! threaded runtime.
+//! configuration, deployment planning, flow control, metrics and the
+//! runtime that executes them.
 //!
 //! This crate is the Rust reproduction of the paper's primary contribution
 //! (*VideoPipe: Building Video Stream Processing Pipelines at the Edge*,
@@ -27,15 +27,16 @@
 //!   services fail.
 //! * [`metrics`] — per-stage latency histograms and FPS accounting (the
 //!   exact quantities of Fig. 6 and Table 2).
-//! * [`runtime`] — the threaded local runtime executing deployments for
-//!   real, with per-module isolation, transparent cross-device frame
-//!   transcoding, and optional real-TCP cross-device transport.
-//! * [`reactor`] — the event-driven multi-pipeline executor: one worker
-//!   pool sized to cores runs module steps, service dispatch, pacer ticks
-//!   and watchers as scheduled tasks, so thread count stays O(cores) while
-//!   pipeline count scales to the tens of thousands. Both runtimes drive
-//!   one crate-private engine that owns everything done per message; they
-//!   differ only in when a step runs and how a wait is spent.
+//! * [`reactor`] — the runtime: executes deployments for real, with
+//!   per-module isolation, transparent cross-device frame transcoding and
+//!   optional real-TCP cross-device transport. One worker pool sized to
+//!   cores runs module steps, service dispatch, pacer ticks and watchers as
+//!   scheduled tasks, so thread count stays O(cores) while pipeline count
+//!   scales to the tens of thousands; each service host serves at most its
+//!   device's `cores` batches at once in modeled time. Everything done per
+//!   message lives in one crate-private engine.
+//! * [`runtime`] — the runtime's configuration ([`RuntimeConfig`](runtime::RuntimeConfig))
+//!   and report ([`RunReport`](runtime::RunReport)) types.
 //! * [`slo`] — the per-pipeline SLO feedback controller: windowed-tail
 //!   observation over the metrics histograms, an ordered degradation knob
 //!   lattice, hysteresis and dwell.
@@ -89,7 +90,7 @@ pub mod prelude {
     pub use crate::module::{Event, Module, ModuleCtx, ModuleRegistry};
     pub use crate::reactor::{ReactorConfig, ReactorRuntime};
     pub use crate::resilience::{DegradationPolicy, ResilienceConfig, RetryPolicy};
-    pub use crate::runtime::{BatchConfig, LocalRuntime, RuntimeConfig};
+    pub use crate::runtime::{BatchConfig, RuntimeConfig};
     pub use crate::service::{Service, ServiceRegistry, ServiceRequest, ServiceResponse};
     pub use crate::slo::{Knob, Slo, SloConfig, SloController};
     pub use crate::spec::{ModuleSpec, PipelineSpec};

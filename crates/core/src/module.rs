@@ -73,7 +73,7 @@ pub trait Module: Send {
 
 /// The capabilities a runtime exposes to a module.
 ///
-/// Object-safe so modules run identically on the threaded runtime and the
+/// Object-safe so modules run identically on the runtime and the
 /// simulator.
 pub trait ModuleCtx {
     /// Synchronously calls a stateless service and returns its response.

@@ -1,12 +1,11 @@
-//! The event-driven reactor runtime: thousands of pipelines on a handful
-//! of threads.
+//! The event-driven runtime: thousands of pipelines on a handful of
+//! threads.
 //!
-//! The threaded [`LocalRuntime`](crate::runtime::LocalRuntime) reproduces
-//! the paper literally — one OS thread per module, pacer, watcher and
-//! executor — which caps a box at a few hundred pipelines long before CPU
-//! does. The reactor keeps the *same* `Module`/`Service` traits and
-//! [`RuntimeConfig`] surface but executes everything as scheduled tasks on
-//! a worker pool sized to cores:
+//! The paper gives every module its own context and every service
+//! containers limited by its device's cores. Here each of those is a
+//! scheduled task on a worker pool sized to cores — one OS thread per
+//! module, pacer, watcher and executor would cap a box at a few hundred
+//! pipelines long before CPU does:
 //!
 //! * **Tasks, not threads.** Every module, service host and pacer is a
 //!   task with a 4-state readiness machine (idle → queued → running →
@@ -32,6 +31,11 @@
 //!   "due" to "running" on one thread. A slow modeled service defers its
 //!   replies through the shard instead of occupying a worker, so it
 //!   cannot starve co-hosted services.
+//! * **Modeled capacity is a horizon.** A service host serves at most its
+//!   device's `cores` batches at once in modeled time: each batch keeps one
+//!   container busy until its deferred replies fire, and with every
+//!   container busy the host leaves requests queued — where they batch —
+//!   and re-arms itself for the first container to free up.
 //! * **Wait by helping.** [`ModuleCtx::call_service`] is synchronous by
 //!   contract. A module task waiting for a reply runs *other* ready tasks
 //!   inline instead of parking its worker. Helpers above a bounded depth
@@ -39,8 +43,8 @@
 //!   and replies are always produced by non-blocking tasks, so the wait
 //!   always makes progress even with a single worker.
 //! * **One I/O thread.** TCP ingress is one thread turning one
-//!   [`Ingress`](videopipe_net::Ingress) — the readiness loop the threaded
-//!   runtime and `TcpListenerHandle` run too — over the sockets of every
+//!   [`Ingress`](videopipe_net::Ingress) — the readiness loop
+//!   `TcpListenerHandle` runs too — over the sockets of every
 //!   [`PollEndpoint`](videopipe_net::PollEndpoint) of every pipeline: it
 //!   wakes when bytes arrive, services exactly the sockets that are ready
 //!   and feeds completed frames to the readiness queues. No per-connection
@@ -51,31 +55,25 @@
 //!
 //! What a task *does* with a message — the module step, the service batch,
 //! the pacer's accounting, the watcher ticks — lives in the crate-private
-//! `engine` module, shared with the threaded runtime. This file keeps only
-//! what is genuinely scheduled: tasks, queues, stealing, timers, [`Rearm`],
-//! `Deliver` deferral and the I/O thread. Three deliberate semantic deltas
-//! from the threaded runtime, all in DESIGN.md §5.11: service dispatch
-//! free-drains whatever is queued but never *holds* a partial batch open
-//! (requests accumulate naturally while a batch waits for a worker);
-//! per-device `cores` no longer multiplies executor threads — service
-//! parallelism comes from the shared pool; and a batch's modeled cost
-//! defers its replies on a timer instead of occupying an executor, so at
-//! `time_scale > 0` a service host's modeled concurrency is unbounded.
+//! `engine` module. This file keeps only what is genuinely scheduled:
+//! tasks, queues, stealing, timers, [`Rearm`], the service horizon,
+//! `Deliver` deferral and the I/O thread (DESIGN.md §5.11).
 
 use crate::deploy::DeploymentPlan;
 use crate::engine::{self, Exec, HbMonitor, ModuleTask, Pacer, ServiceHost, Shared};
 use crate::error::PipelineError;
 use crate::module::ModuleRegistry;
-use crate::runtime::{RunReport, RuntimeConfig, POLL};
+use crate::runtime::{RunReport, RuntimeConfig};
 use crate::service::ServiceRegistry;
 use crate::slo::SloController;
+use crate::telemetry::TelemetryMonitor;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use videopipe_media::FrameStore;
+use videopipe_media::FrameStoreStats;
 use videopipe_net::{Ingress, InprocReceiver, MsgReceiver, PollEndpoint, Poller, WireMessage};
 
 /// Executor knobs for a [`ReactorRuntime`].
@@ -152,11 +150,9 @@ const SERVICE_BATCH_QUANTUM: usize = 4;
 /// every worker, which doubles as a pressure valve.
 const LOCAL_QUEUE_CAP: usize = 256;
 
-/// Per-device frame-store capacity under the reactor. Small on purpose:
-/// in-flight frames per pipeline are bounded by credits, and 10k pipelines
-/// each carrying the threaded default would dominate the memory budget.
-/// The store evicts oldest-first beyond this.
-const REACTOR_STORE_CAPACITY: usize = 16;
+/// How often the heartbeat monitor sweeps for overdue devices between
+/// beats.
+const HB_SWEEP: Duration = Duration::from_millis(20);
 
 /// Pads and aligns a value to a cache line so per-worker hot state (queue
 /// locks, stats counters, timer shards) and the task table's state bytes
@@ -966,8 +962,8 @@ impl Exec for ReactorExec<'_> {
         rx.recv_timeout(wait).ok()
     }
 
-    /// The wall-clock wait is identical to the threaded runtime's sleep,
-    /// but the worker keeps running other pipelines' tasks meanwhile.
+    /// The wall-clock wait is that of a sleep, but the worker keeps running
+    /// other pipelines' tasks meanwhile.
     fn pause(&self, dur: Duration) {
         self.core.help_until(self.depth, Instant::now() + dur);
     }
@@ -1017,39 +1013,59 @@ impl TaskRunner for ModuleRunner {
 /// Runs one (device, service) host as a non-blocking task. Dispatches up
 /// to [`SERVICE_BATCH_QUANTUM`] micro-batches per run. Modeled compute
 /// costs are timer-deferred: the batch is computed eagerly and its replies
-/// wait on a timer, so a slow modeled service never occupies a worker.
+/// wait on a timer, so a slow modeled service never occupies a worker —
+/// but it does occupy one of the host's containers until they leave.
 struct ServiceRunner {
     pipe: Arc<PipeRt>,
     host: ServiceHost,
+    /// When each of the host's `cores` containers is modeled busy until;
+    /// empty without cost emulation, where nothing is ever modeled busy.
+    busy_until: Vec<Instant>,
+    rearm: Rearm,
 }
 
 impl TaskRunner for ServiceRunner {
     fn run(&mut self, core: &Core, _depth: usize) -> bool {
-        let ServiceRunner { pipe, host } = self;
+        let ServiceRunner {
+            pipe,
+            host,
+            busy_until,
+            rearm,
+        } = self;
         if pipe.shared.stopped() {
             return false;
         }
         for _ in 0..SERVICE_BATCH_QUANTUM {
+            // The container that frees first. While it is still busy, the
+            // requests stay queued — where later ones join their batch —
+            // and a timer brings the host back when it frees.
+            let container = busy_until.iter_mut().min();
+            if let Some(free_at) = &container {
+                if **free_at > Instant::now() {
+                    rearm.ensure(core, **free_at);
+                    return false;
+                }
+            }
             let Ok(msg) = host.inbox.try_recv() else {
                 return false;
             };
-            // Free drain only: no adaptive hold — under reactor scheduling,
-            // requests accumulate naturally while this task waits for a
-            // worker, which plays the same batching role.
-            let Some((msgs, _, queue_depth)) = host.free_drain(&pipe.shared, msg) else {
+            let Some((msgs, queue_depth)) = host.free_drain(&pipe.shared, msg) else {
                 continue;
             };
             let (replies, modeled) = host.serve(&pipe.shared, &msgs, queue_depth);
             match modeled {
-                Some(delay) => core.arm(
-                    pipe.home,
-                    Instant::now() + delay,
-                    TimerEntry::Deliver {
+                Some(delay) => {
+                    let done = Instant::now() + delay;
+                    if let Some(free_at) = container {
+                        *free_at = done;
+                    }
+                    let deliver = TimerEntry::Deliver {
                         pipe: Arc::clone(pipe),
                         from_device: host.device.clone(),
                         msgs: replies,
-                    },
-                ),
+                    };
+                    core.arm(pipe.home, done, deliver);
+                }
                 None => {
                     for msg in replies {
                         let _ = core.send_and_wake(pipe, &host.device, msg);
@@ -1081,10 +1097,9 @@ impl TaskRunner for PacerRunner {
         while let Ok(msg) = pacer.fc_inbox.try_recv() {
             pacer.on_signal(shared, &msg);
         }
-        // Checked once per run, the same cadence as the threaded pacer's
-        // once-per-tick check.
+        // Checked once per run: at least once per camera tick.
         pacer.expire_leases(shared);
-        // Camera ticks due now (catch-up preserves threaded semantics).
+        // Camera ticks due now (late ticks catch up).
         let exec = ReactorExec { core, pipe, depth };
         while Instant::now() >= pacer.next_tick {
             if shared.stopped() {
@@ -1148,7 +1163,7 @@ impl TaskRunner for HbMonitorRunner {
         self.monitor.sweep(shared);
         let now = Instant::now();
         if now >= self.next_at {
-            self.next_at = now + POLL;
+            self.next_at = now + HB_SWEEP;
         }
         self.rearm.ensure(core, self.next_at);
         false
@@ -1159,8 +1174,8 @@ impl TaskRunner for HbMonitorRunner {
 ///
 /// Deploy any number of pipelines with [`ReactorRuntime::add_pipeline`];
 /// they all share one worker pool sized to cores and (in TCP mode) one
-/// I/O thread. The `Module`/`Service` traits and
-/// [`RuntimeConfig`] are exactly those of the threaded runtime.
+/// I/O thread, and each pipeline is configured by its own
+/// [`RuntimeConfig`].
 pub struct ReactorRuntime {
     core: Arc<Core>,
     threads: Vec<std::thread::JoinHandle<()>>,
@@ -1171,7 +1186,6 @@ pub struct ReactorRuntime {
     /// binds: the I/O thread drives them all, so chunks recycle across
     /// pipelines instead of each endpoint cold-starting its own pool.
     ingress_pool: Arc<videopipe_net::BufferPool>,
-    pipeline_names: Vec<String>,
     /// Contiguous `[start, end)` task-id range per pipeline, in
     /// `add_pipeline` order (deploy is single-writer, so each pipeline's
     /// tasks are registered back to back). Lets [`ReactorRuntime::stop_pipeline`]
@@ -1217,7 +1231,6 @@ impl ReactorRuntime {
             threads,
             io: None,
             ingress_pool: Arc::new(videopipe_net::BufferPool::default()),
-            pipeline_names: Vec::new(),
             task_ranges: Vec::new(),
         }
     }
@@ -1316,8 +1329,9 @@ impl ReactorRuntime {
     /// # Errors
     ///
     /// Returns [`PipelineError`] for invalid configs, missing module
-    /// includes or service images, or wiring failures — same contract as
-    /// [`LocalRuntime::deploy`](crate::runtime::LocalRuntime::deploy).
+    /// includes or service images, a module whose `init` fails, or wiring
+    /// failures. A failed add takes no pipeline id and leaves nothing
+    /// running: the next successful add gets the id this one would have.
     pub fn add_pipeline(
         &mut self,
         plan: &DeploymentPlan,
@@ -1327,116 +1341,29 @@ impl ReactorRuntime {
     ) -> Result<usize, PipelineError> {
         // In `Tcp` mode every device gets an ingress endpoint for the
         // reactor's single I/O thread to run.
-        let new_store = || FrameStore::with_capacity(REACTOR_STORE_CAPACITY);
-        let (shared, io_endpoints) = Shared::deploy(plan, config, new_store, &self.ingress_pool)?;
-        let pipeline_id = self.pipeline_names.len();
+        let (shared, io_endpoints) = Shared::deploy(plan, config, &self.ingress_pool)?;
+        let pipeline_id = self.task_ranges.len();
         let first_task_id = self.next_task_id();
-        // Pipeline affinity: home worker for every task of this pipeline.
-        // Round-robin over workers spreads the fleet evenly.
-        let home = pipeline_id % self.core.workers.len();
         let pipe = Arc::new(PipeRt {
-            home,
+            // Pipeline affinity: home worker for every task of this
+            // pipeline. Round-robin over workers spreads the fleet evenly.
+            home: pipeline_id % self.core.workers.len(),
             shared,
             notify: std::sync::OnceLock::new(),
             staging: Mutex::new(HashMap::new()),
         });
-        let shared = &pipe.shared;
         self.core.pipelines.write().push(Arc::clone(&pipe));
-        if !io_endpoints.is_empty() {
-            self.register_ingress(&pipe, io_endpoints)?;
-        }
-        let mut initial_wakes = Vec::new();
-        let channel_of = |inbox: &InprocReceiver| inbox.channel().to_string();
-
-        // --- Service hosts: one task per (device, service) actually bound.
-        // Concurrency across hosts comes from the shared worker pool, so
-        // per-device `cores` no longer multiplies threads.
-        for host in ServiceHost::deploy_all(shared, plan, services)? {
-            let chan = channel_of(&host.inbox);
-            let pipe_rt = Arc::clone(&pipe);
-            let runner = ServiceRunner {
-                pipe: pipe_rt,
-                host,
-            };
-            let task = self.register_task(home, false, Box::new(runner));
-            self.map_channel(&pipe, chan, task);
-        }
-
-        // --- Modules: one blocking-capable task each. Init runs inline at
-        // deploy, with service tasks already registered so init-time
-        // service calls can be helped.
-        for m in &plan.pipeline.modules {
-            let exec = ReactorExec {
-                core: &self.core,
-                pipe: &pipe,
-                depth: 0,
-            };
-            let task = ModuleTask::deploy(shared, &exec, plan, m, modules)?;
-            let chan = channel_of(&task.inbox);
-            let id = self.next_task_id();
-            let runner = ModuleRunner {
-                pipe: Arc::clone(&pipe),
-                task,
-                rearm: Rearm::new(id, home),
-            };
-            let task = self.register_task(home, true, Box::new(runner));
-            self.map_channel(&pipe, chan, task);
-            if shared.config.checkpoint_period.is_some() {
-                initial_wakes.push(id);
+        let initial_wakes = match self.deploy_tasks(plan, modules, services, &pipe, io_endpoints) {
+            Ok(wakes) => wakes,
+            Err(e) => {
+                // Unwind: the tasks registered so far keep their ids (ids
+                // index the task table) but return at entry once stopped,
+                // and the pipeline gives its id back.
+                pipe.shared.stop.store(true, Ordering::SeqCst);
+                self.core.pipelines.write().pop();
+                return Err(e);
             }
-        }
-
-        // --- Watchers (threads of their own on the threaded runtime).
-        let now = Instant::now();
-        if let Some(slo_cfg) = shared.config.slo.clone() {
-            let mut slo = SloController::new(slo_cfg);
-            let interval = slo.config().interval;
-            let tick =
-                move |shared: &Shared, _: &ReactorExec<'_>| engine::slo_tick(&mut slo, shared);
-            initial_wakes.push(self.register_interval(&pipe, interval, now + interval, tick));
-        }
-        if let Some(health) = &shared.config.heartbeats {
-            let monitor = HbMonitor::deploy(shared)?;
-            for d in &plan.devices {
-                let device = d.name.clone();
-                let beat = move |shared: &Shared, exec: &ReactorExec<'_>| {
-                    engine::heartbeat(shared, exec, &device)
-                };
-                let interval = health.heartbeat_interval;
-                initial_wakes.push(self.register_interval(&pipe, interval, now, beat));
-            }
-            let chan = channel_of(&monitor.inbox);
-            let (id, task) = self.register_timed(home, |rearm| {
-                Box::new(HbMonitorRunner {
-                    pipe: Arc::clone(&pipe),
-                    monitor,
-                    next_at: now,
-                    rearm,
-                })
-            });
-            self.map_channel(&pipe, chan, task);
-            initial_wakes.push(id);
-        }
-        if let Some(interval) = shared.config.telemetry_interval {
-            let publish = |shared: &Shared, _: &ReactorExec<'_>| engine::publish_telemetry(shared);
-            initial_wakes.push(self.register_interval(&pipe, interval, now + interval, publish));
-        }
-
-        // --- Pacer task. Its first run fires the first camera tick
-        // immediately, matching the threaded pacer.
-        let pacer = Pacer::deploy(shared)?;
-        let chan = channel_of(&pacer.fc_inbox);
-        let (id, task) = self.register_timed(home, |rearm| {
-            Box::new(PacerRunner {
-                pipe: Arc::clone(&pipe),
-                pacer,
-                rearm,
-            })
-        });
-        self.map_channel(&pipe, chan, task);
-        initial_wakes.push(id);
-
-        self.pipeline_names.push(shared.pipeline.clone());
+        };
         self.task_ranges.push((first_task_id, self.next_task_id()));
         // Freeze the staging notify map into the immutable snapshot:
         // every steady-state send is now a lock-free HashMap probe.
@@ -1447,6 +1374,118 @@ impl ReactorRuntime {
         Ok(pipeline_id)
     }
 
+    /// Registers ingress and every task of `pipe`; returns the ids to wake
+    /// once the pipeline is live.
+    fn deploy_tasks(
+        &mut self,
+        plan: &DeploymentPlan,
+        modules: &ModuleRegistry,
+        services: &ServiceRegistry,
+        pipe: &Arc<PipeRt>,
+        io_endpoints: Vec<PollEndpoint>,
+    ) -> Result<Vec<usize>, PipelineError> {
+        let (shared, home) = (&pipe.shared, pipe.home);
+        // Before module init: init-time calls to a remote service need
+        // their replies to come in.
+        if !io_endpoints.is_empty() {
+            self.register_ingress(pipe, io_endpoints)?;
+        }
+        let mut initial_wakes = Vec::new();
+        let channel_of = |inbox: &InprocReceiver| inbox.channel().to_string();
+        let now = Instant::now();
+
+        // --- Service hosts: one task per (device, service) actually bound,
+        // modeling `cores` containers when cost emulation is on.
+        let emulated = shared.config.time_scale > 0.0;
+        for host in ServiceHost::deploy_all(shared, plan, services)? {
+            let chan = channel_of(&host.inbox);
+            let containers = if emulated { host.cores as usize } else { 0 };
+            let (_, task) = self.register_timed(home, |rearm| {
+                Box::new(ServiceRunner {
+                    pipe: Arc::clone(pipe),
+                    host,
+                    busy_until: vec![now; containers],
+                    rearm,
+                })
+            });
+            self.map_channel(pipe, chan, task);
+        }
+
+        // --- Modules: one blocking-capable task each. Init runs inline at
+        // deploy, with service tasks already registered so init-time
+        // service calls can be helped.
+        for m in &plan.pipeline.modules {
+            let exec = ReactorExec {
+                core: &self.core,
+                pipe,
+                depth: 0,
+            };
+            let task = ModuleTask::deploy(shared, &exec, plan, m, modules)?;
+            let chan = channel_of(&task.inbox);
+            let id = self.next_task_id();
+            let runner = ModuleRunner {
+                pipe: Arc::clone(pipe),
+                task,
+                rearm: Rearm::new(id, home),
+            };
+            let task = self.register_task(home, true, Box::new(runner));
+            self.map_channel(pipe, chan, task);
+            if shared.config.checkpoint_period.is_some() {
+                initial_wakes.push(id);
+            }
+        }
+
+        // --- Watchers: self-rearming timer tasks.
+        if let Some(slo_cfg) = shared.config.slo.clone() {
+            let mut slo = SloController::new(slo_cfg);
+            let interval = slo.config().interval;
+            let tick =
+                move |shared: &Shared, _: &ReactorExec<'_>| engine::slo_tick(&mut slo, shared);
+            initial_wakes.push(self.register_interval(pipe, interval, now + interval, tick));
+        }
+        if let Some(health) = &shared.config.heartbeats {
+            let monitor = HbMonitor::deploy(shared)?;
+            for d in &plan.devices {
+                let device = d.name.clone();
+                let beat = move |shared: &Shared, exec: &ReactorExec<'_>| {
+                    engine::heartbeat(shared, exec, &device)
+                };
+                let interval = health.heartbeat_interval;
+                initial_wakes.push(self.register_interval(pipe, interval, now, beat));
+            }
+            let chan = channel_of(&monitor.inbox);
+            let (id, task) = self.register_timed(home, |rearm| {
+                Box::new(HbMonitorRunner {
+                    pipe: Arc::clone(pipe),
+                    monitor,
+                    next_at: now,
+                    rearm,
+                })
+            });
+            self.map_channel(pipe, chan, task);
+            initial_wakes.push(id);
+        }
+        if let Some(interval) = shared.config.telemetry_interval {
+            let publish = |shared: &Shared, _: &ReactorExec<'_>| engine::publish_telemetry(shared);
+            initial_wakes.push(self.register_interval(pipe, interval, now + interval, publish));
+        }
+
+        // --- Pacer task. Its first run fires the first camera tick
+        // immediately.
+        let pacer = Pacer::deploy(shared)?;
+        let chan = channel_of(&pacer.fc_inbox);
+        let (id, task) = self.register_timed(home, |rearm| {
+            Box::new(PacerRunner {
+                pipe: Arc::clone(pipe),
+                pacer,
+                rearm,
+            })
+        });
+        self.map_channel(pipe, chan, task);
+        initial_wakes.push(id);
+        Ok(initial_wakes)
+    }
+
     /// Threads owned by this reactor (workers + optional I/O) —
     /// constant in the number of deployed pipelines.
     pub fn thread_count(&self) -> usize {
@@ -1455,7 +1494,11 @@ impl ReactorRuntime {
 
     /// Number of deployed pipelines.
     pub fn pipeline_count(&self) -> usize {
-        self.pipeline_names.len()
+        self.task_ranges.len()
+    }
+
+    fn pipe(&self, id: usize) -> Option<Arc<PipeRt>> {
+        self.core.pipelines.read().get(id).cloned()
     }
 
     /// Total frames delivered across every pipeline.
@@ -1471,10 +1514,7 @@ impl ReactorRuntime {
     /// Frames delivered by pipeline `id` (as returned by
     /// [`ReactorRuntime::add_pipeline`]).
     pub fn deliveries_for(&self, id: usize) -> u64 {
-        self.core
-            .pipelines
-            .read()
-            .get(id)
+        self.pipe(id)
             .map_or(0, |p| p.shared.deliveries.load(Ordering::Relaxed))
     }
 
@@ -1496,34 +1536,47 @@ impl ReactorRuntime {
     /// (periodic while running; refreshed one last time by
     /// [`ReactorRuntime::stop_pipeline`] and at shutdown).
     pub fn checkpoint_for(&self, id: usize, module: &str) -> Option<Vec<u8>> {
-        self.core
-            .pipelines
-            .read()
-            .get(id)
-            .and_then(|p| p.shared.checkpoints.lock().get(module).cloned())
+        let pipe = self.pipe(id)?;
+        let checkpoint = pipe.shared.checkpoints.lock().get(module).cloned();
+        checkpoint
+    }
+
+    /// Frame-store counters for `device` on pipeline `id`, including the
+    /// encode-cache hit/miss tallies (diagnostics and tests).
+    pub fn frame_store_stats(&self, id: usize, device: &str) -> Option<FrameStoreStats> {
+        Some(self.pipe(id)?.shared.stores.get(device)?.stats())
+    }
+
+    /// Subscribes a telemetry monitor to pipeline `id` (snapshots flow only
+    /// when [`RuntimeConfig::telemetry_interval`] is set).
+    ///
+    /// # Errors
+    ///
+    /// An unknown `id`, or hub binding errors.
+    pub fn monitor(&self, id: usize) -> Result<TelemetryMonitor, PipelineError> {
+        let pipe = self
+            .pipe(id)
+            .ok_or_else(|| PipelineError::Deploy(format!("no pipeline {id}")))?;
+        TelemetryMonitor::subscribe(&pipe.shared.hub, &pipe.shared.pipeline)
     }
 
     /// Stops pipeline `id` mid-run without touching the rest of the fleet:
-    /// sets its stop flag (every task runner checks it on entry), wakes its
-    /// interval-parked watchers, and finalizes its tasks so pacer credit
-    /// accounting flushes and each checkpointing module takes one final
-    /// snapshot. The pipeline's task and channel entries stay registered
-    /// (stopped tasks run no more work); its report remains collectable at
+    /// sets its stop flag (every task runner checks it on entry) and
+    /// finalizes its tasks so pacer credit accounting flushes and each
+    /// checkpointing module takes one final snapshot. The pipeline's task
+    /// and channel entries stay registered (stopped tasks run no more
+    /// work); its report remains collectable at
     /// [`ReactorRuntime::finish`]. Returns `false` for unknown ids or
     /// pipelines already stopped.
     pub fn stop_pipeline(&self, id: usize) -> bool {
         let Some(&(start, end)) = self.task_ranges.get(id) else {
             return false;
         };
-        {
-            let pipelines = self.core.pipelines.read();
-            let Some(p) = pipelines.get(id) else {
-                return false;
-            };
-            if p.shared.stop.swap(true, Ordering::SeqCst) {
-                return false;
-            }
-            p.shared.gate.trigger();
+        let Some(pipe) = self.pipe(id) else {
+            return false;
+        };
+        if pipe.shared.stop.swap(true, Ordering::SeqCst) {
+            return false;
         }
         // Finalize this pipeline's tasks. Locking each runner serializes
         // with any in-flight quantum; once the stop flag is set a queued
@@ -1537,24 +1590,37 @@ impl ReactorRuntime {
     }
 
     /// Collects a report for pipeline `id` from its live shared state
-    /// (non-consuming; pair with [`ReactorRuntime::stop_pipeline`] when
-    /// retiring a single pipeline from a long-lived runtime).
+    /// (non-consuming: logs and errors stay for the final report; pair with
+    /// [`ReactorRuntime::stop_pipeline`] when retiring a single pipeline
+    /// from a long-lived runtime). Mid-run, this is where the failure
+    /// detector's device view, the fence epoch, the SLO level and the
+    /// restart count are read.
     pub fn report_for(&self, id: usize) -> Option<RunReport> {
-        self.core
-            .pipelines
-            .read()
-            .get(id)
-            .map(|p| p.shared.report())
+        Some(self.pipe(id)?.shared.report(|lines| lines.clone()))
     }
 
-    /// Chaos hook: silences `device`'s heartbeat sender on pipeline `id`
-    /// (see [`LocalRuntime::inject_heartbeat_loss`](crate::runtime::LocalRuntime::inject_heartbeat_loss)).
+    /// Chaos hook: silences `device`'s heartbeat sender on pipeline `id`,
+    /// as if the device dropped off the network. The failure detector will
+    /// walk it through suspicion to confirmed loss. Returns whether the
+    /// device was newly muted.
     pub fn inject_heartbeat_loss(&self, id: usize, device: &str) -> bool {
-        self.core
-            .pipelines
-            .read()
-            .get(id)
+        self.pipe(id)
             .is_some_and(|p| p.shared.muted_heartbeats.lock().insert(device.to_string()))
+    }
+
+    /// Chaos hook: severs every cross-device TCP connection of pipeline
+    /// `id` mid-stream, as if the Wi-Fi link blipped (a no-op in `Inproc`
+    /// mode). Senders carry a reconnect policy, so traffic buffers and
+    /// re-establishes transparently. Returns the number of connections
+    /// severed.
+    pub fn inject_tcp_disconnect(&self, id: usize) -> usize {
+        self.pipe(id).map_or(0, |p| {
+            let peers = &p.shared.router.tcp_peers;
+            for peer in peers.values() {
+                peer.inject_disconnect();
+            }
+            peers.len()
+        })
     }
 
     /// Runs until `wall` elapses, then stops and reports (one report per
@@ -1582,7 +1648,7 @@ impl ReactorRuntime {
         pipelines
             .iter()
             .map(|p| {
-                let mut report = p.shared.report();
+                let mut report = p.shared.report(std::mem::take);
                 report.scheduler = sched.clone();
                 report
             })
@@ -1595,7 +1661,6 @@ impl ReactorRuntime {
             let pipelines = self.core.pipelines.read();
             for p in pipelines.iter() {
                 p.shared.stop.store(true, Ordering::SeqCst);
-                p.shared.gate.trigger();
             }
         }
         for wq in &self.core.workers {
@@ -1626,7 +1691,7 @@ impl Drop for ReactorRuntime {
 impl std::fmt::Debug for ReactorRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReactorRuntime")
-            .field("pipelines", &self.pipeline_names.len())
+            .field("pipelines", &self.task_ranges.len())
             .field("threads", &self.threads.len())
             .finish()
     }
@@ -1641,7 +1706,7 @@ mod tests {
     use crate::runtime::EdgeTransport;
     use crate::service::{Service, ServiceCost, ServiceRegistry, ServiceRequest, ServiceResponse};
     use crate::spec::{ModuleSpec, PipelineSpec};
-    use videopipe_media::{Frame, FrameBuf};
+    use videopipe_media::{Frame, FrameBuf, FrameStore};
 
     /// Source: mints a tiny frame per tick and forwards the reference.
     struct TestSource;
@@ -1762,15 +1827,19 @@ mod tests {
         );
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert!(report.logs.iter().any(|l| l.starts_with("sink: got")));
+        // Stage metrics exist for all three modules.
         assert!(report.metrics.stages.contains_key("src"));
         assert!(report.metrics.stages.contains_key("mid"));
         assert!(report.metrics.stages.contains_key("sink"));
+        assert!(report.metrics.fps() > 0.0);
+        // Dispatch counters flowed into the report.
         let dispatch = report
             .metrics
             .dispatch
             .get("one/doubler")
             .expect("dispatch stats for the doubler host");
         assert!(dispatch.requests >= 10, "{dispatch:?}");
+        assert!(dispatch.busy_ns > 0, "{dispatch:?}");
         // Credit conservation survives the reactor refactor.
         assert_eq!(
             report.metrics.frames_admitted,
@@ -2017,6 +2086,240 @@ mod tests {
             dispatch.busy_ns >= 5 * 1_000_000,
             "modeled cost missing from busy_ns: {dispatch:?}"
         );
+    }
+
+    /// Fans each camera tick out to `callers` modules, each making one call
+    /// to a service with a flat 10 ms modeled cost on a device with
+    /// `containers` containers; returns how many requests the host served
+    /// in one second.
+    fn served_in_one_second(callers: usize, containers: u32) -> u64 {
+        /// Forwards every tick to each caller.
+        struct FanOut(usize);
+        impl Module for FanOut {
+            fn on_event(
+                &mut self,
+                event: Event,
+                ctx: &mut dyn ModuleCtx,
+            ) -> Result<(), PipelineError> {
+                if let Event::FrameTick { .. } = event {
+                    for c in 0..self.0 {
+                        ctx.call_module(&format!("c{c}"), Payload::Count(1))?;
+                    }
+                }
+                Ok(())
+            }
+        }
+        struct Caller;
+        impl Module for Caller {
+            fn on_event(
+                &mut self,
+                event: Event,
+                ctx: &mut dyn ModuleCtx,
+            ) -> Result<(), PipelineError> {
+                if let Event::Message(msg) = event {
+                    let resp =
+                        ctx.call_service("doubler", ServiceRequest::new("x", msg.payload))?;
+                    ctx.call_module("sink", resp.payload)?;
+                }
+                Ok(())
+            }
+        }
+        /// Returns the credit once every caller has answered.
+        struct Join(usize, usize);
+        impl Module for Join {
+            fn on_event(
+                &mut self,
+                event: Event,
+                ctx: &mut dyn ModuleCtx,
+            ) -> Result<(), PipelineError> {
+                if let Event::Message(_) = event {
+                    self.1 += 1;
+                    if self.1.is_multiple_of(self.0) {
+                        ctx.signal_source()?;
+                    }
+                }
+                Ok(())
+            }
+        }
+        /// `Doubler` at 10 ms a request.
+        struct Slow;
+        impl Service for Slow {
+            fn name(&self) -> &str {
+                "doubler"
+            }
+            fn handle(
+                &self,
+                request: &ServiceRequest,
+                store: &FrameStore,
+            ) -> Result<ServiceResponse, PipelineError> {
+                Doubler.handle(request, store)
+            }
+            fn cost(&self, _request: &ServiceRequest) -> ServiceCost {
+                ServiceCost::flat(Duration::from_millis(10))
+            }
+        }
+
+        let mut src = ModuleSpec::new("src", "FanOut");
+        let mut spec = PipelineSpec::new("capacity");
+        let mut placement = Placement::new().assign("src", "one").assign("sink", "one");
+        for c in 0..callers {
+            let name = format!("c{c}");
+            src = src.with_next(&name);
+            let caller = ModuleSpec::new(&name, "Caller").with_service("doubler");
+            spec = spec.with_module(caller.with_next("sink"));
+            placement = placement.assign(&name, "one");
+        }
+        let spec = spec
+            .with_module(src)
+            .with_module(ModuleSpec::new("sink", "Join"));
+        let devices = vec![DeviceSpec::new("one", 1.0)
+            .with_containers(containers)
+            .with_service("doubler")];
+        let plan = plan(&spec, &devices, &placement).unwrap();
+        let mut modules = ModuleRegistry::new();
+        modules.register("FanOut", move || Box::new(FanOut(callers)));
+        modules.register("Caller", || Box::new(Caller));
+        modules.register("Join", move || Box::new(Join(callers, 0)));
+        let mut services = ServiceRegistry::new();
+        services.install(Arc::new(Slow));
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        let config = RuntimeConfig {
+            fps: 100.0,
+            credits: 8,
+            time_scale: 1.0,
+            ..RuntimeConfig::default()
+        };
+        rt.add_pipeline(&plan, &modules, &services, config).unwrap();
+        let reports = rt.run_for(Duration::from_secs(1));
+        let report = &reports[0];
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        report.metrics.dispatch["one/doubler"].requests
+    }
+
+    #[test]
+    fn modeled_capacity_is_capped_at_the_hosts_cores() {
+        // 400 requests/s offered into 10 ms of modeled work: one container
+        // serves 100 of them a second, two serve 200. Without a horizon
+        // every request is served 10 ms after it arrives, whatever the
+        // container count.
+        let one = served_in_one_second(4, 1);
+        assert!(one <= 110, "{one} requests served by one 10 ms container");
+        let two = served_in_one_second(4, 2);
+        assert!(
+            two * 10 >= one * 17,
+            "two containers served {two}, one served {one}"
+        );
+    }
+
+    /// A module whose `init` fails: its pipeline cannot deploy.
+    struct BrokenInit;
+    impl Module for BrokenInit {
+        fn init(&mut self, _ctx: &mut dyn ModuleCtx) -> Result<(), PipelineError> {
+            Err(PipelineError::Module {
+                module: "sink".into(),
+                reason: "no display attached".into(),
+            })
+        }
+        fn on_event(&mut self, _: Event, _: &mut dyn ModuleCtx) -> Result<(), PipelineError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_add_takes_no_pipeline_id() {
+        let (modules, services) = registries();
+        let mut broken = ModuleRegistry::new();
+        broken.register("TestSource", || Box::new(TestSource));
+        broken.register("TestMid", || Box::new(TestMid));
+        broken.register("TestSink", || Box::new(BrokenInit));
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        let config = || RuntimeConfig {
+            fps: 200.0,
+            ..RuntimeConfig::default()
+        };
+        let failed = rt.add_pipeline(&single_device_plan("broken"), &broken, &services, config());
+        assert!(failed.is_err());
+        let id = rt
+            .add_pipeline(&single_device_plan("good"), &modules, &services, config())
+            .unwrap();
+        assert_eq!((id, rt.pipeline_count()), (0, 1));
+        let start = Instant::now();
+        while rt.deliveries_for(id) < 5 {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "pipeline {id} is not the one that runs"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let live = rt.report_for(id).expect("a report for the good pipeline");
+        assert!(live.metrics.frames_delivered >= 5, "{:?}", live.metrics);
+        // Stopping the id stops the pipeline that runs under it.
+        assert!(rt.stop_pipeline(id));
+        let stopped_at = rt.deliveries_for(id);
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(rt.deliveries_for(id), stopped_at);
+        let reports = rt.finish();
+        assert_eq!(reports.len(), 1);
+        assert!(
+            reports[0].metrics.credits_balanced(),
+            "{:?}",
+            reports[0].metrics
+        );
+    }
+
+    #[test]
+    fn report_for_leaves_logs_and_errors_for_the_final_report() {
+        /// Logs, then fails: every frame adds one log and one error line.
+        struct LogThenFail;
+        impl Module for LogThenFail {
+            fn on_event(
+                &mut self,
+                event: Event,
+                ctx: &mut dyn ModuleCtx,
+            ) -> Result<(), PipelineError> {
+                if let Event::Message(_) = event {
+                    ctx.log("saw a frame");
+                    return Err(PipelineError::BadPayload("refused"));
+                }
+                Ok(())
+            }
+        }
+        let (mut modules, services) = registries();
+        modules.register("TestMid", || Box::new(LogThenFail));
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        let config = RuntimeConfig {
+            fps: 200.0,
+            ..RuntimeConfig::default()
+        };
+        let id = rt
+            .add_pipeline(&single_device_plan("errs"), &modules, &services, config)
+            .unwrap();
+        let start = Instant::now();
+        let mid_run = loop {
+            let report = rt.report_for(id).unwrap();
+            if report.errors.len() >= 3 {
+                break report;
+            }
+            assert!(start.elapsed() < Duration::from_secs(10), "no errors");
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        let last = rt.finish().remove(0);
+        assert!(
+            last.errors.starts_with(&mid_run.errors),
+            "{:?}",
+            last.errors
+        );
+        assert!(last.logs.starts_with(&mid_run.logs), "{:?}", last.logs);
+        assert!(!mid_run.logs.is_empty());
     }
 
     /// Probe task for the interleaving test: every run drains the shared

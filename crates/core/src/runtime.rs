@@ -1,43 +1,26 @@
-//! The local threaded runtime: executes a [`DeploymentPlan`] for real, one
-//! OS thread per task — the paper's design, literally.
+//! The runtime's configuration and report types.
 //!
-//! Every module gets its own thread and inbox (the analogue of the paper's
-//! per-module Duktape context); services run executor-pool threads on their
-//! host device; a pacer thread per pipeline implements the camera tick +
-//! credit flow control. All devices live in one process — "device" is a
-//! logical placement domain with its own frame store and service hosts —
-//! and cross-device edges transparently encode/decode frames, exactly as
-//! the paper's ZeroMQ data path does.
-//!
-//! What those threads *do* per message lives in the crate-private `engine`
-//! module, shared with the reactor. This file keeps only what is genuinely
-//! threaded: spawning a thread per task, blocking on inboxes in [`POLL`]
-//! slices, the executor's adaptive partial-batch hold (DESIGN.md §5.7), the
-//! one TCP ingress thread and [`ShutdownGate`] parking — plus the
-//! configuration and report types both runtimes share.
+//! Pipelines run on [`ReactorRuntime`](crate::reactor::ReactorRuntime): every
+//! module, service host, pacer and watcher is a task on one worker pool, and
+//! what a task does per message lives in the crate-private `engine` module.
+//! This file keeps what callers hand the runtime ([`RuntimeConfig`] and its
+//! parts) and what they get back ([`RunReport`]).
 //!
 //! Timing fidelity (Wi-Fi latency, heavyweight inference) is the simulator's
-//! job; the local runtime optionally *emulates* modeled costs with scaled
-//! sleeps so demos behave realistically, but the evaluation harness uses
+//! job; the runtime optionally *emulates* modeled costs in scaled wall time
+//! so demos behave realistically, but the evaluation harness uses
 //! `videopipe-sim` for calibrated, deterministic numbers.
 
-use crate::deploy::DeploymentPlan;
-use crate::engine::{self, Exec, HbMonitor, ModuleTask, Pacer, ServiceHost, Shared};
 use crate::error::PipelineError;
 use crate::health::{DeviceStatus, HealthConfig};
 use crate::metrics::PipelineMetrics;
-use crate::module::ModuleRegistry;
 use crate::resilience::{BreakerSnapshot, ResilienceConfig};
-use crate::service::ServiceRegistry;
-use crate::slo::{SloConfig, SloController};
+use crate::slo::SloConfig;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use videopipe_media::{codec, FrameStore};
-use videopipe_net::{BufferPool, Ingress, InprocReceiver, MsgReceiver, Poller, WireMessage};
+use std::time::Duration;
+use videopipe_media::codec;
 
-/// How cross-device traffic travels in the local runtime.
+/// How cross-device traffic travels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EdgeTransport {
     /// All edges are in-process channels (fastest; the default).
@@ -49,38 +32,28 @@ pub enum EdgeTransport {
     Tcp,
 }
 
-/// Micro-batching knobs for one service executor's drain policy (see
-/// DESIGN.md §5.7). After dequeuing a request, the executor first drains
-/// whatever is already queued (zero added latency), then — only under
-/// observed arrival pressure — holds the partial batch open for an adaptive
-/// deadline scaled by the measured inter-arrival gap, never longer than
-/// `max_wait`.
+/// Micro-batching knob for one service host's drain policy (see
+/// DESIGN.md §5.7). A host that dequeues a request also takes whatever is
+/// already queued behind it, up to `max_batch` — it never waits for more,
+/// so a batch only forms from requests that queued while the host was
+/// busy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Largest micro-batch one executor dispatches per drain
+    /// Largest micro-batch one host dispatches per drain
     /// (1 disables batching; this is the default).
     pub max_batch: usize,
-    /// Ceiling on the adaptive drain deadline. Irrelevant at low load: with
-    /// an empty queue and slow arrivals the executor never waits at all, so
-    /// single-request latency is untouched.
-    pub max_wait: Duration,
 }
 
 impl BatchConfig {
     /// Request-at-a-time dispatch (the pre-batching behaviour).
     pub const fn disabled() -> Self {
-        BatchConfig {
-            max_batch: 1,
-            max_wait: Duration::from_millis(2),
-        }
+        BatchConfig { max_batch: 1 }
     }
 
-    /// Batching up to `max_batch` requests with the default 2 ms wait
-    /// ceiling.
+    /// Batching up to `max_batch` requests.
     pub fn up_to(max_batch: usize) -> Self {
         BatchConfig {
             max_batch: max_batch.max(1),
-            ..Self::disabled()
         }
     }
 }
@@ -98,14 +71,15 @@ pub struct RuntimeConfig {
     pub fps: f64,
     /// Flow-control credits (1 = the paper's design).
     pub credits: u32,
-    /// Cost emulation factor: modeled service/link costs are slept scaled
-    /// by this (0.0 disables emulation; 1.0 is real-time).
+    /// Cost emulation factor: modeled service/link costs pass in wall time
+    /// scaled by this (0.0 disables emulation; 1.0 is real-time). A
+    /// device's service host then serves at most `cores` batches at once.
     pub time_scale: f64,
     /// Codec quality for cross-device frames.
     pub codec_quality: codec::Quality,
     /// Cross-device transport.
     pub transport: EdgeTransport,
-    /// When set, a monitoring thread publishes
+    /// When set, a telemetry watcher publishes
     /// [`TelemetrySnapshot`](crate::telemetry::TelemetrySnapshot)s at this
     /// interval on the `telemetry/<pipeline>` topic.
     pub telemetry_interval: Option<Duration>,
@@ -113,7 +87,7 @@ pub struct RuntimeConfig {
     /// degradation and the flow-control credit lease. The default disables
     /// everything but the (30 s) deadline.
     pub resilience: ResilienceConfig,
-    /// Service-dispatch micro-batching defaults for every executor pool.
+    /// Service-dispatch micro-batching defaults for every service host.
     /// The default (`max_batch` 1) preserves request-at-a-time dispatch.
     pub batch: BatchConfig,
     /// Per-service overrides of [`RuntimeConfig::batch`], keyed by service
@@ -169,7 +143,7 @@ impl RuntimeConfig {
     }
 
     /// Deploy-time validation of every statically checkable field. The
-    /// flow-control types would otherwise panic inside spawned threads
+    /// flow-control types would otherwise panic inside runtime tasks
     /// (`SourcePacer` on a non-positive fps, `CreditController` on zero
     /// credits), turning a bad config into a hang instead of an error.
     ///
@@ -269,9 +243,10 @@ pub struct RunReport {
     /// SLO controller direction reversals over the run (bounded by the
     /// dwell time: at most one move per dwell).
     pub slo_flaps: u64,
-    /// Per-worker reactor scheduler counters (empty for the threaded
-    /// [`LocalRuntime`], which has no shared scheduler). Runtime-wide:
-    /// every pipeline's report carries the same snapshot.
+    /// Per-worker reactor scheduler counters (empty in a mid-run
+    /// [`report_for`](crate::reactor::ReactorRuntime::report_for)).
+    /// Runtime-wide: every pipeline's final report carries the same
+    /// snapshot.
     pub scheduler: Vec<crate::metrics::WorkerSchedStats>,
     /// Final module checkpoints by module name (empty unless
     /// [`RuntimeConfig::checkpoint_period`] is set). Teardown takes one
@@ -280,463 +255,52 @@ pub struct RunReport {
     pub checkpoints: HashMap<String, Vec<u8>>,
 }
 
-/// A condvar-backed shutdown latch: watcher threads (SLO controller,
-/// heartbeat senders, telemetry) park on it for their *full* interval —
-/// no periodic poll wakeups — and teardown wakes every waiter at once, so
-/// [`LocalRuntime::finish`] joins them in milliseconds regardless of how
-/// long their intervals are.
-pub(crate) struct ShutdownGate {
-    state: std::sync::Mutex<bool>,
-    cv: std::sync::Condvar,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::deploy::{plan, DeploymentPlan, DeviceSpec, Placement};
+    use crate::engine::supervised_batch;
+    use crate::message::Payload;
+    use crate::module::{Event, Module, ModuleCtx, ModuleRegistry};
+    use crate::reactor::{ReactorConfig, ReactorRuntime};
+    use crate::resilience::DegradationPolicy;
+    use crate::service::{Service, ServiceCost, ServiceRegistry, ServiceRequest, ServiceResponse};
+    use crate::spec::{ModuleSpec, PipelineSpec};
+    use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+    use videopipe_media::{Frame, FrameBuf, FrameStore};
 
-impl ShutdownGate {
-    pub(crate) fn new() -> Self {
-        ShutdownGate {
-            state: std::sync::Mutex::new(false),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Wakes every thread parked in [`ShutdownGate::wait_shutdown`].
-    pub(crate) fn trigger(&self) {
-        let mut triggered = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        *triggered = true;
-        self.cv.notify_all();
-    }
-
-    /// Parks for up to `dur`; returns `true` the moment shutdown is
-    /// triggered (possibly before `dur` elapses), `false` on a normal
-    /// interval expiry.
-    pub(crate) fn wait_shutdown(&self, dur: Duration) -> bool {
-        let guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if *guard {
-            return true;
-        }
-        let (guard, _timeout) = self
-            .cv
-            .wait_timeout_while(guard, dur, |triggered| !*triggered)
-            .unwrap_or_else(|e| e.into_inner());
-        *guard
-    }
-}
-
-/// How long a thread blocks on its inbox before re-checking the stop flag,
-/// so shutdown stays responsive even under a long per-call deadline.
-pub(crate) const POLL: Duration = Duration::from_millis(20);
-
-/// The threaded driver's half of the [`Exec`] seam: send through the
-/// router (the receiver's thread is already blocked on its inbox), wait by
-/// blocking.
-struct ThreadExec<'a>(&'a Shared);
-
-impl Exec for ThreadExec<'_> {
-    fn send(&self, from_device: &str, msg: WireMessage) -> Result<(), PipelineError> {
-        self.0.router.send_from(from_device, msg)
-    }
-
-    fn await_reply(&self, rx: &InprocReceiver, until: Instant) -> Option<WireMessage> {
-        let remaining = until.saturating_duration_since(Instant::now());
-        rx.recv_timeout(remaining.min(POLL)).ok()
-    }
-
-    fn pause(&self, dur: Duration) {
-        std::thread::sleep(dur);
-    }
-}
-
-/// A deployed, running pipeline on the local threaded runtime.
-pub struct LocalRuntime {
-    shared: Arc<Shared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    /// Ends the ingress thread's wait at shutdown (`Tcp` transport only).
-    ingress_waker: Option<Arc<Poller>>,
-}
-
-/// The runtime's threads, each handed its own handle on the shared state.
-struct Threads<'a> {
-    shared: &'a Arc<Shared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Threads<'_> {
-    fn spawn(&mut self, name: String, run: impl FnOnce(&Shared) + Send + 'static) {
-        let shared = Arc::clone(self.shared);
-        let thread = std::thread::Builder::new().name(name);
-        let handle = thread.spawn(move || run(&shared));
-        self.handles.push(handle.expect("spawn runtime thread"));
-    }
-
-    /// A watcher thread: runs `tick` once per `interval` (and once up front
-    /// when `at_start`). It parks for the *whole* interval: the gate wakes
-    /// it the instant teardown starts, so a long interval never delays
-    /// `finish()`.
-    fn spawn_watcher(
-        &mut self,
-        name: String,
-        interval: Duration,
-        at_start: bool,
-        mut tick: impl FnMut(&Shared) + Send + 'static,
-    ) {
-        self.spawn(name, move |shared| {
-            if at_start {
-                tick(shared);
-            }
-            while !shared.gate.wait_shutdown(interval) {
-                tick(shared);
-            }
-        });
-    }
-}
-
-impl LocalRuntime {
-    /// Deploys `plan` and starts all threads (modules, services, pacer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError`] when a module include or service image is
-    /// missing, or wiring fails.
-    pub fn deploy(
+    /// `plan` as the only pipeline (id 0) of a fresh runtime.
+    fn start(
         plan: &DeploymentPlan,
         modules: &ModuleRegistry,
         services: &ServiceRegistry,
         config: RuntimeConfig,
-    ) -> Result<Self, PipelineError> {
-        let pool = Arc::new(BufferPool::default());
-        let (shared, endpoints) = Shared::deploy(plan, config, FrameStore::new, &pool)?;
-        let pipeline = &shared.pipeline;
-        let mut threads = Threads {
-            shared: &shared,
-            handles: Vec::new(),
-        };
-
-        // --- SLO feedback controller: one thread per pipeline, ticking at
-        // the configured interval.
-        if let Some(slo_cfg) = shared.config.slo.clone() {
-            let mut slo = SloController::new(slo_cfg);
-            let interval = slo.config().interval;
-            threads.spawn_watcher(format!("slo-{pipeline}"), interval, false, move |s| {
-                engine::slo_tick(&mut slo, s)
-            });
-        }
-
-        // --- Health layer: per-device heartbeat senders (beat immediately,
-        // then once per interval) plus one monitor.
-        if let Some(health) = &shared.config.heartbeats {
-            let mut monitor = HbMonitor::deploy(&shared)?;
-            for d in &plan.devices {
-                let device = d.name.clone();
-                let name = format!("hb-{device}");
-                threads.spawn_watcher(name, health.heartbeat_interval, true, move |s| {
-                    engine::heartbeat(s, &ThreadExec(s), &device)
-                });
-            }
-            threads.spawn(format!("hb-monitor-{pipeline}"), move |shared| {
-                while !shared.stopped() {
-                    if let Ok(msg) = monitor.inbox.recv_timeout(POLL) {
-                        monitor.on_beat(shared, &msg);
-                    }
-                    monitor.sweep(shared);
-                }
-            });
-        }
-
-        // TCP ingress: one thread for every device's endpoint, putting each
-        // arriving frame on the in-process channel it names.
-        let mut ingress_waker = None;
-        if !endpoints.is_empty() {
-            let mut ingress = Ingress::new()?;
-            for endpoint in endpoints {
-                ingress.add((), endpoint)?;
-            }
-            ingress_waker = Some(ingress.waker());
-            threads.spawn("vp-tcp-ingress".into(), move |shared| {
-                while !shared.stopped() {
-                    let turned = ingress.turn(|_, msg| {
-                        let _ = shared.router.deliver_local(msg);
-                    });
-                    if let Err(e) = turned {
-                        let mut errors = shared.errors.lock();
-                        errors.push(format!("tcp ingress stopped: {e}"));
-                        return;
-                    }
-                }
-            });
-        }
-
-        // --- Service hosts: one executor pool, sized to the host device's
-        // cores, per (device, service) that is actually bound by some
-        // module. Each executor gets its own clone of the MPMC inbox:
-        // requests are pulled straight off the shared queue with no mutex
-        // hand-off, so executors never contend on a lock to dequeue.
-        for host in ServiceHost::deploy_all(&shared, plan, services)? {
-            for ex in 0..host.cores {
-                let host = host.clone();
-                let name = format!("svc-{}-{}-{ex}", host.device, host.service());
-                threads.spawn(name, move |shared| service_executor_loop(shared, &host));
-            }
-        }
-
-        // --- Modules.
-        for m in &plan.pipeline.modules {
-            let task = ModuleTask::deploy(&shared, &ThreadExec(&shared), plan, m, modules)?;
-            threads.spawn(format!("mod-{}", m.name), move |shared| {
-                module_loop(shared, task)
-            });
-        }
-
-        // --- Telemetry publisher (paper §7 monitoring).
-        if let Some(interval) = shared.config.telemetry_interval {
-            let name = format!("telemetry-{pipeline}");
-            threads.spawn_watcher(name, interval, false, engine::publish_telemetry);
-        }
-
-        // --- Pacer thread (flow control at the source).
-        let pacer = Pacer::deploy(&shared)?;
-        threads.spawn(format!("pacer-{pipeline}"), move |shared| {
-            pacer_loop(shared, pacer)
-        });
-
-        Ok(LocalRuntime {
-            threads: threads.handles,
-            shared,
-            ingress_waker,
-        })
+    ) -> Result<ReactorRuntime, PipelineError> {
+        let mut runtime = ReactorRuntime::new(ReactorConfig::default());
+        runtime.add_pipeline(plan, modules, services, config)?;
+        Ok(runtime)
     }
 
-    /// The pipeline name.
-    pub fn pipeline(&self) -> &str {
-        &self.shared.pipeline
+    /// Runs the lone pipeline until it has delivered `n` frames (or the
+    /// patience runs out) and reports.
+    fn run_until(runtime: ReactorRuntime, n: u64, patience: Duration) -> RunReport {
+        runtime.run_until_total_deliveries(n, patience).remove(0)
     }
 
-    /// Subscribes a telemetry monitor to this pipeline (snapshots flow only
-    /// when [`RuntimeConfig::telemetry_interval`] is set).
-    ///
-    /// # Errors
-    ///
-    /// Propagates hub binding errors.
-    pub fn monitor(&self) -> Result<crate::telemetry::TelemetryMonitor, PipelineError> {
-        crate::telemetry::TelemetryMonitor::subscribe(&self.shared.hub, &self.shared.pipeline)
+    fn run_for(runtime: ReactorRuntime, wall: Duration) -> RunReport {
+        runtime.run_for(wall).remove(0)
     }
 
-    /// Frames delivered so far.
-    pub fn deliveries(&self) -> u64 {
-        self.shared.deliveries.load(Ordering::Relaxed)
-    }
-
-    /// Module instances restarted by supervision so far.
-    pub fn restarts(&self) -> u64 {
-        self.shared.restarts.load(Ordering::Relaxed)
-    }
-
-    /// Frame-store counters for `device`, including the encode-cache
-    /// hit/miss tallies (diagnostics and tests).
-    pub fn frame_store_stats(&self, device: &str) -> Option<videopipe_media::FrameStoreStats> {
-        self.shared.stores.get(device).map(|s| s.stats())
-    }
-
-    /// The failure detector's current view of `device` (`None` when
-    /// heartbeats are disabled).
-    pub fn device_status(&self, device: &str) -> Option<DeviceStatus> {
-        let now_ns = self.shared.now_ns();
-        self.shared
-            .detector
-            .lock()
-            .as_ref()
-            .map(|d| d.status(device, now_ns))
-    }
-
-    /// The current fence epoch (0 until a device loss is confirmed).
-    pub fn fence_epoch(&self) -> u64 {
-        self.shared.fence_epoch.load(Ordering::SeqCst)
-    }
-
-    /// The SLO controller's current lattice level (0 = baseline; always 0
-    /// when [`RuntimeConfig::slo`] is unset).
-    pub fn slo_level(&self) -> usize {
-        self.shared.knobs.level.load(Ordering::Relaxed)
-    }
-
-    /// Chaos hook: silences `device`'s heartbeat sender, as if the device
-    /// dropped off the network. The failure detector will walk it through
-    /// suspicion to confirmed loss. Returns whether the device was newly
-    /// muted.
-    pub fn inject_heartbeat_loss(&self, device: &str) -> bool {
-        self.shared
-            .muted_heartbeats
-            .lock()
-            .insert(device.to_string())
-    }
-
-    /// The latest checkpoint taken for `module`, if any (diagnostics and
-    /// tests).
-    pub fn checkpoint(&self, module: &str) -> Option<Vec<u8>> {
-        self.shared.checkpoints.lock().get(module).cloned()
-    }
-
-    /// Chaos hook: severs every cross-device TCP connection mid-stream, as
-    /// if the Wi-Fi link blipped (`Tcp` transport only; a no-op in `Inproc`
-    /// mode). Senders carry a reconnect policy, so traffic buffers and
-    /// re-establishes transparently. Returns the number of connections
-    /// severed.
-    pub fn inject_tcp_disconnect(&self) -> usize {
-        let mut severed = 0;
-        for peer in self.shared.router.tcp_peers.values() {
-            peer.inject_disconnect();
-            severed += 1;
-        }
-        severed
-    }
-
-    /// Runs until `wall` elapses, then stops and reports.
-    pub fn run_for(self, wall: Duration) -> RunReport {
-        std::thread::sleep(wall);
-        self.finish()
-    }
-
-    /// Runs until `n` frames are delivered or `max_wall` elapses.
-    pub fn run_until_deliveries(self, n: u64, max_wall: Duration) -> RunReport {
-        let deadline = Instant::now() + max_wall;
-        while self.deliveries() < n && Instant::now() < deadline {
+    /// Waits (at most 10 s) until the runtime has delivered `n` frames.
+    fn await_deliveries(runtime: &ReactorRuntime, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while runtime.deliveries() < n && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
-        self.finish()
     }
-
-    /// Stops all threads and collects the report.
-    pub fn finish(self) -> RunReport {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Wake every interval-parked watcher so joins are O(ms) even with
-        // multi-second heartbeat/SLO/telemetry intervals.
-        self.shared.gate.trigger();
-        if let Some(waker) = &self.ingress_waker {
-            waker.notify();
-        }
-        for t in self.threads {
-            let _ = t.join();
-        }
-        self.shared.report()
-    }
-}
-
-impl std::fmt::Debug for LocalRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LocalRuntime")
-            .field("pipeline", &self.shared.pipeline)
-            .field("threads", &self.threads.len())
-            .finish()
-    }
-}
-
-/// One service executor thread: block for a request, free-drain, hold a
-/// partial batch open under pressure, serve, sleep the modeled cost out,
-/// reply.
-fn service_executor_loop(shared: &Shared, host: &ServiceHost) {
-    let batch = shared.config.batch_for(host.service());
-    // Observed inter-arrival gap (EWMA, ns): drives the adaptive drain
-    // deadline. Starts at one POLL so an idle executor never waits for a
-    // second request that isn't coming.
-    let mut ewma_gap_ns = POLL.as_nanos() as f64;
-    let mut last_arrival: Option<Instant> = None;
-    let exec = ThreadExec(shared);
-    while !shared.stopped() {
-        let Ok(msg) = host.inbox.recv_timeout(POLL) else {
-            continue;
-        };
-        let Some((mut msgs, max_batch, queue_depth)) = host.free_drain(shared, msg) else {
-            continue;
-        };
-        let now = Instant::now();
-        if let Some(prev) = last_arrival {
-            let gap = now.duration_since(prev).as_nanos() as f64;
-            ewma_gap_ns = 0.8 * ewma_gap_ns + 0.2 * gap;
-        }
-        last_arrival = Some(now);
-        // Adaptive wait: hold a partial batch open only under observed
-        // pressure — a backlog existed at dequeue, or arrivals are faster
-        // than the wait ceiling — for a deadline scaled by the measured
-        // arrival rate. At low load this branch never runs, so
-        // single-request p99 is untouched.
-        let pressured = queue_depth > 0 || ewma_gap_ns < batch.max_wait.as_nanos() as f64;
-        if msgs.len() < max_batch && pressured {
-            let missing = (max_batch - msgs.len()) as f64;
-            let deadline = Duration::from_nanos((ewma_gap_ns * missing) as u64).min(batch.max_wait);
-            let deadline_at = now + deadline;
-            while msgs.len() < max_batch {
-                let remaining = deadline_at.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                match host.inbox.recv_timeout(remaining) {
-                    Ok(m) if m.kind == videopipe_net::MessageKind::Request => msgs.push(m),
-                    Ok(_) => {}
-                    Err(_) => break,
-                }
-            }
-        }
-
-        let (replies, modeled) = host.serve(shared, &msgs, queue_depth);
-        // Emulate the modeled compute cost: one sleep for the whole batch,
-        // occupying this executor as the real service would.
-        if let Some(cost) = modeled {
-            exec.pause(cost);
-        }
-        for reply in replies {
-            let _ = exec.send(&host.device, reply);
-        }
-    }
-}
-
-fn module_loop(shared: &Shared, mut task: ModuleTask) {
-    let exec = ThreadExec(shared);
-    while !shared.stopped() {
-        task.checkpoint_if_due(shared);
-        if let Ok(msg) = task.inbox.recv_timeout(POLL) {
-            task.step(shared, &exec, msg);
-        }
-    }
-    task.final_checkpoint(shared);
-}
-
-fn pacer_loop(shared: &Shared, mut pacer: Pacer) {
-    let exec = ThreadExec(shared);
-    'run: while !shared.stopped() {
-        // Drain completion signals until the next tick.
-        loop {
-            let now = Instant::now();
-            if now >= pacer.next_tick {
-                break;
-            }
-            pacer.check_fence(shared);
-            let wait = (pacer.next_tick - now).min(POLL);
-            if let Ok(msg) = pacer.fc_inbox.recv_timeout(wait) {
-                pacer.on_signal(shared, &msg);
-            }
-            if shared.stopped() {
-                break 'run;
-            }
-        }
-        pacer.expire_leases(shared);
-        pacer.tick(shared, &exec);
-    }
-    pacer.finalize(shared);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::deploy::{plan, DeviceSpec, Placement};
-    use crate::engine::tests::bare_shared;
-    use crate::engine::{supervised_batch, svc_chan};
-    use crate::message::Payload;
-    use crate::module::{Event, Module, ModuleCtx};
-    use crate::resilience::DegradationPolicy;
-    use crate::service::{Service, ServiceCost, ServiceRequest, ServiceResponse};
-    use crate::spec::{ModuleSpec, PipelineSpec};
-    use parking_lot::Mutex;
-    use std::sync::atomic::AtomicBool;
-    use videopipe_media::{Frame, FrameBuf};
-    use videopipe_net::{MessageKind, MsgSender};
 
     /// Source: mints a tiny frame per tick and forwards the reference.
     struct TestSource;
@@ -920,8 +484,8 @@ mod tests {
             fps: 200.0,
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        runtime.run_until_deliveries(10, Duration::from_secs(10))
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        run_until(runtime, 10, Duration::from_secs(10))
     }
 
     #[test]
@@ -947,7 +511,7 @@ mod tests {
         assert!(report.metrics.stages.contains_key("mid"));
         assert!(report.metrics.stages.contains_key("sink"));
         assert!(report.metrics.fps() > 0.0);
-        // Executor dispatch counters flowed into the report.
+        // Dispatch counters flowed into the report.
         let dispatch = report
             .metrics
             .dispatch
@@ -1001,8 +565,8 @@ mod tests {
             transport: EdgeTransport::Tcp,
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let report = runtime.run_until_deliveries(10, Duration::from_secs(15));
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        let report = run_until(runtime, 10, Duration::from_secs(15));
         assert!(
             report.metrics.frames_delivered >= 10,
             "delivered {} errors {:?}",
@@ -1010,39 +574,6 @@ mod tests {
             report.errors
         );
         assert!(report.errors.is_empty(), "{:?}", report.errors);
-    }
-
-    #[test]
-    fn tcp_transport_adds_exactly_one_ingress_thread() {
-        // Three devices, three ingress endpoints, any number of peer
-        // connections: one thread turns them all.
-        let devices = vec![
-            DeviceSpec::new("phone", 1.0),
-            DeviceSpec::new("desktop", 1.0)
-                .with_containers(2)
-                .with_service("doubler"),
-            DeviceSpec::new("tv", 1.0),
-        ];
-        let placement = Placement::new()
-            .assign("src", "phone")
-            .assign("mid", "desktop")
-            .assign("sink", "tv");
-        let plan = plan(&test_spec(), &devices, &placement).unwrap();
-        let (modules, services) = registries();
-        let threads_with = |transport| {
-            let config = RuntimeConfig {
-                transport,
-                ..RuntimeConfig::default()
-            };
-            let rt = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-            let threads = rt.threads.len();
-            assert!(rt.finish().errors.is_empty());
-            threads
-        };
-        assert_eq!(
-            threads_with(EdgeTransport::Tcp),
-            threads_with(EdgeTransport::Inproc) + 1
-        );
     }
 
     /// Middle module that sends the *same frame* to the remote service
@@ -1109,15 +640,12 @@ mod tests {
             fps: 200.0,
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while runtime.deliveries() < 10 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        await_deliveries(&runtime, 10);
         let stats = runtime
-            .frame_store_stats("phone")
+            .frame_store_stats(0, "phone")
             .expect("phone frame store");
-        let report = runtime.finish();
+        let report = runtime.finish().remove(0);
         assert!(
             report.metrics.frames_delivered >= 10,
             "delivered {} errors {:?}",
@@ -1161,7 +689,9 @@ mod tests {
     #[test]
     fn flow_control_limits_in_flight_frames() {
         // With one credit and a fast camera, drops must occur while
-        // deliveries continue.
+        // deliveries continue. The doubler's 1 ms modeled cost passes in
+        // real time, so every frame holds the credit across at least two
+        // 0.5 ms camera ticks — however fast the host runs the rest.
         let devices = vec![DeviceSpec::new("one", 1.0)
             .with_containers(1)
             .with_service("doubler")];
@@ -1175,10 +705,11 @@ mod tests {
         let config = RuntimeConfig {
             fps: 2000.0,
             credits: 1,
+            time_scale: 1.0,
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let report = runtime.run_for(Duration::from_millis(500));
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        let report = run_for(runtime, Duration::from_millis(500));
         assert!(report.metrics.frames_delivered > 0);
         assert!(report.metrics.frames_offered > report.metrics.frames_delivered);
     }
@@ -1199,9 +730,9 @@ mod tests {
             telemetry_interval: Some(Duration::from_millis(40)),
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let mut monitor = runtime.monitor().unwrap();
-        let report = runtime.run_for(Duration::from_millis(400));
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        let mut monitor = runtime.monitor(0).unwrap();
+        let report = run_for(runtime, Duration::from_millis(400));
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         let received = monitor.poll();
         assert!(received >= 2, "only {received} snapshots");
@@ -1229,8 +760,7 @@ mod tests {
         let plan = plan(&test_spec(), &devices, &placement).unwrap();
         let (_, services) = registries();
         let empty_modules = ModuleRegistry::new();
-        let result =
-            LocalRuntime::deploy(&plan, &empty_modules, &services, RuntimeConfig::default());
+        let result = start(&plan, &empty_modules, &services, RuntimeConfig::default());
         assert!(result.is_err());
     }
 
@@ -1246,8 +776,7 @@ mod tests {
         let plan = plan(&test_spec(), &devices, &placement).unwrap();
         let (modules, _) = registries();
         let empty_services = ServiceRegistry::new();
-        let result =
-            LocalRuntime::deploy(&plan, &modules, &empty_services, RuntimeConfig::default());
+        let result = start(&plan, &modules, &empty_services, RuntimeConfig::default());
         assert!(result.is_err());
     }
 
@@ -1262,14 +791,13 @@ mod tests {
             .assign("sink", "one");
         let plan = plan(&test_spec(), &devices, &placement).unwrap();
         let (modules, services) = registries();
-        let expect_invalid = |config: RuntimeConfig, field: &str| match LocalRuntime::deploy(
-            &plan, &modules, &services, config,
-        ) {
-            Err(PipelineError::InvalidConfig { field: f, .. }) => {
-                assert_eq!(f, field, "wrong field reported")
-            }
-            other => panic!("expected InvalidConfig({field}), got {other:?}"),
-        };
+        let expect_invalid =
+            |config: RuntimeConfig, field: &str| match start(&plan, &modules, &services, config) {
+                Err(PipelineError::InvalidConfig { field: f, .. }) => {
+                    assert_eq!(f, field, "wrong field reported")
+                }
+                other => panic!("expected InvalidConfig({field}), got {other:?}"),
+            };
         expect_invalid(
             RuntimeConfig {
                 fps: 0.0,
@@ -1293,22 +821,13 @@ mod tests {
         );
         expect_invalid(
             RuntimeConfig {
-                batch: BatchConfig {
-                    max_batch: 0,
-                    max_wait: Duration::from_millis(2),
-                },
+                batch: BatchConfig { max_batch: 0 },
                 ..RuntimeConfig::default()
             },
             "batch.max_batch",
         );
         expect_invalid(
-            RuntimeConfig::default().with_service_batch(
-                "doubler",
-                BatchConfig {
-                    max_batch: 0,
-                    max_wait: Duration::from_millis(2),
-                },
-            ),
+            RuntimeConfig::default().with_service_batch("doubler", BatchConfig { max_batch: 0 }),
             "service_batch",
         );
         // Inverted SLO bounds: p50 above p99.
@@ -1359,8 +878,8 @@ mod tests {
             slo: Some(slo),
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let report = runtime.run_for(Duration::from_millis(900));
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        let report = run_for(runtime, Duration::from_millis(900));
         assert!(
             report.slo_level > 0,
             "controller never engaged: {:?}",
@@ -1436,17 +955,12 @@ mod tests {
         modules.register("TestSink", || Box::new(TestSink));
         let mut services = ServiceRegistry::new();
         services.install(Arc::new(Doubler));
-        let runtime = LocalRuntime::deploy(
-            &plan,
-            &modules,
-            &services,
-            RuntimeConfig {
-                fps: 100.0,
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap();
-        let report = runtime.run_for(Duration::from_millis(300));
+        let config = RuntimeConfig {
+            fps: 100.0,
+            ..RuntimeConfig::default()
+        };
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        let report = run_for(runtime, Duration::from_millis(300));
         assert!(!report.errors.is_empty());
         // The pipeline did not stall: multiple frames flowed (and errored).
         assert!(report.metrics.stages["mid"].count() > 1);
@@ -1500,8 +1014,8 @@ mod tests {
             },
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let report = runtime.run_for(Duration::from_millis(400));
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        let report = run_for(runtime, Duration::from_millis(400));
         assert!(
             report.errors.iter().any(|e| e.contains("timed out")),
             "expected a typed timeout in {:?}",
@@ -1536,8 +1050,8 @@ mod tests {
             },
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let report = runtime.run_until_deliveries(10, Duration::from_secs(10));
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        let report = run_until(runtime, 10, Duration::from_secs(10));
         assert!(
             report.metrics.frames_delivered >= 10,
             "delivered {} errors {:?}",
@@ -1585,8 +1099,8 @@ mod tests {
             fps: 200.0,
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let report = runtime.run_until_deliveries(10, Duration::from_secs(10));
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        let report = run_until(runtime, 10, Duration::from_secs(10));
         assert!(report.restarts >= 1, "no restarts recorded");
         assert!(
             report.metrics.frames_delivered >= 10,
@@ -1677,8 +1191,8 @@ mod tests {
             fps: 200.0,
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let report = runtime.run_until_deliveries(12, Duration::from_secs(10));
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        let report = run_until(runtime, 12, Duration::from_secs(10));
         assert!(
             report.metrics.frames_delivered >= 12,
             "delivered {} errors {:?}",
@@ -1691,10 +1205,10 @@ mod tests {
         let executed = tags.len();
         tags.sort_unstable();
         tags.dedup();
-        // No tag executed twice: four competing executors on one MPMC
-        // queue must not double-deliver...
+        // No tag executed twice: a host draining its queue in batches
+        // must not double-deliver...
         assert_eq!(tags.len(), executed, "a request was executed twice");
-        // ...and the load actually spread across more than one executor.
+        // ...and every execution was accounted as dispatched.
         let busy_hosts = report
             .metrics
             .dispatch
@@ -1706,10 +1220,9 @@ mod tests {
 
     #[test]
     fn executor_pool_survives_panicking_service() {
-        // Every 5th request panics its executor's handler: supervision
+        // Every 5th request panics the host's handler: supervision
         // converts the panic into a typed error, retries recover, and the
-        // pool keeps draining — the chaos matrix extended to N competing
-        // executors.
+        // host keeps draining.
         let devices = vec![DeviceSpec::new("one", 1.0)
             .with_containers(4)
             .with_service("doubler")];
@@ -1739,8 +1252,8 @@ mod tests {
             },
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let report = runtime.run_until_deliveries(10, Duration::from_secs(10));
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        let report = run_until(runtime, 10, Duration::from_secs(10));
         assert!(
             report.metrics.frames_delivered >= 10,
             "delivered {} errors {:?}",
@@ -1775,8 +1288,8 @@ mod tests {
             },
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let report = runtime.run_for(Duration::from_millis(700));
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        let report = run_for(runtime, Duration::from_millis(700));
         let breaker = report
             .breakers
             .get("doubler")
@@ -1820,7 +1333,7 @@ mod tests {
 
     #[test]
     fn corrupt_encoded_frame_gets_a_typed_error_reply() {
-        // Regression: the executor used to log the decode failure and
+        // Regression: the host used to log the decode failure and
         // `continue`, leaving the caller to burn its full call deadline.
         // Now every undecodable slot answers with a typed error payload —
         // the pipeline below only makes progress if those replies arrive
@@ -1838,8 +1351,8 @@ mod tests {
             fps: 200.0,
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let report = runtime.run_until_deliveries(5, Duration::from_secs(10));
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        let report = run_until(runtime, 5, Duration::from_secs(10));
         assert!(
             report.metrics.frames_delivered >= 5,
             "delivered {} errors {:?}",
@@ -1854,7 +1367,7 @@ mod tests {
             "{:?}",
             report.logs
         );
-        // The executor still records the root cause for diagnostics.
+        // The host still records the root cause for diagnostics.
         assert!(
             report
                 .errors
@@ -1892,25 +1405,29 @@ mod tests {
             }),
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
+        let runtime = start(&plan, &modules, &services, config).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
-        while runtime.deliveries() < 5 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(runtime.device_status("desktop"), Some(DeviceStatus::Alive));
-        assert_eq!(runtime.fence_epoch(), 0);
-        assert!(runtime.inject_heartbeat_loss("desktop"));
-        while runtime.fence_epoch() == 0 && Instant::now() < deadline {
+        let live = || runtime.report_for(0).expect("pipeline 0");
+        let status = |report: &RunReport, device: &str| {
+            let statuses = &report.device_statuses;
+            statuses.iter().find(|(d, _)| d == device).map(|(_, s)| *s)
+        };
+        await_deliveries(&runtime, 5);
+        let before_loss = live();
+        assert_eq!(status(&before_loss, "desktop"), Some(DeviceStatus::Alive));
+        assert_eq!(before_loss.fence_epoch, 0);
+        assert!(runtime.inject_heartbeat_loss(0, "desktop"));
+        while live().fence_epoch == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(runtime.device_status("desktop"), Some(DeviceStatus::Dead));
-        assert_eq!(runtime.device_status("phone"), Some(DeviceStatus::Alive));
+        let fenced = live();
+        assert_eq!(status(&fenced, "desktop"), Some(DeviceStatus::Dead));
+        assert_eq!(status(&fenced, "phone"), Some(DeviceStatus::Alive));
         // New-epoch frames keep flowing after the fence.
         let before = runtime.deliveries();
-        while runtime.deliveries() < before + 5 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let report = runtime.finish();
+        await_deliveries(&runtime, before + 5);
+        // The mid-run reports above left the log in place.
+        let report = runtime.finish().remove(0);
         assert_eq!(report.fence_epoch, 1);
         assert!(
             report
@@ -1990,8 +1507,8 @@ mod tests {
             checkpoint_period: Some(Duration::from_millis(20)),
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let report = runtime.run_until_deliveries(12, Duration::from_secs(10));
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        let report = run_until(runtime, 12, Duration::from_secs(10));
         assert_eq!(report.restarts, 1, "{:?}", report.errors);
         let resumed: u64 = report
             .logs
@@ -2016,63 +1533,6 @@ mod tests {
             "tally did not advance past the restored value {resumed}"
         );
         assert!(report.metrics.credits_balanced(), "{:?}", report.metrics);
-    }
-
-    /// Drives `service_executor_loop` directly against a preloaded queue.
-    #[test]
-    fn saturated_executor_batches_and_samples_depth_before_draining() {
-        let config = RuntimeConfig {
-            batch: BatchConfig::up_to(8),
-            ..RuntimeConfig::default()
-        };
-        let (shared, hub) = bare_shared(config);
-        let channel = svc_chan("test", "one", "doubler");
-        let inbox = hub.bind(&channel).unwrap();
-        let reply_rx = hub.bind("rpl/test/driver").unwrap();
-        // Preload a burst of six requests before the executor starts: the
-        // whole burst must come back as one (or few) batches, and the
-        // queue-depth gauge must see the backlog even though the drain
-        // empties the queue immediately after.
-        let tx = hub.connect(&channel).unwrap();
-        for i in 0..6u64 {
-            tx.send(WireMessage::request(
-                channel.clone(),
-                "rpl/test/driver".to_string(),
-                i,
-                ServiceRequest::new("double", Payload::Count(i)).encode(),
-            ))
-            .unwrap();
-        }
-        let loop_shared = Arc::clone(&shared);
-        let host = ServiceHost::bare(&shared, inbox, Arc::new(Doubler), "one");
-        let executor = std::thread::spawn(move || service_executor_loop(&loop_shared, &host));
-        let mut seen = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while seen.len() < 6 && Instant::now() < deadline {
-            if let Ok(msg) = reply_rx.recv_timeout(POLL) {
-                assert_eq!(msg.kind, MessageKind::Response);
-                let resp = ServiceResponse::decode(&msg.payload).unwrap();
-                assert_eq!(resp.payload, Payload::Count(msg.corr_id * 2));
-                seen.push(msg.corr_id);
-            }
-        }
-        shared.stop.store(true, Ordering::SeqCst);
-        executor.join().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-        let metrics = shared.metrics.lock();
-        let dispatch = metrics.dispatch.get("one/doubler").expect("dispatch stats");
-        assert_eq!(dispatch.requests, 6);
-        assert!(
-            dispatch.batches < dispatch.requests,
-            "burst never batched: {dispatch:?}"
-        );
-        assert!(dispatch.max_batch >= 2, "{dispatch:?}");
-        // Five requests were queued behind the leader when it was dequeued.
-        assert!(
-            dispatch.max_queue_depth >= 5,
-            "depth sampled after the drain: {dispatch:?}"
-        );
     }
 
     #[test]
@@ -2104,15 +1564,12 @@ mod tests {
             ..RuntimeConfig::default()
         }
         .with_service_batch("doubler", BatchConfig::up_to(4));
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while runtime.deliveries() < 10 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        let runtime = start(&plan, &modules, &services, config).unwrap();
+        await_deliveries(&runtime, 10);
         let stats = runtime
-            .frame_store_stats("phone")
+            .frame_store_stats(0, "phone")
             .expect("phone frame store");
-        let report = runtime.finish();
+        let report = runtime.finish().remove(0);
         assert!(
             report.metrics.frames_delivered >= 10,
             "delivered {} errors {:?}",
@@ -2140,10 +1597,9 @@ mod tests {
 
     #[test]
     fn teardown_wakes_interval_parked_watchers_promptly() {
-        // Watchers park for their FULL interval on the shutdown gate. With
-        // multi-second heartbeat/SLO/telemetry intervals, a teardown that
-        // merely set the stop flag would block finish() for seconds; the
-        // gate must wake them in milliseconds.
+        // Watchers wait out their FULL interval on a timer. With
+        // multi-second heartbeat/SLO/telemetry intervals, teardown must
+        // still take milliseconds, not an interval.
         let devices = vec![DeviceSpec::new("one", 1.0)
             .with_containers(2)
             .with_service("doubler")];
@@ -2165,38 +1621,16 @@ mod tests {
             slo: Some(crate::slo::SloConfig::p99(Duration::from_millis(100)).with_interval(long)),
             ..RuntimeConfig::default()
         };
-        let runtime = LocalRuntime::deploy(&plan, &modules, &services, config).unwrap();
+        let runtime = start(&plan, &modules, &services, config).unwrap();
         // Let the pipeline actually move before tearing it down.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while runtime.deliveries() < 3 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        await_deliveries(&runtime, 3);
         let started = Instant::now();
-        let report = runtime.finish();
+        let report = runtime.finish().remove(0);
         let teardown = started.elapsed();
         assert!(report.metrics.frames_delivered >= 3);
         assert!(
             teardown < Duration::from_secs(1),
             "teardown took {teardown:?} with 30 s watcher intervals"
         );
-    }
-
-    #[test]
-    fn shutdown_gate_wakes_waiters_early() {
-        let gate = Arc::new(ShutdownGate::new());
-        let g = Arc::clone(&gate);
-        let waiter = std::thread::spawn(move || {
-            let started = Instant::now();
-            assert!(g.wait_shutdown(Duration::from_secs(60)), "spurious expiry");
-            started.elapsed()
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        gate.trigger();
-        let waited = waiter.join().unwrap();
-        assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
-        // Once triggered, later waits return immediately.
-        let started = Instant::now();
-        assert!(gate.wait_shutdown(Duration::from_secs(60)));
-        assert!(started.elapsed() < Duration::from_millis(100));
     }
 }

@@ -10,8 +10,9 @@ use videopipe_core::config;
 use videopipe_core::deploy::{plan, DeviceSpec, Placement};
 use videopipe_core::message::Payload;
 use videopipe_core::module::{Event, Module, ModuleCtx, ModuleRegistry};
+use videopipe_core::reactor::{ReactorConfig, ReactorRuntime};
 use videopipe_core::resilience::{DegradationPolicy, ResilienceConfig};
-use videopipe_core::runtime::{BatchConfig, LocalRuntime, RunReport, RuntimeConfig};
+use videopipe_core::runtime::{BatchConfig, RunReport, RuntimeConfig};
 use videopipe_core::service::{
     Service, ServiceCost, ServiceRegistry, ServiceRequest, ServiceResponse,
 };
@@ -172,7 +173,7 @@ proptest! {
 
 // ---- DegradationPolicy × batching through the full runtime ----
 //
-// Several caller modules share one batched service executor; the drain
+// Several caller modules share one batched service host; the drain
 // policy packs their concurrent requests into `handle_batch` calls whose
 // slots fail independently. Two invariants ride on the slot → correlation
 // routing: a LastKnownGood degraded response served to a caller must come
@@ -272,8 +273,9 @@ impl Module for CreditSink {
 /// fails), so most batches mix successes and errors across slots. The
 /// explicit `handle_batch` mirrors a real batched kernel returning
 /// per-slot results. Costs are modeled (2 ms base, 250 µs batched
-/// follower) so the executor saturates and the drain policy actually
-/// forms batches.
+/// follower) and emulated on one container, so requests queue behind a
+/// busy container and the drain policy forms batches whatever the thread
+/// timing.
 struct PerSlotParity {
     modulus: u64,
     handled: Arc<AtomicU64>,
@@ -331,7 +333,8 @@ struct DegradedRun {
 }
 
 /// Drives `workers` callers against the shared batched service under
-/// `DegradationPolicy::LastKnownGood` for a short real-time burst.
+/// `DegradationPolicy::LastKnownGood` for a short real-time burst, with
+/// modeled costs passing in real time.
 fn run_degraded(workers: usize, max_batch: usize, modulus: u64, threshold: u32) -> DegradedRun {
     let mut spec_src = ModuleSpec::new("src", "FanSource");
     for w in 0..workers {
@@ -394,6 +397,7 @@ fn run_degraded(workers: usize, max_batch: usize, modulus: u64, threshold: u32) 
     let config = RuntimeConfig {
         fps: 200.0,
         credits: 8,
+        time_scale: 1.0,
         batch: BatchConfig::up_to(max_batch),
         resilience: ResilienceConfig {
             breaker_failure_threshold: threshold,
@@ -402,8 +406,11 @@ fn run_degraded(workers: usize, max_batch: usize, modulus: u64, threshold: u32) 
         },
         ..RuntimeConfig::default()
     };
-    let runtime = LocalRuntime::deploy(&deployed, &modules, &services, config).expect("deploy");
-    let report = runtime.run_for(Duration::from_millis(300));
+    let mut runtime = ReactorRuntime::new(ReactorConfig::default());
+    runtime
+        .add_pipeline(&deployed, &modules, &services, config)
+        .expect("deploy");
+    let report = runtime.run_for(Duration::from_millis(300)).remove(0);
     DegradedRun {
         report,
         violations,

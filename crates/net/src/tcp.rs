@@ -6,11 +6,10 @@
 //! slices of the read buffer — and every endpoint is driven by the same
 //! readiness loop, [`Ingress`]: wait on one [`Poller`], service exactly the
 //! ready sockets under a budget, carry backlogs and paused listeners to the
-//! next turn. The loop has three users, which differ only in the tag they
+//! next turn. The loop has two users, which differ only in the tag they
 //! hang on an endpoint and the sink they hand to [`Ingress::turn`]: the
 //! reactor's I/O thread (every pipeline's endpoints, tagged with the
-//! pipeline), the threaded runtime's one ingress thread, and
-//! [`TcpListenerHandle`] (one endpoint feeding a channel, the ZeroMQ PULL
+//! pipeline) and [`TcpListenerHandle`] (one endpoint feeding a channel, the ZeroMQ PULL
 //! shape the cluster control plane uses).
 //!
 //! **One way out.** [`TcpSender::send`] stages the frame in a

@@ -18,7 +18,7 @@ pub struct PoolStats {
     /// Total queueing wait.
     pub total_wait: Duration,
     /// Maximum single-request wait.
-    pub max_wait: Duration,
+    pub longest_wait: Duration,
     /// Total executor busy time.
     pub total_busy: Duration,
     /// Requests that had to wait at all.
@@ -117,8 +117,8 @@ impl ServicePool {
         if wait > Duration::ZERO {
             self.stats.waited += 1;
         }
-        if wait > self.stats.max_wait {
-            self.stats.max_wait = wait;
+        if wait > self.stats.longest_wait {
+            self.stats.longest_wait = wait;
         }
         self.stats.total_busy += compute;
         done
@@ -154,7 +154,7 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.waited, 1);
-        assert_eq!(stats.max_wait, Duration::from_millis(40));
+        assert_eq!(stats.longest_wait, Duration::from_millis(40));
         assert_eq!(stats.total_busy, Duration::from_millis(100));
     }
 

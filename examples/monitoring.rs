@@ -10,7 +10,8 @@ use videopipe::apps::fitness;
 use videopipe::core::prelude::*;
 
 fn main() -> Result<(), PipelineError> {
-    let runtime = LocalRuntime::deploy(
+    let mut runtime = ReactorRuntime::new(ReactorConfig::default());
+    let id = runtime.add_pipeline(
         &fitness::videopipe_plan()?,
         &fitness::module_registry(2),
         &fitness::service_registry(2),
@@ -20,7 +21,7 @@ fn main() -> Result<(), PipelineError> {
             ..RuntimeConfig::default()
         },
     )?;
-    let mut monitor = runtime.monitor()?;
+    let mut monitor = runtime.monitor(id)?;
 
     println!("fitness pipeline running on real threads; telemetry every 250 ms:\n");
     let report = {
@@ -34,7 +35,7 @@ fn main() -> Result<(), PipelineError> {
                 }
             }
         }
-        runtime.finish()
+        runtime.finish().remove(id)
     };
 
     println!(

@@ -1,5 +1,5 @@
 //! Quickstart: build a three-module pipeline with a custom service, deploy
-//! it on the threaded local runtime, and watch frames flow.
+//! it on the runtime, and watch frames flow.
 //!
 //! This is the "hello world" of the module API (the paper's Table 1):
 //! a source mints frames, a processing module calls a stateless service,
@@ -135,18 +135,15 @@ fn main() -> Result<(), PipelineError> {
     let mut services = ServiceRegistry::new();
     services.install(Arc::new(MeanBrightnessService));
 
-    // 4. Deploy on the threaded runtime and run for two seconds.
-    let runtime = LocalRuntime::deploy(
-        &plan,
-        &modules,
-        &services,
-        RuntimeConfig {
-            fps: 100.0,
-            ..RuntimeConfig::default()
-        },
-    )?;
+    // 4. Deploy on the runtime and run for two seconds.
+    let mut runtime = ReactorRuntime::new(ReactorConfig::default());
+    let config = RuntimeConfig {
+        fps: 100.0,
+        ..RuntimeConfig::default()
+    };
+    runtime.add_pipeline(&plan, &modules, &services, config)?;
     println!("pipeline deployed; running for 2 s at a 100 FPS source...");
-    let report = runtime.run_for(Duration::from_secs(2));
+    let report = runtime.run_for(Duration::from_secs(2)).remove(0);
 
     for line in &report.logs {
         println!("  {line}");

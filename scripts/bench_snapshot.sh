@@ -14,9 +14,7 @@
 # MTTR / delivery / exactly-once from the coordinator's status file),
 # the SLO flash-crowd cell with the quality knob's measured accuracy
 # cost, and the reactor fleet cells — pipelines per core, memory per
-# pipeline, OS thread count and the threaded-runtime comparison arm —
-# plus the reactor low-load latency cell comparable to BENCH_PR6's
-# saturation.low_load, and the reactor timer-lag cell: how late 1000
+# pipeline, OS thread count — and the reactor timer-lag cell: how late 1000
 # recurring 25 Hz deadlines fire, idle and next to a CPU-bound fleet, and
 # how often the workers sleep).
 #

@@ -4,7 +4,7 @@
 //! ```text
 //! videopipe apps
 //! videopipe run fitness --arch baseline --fps 30 --duration 20
-//! videopipe run gesture --gesture wave --runtime local
+//! videopipe run gesture --gesture wave --runtime reactor
 //! videopipe run fitness --runtime reactor --transport tcp
 //! videopipe validate my_pipeline.vpc
 //! videopipe placement
@@ -17,7 +17,7 @@ use videopipe::apps::experiments::{run_fitness, Arch, ExperimentConfig};
 use videopipe::apps::{fall, fitness, gesture, iot::IotHub, retail};
 use videopipe::core::deploy::{autoplace_pinned, estimate_latency, plan, Placement};
 use videopipe::core::prelude::*;
-use videopipe::core::runtime::{EdgeTransport, RunReport};
+use videopipe::core::runtime::EdgeTransport;
 use videopipe::media::motion::ExerciseKind;
 use videopipe::sim::{Scenario, SimProfile};
 
@@ -35,10 +35,10 @@ RUN OPTIONS:
     --fps <rate>                  source frame rate (default 30)
     --duration <seconds>          run length (default 15)
     --credits <n>                 flow-control credits (default 1)
-    --runtime <sim|local|reactor> simulator, a thread per module, or the
-                                  event-driven worker pool (default sim)
+    --runtime <sim|reactor>       simulator or the event-driven worker pool
+                                  (default sim)
     --transport <inproc|tcp>      cross-device edges in-process or over
-                                  loopback TCP (local|reactor; default inproc)
+                                  loopback TCP (reactor; default inproc)
     --gesture <wave|clap|idle>    gesture app motion (default clap)
     --pose-instances <n>          pose service pool size (sim only)
     --seed <n>                    RNG seed (default 42)
@@ -46,15 +46,12 @@ RUN OPTIONS:
                                   degradation lattice (default off)
 ";
 
-/// What `run` executes the pipeline on. `Local` and `Reactor` are two
-/// drivers of the same core engine (same per-message logic, different
-/// scheduling); `Sim` replays the module/service code in virtual time.
+/// What `run` executes the pipeline on: the runtime, or the simulator
+/// replaying the module/service code in virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Engine {
     /// The discrete-event simulator (modeled time).
     Sim,
-    /// `LocalRuntime`: one OS thread per module, pacer and executor.
-    Local,
     /// `ReactorRuntime`: tasks on a worker pool sized to cores.
     Reactor,
 }
@@ -134,7 +131,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--runtime" => {
                 opts.engine = match value()?.as_str() {
                     "sim" => Engine::Sim,
-                    "local" => Engine::Local,
                     "reactor" => Engine::Reactor,
                     other => return Err(format!("unknown runtime {other:?}")),
                 }
@@ -175,7 +171,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         }
     }
     if opts.engine == Engine::Sim && opts.transport == EdgeTransport::Tcp {
-        return Err("--transport tcp needs --runtime local or reactor".into());
+        return Err("--transport tcp needs --runtime reactor".into());
     }
     Ok(opts)
 }
@@ -237,7 +233,7 @@ fn run_sim(
     Ok(())
 }
 
-/// Runs on real threads and sockets: `LocalRuntime` or `ReactorRuntime`.
+/// Runs on real threads and sockets: `ReactorRuntime`.
 fn run_real(
     plan: &DeploymentPlan,
     modules: &ModuleRegistry,
@@ -253,26 +249,15 @@ fn run_real(
         transport: opts.transport,
         ..RuntimeConfig::default()
     };
-    let finish: Box<dyn FnOnce() -> RunReport> = if opts.engine == Engine::Reactor {
-        let mut runtime = ReactorRuntime::new(ReactorConfig::default());
-        runtime
-            .add_pipeline(plan, modules, services, config)
-            .map_err(|e| e.to_string())?;
-        println!(
-            "running on the reactor ({} threads) for {:.1} s...",
-            runtime.thread_count(),
-            opts.duration.as_secs_f64()
-        );
-        Box::new(move || runtime.finish().remove(0))
-    } else {
-        let runtime =
-            LocalRuntime::deploy(plan, modules, services, config).map_err(|e| e.to_string())?;
-        println!(
-            "running on real threads for {:.1} s...",
-            opts.duration.as_secs_f64()
-        );
-        Box::new(move || runtime.finish())
-    };
+    let mut runtime = ReactorRuntime::new(ReactorConfig::default());
+    runtime
+        .add_pipeline(plan, modules, services, config)
+        .map_err(|e| e.to_string())?;
+    println!(
+        "running on the reactor ({} threads) for {:.1} s...",
+        runtime.thread_count(),
+        opts.duration.as_secs_f64()
+    );
     // Graceful shutdown: SIGTERM/SIGINT ends the run early through the
     // same drain path as the deadline — in-flight frames complete, every
     // module takes a final checkpoint, and senders close cleanly.
@@ -287,7 +272,7 @@ fn run_real(
     if videopipe::cluster::signals::termination_requested() {
         println!("signal received — draining pipelines...");
     }
-    let report = finish();
+    let report = runtime.finish().remove(0);
     if slo_enabled {
         println!(
             "slo: finished at lattice level {} ({} move(s), {} flap(s))",
@@ -324,7 +309,7 @@ fn run_plan(
 ) -> Result<(), String> {
     match opts.engine {
         Engine::Sim => run_sim(plan, modules, services, opts, slo),
-        Engine::Local | Engine::Reactor => run_real(plan, modules, services, opts, slo),
+        Engine::Reactor => run_real(plan, modules, services, opts, slo),
     }
 }
 
@@ -532,7 +517,7 @@ mod tests {
             "--credits",
             "2",
             "--runtime",
-            "local",
+            "reactor",
             "--transport",
             "tcp",
             "--gesture",
@@ -549,7 +534,7 @@ mod tests {
         assert_eq!(opts.fps, 12.5);
         assert_eq!(opts.duration, Duration::from_secs_f64(3.5));
         assert_eq!(opts.credits, 2);
-        assert_eq!(opts.engine, Engine::Local);
+        assert_eq!(opts.engine, Engine::Reactor);
         assert_eq!(opts.transport, EdgeTransport::Tcp);
         assert_eq!(opts.gesture, ExerciseKind::Wave);
         assert_eq!(opts.pose_instances, 3);
@@ -569,7 +554,7 @@ mod tests {
         // The simulator models links; it has no sockets to put them on.
         assert!(parse(&["--transport", "tcp"]).is_err());
         assert!(parse(&["--runtime", "sim", "--transport", "tcp"]).is_err());
-        assert!(parse(&["--transport", "udp", "--runtime", "local"]).is_err());
+        assert!(parse(&["--transport", "udp", "--runtime", "reactor"]).is_err());
         assert!(parse(&["--transport"]).is_err());
     }
 
@@ -593,6 +578,7 @@ mod tests {
         assert!(parse(&["--duration", "0"]).is_err());
         assert!(parse(&["--credits", "0"]).is_err());
         assert!(parse(&["--runtime", "cloud"]).is_err());
+        assert!(parse(&["--runtime", "local"]).is_err());
         assert!(parse(&["--gesture", "squat"]).is_err()); // not a gesture class
         assert!(parse(&["--gesture"]).is_err()); // missing value
         assert!(parse(&["--slo", "0"]).is_err());

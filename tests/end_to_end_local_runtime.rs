@@ -1,32 +1,46 @@
-//! End-to-end integration: the full fitness application running on the
-//! *threaded* local runtime — real frames, real pose detection, real
+//! End-to-end integration: the full applications running on the runtime's
+//! real worker threads — real frames, real pose detection, real
 //! classifiers, real inter-module channels — no simulation involved.
 
 use std::time::Duration;
 use videopipe::apps::fitness;
 use videopipe::core::prelude::*;
+use videopipe::core::runtime::RunReport;
 
-fn run_fitness_threaded(plan: &DeploymentPlan) -> videopipe::core::runtime::RunReport {
+/// Runs `plan` alone on a fresh runtime until it has delivered `frames`.
+/// Generous deadline: the full-workspace debug test run executes many heavy
+/// suites in parallel and these tests do real ML per frame.
+fn run(
+    plan: &DeploymentPlan,
+    modules: &ModuleRegistry,
+    services: &ServiceRegistry,
+    config: RuntimeConfig,
+    frames: u64,
+) -> RunReport {
+    let mut runtime = ReactorRuntime::new(ReactorConfig::default());
+    runtime
+        .add_pipeline(plan, modules, services, config)
+        .expect("deploy");
+    let mut reports = runtime.run_until_total_deliveries(frames, Duration::from_secs(120));
+    reports.remove(0)
+}
+
+fn at_60_fps() -> RuntimeConfig {
+    RuntimeConfig {
+        fps: 60.0,
+        ..RuntimeConfig::default()
+    }
+}
+
+fn run_fitness(plan: &DeploymentPlan) -> RunReport {
     let modules = fitness::module_registry(9);
     let services = fitness::service_registry(9);
-    let runtime = LocalRuntime::deploy(
-        plan,
-        &modules,
-        &services,
-        RuntimeConfig {
-            fps: 60.0,
-            ..RuntimeConfig::default()
-        },
-    )
-    .expect("deploy");
-    // Generous deadline: the full-workspace debug test run executes many
-    // heavy suites in parallel and this test does real ML per frame.
-    runtime.run_until_deliveries(30, Duration::from_secs(120))
+    run(plan, &modules, &services, at_60_fps(), 30)
 }
 
 #[test]
 fn fitness_pipeline_runs_on_real_threads() {
-    let report = run_fitness_threaded(&fitness::videopipe_plan().unwrap());
+    let report = run_fitness(&fitness::videopipe_plan().unwrap());
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert!(
         report.metrics.frames_delivered >= 30,
@@ -64,18 +78,12 @@ fn fitness_pipeline_runs_over_real_tcp_sockets() {
     use videopipe::core::runtime::EdgeTransport;
     let modules = fitness::module_registry(9);
     let services = fitness::service_registry(9);
-    let runtime = LocalRuntime::deploy(
-        &fitness::videopipe_plan().unwrap(),
-        &modules,
-        &services,
-        RuntimeConfig {
-            fps: 60.0,
-            transport: EdgeTransport::Tcp,
-            ..RuntimeConfig::default()
-        },
-    )
-    .expect("deploy");
-    let report = runtime.run_until_deliveries(30, Duration::from_secs(120));
+    let config = RuntimeConfig {
+        transport: EdgeTransport::Tcp,
+        ..at_60_fps()
+    };
+    let plan = fitness::videopipe_plan().unwrap();
+    let report = run(&plan, &modules, &services, config, 30);
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert!(
         report.metrics.frames_delivered >= 30,
@@ -87,7 +95,7 @@ fn fitness_pipeline_runs_over_real_tcp_sockets() {
 
 #[test]
 fn baseline_topology_also_runs_on_real_threads() {
-    let report = run_fitness_threaded(&fitness::baseline_plan().unwrap());
+    let report = run_fitness(&fitness::baseline_plan().unwrap());
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert!(report.metrics.frames_delivered >= 30);
 }
@@ -103,18 +111,8 @@ fn gesture_pipeline_toggles_the_light_on_real_threads() {
     let plan = gesture::videopipe_plan().unwrap();
     let modules = gesture::module_registry(5, ExerciseKind::Clap, Arc::clone(&hub));
     let services = gesture::service_registry(5);
-    let runtime = LocalRuntime::deploy(
-        &plan,
-        &modules,
-        &services,
-        RuntimeConfig {
-            fps: 60.0,
-            ..RuntimeConfig::default()
-        },
-    )
-    .expect("deploy");
     // Enough frames for the 15-pose window plus the 3-label confirmation.
-    let report = runtime.run_until_deliveries(50, Duration::from_secs(120));
+    let report = run(&plan, &modules, &services, at_60_fps(), 50);
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert!(
         hub.command_count() > 0,

@@ -1,19 +1,21 @@
-//! Engine parity smoke: the same seeded scenario through both drivers.
+//! Parity smoke: the same seeded scenario under two schedules and two
+//! transports.
 //!
-//! `LocalRuntime` and `ReactorRuntime` run one engine
-//! (`crates/core/src/engine.rs`) and differ only in when a step runs and how
-//! a wait is spent. This test holds them to the same *observable* outcome on
-//! the fitness plan with a pose service that fails every N-th call: both
-//! reach the delivery target, both satisfy the credit identity
-//! (`admitted == delivered + faulted + in_flight_at_end`), neither restarts
-//! a module, and both report the failures in the same words at the same
-//! per-call rate.
+//! The per-message logic is one engine (`crates/core/src/engine.rs`); what
+//! varies is when a step runs — one worker with no stealing, or the default
+//! work-stealing pool — and how a cross-device message travels — an
+//! in-process channel or a loopback TCP socket. These tests hold every
+//! combination to the same *observable* outcome on the fitness plan with a
+//! pose service that fails every N-th call: each run reaches the delivery
+//! target, satisfies the credit identity
+//! (`admitted == delivered + faulted + in_flight_at_end`), restarts no
+//! module, and reports the failures in the same words at the same per-call
+//! rate.
 //!
 //! Bit-equal delivered sequence sets are deliberately NOT asserted: which
-//! camera ticks win the single credit depends on wall-clock timing, so the
-//! two drivers (and two runs of one driver) admit different frames. The
-//! differential harness ROADMAP asks for needs virtual time under both
-//! drivers to go that far; this is its seed.
+//! camera ticks win the single credit depends on wall-clock timing, so two
+//! runs admit different frames. Going that far needs the runtime on
+//! virtual time; this is the seed of that differential harness.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -50,25 +52,18 @@ fn config(transport: EdgeTransport) -> RuntimeConfig {
     }
 }
 
-fn run_threaded(transport: EdgeTransport) -> Outcome {
-    let (services, chaos) = chaotic_services();
-    let runtime = LocalRuntime::deploy(
-        &fitness::videopipe_plan().unwrap(),
-        &fitness::module_registry(SEED),
-        &services,
-        config(transport),
-    )
-    .unwrap();
-    let report = runtime.run_until_deliveries(DELIVERIES, PATIENCE);
-    Outcome {
-        report,
-        calls: chaos.calls(),
+/// One worker, no stealing: every step of the pipeline runs in turn.
+fn serial() -> ReactorConfig {
+    ReactorConfig {
+        workers: 1,
+        steal: false,
+        ..ReactorConfig::default()
     }
 }
 
-fn run_reactor(transport: EdgeTransport) -> Outcome {
+fn run(reactor: ReactorConfig, transport: EdgeTransport) -> Outcome {
     let (services, chaos) = chaotic_services();
-    let mut runtime = ReactorRuntime::new(ReactorConfig::default());
+    let mut runtime = ReactorRuntime::new(reactor);
     runtime
         .add_pipeline(
             &fitness::videopipe_plan().unwrap(),
@@ -84,7 +79,7 @@ fn run_reactor(transport: EdgeTransport) -> Outcome {
     }
 }
 
-/// Error lines with every number blanked: the words a driver uses.
+/// Error lines with every number blanked: the words a run uses.
 fn vocabulary(report: &RunReport) -> BTreeSet<String> {
     report
         .errors
@@ -97,19 +92,19 @@ fn vocabulary(report: &RunReport) -> BTreeSet<String> {
         .collect()
 }
 
-fn assert_envelope(driver: &str, outcome: &Outcome) {
+fn assert_envelope(transport: EdgeTransport, outcome: &Outcome) {
     let Outcome { report, calls } = outcome;
     let m = &report.metrics;
     assert!(
         m.frames_delivered >= DELIVERIES,
-        "{driver}: wedged at {} deliveries; errors {:?}",
+        "{transport:?}: wedged at {} deliveries; errors {:?}",
         m.frames_delivered,
         report.errors.iter().take(3).collect::<Vec<_>>()
     );
-    assert!(m.credits_balanced(), "{driver}: credit leak: {m:?}");
+    assert!(m.credits_balanced(), "{transport:?}: credit leak: {m:?}");
     assert_eq!(
         report.restarts, 0,
-        "{driver}: a failing call is not a crash"
+        "{transport:?}: a failing call is not a crash"
     );
     // Every FAIL_EVERY-th call fails, each failure kills exactly one frame
     // and leaves exactly one error line; the call in flight at teardown may
@@ -118,25 +113,26 @@ fn assert_envelope(driver: &str, outcome: &Outcome) {
     let reported = report.errors.len() as u64;
     assert!(
         reported <= failed && failed <= reported + 1,
-        "{driver}: {reported} error lines for {failed} failed calls of {calls}: {:?}",
+        "{transport:?}: {reported} error lines for {failed} failed calls of {calls}: {:?}",
         report.errors
     );
     assert!(
         m.frames_faulted <= failed && failed <= m.frames_faulted + 1,
-        "{driver}: {} faulted frames for {failed} failed calls",
+        "{transport:?}: {} faulted frames for {failed} failed calls",
         m.frames_faulted
     );
 }
 
+/// The serial schedule and the default pool agree on `transport`.
 fn assert_parity(transport: EdgeTransport) {
-    let threaded = run_threaded(transport);
-    let reactor = run_reactor(transport);
-    assert_envelope("threaded", &threaded);
-    assert_envelope("reactor", &reactor);
+    let serial = run(serial(), transport);
+    let pooled = run(ReactorConfig::default(), transport);
+    assert_envelope(transport, &serial);
+    assert_envelope(transport, &pooled);
     assert_eq!(
-        vocabulary(&threaded.report),
-        vocabulary(&reactor.report),
-        "the drivers describe the same failures in different words"
+        vocabulary(&serial.report),
+        vocabulary(&pooled.report),
+        "{transport:?}: the schedules describe the same failures in different words"
     );
 }
 
@@ -148,4 +144,17 @@ fn drivers_agree_on_a_flaky_fitness_pipeline_inproc() {
 #[test]
 fn drivers_agree_on_a_flaky_fitness_pipeline_over_tcp() {
     assert_parity(EdgeTransport::Tcp);
+}
+
+#[test]
+fn transports_agree_on_a_flaky_fitness_pipeline() {
+    let inproc = run(ReactorConfig::default(), EdgeTransport::Inproc);
+    let tcp = run(ReactorConfig::default(), EdgeTransport::Tcp);
+    assert_envelope(EdgeTransport::Inproc, &inproc);
+    assert_envelope(EdgeTransport::Tcp, &tcp);
+    assert_eq!(
+        vocabulary(&inproc.report),
+        vocabulary(&tcp.report),
+        "the transports describe the same failures in different words"
+    );
 }

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use videopipe::apps::fitness;
 use videopipe::core::prelude::*;
+use videopipe::core::runtime::RunReport;
 use videopipe::core::service::ChaosService;
 use videopipe::sim::{Scenario, SimProfile};
 
@@ -56,10 +57,24 @@ fn sim_pipeline_survives_a_flaky_pose_service() {
     );
 }
 
+/// `plan` as the only pipeline (id 0) of a fresh runtime.
+fn start(
+    plan: &DeploymentPlan,
+    modules: &ModuleRegistry,
+    services: &ServiceRegistry,
+    config: RuntimeConfig,
+) -> ReactorRuntime {
+    let mut runtime = ReactorRuntime::new(ReactorConfig::default());
+    runtime
+        .add_pipeline(plan, modules, services, config)
+        .unwrap();
+    runtime
+}
+
 #[test]
 fn threaded_pipeline_survives_a_flaky_pose_service() {
     let (services, _chaos) = chaotic_services(4, 4);
-    let runtime = LocalRuntime::deploy(
+    let runtime = start(
         &fitness::videopipe_plan().unwrap(),
         &fitness::module_registry(4),
         &services,
@@ -67,19 +82,20 @@ fn threaded_pipeline_survives_a_flaky_pose_service() {
             fps: 100.0,
             ..RuntimeConfig::default()
         },
-    )
-    .unwrap();
-    let report = runtime.run_until_deliveries(20, Duration::from_secs(30));
+    );
+    let report = runtime
+        .run_until_total_deliveries(20, Duration::from_secs(30))
+        .remove(0);
     assert!(
         report.metrics.frames_delivered >= 20,
-        "threaded pipeline wedged: {} delivered, errors {:?}",
+        "pipeline wedged: {} delivered, errors {:?}",
         report.metrics.frames_delivered,
         report.errors.iter().take(3).collect::<Vec<_>>()
     );
     assert!(!report.errors.is_empty(), "faults should be reported");
 }
 
-/// Chaos matrix: fault type × transport on the threaded runtime. Every cell
+/// Chaos matrix: fault type × transport on the runtime. Every cell
 /// asserts the same envelope — the delivery target is reached (no wedge),
 /// no flow-control credit leaks, and the configured resilience mechanism is
 /// observed doing its job.
@@ -161,7 +177,7 @@ mod chaos_matrix {
         transport: EdgeTransport,
         resilience: ResilienceConfig,
         batch: BatchConfig,
-    ) -> LocalRuntime {
+    ) -> ReactorRuntime {
         let spec = PipelineSpec::new("chaos")
             .with_module(ModuleSpec::new("src", "Src").with_next("mid"))
             .with_module(
@@ -187,22 +203,23 @@ mod chaos_matrix {
         modules.register("Sink", || Box::new(Sink));
         let mut services = ServiceRegistry::new();
         services.install(service);
-        LocalRuntime::deploy(
-            &plan,
-            &modules,
-            &services,
-            RuntimeConfig {
-                fps: 200.0,
-                transport,
-                resilience,
-                batch,
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap()
+        let config = RuntimeConfig {
+            fps: 200.0,
+            transport,
+            resilience,
+            batch,
+            ..RuntimeConfig::default()
+        };
+        start(&plan, &modules, &services, config)
     }
 
-    /// Every cell runs with request-at-a-time dispatch and with adaptive
+    /// Runs the lone pipeline until it has delivered `n` frames (or the
+    /// patience runs out) and reports.
+    fn run_until(runtime: ReactorRuntime, n: u64, patience: Duration) -> RunReport {
+        runtime.run_until_total_deliveries(n, patience).remove(0)
+    }
+
+    /// Every cell runs with request-at-a-time dispatch and with
     /// micro-batching, so the resilience mechanisms are exercised under
     /// both drain policies.
     fn batch_modes() -> [BatchConfig; 2] {
@@ -234,7 +251,7 @@ mod chaos_matrix {
                     },
                     batch,
                 );
-                let report = runtime.run_until_deliveries(100, Duration::from_secs(20));
+                let report = run_until(runtime, 100, Duration::from_secs(20));
                 assert!(
                     report.metrics.frames_delivered >= 100,
                     "[{transport:?}/{batch:?}] wedged: {} delivered, errors {:?}",
@@ -275,7 +292,7 @@ mod chaos_matrix {
                 },
                 batch,
             );
-            let report = runtime.run_for(Duration::from_millis(1500));
+            let report = runtime.run_for(Duration::from_millis(1500)).remove(0);
             let breaker = report
                 .breakers
                 .get("doubler")
@@ -332,7 +349,7 @@ mod chaos_matrix {
                 },
                 batch,
             );
-            let report = runtime.run_until_deliveries(50, Duration::from_secs(20));
+            let report = run_until(runtime, 50, Duration::from_secs(20));
             assert!(
                 report.metrics.frames_delivered >= 50,
                 "[{batch:?}] wedged: {} delivered",
@@ -374,7 +391,7 @@ mod chaos_matrix {
                 },
                 batch,
             );
-            let report = runtime.run_until_deliveries(60, Duration::from_secs(20));
+            let report = run_until(runtime, 60, Duration::from_secs(20));
             assert!(
                 report.metrics.frames_delivered >= 60,
                 "[{batch:?}] wedged: {} delivered, errors {:?}",
@@ -412,12 +429,12 @@ mod chaos_matrix {
             let mut severed = 0;
             while runtime.deliveries() < 150 && Instant::now() < deadline {
                 if severed == 0 && runtime.deliveries() >= 50 {
-                    severed = runtime.inject_tcp_disconnect();
+                    severed = runtime.inject_tcp_disconnect(0);
                     assert!(severed > 0, "tcp transport should have live peers");
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
-            let report = runtime.finish();
+            let report = runtime.finish().remove(0);
             assert!(severed > 0, "[{batch:?}] disconnect was never injected");
             assert!(
                 report.metrics.frames_delivered >= 150,
@@ -483,39 +500,34 @@ mod chaos_matrix {
         modules.register("DupSink", || Box::new(DupSink));
         let mut services = ServiceRegistry::new();
         services.install(Arc::new(Doubler));
-        let runtime = LocalRuntime::deploy(
-            &plan,
-            &modules,
-            &services,
-            RuntimeConfig {
-                fps: 200.0,
-                credits: 4,
-                transport: EdgeTransport::Tcp,
-                resilience: ResilienceConfig {
-                    retry: RetryPolicy::exponential(
-                        3,
-                        Duration::from_millis(1),
-                        Duration::from_millis(8),
-                    ),
-                    ..ResilienceConfig::default()
-                },
-                dedup_window: 16,
-                ..RuntimeConfig::default()
+        let config = RuntimeConfig {
+            fps: 200.0,
+            credits: 4,
+            transport: EdgeTransport::Tcp,
+            resilience: ResilienceConfig {
+                retry: RetryPolicy::exponential(
+                    3,
+                    Duration::from_millis(1),
+                    Duration::from_millis(8),
+                ),
+                ..ResilienceConfig::default()
             },
-        )
-        .unwrap();
+            dedup_window: 16,
+            ..RuntimeConfig::default()
+        };
+        let runtime = start(&plan, &modules, &services, config);
         // Sever every TCP connection mid-stream (the partition), then let
         // the reconnect/retry layer heal it and drive the run to target.
         let deadline = Instant::now() + Duration::from_secs(30);
         let mut severed = 0;
         while runtime.deliveries() < 150 && Instant::now() < deadline {
             if severed == 0 && runtime.deliveries() >= 50 {
-                severed = runtime.inject_tcp_disconnect();
+                severed = runtime.inject_tcp_disconnect(0);
                 assert!(severed > 0, "tcp transport should have live peers");
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        let report = runtime.finish();
+        let report = runtime.finish().remove(0);
         assert!(severed > 0, "partition was never injected");
         assert!(
             report.metrics.frames_delivered >= 150,
@@ -566,11 +578,10 @@ fn every_frame_failing_still_returns_credits() {
 /// One corrupt frame on the wire must cost one frame, not the pipeline:
 /// the module that cannot decode it returns its credit like any other
 /// mid-pipeline death. With the paper's single credit and no lease, a
-/// silently dropped frame stalls the source forever — which is what both
-/// drivers did before the module step was written once.
+/// silently dropped frame stalls the source forever — which is what the
+/// runtime did before the module step was written once.
 mod corrupt_frame {
     use super::*;
-    use videopipe::core::runtime::RunReport;
     use videopipe::media::{Frame, FrameBuf};
 
     /// Every fifth tick forwards bytes that claim to be an encoded frame
@@ -620,40 +631,29 @@ mod corrupt_frame {
         (plan(&spec, &devices, &placement).unwrap(), modules, config)
     }
 
-    fn assert_survived(driver: &str, report: &RunReport) {
+    #[test]
+    fn a_corrupt_encoded_frame_returns_its_credit() {
+        let (plan, modules, config) = glitchy_pipeline();
+        let runtime = start(&plan, &modules, &ServiceRegistry::new(), config);
+        let report = runtime
+            .run_until_total_deliveries(20, Duration::from_secs(5))
+            .remove(0);
         let m = &report.metrics;
         assert!(
             m.frames_delivered >= 20,
-            "{driver}: wedged on a corrupt frame after {} deliveries; errors {:?}",
+            "wedged on a corrupt frame after {} deliveries; errors {:?}",
             m.frames_delivered,
             report.errors.iter().take(3).collect::<Vec<_>>()
         );
-        assert!(m.frames_faulted >= 4, "{driver}: {m:?}");
+        assert!(m.frames_faulted >= 4, "{m:?}");
         assert!(
             report
                 .errors
                 .iter()
                 .all(|e| e.contains("frame decode failed")),
-            "{driver}: {:?}",
+            "{:?}",
             report.errors
         );
-        assert!(m.credits_balanced(), "{driver}: credit leak: {m:?}");
-    }
-
-    #[test]
-    fn a_corrupt_encoded_frame_returns_its_credit_on_both_drivers() {
-        let (plan, modules, config) = glitchy_pipeline();
-        let services = ServiceRegistry::new();
-        let patience = Duration::from_secs(5);
-
-        let threaded = LocalRuntime::deploy(&plan, &modules, &services, config.clone()).unwrap();
-        assert_survived("threaded", &threaded.run_until_deliveries(20, patience));
-
-        let mut reactor = ReactorRuntime::new(ReactorConfig::default());
-        reactor
-            .add_pipeline(&plan, &modules, &services, config)
-            .unwrap();
-        let reports = reactor.run_until_total_deliveries(20, patience);
-        assert_survived("reactor", &reports[0]);
+        assert!(m.credits_balanced(), "credit leak: {m:?}");
     }
 }

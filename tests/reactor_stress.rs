@@ -150,9 +150,9 @@ fn chaos_stress(workers: usize) {
     let modules = module_registry();
     let clean = service_registry(None);
     // A chaos-matrix subset: deterministic every-Nth failures, service
-    // panics (executor crashes) and seeded probabilistic failures. Delay
-    // modes are covered by the threaded chaos matrix; here the point is
-    // volume.
+    // panics (container crashes) and seeded probabilistic failures. Delay
+    // modes are covered by the chaos matrix in `failure_injection.rs`;
+    // here the point is volume.
     let flaky = service_registry(Some(ChaosMode::FailEveryN(5)));
     let panicky = service_registry(Some(ChaosMode::PanicEveryN(9)));
     let coinflip = service_registry(Some(ChaosMode::FailWithProbability {
