@@ -38,12 +38,18 @@ use videopipe_core::deploy::{
 use videopipe_core::health::{DeviceStatus, FailureDetector, HealthConfig};
 use videopipe_net::control::ControlMsg;
 use videopipe_net::tcp::{ReconnectPolicy, TcpListenerHandle, TcpSender};
-use videopipe_net::{MsgReceiver, MsgSender};
+use videopipe_net::{MsgReceiver, MsgSender, WireMessage};
 
 use crate::ring::HashRing;
 use crate::signals;
 use crate::status::StatusFile;
 use crate::workload::{tenant_spec, SINK_MODULE, SRC_MODULE};
+
+/// On shutdown, the listener counts as drained after this long without a
+/// frame…
+const DRAIN_QUIET: Duration = Duration::from_millis(100);
+/// …or after this long in total, however chatty the fleet still is.
+const DRAIN_CAP: Duration = Duration::from_secs(2);
 
 /// Coordinator configuration (mirrors the `videopipe-coordinator` CLI).
 #[derive(Debug, Clone)]
@@ -165,58 +171,71 @@ pub fn run_coordinator(opts: &CoordinatorOpts) -> Result<usize, String> {
         suspicion_threshold: 1,
         confirmation_threshold: opts.confirmation_threshold,
     });
-    let mut c = Coordinator {
-        started: Instant::now(),
-        listener,
-        status,
-        detector,
-        nodes: BTreeMap::new(),
-        tenants: (0..opts.tenants)
-            .map(|i| {
-                (
-                    format!("t{i:03}"),
-                    TenantState {
-                        host: None,
-                        epoch: 0,
-                        counted: 0,
-                        duplicates: 0,
-                        last_seq: 0,
-                        source_ckpt: None,
-                        sink_ckpt: None,
-                        plan: None,
-                        moving_to: None,
-                        recovering_failover: None,
-                    },
-                )
-            })
-            .collect(),
-        params: CostParams::default(),
-        deployed: false,
-        first_deploy: None,
-        failovers: Vec::new(),
-        fenced_reports: 0,
-        moves: 0,
-        byes: 0,
-        opts: opts.clone(),
-    };
+    let mut c = Coordinator::new(opts, listener, status, detector);
     // Publish the bound port immediately: the harness reads it to point
     // the nodes here.
     c.write_status()
         .map_err(|e| format!("coordinator: status: {e}"))?;
-    c.run();
+    c.run(signals::termination_requested);
     Ok(c.failovers.len())
 }
 
 impl Coordinator {
+    fn new(
+        opts: &CoordinatorOpts,
+        listener: TcpListenerHandle,
+        status: StatusFile,
+        detector: FailureDetector,
+    ) -> Self {
+        Coordinator {
+            started: Instant::now(),
+            listener,
+            status,
+            detector,
+            nodes: BTreeMap::new(),
+            tenants: (0..opts.tenants)
+                .map(|i| {
+                    (
+                        format!("t{i:03}"),
+                        TenantState {
+                            host: None,
+                            epoch: 0,
+                            counted: 0,
+                            duplicates: 0,
+                            last_seq: 0,
+                            source_ckpt: None,
+                            sink_ckpt: None,
+                            plan: None,
+                            moving_to: None,
+                            recovering_failover: None,
+                        },
+                    )
+                })
+                .collect(),
+            params: CostParams::default(),
+            deployed: false,
+            first_deploy: None,
+            failovers: Vec::new(),
+            fenced_reports: 0,
+            moves: 0,
+            byes: 0,
+            opts: opts.clone(),
+        }
+    }
+
     fn now_ns(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    fn run(&mut self) {
+    /// The control loop, until `stop` says so or `run_for` passes.
+    fn run(&mut self, stop: impl Fn() -> bool) {
         let mut next_status = Instant::now();
         let mut next_sweep = Instant::now();
         loop {
-            if signals::termination_requested() {
+            if stop() {
+                // Nodes drain before the coordinator is told to stop, so
+                // their final reports and `Bye`s may still be in flight.
+                self.drain_listener();
                 break;
             }
             if let Some(limit) = self.opts.run_for {
@@ -225,11 +244,7 @@ impl Coordinator {
                 }
             }
             match self.listener.recv_timeout(Duration::from_millis(5)) {
-                Ok(frame) => {
-                    if let Ok(msg) = ControlMsg::from_wire(&frame) {
-                        self.handle(msg);
-                    }
-                }
+                Ok(frame) => self.handle_frame(&frame),
                 Err(videopipe_net::NetError::Timeout) => {}
                 Err(_) => std::thread::sleep(Duration::from_millis(2)),
             }
@@ -249,7 +264,25 @@ impl Coordinator {
         let _ = self.write_status();
     }
 
+    /// Handles what the listener holds or still receives, until it has
+    /// been quiet for [`DRAIN_QUIET`] or [`DRAIN_CAP`] has passed.
+    fn drain_listener(&mut self) {
+        let cap = Instant::now() + DRAIN_CAP;
+        while let Some(left) = cap.checked_duration_since(Instant::now()) {
+            match self.listener.recv_timeout(DRAIN_QUIET.min(left)) {
+                Ok(frame) => self.handle_frame(&frame),
+                Err(_) => return,
+            }
+        }
+    }
+
     // ---- control-plane handlers ------------------------------------
+
+    fn handle_frame(&mut self, frame: &WireMessage) {
+        if let Ok(msg) = ControlMsg::from_wire(frame) {
+            self.handle(msg);
+        }
+    }
 
     fn handle(&mut self, msg: ControlMsg) {
         match msg {
@@ -748,5 +781,65 @@ fn fps_millis(fps: f64) -> u32 {
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     {
         scaled as u32
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn coordinator(status_path: std::path::PathBuf) -> Coordinator {
+        let opts = CoordinatorOpts {
+            status_path: status_path.clone(),
+            tenants: 1,
+            ..CoordinatorOpts::default()
+        };
+        let listener = TcpListenerHandle::bind(&opts.listen).expect("bind");
+        let detector = FailureDetector::new(HealthConfig::default());
+        Coordinator::new(&opts, listener, StatusFile::new(status_path), detector)
+    }
+
+    #[test]
+    fn termination_still_counts_byes_and_reports_already_sent() {
+        let path = std::env::temp_dir().join(format!(
+            "vp-coordinator-drain-{}.status",
+            std::process::id()
+        ));
+        let mut c = coordinator(path.clone());
+        let t = c.tenants.get_mut("t000").expect("tenant");
+        t.host = Some("n1".into());
+        t.epoch = 1;
+        let node = TcpSender::connect_retry(
+            &format!("127.0.0.1:{}", c.listener.local_port()),
+            Duration::from_secs(5),
+        )
+        .expect("connect");
+        let report = ControlMsg::TenantReport {
+            node_id: "n1".into(),
+            tenant: "t000".into(),
+            epoch: 1,
+            retired: true,
+            counted: 42,
+            duplicates: 0,
+            double_counted: 0,
+            last_seq: 41,
+            source_ckpt: None,
+            sink_ckpt: None,
+        };
+        node.send(report.into_wire()).expect("send report");
+        for id in ["n1", "n2"] {
+            let bye = ControlMsg::Bye { node_id: id.into() };
+            node.send(bye.into_wire()).expect("send bye");
+        }
+        node.flush_now().expect("flush");
+        // Termination is already requested when the loop first looks.
+        c.run(|| true);
+        let status = crate::status::StatusSnapshot::read(&path)
+            .expect("status readable")
+            .expect("status written");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(status.u64("byes"), 2);
+        assert_eq!(status.u64("delivered_total"), 42, "final report lost");
+        assert_eq!(c.tenants["t000"].host, None, "retired tenant not parked");
     }
 }

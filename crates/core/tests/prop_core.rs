@@ -3,9 +3,9 @@
 //! through the full runtime.
 
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use videopipe_core::config;
 use videopipe_core::deploy::{plan, DeviceSpec, Placement};
 use videopipe_core::message::Payload;
@@ -209,6 +209,7 @@ impl Module for FanSource {
 /// differing from the request's doubling.
 struct SlotWorker {
     slot: u64,
+    gate: Arc<Gate>,
     violations: Arc<Mutex<Vec<String>>>,
     stale_served: Arc<AtomicU64>,
 }
@@ -219,6 +220,7 @@ impl Module for SlotWorker {
                 Payload::Count(n) => n,
                 _ => return Err(PipelineError::BadPayload("expected a count")),
             };
+            self.gate.issued.fetch_add(1, Ordering::SeqCst);
             // An error is a cold last-known-good cache: the frame drops,
             // it is never substituted with someone else's.
             if let Ok(resp) = ctx.call_service("parity", ServiceRequest::new("op", msg.payload)) {
@@ -268,16 +270,49 @@ impl Module for CreditSink {
     }
 }
 
+/// Holds the service's first batch — and with it the one container —
+/// until every caller has issued its first request. The others are then
+/// queued behind the busy container and leave together as the next batch,
+/// so a batch of more than one forms whatever the thread timing.
+struct Gate {
+    /// Requests the callers are about to send (counted before the send).
+    issued: AtomicU64,
+    callers: u64,
+    released: AtomicBool,
+}
+impl Gate {
+    fn new(callers: usize) -> Self {
+        Gate {
+            issued: AtomicU64::new(0),
+            callers: callers as u64,
+            released: AtomicBool::new(false),
+        }
+    }
+
+    fn hold_first_batch(&self) {
+        if self.released.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // The cap only bounds a broken run; the assertions then report it.
+        let cap = Instant::now() + Duration::from_secs(2);
+        while self.issued.load(Ordering::SeqCst) < self.callers && Instant::now() < cap {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        // The last caller counted itself before sending: let it land.
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Batched service with per-slot data-dependent failures: request `n`
 /// fails iff `(tick + slot) % modulus == 0` (`modulus` 1 ⇒ everything
 /// fails), so most batches mix successes and errors across slots. The
 /// explicit `handle_batch` mirrors a real batched kernel returning
 /// per-slot results. Costs are modeled (2 ms base, 250 µs batched
 /// follower) and emulated on one container, so requests queue behind a
-/// busy container and the drain policy forms batches whatever the thread
-/// timing.
+/// busy container, and the [`Gate`] makes sure they do at least once.
 struct PerSlotParity {
     modulus: u64,
+    gate: Arc<Gate>,
     handled: Arc<AtomicU64>,
 }
 impl PerSlotParity {
@@ -318,6 +353,7 @@ impl Service for PerSlotParity {
         requests: &[ServiceRequest],
         _store: &FrameStore,
     ) -> Vec<Result<ServiceResponse, PipelineError>> {
+        self.gate.hold_first_batch();
         requests.iter().map(|r| self.slot_result(r)).collect()
     }
     fn cost(&self, _request: &ServiceRequest) -> ServiceCost {
@@ -361,6 +397,7 @@ fn run_degraded(workers: usize, max_batch: usize, modulus: u64, threshold: u32) 
     let violations = Arc::new(Mutex::new(Vec::new()));
     let stale_served = Arc::new(AtomicU64::new(0));
     let handled = Arc::new(AtomicU64::new(0));
+    let gate = Arc::new(Gate::new(workers));
     let mut modules = ModuleRegistry::new();
     let src_workers = workers;
     modules.register("FanSource", move || {
@@ -374,9 +411,11 @@ fn run_degraded(workers: usize, max_batch: usize, modulus: u64, threshold: u32) 
     let next_slot = Arc::new(AtomicU64::new(0));
     let worker_violations = Arc::clone(&violations);
     let worker_stale = Arc::clone(&stale_served);
+    let worker_gate = Arc::clone(&gate);
     modules.register("SlotWorker", move || {
         Box::new(SlotWorker {
             slot: next_slot.fetch_add(1, Ordering::SeqCst) % SLOT_STRIDE,
+            gate: Arc::clone(&worker_gate),
             violations: Arc::clone(&worker_violations),
             stale_served: Arc::clone(&worker_stale),
         })
@@ -391,6 +430,7 @@ fn run_degraded(workers: usize, max_batch: usize, modulus: u64, threshold: u32) 
     let mut services = ServiceRegistry::new();
     services.install(Arc::new(PerSlotParity {
         modulus,
+        gate,
         handled: Arc::clone(&handled),
     }));
 
@@ -406,7 +446,14 @@ fn run_degraded(workers: usize, max_batch: usize, modulus: u64, threshold: u32) 
         },
         ..RuntimeConfig::default()
     };
-    let mut runtime = ReactorRuntime::new(ReactorConfig::default());
+    // A thread per caller plus one, whatever the host's CPU count: on a
+    // single worker a caller waiting for its reply helps at most one other
+    // caller, so no more than two requests are ever outstanding and the
+    // gate could not fill.
+    let mut runtime = ReactorRuntime::new(ReactorConfig {
+        workers: workers + 1,
+        ..ReactorConfig::default()
+    });
     runtime
         .add_pipeline(&deployed, &modules, &services, config)
         .expect("deploy");

@@ -26,9 +26,11 @@
 //! * [`Poller`] — readiness waiting (`epoll` + `eventfd` on Linux) under
 //!   [`Ingress`], so its thread blocks until a socket has something to
 //!   read instead of scanning them all on a timer.
+//! * [`exact_timer_wakeups`] — drops the calling thread's kernel timer
+//!   slack to 1 ns, so the reactor's exact deadlines fire on time.
 
 // `deny`, not `forbid`: the `poller` module alone opts back in, for the
-// four `epoll`/`eventfd` foreign calls no vendored crate wraps.
+// four `epoll`/`eventfd` calls and the one `prctl` no vendored crate wraps.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -47,7 +49,7 @@ mod wire;
 pub use endpoint::{Endpoint, EndpointMode, EndpointTransport};
 pub use error::NetError;
 pub use inproc::{InprocHub, InprocReceiver, InprocSender};
-pub use poller::Poller;
+pub use poller::{exact_timer_wakeups, Poller};
 pub use pool::{BufferPool, PoolStats};
 pub use tcp::{Ingress, PollEndpoint};
 pub use wire::{

@@ -12,11 +12,15 @@
 //! same type degrades to a 1 ms timed wait that reports every registered
 //! key as ready, which is the scan-and-sleep loop this module replaced.
 //!
+//! The same island holds [`exact_timer_wakeups`], which asks the kernel to
+//! fire the calling thread's timed waits on time instead of up to the
+//! default 50 µs timer slack late; it too degrades to a no-op elsewhere.
+//!
 //! This is the crate's one `unsafe` island (`lib.rs` denies `unsafe_code`
-//! everywhere else): four foreign calls and the adoption of the two file
-//! descriptors they return.
+//! everywhere else): five foreign calls and the adoption of the two file
+//! descriptors two of them return.
 
-pub use imp::Poller;
+pub use imp::{exact_timer_wakeups, Poller};
 
 /// Key reserved for the poller's own waker; [`Poller::add`] rejects it.
 const WAKER_KEY: u64 = u64::MAX;
@@ -41,6 +45,7 @@ mod imp {
     const EPOLL_CTL_DEL: i32 = 2;
     const EPOLLIN: u32 = 0x001;
     const EPOLLRDHUP: u32 = 0x2000;
+    const PR_SET_TIMERSLACK: i32 = 29;
 
     /// Ready events fetched per `epoll_wait`; a fuller ready set is
     /// reported over consecutive waits (level-triggered: nothing is lost).
@@ -60,6 +65,7 @@ mod imp {
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         fn eventfd(initval: u32, flags: i32) -> i32;
+        fn prctl(option: i32, ...) -> i32;
     }
 
     /// Converts a `-1`-on-error libc return into an `io::Result`.
@@ -69,6 +75,22 @@ mod imp {
         } else {
             Ok(ret)
         }
+    }
+
+    /// Sets the calling thread's timer slack to 1 ns, so its timed waits
+    /// (`park_timeout`, `recv_timeout`, `sleep`, `epoll_wait`) end at their
+    /// deadline rather than up to the default 50 µs after it, when the
+    /// kernel would rather batch the wake-up with other timers. The value
+    /// is 1, not 0: 0 resets the thread to its default. Slack is per
+    /// thread; threads this one spawns later inherit it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the `prctl` failure; the thread keeps its old slack.
+    pub fn exact_timer_wakeups() -> io::Result<()> {
+        // SAFETY: `PR_SET_TIMERSLACK` takes one `unsigned long` by value
+        // and no pointers, and only changes the calling thread.
+        cvt(unsafe { prctl(PR_SET_TIMERSLACK, 1_u64) }).map(drop)
     }
 
     /// A level-triggered readiness set with a cross-thread waker.
@@ -217,6 +239,15 @@ mod imp {
 
     /// Longest one `wait` sleeps: the poll interval of the portable path.
     const SCAN_INTERVAL: Duration = Duration::from_millis(1);
+
+    /// Does nothing: this target's timed waits keep their own precision.
+    ///
+    /// # Errors
+    ///
+    /// Never fails on this target.
+    pub fn exact_timer_wakeups() -> io::Result<()> {
+        Ok(())
+    }
 
     /// Portable stand-in: a timed wait that reports every key as ready.
     #[derive(Default)]
