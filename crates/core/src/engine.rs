@@ -11,151 +11,296 @@
 //! spent (helping other ready tasks); the unit tests below lend a scripted
 //! one with no threads and no clock.
 //!
-//! The seam is a generic parameter, never `dyn`: nothing in here knows who
-//! is driving it, and the `&mut dyn ModuleCtx` handed to handlers stays the
-//! only virtual call on the path. (`videopipe-sim`'s `SimCtx` is
+//! The seam is a generic parameter, never `dyn`: nothing in here knows how
+//! it is driven, and the `&mut dyn ModuleCtx` handed to handlers stays the
+//! only virtual call on the path. The one thing named here of the runtime is
+//! its task type: a [`Channel`] holds the task that consumes it, so that a
+//! [`Route`] knows whom a send must wake. (`videopipe-sim`'s `SimCtx` is
 //! deliberately *not* a second user: it records calls for virtual-time
 //! replay and has no retry chain to share.)
+//!
+//! **Channels are resolved at deploy.** [`Shared::deploy`] gives every
+//! channel of a pipeline a dense id and an in-process queue, and each
+//! sending site — a module edge, a service request, a reply, a completion
+//! signal or credit return, a pacer tick, a heartbeat — resolves its
+//! destination once into a [`Route`]. An in-process message therefore
+//! carries no channel or reply name: the queue is the address, and a send
+//! spells, hashes and allocates no name. Only a route to another device
+//! holds names, to stamp on the unchanged TCP wire.
 
-use crate::deploy::DeploymentPlan;
+use crate::deploy::{DeploymentPlan, ServiceBinding};
 use crate::error::PipelineError;
 use crate::flow::{CreditController, SourcePacer};
 use crate::health::FailureDetector;
 use crate::message::{Header, Message, Payload};
 use crate::metrics::PipelineMetrics;
 use crate::module::{Event, Module, ModuleCtx, ModuleFactory, ModuleRegistry};
+use crate::reactor::Task;
 use crate::resilience::{seed_for, CircuitBreaker, DegradationPolicy, SeededJitter};
 use crate::runtime::{EdgeTransport, RunReport, RuntimeConfig};
 use crate::service::{Service, ServiceRegistry, ServiceRequest, ServiceResponse};
 use crate::slo::{KnobSettings, SloAction, SloController};
 use crate::spec::ModuleSpec;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use videopipe_media::{codec, FrameStore};
-use videopipe_net::{
-    BufferPool, InprocHub, InprocReceiver, MessageKind, MsgReceiver, MsgSender, PollEndpoint,
-    WireMessage,
-};
+use videopipe_net::tcp::{ReconnectPolicy, TcpSender};
+use videopipe_net::{BufferPool, InprocHub, MessageKind, MsgSender, PollEndpoint, WireMessage};
 
 /// What the runtime lends the engine: how a message leaves, how a module
 /// waits for a reply, and how modeled time passes. Statically dispatched.
 pub(crate) trait Exec {
-    /// Routes `msg` from `from_device` to its channel and makes sure whoever
-    /// consumes that channel gets to run.
-    fn send(&self, from_device: &str, msg: WireMessage) -> Result<(), PipelineError>;
+    /// Sends `msg` down `route` and makes sure whoever consumes the
+    /// destination gets to run.
+    fn send(&self, route: &Route, msg: WireMessage) -> Result<(), PipelineError>;
 
-    /// Waits for the next message on `rx`, for at most one short slice and
-    /// never past `until`. `None` means "nothing yet": the engine re-checks
-    /// its deadline and the stop flag and asks again, so an implementation
-    /// may return early whenever it likes.
-    fn await_reply(&self, rx: &InprocReceiver, until: Instant) -> Option<WireMessage>;
+    /// Waits for the next message on `inbox`, for at most one short slice
+    /// and never past `until`. `None` means "nothing yet": the engine
+    /// re-checks its deadline and the stop flag and asks again, so an
+    /// implementation may return early whenever it likes.
+    fn await_reply(&self, inbox: &Channel, until: Instant) -> Option<WireMessage>;
 
     /// Lets `dur` of wall time pass (modeled link transfers, retry backoff).
     fn pause(&self, dur: Duration);
 }
 
-/// Routes a message to its destination channel: in-process when the
-/// destination lives on the sender's device (or in `Inproc` mode), over the
-/// destination device's TCP ingress socket otherwise.
-pub(crate) struct Router {
-    pub(crate) hub: InprocHub,
-    /// channel → owning device (empty in `Inproc` mode: everything local).
-    pub(crate) channel_device: HashMap<String, String>,
-    /// device → TCP sender towards that device's ingress socket.
-    pub(crate) tcp_peers: HashMap<String, Arc<videopipe_net::tcp::TcpSender>>,
+/// One channel of a pipeline: an in-process queue and the task that
+/// consumes it.
+pub(crate) struct Channel {
+    tx: Sender<WireMessage>,
+    rx: Receiver<WireMessage>,
+    /// Set once, when the runtime registers the consuming task. Reply
+    /// channels have none: their module is already running, waiting on
+    /// the queue, when a reply lands.
+    consumer: OnceLock<Arc<Task>>,
 }
 
-impl Router {
-    pub(crate) fn inproc(hub: InprocHub) -> Self {
-        Router {
-            hub,
-            channel_device: HashMap::new(),
-            tcp_peers: HashMap::new(),
+impl Channel {
+    pub(crate) fn new() -> Self {
+        let (tx, rx) = unbounded();
+        Channel {
+            tx,
+            rx,
+            consumer: OnceLock::new(),
         }
     }
 
-    /// In `Tcp` mode every device gets a loopback ingress endpoint, bound
-    /// here and returned for the runtime's [`videopipe_net::Ingress`] to
-    /// run, and all cross-device channels route through it.
-    fn tcp(
-        hub: InprocHub,
-        plan: &DeploymentPlan,
-        source_device: &str,
-        ingress_pool: &Arc<BufferPool>,
-    ) -> Result<(Self, Vec<PollEndpoint>), PipelineError> {
-        let pipeline = &plan.pipeline.name;
-        let mut channel_device = HashMap::new();
-        for m in &plan.pipeline.modules {
-            let device = device_of(plan, &m.name)?;
-            channel_device.insert(mod_chan(pipeline, &m.name), device.clone());
-            channel_device.insert(reply_chan(pipeline, &m.name), device);
-        }
-        for b in &plan.service_bindings {
-            channel_device.insert(svc_chan(pipeline, &b.device, &b.service), b.device.clone());
-        }
-        channel_device.insert(fc_chan(pipeline), source_device.to_string());
-        // Heartbeats converge on the monitor, which runs alongside the
-        // pacer on the source device.
-        channel_device.insert(hb_chan(pipeline), source_device.to_string());
-
-        let mut tcp_peers = HashMap::new();
-        let mut endpoints = Vec::new();
-        for d in &plan.devices {
-            let endpoint = PollEndpoint::bind_with_pool("127.0.0.1:0", Arc::clone(ingress_pool))?;
-            let addr = format!("127.0.0.1:{}", endpoint.local_port());
-            endpoints.push(endpoint);
-            let sender =
-                videopipe_net::tcp::TcpSender::connect_retry(&addr, Duration::from_secs(5))?
-                    // Survive mid-stream disconnects: buffer and reconnect
-                    // with backoff instead of failing the pipeline edge.
-                    .with_reconnect(videopipe_net::tcp::ReconnectPolicy::default());
-            tcp_peers.insert(d.name.clone(), Arc::new(sender));
-        }
-        let router = Router {
-            hub,
-            channel_device,
-            tcp_peers,
-        };
-        Ok((router, endpoints))
+    /// Names `task` as the consumer a send wakes (once; later calls are
+    /// ignored).
+    pub(crate) fn set_consumer(&self, task: Arc<Task>) {
+        let _ = self.consumer.set(task);
     }
 
-    /// Puts `msg` on the in-process channel it names — the tail of every
-    /// route, and all there is to do for a frame that came off a socket.
-    pub(crate) fn deliver_local(&self, msg: WireMessage) -> Result<(), PipelineError> {
-        self.hub
-            .connect(&msg.channel)
-            .and_then(|s| s.send(msg))
-            .map_err(PipelineError::from)
+    /// Queues `msg`; returns the consuming task, for the caller to wake.
+    pub(crate) fn push(&self, msg: WireMessage) -> Result<Option<&Arc<Task>>, PipelineError> {
+        self.tx
+            .send(msg)
+            .map_err(|_| PipelineError::from(videopipe_net::NetError::Disconnected))?;
+        Ok(self.consumer.get())
     }
 
-    pub(crate) fn send_from(
-        &self,
-        from_device: &str,
-        msg: WireMessage,
-    ) -> Result<(), PipelineError> {
-        if let Some(dest_device) = self.channel_device.get(&msg.channel) {
-            if dest_device != from_device {
-                if let Some(peer) = self.tcp_peers.get(dest_device) {
-                    return peer.send(msg).map_err(PipelineError::from);
-                }
+    pub(crate) fn try_recv(&self) -> Option<WireMessage> {
+        self.rx.try_recv().ok()
+    }
+
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<WireMessage> {
+        self.rx.recv_timeout(timeout).ok()
+    }
+
+    /// Number of messages waiting.
+    pub(crate) fn pending(&self) -> usize {
+        self.rx.len()
+    }
+}
+
+/// Where one sending site's messages go, resolved once at deploy.
+pub(crate) enum Route {
+    /// The destination's queue, on the sender's device (every route of an
+    /// in-process pipeline).
+    Local(Arc<Channel>),
+    /// A channel on another device: the TCP sender towards that device's
+    /// ingress socket, and the names the wire carries — the channel's and,
+    /// for a service request, the caller's reply channel's — so the frame
+    /// is byte for byte a name-addressed one.
+    Remote {
+        peer: Arc<TcpSender>,
+        channel: String,
+        reply_to: String,
+    },
+}
+
+impl Route {
+    /// Sends `msg` and returns the task to wake, if any. A remote route
+    /// stamps its names on the message and wakes nobody here: the far
+    /// device's I/O thread wakes the consumer when the bytes arrive.
+    pub(crate) fn send(&self, mut msg: WireMessage) -> Result<Option<&Arc<Task>>, PipelineError> {
+        match self {
+            Route::Local(channel) => channel.push(msg),
+            Route::Remote {
+                peer,
+                channel,
+                reply_to,
+            } => {
+                msg.channel.clone_from(channel);
+                msg.reply_to.clone_from(reply_to);
+                peer.send(msg)?;
+                Ok(None)
             }
         }
-        self.deliver_local(msg)
+    }
+}
+
+/// A request's `corr_id` carries the caller's index among its host's
+/// callers above this bit: the host answers through that caller's reply
+/// route, and only the caller compares the whole id.
+const CALLER_SHIFT: u32 = 40;
+
+/// The route `reply` takes out of its host's `routes`: the one of the
+/// caller whose index the request's `corr_id`, copied onto the reply,
+/// carries.
+pub(crate) fn reply_route<'r>(routes: &'r [Route], reply: &WireMessage) -> Option<&'r Route> {
+    routes.get((reply.corr_id >> CALLER_SHIFT) as usize)
+}
+
+/// How a pipeline's channel ids are laid out, and which device owns each:
+/// per module, in plan order, its inbox (`2i`) and its reply channel
+/// (`2i + 1`); then one inbox per service host; then flow control, owned by
+/// the source device; then heartbeats, whose monitor runs beside the pacer.
+struct Layout {
+    /// Plan device names; a device index points in here.
+    devices: Vec<String>,
+    /// `(module, device index)`, in plan order.
+    modules: Vec<(String, usize)>,
+    /// `(device index, service)` of every host some module binds, sorted
+    /// by device name, then service.
+    hosts: Vec<(usize, String)>,
+    source_device: usize,
+}
+
+impl Layout {
+    fn new(plan: &DeploymentPlan, source_device: &str) -> Result<Self, PipelineError> {
+        let devices: Vec<String> = plan.devices.iter().map(|d| d.name.clone()).collect();
+        let index = |device: &str| {
+            devices
+                .iter()
+                .position(|d| d == device)
+                .ok_or_else(|| PipelineError::Deploy(format!("unknown device {device:?}")))
+        };
+        let modules = plan
+            .pipeline
+            .modules
+            .iter()
+            .map(|m| Ok((m.name.clone(), index(&device_of(plan, &m.name)?)?)))
+            .collect::<Result<_, PipelineError>>()?;
+        let mut hosts: Vec<(&str, &str)> = plan
+            .service_bindings
+            .iter()
+            .map(|b| (b.device.as_str(), b.service.as_str()))
+            .collect();
+        hosts.sort_unstable();
+        hosts.dedup();
+        let hosts = hosts
+            .into_iter()
+            .map(|(device, service)| Ok((index(device)?, service.to_string())))
+            .collect::<Result<_, PipelineError>>()?;
+        let source_device = index(source_device)?;
+        Ok(Layout {
+            devices,
+            modules,
+            hosts,
+            source_device,
+        })
+    }
+
+    fn inbox(i: usize) -> usize {
+        2 * i
+    }
+
+    fn reply(i: usize) -> usize {
+        2 * i + 1
+    }
+
+    fn host(&self, j: usize) -> usize {
+        2 * self.modules.len() + j
+    }
+
+    fn fc(&self) -> usize {
+        self.host(self.hosts.len())
+    }
+
+    fn hb(&self) -> usize {
+        self.fc() + 1
+    }
+
+    fn len(&self) -> usize {
+        self.hb() + 1
+    }
+
+    fn module(&self, name: &str) -> Result<usize, PipelineError> {
+        self.modules
+            .iter()
+            .position(|(m, _)| m == name)
+            .ok_or_else(|| PipelineError::Deploy(format!("module {name:?} unplaced")))
+    }
+
+    fn host_of(&self, b: &ServiceBinding) -> usize {
+        self.hosts
+            .iter()
+            .position(|(d, s)| self.devices[*d] == b.device && *s == b.service)
+            .expect("every binding has a host")
+    }
+
+    /// The device that consumes channel `id`.
+    fn owner(&self, id: usize) -> usize {
+        let modules = 2 * self.modules.len();
+        if id < modules {
+            self.modules[id / 2].1
+        } else if id < self.fc() {
+            self.hosts[id - modules].0
+        } else {
+            self.source_device
+        }
+    }
+
+    /// The name channel `id` goes by on the TCP wire.
+    fn wire_name(&self, pipeline: &str, id: usize) -> String {
+        let modules = 2 * self.modules.len();
+        if id < modules {
+            let kind = if id.is_multiple_of(2) { "mod" } else { "rpl" };
+            format!("{kind}/{pipeline}/{}", self.modules[id / 2].0)
+        } else if id < self.fc() {
+            let (device, service) = &self.hosts[id - modules];
+            format!("svc/{pipeline}/{}/{service}", self.devices[*device])
+        } else if id == self.fc() {
+            format!("fc/{pipeline}")
+        } else {
+            format!("hb/{pipeline}")
+        }
     }
 }
 
 /// Shared state for one running pipeline.
 pub(crate) struct Shared {
     pub(crate) pipeline: String,
-    /// Source module names; the pacer ticks them, on `source_device`.
+    /// Source module names; the pacer ticks them, on the device of the
+    /// first.
     pub(crate) sources: Vec<String>,
-    pub(crate) source_device: String,
+    /// Telemetry's PUB/SUB hub; no pipeline channel is bound on it.
     pub(crate) hub: InprocHub,
-    pub(crate) router: Router,
+    /// Every channel of the pipeline, indexed by the id [`Layout`] gives it.
+    channels: Vec<Arc<Channel>>,
+    layout: Layout,
+    /// `Tcp` mode: one sender per plan device, towards that device's
+    /// ingress socket. Empty in `Inproc` mode, where every route is local.
+    pub(crate) peers: Vec<Arc<TcpSender>>,
+    /// `Tcp` mode: the wire name of every channel → its id, for the frames
+    /// the I/O thread receives. Empty in `Inproc` mode.
+    ingress: HashMap<String, usize>,
     pub(crate) stores: HashMap<String, Arc<FrameStore>>,
     pub(crate) metrics: Mutex<PipelineMetrics>,
     pub(crate) logs: Mutex<Vec<String>>,
@@ -248,23 +393,44 @@ fn device_of(plan: &DeploymentPlan, module: &str) -> Result<String, PipelineErro
 /// beyond this.
 const STORE_CAPACITY: usize = 16;
 
+/// In `Tcp` mode every device gets a loopback ingress endpoint, bound here
+/// and returned for the runtime's [`videopipe_net::Ingress`] to run, and a
+/// sender towards it, which every cross-device route of the pipeline uses.
+fn tcp_peers(
+    devices: usize,
+    ingress_pool: &Arc<BufferPool>,
+) -> Result<(Vec<Arc<TcpSender>>, Vec<PollEndpoint>), PipelineError> {
+    let mut peers = Vec::with_capacity(devices);
+    let mut endpoints = Vec::with_capacity(devices);
+    for _ in 0..devices {
+        let endpoint = PollEndpoint::bind_with_pool("127.0.0.1:0", Arc::clone(ingress_pool))?;
+        let addr = format!("127.0.0.1:{}", endpoint.local_port());
+        endpoints.push(endpoint);
+        let sender = TcpSender::connect_retry(&addr, Duration::from_secs(5))?
+            // Survive mid-stream disconnects: buffer and reconnect with
+            // backoff instead of failing the pipeline edge.
+            .with_reconnect(ReconnectPolicy::default());
+        peers.push(Arc::new(sender));
+    }
+    Ok((peers, endpoints))
+}
+
 impl Shared {
-    /// Builds one pipeline's shared state from its plan: a private hub, one
-    /// frame store per device, the router and the failure detector. In
-    /// `Tcp` mode the second value is one ingress endpoint per device,
-    /// reading into `ingress_pool`, for the runtime to run; it is empty
-    /// otherwise.
+    /// Builds one pipeline's shared state from its plan: its channels, one
+    /// frame store per device and the failure detector. In `Tcp` mode the
+    /// second value is one ingress endpoint per device, reading into
+    /// `ingress_pool`, for the runtime to run; it is empty otherwise.
     ///
     /// # Errors
     ///
-    /// Invalid configs, an unplaced source, or bind/connect failures.
+    /// Invalid configs, an unplaced source or module, a binding to an
+    /// unknown device, or bind/connect failures.
     pub(crate) fn deploy(
         plan: &DeploymentPlan,
         config: RuntimeConfig,
         ingress_pool: &Arc<BufferPool>,
     ) -> Result<(Arc<Self>, Vec<PollEndpoint>), PipelineError> {
         config.validate()?;
-        let hub = InprocHub::new();
         let sources: Vec<String> = plan
             .pipeline
             .sources()
@@ -274,11 +440,16 @@ impl Shared {
         let source_device = sources
             .first()
             .and_then(|s| plan.placement.device_for(s))
-            .ok_or_else(|| PipelineError::Deploy("pipeline has no placed source".into()))?
-            .to_string();
-        let (router, endpoints) = match config.transport {
-            EdgeTransport::Inproc => (Router::inproc(hub.clone()), Vec::new()),
-            EdgeTransport::Tcp => Router::tcp(hub.clone(), plan, &source_device, ingress_pool)?,
+            .ok_or_else(|| PipelineError::Deploy("pipeline has no placed source".into()))?;
+        let layout = Layout::new(plan, source_device)?;
+        let pipeline = plan.pipeline.name.clone();
+        let (peers, endpoints, ingress) = match config.transport {
+            EdgeTransport::Inproc => (Vec::new(), Vec::new(), HashMap::new()),
+            EdgeTransport::Tcp => {
+                let (peers, endpoints) = tcp_peers(layout.devices.len(), ingress_pool)?;
+                let names = (0..layout.len()).map(|id| (layout.wire_name(&pipeline, id), id));
+                (peers, endpoints, names.collect())
+            }
         };
         let detector = config.heartbeats.clone().map(|h| {
             let mut d = FailureDetector::new(h);
@@ -288,11 +459,15 @@ impl Shared {
             d
         });
         let shared = Arc::new(Shared {
-            pipeline: plan.pipeline.name.clone(),
+            pipeline,
             sources,
-            source_device,
-            hub,
-            router,
+            hub: InprocHub::new(),
+            channels: (0..layout.len())
+                .map(|_| Arc::new(Channel::new()))
+                .collect(),
+            layout,
+            peers,
+            ingress,
             stores: plan
                 .devices
                 .iter()
@@ -317,6 +492,41 @@ impl Shared {
             knobs: KnobActuators::baseline(),
         });
         Ok((shared, endpoints))
+    }
+
+    /// The route from a site on device `from` to channel `to`: its queue
+    /// when the channel is consumed on `from` (always, in `Inproc` mode),
+    /// its owner's ingress socket otherwise.
+    fn route(&self, from: usize, to: usize) -> Route {
+        self.request_route(from, to, None)
+    }
+
+    /// [`Shared::route`], for a service request whose caller's replies come
+    /// back on channel `reply`: named on the wire when the route is remote.
+    fn request_route(&self, from: usize, to: usize, reply: Option<usize>) -> Route {
+        let owner = self.layout.owner(to);
+        match self.peers.get(owner) {
+            Some(peer) if owner != from => Route::Remote {
+                peer: Arc::clone(peer),
+                channel: self.layout.wire_name(&self.pipeline, to),
+                reply_to: reply
+                    .map_or_else(String::new, |r| self.layout.wire_name(&self.pipeline, r)),
+            },
+            _ => Route::Local(Arc::clone(&self.channels[to])),
+        }
+    }
+
+    /// The channel a frame received from the TCP wire is addressed to.
+    pub(crate) fn ingress_channel(&self, name: &str) -> Option<&Channel> {
+        self.ingress.get(name).map(|&id| &*self.channels[id])
+    }
+
+    /// Each plan device with its route to the heartbeat monitor.
+    pub(crate) fn heartbeat_routes(&self) -> Vec<(String, Route)> {
+        let hb = self.layout.hb();
+        (0..self.layout.devices.len())
+            .map(|d| (self.layout.devices[d].clone(), self.route(d, hb)))
+            .collect()
     }
 
     pub(crate) fn now_ns(&self) -> u64 {
@@ -398,36 +608,34 @@ impl Shared {
     }
 }
 
-pub(crate) fn mod_chan(pipeline: &str, module: &str) -> String {
-    format!("mod/{pipeline}/{module}")
-}
-pub(crate) fn reply_chan(pipeline: &str, module: &str) -> String {
-    format!("rpl/{pipeline}/{module}")
-}
-/// Pipeline-scoped, so pipelines binding the same (device, service) pair
-/// stay disjoint in any map keyed by channel.
-pub(crate) fn svc_chan(pipeline: &str, device: &str, service: &str) -> String {
-    format!("svc/{pipeline}/{device}/{service}")
-}
-pub(crate) fn fc_chan(pipeline: &str) -> String {
-    format!("fc/{pipeline}")
-}
-pub(crate) fn hb_chan(pipeline: &str) -> String {
-    format!("hb/{pipeline}")
-}
-
 /// A payload-free message carrying a frame's identity: flow-control
-/// signals, error-path credit returns and camera ticks.
-fn frame_msg(kind: MessageKind, channel: String, header: Header, epoch: u64) -> WireMessage {
+/// signals, error-path credit returns and camera ticks. Its route is its
+/// address, so it names no channel.
+fn frame_msg(kind: MessageKind, header: Header, epoch: u64) -> WireMessage {
     WireMessage {
         kind,
-        channel,
+        channel: String::new(),
         reply_to: String::new(),
         corr_id: 0,
         seq: header.frame_seq,
         timestamp_ns: header.capture_ts_ns,
         epoch,
         payload: bytes::Bytes::new(),
+    }
+}
+
+/// The reply to `request`, addressed by the route the host picks from its
+/// `corr_id`, so naming no channel.
+fn response_to(request: &WireMessage, payload: bytes::Bytes) -> WireMessage {
+    WireMessage {
+        kind: MessageKind::Response,
+        channel: String::new(),
+        reply_to: String::new(),
+        corr_id: request.corr_id,
+        seq: request.seq,
+        timestamp_ns: request.timestamp_ns,
+        epoch: request.epoch,
+        payload,
     }
 }
 
@@ -443,11 +651,34 @@ struct ModuleWiring {
     device: String,
     /// The device-local frame store.
     store: Arc<FrameStore>,
-    /// next module -> (channel, cross_device)
-    nexts: HashMap<String, (String, bool)>,
-    /// service -> (channel, remote)
-    services: HashMap<String, (String, bool)>,
+    /// One per outgoing edge.
+    nexts: Vec<Edge>,
+    /// One per bound service.
+    services: Vec<ServiceWire>,
+    /// Towards the pacer: completion signals and error-path credit returns.
+    fc: Route,
     is_source: bool,
+}
+
+/// An edge to a downstream module.
+struct Edge {
+    to: String,
+    route: Route,
+    /// Frames are encoded for the wire (and the link emulated) when the
+    /// edge crosses devices, whatever the transport.
+    cross_device: bool,
+}
+
+/// A bound service: where its requests go and who this module is to the
+/// host.
+struct ServiceWire {
+    service: String,
+    route: Route,
+    /// The call crosses devices: frames are encoded, the link emulated.
+    remote: bool,
+    /// This module's index among the host's callers, carried in `corr_id`
+    /// so that the host knows which reply route answers it.
+    caller: u64,
 }
 
 /// Per-module context state that survives from one event to the next.
@@ -458,7 +689,7 @@ struct CtxState {
     /// failover.
     epoch: u64,
     corr: u64,
-    reply_rx: InprocReceiver,
+    reply_rx: Arc<Channel>,
     /// Last successful response per service, for
     /// [`DegradationPolicy::LastKnownGood`]. Stored in encoded form: the
     /// per-success insert is then an O(1) refcount bump of the wire bytes,
@@ -515,25 +746,17 @@ impl<X: Exec> Ctx<'_, X> {
     /// raw wire bytes (shared, for the last-known-good cache).
     fn attempt_service_call(
         &mut self,
-        service: &str,
-        channel: &str,
-        remote: bool,
+        wire: &ServiceWire,
         bytes: bytes::Bytes,
     ) -> Result<(ServiceResponse, bytes::Bytes), PipelineError> {
+        let (service, remote) = (wire.service.as_str(), wire.remote);
         if remote {
             self.emulate(link_cost(bytes.len()));
         }
         self.st.corr += 1;
-        let corr_id = self.st.corr;
-        self.exec.send(
-            &self.wiring.device,
-            WireMessage::request(
-                channel.to_string(),
-                reply_chan(&self.shared.pipeline, &self.wiring.name),
-                corr_id,
-                bytes,
-            ),
-        )?;
+        let corr_id = (wire.caller << CALLER_SHIFT) | self.st.corr;
+        let request = WireMessage::request(String::new(), String::new(), corr_id, bytes);
+        self.exec.send(&wire.route, request)?;
         let started = Instant::now();
         let deadline = started + self.shared.config.resilience.service_call_timeout;
         loop {
@@ -547,7 +770,7 @@ impl<X: Exec> Ctx<'_, X> {
                     elapsed: started.elapsed(),
                 });
             }
-            while let Ok(msg) = self.st.reply_rx.try_recv() {
+            while let Some(msg) = self.st.reply_rx.try_recv() {
                 if let Some(result) = self.check_reply(msg, corr_id, remote, service) {
                     return result;
                 }
@@ -620,15 +843,8 @@ impl<X: Exec> Ctx<'_, X> {
     /// Control-kind message distinguishes this from a real completion so the
     /// pacer does not count it as delivered.
     fn return_credit(&self) {
-        let _ = self.exec.send(
-            &self.wiring.device,
-            frame_msg(
-                MessageKind::Control,
-                fc_chan(&self.shared.pipeline),
-                self.st.header,
-                self.st.epoch,
-            ),
-        );
+        let credit = frame_msg(MessageKind::Control, self.st.header, self.st.epoch);
+        let _ = self.exec.send(&self.wiring.fc, credit);
     }
 }
 
@@ -639,14 +855,14 @@ impl<X: Exec> ModuleCtx for Ctx<'_, X> {
         mut request: ServiceRequest,
     ) -> Result<ServiceResponse, PipelineError> {
         let (shared, wiring) = (self.shared, self.wiring);
-        let (channel, remote) =
-            wiring
-                .services
-                .get(service)
-                .ok_or_else(|| PipelineError::ServiceUnavailable {
-                    module: wiring.name.clone(),
-                    service: service.to_string(),
-                })?;
+        let wire = wiring
+            .services
+            .iter()
+            .find(|w| w.service == service)
+            .ok_or_else(|| PipelineError::ServiceUnavailable {
+                module: wiring.name.clone(),
+                service: service.to_string(),
+            })?;
         let resilience = &shared.config.resilience;
         // Circuit breaker gate: fast-fail while the service's breaker is
         // open so a dead service costs microseconds per frame, not a
@@ -659,7 +875,7 @@ impl<X: Exec> ModuleCtx for Ctx<'_, X> {
                 },
             );
         }
-        if *remote {
+        if wire.remote {
             request.payload = self.encode_for_wire(request.payload)?;
         }
         let mut bytes = request.encode();
@@ -674,7 +890,7 @@ impl<X: Exec> ModuleCtx for Ctx<'_, X> {
             } else {
                 bytes.clone()
             };
-            match self.attempt_service_call(service, channel, *remote, attempt_bytes) {
+            match self.attempt_service_call(wire, attempt_bytes) {
                 Ok((resp, raw)) => {
                     if resilience.breaker_enabled() {
                         self.breaker_record(service, true);
@@ -705,38 +921,34 @@ impl<X: Exec> ModuleCtx for Ctx<'_, X> {
     }
 
     fn call_module(&mut self, target: &str, mut payload: Payload) -> Result<(), PipelineError> {
-        let (channel, cross_device) = self.wiring.nexts.get(target).ok_or_else(|| {
-            PipelineError::Validation(format!(
-                "module {:?} has no edge to {target:?}",
-                self.wiring.name
-            ))
-        })?;
-        if *cross_device {
+        let wiring = self.wiring;
+        let edge = wiring
+            .nexts
+            .iter()
+            .find(|e| e.to == target)
+            .ok_or_else(|| {
+                PipelineError::Validation(format!(
+                    "module {:?} has no edge to {target:?}",
+                    wiring.name
+                ))
+            })?;
+        if edge.cross_device {
             payload = self.encode_for_wire(payload)?;
             self.emulate(link_cost(payload.size_hint()));
         }
-        self.exec.send(
-            &self.wiring.device,
-            WireMessage::data(
-                channel.clone(),
-                self.st.header.frame_seq,
-                self.st.header.capture_ts_ns,
-                payload.encode(),
-            )
-            .with_epoch(self.st.epoch),
-        )
+        let header = self.st.header;
+        let msg = WireMessage::data(
+            String::new(),
+            header.frame_seq,
+            header.capture_ts_ns,
+            payload.encode(),
+        );
+        self.exec.send(&edge.route, msg.with_epoch(self.st.epoch))
     }
 
     fn signal_source(&mut self) -> Result<(), PipelineError> {
-        self.exec.send(
-            &self.wiring.device,
-            frame_msg(
-                MessageKind::Signal,
-                fc_chan(&self.shared.pipeline),
-                self.st.header,
-                self.st.epoch,
-            ),
-        )
+        let signal = frame_msg(MessageKind::Signal, self.st.header, self.st.epoch);
+        self.exec.send(&self.wiring.fc, signal)
     }
 
     fn now_ns(&self) -> u64 {
@@ -775,7 +987,7 @@ impl<X: Exec> ModuleCtx for Ctx<'_, X> {
 /// state that outlives a single event. The runtime owns the task and
 /// decides when [`ModuleTask::step`] runs.
 pub(crate) struct ModuleTask {
-    pub(crate) inbox: InprocReceiver,
+    pub(crate) inbox: Arc<Channel>,
     wiring: ModuleWiring,
     instance: Box<dyn Module>,
     factory: ModuleFactory,
@@ -784,13 +996,14 @@ pub(crate) struct ModuleTask {
 }
 
 impl ModuleTask {
-    /// Wires module `m` from the plan, binds its inbox and reply channel,
-    /// instantiates it and runs its `init` (which may already call
-    /// services, so the runtime deploys service hosts first).
+    /// Wires module `m` from the plan — its inbox, reply channel and one
+    /// route per edge, bound service and the pacer — instantiates it and
+    /// runs its `init` (which may already call services, so the runtime
+    /// deploys service hosts first).
     ///
     /// # Errors
     ///
-    /// Unknown includes, unplaced modules, binding or `init` failures.
+    /// Unknown includes, unplaced modules or `init` failures.
     pub(crate) fn deploy<X: Exec>(
         shared: &Shared,
         exec: &X,
@@ -798,31 +1011,49 @@ impl ModuleTask {
         m: &ModuleSpec,
         modules: &ModuleRegistry,
     ) -> Result<Self, PipelineError> {
-        let pipeline = &shared.pipeline;
-        let device = device_of(plan, &m.name)?;
+        let layout = &shared.layout;
+        let i = layout.module(&m.name)?;
+        let from = layout.modules[i].1;
+        let device = layout.devices[from].clone();
         let nexts = plan
             .edges
             .iter()
             .filter(|e| e.from == m.name)
-            .map(|e| (e.to.clone(), (mod_chan(pipeline, &e.to), e.cross_device)))
-            .collect();
+            .map(|e| {
+                Ok(Edge {
+                    to: e.to.clone(),
+                    route: shared.route(from, Layout::inbox(layout.module(&e.to)?)),
+                    cross_device: e.cross_device,
+                })
+            })
+            .collect::<Result<_, PipelineError>>()?;
         let services = plan
             .service_bindings
             .iter()
             .filter(|b| b.module == m.name)
             .map(|b| {
-                let channel = svc_chan(pipeline, &b.device, &b.service);
-                (b.service.clone(), (channel, b.remote))
+                let host = layout.host_of(b);
+                let host_chan = layout.host(host);
+                ServiceWire {
+                    service: b.service.clone(),
+                    route: shared.request_route(from, host_chan, Some(Layout::reply(i))),
+                    remote: b.remote,
+                    caller: callers(plan, layout, host)
+                        .position(|c| std::ptr::eq(c, b))
+                        .expect("a binding is among its host's callers")
+                        as u64,
+                }
             })
             .collect();
         let mut task = ModuleTask {
-            inbox: shared.hub.bind(&mod_chan(pipeline, &m.name))?,
+            inbox: Arc::clone(&shared.channels[Layout::inbox(i)]),
             wiring: ModuleWiring {
                 name: m.name.clone(),
                 store: shared.store(&device),
                 device,
                 nexts,
                 services,
+                fc: shared.route(from, layout.fc()),
                 is_source: shared.sources.contains(&m.name),
             },
             instance: modules.instantiate(&m.include)?,
@@ -831,7 +1062,7 @@ impl ModuleTask {
                 header: Header::default(),
                 epoch: 0,
                 corr: 0,
-                reply_rx: shared.hub.bind(&reply_chan(pipeline, &m.name))?,
+                reply_rx: Arc::clone(&shared.channels[Layout::reply(i)]),
                 lkg: HashMap::new(),
                 jitter: SeededJitter::new(seed_for(shared.config.resilience.seed, &m.name)),
             },
@@ -958,11 +1189,26 @@ impl ModuleTask {
     }
 }
 
+/// The bindings host `j` serves, in plan order: a caller's position here is
+/// its index into the host's reply routes.
+fn callers<'p>(
+    plan: &'p DeploymentPlan,
+    layout: &'p Layout,
+    j: usize,
+) -> impl Iterator<Item = &'p ServiceBinding> + 'p {
+    plan.service_bindings
+        .iter()
+        .filter(move |b| layout.host_of(b) == j)
+}
+
 /// One (device, service) host actually bound by some module: the inbox its
-/// requests arrive on and everything needed to serve a batch of them.
+/// requests arrive on, the routes its replies take and everything needed
+/// to serve a batch of requests.
 pub(crate) struct ServiceHost {
-    pub(crate) inbox: InprocReceiver,
-    pub(crate) device: String,
+    pub(crate) inbox: Arc<Channel>,
+    /// One reply route per caller, indexed by the caller's index that each
+    /// request carries in its `corr_id` ([`reply_route`]).
+    pub(crate) replies: Arc<[Route]>,
     /// The host device's core count: how many batches it serves at once in
     /// modeled time (the runtime's per-host horizon).
     pub(crate) cores: u32,
@@ -974,37 +1220,35 @@ pub(crate) struct ServiceHost {
 }
 
 impl ServiceHost {
-    /// Binds one host per distinct (device, service) pair in the plan.
+    /// Deploys one host per distinct (device, service) pair in the plan,
+    /// with a reply route to each of its callers.
     ///
     /// # Errors
     ///
-    /// Unregistered service images, unknown devices, binding failures.
+    /// Unregistered service images.
     pub(crate) fn deploy_all(
         shared: &Shared,
         plan: &DeploymentPlan,
         services: &ServiceRegistry,
     ) -> Result<Vec<Self>, PipelineError> {
-        let mut hosted: Vec<(&str, &str)> = plan
-            .service_bindings
+        let layout = &shared.layout;
+        layout
+            .hosts
             .iter()
-            .map(|b| (b.device.as_str(), b.service.as_str()))
-            .collect();
-        hosted.sort_unstable();
-        hosted.dedup();
-        hosted
-            .into_iter()
-            .map(|(device, service)| {
+            .enumerate()
+            .map(|(j, &(from, ref service))| {
                 let image = services.get(service).ok_or_else(|| {
                     PipelineError::Deploy(format!("service image {service:?} not registered"))
                 })?;
-                let dev_spec = plan
-                    .device(device)
-                    .ok_or_else(|| PipelineError::Deploy(format!("unknown device {device:?}")))?;
+                // Layout device indices are plan device indices.
+                let dev_spec = &plan.devices[from];
+                let device = &dev_spec.name;
+                let replies = callers(plan, layout, j)
+                    .map(|b| Ok(shared.route(from, Layout::reply(layout.module(&b.module)?))))
+                    .collect::<Result<_, PipelineError>>()?;
                 Ok(ServiceHost {
-                    inbox: shared
-                        .hub
-                        .bind(&svc_chan(&shared.pipeline, device, service))?,
-                    device: device.to_string(),
+                    inbox: Arc::clone(&shared.channels[layout.host(j)]),
+                    replies,
                     cores: dev_spec.cores.max(1),
                     store: shared.store(device),
                     speed: dev_spec.speed_factor.max(1e-6),
@@ -1034,9 +1278,9 @@ impl ServiceHost {
         let mut msgs = vec![first];
         while msgs.len() < max_batch {
             match self.inbox.try_recv() {
-                Ok(m) if m.kind == MessageKind::Request => msgs.push(m),
-                Ok(_) => {}
-                Err(_) => break,
+                Some(m) if m.kind == MessageKind::Request => msgs.push(m),
+                Some(_) => {}
+                None => break,
             }
         }
         Some((msgs, queue_depth))
@@ -1045,7 +1289,8 @@ impl ServiceHost {
     /// Serves one batch and returns one reply per request, in request
     /// order, plus the batch's scaled modeled cost (`None` when emulation
     /// is off). The replies are computed eagerly; *when* they leave is the
-    /// runtime's (off a timer, once the modeled cost has passed).
+    /// runtime's (off a timer, once the modeled cost has passed), and
+    /// [`reply_route`] over [`ServiceHost::replies`] says where.
     pub(crate) fn serve(
         &self,
         shared: &Shared,
@@ -1121,7 +1366,7 @@ impl ServiceHost {
                     shared.logs.lock().push(format!("service {name}: {e}"));
                     ServiceResponse::new(Payload::Error(e.to_string()))
                 });
-                WireMessage::response_to(m, response.encode())
+                response_to(m, response.encode())
             })
             .collect();
         // Modeled time counts as busy: the host is occupied while it passes.
@@ -1211,11 +1456,11 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// source. The runtime feeds it completion signals and calls
 /// [`Pacer::tick`] whenever [`Pacer::next_tick`] has passed.
 pub(crate) struct Pacer {
-    pub(crate) fc_inbox: InprocReceiver,
+    pub(crate) fc_inbox: Arc<Channel>,
     /// Wall-aligned deadline of the next camera tick.
     pub(crate) next_tick: Instant,
-    /// The sources' inbox channels, named once at deploy.
-    source_channels: Vec<String>,
+    /// From the source device to each source's inbox.
+    sources: Vec<Route>,
     pacer: SourcePacer,
     controller: CreditController,
     interval: Duration,
@@ -1237,23 +1482,28 @@ pub(crate) struct Pacer {
 }
 
 impl Pacer {
-    /// Binds the pipeline's flow-control inbox; the first tick is due now.
+    /// Takes the pipeline's flow-control inbox and routes to its sources;
+    /// the first tick is due now.
     ///
     /// # Errors
     ///
-    /// Propagates hub binding errors.
+    /// An unplaced source.
     pub(crate) fn deploy(shared: &Shared) -> Result<Self, PipelineError> {
         let config = &shared.config;
         let pacer = SourcePacer::new(config.fps);
         let lease = config.resilience.credit_timeout;
+        let layout = &shared.layout;
         Ok(Pacer {
-            fc_inbox: shared.hub.bind(&fc_chan(&shared.pipeline))?,
+            fc_inbox: Arc::clone(&shared.channels[layout.fc()]),
             next_tick: Instant::now(),
-            source_channels: shared
+            sources: shared
                 .sources
                 .iter()
-                .map(|source| mod_chan(&shared.pipeline, source))
-                .collect(),
+                .map(|source| {
+                    let inbox = Layout::inbox(layout.module(source)?);
+                    Ok(shared.route(layout.source_device, inbox))
+                })
+                .collect::<Result<_, PipelineError>>()?,
             interval: Duration::from_nanos(pacer.interval_ns()),
             pacer,
             controller: CreditController::new(config.credits),
@@ -1378,14 +1628,9 @@ impl Pacer {
             frame_seq: seq,
             capture_ts_ns: shared.now_ns(),
         };
-        for channel in &self.source_channels {
-            let tick = frame_msg(
-                MessageKind::Signal,
-                channel.clone(),
-                header,
-                self.current_epoch,
-            );
-            let _ = exec.send(&shared.source_device, tick);
+        for route in &self.sources {
+            let tick = frame_msg(MessageKind::Signal, header, self.current_epoch);
+            let _ = exec.send(route, tick);
         }
     }
 
@@ -1436,9 +1681,9 @@ pub(crate) fn slo_tick(controller: &mut SloController, shared: &Shared) {
     ));
 }
 
-/// One heartbeat from `device` towards the monitor, unless the chaos hook
-/// has muted the device or the pipeline is stopping.
-pub(crate) fn heartbeat<X: Exec>(shared: &Shared, exec: &X, device: &str) {
+/// One heartbeat from `device` down its `route` to the monitor, unless the
+/// chaos hook has muted the device or the pipeline is stopping.
+pub(crate) fn heartbeat<X: Exec>(shared: &Shared, exec: &X, device: &str, route: &Route) {
     if shared.stopped() || shared.muted_heartbeats.lock().contains(device) {
         return;
     }
@@ -1448,29 +1693,25 @@ pub(crate) fn heartbeat<X: Exec>(shared: &Shared, exec: &X, device: &str) {
     };
     let beat = WireMessage {
         payload: bytes::Bytes::copy_from_slice(device.as_bytes()),
-        ..frame_msg(MessageKind::Control, hb_chan(&shared.pipeline), at, 0)
+        ..frame_msg(MessageKind::Control, at, 0)
     };
-    let _ = exec.send(device, beat);
+    let _ = exec.send(route, beat);
 }
 
 /// The heartbeat monitor: feeds the failure detector and bumps the fence
 /// epoch on a confirmed device loss.
 pub(crate) struct HbMonitor {
-    pub(crate) inbox: InprocReceiver,
+    pub(crate) inbox: Arc<Channel>,
     confirmed: HashSet<String>,
 }
 
 impl HbMonitor {
-    /// Binds the pipeline's heartbeat inbox.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hub binding errors.
-    pub(crate) fn deploy(shared: &Shared) -> Result<Self, PipelineError> {
-        Ok(HbMonitor {
-            inbox: shared.hub.bind(&hb_chan(&shared.pipeline))?,
+    /// Takes the pipeline's heartbeat inbox.
+    pub(crate) fn deploy(shared: &Shared) -> Self {
+        HbMonitor {
+            inbox: Arc::clone(&shared.channels[shared.layout.hb()]),
             confirmed: HashSet::new(),
-        })
+        }
     }
 
     pub(crate) fn on_beat(&self, shared: &Shared, msg: &WireMessage) {
@@ -1525,17 +1766,27 @@ mod tests {
     use videopipe_media::FrameBuf;
 
     /// A pipeline's shared state with nothing deployed on it: one device
-    /// (`"one"`), an in-process router, no detector.
-    fn bare_shared(config: RuntimeConfig) -> (Arc<Shared>, InprocHub) {
-        let hub = InprocHub::new();
+    /// (`"one"`) and the channels of one module (`"m"`) on it, in-process,
+    /// no detector.
+    fn bare_shared(config: RuntimeConfig) -> Arc<Shared> {
         let mut stores = HashMap::new();
         stores.insert("one".to_string(), Arc::new(FrameStore::new()));
-        let shared = Arc::new(Shared {
+        let layout = Layout {
+            devices: vec!["one".to_string()],
+            modules: vec![("m".to_string(), 0)],
+            hosts: Vec::new(),
+            source_device: 0,
+        };
+        Arc::new(Shared {
             pipeline: "test".to_string(),
             sources: Vec::new(),
-            source_device: "one".to_string(),
-            hub: hub.clone(),
-            router: Router::inproc(hub.clone()),
+            hub: InprocHub::new(),
+            channels: (0..layout.len())
+                .map(|_| Arc::new(Channel::new()))
+                .collect(),
+            layout,
+            peers: Vec::new(),
+            ingress: HashMap::new(),
             stores,
             metrics: Mutex::new(PipelineMetrics::new()),
             logs: Mutex::new(Vec::new()),
@@ -1551,21 +1802,21 @@ mod tests {
             checkpoints: Mutex::new(HashMap::new()),
             muted_heartbeats: Mutex::new(HashSet::new()),
             knobs: KnobActuators::baseline(),
-        });
-        (shared, hub)
+        })
+    }
+
+    /// Module `"m"`'s reply channel on a [`bare_shared`] pipeline.
+    fn reply_channel(shared: &Shared) -> &Arc<Channel> {
+        &shared.channels[Layout::reply(0)]
     }
 
     impl ServiceHost {
-        /// A host for `image` on `device`, fed from an inbox the test bound.
-        fn bare(
-            shared: &Shared,
-            inbox: InprocReceiver,
-            image: Arc<dyn Service>,
-            device: &str,
-        ) -> Self {
+        /// A host for `image` on `device`, fed from a fresh inbox, with no
+        /// callers.
+        fn bare(shared: &Shared, image: Arc<dyn Service>, device: &str) -> Self {
             ServiceHost {
-                inbox,
-                device: device.to_string(),
+                inbox: Arc::new(Channel::new()),
+                replies: Vec::new().into(),
                 cores: 1,
                 store: shared.store(device),
                 speed: 1.0,
@@ -1588,8 +1839,8 @@ mod tests {
     }
 
     /// An `Exec` with no threads and no clock: `send` answers requests from
-    /// a script straight into the reply channel, `await_reply` never waits
-    /// and `pause` only records what it was asked to sleep.
+    /// a script straight into module `"m"`'s reply channel, `await_reply`
+    /// never waits and `pause` only records what it was asked to sleep.
     struct FakeExec<'a> {
         shared: &'a Shared,
         script: RefCell<VecDeque<Script>>,
@@ -1618,38 +1869,39 @@ mod tests {
     }
 
     impl Exec for FakeExec<'_> {
-        fn send(&self, _from_device: &str, msg: WireMessage) -> Result<(), PipelineError> {
+        fn send(&self, _route: &Route, msg: WireMessage) -> Result<(), PipelineError> {
             assert_eq!(msg.kind, MessageKind::Request);
+            assert!(msg.channel.is_empty() && msg.reply_to.is_empty());
             self.requests_unique
                 .borrow_mut()
                 .push(msg.payload.is_unique());
             let request = ServiceRequest::decode(&msg.payload).expect("well-formed request");
             self.request_payloads.borrow_mut().push(request.payload);
-            let reply_to = self.shared.hub.connect(&msg.reply_to)?;
-            let answer = |payload: Payload| {
-                WireMessage::response_to(&msg, ServiceResponse::new(payload).encode())
-            };
+            let replies = reply_channel(self.shared);
+            let reply = |msg: WireMessage| replies.push(msg).map(drop);
+            let answer =
+                |payload: Payload| response_to(&msg, ServiceResponse::new(payload).encode());
             let step = self.script.borrow_mut().pop_front();
             match step.expect("script covers every request") {
-                Script::Reply(payload) => reply_to.send(answer(payload))?,
-                Script::Fail => reply_to.send(answer(Payload::Error("scripted failure".into())))?,
+                Script::Reply(payload) => reply(answer(payload))?,
+                Script::Fail => reply(answer(Payload::Error("scripted failure".into())))?,
                 Script::StaleThenReply(payload) => {
-                    reply_to.send(WireMessage::signal(msg.reply_to.clone(), 0))?;
+                    reply(WireMessage::signal(String::new(), 0))?;
                     let mut stale = answer(Payload::Count(u64::MAX));
                     stale.corr_id = msg.corr_id - 1;
-                    reply_to.send(stale)?;
-                    reply_to.send(answer(payload))?;
+                    reply(stale)?;
+                    reply(answer(payload))?;
                 }
                 Script::SilenceThenStop => self.stop_on_wait.set(true),
             }
             Ok(())
         }
 
-        fn await_reply(&self, rx: &InprocReceiver, _until: Instant) -> Option<WireMessage> {
+        fn await_reply(&self, rx: &Channel, _until: Instant) -> Option<WireMessage> {
             if self.stop_on_wait.get() {
                 self.shared.stop.store(true, Ordering::SeqCst);
             }
-            rx.try_recv().ok()
+            rx.try_recv()
         }
 
         fn pause(&self, dur: Duration) {
@@ -1666,7 +1918,7 @@ mod tests {
 
     impl Rig {
         fn new(resilience: ResilienceConfig, remote: bool, time_scale: f64) -> Self {
-            let (shared, hub) = bare_shared(RuntimeConfig {
+            let shared = bare_shared(RuntimeConfig {
                 resilience,
                 time_scale,
                 ..RuntimeConfig::default()
@@ -1675,18 +1927,21 @@ mod tests {
                 name: "m".to_string(),
                 device: "one".to_string(),
                 store: shared.store("one"),
-                nexts: HashMap::new(),
-                services: HashMap::from([(
-                    "svc".to_string(),
-                    (svc_chan("test", "two", "svc"), remote),
-                )]),
+                nexts: Vec::new(),
+                services: vec![ServiceWire {
+                    service: "svc".to_string(),
+                    route: Route::Local(Arc::new(Channel::new())),
+                    remote,
+                    caller: 0,
+                }],
+                fc: shared.route(0, shared.layout.fc()),
                 is_source: false,
             };
             let st = CtxState {
                 header: Header::default(),
                 epoch: 0,
                 corr: 0,
-                reply_rx: hub.bind(&reply_chan("test", "m")).unwrap(),
+                reply_rx: Arc::clone(reply_channel(&shared)),
                 lkg: HashMap::new(),
                 jitter: SeededJitter::new(1),
             };
@@ -1860,26 +2115,19 @@ mod tests {
             batch: crate::runtime::BatchConfig::up_to(4),
             ..RuntimeConfig::default()
         };
-        let (shared, hub) = bare_shared(config);
-        let channel = svc_chan("test", "one", "doubler");
-        let host = ServiceHost::bare(
-            &shared,
-            hub.bind(&channel).unwrap(),
-            Arc::new(Doubler),
-            "one",
-        );
-        let tx = hub.connect(&channel).unwrap();
+        let shared = bare_shared(config);
+        let host = ServiceHost::bare(&shared, Arc::new(Doubler), "one");
+        let send = |msg: WireMessage| host.inbox.push(msg).map(drop).unwrap();
         // A burst of six requests queued before the host looks: one batch
         // up to the ceiling, then the rest.
         for i in 0..6u64 {
             let request = ServiceRequest::new("double", Payload::Count(i)).encode();
-            tx.send(WireMessage::request(
-                channel.clone(),
-                "rpl/test/m",
+            send(WireMessage::request(
+                String::new(),
+                String::new(),
                 i,
                 request,
-            ))
-            .unwrap();
+            ));
         }
         let drain = || {
             let first = host.inbox.try_recv().expect("a queued request");
@@ -1900,7 +2148,7 @@ mod tests {
         assert_eq!((rest.len(), depth), (2, 1));
         host.serve(&shared, &rest, depth);
         // Only requests lead or join a batch.
-        tx.send(WireMessage::signal(channel.clone(), 0)).unwrap();
+        send(WireMessage::signal(String::new(), 0));
         let signal = host.inbox.try_recv().unwrap();
         assert!(host.free_drain(&shared, signal).is_none());
 

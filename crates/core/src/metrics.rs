@@ -313,9 +313,13 @@ impl PipelineMetrics {
         Self::default()
     }
 
-    /// Records a stage latency sample.
+    /// Records a stage latency sample. Allocates the key only the first
+    /// time `stage` is seen.
     pub fn record_stage(&mut self, stage: &str, ns: u64) {
-        self.stages.entry(stage.to_string()).or_default().record(ns);
+        match self.stages.get_mut(stage) {
+            Some(hist) => hist.record(ns),
+            None => self.stages.entry(stage.to_string()).or_default().record(ns),
+        }
     }
 
     /// Records one executed service request: how long the executor was busy
@@ -328,7 +332,8 @@ impl PipelineMetrics {
     /// Records one executed micro-batch of `batch_len` requests:
     /// `busy_ns` covers the whole batch (drain → decode → handle → reply)
     /// and `queue_depth` is the backlog observed *before* the drain, so
-    /// `max_queue_depth` still reflects true pressure.
+    /// `max_queue_depth` still reflects true pressure. Allocates the key
+    /// only the first time `host` is seen.
     pub fn record_dispatch_batch(
         &mut self,
         host: &str,
@@ -336,10 +341,11 @@ impl PipelineMetrics {
         queue_depth: u64,
         batch_len: u64,
     ) {
-        self.dispatch
-            .entry(host.to_string())
-            .or_default()
-            .record_batch(busy_ns, queue_depth, batch_len);
+        let stats = match self.dispatch.get_mut(host) {
+            Some(stats) => stats,
+            None => self.dispatch.entry(host.to_string()).or_default(),
+        };
+        stats.record_batch(busy_ns, queue_depth, batch_len);
     }
 
     /// Records an end-to-end delivery at pipeline time `now_ns` with the

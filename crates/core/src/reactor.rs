@@ -9,10 +9,11 @@
 //!
 //! * **Tasks, not threads.** Every module, service host and pacer is a
 //!   task with a 4-state readiness machine (idle → queued → running →
-//!   dirty). Message sends wake the destination task through a deploy-time
-//!   channel→task map, frozen into an immutable per-pipeline snapshot at
-//!   the end of `add_pipeline` so the steady-state send path takes no lock
-//!   and allocates nothing.
+//!   dirty). Every sending site holds a route resolved at deploy
+//!   (`engine::Route`): the destination's queue and the task that consumes
+//!   it, so a send queues the message and wakes that task — no name, no
+//!   map, no lock beyond the queue's own. A route to another device wakes
+//!   nobody here; the I/O thread wakes the consumer when the bytes land.
 //! * **Per-worker queues with stealing.** Each worker owns a LIFO slot
 //!   (just-woken task: warm producer→consumer handoff), two bounded local
 //!   FIFO queues (split by blocking capability) and a targeted parker —
@@ -65,7 +66,9 @@
 //! `Deliver` deferral and the I/O thread (DESIGN.md §5.11).
 
 use crate::deploy::DeploymentPlan;
-use crate::engine::{self, Exec, HbMonitor, ModuleTask, Pacer, ServiceHost, Shared};
+use crate::engine::{
+    self, reply_route, Channel, Exec, HbMonitor, ModuleTask, Pacer, Route, ServiceHost, Shared,
+};
 use crate::error::PipelineError;
 use crate::module::ModuleRegistry;
 use crate::runtime::{RunReport, RuntimeConfig};
@@ -74,12 +77,12 @@ use crate::slo::SloController;
 use crate::telemetry::TelemetryMonitor;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use videopipe_media::FrameStoreStats;
-use videopipe_net::{Ingress, InprocReceiver, MsgReceiver, PollEndpoint, Poller, WireMessage};
+use videopipe_net::{Ingress, PollEndpoint, Poller, WireMessage};
 
 /// Executor knobs for a [`ReactorRuntime`].
 #[derive(Debug, Clone)]
@@ -182,7 +185,7 @@ trait TaskRunner: Send {
     fn finalize(&mut self, _core: &Core) {}
 }
 
-struct Task {
+pub(crate) struct Task {
     /// Home worker (pipeline affinity): wakes from off-worker threads
     /// (I/O, deploy) land on this worker's local queue and the task's
     /// deadlines on this worker's timer shard, so one pipeline's tasks
@@ -290,12 +293,12 @@ thread_local! {
 enum TimerEntry {
     /// Wake a task at the deadline.
     Wake(usize),
-    /// Deliver already-computed messages at the deadline (timer-deferred
-    /// modeled service cost: the replies exist, the latency is modeled by
-    /// the deadline instead of a sleeping worker).
+    /// Deliver already-computed replies at the deadline, each down its
+    /// caller's route (timer-deferred modeled service cost: the replies
+    /// exist, the latency is modeled by the deadline instead of a sleeping
+    /// worker).
     Deliver {
-        pipe: Arc<PipeRt>,
-        from_device: String,
+        routes: Arc<[Route]>,
         msgs: Vec<WireMessage>,
     },
 }
@@ -326,38 +329,16 @@ struct TimerQueue {
 /// with the pipeline its frames belong to.
 type IoEndpoint = (Arc<PipeRt>, PollEndpoint);
 
-/// Per-pipeline runtime registration: the pipeline's shared state, its
-/// home worker (the deploy-time affinity hint) and the channel→task
-/// notify map.
-///
-/// The notify map is *frozen* at the end of `add_pipeline` into an
-/// immutable snapshot that every send reads with no lock and no
-/// allocation — the per-send `RwLock` + `channel.to_string()` of the
-/// previous design was the hottest shared state in the reactor. During
-/// deploy (module `init` runs inline and may make service calls) lookups
-/// fall back to the mutex-guarded staging map that `map_channel` fills.
+/// Per-pipeline runtime registration: the pipeline's shared state and its
+/// home worker (the deploy-time affinity hint). Who consumes which channel
+/// is not here: registering a task names it on the channel it consumes,
+/// once, and every route to that channel reads it from there.
 struct PipeRt {
     /// Home worker for every task of this pipeline, so its module steps,
     /// service dispatch and watcher ticks tend to stay on one core (warm
     /// caches, no cross-core wake ping-pong).
     home: usize,
     shared: Arc<Shared>,
-    notify: std::sync::OnceLock<HashMap<String, Arc<Task>>>,
-    staging: Mutex<HashMap<String, Arc<Task>>>,
-}
-
-impl PipeRt {
-    fn task_for(&self, channel: &str) -> Option<Arc<Task>> {
-        if let Some(map) = self.notify.get() {
-            return map.get(channel).cloned();
-        }
-        self.staging.lock().get(channel).cloned()
-    }
-
-    fn freeze(&self) {
-        let staged = std::mem::take(&mut *self.staging.lock());
-        let _ = self.notify.set(staged);
-    }
 }
 
 /// Shared reactor core: task table, ready queues, timer shards, wake map.
@@ -599,13 +580,9 @@ impl Core {
             fired += 1;
             match entry {
                 TimerEntry::Wake(id) => self.wake_task(id),
-                TimerEntry::Deliver {
-                    pipe,
-                    from_device,
-                    msgs,
-                } => {
+                TimerEntry::Deliver { routes, msgs } => {
                     for msg in msgs {
-                        let _ = self.send_and_wake(&pipe, &from_device, msg);
+                        self.send_reply(&routes, msg);
                     }
                 }
             }
@@ -638,23 +615,20 @@ impl Core {
         nap.min(Duration::from_nanos(earliest.saturating_sub(self.now_ns())))
     }
 
-    fn wake_channel(&self, pipe: &PipeRt, channel: &str) {
-        if let Some(task) = pipe.task_for(channel) {
-            self.wake(&task);
+    /// Sends `msg` down `route` and wakes the task the route names.
+    fn send(&self, route: &Route, msg: WireMessage) -> Result<(), PipelineError> {
+        if let Some(task) = route.send(msg)? {
+            self.wake(task);
         }
+        Ok(())
     }
 
-    /// Sends through the pipeline's router and wakes the channel's task.
-    fn send_and_wake(
-        &self,
-        pipe: &PipeRt,
-        from_device: &str,
-        msg: WireMessage,
-    ) -> Result<(), PipelineError> {
-        let chan = msg.channel.clone();
-        pipe.shared.router.send_from(from_device, msg)?;
-        self.wake_channel(pipe, &chan);
-        Ok(())
+    /// Sends a service reply down the route of the caller its `corr_id`
+    /// names, out of a host's `routes`.
+    fn send_reply(&self, routes: &[Route], msg: WireMessage) {
+        if let Some(route) = reply_route(routes, &msg) {
+            let _ = self.send(route, msg);
+        }
     }
 
     /// Pops and runs one ready task, if any is runnable at `depth`.
@@ -856,7 +830,8 @@ impl Core {
     /// The I/O thread: takes over the endpoints deploys queued on
     /// `registry`, then one [`Ingress::turn`] — blocked until a socket is
     /// readable or someone notifies the waker (a deploy, shutdown) — whose
-    /// frames go to their pipeline's hub and wake its home worker.
+    /// frames go to the channel their wire name resolves to, waking its
+    /// consumer.
     fn io_loop(&self, mut ingress: Ingress<Arc<PipeRt>>, registry: &Receiver<IoEndpoint>) {
         // As on the workers: `RetryAt` timeouts end on time.
         let _ = videopipe_net::exact_timer_wakeups();
@@ -868,9 +843,10 @@ impl Core {
                 }
             }
             let turned = ingress.turn(|pipe, msg| {
-                let chan = msg.channel.clone();
-                if pipe.shared.router.deliver_local(msg).is_ok() {
-                    self.wake_channel(pipe, &chan);
+                if let Some(channel) = pipe.shared.ingress_channel(&msg.channel) {
+                    if let Ok(Some(task)) = channel.push(msg) {
+                        self.wake(task);
+                    }
                 }
             });
             if let Err(e) = turned {
@@ -944,25 +920,24 @@ impl Rearm {
     }
 }
 
-/// The reactor's half of the [`Exec`] seam: a send also wakes the
-/// channel's task, and every wait — service replies, modeled link
+/// The reactor's half of the [`Exec`] seam: a send also wakes the task
+/// its route names, and every wait — service replies, modeled link
 /// transfers, retry backoffs — helps run other ready tasks instead of
 /// parking the worker.
 struct ReactorExec<'a> {
     core: &'a Core,
-    pipe: &'a PipeRt,
     /// Helping depth of the task this executor serves.
     depth: usize,
 }
 
 impl Exec for ReactorExec<'_> {
-    fn send(&self, from_device: &str, msg: WireMessage) -> Result<(), PipelineError> {
-        self.core.send_and_wake(self.pipe, from_device, msg)
+    fn send(&self, route: &Route, msg: WireMessage) -> Result<(), PipelineError> {
+        self.core.send(route, msg)
     }
 
     /// Service tasks are always helpable, so the reply stays reachable even
     /// on one worker.
-    fn await_reply(&self, rx: &InprocReceiver, until: Instant) -> Option<WireMessage> {
+    fn await_reply(&self, rx: &Channel, until: Instant) -> Option<WireMessage> {
         if self.core.try_run_one(self.depth + 1) {
             return None;
         }
@@ -970,7 +945,7 @@ impl Exec for ReactorExec<'_> {
         // itself, so a reply landing mid-park wakes us.
         let remaining = until.saturating_duration_since(Instant::now());
         let wait = self.core.cap_nap(remaining.min(HELP_PARK));
-        rx.recv_timeout(wait).ok()
+        rx.recv_timeout(wait)
     }
 
     /// The wall-clock wait is that of a sleep, but the worker keeps running
@@ -999,16 +974,12 @@ impl TaskRunner for ModuleRunner {
         if let Some(at) = self.task.checkpoint_if_due(shared) {
             self.rearm.ensure(core, at);
         }
-        let exec = ReactorExec {
-            core,
-            pipe: &self.pipe,
-            depth,
-        };
+        let exec = ReactorExec { core, depth };
         for _ in 0..MODULE_QUANTUM {
             if shared.stopped() {
                 return false;
             }
-            let Ok(msg) = self.task.inbox.try_recv() else {
+            let Some(msg) = self.task.inbox.try_recv() else {
                 break;
             };
             self.task.step(shared, &exec, msg);
@@ -1057,7 +1028,7 @@ impl TaskRunner for ServiceRunner {
                     return false;
                 }
             }
-            let Ok(msg) = host.inbox.try_recv() else {
+            let Some(msg) = host.inbox.try_recv() else {
                 return false;
             };
             let Some((msgs, queue_depth)) = host.free_drain(&pipe.shared, msg) else {
@@ -1071,15 +1042,14 @@ impl TaskRunner for ServiceRunner {
                         *free_at = done;
                     }
                     let deliver = TimerEntry::Deliver {
-                        pipe: Arc::clone(pipe),
-                        from_device: host.device.clone(),
+                        routes: Arc::clone(&host.replies),
                         msgs: replies,
                     };
                     core.arm(pipe.home, done, deliver);
                 }
                 None => {
                     for msg in replies {
-                        let _ = core.send_and_wake(pipe, &host.device, msg);
+                        core.send_reply(&host.replies, msg);
                     }
                 }
             }
@@ -1105,13 +1075,13 @@ impl TaskRunner for PacerRunner {
             return false;
         }
         pacer.check_fence(shared);
-        while let Ok(msg) = pacer.fc_inbox.try_recv() {
+        while let Some(msg) = pacer.fc_inbox.try_recv() {
             pacer.on_signal(shared, &msg);
         }
         // Checked once per run: at least once per camera tick.
         pacer.expire_leases(shared);
         // Camera ticks due now (late ticks catch up).
-        let exec = ReactorExec { core, pipe, depth };
+        let exec = ReactorExec { core, depth };
         while Instant::now() >= pacer.next_tick {
             if shared.stopped() {
                 return false;
@@ -1146,7 +1116,7 @@ impl<F: FnMut(&Shared, &ReactorExec<'_>) + Send> TaskRunner for IntervalRunner<F
         let now = Instant::now();
         if now >= self.next_at {
             self.next_at = now + self.interval;
-            (self.tick)(&pipe.shared, &ReactorExec { core, pipe, depth });
+            (self.tick)(&pipe.shared, &ReactorExec { core, depth });
         }
         self.rearm.ensure(core, self.next_at);
         false
@@ -1168,7 +1138,7 @@ impl TaskRunner for HbMonitorRunner {
         if shared.stopped() {
             return false;
         }
-        while let Ok(msg) = self.monitor.inbox.try_recv() {
+        while let Some(msg) = self.monitor.inbox.try_recv() {
             self.monitor.on_beat(shared, &msg);
         }
         self.monitor.sweep(shared);
@@ -1292,10 +1262,6 @@ impl ReactorRuntime {
         task
     }
 
-    fn map_channel(&self, pipe: &PipeRt, channel: String, task: Arc<Task>) {
-        pipe.staging.lock().insert(channel, task);
-    }
-
     /// Registers a non-blocking task that re-arms itself on its home
     /// worker's timers, and returns its id for the initial wake.
     fn register_timed(
@@ -1333,9 +1299,8 @@ impl ReactorRuntime {
     /// Deploys one more pipeline onto the shared reactor and returns its
     /// pipeline id (index into the reports from [`ReactorRuntime::finish`]).
     ///
-    /// Each pipeline gets its own in-process hub, router and frame stores;
-    /// only the executor (tasks, timers, workers) is shared, so channel
-    /// names never collide across pipelines.
+    /// Each pipeline gets its own channels, routes and frame stores; only
+    /// the executor (tasks, timers, workers) is shared.
     ///
     /// # Errors
     ///
@@ -1360,8 +1325,6 @@ impl ReactorRuntime {
             // pipeline. Round-robin over workers spreads the fleet evenly.
             home: pipeline_id % self.core.workers.len(),
             shared,
-            notify: std::sync::OnceLock::new(),
-            staging: Mutex::new(HashMap::new()),
         });
         self.core.pipelines.write().push(Arc::clone(&pipe));
         let initial_wakes = match self.deploy_tasks(plan, modules, services, &pipe, io_endpoints) {
@@ -1376,9 +1339,6 @@ impl ReactorRuntime {
             }
         };
         self.task_ranges.push((first_task_id, self.next_task_id()));
-        // Freeze the staging notify map into the immutable snapshot:
-        // every steady-state send is now a lock-free HashMap probe.
-        pipe.freeze();
         for id in initial_wakes {
             self.core.wake_task(id);
         }
@@ -1402,14 +1362,13 @@ impl ReactorRuntime {
             self.register_ingress(pipe, io_endpoints)?;
         }
         let mut initial_wakes = Vec::new();
-        let channel_of = |inbox: &InprocReceiver| inbox.channel().to_string();
         let now = Instant::now();
 
         // --- Service hosts: one task per (device, service) actually bound,
         // modeling `cores` containers when cost emulation is on.
         let emulated = shared.config.time_scale > 0.0;
         for host in ServiceHost::deploy_all(shared, plan, services)? {
-            let chan = channel_of(&host.inbox);
+            let inbox = Arc::clone(&host.inbox);
             let containers = if emulated { host.cores as usize } else { 0 };
             let (_, task) = self.register_timed(home, |rearm| {
                 Box::new(ServiceRunner {
@@ -1419,7 +1378,7 @@ impl ReactorRuntime {
                     rearm,
                 })
             });
-            self.map_channel(pipe, chan, task);
+            inbox.set_consumer(task);
         }
 
         // --- Modules: one blocking-capable task each. Init runs inline at
@@ -1428,19 +1387,17 @@ impl ReactorRuntime {
         for m in &plan.pipeline.modules {
             let exec = ReactorExec {
                 core: &self.core,
-                pipe,
                 depth: 0,
             };
             let task = ModuleTask::deploy(shared, &exec, plan, m, modules)?;
-            let chan = channel_of(&task.inbox);
+            let inbox = Arc::clone(&task.inbox);
             let id = self.next_task_id();
             let runner = ModuleRunner {
                 pipe: Arc::clone(pipe),
                 task,
                 rearm: Rearm::new(id, home),
             };
-            let task = self.register_task(home, true, Box::new(runner));
-            self.map_channel(pipe, chan, task);
+            inbox.set_consumer(self.register_task(home, true, Box::new(runner)));
             if shared.config.checkpoint_period.is_some() {
                 initial_wakes.push(id);
             }
@@ -1455,16 +1412,15 @@ impl ReactorRuntime {
             initial_wakes.push(self.register_interval(pipe, interval, now + interval, tick));
         }
         if let Some(health) = &shared.config.heartbeats {
-            let monitor = HbMonitor::deploy(shared)?;
-            for d in &plan.devices {
-                let device = d.name.clone();
+            let monitor = HbMonitor::deploy(shared);
+            for (device, route) in shared.heartbeat_routes() {
                 let beat = move |shared: &Shared, exec: &ReactorExec<'_>| {
-                    engine::heartbeat(shared, exec, &device)
+                    engine::heartbeat(shared, exec, &device, &route)
                 };
                 let interval = health.heartbeat_interval;
                 initial_wakes.push(self.register_interval(pipe, interval, now, beat));
             }
-            let chan = channel_of(&monitor.inbox);
+            let inbox = Arc::clone(&monitor.inbox);
             let (id, task) = self.register_timed(home, |rearm| {
                 Box::new(HbMonitorRunner {
                     pipe: Arc::clone(pipe),
@@ -1473,7 +1429,7 @@ impl ReactorRuntime {
                     rearm,
                 })
             });
-            self.map_channel(pipe, chan, task);
+            inbox.set_consumer(task);
             initial_wakes.push(id);
         }
         if let Some(interval) = shared.config.telemetry_interval {
@@ -1484,7 +1440,7 @@ impl ReactorRuntime {
         // --- Pacer task. Its first run fires the first camera tick
         // immediately.
         let pacer = Pacer::deploy(shared)?;
-        let chan = channel_of(&pacer.fc_inbox);
+        let inbox = Arc::clone(&pacer.fc_inbox);
         let (id, task) = self.register_timed(home, |rearm| {
             Box::new(PacerRunner {
                 pipe: Arc::clone(pipe),
@@ -1492,7 +1448,7 @@ impl ReactorRuntime {
                 rearm,
             })
         });
-        self.map_channel(pipe, chan, task);
+        inbox.set_consumer(task);
         initial_wakes.push(id);
         Ok(initial_wakes)
     }
@@ -1626,8 +1582,8 @@ impl ReactorRuntime {
     /// severed.
     pub fn inject_tcp_disconnect(&self, id: usize) -> usize {
         self.pipe(id).map_or(0, |p| {
-            let peers = &p.shared.router.tcp_peers;
-            for peer in peers.values() {
+            let peers = &p.shared.peers;
+            for peer in peers {
                 peer.inject_disconnect();
             }
             peers.len()
@@ -1709,7 +1665,7 @@ impl std::fmt::Debug for ReactorRuntime {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::deploy::{plan, DeviceSpec, Placement};
     use crate::message::Payload;
@@ -1718,6 +1674,11 @@ mod tests {
     use crate::service::{Service, ServiceCost, ServiceRegistry, ServiceRequest, ServiceResponse};
     use crate::spec::{ModuleSpec, PipelineSpec};
     use videopipe_media::{Frame, FrameBuf, FrameStore};
+
+    /// Held by every test in this binary that sends over TCP: the wire
+    /// counters in `videopipe_net::telemetry` are process-wide, and one
+    /// test counts the frames its own pipeline puts on the wire.
+    pub(crate) static TCP_WIRE: Mutex<()> = Mutex::new(());
 
     /// Source: mints a tiny frame per tick and forwards the reference.
     struct TestSource;
@@ -1941,6 +1902,7 @@ mod tests {
 
     #[test]
     fn reactor_tcp_transport_crosses_devices_via_io_thread() {
+        let _wire = TCP_WIRE.lock();
         let plan = two_device_plan("tcp");
         let (modules, services) = registries();
         let mut rt = ReactorRuntime::new(ReactorConfig {
@@ -2002,6 +1964,7 @@ mod tests {
 
     #[test]
     fn reactor_idle_tcp_pipeline_costs_no_io_wakeups() {
+        let _wire = TCP_WIRE.lock();
         let (modules, services) = registries();
         let mut rt = ReactorRuntime::new(ReactorConfig {
             workers: 2,
@@ -2038,6 +2001,7 @@ mod tests {
 
     #[test]
     fn reactor_tcp_pipelines_added_while_io_thread_blocks_start_promptly() {
+        let _wire = TCP_WIRE.lock();
         let (modules, services) = registries();
         let mut rt = ReactorRuntime::new(ReactorConfig {
             workers: 2,
@@ -2063,6 +2027,127 @@ mod tests {
         }
         let reports = rt.finish();
         assert!(reports.iter().all(|r| r.errors.is_empty()));
+    }
+
+    /// `a → b` on device `one`, `b → c` across to device `two`; `a` lets
+    /// the first `forward` ticks through, `b` returns each frame's credit
+    /// and `c` counts what arrives.
+    fn relay_across_one_edge(
+        forward: u64,
+        arrived: &Arc<AtomicU64>,
+    ) -> (DeploymentPlan, ModuleRegistry) {
+        struct A(u64);
+        impl Module for A {
+            fn on_event(
+                &mut self,
+                event: Event,
+                ctx: &mut dyn ModuleCtx,
+            ) -> Result<(), PipelineError> {
+                if let Event::FrameTick { .. } = event {
+                    if self.0 > 0 {
+                        self.0 -= 1;
+                        ctx.call_module("b", Payload::Count(1))?;
+                    }
+                }
+                Ok(())
+            }
+        }
+        struct B;
+        impl Module for B {
+            fn on_event(
+                &mut self,
+                event: Event,
+                ctx: &mut dyn ModuleCtx,
+            ) -> Result<(), PipelineError> {
+                if let Event::Message(msg) = event {
+                    ctx.call_module("c", msg.payload)?;
+                    ctx.signal_source()?;
+                }
+                Ok(())
+            }
+        }
+        struct C(Arc<AtomicU64>);
+        impl Module for C {
+            fn on_event(
+                &mut self,
+                event: Event,
+                _: &mut dyn ModuleCtx,
+            ) -> Result<(), PipelineError> {
+                if let Event::Message(_) = event {
+                    self.0.fetch_add(1, Ordering::SeqCst);
+                }
+                Ok(())
+            }
+        }
+        let spec = PipelineSpec::new("edge")
+            .with_module(ModuleSpec::new("a", "A").with_next("b"))
+            .with_module(ModuleSpec::new("b", "B").with_next("c"))
+            .with_module(ModuleSpec::new("c", "C"));
+        let devices = vec![DeviceSpec::new("one", 1.0), DeviceSpec::new("two", 1.0)];
+        let placement = Placement::new()
+            .assign("a", "one")
+            .assign("b", "one")
+            .assign("c", "two");
+        let mut modules = ModuleRegistry::new();
+        modules.register("A", move || Box::new(A(forward)));
+        modules.register("B", || Box::new(B));
+        let arrived = Arc::clone(arrived);
+        modules.register("C", move || Box::new(C(Arc::clone(&arrived))));
+        (plan(&spec, &devices, &placement).unwrap(), modules)
+    }
+
+    #[test]
+    fn only_the_cross_device_edge_uses_tcp_and_only_its_far_side_wakes_the_consumer() {
+        const FORWARD: u64 = 40;
+        let _wire = TCP_WIRE.lock();
+        let arrived = Arc::new(AtomicU64::new(0));
+        let (plan, modules) = relay_across_one_edge(FORWARD, &arrived);
+        // One worker: every task runs on it, so no wake lands on a task
+        // that is running (which would count an extra run).
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 1,
+            ..ReactorConfig::default()
+        });
+        let config = RuntimeConfig {
+            fps: 200.0,
+            transport: EdgeTransport::Tcp,
+            ..RuntimeConfig::default()
+        };
+        let wire_before = videopipe_net::telemetry::snapshot();
+        rt.add_pipeline(&plan, &modules, &ServiceRegistry::new(), config)
+            .unwrap();
+        let start = Instant::now();
+        while arrived.load(Ordering::SeqCst) < FORWARD {
+            assert!(start.elapsed() < Duration::from_secs(10), "frames stopped");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A few more ticks: anything still on its way would show.
+        std::thread::sleep(Duration::from_millis(30));
+        let report = rt.finish().remove(0);
+        let sent = videopipe_net::telemetry::snapshot()
+            .delta_since(&wire_before)
+            .tx_frames;
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        // The credit comes back from `b`, on the pacer's own device.
+        assert_eq!(report.metrics.frames_delivered, FORWARD);
+        // Every frame TCP carried is one `c` received: `a → b`, `b → pacer`
+        // and the ticks stayed in process.
+        assert_eq!((arrived.load(Ordering::SeqCst), sent), (FORWARD, FORWARD));
+        // Per tick, one pacer run off its timer; per admitted tick one run
+        // of `a`; per forwarded frame one each of `b`, the pacer (the
+        // credit) and `c` — woken once, by the I/O thread when the bytes
+        // land. Waking `c` also at `b`'s send, before the bytes have
+        // crossed, adds about one run per forwarded frame: four times the
+        // slack allowed here for a pacer run that finds nothing due.
+        let runs: u64 = report.scheduler.iter().map(|w| w.tasks_run).sum();
+        let ticks = report.metrics.frames_offered;
+        let admitted = report.metrics.frames_admitted;
+        let expected = ticks + admitted + 3 * FORWARD;
+        assert!(
+            runs <= expected + FORWARD / 4,
+            "{runs} task runs for {ticks} ticks, {admitted} admitted, {FORWARD} forwarded \
+             (expected {expected})"
+        );
     }
 
     #[test]
@@ -2853,6 +2938,7 @@ mod tests {
 
         #[test]
         fn reactor_threads_run_with_one_nanosecond_timer_slack() {
+            let _wire = TCP_WIRE.lock();
             let own = timer_slack_ns(&own_tid()).expect("own slack readable");
             let io_before = threads_named("vp-reactor-io");
             let (modules, services) = registries();

@@ -545,6 +545,7 @@ mod tests {
 
     #[test]
     fn tcp_transport_runs_the_cross_device_pipeline() {
+        let _wire = crate::reactor::tests::TCP_WIRE.lock();
         // Same topology as `cross_device_pipeline_transcodes_frames`, but
         // every cross-device message travels over real loopback TCP.
         let devices = vec![

@@ -8,15 +8,17 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A named-channel registry for all in-process messaging on one device.
+/// A named-channel registry for in-process messaging.
 ///
-/// Co-located modules and services communicate through the hub; the runtime
-/// creates one hub per device. Channels are multiple-producer,
-/// multiple-consumer: one [`bind`](InprocHub::bind) per name, any number of
+/// Channels are multiple-producer, multiple-consumer: one
+/// [`bind`](InprocHub::bind) per name, any number of
 /// [`connect`](InprocHub::connect)s, and the bound [`InprocReceiver`] can be
 /// cloned into additional competing consumers (each message is delivered to
-/// exactly one of them) — this is how service executor pools share one
-/// request queue without a lock.
+/// exactly one of them). Topics fan a message out to every subscriber
+/// ([`publish`](InprocHub::publish)). A connect looks the name up under the
+/// hub's lock, so a hot path connects once and keeps the sender: the core
+/// runtime resolves its pipelines' channels at deploy and routes no message
+/// through a hub; it keeps one per pipeline for telemetry PUB/SUB.
 #[derive(Clone, Default)]
 pub struct InprocHub {
     inner: Arc<Mutex<HubInner>>,

@@ -9,8 +9,8 @@
 //!   id, sequence, timestamp, payload bytes) with a hand-written codec.
 //! * [`Endpoint`] — endpoint strings exactly as they appear in the paper's
 //!   pipeline configuration (`"bind#tcp://*:5861"`), plus `inproc://`.
-//! * [`InprocHub`] — named in-process channels (crossbeam-backed) used for
-//!   co-located modules and services.
+//! * [`InprocHub`] — named in-process channels and PUB/SUB topics
+//!   (crossbeam-backed).
 //! * [`tcp`] — a real TCP transport with length-prefixed framing for
 //!   cross-device edges, with one way in and one way out: every receiver
 //!   is a [`PollEndpoint`] on an [`Ingress`] readiness loop (the reactor's

@@ -41,6 +41,25 @@ if grep -rnE 'LocalRunt[i]me|ThreadEx[e]c|service_executor_lo[o]p|ShutdownGat[e]
 fi
 count_non_test crates/core/src/runtime.rs crates/core/src/reactor.rs crates/core/src/engine.rs
 
+echo "==> one route table (channels resolved at deploy; vendored channel size)"
+# Every sending site holds a route resolved once in Shared::deploy: the
+# destination's queue and the task that consumes it. A channel -> device
+# map, a channel -> task lookup, a wake by channel name or a hub connect in
+# the shipping part of engine.rs or reactor.rs is per-message string routing
+# coming back: fail. The vendored channel's line count (lines before its
+# first #[cfg(test)]; 310 before it counted its blocked waiters) is printed
+# beside the runtime + reactor + engine count above (3486 before routes).
+routing=$(for f in crates/core/src/engine.rs crates/core/src/reactor.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit }
+         /channel_device|task_for|wake_channel|hub\.connect\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$routing" ]; then
+    echo "per-message channel routing in the shipping part of engine.rs / reactor.rs:"
+    printf '%s\n' "$routing"
+    exit 1
+fi
+count_non_test vendor/crossbeam/src/lib.rs
+
 echo "==> one ingress (a single accept loop and a single readiness loop; videopipe-net size)"
 # Every TCP receiver is a PollEndpoint turned by videopipe_net::Ingress. A
 # second `.accept()` in the shipping part of tcp.rs is a second receive
@@ -60,6 +79,14 @@ count_non_test crates/net/src/*.rs
 
 echo "==> cargo test (whole workspace: default-members covers every crate)"
 cargo test -q
+
+echo "==> vendored channel (outside the workspace: its wake-up tests)"
+# A send must wake a receiver blocked in recv or recv_timeout, a receive a
+# sender blocked on a full bounded channel, and a blocking MPMC pool must
+# neither lose nor duplicate a message — now that the channel notifies only
+# when it counted someone asleep. vendor/ is excluded from the workspace,
+# so nothing above runs these.
+CARGO_TARGET_DIR=target/vendor cargo test -q --offline --manifest-path vendor/crossbeam/Cargo.toml
 
 echo "==> one-CPU rerun (prop_core and cluster_harness pinned to CPU 0)"
 # Both binaries have failed only when the process had a single CPU (a
