@@ -33,7 +33,7 @@ use crate::error::PipelineError;
 use crate::flow::{CreditController, SourcePacer};
 use crate::health::FailureDetector;
 use crate::message::{Header, Message, Payload};
-use crate::metrics::PipelineMetrics;
+use crate::metrics::{LabelMap, PipelineMetrics, Slot};
 use crate::module::{Event, Module, ModuleCtx, ModuleFactory, ModuleRegistry};
 use crate::reactor::Task;
 use crate::resilience::{seed_for, CircuitBreaker, DegradationPolicy, SeededJitter};
@@ -41,7 +41,7 @@ use crate::runtime::{EdgeTransport, RunReport, RuntimeConfig};
 use crate::service::{Service, ServiceRegistry, ServiceRequest, ServiceResponse};
 use crate::slo::{KnobSettings, SloAction, SloController};
 use crate::spec::ModuleSpec;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Queue;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -69,11 +69,11 @@ pub(crate) trait Exec {
     fn pause(&self, dur: Duration);
 }
 
-/// One channel of a pipeline: an in-process queue and the task that
-/// consumes it.
+/// One channel of a pipeline: an in-process queue, held in place, and the
+/// task that consumes it — one allocation, plus the queue's buffer once a
+/// message arrives.
 pub(crate) struct Channel {
-    tx: Sender<WireMessage>,
-    rx: Receiver<WireMessage>,
+    queue: Queue<WireMessage>,
     /// Set once, when the runtime registers the consuming task. Reply
     /// channels have none: their module is already running, waiting on
     /// the queue, when a reply lands.
@@ -81,11 +81,12 @@ pub(crate) struct Channel {
 }
 
 impl Channel {
+    /// An empty channel whose queue is first given room for one message —
+    /// what a one-credit pipeline has in flight on a channel — rather than
+    /// `VecDeque`'s first growth to four; past that it grows as usual.
     pub(crate) fn new() -> Self {
-        let (tx, rx) = unbounded();
         Channel {
-            tx,
-            rx,
+            queue: Queue::with_room(1),
             consumer: OnceLock::new(),
         }
     }
@@ -97,24 +98,22 @@ impl Channel {
     }
 
     /// Queues `msg`; returns the consuming task, for the caller to wake.
-    pub(crate) fn push(&self, msg: WireMessage) -> Result<Option<&Arc<Task>>, PipelineError> {
-        self.tx
-            .send(msg)
-            .map_err(|_| PipelineError::from(videopipe_net::NetError::Disconnected))?;
-        Ok(self.consumer.get())
+    pub(crate) fn push(&self, msg: WireMessage) -> Option<&Arc<Task>> {
+        self.queue.push(msg);
+        self.consumer.get()
     }
 
     pub(crate) fn try_recv(&self) -> Option<WireMessage> {
-        self.rx.try_recv().ok()
+        self.queue.try_pop()
     }
 
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<WireMessage> {
-        self.rx.recv_timeout(timeout).ok()
+        self.queue.pop_timeout(timeout)
     }
 
     /// Number of messages waiting.
     pub(crate) fn pending(&self) -> usize {
-        self.rx.len()
+        self.queue.len()
     }
 }
 
@@ -140,7 +139,7 @@ impl Route {
     /// device's I/O thread wakes the consumer when the bytes arrive.
     pub(crate) fn send(&self, mut msg: WireMessage) -> Result<Option<&Arc<Task>>, PipelineError> {
         match self {
-            Route::Local(channel) => channel.push(msg),
+            Route::Local(channel) => Ok(channel.push(msg)),
             Route::Remote {
                 peer,
                 channel,
@@ -309,7 +308,10 @@ pub(crate) struct Shared {
     pub(crate) epoch: Instant,
     pub(crate) deliveries: AtomicU64,
     pub(crate) config: RuntimeConfig,
-    pub(crate) breakers: Mutex<HashMap<String, CircuitBreaker>>,
+    /// One circuit breaker per bound service name, registered when the
+    /// first module bound to it deploys, if breakers are on (empty
+    /// otherwise); callers hold their slot.
+    pub(crate) breakers: Mutex<LabelMap<CircuitBreaker>>,
     pub(crate) restarts: AtomicU64,
     /// Pipeline fence epoch: bumped once per confirmed device loss;
     /// messages stamped with an older epoch are fenced by the pacer.
@@ -483,7 +485,7 @@ impl Shared {
             epoch: Instant::now(),
             deliveries: AtomicU64::new(0),
             config,
-            breakers: Mutex::new(HashMap::new()),
+            breakers: Mutex::new(LabelMap::new()),
             restarts: AtomicU64::new(0),
             fence_epoch: AtomicU64::new(0),
             detector: Mutex::new(detector),
@@ -572,12 +574,19 @@ impl Shared {
         (scale > 0.0 && !modeled.is_zero()).then(|| modeled.mul_f64(scale / speed))
     }
 
-    /// A report of the pipeline so far; `lines` hands over the log and
-    /// error lines — `std::mem::take` at the end of the run, a clone for a
-    /// mid-run snapshot that must leave them for the final report.
-    pub(crate) fn report(&self, lines: fn(&mut Vec<String>) -> Vec<String>) -> RunReport {
+    /// A report of the pipeline so far. At the end of the run (`last`) the
+    /// metrics, log and error lines are handed over; a mid-run snapshot
+    /// clones them, leaving them for the final report.
+    pub(crate) fn report(&self, last: bool) -> RunReport {
+        fn hand_over<T: Clone + Default>(value: &mut T, last: bool) -> T {
+            if last {
+                std::mem::take(value)
+            } else {
+                value.clone()
+            }
+        }
         let run_duration_ns = self.now_ns();
-        let mut metrics = self.metrics.lock().clone();
+        let mut metrics = hand_over(&mut *self.metrics.lock(), last);
         metrics.run_duration_ns = run_duration_ns;
         let breakers = self
             .breakers
@@ -593,8 +602,8 @@ impl Shared {
             .unwrap_or_default();
         RunReport {
             metrics,
-            logs: lines(&mut self.logs.lock()),
-            errors: lines(&mut self.errors.lock()),
+            logs: hand_over(&mut *self.logs.lock(), last),
+            errors: hand_over(&mut *self.errors.lock(), last),
             restarts: self.restarts.load(Ordering::Relaxed),
             breakers,
             device_statuses,
@@ -648,6 +657,8 @@ fn link_cost(bytes: usize) -> Duration {
 /// Wiring facts one module needs, resolved from the plan at deploy.
 struct ModuleWiring {
     name: String,
+    /// This module's cell in the stage metrics.
+    stage: Slot,
     device: String,
     /// The device-local frame store.
     store: Arc<FrameStore>,
@@ -679,6 +690,9 @@ struct ServiceWire {
     /// This module's index among the host's callers, carried in `corr_id`
     /// so that the host knows which reply route answers it.
     caller: u64,
+    /// The service's circuit breaker in [`Shared::breakers`] (`None`:
+    /// breakers are off).
+    breaker: Option<Slot>,
 }
 
 /// Per-module context state that survives from one event to the next.
@@ -690,11 +704,13 @@ struct CtxState {
     epoch: u64,
     corr: u64,
     reply_rx: Arc<Channel>,
-    /// Last successful response per service, for
-    /// [`DegradationPolicy::LastKnownGood`]. Stored in encoded form: the
-    /// per-success insert is then an O(1) refcount bump of the wire bytes,
-    /// and the (rare) degraded path pays the decode.
-    lkg: HashMap<String, bytes::Bytes>,
+    /// Last successful response per bound service, indexed like
+    /// [`ModuleWiring::services`], for
+    /// [`DegradationPolicy::LastKnownGood`] (empty under any other
+    /// policy). Stored in encoded form: the per-success store is then an
+    /// O(1) refcount bump of the wire bytes, and the (rare) degraded path
+    /// pays the decode.
+    lkg: Vec<Option<bytes::Bytes>>,
     /// Deterministic per-module retry jitter stream.
     jitter: SeededJitter,
 }
@@ -786,21 +802,14 @@ impl<X: Exec> Ctx<'_, X> {
         }
     }
 
-    fn breaker_allows(&self, service: &str) -> bool {
+    fn breaker_allows(&self, breaker: Slot) -> bool {
         let now_ns = self.shared.now_ns();
-        let mut breakers = self.shared.breakers.lock();
-        breakers
-            .entry(service.to_string())
-            .or_insert_with(|| self.shared.config.resilience.make_breaker())
-            .allow(now_ns)
+        self.shared.breakers.lock()[breaker].allow(now_ns)
     }
 
-    fn breaker_record(&self, service: &str, success: bool) {
+    fn breaker_record(&self, breaker: Slot, success: bool) {
         let now_ns = self.shared.now_ns();
-        let mut breakers = self.shared.breakers.lock();
-        let breaker = breakers
-            .entry(service.to_string())
-            .or_insert_with(|| self.shared.config.resilience.make_breaker());
+        let breaker = &mut self.shared.breakers.lock()[breaker];
         if success {
             breaker.record_success();
         } else {
@@ -808,15 +817,15 @@ impl<X: Exec> Ctx<'_, X> {
         }
     }
 
-    /// Applies the degradation policy once a call has been abandoned.
-    fn degrade(&self, service: &str, err: PipelineError) -> Result<ServiceResponse, PipelineError> {
-        if self.shared.config.resilience.degradation == DegradationPolicy::LastKnownGood {
-            if let Some(cached) = self.st.lkg.get(service) {
-                // Cached in wire form; decoding here keeps the success path
-                // free of deep response clones.
-                if let Ok(resp) = ServiceResponse::decode(cached) {
-                    return Ok(resp);
-                }
+    /// Applies the degradation policy once a call to the `index`-th bound
+    /// service has been abandoned: its last good response when the policy
+    /// keeps one.
+    fn degrade(&self, index: usize, err: PipelineError) -> Result<ServiceResponse, PipelineError> {
+        if let Some(Some(cached)) = self.st.lkg.get(index) {
+            // Cached in wire form; decoding here keeps the success path
+            // free of deep response clones.
+            if let Ok(resp) = ServiceResponse::decode(cached) {
+                return Ok(resp);
             }
         }
         Err(err)
@@ -855,10 +864,11 @@ impl<X: Exec> ModuleCtx for Ctx<'_, X> {
         mut request: ServiceRequest,
     ) -> Result<ServiceResponse, PipelineError> {
         let (shared, wiring) = (self.shared, self.wiring);
-        let wire = wiring
+        let (index, wire) = wiring
             .services
             .iter()
-            .find(|w| w.service == service)
+            .enumerate()
+            .find(|(_, w)| w.service == service)
             .ok_or_else(|| PipelineError::ServiceUnavailable {
                 module: wiring.name.clone(),
                 service: service.to_string(),
@@ -867,13 +877,13 @@ impl<X: Exec> ModuleCtx for Ctx<'_, X> {
         // Circuit breaker gate: fast-fail while the service's breaker is
         // open so a dead service costs microseconds per frame, not a
         // deadline per frame.
-        if resilience.breaker_enabled() && !self.breaker_allows(service) {
-            return self.degrade(
-                service,
-                PipelineError::CircuitOpen {
+        if let Some(breaker) = wire.breaker {
+            if !self.breaker_allows(breaker) {
+                let open = PipelineError::CircuitOpen {
                     service: service.to_string(),
-                },
-            );
+                };
+                return self.degrade(index, open);
+            }
         }
         if wire.remote {
             request.payload = self.encode_for_wire(request.payload)?;
@@ -892,21 +902,21 @@ impl<X: Exec> ModuleCtx for Ctx<'_, X> {
             };
             match self.attempt_service_call(wire, attempt_bytes) {
                 Ok((resp, raw)) => {
-                    if resilience.breaker_enabled() {
-                        self.breaker_record(service, true);
+                    if let Some(breaker) = wire.breaker {
+                        self.breaker_record(breaker, true);
                     }
-                    if resilience.degradation == DegradationPolicy::LastKnownGood {
-                        self.st.lkg.insert(service.to_string(), raw);
+                    if let Some(good) = self.st.lkg.get_mut(index) {
+                        *good = Some(raw);
                     }
                     return Ok(resp);
                 }
                 Err(PipelineError::Shutdown) => return Err(PipelineError::Shutdown),
                 Err(e) => {
-                    if resilience.breaker_enabled() {
-                        self.breaker_record(service, false);
+                    if let Some(breaker) = wire.breaker {
+                        self.breaker_record(breaker, false);
                     }
                     if attempt >= max_attempts {
-                        return self.degrade(service, e);
+                        return self.degrade(index, e);
                     }
                     let backoff = resilience.retry.backoff(attempt, &mut self.st.jitter);
                     if !backoff.is_zero() {
@@ -1027,7 +1037,8 @@ impl ModuleTask {
                 })
             })
             .collect::<Result<_, PipelineError>>()?;
-        let services = plan
+        let resilience = &shared.config.resilience;
+        let services: Vec<ServiceWire> = plan
             .service_bindings
             .iter()
             .filter(|b| b.module == m.name)
@@ -1042,13 +1053,25 @@ impl ModuleTask {
                         .position(|c| std::ptr::eq(c, b))
                         .expect("a binding is among its host's callers")
                         as u64,
+                    breaker: resilience.breaker_enabled().then(|| {
+                        shared
+                            .breakers
+                            .lock()
+                            .slot_or_insert_with(&b.service, || resilience.make_breaker())
+                    }),
                 }
             })
             .collect();
+        let lkg = if resilience.degradation == DegradationPolicy::LastKnownGood {
+            vec![None; services.len()]
+        } else {
+            Vec::new()
+        };
         let mut task = ModuleTask {
             inbox: Arc::clone(&shared.channels[Layout::inbox(i)]),
             wiring: ModuleWiring {
                 name: m.name.clone(),
+                stage: shared.metrics.lock().stages.slot(&m.name),
                 store: shared.store(&device),
                 device,
                 nexts,
@@ -1063,8 +1086,8 @@ impl ModuleTask {
                 epoch: 0,
                 corr: 0,
                 reply_rx: Arc::clone(&shared.channels[Layout::reply(i)]),
-                lkg: HashMap::new(),
-                jitter: SeededJitter::new(seed_for(shared.config.resilience.seed, &m.name)),
+                lkg,
+                jitter: SeededJitter::new(seed_for(resilience.seed, &m.name)),
             },
             last_checkpoint: Instant::now(),
         };
@@ -1168,7 +1191,10 @@ impl ModuleTask {
                 })
             });
             let elapsed_ns = start.elapsed().as_nanos() as u64;
-            shared.metrics.lock().record_stage(&wiring.name, elapsed_ns);
+            shared
+                .metrics
+                .lock()
+                .record_stage_at(wiring.stage, elapsed_ns);
             result.map_err(|e| e.to_string())
         });
         if let Err(reason) = result {
@@ -1215,8 +1241,8 @@ pub(crate) struct ServiceHost {
     image: Arc<dyn Service>,
     store: Arc<FrameStore>,
     speed: f64,
-    /// `device/service`, the dispatch-metrics key.
-    label: String,
+    /// This host's cell in the dispatch metrics (`device/service`).
+    dispatch: Slot,
 }
 
 impl ServiceHost {
@@ -1242,7 +1268,6 @@ impl ServiceHost {
                 })?;
                 // Layout device indices are plan device indices.
                 let dev_spec = &plan.devices[from];
-                let device = &dev_spec.name;
                 let replies = callers(plan, layout, j)
                     .map(|b| Ok(shared.route(from, Layout::reply(layout.module(&b.module)?))))
                     .collect::<Result<_, PipelineError>>()?;
@@ -1250,9 +1275,13 @@ impl ServiceHost {
                     inbox: Arc::clone(&shared.channels[layout.host(j)]),
                     replies,
                     cores: dev_spec.cores.max(1),
-                    store: shared.store(device),
+                    store: shared.store(&dev_spec.name),
                     speed: dev_spec.speed_factor.max(1e-6),
-                    label: format!("{device}/{}", image.name()),
+                    dispatch: shared
+                        .metrics
+                        .lock()
+                        .dispatch
+                        .slot(&format!("{}/{service}", dev_spec.name)),
                     image,
                 })
             })
@@ -1371,8 +1400,8 @@ impl ServiceHost {
             .collect();
         // Modeled time counts as busy: the host is occupied while it passes.
         let busy = started.elapsed() + delay.unwrap_or_default();
-        shared.metrics.lock().record_dispatch_batch(
-            &self.label,
+        shared.metrics.lock().record_dispatch_batch_at(
+            self.dispatch,
             busy.as_nanos() as u64,
             queue_depth,
             msgs.len() as u64,
@@ -1767,7 +1796,7 @@ mod tests {
 
     /// A pipeline's shared state with nothing deployed on it: one device
     /// (`"one"`) and the channels of one module (`"m"`) on it, in-process,
-    /// no detector.
+    /// no detector, and a breaker for service `"svc"` when breakers are on.
     fn bare_shared(config: RuntimeConfig) -> Arc<Shared> {
         let mut stores = HashMap::new();
         stores.insert("one".to_string(), Arc::new(FrameStore::new()));
@@ -1777,6 +1806,10 @@ mod tests {
             hosts: Vec::new(),
             source_device: 0,
         };
+        let mut breakers = LabelMap::new();
+        if config.resilience.breaker_enabled() {
+            breakers.slot_or_insert_with("svc", || config.resilience.make_breaker());
+        }
         Arc::new(Shared {
             pipeline: "test".to_string(),
             sources: Vec::new(),
@@ -1795,7 +1828,7 @@ mod tests {
             epoch: Instant::now(),
             deliveries: AtomicU64::new(0),
             config,
-            breakers: Mutex::new(HashMap::new()),
+            breakers: Mutex::new(breakers),
             restarts: AtomicU64::new(0),
             fence_epoch: AtomicU64::new(0),
             detector: Mutex::new(None),
@@ -1814,13 +1847,14 @@ mod tests {
         /// A host for `image` on `device`, fed from a fresh inbox, with no
         /// callers.
         fn bare(shared: &Shared, image: Arc<dyn Service>, device: &str) -> Self {
+            let label = format!("{device}/{}", image.name());
             ServiceHost {
                 inbox: Arc::new(Channel::new()),
                 replies: Vec::new().into(),
                 cores: 1,
                 store: shared.store(device),
                 speed: 1.0,
-                label: format!("{device}/{}", image.name()),
+                dispatch: shared.metrics.lock().dispatch.slot(&label),
                 image,
             }
         }
@@ -1878,19 +1912,21 @@ mod tests {
             let request = ServiceRequest::decode(&msg.payload).expect("well-formed request");
             self.request_payloads.borrow_mut().push(request.payload);
             let replies = reply_channel(self.shared);
-            let reply = |msg: WireMessage| replies.push(msg).map(drop);
+            let reply = |msg: WireMessage| {
+                replies.push(msg);
+            };
             let answer =
                 |payload: Payload| response_to(&msg, ServiceResponse::new(payload).encode());
             let step = self.script.borrow_mut().pop_front();
             match step.expect("script covers every request") {
-                Script::Reply(payload) => reply(answer(payload))?,
-                Script::Fail => reply(answer(Payload::Error("scripted failure".into())))?,
+                Script::Reply(payload) => reply(answer(payload)),
+                Script::Fail => reply(answer(Payload::Error("scripted failure".into()))),
                 Script::StaleThenReply(payload) => {
-                    reply(WireMessage::signal(String::new(), 0))?;
+                    reply(WireMessage::signal(String::new(), 0));
                     let mut stale = answer(Payload::Count(u64::MAX));
                     stale.corr_id = msg.corr_id - 1;
-                    reply(stale)?;
-                    reply(answer(payload))?;
+                    reply(stale);
+                    reply(answer(payload));
                 }
                 Script::SilenceThenStop => self.stop_on_wait.set(true),
             }
@@ -1923,8 +1959,11 @@ mod tests {
                 time_scale,
                 ..RuntimeConfig::default()
             });
+            let keeps_lkg =
+                shared.config.resilience.degradation == DegradationPolicy::LastKnownGood;
             let wiring = ModuleWiring {
                 name: "m".to_string(),
+                stage: shared.metrics.lock().stages.slot("m"),
                 device: "one".to_string(),
                 store: shared.store("one"),
                 nexts: Vec::new(),
@@ -1933,6 +1972,7 @@ mod tests {
                     route: Route::Local(Arc::new(Channel::new())),
                     remote,
                     caller: 0,
+                    breaker: shared.breakers.lock().slot_of("svc"),
                 }],
                 fc: shared.route(0, shared.layout.fc()),
                 is_source: false,
@@ -1942,7 +1982,7 @@ mod tests {
                 epoch: 0,
                 corr: 0,
                 reply_rx: Arc::clone(reply_channel(&shared)),
-                lkg: HashMap::new(),
+                lkg: if keeps_lkg { vec![None] } else { Vec::new() },
                 jitter: SeededJitter::new(1),
             };
             Rig { shared, wiring, st }
@@ -2117,7 +2157,9 @@ mod tests {
         };
         let shared = bare_shared(config);
         let host = ServiceHost::bare(&shared, Arc::new(Doubler), "one");
-        let send = |msg: WireMessage| host.inbox.push(msg).map(drop).unwrap();
+        let send = |msg: WireMessage| {
+            host.inbox.push(msg);
+        };
         // A burst of six requests queued before the host looks: one batch
         // up to the ceiling, then the rest.
         for i in 0..6u64 {

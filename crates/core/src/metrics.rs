@@ -4,8 +4,8 @@
 //! per-module latency (Fig. 6) and end-to-end frames per second under a
 //! given source rate (Table 2).
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::{Index, IndexMut};
 
 /// Number of logarithmic buckets: bucket `i` covers
 /// `[2^i, 2^(i+1))` microseconds, up to ~ 4500 s.
@@ -169,6 +169,145 @@ impl fmt::Display for LatencyHistogram {
     }
 }
 
+/// A handle on one entry of a [`LabelMap`], handed out when its label is
+/// registered. It stays valid for the life of the map: entries are never
+/// removed, and a later insert appends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(usize);
+
+/// A small map from labels to cells — a pipeline's stages or service hosts,
+/// a handful of them: one `Vec` of `(label, value)` pairs in insertion
+/// order. The runtime registers every label at deploy and records through
+/// the [`Slot`]s it was handed, so the hot path neither compares nor
+/// searches a string; lookups by label (`map["label"]`,
+/// [`LabelMap::get`]) search linearly. Iteration is in label order, as a
+/// `BTreeMap`'s was.
+#[derive(Clone)]
+pub struct LabelMap<V> {
+    entries: Vec<(String, V)>,
+}
+
+impl<V> LabelMap<V> {
+    /// An empty map (allocates nothing).
+    pub const fn new() -> Self {
+        LabelMap {
+            entries: Vec::new(),
+        }
+    }
+
+    /// The slot registered for `label`, if any.
+    pub fn slot_of(&self, label: &str) -> Option<Slot> {
+        self.entries.iter().position(|(l, _)| l == label).map(Slot)
+    }
+
+    /// The slot of `label`, registering it with `make()` first if it is
+    /// new.
+    pub fn slot_or_insert_with(&mut self, label: &str, make: impl FnOnce() -> V) -> Slot {
+        self.slot_of(label).unwrap_or_else(|| {
+            self.entries.push((label.to_string(), make()));
+            Slot(self.entries.len() - 1)
+        })
+    }
+
+    /// The value of `label`.
+    pub fn get(&self, label: &str) -> Option<&V> {
+        self.slot_of(label).map(|slot| &self[slot])
+    }
+
+    /// Whether `label` is registered.
+    pub fn contains_key(&self, label: &str) -> bool {
+        self.slot_of(label).is_some()
+    }
+
+    /// `(label, value)` pairs in label order.
+    pub fn iter(&self) -> LabelIter<'_, V> {
+        LabelIter {
+            entries: &self.entries,
+            last: None,
+        }
+    }
+
+    /// Values, in label order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.iter().map(|(_, value)| value)
+    }
+}
+
+impl<V: Default> LabelMap<V> {
+    /// The slot of `label`, registering it with a default value first if it
+    /// is new.
+    pub fn slot(&mut self, label: &str) -> Slot {
+        self.slot_or_insert_with(label, V::default)
+    }
+}
+
+impl<V> Default for LabelMap<V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<V: fmt::Debug> fmt::Debug for LabelMap<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<V> Index<Slot> for LabelMap<V> {
+    type Output = V;
+    fn index(&self, slot: Slot) -> &V {
+        &self.entries[slot.0].1
+    }
+}
+
+impl<V> IndexMut<Slot> for LabelMap<V> {
+    fn index_mut(&mut self, slot: Slot) -> &mut V {
+        &mut self.entries[slot.0].1
+    }
+}
+
+impl<V> Index<&str> for LabelMap<V> {
+    type Output = V;
+    /// # Panics
+    ///
+    /// When `label` is not registered.
+    fn index(&self, label: &str) -> &V {
+        self.get(label)
+            .unwrap_or_else(|| panic!("no entry for label {label:?}"))
+    }
+}
+
+impl<'a, V> IntoIterator for &'a LabelMap<V> {
+    type Item = (&'a String, &'a V);
+    type IntoIter = LabelIter<'a, V>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// [`LabelMap::iter`]: each step scans the map for the smallest label after
+/// the last one yielded — quadratic, and free of allocation, on maps of a
+/// handful of labels.
+pub struct LabelIter<'a, V> {
+    entries: &'a [(String, V)],
+    last: Option<&'a str>,
+}
+
+impl<'a, V> Iterator for LabelIter<'a, V> {
+    type Item = (&'a String, &'a V);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let last = self.last;
+        let (label, value) = self
+            .entries
+            .iter()
+            .filter(|(label, _)| last.is_none_or(|last| label.as_str() > last))
+            .min_by(|a, b| a.0.cmp(&b.0))?;
+        self.last = Some(label);
+        Some((label, value))
+    }
+}
+
 /// Number of batch-size histogram buckets in [`DispatchStats`]: bucket `i`
 /// counts batches of exactly `i + 1` requests, and the final bucket absorbs
 /// everything of size ≥ `BATCH_BUCKETS`.
@@ -229,6 +368,19 @@ impl DispatchStats {
         }
     }
 
+    /// Adds `other`'s counters to these (saturating; maxima take the
+    /// larger).
+    fn merge(&mut self, other: &DispatchStats) {
+        self.requests = self.requests.saturating_add(other.requests);
+        self.busy_ns = self.busy_ns.saturating_add(other.busy_ns);
+        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
+        self.batches = self.batches.saturating_add(other.batches);
+        self.max_batch = self.max_batch.max(other.max_batch);
+        for (a, b) in self.batch_sizes.iter_mut().zip(other.batch_sizes.iter()) {
+            *a = a.saturating_add(*b);
+        }
+    }
+
     fn record_batch(&mut self, busy_ns: u64, queue_depth: u64, batch_len: u64) {
         // Saturating on every counter: these accumulate for the life of a
         // deployment, and a wrap would panic in debug profiles mid-soak.
@@ -275,11 +427,13 @@ pub struct WorkerSchedStats {
 /// Metrics for one pipeline run.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineMetrics {
-    /// Per-stage processing latency, keyed by module name.
-    pub stages: BTreeMap<String, LatencyHistogram>,
+    /// Per-stage processing latency, keyed by module name. The runtime
+    /// registers every module of the pipeline at deploy, so a module that
+    /// handled nothing reads zero samples.
+    pub stages: LabelMap<LatencyHistogram>,
     /// Per-service-host executor dispatch counters, keyed by
-    /// `device/service`.
-    pub dispatch: BTreeMap<String, DispatchStats>,
+    /// `device/service`; every deployed host is registered at deploy.
+    pub dispatch: LabelMap<DispatchStats>,
     /// End-to-end latency (capture → final module done).
     pub end_to_end: LatencyHistogram,
     /// Frames delivered all the way to the sink.
@@ -313,13 +467,18 @@ impl PipelineMetrics {
         Self::default()
     }
 
-    /// Records a stage latency sample. Allocates the key only the first
-    /// time `stage` is seen.
+    /// Records a stage latency sample, registering `stage` the first time
+    /// it is seen. The runtime records through [`record_stage_at`] instead.
+    ///
+    /// [`record_stage_at`]: PipelineMetrics::record_stage_at
     pub fn record_stage(&mut self, stage: &str, ns: u64) {
-        match self.stages.get_mut(stage) {
-            Some(hist) => hist.record(ns),
-            None => self.stages.entry(stage.to_string()).or_default().record(ns),
-        }
+        let slot = self.stages.slot(stage);
+        self.record_stage_at(slot, ns);
+    }
+
+    /// Records a stage latency sample in the stage registered as `slot`.
+    pub fn record_stage_at(&mut self, slot: Slot, ns: u64) {
+        self.stages[slot].record(ns);
     }
 
     /// Records one executed service request: how long the executor was busy
@@ -332,8 +491,11 @@ impl PipelineMetrics {
     /// Records one executed micro-batch of `batch_len` requests:
     /// `busy_ns` covers the whole batch (drain → decode → handle → reply)
     /// and `queue_depth` is the backlog observed *before* the drain, so
-    /// `max_queue_depth` still reflects true pressure. Allocates the key
-    /// only the first time `host` is seen.
+    /// `max_queue_depth` still reflects true pressure. Registers `host` the
+    /// first time it is seen; the runtime records through
+    /// [`record_dispatch_batch_at`] instead.
+    ///
+    /// [`record_dispatch_batch_at`]: PipelineMetrics::record_dispatch_batch_at
     pub fn record_dispatch_batch(
         &mut self,
         host: &str,
@@ -341,11 +503,20 @@ impl PipelineMetrics {
         queue_depth: u64,
         batch_len: u64,
     ) {
-        let stats = match self.dispatch.get_mut(host) {
-            Some(stats) => stats,
-            None => self.dispatch.entry(host.to_string()).or_default(),
-        };
-        stats.record_batch(busy_ns, queue_depth, batch_len);
+        let slot = self.dispatch.slot(host);
+        self.record_dispatch_batch_at(slot, busy_ns, queue_depth, batch_len);
+    }
+
+    /// [`PipelineMetrics::record_dispatch_batch`] for the host registered
+    /// as `slot`.
+    pub fn record_dispatch_batch_at(
+        &mut self,
+        slot: Slot,
+        busy_ns: u64,
+        queue_depth: u64,
+        batch_len: u64,
+    ) {
+        self.dispatch[slot].record_batch(busy_ns, queue_depth, batch_len);
     }
 
     /// Records an end-to-end delivery at pipeline time `now_ns` with the
@@ -432,18 +603,12 @@ impl PipelineMetrics {
     /// Merges another run's metrics (e.g. across repetitions).
     pub fn merge(&mut self, other: &PipelineMetrics) {
         for (stage, hist) in &other.stages {
-            self.stages.entry(stage.clone()).or_default().merge(hist);
+            let slot = self.stages.slot(stage);
+            self.stages[slot].merge(hist);
         }
         for (host, stats) in &other.dispatch {
-            let mine = self.dispatch.entry(host.clone()).or_default();
-            mine.requests = mine.requests.saturating_add(stats.requests);
-            mine.busy_ns = mine.busy_ns.saturating_add(stats.busy_ns);
-            mine.max_queue_depth = mine.max_queue_depth.max(stats.max_queue_depth);
-            mine.batches = mine.batches.saturating_add(stats.batches);
-            mine.max_batch = mine.max_batch.max(stats.max_batch);
-            for (a, b) in mine.batch_sizes.iter_mut().zip(stats.batch_sizes.iter()) {
-                *a = a.saturating_add(*b);
-            }
+            let slot = self.dispatch.slot(host);
+            self.dispatch[slot].merge(stats);
         }
         self.end_to_end.merge(&other.end_to_end);
         self.frames_delivered = self.frames_delivered.saturating_add(other.frames_delivered);
@@ -561,6 +726,91 @@ mod tests {
         assert!(table.contains("pose"));
         assert!(table.contains("load_frame"));
         assert!(table.contains("end-to-end"));
+    }
+
+    #[test]
+    fn a_label_map_iterates_in_label_order() {
+        let mut map = LabelMap::<u64>::new();
+        for (label, v) in [("sink", 3), ("src", 1), ("work", 2), ("display", 4)] {
+            let slot = map.slot(label);
+            map[slot] = v;
+        }
+        let labels: Vec<&str> = map.iter().map(|(label, _)| label.as_str()).collect();
+        assert_eq!(labels, ["display", "sink", "src", "work"]);
+        let values: Vec<u64> = map.values().copied().collect();
+        assert_eq!(values, [4, 3, 1, 2]);
+        assert_eq!((&map).into_iter().count(), 4);
+        assert_eq!(
+            format!("{map:?}"),
+            r#"{"display": 4, "sink": 3, "src": 1, "work": 2}"#
+        );
+        assert!(LabelMap::<u64>::new().iter().next().is_none());
+    }
+
+    #[test]
+    fn a_slot_does_not_move_when_a_later_label_is_inserted() {
+        let mut m = PipelineMetrics::new();
+        let work = m.stages.slot("work");
+        m.record_stage_at(work, 1_000_000);
+        // Labels sorting before and after it, through the `&str` path.
+        m.record_stage("aaa", 5_000_000);
+        m.record_stage("zzz", 5_000_000);
+        m.record_stage_at(work, 3_000_000);
+        assert_eq!(m.stages.slot_of("work"), Some(work));
+        assert_eq!(m.stages.slot("work"), work);
+        assert_eq!(m.stages["work"].count(), 2);
+        assert_eq!(m.stages["work"].mean_ns(), 2_000_000);
+        assert_eq!(m.stages["aaa"].count(), 1);
+        assert_eq!(m.stages.get("nope"), None);
+        assert!(!m.stages.contains_key("nope"));
+
+        let host = m.dispatch.slot("dev/svc");
+        m.record_dispatch("dev/aaa", 1, 1);
+        m.record_dispatch_batch_at(host, 4_000_000, 2, 4);
+        assert_eq!(m.dispatch["dev/svc"].requests, 4);
+        assert_eq!(m.dispatch.get("dev/aaa").map(|d| d.requests), Some(1));
+    }
+
+    #[test]
+    fn merge_adds_cells_across_different_labels() {
+        let mut a = PipelineMetrics::new();
+        a.record_stage("b", 1_000_000);
+        a.record_stage("a", 1_000_000);
+        a.record_dispatch("x/one", 1, 1);
+        let mut b = PipelineMetrics::new();
+        b.record_stage("c", 2_000_000);
+        b.record_stage("a", 3_000_000);
+        b.record_dispatch("x/two", 1, 7);
+        b.record_dispatch("x/one", 1, 3);
+        a.merge(&b);
+        let counts: Vec<(&str, u64)> = a
+            .stages
+            .iter()
+            .map(|(label, h)| (label.as_str(), h.count()))
+            .collect();
+        assert_eq!(counts, [("a", 2), ("b", 1), ("c", 1)]);
+        assert_eq!(a.stages["a"].mean_ns(), 2_000_000);
+        assert_eq!(a.dispatch["x/one"].requests, 2);
+        assert_eq!(a.dispatch["x/one"].max_queue_depth, 3);
+        assert_eq!(a.dispatch["x/two"].max_queue_depth, 7);
+    }
+
+    #[test]
+    fn latency_table_text_is_unchanged() {
+        let mut m = PipelineMetrics::new();
+        // Registered out of label order: rows still come sorted.
+        m.record_stage("work", 3_000_000);
+        m.record_stage("src", 1_000_000);
+        m.record_stage("sink", 2_000_000);
+        m.record_delivery(0, 8_000_000);
+        let expected = "\
+stage                          mean(ms)    p50(ms)    p99(ms)    samples
+sink                               2.00       2.00       2.00          1
+src                                1.00       1.00       1.00          1
+work                               3.00       3.00       3.00          1
+total (end-to-end)                 8.00       8.00       8.00          1
+";
+        assert_eq!(m.latency_table(), expected);
     }
 
     #[test]

@@ -164,8 +164,8 @@ const LOCAL_QUEUE_CAP: usize = 256;
 const HB_SWEEP: Duration = Duration::from_millis(20);
 
 /// Pads and aligns a value to a cache line so per-worker hot state (queue
-/// locks, stats counters, timer shards) and the task table's state bytes
-/// never false-share a line with their neighbours.
+/// locks, stats counters, timer shards) never false-shares a line with a
+/// neighbour.
 #[repr(align(64))]
 struct CachePadded<T>(T);
 
@@ -177,7 +177,7 @@ impl<T> std::ops::Deref for CachePadded<T> {
 }
 
 /// One unit of schedulable work.
-trait TaskRunner: Send {
+pub(crate) trait TaskRunner: Send {
     /// Runs one quantum. Returns `true` when work is known to remain (the
     /// task requeues immediately).
     fn run(&mut self, core: &Core, depth: usize) -> bool;
@@ -185,7 +185,10 @@ trait TaskRunner: Send {
     fn finalize(&mut self, _core: &Core) {}
 }
 
-pub(crate) struct Task {
+/// A scheduled task and its runner, in one allocation: built as an
+/// `Arc<Task<SomeRunner>>` and handed around as an `Arc<Task>`, whose
+/// runner is a `dyn TaskRunner`.
+pub(crate) struct Task<R: ?Sized = dyn TaskRunner> {
     /// Home worker (pipeline affinity): wakes from off-worker threads
     /// (I/O, deploy) land on this worker's local queue and the task's
     /// deadlines on this worker's timer shard, so one pipeline's tasks
@@ -194,10 +197,10 @@ pub(crate) struct Task {
     /// Module tasks may block (wait-by-helping) inside `call_service`;
     /// everything else never blocks and is always safe to help with.
     blocking: bool,
-    /// The 4-state readiness machine, padded so the wake CAS on one task
-    /// never contends with a neighbouring task's state line.
-    state: CachePadded<AtomicU8>,
-    runner: Mutex<Box<dyn TaskRunner>>,
+    /// The 4-state readiness machine, beside the runner rather than on a
+    /// cache line of its own: the padding made every task 256 B.
+    state: AtomicU8,
+    runner: Mutex<R>,
 }
 
 /// One worker's sleep state. A worker with nothing to run *announces*
@@ -342,7 +345,7 @@ struct PipeRt {
 }
 
 /// Shared reactor core: task table, ready queues, timer shards, wake map.
-struct Core {
+pub(crate) struct Core {
     cfg: ReactorConfig,
     /// Zero of the timer shards' nanosecond clock.
     origin: Instant,
@@ -844,7 +847,7 @@ impl Core {
             }
             let turned = ingress.turn(|pipe, msg| {
                 if let Some(channel) = pipe.shared.ingress_channel(&msg.channel) {
-                    if let Ok(Some(task)) = channel.push(msg) {
+                    if let Some(task) = channel.push(msg) {
                         self.wake(task);
                     }
                 }
@@ -1250,12 +1253,17 @@ impl ReactorRuntime {
         self.core.tasks.read().len()
     }
 
-    fn register_task(&self, home: usize, blocking: bool, runner: Box<dyn TaskRunner>) -> Arc<Task> {
+    fn register_task(
+        &self,
+        home: usize,
+        blocking: bool,
+        runner: impl TaskRunner + 'static,
+    ) -> Arc<Task> {
         let mut tasks = self.core.tasks.write();
-        let task = Arc::new(Task {
+        let task: Arc<Task> = Arc::new(Task {
             home,
             blocking,
-            state: CachePadded(AtomicU8::new(IDLE)),
+            state: AtomicU8::new(IDLE),
             runner: Mutex::new(runner),
         });
         tasks.push(Arc::clone(&task));
@@ -1264,10 +1272,10 @@ impl ReactorRuntime {
 
     /// Registers a non-blocking task that re-arms itself on its home
     /// worker's timers, and returns its id for the initial wake.
-    fn register_timed(
+    fn register_timed<R: TaskRunner + 'static>(
         &self,
         home: usize,
-        runner: impl FnOnce(Rearm) -> Box<dyn TaskRunner>,
+        runner: impl FnOnce(Rearm) -> R,
     ) -> (usize, Arc<Task>) {
         let id = self.next_task_id();
         (
@@ -1284,14 +1292,12 @@ impl ReactorRuntime {
         first_at: Instant,
         tick: impl FnMut(&Shared, &ReactorExec<'_>) + Send + 'static,
     ) -> usize {
-        let (id, _) = self.register_timed(pipe.home, |rearm| {
-            Box::new(IntervalRunner {
-                pipe: Arc::clone(pipe),
-                interval,
-                next_at: first_at,
-                rearm,
-                tick,
-            })
+        let (id, _) = self.register_timed(pipe.home, |rearm| IntervalRunner {
+            pipe: Arc::clone(pipe),
+            interval,
+            next_at: first_at,
+            rearm,
+            tick,
         });
         id
     }
@@ -1370,13 +1376,11 @@ impl ReactorRuntime {
         for host in ServiceHost::deploy_all(shared, plan, services)? {
             let inbox = Arc::clone(&host.inbox);
             let containers = if emulated { host.cores as usize } else { 0 };
-            let (_, task) = self.register_timed(home, |rearm| {
-                Box::new(ServiceRunner {
-                    pipe: Arc::clone(pipe),
-                    host,
-                    busy_until: vec![now; containers],
-                    rearm,
-                })
+            let (_, task) = self.register_timed(home, |rearm| ServiceRunner {
+                pipe: Arc::clone(pipe),
+                host,
+                busy_until: vec![now; containers],
+                rearm,
             });
             inbox.set_consumer(task);
         }
@@ -1397,7 +1401,7 @@ impl ReactorRuntime {
                 task,
                 rearm: Rearm::new(id, home),
             };
-            inbox.set_consumer(self.register_task(home, true, Box::new(runner)));
+            inbox.set_consumer(self.register_task(home, true, runner));
             if shared.config.checkpoint_period.is_some() {
                 initial_wakes.push(id);
             }
@@ -1421,13 +1425,11 @@ impl ReactorRuntime {
                 initial_wakes.push(self.register_interval(pipe, interval, now, beat));
             }
             let inbox = Arc::clone(&monitor.inbox);
-            let (id, task) = self.register_timed(home, |rearm| {
-                Box::new(HbMonitorRunner {
-                    pipe: Arc::clone(pipe),
-                    monitor,
-                    next_at: now,
-                    rearm,
-                })
+            let (id, task) = self.register_timed(home, |rearm| HbMonitorRunner {
+                pipe: Arc::clone(pipe),
+                monitor,
+                next_at: now,
+                rearm,
             });
             inbox.set_consumer(task);
             initial_wakes.push(id);
@@ -1441,12 +1443,10 @@ impl ReactorRuntime {
         // immediately.
         let pacer = Pacer::deploy(shared)?;
         let inbox = Arc::clone(&pacer.fc_inbox);
-        let (id, task) = self.register_timed(home, |rearm| {
-            Box::new(PacerRunner {
-                pipe: Arc::clone(pipe),
-                pacer,
-                rearm,
-            })
+        let (id, task) = self.register_timed(home, |rearm| PacerRunner {
+            pipe: Arc::clone(pipe),
+            pacer,
+            rearm,
         });
         inbox.set_consumer(task);
         initial_wakes.push(id);
@@ -1557,13 +1557,14 @@ impl ReactorRuntime {
     }
 
     /// Collects a report for pipeline `id` from its live shared state
-    /// (non-consuming: logs and errors stay for the final report; pair with
+    /// (non-consuming: metrics, logs and errors are cloned and stay for the
+    /// final report; pair with
     /// [`ReactorRuntime::stop_pipeline`] when retiring a single pipeline
     /// from a long-lived runtime). Mid-run, this is where the failure
     /// detector's device view, the fence epoch, the SLO level and the
     /// restart count are read.
     pub fn report_for(&self, id: usize) -> Option<RunReport> {
-        Some(self.pipe(id)?.shared.report(|lines| lines.clone()))
+        Some(self.pipe(id)?.shared.report(false))
     }
 
     /// Chaos hook: silences `device`'s heartbeat sender on pipeline `id`,
@@ -1606,8 +1607,10 @@ impl ReactorRuntime {
         self.finish()
     }
 
-    /// Stops every thread and collects one report per pipeline. Each
-    /// report carries the same runtime-wide per-worker scheduler snapshot.
+    /// Stops every thread and collects one report per pipeline: each
+    /// pipeline's metrics, logs and errors are handed over, not copied.
+    /// Each report carries the same runtime-wide per-worker scheduler
+    /// snapshot.
     pub fn finish(mut self) -> Vec<RunReport> {
         self.shutdown();
         let sched = self.core.scheduler_stats();
@@ -1615,7 +1618,7 @@ impl ReactorRuntime {
         pipelines
             .iter()
             .map(|p| {
-                let mut report = p.shared.report(std::mem::take);
+                let mut report = p.shared.report(true);
                 report.scheduler = sched.clone();
                 report
             })
@@ -1799,10 +1802,10 @@ pub(crate) mod tests {
         );
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert!(report.logs.iter().any(|l| l.starts_with("sink: got")));
-        // Stage metrics exist for all three modules.
-        assert!(report.metrics.stages.contains_key("src"));
-        assert!(report.metrics.stages.contains_key("mid"));
-        assert!(report.metrics.stages.contains_key("sink"));
+        // All three modules recorded stage samples.
+        for stage in ["src", "mid", "sink"] {
+            assert!(report.metrics.stages[stage].count() > 0, "{stage}");
+        }
         assert!(report.metrics.fps() > 0.0);
         // Dispatch counters flowed into the report.
         let dispatch = report
@@ -2418,6 +2421,42 @@ pub(crate) mod tests {
         assert!(!mid_run.logs.is_empty());
     }
 
+    #[test]
+    fn report_for_leaves_the_stage_counts_for_the_final_report() {
+        let (modules, services) = registries();
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        let config = RuntimeConfig {
+            fps: 200.0,
+            ..RuntimeConfig::default()
+        };
+        let id = rt
+            .add_pipeline(&single_device_plan("counts"), &modules, &services, config)
+            .unwrap();
+        let start = Instant::now();
+        let mid_run = loop {
+            let report = rt.report_for(id).unwrap();
+            if report.metrics.stages["sink"].count() >= 3 {
+                break report;
+            }
+            assert!(start.elapsed() < Duration::from_secs(10), "no frames");
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        let last = rt.finish().remove(0);
+        for stage in ["src", "mid", "sink"] {
+            let (then, now) = (&mid_run.metrics.stages[stage], &last.metrics.stages[stage]);
+            assert!(
+                now.count() >= then.count(),
+                "{stage}: {then} then, {now} at the end"
+            );
+        }
+        let requests = |r: &RunReport| r.metrics.dispatch["one/doubler"].requests;
+        assert!(requests(&last) >= requests(&mid_run));
+        assert!(last.metrics.frames_delivered >= mid_run.metrics.frames_delivered);
+    }
+
     /// Probe task for the interleaving test: every run drains the shared
     /// `pending` wake counter. Lost DIRTY wakes leave `pending` non-zero
     /// forever; double-queued tasks produce more runs than wakes.
@@ -2460,11 +2499,11 @@ pub(crate) mod tests {
         let task = rt.register_task(
             0,
             false,
-            Box::new(ProbeRunner {
+            ProbeRunner {
                 pending: Arc::clone(&pending),
                 runs: Arc::clone(&runs),
                 overlap: Arc::new(AtomicBool::new(false)),
-            }),
+            },
         );
         let mut handles = Vec::new();
         for t in 0..WAKERS {
@@ -2524,11 +2563,11 @@ pub(crate) mod tests {
         let task = rt.register_task(
             home,
             blocking,
-            Box::new(ProbeRunner {
+            ProbeRunner {
                 pending: Arc::clone(&pending),
                 runs: Arc::new(AtomicU64::new(0)),
                 overlap: Arc::new(AtomicBool::new(false)),
-            }),
+            },
         );
         (task, pending)
     }
@@ -2712,10 +2751,10 @@ pub(crate) mod tests {
         let stall = rt.register_task(
             0,
             false,
-            Box::new(StallRunner {
+            StallRunner {
                 started,
                 hold: Duration::from_millis(20),
-            }),
+            },
         );
         let probe_id = rt.next_task_id();
         let (_probe, pending) = probe_task(&rt, 0, false);
@@ -2787,13 +2826,13 @@ pub(crate) mod tests {
         let inner = rt.register_task(
             0,
             false,
-            Box::new(WakeThenStall {
+            WakeThenStall {
                 target: module,
                 pending: Arc::clone(&pending),
                 woke_at,
-            }),
+            },
         );
-        let outer = rt.register_task(0, false, Box::new(NestRunner { inner }));
+        let outer = rt.register_task(0, false, NestRunner { inner });
         await_all_parked(&rt.core);
         rt.core.wake(&outer);
         let woke_at = woke.recv().expect("inner task ran");
@@ -2867,12 +2906,12 @@ pub(crate) mod tests {
         rt.register_task(
             0,
             false,
-            Box::new(LatenessRunner {
+            LatenessRunner {
                 due: Instant::now() + Duration::from_millis(1),
                 interval: Duration::from_millis(1),
                 rearm: Rearm::new(id, 0),
                 late_us: Arc::clone(&late_us),
-            }),
+            },
         );
         rt.core.wake_task(id);
         let start = Instant::now();
@@ -2952,7 +2991,7 @@ pub(crate) mod tests {
             let (tx, rx) = std::sync::mpsc::channel();
             for worker in 0..2 {
                 let id = rt.next_task_id();
-                rt.register_task(worker, false, Box::new(SlackProbe(tx.clone())));
+                rt.register_task(worker, false, SlackProbe(tx.clone()));
                 rt.core.wake_task(id);
             }
             for _ in 0..2 {

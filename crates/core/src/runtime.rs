@@ -506,10 +506,10 @@ mod tests {
         );
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert!(report.logs.iter().any(|l| l.starts_with("sink: got")));
-        // Stage metrics exist for all three modules.
-        assert!(report.metrics.stages.contains_key("src"));
-        assert!(report.metrics.stages.contains_key("mid"));
-        assert!(report.metrics.stages.contains_key("sink"));
+        // All three modules recorded stage samples.
+        for stage in ["src", "mid", "sink"] {
+            assert!(report.metrics.stages[stage].count() > 0, "{stage}");
+        }
         assert!(report.metrics.fps() > 0.0);
         // Dispatch counters flowed into the report.
         let dispatch = report
@@ -740,6 +740,7 @@ mod tests {
         let latest = monitor.latest().unwrap();
         assert_eq!(latest.pipeline, "test");
         assert!(latest.frames_delivered > 0);
+        // Only stages that have run appear, so "mid" had samples.
         assert!(latest.stage_means_ms.contains_key("mid"));
         // Snapshots are monotone in time and delivered count.
         let history = monitor.history();

@@ -71,6 +71,7 @@ impl TelemetrySnapshot {
             stage_means_ms: metrics
                 .stages
                 .iter()
+                .filter(|(_, h)| h.count() > 0)
                 .map(|(k, v)| (k.clone(), v.mean_ms()))
                 .collect(),
             batch_means: metrics

@@ -41,14 +41,19 @@ if grep -rnE 'LocalRunt[i]me|ThreadEx[e]c|service_executor_lo[o]p|ShutdownGat[e]
 fi
 count_non_test crates/core/src/runtime.rs crates/core/src/reactor.rs crates/core/src/engine.rs
 
-echo "==> one route table (channels resolved at deploy; vendored channel size)"
+echo "==> one route table (channels and metric cells resolved at deploy; vendored channel size; relay footprint)"
 # Every sending site holds a route resolved once in Shared::deploy: the
 # destination's queue and the task that consumes it. A channel -> device
 # map, a channel -> task lookup, a wake by channel name or a hub connect in
 # the shipping part of engine.rs or reactor.rs is per-message string routing
-# coming back: fail. The vendored channel's line count (lines before its
-# first #[cfg(test)]; 310 before it counted its blocked waiters) is printed
-# beside the runtime + reactor + engine count above (3486 before routes).
+# coming back: fail. So is a metric, breaker or last-known-good cell looked
+# up by name in the shipping part of engine.rs: a module step, a service
+# batch and a service call record through the slots deploy handed them.
+# The vendored channel's line count (lines before its first #[cfg(test)];
+# 310 before it counted its blocked waiters) is printed beside the runtime +
+# reactor + engine count above (3486 before routes), and so is the live
+# heap one deployed relay pipeline keeps (15 946 B before metric cells were
+# resolved at deploy; gated in the test itself).
 routing=$(for f in crates/core/src/engine.rs crates/core/src/reactor.rs; do
     awk '/#\[cfg\(test\)\]/ { exit }
          /channel_device|task_for|wake_channel|hub\.connect\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
@@ -58,7 +63,17 @@ if [ -n "$routing" ]; then
     printf '%s\n' "$routing"
     exit 1
 fi
+keyed=$(awk '/#\[cfg\(test\)\]/ { exit }
+             /record_stage\(&|record_dispatch_batch\(&|\.entry\(service\.to_string\(\)\)|lkg\.insert\(/ {
+                 print FILENAME ":" FNR ": " $0 }' crates/core/src/engine.rs)
+if [ -n "$keyed" ]; then
+    echo "a metric, breaker or last-known-good cell looked up by name in the shipping part of engine.rs:"
+    printf '%s\n' "$keyed"
+    exit 1
+fi
 count_non_test vendor/crossbeam/src/lib.rs
+cargo test -q --offline -p videopipe-core --test deploy_footprint -- --nocapture 2>&1 |
+    grep -E 'bytes per relay pipeline' | sed 's/^/    /'
 
 echo "==> one ingress (a single accept loop and a single readiness loop; videopipe-net size)"
 # Every TCP receiver is a PollEndpoint turned by videopipe_net::Ingress. A
@@ -84,8 +99,10 @@ echo "==> vendored channel (outside the workspace: its wake-up tests)"
 # A send must wake a receiver blocked in recv or recv_timeout, a receive a
 # sender blocked on a full bounded channel, and a blocking MPMC pool must
 # neither lose nor duplicate a message — now that the channel notifies only
-# when it counted someone asleep. vendor/ is excluded from the workspace,
-# so nothing above runs these.
+# when it counted someone asleep. The bare `Queue` the runtime embeds in
+# its channels is tested directly too: a push wakes a `pop_timeout` waiter
+# and notifies nobody when nobody waits. vendor/ is excluded from the
+# workspace, so nothing above runs these.
 CARGO_TARGET_DIR=target/vendor cargo test -q --offline --manifest-path vendor/crossbeam/Cargo.toml
 
 echo "==> one-CPU rerun (prop_core and cluster_harness pinned to CPU 0)"

@@ -56,8 +56,8 @@ fn fitness_pipeline_runs_on_real_threads() {
         "display",
     ] {
         assert!(
-            report.metrics.stages.contains_key(stage),
-            "missing stage {stage}"
+            report.metrics.stages[stage].count() > 0,
+            "no samples for stage {stage}"
         );
     }
     // The display actually rendered frames with labels.
