@@ -14,7 +14,7 @@
 //! The seam is a generic parameter, never `dyn`: nothing in here knows how
 //! it is driven, and the `&mut dyn ModuleCtx` handed to handlers stays the
 //! only virtual call on the path. The one thing named here of the runtime is
-//! its task type: a [`Channel`] holds the task that consumes it, so that a
+//! its task type: a [`Channel`] names the task that consumes it, so that a
 //! [`Route`] knows whom a send must wake. (`videopipe-sim`'s `SimCtx` is
 //! deliberately *not* a second user: it records calls for virtual-time
 //! replay and has no retry chain to share.)
@@ -46,7 +46,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 use videopipe_media::{codec, FrameStore};
 use videopipe_net::tcp::{ReconnectPolicy, TcpSender};
@@ -72,12 +72,18 @@ pub(crate) trait Exec {
 /// One channel of a pipeline: an in-process queue, held in place, and the
 /// task that consumes it — one allocation, plus the queue's buffer once a
 /// message arrives.
+///
+/// The consumer is named by a `Weak`: the task's runner holds its pipeline,
+/// which holds this channel, so a strong reference here would be a cycle
+/// that keeps a stopped or finished deployment alive. The runtime owns the
+/// task; a send upgrades the name, and a consumer that is gone is simply
+/// not woken.
 pub(crate) struct Channel {
     queue: Queue<WireMessage>,
-    /// Set once, when the runtime registers the consuming task. Reply
+    /// Set once, when the runtime builds the consuming task. Reply
     /// channels have none: their module is already running, waiting on
     /// the queue, when a reply lands.
-    consumer: OnceLock<Arc<Task>>,
+    consumer: OnceLock<Weak<Task>>,
 }
 
 impl Channel {
@@ -93,14 +99,15 @@ impl Channel {
 
     /// Names `task` as the consumer a send wakes (once; later calls are
     /// ignored).
-    pub(crate) fn set_consumer(&self, task: Arc<Task>) {
-        let _ = self.consumer.set(task);
+    pub(crate) fn set_consumer(&self, task: &Arc<Task>) {
+        let _ = self.consumer.set(Arc::downgrade(task));
     }
 
-    /// Queues `msg`; returns the consuming task, for the caller to wake.
-    pub(crate) fn push(&self, msg: WireMessage) -> Option<&Arc<Task>> {
+    /// Queues `msg`; returns the consuming task, if it is still deployed,
+    /// for the caller to wake.
+    pub(crate) fn push(&self, msg: WireMessage) -> Option<Arc<Task>> {
         self.queue.push(msg);
-        self.consumer.get()
+        self.consumer.get()?.upgrade()
     }
 
     pub(crate) fn try_recv(&self) -> Option<WireMessage> {
@@ -137,7 +144,7 @@ impl Route {
     /// Sends `msg` and returns the task to wake, if any. A remote route
     /// stamps its names on the message and wakes nobody here: the far
     /// device's I/O thread wakes the consumer when the bytes arrive.
-    pub(crate) fn send(&self, mut msg: WireMessage) -> Result<Option<&Arc<Task>>, PipelineError> {
+    pub(crate) fn send(&self, mut msg: WireMessage) -> Result<Option<Arc<Task>>, PipelineError> {
         match self {
             Route::Local(channel) => Ok(channel.push(msg)),
             Route::Remote {

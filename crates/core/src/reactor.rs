@@ -76,7 +76,7 @@ use crate::service::ServiceRegistry;
 use crate::slo::SloController;
 use crate::telemetry::TelemetryMonitor;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -178,16 +178,22 @@ impl<T> std::ops::Deref for CachePadded<T> {
 
 /// One unit of schedulable work.
 pub(crate) trait TaskRunner: Send {
-    /// Runs one quantum. Returns `true` when work is known to remain (the
-    /// task requeues immediately).
-    fn run(&mut self, core: &Core, depth: usize) -> bool;
-    /// Called once at shutdown, after workers have stopped.
-    fn finalize(&mut self, _core: &Core) {}
+    /// Runs one quantum of `task`, the task this runner belongs to (for
+    /// deadlines that wake it again). Returns `true` when work is known to
+    /// remain (the task requeues immediately).
+    fn run(&mut self, core: &Core, task: &Arc<Task>, depth: usize) -> bool;
+    /// Called once, when the task's pipeline stops or the runtime shuts
+    /// down.
+    fn finalize(&mut self) {}
 }
 
 /// A scheduled task and its runner, in one allocation: built as an
 /// `Arc<Task<SomeRunner>>` and handed around as an `Arc<Task>`, whose
 /// runner is a `dyn TaskRunner`.
+///
+/// Its owner is its pipeline's entry on the [`ReactorRuntime`]; a run
+/// queue, a LIFO slot or an armed deadline holds it only while it is
+/// queued or armed, and the channel it consumes names it by a `Weak`.
 pub(crate) struct Task<R: ?Sized = dyn TaskRunner> {
     /// Home worker (pipeline affinity): wakes from off-worker threads
     /// (I/O, deploy) land on this worker's local queue and the task's
@@ -201,6 +207,16 @@ pub(crate) struct Task<R: ?Sized = dyn TaskRunner> {
     /// cache line of its own: the padding made every task 256 B.
     state: AtomicU8,
     runner: Mutex<R>,
+}
+
+/// A new idle task homed on worker `home`.
+fn new_task(home: usize, blocking: bool, runner: impl TaskRunner + 'static) -> Arc<Task> {
+    Arc::new(Task {
+        home,
+        blocking,
+        state: AtomicU8::new(IDLE),
+        runner: Mutex::new(runner),
+    })
 }
 
 /// One worker's sleep state. A worker with nothing to run *announces*
@@ -295,7 +311,7 @@ thread_local! {
 /// Deferred work on a timer shard.
 enum TimerEntry {
     /// Wake a task at the deadline.
-    Wake(usize),
+    Wake(Arc<Task>),
     /// Deliver already-computed replies at the deadline, each down its
     /// caller's route (timer-deferred modeled service cost: the replies
     /// exist, the latency is modeled by the deadline instead of a sleeping
@@ -332,10 +348,10 @@ struct TimerQueue {
 /// with the pipeline its frames belong to.
 type IoEndpoint = (Arc<PipeRt>, PollEndpoint);
 
-/// Per-pipeline runtime registration: the pipeline's shared state and its
-/// home worker (the deploy-time affinity hint). Who consumes which channel
-/// is not here: registering a task names it on the channel it consumes,
-/// once, and every route to that channel reads it from there.
+/// What every task of a pipeline holds of it: its shared state and its home
+/// worker (the deploy-time affinity hint). Who consumes which channel is
+/// not here: building a task names it on the channel it consumes, once,
+/// and every route to that channel reads it from there.
 struct PipeRt {
     /// Home worker for every task of this pipeline, so its module steps,
     /// service dispatch and watcher ticks tend to stay on one core (warm
@@ -344,14 +360,12 @@ struct PipeRt {
     shared: Arc<Shared>,
 }
 
-/// Shared reactor core: task table, ready queues, timer shards, wake map.
+/// Shared reactor core: ready queues, timer shards, parkers. It owns no
+/// task and no pipeline: a task is here only while it is queued or armed.
 pub(crate) struct Core {
     cfg: ReactorConfig,
     /// Zero of the timer shards' nanosecond clock.
     origin: Instant,
-    /// Task table for lookup by id (timer wakes, finalize). The queues
-    /// carry `Arc<Task>` and never touch it.
-    tasks: RwLock<Vec<Arc<Task>>>,
     /// Per-worker scheduling state: LIFO slot, bounded local queues,
     /// timer shard, targeted parker, steal seed, counters.
     workers: Vec<CachePadded<WorkerQueue>>,
@@ -361,8 +375,6 @@ pub(crate) struct Core {
     /// reactor has a single worker's worth of backlog everywhere.
     nb_ready: (Sender<Arc<Task>>, Receiver<Arc<Task>>),
     mod_ready: (Sender<Arc<Task>>, Receiver<Arc<Task>>),
-    /// Per-pipeline runtime registrations, indexed by pipeline id.
-    pipelines: RwLock<Vec<Arc<PipeRt>>>,
     /// Times the I/O thread came out of its readiness wait (a statistic).
     io_wakeups: AtomicU64,
     stop: AtomicBool,
@@ -374,17 +386,6 @@ impl Core {
     fn current_worker(&self) -> Option<usize> {
         let id = WORKER_ID.with(|c| c.get());
         (id < self.workers.len()).then_some(id)
-    }
-
-    fn wake_task(&self, id: usize) {
-        let task = {
-            let tasks = self.tasks.read();
-            match tasks.get(id) {
-                Some(t) => Arc::clone(t),
-                None => return,
-            }
-        };
-        self.wake(&task);
     }
 
     fn wake(&self, task: &Arc<Task>) {
@@ -582,7 +583,7 @@ impl Core {
             };
             fired += 1;
             match entry {
-                TimerEntry::Wake(id) => self.wake_task(id),
+                TimerEntry::Wake(task) => self.wake(&task),
                 TimerEntry::Deliver { routes, msgs } => {
                     for msg in msgs {
                         self.send_reply(&routes, msg);
@@ -621,7 +622,7 @@ impl Core {
     /// Sends `msg` down `route` and wakes the task the route names.
     fn send(&self, route: &Route, msg: WireMessage) -> Result<(), PipelineError> {
         if let Some(task) = route.send(msg)? {
-            self.wake(task);
+            self.wake(&task);
         }
         Ok(())
     }
@@ -779,7 +780,7 @@ impl Core {
         let more = {
             let mut runner = task.runner.lock();
             let outer = RUN_DEPTH.with(|d| d.replace(depth));
-            let more = runner.run(self, depth);
+            let more = runner.run(self, task, depth);
             RUN_DEPTH.with(|d| d.set(outer));
             more
         };
@@ -848,7 +849,7 @@ impl Core {
             let turned = ingress.turn(|pipe, msg| {
                 if let Some(channel) = pipe.shared.ingress_channel(&msg.channel) {
                     if let Some(task) = channel.push(msg) {
-                        self.wake(task);
+                        self.wake(&task);
                     }
                 }
             });
@@ -900,24 +901,16 @@ impl Core {
 /// message-driven wakes don't flood the timers with duplicate entries. The
 /// shard is the task's home worker: a pipeline's recurring ticks lock only
 /// its own worker's shard.
+#[derive(Default)]
 struct Rearm {
-    id: usize,
-    shard: usize,
     armed_for: Option<Instant>,
 }
 
 impl Rearm {
-    fn new(id: usize, shard: usize) -> Self {
-        Rearm {
-            id,
-            shard,
-            armed_for: None,
-        }
-    }
-
-    fn ensure(&mut self, core: &Core, at: Instant) {
+    /// Arms a wake of `task` at `at`, unless that deadline is armed already.
+    fn ensure(&mut self, core: &Core, task: &Arc<Task>, at: Instant) {
         if self.armed_for != Some(at) {
-            core.arm(self.shard, at, TimerEntry::Wake(self.id));
+            core.arm(task.home, at, TimerEntry::Wake(Arc::clone(task)));
             self.armed_for = Some(at);
         }
     }
@@ -967,7 +960,7 @@ struct ModuleRunner {
 }
 
 impl TaskRunner for ModuleRunner {
-    fn run(&mut self, core: &Core, depth: usize) -> bool {
+    fn run(&mut self, core: &Core, me: &Arc<Task>, depth: usize) -> bool {
         let shared = &self.pipe.shared;
         if shared.stopped() {
             return false;
@@ -975,7 +968,7 @@ impl TaskRunner for ModuleRunner {
         // Periodic checkpoint, self-armed on the worker's timers so it fires
         // even while the inbox is quiet.
         if let Some(at) = self.task.checkpoint_if_due(shared) {
-            self.rearm.ensure(core, at);
+            self.rearm.ensure(core, me, at);
         }
         let exec = ReactorExec { core, depth };
         for _ in 0..MODULE_QUANTUM {
@@ -990,7 +983,7 @@ impl TaskRunner for ModuleRunner {
         self.task.inbox.pending() > 0
     }
 
-    fn finalize(&mut self, _core: &Core) {
+    fn finalize(&mut self) {
         self.task.final_checkpoint(&self.pipe.shared);
     }
 }
@@ -1010,7 +1003,7 @@ struct ServiceRunner {
 }
 
 impl TaskRunner for ServiceRunner {
-    fn run(&mut self, core: &Core, _depth: usize) -> bool {
+    fn run(&mut self, core: &Core, me: &Arc<Task>, _depth: usize) -> bool {
         let ServiceRunner {
             pipe,
             host,
@@ -1027,7 +1020,7 @@ impl TaskRunner for ServiceRunner {
             let container = busy_until.iter_mut().min();
             if let Some(free_at) = &container {
                 if **free_at > Instant::now() {
-                    rearm.ensure(core, **free_at);
+                    rearm.ensure(core, me, **free_at);
                     return false;
                 }
             }
@@ -1071,7 +1064,7 @@ struct PacerRunner {
 }
 
 impl TaskRunner for PacerRunner {
-    fn run(&mut self, core: &Core, depth: usize) -> bool {
+    fn run(&mut self, core: &Core, me: &Arc<Task>, depth: usize) -> bool {
         let PacerRunner { pipe, pacer, rearm } = self;
         let shared = &pipe.shared;
         if shared.stopped() {
@@ -1091,11 +1084,11 @@ impl TaskRunner for PacerRunner {
             }
             pacer.tick(shared, &exec);
         }
-        rearm.ensure(core, pacer.next_tick);
+        rearm.ensure(core, me, pacer.next_tick);
         false
     }
 
-    fn finalize(&mut self, _core: &Core) {
+    fn finalize(&mut self) {
         self.pacer.finalize(&self.pipe.shared);
     }
 }
@@ -1111,7 +1104,7 @@ struct IntervalRunner<F> {
 }
 
 impl<F: FnMut(&Shared, &ReactorExec<'_>) + Send> TaskRunner for IntervalRunner<F> {
-    fn run(&mut self, core: &Core, depth: usize) -> bool {
+    fn run(&mut self, core: &Core, me: &Arc<Task>, depth: usize) -> bool {
         let pipe = &*self.pipe;
         if pipe.shared.stopped() {
             return false;
@@ -1121,7 +1114,7 @@ impl<F: FnMut(&Shared, &ReactorExec<'_>) + Send> TaskRunner for IntervalRunner<F
             self.next_at = now + self.interval;
             (self.tick)(&pipe.shared, &ReactorExec { core, depth });
         }
-        self.rearm.ensure(core, self.next_at);
+        self.rearm.ensure(core, me, self.next_at);
         false
     }
 }
@@ -1136,7 +1129,7 @@ struct HbMonitorRunner {
 }
 
 impl TaskRunner for HbMonitorRunner {
-    fn run(&mut self, core: &Core, _depth: usize) -> bool {
+    fn run(&mut self, core: &Core, me: &Arc<Task>, _depth: usize) -> bool {
         let shared = &self.pipe.shared;
         if shared.stopped() {
             return false;
@@ -1149,7 +1142,7 @@ impl TaskRunner for HbMonitorRunner {
         if now >= self.next_at {
             self.next_at = now + HB_SWEEP;
         }
-        self.rearm.ensure(core, self.next_at);
+        self.rearm.ensure(core, me, self.next_at);
         false
     }
 }
@@ -1170,11 +1163,18 @@ pub struct ReactorRuntime {
     /// binds: the I/O thread drives them all, so chunks recycle across
     /// pipelines instead of each endpoint cold-starting its own pool.
     ingress_pool: Arc<videopipe_net::BufferPool>,
-    /// Contiguous `[start, end)` task-id range per pipeline, in
-    /// `add_pipeline` order (deploy is single-writer, so each pipeline's
-    /// tasks are registered back to back). Lets [`ReactorRuntime::stop_pipeline`]
-    /// finalize exactly one pipeline's tasks mid-run.
-    task_ranges: Vec<(usize, usize)>,
+    /// Every deployed pipeline, indexed by pipeline id.
+    pipelines: Vec<Deployed>,
+}
+
+/// One deployed pipeline: the owner of its tasks, which own its modules,
+/// service hosts and routes. Dropping it frees all of that once the run
+/// queues and timers let go of the tasks they hold.
+struct Deployed {
+    pipe: Arc<PipeRt>,
+    /// Emptied by [`ReactorRuntime::stop_pipeline`], which takes `&self`:
+    /// hence the lock, which nothing else contends.
+    tasks: Mutex<Vec<Arc<Task>>>,
 }
 
 impl ReactorRuntime {
@@ -1184,7 +1184,6 @@ impl ReactorRuntime {
         let core = Arc::new(Core {
             cfg,
             origin: Instant::now(),
-            tasks: RwLock::new(Vec::new()),
             workers: (0..workers)
                 // Fixed per-worker steal seeds (golden-ratio stride): no
                 // shared RNG, deterministic across runs.
@@ -1196,7 +1195,6 @@ impl ReactorRuntime {
                 .collect(),
             nb_ready: unbounded(),
             mod_ready: unbounded(),
-            pipelines: RwLock::new(Vec::new()),
             io_wakeups: AtomicU64::new(0),
             stop: AtomicBool::new(false),
         });
@@ -1215,7 +1213,7 @@ impl ReactorRuntime {
             threads,
             io: None,
             ingress_pool: Arc::new(videopipe_net::BufferPool::default()),
-            task_ranges: Vec::new(),
+            pipelines: Vec::new(),
         }
     }
 
@@ -1248,58 +1246,21 @@ impl ReactorRuntime {
         Ok(())
     }
 
-    /// The next task id (single-writer: `add_pipeline` takes `&mut self`).
-    fn next_task_id(&self) -> usize {
-        self.core.tasks.read().len()
-    }
-
-    fn register_task(
-        &self,
-        home: usize,
-        blocking: bool,
-        runner: impl TaskRunner + 'static,
-    ) -> Arc<Task> {
-        let mut tasks = self.core.tasks.write();
-        let task: Arc<Task> = Arc::new(Task {
-            home,
-            blocking,
-            state: AtomicU8::new(IDLE),
-            runner: Mutex::new(runner),
-        });
-        tasks.push(Arc::clone(&task));
-        task
-    }
-
-    /// Registers a non-blocking task that re-arms itself on its home
-    /// worker's timers, and returns its id for the initial wake.
-    fn register_timed<R: TaskRunner + 'static>(
-        &self,
-        home: usize,
-        runner: impl FnOnce(Rearm) -> R,
-    ) -> (usize, Arc<Task>) {
-        let id = self.next_task_id();
-        (
-            id,
-            self.register_task(home, false, runner(Rearm::new(id, home))),
-        )
-    }
-
-    /// Registers a watcher ticking every `interval`, first at `first_at`.
-    fn register_interval(
-        &self,
+    /// Builds a watcher ticking every `interval`, first at `first_at`.
+    fn interval_task(
         pipe: &Arc<PipeRt>,
         interval: Duration,
         first_at: Instant,
         tick: impl FnMut(&Shared, &ReactorExec<'_>) + Send + 'static,
-    ) -> usize {
-        let (id, _) = self.register_timed(pipe.home, |rearm| IntervalRunner {
+    ) -> Arc<Task> {
+        let runner = IntervalRunner {
             pipe: Arc::clone(pipe),
             interval,
             next_at: first_at,
-            rearm,
+            rearm: Rearm::default(),
             tick,
-        });
-        id
+        };
+        new_task(pipe.home, false, runner)
     }
 
     /// Deploys one more pipeline onto the shared reactor and returns its
@@ -1324,35 +1285,36 @@ impl ReactorRuntime {
         // In `Tcp` mode every device gets an ingress endpoint for the
         // reactor's single I/O thread to run.
         let (shared, io_endpoints) = Shared::deploy(plan, config, &self.ingress_pool)?;
-        let pipeline_id = self.task_ranges.len();
-        let first_task_id = self.next_task_id();
+        let pipeline_id = self.pipelines.len();
         let pipe = Arc::new(PipeRt {
             // Pipeline affinity: home worker for every task of this
             // pipeline. Round-robin over workers spreads the fleet evenly.
             home: pipeline_id % self.core.workers.len(),
             shared,
         });
-        self.core.pipelines.write().push(Arc::clone(&pipe));
-        let initial_wakes = match self.deploy_tasks(plan, modules, services, &pipe, io_endpoints) {
-            Ok(wakes) => wakes,
-            Err(e) => {
-                // Unwind: the tasks registered so far keep their ids (ids
-                // index the task table) but return at entry once stopped,
-                // and the pipeline gives its id back.
-                pipe.shared.stop.store(true, Ordering::SeqCst);
-                self.core.pipelines.write().pop();
-                return Err(e);
-            }
-        };
-        self.task_ranges.push((first_task_id, self.next_task_id()));
-        for id in initial_wakes {
-            self.core.wake_task(id);
+        let mut tasks = Vec::new();
+        let initial_wakes =
+            match self.deploy_tasks(plan, modules, services, &pipe, io_endpoints, &mut tasks) {
+                Ok(wakes) => wakes,
+                Err(e) => {
+                    // Unwind: what was built is dropped with `tasks`; a
+                    // task still queued returns at entry once stopped.
+                    pipe.shared.stop.store(true, Ordering::SeqCst);
+                    return Err(e);
+                }
+            };
+        for task in &initial_wakes {
+            self.core.wake(task);
         }
+        self.pipelines.push(Deployed {
+            pipe,
+            tasks: Mutex::new(tasks),
+        });
         Ok(pipeline_id)
     }
 
-    /// Registers ingress and every task of `pipe`; returns the ids to wake
-    /// once the pipeline is live.
+    /// Registers ingress and builds every task of `pipe` into `tasks`;
+    /// returns those to wake once the pipeline is live.
     fn deploy_tasks(
         &mut self,
         plan: &DeploymentPlan,
@@ -1360,7 +1322,8 @@ impl ReactorRuntime {
         services: &ServiceRegistry,
         pipe: &Arc<PipeRt>,
         io_endpoints: Vec<PollEndpoint>,
-    ) -> Result<Vec<usize>, PipelineError> {
+        tasks: &mut Vec<Arc<Task>>,
+    ) -> Result<Vec<Arc<Task>>, PipelineError> {
         let (shared, home) = (&pipe.shared, pipe.home);
         // Before module init: init-time calls to a remote service need
         // their replies to come in.
@@ -1376,18 +1339,20 @@ impl ReactorRuntime {
         for host in ServiceHost::deploy_all(shared, plan, services)? {
             let inbox = Arc::clone(&host.inbox);
             let containers = if emulated { host.cores as usize } else { 0 };
-            let (_, task) = self.register_timed(home, |rearm| ServiceRunner {
+            let runner = ServiceRunner {
                 pipe: Arc::clone(pipe),
                 host,
                 busy_until: vec![now; containers],
-                rearm,
-            });
-            inbox.set_consumer(task);
+                rearm: Rearm::default(),
+            };
+            let task = new_task(home, false, runner);
+            inbox.set_consumer(&task);
+            tasks.push(task);
         }
 
         // --- Modules: one blocking-capable task each. Init runs inline at
-        // deploy, with service tasks already registered so init-time
-        // service calls can be helped.
+        // deploy, with service tasks already built so init-time service
+        // calls can be helped.
         for m in &plan.pipeline.modules {
             let exec = ReactorExec {
                 core: &self.core,
@@ -1395,25 +1360,27 @@ impl ReactorRuntime {
             };
             let task = ModuleTask::deploy(shared, &exec, plan, m, modules)?;
             let inbox = Arc::clone(&task.inbox);
-            let id = self.next_task_id();
             let runner = ModuleRunner {
                 pipe: Arc::clone(pipe),
                 task,
-                rearm: Rearm::new(id, home),
+                rearm: Rearm::default(),
             };
-            inbox.set_consumer(self.register_task(home, true, runner));
+            let task = new_task(home, true, runner);
+            inbox.set_consumer(&task);
             if shared.config.checkpoint_period.is_some() {
-                initial_wakes.push(id);
+                initial_wakes.push(Arc::clone(&task));
             }
+            tasks.push(task);
         }
 
         // --- Watchers: self-rearming timer tasks.
+        let mut watchers = Vec::new();
         if let Some(slo_cfg) = shared.config.slo.clone() {
             let mut slo = SloController::new(slo_cfg);
             let interval = slo.config().interval;
             let tick =
                 move |shared: &Shared, _: &ReactorExec<'_>| engine::slo_tick(&mut slo, shared);
-            initial_wakes.push(self.register_interval(pipe, interval, now + interval, tick));
+            watchers.push(Self::interval_task(pipe, interval, now + interval, tick));
         }
         if let Some(health) = &shared.config.heartbeats {
             let monitor = HbMonitor::deploy(shared);
@@ -1422,34 +1389,38 @@ impl ReactorRuntime {
                     engine::heartbeat(shared, exec, &device, &route)
                 };
                 let interval = health.heartbeat_interval;
-                initial_wakes.push(self.register_interval(pipe, interval, now, beat));
+                watchers.push(Self::interval_task(pipe, interval, now, beat));
             }
             let inbox = Arc::clone(&monitor.inbox);
-            let (id, task) = self.register_timed(home, |rearm| HbMonitorRunner {
+            let runner = HbMonitorRunner {
                 pipe: Arc::clone(pipe),
                 monitor,
                 next_at: now,
-                rearm,
-            });
-            inbox.set_consumer(task);
-            initial_wakes.push(id);
+                rearm: Rearm::default(),
+            };
+            let task = new_task(home, false, runner);
+            inbox.set_consumer(&task);
+            watchers.push(task);
         }
         if let Some(interval) = shared.config.telemetry_interval {
             let publish = |shared: &Shared, _: &ReactorExec<'_>| engine::publish_telemetry(shared);
-            initial_wakes.push(self.register_interval(pipe, interval, now + interval, publish));
+            watchers.push(Self::interval_task(pipe, interval, now + interval, publish));
         }
 
         // --- Pacer task. Its first run fires the first camera tick
         // immediately.
         let pacer = Pacer::deploy(shared)?;
         let inbox = Arc::clone(&pacer.fc_inbox);
-        let (id, task) = self.register_timed(home, |rearm| PacerRunner {
+        let runner = PacerRunner {
             pipe: Arc::clone(pipe),
             pacer,
-            rearm,
-        });
-        inbox.set_consumer(task);
-        initial_wakes.push(id);
+            rearm: Rearm::default(),
+        };
+        let task = new_task(home, false, runner);
+        inbox.set_consumer(&task);
+        watchers.push(task);
+        initial_wakes.extend(watchers.iter().cloned());
+        tasks.append(&mut watchers);
         Ok(initial_wakes)
     }
 
@@ -1461,20 +1432,18 @@ impl ReactorRuntime {
 
     /// Number of deployed pipelines.
     pub fn pipeline_count(&self) -> usize {
-        self.task_ranges.len()
+        self.pipelines.len()
     }
 
-    fn pipe(&self, id: usize) -> Option<Arc<PipeRt>> {
-        self.core.pipelines.read().get(id).cloned()
+    fn pipe(&self, id: usize) -> Option<&PipeRt> {
+        Some(&self.pipelines.get(id)?.pipe)
     }
 
     /// Total frames delivered across every pipeline.
     pub fn deliveries(&self) -> u64 {
-        self.core
-            .pipelines
-            .read()
+        self.pipelines
             .iter()
-            .map(|p| p.shared.deliveries.load(Ordering::Relaxed))
+            .map(|p| p.pipe.shared.deliveries.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -1503,9 +1472,8 @@ impl ReactorRuntime {
     /// (periodic while running; refreshed one last time by
     /// [`ReactorRuntime::stop_pipeline`] and at shutdown).
     pub fn checkpoint_for(&self, id: usize, module: &str) -> Option<Vec<u8>> {
-        let pipe = self.pipe(id)?;
-        let checkpoint = pipe.shared.checkpoints.lock().get(module).cloned();
-        checkpoint
+        let checkpoints = self.pipe(id)?.shared.checkpoints.lock();
+        checkpoints.get(module).cloned()
     }
 
     /// Frame-store counters for `device` on pipeline `id`, including the
@@ -1528,30 +1496,30 @@ impl ReactorRuntime {
     }
 
     /// Stops pipeline `id` mid-run without touching the rest of the fleet:
-    /// sets its stop flag (every task runner checks it on entry) and
+    /// sets its stop flag (every task runner checks it on entry),
     /// finalizes its tasks so pacer credit accounting flushes and each
-    /// checkpointing module takes one final snapshot. The pipeline's task
-    /// and channel entries stay registered (stopped tasks run no more
-    /// work); its report remains collectable at
+    /// checkpointing module takes one final snapshot, and lets go of them.
+    /// Its module instances, service hosts and routes are freed as soon as
+    /// no run queue or armed deadline holds their task any more (a stopped
+    /// task runs no more work and arms nothing). Its shared state stays:
+    /// [`ReactorRuntime::report_for`] and [`ReactorRuntime::checkpoint_for`]
+    /// still answer, and its report remains collectable at
     /// [`ReactorRuntime::finish`]. Returns `false` for unknown ids or
     /// pipelines already stopped.
     pub fn stop_pipeline(&self, id: usize) -> bool {
-        let Some(&(start, end)) = self.task_ranges.get(id) else {
+        let Some(deployed) = self.pipelines.get(id) else {
             return false;
         };
-        let Some(pipe) = self.pipe(id) else {
-            return false;
-        };
-        if pipe.shared.stop.swap(true, Ordering::SeqCst) {
+        if deployed.pipe.shared.stop.swap(true, Ordering::SeqCst) {
             return false;
         }
-        // Finalize this pipeline's tasks. Locking each runner serializes
-        // with any in-flight quantum; once the stop flag is set a queued
-        // task returns at entry without touching its module instance, so
-        // the final snapshot taken here cannot go stale.
-        let tasks = self.core.tasks.read();
-        for task in tasks.iter().take(end).skip(start) {
-            task.runner.lock().finalize(&self.core);
+        // Locking each runner serializes with any in-flight quantum; once
+        // the stop flag is set a queued task returns at entry without
+        // touching its module instance, so the final snapshot taken here
+        // cannot go stale.
+        let tasks = std::mem::take(&mut *deployed.tasks.lock());
+        for task in tasks {
+            task.runner.lock().finalize();
         }
         true
     }
@@ -1610,15 +1578,16 @@ impl ReactorRuntime {
     /// Stops every thread and collects one report per pipeline: each
     /// pipeline's metrics, logs and errors are handed over, not copied.
     /// Each report carries the same runtime-wide per-worker scheduler
-    /// snapshot.
+    /// snapshot. The rest of the deployment — tasks, modules, channels,
+    /// queued messages, armed deadlines — is freed on return, as it is
+    /// when a runtime is dropped without `finish`.
     pub fn finish(mut self) -> Vec<RunReport> {
         self.shutdown();
         let sched = self.core.scheduler_stats();
-        let pipelines = self.core.pipelines.read();
-        pipelines
+        self.pipelines
             .iter()
             .map(|p| {
-                let mut report = p.shared.report(true);
+                let mut report = p.pipe.shared.report(true);
                 report.scheduler = sched.clone();
                 report
             })
@@ -1627,11 +1596,8 @@ impl ReactorRuntime {
 
     fn shutdown(&mut self) {
         self.core.stop.store(true, Ordering::SeqCst);
-        {
-            let pipelines = self.core.pipelines.read();
-            for p in pipelines.iter() {
-                p.shared.stop.store(true, Ordering::SeqCst);
-            }
+        for p in &self.pipelines {
+            p.pipe.shared.stop.store(true, Ordering::SeqCst);
         }
         for wq in &self.core.workers {
             wq.parker.unpark();
@@ -1642,10 +1608,12 @@ impl ReactorRuntime {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        // Finalize every task (pacers flush credit accounting).
-        let tasks = self.core.tasks.read();
-        for task in tasks.iter() {
-            task.runner.lock().finalize(&self.core);
+        // Finalize every task still deployed (pacers flush credit
+        // accounting); a stopped pipeline's went when it stopped.
+        for p in &self.pipelines {
+            for task in p.tasks.lock().iter() {
+                task.runner.lock().finalize();
+            }
         }
     }
 }
@@ -1661,7 +1629,7 @@ impl Drop for ReactorRuntime {
 impl std::fmt::Debug for ReactorRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReactorRuntime")
-            .field("pipelines", &self.task_ranges.len())
+            .field("pipelines", &self.pipelines.len())
             .field("threads", &self.threads.len())
             .finish()
     }
@@ -2327,13 +2295,70 @@ pub(crate) mod tests {
         }
     }
 
+    /// Wraps a module to count its instance's drop, and snapshots to a
+    /// fixed byte so a checkpointing pipeline has checkpoints to show.
+    struct Counted {
+        inner: Box<dyn Module>,
+        dropped: Arc<AtomicU64>,
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.dropped.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    impl Module for Counted {
+        fn init(&mut self, ctx: &mut dyn ModuleCtx) -> Result<(), PipelineError> {
+            self.inner.init(ctx)
+        }
+        fn on_event(&mut self, event: Event, ctx: &mut dyn ModuleCtx) -> Result<(), PipelineError> {
+            self.inner.on_event(event, ctx)
+        }
+        fn snapshot(&self) -> Option<Vec<u8>> {
+            Some(vec![1])
+        }
+    }
+
+    /// Module instances built and dropped through [`Census::register`].
+    #[derive(Clone, Default)]
+    struct Census {
+        built: Arc<AtomicU64>,
+        dropped: Arc<AtomicU64>,
+    }
+
+    impl Census {
+        /// Registers `make` under `name`, each instance wrapped in [`Counted`].
+        fn register(
+            &self,
+            modules: &mut ModuleRegistry,
+            name: &str,
+            make: fn() -> Box<dyn Module>,
+        ) {
+            let census = self.clone();
+            modules.register(name, move || {
+                census.built.fetch_add(1, Ordering::SeqCst);
+                Box::new(Counted {
+                    inner: make(),
+                    dropped: Arc::clone(&census.dropped),
+                })
+            });
+        }
+
+        /// Instances built and not yet dropped.
+        fn live(&self) -> u64 {
+            self.built.load(Ordering::SeqCst) - self.dropped.load(Ordering::SeqCst)
+        }
+    }
+
     #[test]
     fn a_failed_add_takes_no_pipeline_id() {
         let (modules, services) = registries();
+        let census = Census::default();
         let mut broken = ModuleRegistry::new();
-        broken.register("TestSource", || Box::new(TestSource));
-        broken.register("TestMid", || Box::new(TestMid));
-        broken.register("TestSink", || Box::new(BrokenInit));
+        census.register(&mut broken, "TestSource", || Box::new(TestSource));
+        census.register(&mut broken, "TestMid", || Box::new(TestMid));
+        census.register(&mut broken, "TestSink", || Box::new(BrokenInit));
         let mut rt = ReactorRuntime::new(ReactorConfig {
             workers: 2,
             ..ReactorConfig::default()
@@ -2344,6 +2369,10 @@ pub(crate) mod tests {
         };
         let failed = rt.add_pipeline(&single_device_plan("broken"), &broken, &services, config());
         assert!(failed.is_err());
+        // Every module built before the failing `init`, and that one, is
+        // gone with the failed add.
+        assert_eq!(census.built.load(Ordering::SeqCst), 3);
+        assert_eq!(census.live(), 0, "modules of the failed add still live");
         let id = rt
             .add_pipeline(&single_device_plan("good"), &modules, &services, config())
             .unwrap();
@@ -2370,6 +2399,73 @@ pub(crate) mod tests {
             "{:?}",
             reports[0].metrics
         );
+    }
+
+    #[test]
+    fn a_stopped_pipeline_frees_its_modules_and_keeps_its_report() {
+        let (modules, services) = registries();
+        let census = Census::default();
+        let mut counted = ModuleRegistry::new();
+        census.register(&mut counted, "TestSource", || Box::new(TestSource));
+        census.register(&mut counted, "TestMid", || Box::new(TestMid));
+        census.register(&mut counted, "TestSink", || Box::new(TestSink));
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        // One tick period, which is also the checkpoint period: once it has
+        // passed, every deadline a stopped task had armed has fired.
+        let period = Duration::from_millis(5);
+        let config = || RuntimeConfig {
+            fps: 200.0,
+            checkpoint_period: Some(period),
+            ..RuntimeConfig::default()
+        };
+        let plan = single_device_plan;
+        let stopped = rt
+            .add_pipeline(&plan("stopped"), &counted, &services, config())
+            .unwrap();
+        let sibling = rt
+            .add_pipeline(&plan("sibling"), &modules, &services, config())
+            .unwrap();
+        let until = |id: usize, frames: u64| {
+            let start = Instant::now();
+            while rt.deliveries_for(id) < frames {
+                assert!(
+                    start.elapsed() < Duration::from_secs(10),
+                    "pipeline {id} stuck at {} frames",
+                    rt.deliveries_for(id)
+                );
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+        until(stopped, 5);
+        until(sibling, 5);
+        assert!(census.live() >= 3);
+        assert!(rt.stop_pipeline(stopped));
+        std::thread::sleep(period);
+        let start = Instant::now();
+        while census.live() > 0 {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "{} modules of the stopped pipeline still live",
+                census.live()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Its shared state stays: the live report and the final checkpoints.
+        let live = rt
+            .report_for(stopped)
+            .expect("a report for the stopped pipeline");
+        assert!(live.metrics.frames_delivered >= 5, "{:?}", live.metrics);
+        assert!(rt.checkpoint_for(stopped, "mid").is_some());
+        // The sibling keeps delivering.
+        until(sibling, rt.deliveries_for(sibling) + 5);
+        let reports = rt.finish();
+        assert_eq!(reports.len(), 2);
+        let last = &reports[stopped].metrics;
+        assert!(last.frames_delivered >= live.metrics.frames_delivered);
+        assert!(last.credits_balanced(), "{last:?}");
     }
 
     #[test]
@@ -2467,7 +2563,7 @@ pub(crate) mod tests {
     }
 
     impl TaskRunner for ProbeRunner {
-        fn run(&mut self, _core: &Core, _depth: usize) -> bool {
+        fn run(&mut self, _core: &Core, _task: &Arc<Task>, _depth: usize) -> bool {
             assert!(
                 !self.overlap.swap(true, Ordering::SeqCst),
                 "task ran concurrently on two threads"
@@ -2496,7 +2592,7 @@ pub(crate) mod tests {
         });
         let pending = Arc::new(AtomicU64::new(0));
         let runs = Arc::new(AtomicU64::new(0));
-        let task = rt.register_task(
+        let task = new_task(
             0,
             false,
             ProbeRunner {
@@ -2556,11 +2652,11 @@ pub(crate) mod tests {
         );
     }
 
-    /// Registers a [`ProbeRunner`] task homed on `home`; returns the task
+    /// Builds a [`ProbeRunner`] task homed on `home`; returns the task
     /// and its `pending` wake counter.
-    fn probe_task(rt: &ReactorRuntime, home: usize, blocking: bool) -> (Arc<Task>, Arc<AtomicU64>) {
+    fn probe_task(home: usize, blocking: bool) -> (Arc<Task>, Arc<AtomicU64>) {
         let pending = Arc::new(AtomicU64::new(0));
-        let task = rt.register_task(
+        let task = new_task(
             home,
             blocking,
             ProbeRunner {
@@ -2618,7 +2714,7 @@ pub(crate) mod tests {
             steal,
             ..ReactorConfig::default()
         });
-        let mut probes: Vec<_> = (0..WORKERS).map(|t| probe_task(&rt, t, false)).collect();
+        let mut probes: Vec<_> = (0..WORKERS).map(|t| probe_task(t, false)).collect();
         let spawn_pushers = |probes: &[(Arc<Task>, Arc<AtomicU64>)]| -> Vec<_> {
             probes
                 .iter()
@@ -2642,9 +2738,8 @@ pub(crate) mod tests {
         let pushers_done = Arc::new(AtomicBool::new(false));
         let mut armers = Vec::new();
         for t in 0..WORKERS {
-            let id = rt.next_task_id();
-            let (task, pending) = probe_task(&rt, t, false);
-            probes.push((task, Arc::clone(&pending)));
+            let (task, pending) = probe_task(t, false);
+            probes.push((Arc::clone(&task), Arc::clone(&pending)));
             let core = Arc::clone(&rt.core);
             let pushers_done = Arc::clone(&pushers_done);
             armers.push(std::thread::spawn(move || {
@@ -2657,7 +2752,8 @@ pub(crate) mod tests {
                     seed ^= seed << 17;
                     let delay = Duration::from_micros(seed % 2_000);
                     pending.fetch_add(1, Ordering::SeqCst);
-                    core.arm(t, Instant::now() + delay, TimerEntry::Wake(id));
+                    let wake = TimerEntry::Wake(Arc::clone(&task));
+                    core.arm(t, Instant::now() + delay, wake);
                     await_drained(&pending, delay + STALL, "armed deadline");
                     armed += 1;
                 }
@@ -2696,14 +2792,12 @@ pub(crate) mod tests {
             workers: 1,
             ..ReactorConfig::default()
         });
-        let far_id = rt.next_task_id();
-        let (_far, _) = probe_task(&rt, 0, false);
-        let near_id = rt.next_task_id();
-        let (_near, pending) = probe_task(&rt, 0, false);
+        let (far, _) = probe_task(0, false);
+        let (near, pending) = probe_task(0, false);
         rt.core.arm(
             0,
             Instant::now() + Duration::from_millis(200),
-            TimerEntry::Wake(far_id),
+            TimerEntry::Wake(far),
         );
         // The owner is asleep towards the 200 ms deadline once it has
         // announced itself and slept at least once.
@@ -2715,7 +2809,7 @@ pub(crate) mod tests {
         rt.core.arm(
             0,
             Instant::now() + Duration::from_millis(1),
-            TimerEntry::Wake(near_id),
+            TimerEntry::Wake(near),
         );
         let took = await_drained(&pending, Duration::from_millis(100), "near deadline");
         assert!(took < Duration::from_millis(10), "fired after {took:?}");
@@ -2729,7 +2823,7 @@ pub(crate) mod tests {
     }
 
     impl TaskRunner for StallRunner {
-        fn run(&mut self, core: &Core, _depth: usize) -> bool {
+        fn run(&mut self, core: &Core, _task: &Arc<Task>, _depth: usize) -> bool {
             let _ = self
                 .started
                 .send(core.current_worker().expect("on a worker"));
@@ -2748,7 +2842,7 @@ pub(crate) mod tests {
             ..ReactorConfig::default()
         });
         let (started, on) = unbounded();
-        let stall = rt.register_task(
+        let stall = new_task(
             0,
             false,
             StallRunner {
@@ -2756,8 +2850,7 @@ pub(crate) mod tests {
                 hold: Duration::from_millis(20),
             },
         );
-        let probe_id = rt.next_task_id();
-        let (_probe, pending) = probe_task(&rt, 0, false);
+        let (probe, pending) = probe_task(0, false);
         await_all_parked(&rt.core);
         rt.core.wake(&stall);
         let owner = on.recv().expect("stall task started");
@@ -2765,7 +2858,7 @@ pub(crate) mod tests {
         rt.core.arm(
             owner,
             Instant::now() + Duration::from_millis(1),
-            TimerEntry::Wake(probe_id),
+            TimerEntry::Wake(probe),
         );
         await_drained(&pending, Duration::from_millis(200), "deadline")
     }
@@ -2789,7 +2882,7 @@ pub(crate) mod tests {
     }
 
     impl TaskRunner for NestRunner {
-        fn run(&mut self, core: &Core, _depth: usize) -> bool {
+        fn run(&mut self, core: &Core, _task: &Arc<Task>, _depth: usize) -> bool {
             core.wake(&self.inner);
             assert!(core.try_run_one(2));
             false
@@ -2804,7 +2897,7 @@ pub(crate) mod tests {
     }
 
     impl TaskRunner for WakeThenStall {
-        fn run(&mut self, core: &Core, _depth: usize) -> bool {
+        fn run(&mut self, core: &Core, _task: &Arc<Task>, _depth: usize) -> bool {
             self.pending.fetch_add(1, Ordering::SeqCst);
             let _ = self.woke_at.send(Instant::now());
             core.wake(&self.target);
@@ -2821,9 +2914,9 @@ pub(crate) mod tests {
         });
         // Blocking-capable, like a module task: at depth 2 > HELP_DEPTH
         // the worker that woke it cannot run it.
-        let (module, pending) = probe_task(&rt, 0, true);
+        let (module, pending) = probe_task(0, true);
         let (woke_at, woke) = unbounded();
-        let inner = rt.register_task(
+        let inner = new_task(
             0,
             false,
             WakeThenStall {
@@ -2832,7 +2925,7 @@ pub(crate) mod tests {
                 woke_at,
             },
         );
-        let outer = rt.register_task(0, false, NestRunner { inner });
+        let outer = new_task(0, false, NestRunner { inner });
         await_all_parked(&rt.core);
         rt.core.wake(&outer);
         let woke_at = woke.recv().expect("inner task ran");
@@ -2882,7 +2975,7 @@ pub(crate) mod tests {
     }
 
     impl TaskRunner for LatenessRunner {
-        fn run(&mut self, core: &Core, _depth: usize) -> bool {
+        fn run(&mut self, core: &Core, task: &Arc<Task>, _depth: usize) -> bool {
             let now = Instant::now();
             while now >= self.due {
                 self.late_us
@@ -2890,7 +2983,7 @@ pub(crate) mod tests {
                     .push((now - self.due).as_micros() as u64);
                 self.due += self.interval;
             }
-            self.rearm.ensure(core, self.due);
+            self.rearm.ensure(core, task, self.due);
             false
         }
     }
@@ -2902,18 +2995,17 @@ pub(crate) mod tests {
             ..ReactorConfig::default()
         });
         let late_us = Arc::new(Mutex::new(Vec::new()));
-        let id = rt.next_task_id();
-        rt.register_task(
+        let task = new_task(
             0,
             false,
             LatenessRunner {
                 due: Instant::now() + Duration::from_millis(1),
                 interval: Duration::from_millis(1),
-                rearm: Rearm::new(id, 0),
+                rearm: Rearm::default(),
                 late_us: Arc::clone(&late_us),
             },
         );
-        rt.core.wake_task(id);
+        rt.core.wake(&task);
         let start = Instant::now();
         while late_us.lock().len() < 500 {
             assert!(start.elapsed() < Duration::from_secs(10));
@@ -2969,7 +3061,7 @@ pub(crate) mod tests {
         struct SlackProbe(std::sync::mpsc::Sender<u64>);
 
         impl TaskRunner for SlackProbe {
-            fn run(&mut self, _core: &Core, _depth: usize) -> bool {
+            fn run(&mut self, _core: &Core, _task: &Arc<Task>, _depth: usize) -> bool {
                 let _ = self.0.send(timer_slack_ns(&own_tid()).unwrap_or(0));
                 false
             }
@@ -2990,9 +3082,8 @@ pub(crate) mod tests {
             // A task on each worker reads its own slack.
             let (tx, rx) = std::sync::mpsc::channel();
             for worker in 0..2 {
-                let id = rt.next_task_id();
-                rt.register_task(worker, false, SlackProbe(tx.clone()));
-                rt.core.wake_task(id);
+                let probe = new_task(worker, false, SlackProbe(tx.clone()));
+                rt.core.wake(&probe);
             }
             for _ in 0..2 {
                 let slack = rx.recv_timeout(Duration::from_secs(5)).expect("probe ran");

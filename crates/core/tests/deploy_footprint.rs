@@ -11,6 +11,12 @@
 //! handing a pipeline's report over costs on top of the deployment it
 //! reports on.
 //!
+//! Last, what is left: once the reports are dropped, the live bytes must be
+//! back within [`LEFT_CEILING`] of the reading taken before the runtime was
+//! built — the runtime's threads, its pipelines and everything they own are
+//! gone. A second round deploys the same fleet and drops the runtime
+//! without `finish()`, which must free it all the same.
+//!
 //! Readings (x86-64 Linux, debug build; they repeat to within a few bytes):
 //!
 //! | code                                                  | B per pipeline | B per report |
@@ -20,8 +26,13 @@
 //! | `Arc` of its own, metrics cloned into final reports   |                |              |
 //! | metric cells resolved at deploy, one allocation per   |          9 550 |          735 |
 //! | task and per channel, metrics handed over at the end  |                |              |
+//! | the runtime owns its tasks (no task table, no ids), a |          9 522 |          735 |
+//! | channel names its consumer by a `Weak`                |                |              |
 //!
-//! The ceilings are the second row plus 10 %.
+//! The ceilings are the second row plus 10 %. Before the runtime owned its
+//! tasks (a channel held its consumer, whose runner held the channel), this
+//! fleet left 1 487 890 B live after `finish()` and its reports were
+//! dropped, and 1 863 290 B after a plain drop.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -103,6 +114,10 @@ const PIPELINE_CEILING: i64 = 10_500;
 /// Heap bytes `finish()` may add per report at its peak.
 const REPORT_CEILING: i64 = 810;
 
+/// Live heap bytes a finished or dropped runtime may leave behind, for the
+/// whole fleet.
+const LEFT_CEILING: i64 = 1024;
+
 const PIPELINES: usize = 200;
 
 /// Forwards each camera tick to `work`.
@@ -175,6 +190,39 @@ fn relay_plan(name: &str) -> DeploymentPlan {
     plan(&spec, &devices, &placement).unwrap()
 }
 
+fn one_worker() -> ReactorRuntime {
+    ReactorRuntime::new(ReactorConfig {
+        workers: 1,
+        ..ReactorConfig::default()
+    })
+}
+
+/// Deploys every plan on `rt` and returns once each relay has delivered a
+/// frame.
+fn deploy_fleet(
+    rt: &mut ReactorRuntime,
+    plans: &[DeploymentPlan],
+    modules: &ModuleRegistry,
+    services: &ServiceRegistry,
+) {
+    let ids: Vec<usize> = plans
+        .iter()
+        .map(|plan| {
+            let config = RuntimeConfig {
+                fps: 10.0,
+                credits: 1,
+                ..RuntimeConfig::default()
+            };
+            rt.add_pipeline(plan, modules, services, config).unwrap()
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while ids.iter().any(|&id| rt.deliveries_for(id) == 0) {
+        assert!(Instant::now() < deadline, "a relay delivered no frame");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 #[test]
 fn a_deployed_relay_and_its_final_report_stay_under_their_ceilings() {
     let mut modules = ModuleRegistry::new();
@@ -188,27 +236,10 @@ fn a_deployed_relay_and_its_final_report_stay_under_their_ceilings() {
     let plans: Vec<DeploymentPlan> = (0..PIPELINES)
         .map(|p| relay_plan(&format!("relay{p}")))
         .collect();
-    let mut rt = ReactorRuntime::new(ReactorConfig {
-        workers: 1,
-        ..ReactorConfig::default()
-    });
+    let at_start = LIVE.load(Ordering::Relaxed);
+    let mut rt = one_worker();
     let before = LIVE.load(Ordering::Relaxed);
-    let ids: Vec<usize> = plans
-        .iter()
-        .map(|plan| {
-            let config = RuntimeConfig {
-                fps: 10.0,
-                credits: 1,
-                ..RuntimeConfig::default()
-            };
-            rt.add_pipeline(plan, &modules, &services, config).unwrap()
-        })
-        .collect();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while ids.iter().any(|&id| rt.deliveries_for(id) == 0) {
-        assert!(Instant::now() < deadline, "a relay delivered no frame");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    deploy_fleet(&mut rt, &plans, &modules, &services);
     let per_pipeline = (LIVE.load(Ordering::Relaxed) - before) / PIPELINES as i64;
 
     let before = LIVE.load(Ordering::Relaxed);
@@ -220,7 +251,20 @@ fn a_deployed_relay_and_its_final_report_stay_under_their_ceilings() {
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert!(report.metrics.frames_delivered > 0);
     }
+    drop(reports);
+    let after_finish = LIVE.load(Ordering::Relaxed) - at_start;
+
+    let at_start = LIVE.load(Ordering::Relaxed);
+    let mut rt = one_worker();
+    deploy_fleet(&mut rt, &plans, &modules, &services);
+    drop(rt);
+    let after_drop = LIVE.load(Ordering::Relaxed) - at_start;
+
     println!("{per_pipeline} live heap bytes per relay pipeline, {per_report} added per report");
+    println!(
+        "{after_finish} live heap bytes left by {PIPELINES} relays after finish() and their \
+         reports, {after_drop} after a plain drop"
+    );
     assert!(
         per_pipeline <= PIPELINE_CEILING,
         "{per_pipeline} B per pipeline, ceiling {PIPELINE_CEILING}"
@@ -229,4 +273,10 @@ fn a_deployed_relay_and_its_final_report_stay_under_their_ceilings() {
         per_report <= REPORT_CEILING,
         "{per_report} B per report, ceiling {REPORT_CEILING}"
     );
+    for (left, how) in [(after_finish, "finish()"), (after_drop, "a plain drop")] {
+        assert!(
+            left <= LEFT_CEILING,
+            "{left} B still live after {how}, ceiling {LEFT_CEILING}"
+        );
+    }
 }

@@ -41,7 +41,7 @@ if grep -rnE 'LocalRunt[i]me|ThreadEx[e]c|service_executor_lo[o]p|ShutdownGat[e]
 fi
 count_non_test crates/core/src/runtime.rs crates/core/src/reactor.rs crates/core/src/engine.rs
 
-echo "==> one route table (channels and metric cells resolved at deploy; vendored channel size; relay footprint)"
+echo "==> one route table (channels and metric cells resolved at deploy, tasks owned by their pipeline; vendored channel size; relay footprint)"
 # Every sending site holds a route resolved once in Shared::deploy: the
 # destination's queue and the task that consumes it. A channel -> device
 # map, a channel -> task lookup, a wake by channel name or a hub connect in
@@ -53,7 +53,9 @@ echo "==> one route table (channels and metric cells resolved at deploy; vendore
 # 310 before it counted its blocked waiters) is printed beside the runtime +
 # reactor + engine count above (3486 before routes), and so is the live
 # heap one deployed relay pipeline keeps (15 946 B before metric cells were
-# resolved at deploy; gated in the test itself).
+# resolved at deploy; gated in the test itself) beside what a finished and
+# a dropped fleet leave live (1 487 890 B for 200 relays while the reactor
+# kept a task table; gated in the test itself).
 routing=$(for f in crates/core/src/engine.rs crates/core/src/reactor.rs; do
     awk '/#\[cfg\(test\)\]/ { exit }
          /channel_device|task_for|wake_channel|hub\.connect\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
@@ -61,6 +63,21 @@ done)
 if [ -n "$routing" ]; then
     echo "per-message channel routing in the shipping part of engine.rs / reactor.rs:"
     printf '%s\n' "$routing"
+    exit 1
+fi
+# A task has one owner, its pipeline's entry on the runtime; a queue or an
+# armed deadline holds it only while it is queued or armed, and a channel
+# names its consumer by a Weak. A task id (a task table, an id-keyed wake or
+# deadline) or a channel holding its consumer strongly in the shipping part
+# of engine.rs or reactor.rs brings back the cycle that kept every stopped
+# or finished deployment alive: fail.
+owned=$(for f in crates/core/src/engine.rs crates/core/src/reactor.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit }
+         /wake_task|next_task_id|task_ranges|Wake\(usize\)|OnceLock<Arc<Task>>/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$owned" ]; then
+    echo "a task id or a strong channel -> task edge in the shipping part of engine.rs / reactor.rs:"
+    printf '%s\n' "$owned"
     exit 1
 fi
 keyed=$(awk '/#\[cfg\(test\)\]/ { exit }
@@ -73,7 +90,7 @@ if [ -n "$keyed" ]; then
 fi
 count_non_test vendor/crossbeam/src/lib.rs
 cargo test -q --offline -p videopipe-core --test deploy_footprint -- --nocapture 2>&1 |
-    grep -E 'bytes per relay pipeline' | sed 's/^/    /'
+    grep -E 'bytes per relay pipeline|bytes left by' | sed 's/^/    /'
 
 echo "==> one ingress (a single accept loop and a single readiness loop; videopipe-net size)"
 # Every TCP receiver is a PollEndpoint turned by videopipe_net::Ingress. A
