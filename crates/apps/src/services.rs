@@ -235,9 +235,9 @@ impl Service for ActivityClassifierService {
     }
 
     fn cost(&self, _request: &ServiceRequest) -> ServiceCost {
-        // Followers ride the batched k-NN distance-matrix kernel (one
-        // matrix per query tile against the training block frozen at fit)
-        // instead of a per-query scan.
+        // Followers share one batch's buffers and the index built at fit
+        // (the bound-pruned search on the deployed model) instead of paying
+        // a whole call each.
         ServiceCost::flat(Duration::from_millis(9)).with_batched_base(Duration::from_millis(3))
     }
 }

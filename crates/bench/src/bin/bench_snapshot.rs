@@ -689,10 +689,13 @@ fn ml_section(quick: bool, out: &mut String) {
     // The production shape the cell above misses: the deployed fitness
     // model (450 samples × dim 510), one `Payload::Vector` window per
     // `handle_batch` call — the reactor's mean batch is 1.0 — cycling
-    // through a 30-window squat ring. The "transposes every call" arm is
+    // through a 30-window squat ring. The model is over
+    // `knn::BOUNDED_MIN_BYTES`, so fit gave it the bound-pruned search
+    // (sketches plus the rows they do not rule out); the 400 × 34 cell
+    // above keeps the frozen block. The "transposes every call" arm is
     // the same query's distance row through one-shot `distances_into`,
-    // which is what every classify paid before the training block was
-    // frozen at fit; it omits top-k and the vote, so the ratio is a floor.
+    // which is what every classify paid before the index was built once at
+    // fit; it omits top-k and the vote, so the ratio is a floor.
     let model = training::trained_fitness_classifier(42);
     let config = videopipe_ml::dataset::DatasetConfig {
         seed: 42,
@@ -729,8 +732,8 @@ fn ml_section(quick: bool, out: &mut String) {
     let frozen_us = frozen_s / iters as f64 * 1e6;
     let single_speedup = transpose_s / frozen_s.max(1e-12);
     println!(
-        "k-NN single query {}x{} k=5: transpose per call {transpose_us:.1} us -> frozen block \
-         {frozen_us:.1} us per handle_batch ({single_speedup:.2}x), {allocs:.1} allocs / \
+        "k-NN single query {}x{} k=5: transpose per call {transpose_us:.1} us -> index built at \
+         fit {frozen_us:.1} us per handle_batch ({single_speedup:.2}x), {allocs:.1} allocs / \
          {alloc_bytes:.0} B per call",
         train.features.len(),
         train.features[0].len(),

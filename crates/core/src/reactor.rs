@@ -1651,6 +1651,12 @@ pub(crate) mod tests {
     /// test counts the frames its own pipeline puts on the wire.
     pub(crate) static TCP_WIRE: Mutex<()> = Mutex::new(());
 
+    /// Held by the tests that bound a wake-up to a few milliseconds and by
+    /// the multi-thread stress tests: with two CPUs, a stress test's
+    /// workers and hammering threads running beside such a bound can keep
+    /// the worker it waits for off the CPU for longer than the bound.
+    static TIMING: Mutex<()> = Mutex::new(());
+
     /// Source: mints a tiny frame per tick and forwards the reference.
     struct TestSource;
     impl Module for TestSource {
@@ -2584,6 +2590,7 @@ pub(crate) mod tests {
     /// and a wake that lands mid-run (DIRTY) must never be lost.
     #[test]
     fn task_machine_survives_randomized_stealing_interleavings() {
+        let _timing = TIMING.lock();
         const WAKERS: u64 = 4;
         const WAKES_PER_THREAD: u64 = 20_000;
         let rt = ReactorRuntime::new(ReactorConfig {
@@ -2703,6 +2710,7 @@ pub(crate) mod tests {
     /// deadlines together, deadlines alone — because either kind of
     /// traffic would rescue a worker that slept through the other.
     fn lost_wake_stress(steal: bool) {
+        let _timing = TIMING.lock();
         const WORKERS: usize = 4;
         const WAKES_PER_PUSHER: u64 = 20_000;
         const DEADLINES_PER_ARMER: u64 = 300;
@@ -2788,6 +2796,7 @@ pub(crate) mod tests {
 
     #[test]
     fn earlier_deadline_armed_from_outside_cuts_the_owners_sleep_short() {
+        let _timing = TIMING.lock();
         let rt = ReactorRuntime::new(ReactorConfig {
             workers: 1,
             ..ReactorConfig::default()
@@ -2836,6 +2845,7 @@ pub(crate) mod tests {
     /// handler, with one idle sibling; returns how long the deadline's
     /// task took to run.
     fn deadline_behind_a_stuck_owner(steal: bool) -> Duration {
+        let _timing = TIMING.lock();
         let rt = ReactorRuntime::new(ReactorConfig {
             workers: 2,
             steal,
@@ -2908,6 +2918,7 @@ pub(crate) mod tests {
 
     #[test]
     fn module_task_woken_from_a_deep_helper_goes_to_an_idle_sibling() {
+        let _timing = TIMING.lock();
         let rt = ReactorRuntime::new(ReactorConfig {
             workers: 2,
             ..ReactorConfig::default()
@@ -2990,6 +3001,7 @@ pub(crate) mod tests {
 
     #[test]
     fn one_khz_deadlines_fire_without_the_kernels_timer_slack() {
+        let _timing = TIMING.lock();
         let rt = ReactorRuntime::new(ReactorConfig {
             workers: 2,
             ..ReactorConfig::default()

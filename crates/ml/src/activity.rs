@@ -73,9 +73,10 @@ impl ActivityModel {
     }
 
     /// Classifies a batch of pre-extracted feature vectors, one label per
-    /// vector in order. Window features are high-dimensional, so this rides
-    /// the k-NN brute-force path: one fused distance matrix per query tile
-    /// against the training block frozen at training time.
+    /// vector in order. Window features are high-dimensional and a trained
+    /// set of hundreds of windows outgrows the cache, so this rides the
+    /// k-NN bound-pruned search: per query, one pass over the training
+    /// sketches, then exact distances for the rows they do not rule out.
     ///
     /// # Errors
     ///
@@ -255,5 +256,52 @@ mod tests {
             .map(|i| clip.pose_at(i as u64 * 66_000_000).translated(0.2, 0.05))
             .collect();
         assert_eq!(recognizer.classify_window(&window).unwrap(), "jumping_jack");
+    }
+
+    #[test]
+    fn bounded_search_measures_a_fraction_of_the_deployed_model() {
+        // The deployed fitness model (450 windows × 510 dims) queried by a
+        // 2 s squat at the camera rate, replayed as a ring of 30 windows,
+        // and by the withheld windows. Counting rows rather than timing
+        // them: a search that falls back to scanning the whole model reads
+        // 450 per query.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        const RING: usize = 30;
+        const CEILING: f64 = 150.0;
+        let config = DatasetConfig {
+            seed: 42,
+            ..DatasetConfig::default()
+        };
+        let (train, withheld) = synthetic_split(&ExerciseKind::FITNESS, &config);
+        let model = ActivityModel::train(ActivityRecognizer::DEFAULT_K, train).unwrap();
+        let poses = MotionClip::new(ExerciseKind::Squat, 2.0)
+            .with_jitter(0.004)
+            .sample_sequence(
+                0,
+                2_000_000_000 / RING as u64,
+                RING,
+                &mut StdRng::seed_from_u64(42),
+            );
+        let ring = (0..RING).map(|start| {
+            let window: Vec<Pose> = (0..WINDOW_LEN)
+                .map(|i| poses[(start + i) % RING].clone())
+                .collect();
+            window_features(&window).expect("full window")
+        });
+        let queries: Vec<Vec<f32>> = ring.chain(withheld.features).collect();
+        let measured: Vec<usize> = queries
+            .iter()
+            .map(|q| model.knn.bounded_rows_measured(q).expect("bounded shape"))
+            .collect();
+        let mean = measured.iter().sum::<usize>() as f64 / measured.len() as f64;
+        println!(
+            "bounded k-NN on the fitness model: {mean:.1} of {} rows measured per query \
+             (max {}, {} queries; ceiling {CEILING})",
+            model.training_size(),
+            measured.iter().max().unwrap(),
+            measured.len(),
+        );
+        assert!(mean < CEILING, "mean {mean:.1} rows per query");
     }
 }

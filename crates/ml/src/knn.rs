@@ -1,23 +1,41 @@
-//! k-nearest-neighbour classification, with both a brute-force path and a
-//! KD-tree index.
+//! k-nearest-neighbour classification: a KD-tree, a frozen distance block
+//! and a bound-pruned exact search, plus the brute-force row scans they are
+//! tested against.
 //!
 //! The activity recogniser (paper §4.1.2) "utilizes nearest neighbor on pose
 //! sequences". Pose-window features are ~500-dimensional, where KD-trees
-//! degrade towards linear scans, so [`KnnClassifier`] picks the brute-force
-//! path for high dimensions and the KD-tree for low ones; both are exposed
-//! for benchmarking.
+//! degrade towards linear scans, so [`KnnClassifier::fit`] decides once how
+//! a model is searched — one of three shapes:
 //!
-//! Both paths run on the blocked kernels from [`crate::math`]: the KD-tree
-//! buckets points into leaves of [`KDTREE_LEAF_SIZE`] and scans each leaf
-//! with the blocked [`squared_distance`], while the brute-force path freezes
-//! the training set into a [`PointBlock`] at fit time and answers every
-//! query — single or batched — through the fused
-//! [`distances_block_into`] distance-matrix kernel, so a query pays only the
-//! row-parallel walk. [`KnnClassifier::brute_force`] and
+//! * **Tree** (dimension ≤ [`KDTREE_MAX_DIM`]): points bucketed into leaves
+//!   of [`KDTREE_LEAF_SIZE`], each leaf scanned with the blocked
+//!   [`squared_distance`].
+//! * **Block** (higher dimension, training set under [`BOUNDED_MIN_BYTES`]):
+//!   the training set frozen column-major into a [`PointBlock`], every query
+//!   — single or batched — answered by the fused [`distances_block_into`]
+//!   distance-matrix kernel. The fastest shape while the block stays in
+//!   cache.
+//! * **Bounded** (higher dimension, training set of at least
+//!   [`BOUNDED_MIN_BYTES`]): a model that does not stay in cache between
+//!   queries costs the bytes a query streams, so each sample gets a sketch
+//!   of one float per [`SKETCH_SPAN`] consecutive dimensions (the span's sum
+//!   over √len, an orthonormal projection). By Cauchy–Schwarz the sketch
+//!   distance is a lower bound on the true squared distance; a query reads
+//!   the n sketches, measures exact distances for the k rows with the
+//!   smallest bounds, then skips every row whose bound cannot beat the
+//!   running k-th distance. On the fitness model that reads 34 of 510
+//!   floats per sample plus the few dozen rows that survive.
+//!
+//! Every shape orders neighbours by (distance, index), so the tree, the
+//! bounded search and [`KnnClassifier::brute_force`] return the same list
+//! for the same distances, ties included, whatever order they visit rows
+//! in. [`KnnClassifier::brute_force`] and
 //! [`KnnClassifier::brute_force_scalar`] keep the per-sample row scans as
 //! the reference oracles.
 
-use crate::math::{distances_block_into, squared_distance, squared_distance_scalar, PointBlock};
+use crate::math::{
+    distances_block_into, dot, squared_distance, squared_distance_scalar, PointBlock,
+};
 use std::error::Error;
 use std::fmt;
 
@@ -74,6 +92,25 @@ pub const KDTREE_MAX_DIM: usize = 16;
 /// for far fewer pointer-chasing splits — the classic cache-friendly
 /// KD-tree layout.
 pub const KDTREE_LEAF_SIZE: usize = 16;
+
+/// Training-set size, in bytes of `f32` samples, from which a
+/// high-dimensional model is searched through per-sample sketches instead of
+/// a frozen [`PointBlock`]. Below it streaming the whole block costs no
+/// more than reading the sketches and the rows that survive them; above it
+/// the block loses, hot and most of all cold (pose windows cross over
+/// between 119 and 239 KiB, measured in DESIGN.md §5.9). Data the sketches
+/// cannot prune loses on this shape at any size.
+pub const BOUNDED_MIN_BYTES: usize = 256 * 1024;
+
+/// Consecutive dimensions summed into one sketch coordinate of the bounded
+/// search: 510-dimensional pose windows get 34 coordinates, 8 % of the
+/// model's bytes.
+pub const SKETCH_SPAN: usize = 15;
+
+/// Highest dimension the bounded search takes: its pruning margin covers
+/// the rounding of a distance summed over at most this many terms (see
+/// [`Sketches::search`]). Wider models keep the block.
+const BOUNDED_MAX_DIM: usize = 4096;
 
 /// Queries per tile in [`KnnClassifier::predict_batch`]; bounds the reused
 /// distance-matrix buffer at `KNN_BATCH_TILE × samples` floats.
@@ -180,10 +217,11 @@ impl KdTree {
                     (right, left)
                 };
                 Self::search(near, samples, query, k, best);
-                // Only descend the far side if the splitting plane is closer
-                // than the current k-th best.
+                // Only descend the far side if the splitting plane is no
+                // farther than the current k-th best: a far point at exactly
+                // that distance may still win the tie on its index.
                 let worst = best.last().map(|(d, _)| *d).unwrap_or(f32::INFINITY);
-                if best.len() < k || diff * diff < worst {
+                if best.len() < k || diff * diff <= worst {
                     Self::search(far, samples, query, k, best);
                 }
             }
@@ -196,18 +234,171 @@ impl KdTree {
     }
 }
 
+/// Whether candidate `a` ranks before `b`: nearer first, and among equal
+/// distances the lower sample index first, so a neighbour list does not
+/// depend on the order rows were visited in.
+fn ranks_before(a: (f32, usize), b: (f32, usize)) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
+/// Inserts `(d, idx)` into the closest-first list `best`, keeping at most
+/// `k` entries.
 fn insert_candidate(best: &mut Vec<(f32, usize)>, k: usize, d: f32, idx: usize) {
     // Most candidates lose to a full list outright; skip the search and the
     // insert-then-pop they would amount to.
-    if best.len() == k && best.last().is_some_and(|&(worst, _)| d > worst) {
+    if best.len() == k
+        && best
+            .last()
+            .is_none_or(|&worst| !ranks_before((d, idx), worst))
+    {
         return;
     }
-    let pos = best
-        .binary_search_by(|(bd, _)| bd.partial_cmp(&d).unwrap_or(std::cmp::Ordering::Equal))
-        .unwrap_or_else(|p| p);
+    let pos = best.partition_point(|&c| ranks_before(c, (d, idx)));
     best.insert(pos, (d, idx));
     if best.len() > k {
         best.pop();
+    }
+}
+
+/// Bound-pruned exact search state frozen at fit: one sketch per sample and
+/// each sample's norm.
+#[derive(Debug, Clone, PartialEq)]
+struct Sketches {
+    /// Row-major, `spans` coordinates per sample: coordinate `j` of sample
+    /// `x` is `Σ x[15j..15j+len] / √len`, see [`sketch_into`].
+    coords: Vec<f32>,
+    /// ‖x‖ per sample, for the absolute rounding term of the pruning test.
+    norms: Vec<f32>,
+    spans: usize,
+}
+
+/// Appends the sketch of `x` to `out`: per span of [`SKETCH_SPAN`]
+/// consecutive dimensions (the last may be shorter), the span's sum over
+/// √len — `x`'s projection onto the unit vector that is constant on the
+/// span. The spans are disjoint, so these unit vectors are orthonormal and
+/// the sketch distance never exceeds the true distance.
+fn sketch_into(x: &[f32], out: &mut Vec<f32>) {
+    out.extend(
+        x.chunks(SKETCH_SPAN)
+            .map(|span| span.iter().sum::<f32>() / (span.len() as f32).sqrt()),
+    );
+}
+
+/// Widens the pruning test by `ROUNDING × (‖q‖ + ‖x‖)` in distance: twice
+/// what rounding can shift a sketch distance, see [`Sketches::search`].
+const ROUNDING: f32 = 1.0 / (1u32 << 19) as f32;
+
+/// A row is skipped only when its bound, shrunk by 2⁻¹⁰, still lies beyond
+/// the running k-th distance.
+const SHRINK: f32 = 1.0 - 1.0 / 1024.0;
+
+/// Buffers one bounded query reuses; [`KnnClassifier::predict_batch`]
+/// keeps one set for a whole batch.
+#[derive(Default)]
+struct Scratch {
+    sketch: Vec<f32>,
+    bounds: Vec<f32>,
+    seeds: Vec<(f32, usize)>,
+}
+
+impl Sketches {
+    fn new(samples: &[Vec<f32>]) -> Self {
+        let spans = samples[0].len().div_ceil(SKETCH_SPAN);
+        let mut coords = Vec::with_capacity(samples.len() * spans);
+        for s in samples {
+            sketch_into(s, &mut coords);
+        }
+        Sketches {
+            coords,
+            norms: samples.iter().map(|s| dot(s, s).sqrt()).collect(),
+            spans,
+        }
+    }
+
+    /// Refills `best` with the `k` nearest `(distance, index)` pairs of
+    /// `query`, closest first — exactly the list a row scan with
+    /// [`squared_distance`] makes — and returns how many rows' exact
+    /// distances it computed.
+    ///
+    /// One pass over the sketches gives every row a lower bound `L`; the `k`
+    /// rows with the smallest bounds seed the list; one more pass measures
+    /// only the rows whose bound could still beat the running k-th distance
+    /// `kth`. A row is skipped when `L·(1 − 2⁻¹⁰) > (√kth + ROUNDING·(‖q‖ +
+    /// ‖x‖))²`, which cannot happen to a row whose computed distance is at
+    /// most `kth` — every row of the final list — because in f32
+    /// (u = 2⁻²⁴), for finite inputs whose squares neither overflow nor
+    /// fall into subnormals:
+    ///
+    /// * a computed distance (or norm²) is within a relative `(dim + 3)·u`
+    ///   of the true one — a sum of non-negative terms, at most `dim` of
+    ///   them in sequence — which is below 2⁻¹¹ for `dim` ≤
+    ///   [`BOUNDED_MAX_DIM`], so its root is within 2⁻¹²;
+    /// * a sketch coordinate sums ≤ 15 terms and divides once, so it is off
+    ///   by at most `16u·‖x_span‖`, and the sketch difference by at most
+    ///   `16u·(‖q‖ + ‖x‖)` in norm — an absolute error, which a relative
+    ///   margin alone cannot cover when `q` and `x` are much closer than
+    ///   they are long; `ROUNDING` = 2⁻¹⁹ = 32u covers it, computed norms
+    ///   and all;
+    /// * the bound's own subtraction, squares and sum add a relative
+    ///   `(spans + 2)·u` < 2⁻¹⁵, so its root is within 2⁻¹⁶.
+    ///
+    /// So √L of a row at computed distance `d ≤ kth` stays below
+    /// `√kth·(1 + 2⁻¹² + 2⁻¹⁶) + 17u·(‖q‖ + ‖x‖)`, which the widened
+    /// threshold still exceeds after shrinking by `√(1 − 2⁻¹⁰) < 1 − 2⁻¹¹`.
+    /// Skipped rows lie strictly beyond the final k-th distance, so ties
+    /// are never pruned.
+    fn search(
+        &self,
+        samples: &[Vec<f32>],
+        query: &[f32],
+        k: usize,
+        scratch: &mut Scratch,
+        best: &mut Vec<(f32, usize)>,
+    ) -> usize {
+        let Scratch {
+            sketch,
+            bounds,
+            seeds,
+        } = scratch;
+        sketch.clear();
+        sketch_into(query, sketch);
+        bounds.clear();
+        bounds.extend(
+            self.coords
+                .chunks_exact(self.spans)
+                .map(|x| squared_distance(sketch, x)),
+        );
+        seeds.clear();
+        for (i, &bound) in bounds.iter().enumerate() {
+            insert_candidate(seeds, k, bound, i);
+        }
+        best.clear();
+        for &(_, i) in seeds.iter() {
+            insert_candidate(best, k, squared_distance(query, &samples[i]), i);
+        }
+        let mut measured = seeds.len();
+        if best.len() < k {
+            return measured; // fewer samples than k: every row was a seed
+        }
+        // Walk the seeds in index order beside the pass so none is measured
+        // twice.
+        seeds.sort_unstable_by_key(|&(_, i)| i);
+        let mut seeds = seeds.iter().map(|&(_, i)| i).peekable();
+        let query_norm = dot(query, query).sqrt();
+        let mut kth_root = best[k - 1].0.sqrt();
+        for (i, &bound) in bounds.iter().enumerate() {
+            if seeds.next_if_eq(&i).is_some() {
+                continue;
+            }
+            let reach = kth_root + ROUNDING * (query_norm + self.norms[i]);
+            if bound * SHRINK > reach * reach {
+                continue;
+            }
+            measured += 1;
+            insert_candidate(best, k, squared_distance(query, &samples[i]), i);
+            kth_root = best[k - 1].0.sqrt();
+        }
+        measured
     }
 }
 
@@ -216,9 +407,30 @@ fn insert_candidate(best: &mut Vec<(f32, usize)>, k: usize, d: f32, idx: usize) 
 enum Index {
     /// Low dimensions: tree search over the row-major samples.
     Tree(KdTree),
-    /// High dimensions: the training set frozen column-major with its
-    /// norms, so a query never transposes or allocates the model again.
+    /// High dimensions, cache-sized model: the training set frozen
+    /// column-major with its norms, so a query never transposes or
+    /// allocates the model again.
     Block(PointBlock),
+    /// High dimensions, model of [`BOUNDED_MIN_BYTES`] or more: sketch
+    /// bounds over the row-major samples, so a query reads the sketches and
+    /// the rows that survive them.
+    Bounded(Sketches),
+}
+
+impl Index {
+    /// The shape [`KnnClassifier::fit`] gives `samples` (non-empty, one
+    /// dimension).
+    fn fit(samples: &[Vec<f32>]) -> Self {
+        let dim = samples[0].len();
+        let bytes = samples.len() * dim * std::mem::size_of::<f32>();
+        if dim <= KDTREE_MAX_DIM {
+            Index::Tree(KdTree::build(samples))
+        } else if bytes >= BOUNDED_MIN_BYTES && dim <= BOUNDED_MAX_DIM {
+            Index::Bounded(Sketches::new(samples))
+        } else {
+            Index::Block(PointBlock::new(samples))
+        }
+    }
 }
 
 /// A k-NN classifier over string labels.
@@ -232,8 +444,9 @@ pub struct KnnClassifier {
 
 impl KnnClassifier {
     /// Trains ("memorises") the classifier: builds the KD-tree for
-    /// dimensions up to [`KDTREE_MAX_DIM`], otherwise freezes the samples
-    /// into the brute-force [`PointBlock`].
+    /// dimensions up to [`KDTREE_MAX_DIM`]; above that sketches a training
+    /// set of [`BOUNDED_MIN_BYTES`] or more for the bounded search and
+    /// freezes a smaller one into a [`PointBlock`].
     ///
     /// # Errors
     ///
@@ -261,11 +474,7 @@ impl KnnClassifier {
                 });
             }
         }
-        let index = if dim <= KDTREE_MAX_DIM {
-            Index::Tree(KdTree::build(&samples))
-        } else {
-            Index::Block(PointBlock::new(&samples))
-        };
+        let index = Index::fit(&samples);
         Ok(KnnClassifier {
             k,
             samples,
@@ -296,7 +505,7 @@ impl KnnClassifier {
     }
 
     /// Whether predictions go through the KD-tree index (otherwise they
-    /// query the frozen brute-force block).
+    /// query the frozen block or the sketch bounds).
     pub fn uses_kdtree(&self) -> bool {
         matches!(self.index, Index::Tree(_))
     }
@@ -325,11 +534,12 @@ impl KnnClassifier {
 
     /// Predicts a whole batch of queries.
     ///
-    /// On the brute-force path (high-dimensional features) this runs the
-    /// fused norm-decomposition distance-matrix kernel over query tiles
-    /// against the block frozen at fit time, reusing one distance buffer and
-    /// one top-k buffer for the whole batch; on the KD-tree path it searches
-    /// per query (tree pruning already skips most distance work there).
+    /// On the block shape this runs the fused norm-decomposition
+    /// distance-matrix kernel over query tiles against the block frozen at
+    /// fit time, reusing one distance buffer and one top-k buffer for the
+    /// whole batch; the tree and bounded shapes search per query (their
+    /// pruning already skips most distance work), the bounded one reusing
+    /// its buffers across the batch.
     ///
     /// # Errors
     ///
@@ -356,6 +566,14 @@ impl KnnClassifier {
                         self.select_nearest(row, &mut best);
                         out.push(self.vote(best.iter().map(|&(_, i)| i)));
                     }
+                }
+            }
+            Index::Bounded(sketches) => {
+                let mut scratch = Scratch::default();
+                let mut best = Vec::with_capacity(self.k + 1);
+                for q in queries {
+                    sketches.search(&self.samples, q.as_ref(), self.k, &mut scratch, &mut best);
+                    out.push(self.vote(best.iter().map(|&(_, i)| i)));
                 }
             }
         }
@@ -407,12 +625,35 @@ impl KnnClassifier {
                 self.select_nearest(&dists, &mut best);
                 best.into_iter().map(|(_, i)| i).collect()
             }
+            Index::Bounded(sketches) => {
+                let mut best = Vec::with_capacity(self.k + 1);
+                let mut scratch = Scratch::default();
+                sketches.search(&self.samples, query, self.k, &mut scratch, &mut best);
+                best.into_iter().map(|(_, i)| i).collect()
+            }
         })
     }
 
+    /// How many rows' exact distances the bounded search measures for
+    /// `query`; `None` unless the model has the bounded shape.
+    #[cfg(test)]
+    pub(crate) fn bounded_rows_measured(&self, query: &[f32]) -> Option<usize> {
+        let Index::Bounded(sketches) = &self.index else {
+            return None;
+        };
+        let mut best = Vec::new();
+        Some(sketches.search(
+            &self.samples,
+            query,
+            self.k,
+            &mut Scratch::default(),
+            &mut best,
+        ))
+    }
+
     /// Per-sample row scan on the blocked distance kernel: the reference
-    /// the frozen-block path is tested against, and the brute-force arm of
-    /// the KD-tree benchmarks. Not on the prediction path.
+    /// the block and bounded shapes are tested against, and the brute-force
+    /// arm of the KD-tree benchmarks. Not on the prediction path.
     pub fn brute_force(&self, query: &[f32]) -> Vec<usize> {
         let mut best: Vec<(f32, usize)> = Vec::with_capacity(self.k + 1);
         for (i, s) in self.samples.iter().enumerate() {
@@ -453,6 +694,7 @@ impl KnnClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prop_assert_eq;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -596,38 +838,141 @@ mod tests {
         assert_eq!(predict(&["a", "b", "c", "c", "b"]), "b"); // b and c tied: b nearer
     }
 
+    /// Samples of `dim` floats that fill exactly `bytes` bytes, rounded up.
+    fn rows_for(bytes: usize, dim: usize) -> usize {
+        bytes.div_ceil(dim * std::mem::size_of::<f32>())
+    }
+
     #[test]
-    fn fit_freezes_a_block_exactly_when_there_is_no_tree() {
+    fn fit_picks_tree_block_or_bounded_by_dimension_and_bytes() {
         let mut rng = StdRng::seed_from_u64(5);
-        for (dim, tree) in [(KDTREE_MAX_DIM, true), (KDTREE_MAX_DIM + 1, false)] {
-            let (samples, labels) = clustered(&mut rng, 12, dim);
+        let just_under = |dim| rows_for(BOUNDED_MIN_BYTES, dim) - 1;
+        for (dim, n, shape) in [
+            (KDTREE_MAX_DIM, 12, "tree"),
+            (KDTREE_MAX_DIM + 1, 12, "block"),
+            (40, just_under(40), "block"),
+            (40, rows_for(BOUNDED_MIN_BYTES, 40), "bounded"),
+            (512, just_under(512), "block"),
+            (512, rows_for(BOUNDED_MIN_BYTES, 512), "bounded"),
+            (
+                BOUNDED_MAX_DIM + 1,
+                rows_for(BOUNDED_MIN_BYTES, 4097),
+                "block",
+            ),
+        ] {
+            let (samples, labels) = clustered(&mut rng, n, dim);
             let knn = KnnClassifier::fit(3, samples.clone(), labels).unwrap();
-            assert_eq!(knn.uses_kdtree(), tree, "dim {dim}");
+            assert_eq!(knn.uses_kdtree(), shape == "tree", "dim {dim}");
             match &knn.index {
-                Index::Tree(t) => assert_eq!(t.dim(), dim),
+                Index::Tree(t) => assert_eq!((shape, t.dim()), ("tree", dim)),
                 Index::Block(block) => {
-                    assert_eq!((block.len(), block.dim()), (12, dim));
+                    assert_eq!(shape, "block", "dim {dim}, {n} samples");
+                    assert_eq!((block.len(), block.dim()), (n, dim));
                     assert_eq!(block, &PointBlock::new(&samples));
+                }
+                Index::Bounded(sketches) => {
+                    assert_eq!(shape, "bounded", "dim {dim}, {n} samples");
+                    assert_eq!(sketches.spans, dim.div_ceil(SKETCH_SPAN));
+                    assert_eq!(sketches.coords.len(), n * sketches.spans);
+                    assert_eq!(sketches, &Sketches::new(&samples));
                 }
             }
         }
     }
 
     #[test]
-    fn clone_keeps_the_frozen_block() {
+    fn clone_keeps_the_fitted_index() {
         let mut rng = StdRng::seed_from_u64(9);
-        let (samples, labels) = clustered(&mut rng, 20, 40);
-        let knn = KnnClassifier::fit(3, samples, labels).unwrap();
-        let copy = knn.clone();
-        let (Index::Block(a), Index::Block(b)) = (&knn.index, &copy.index) else {
-            panic!("dim 40 must freeze a block, and the clone must keep it");
+        for n in [20, rows_for(BOUNDED_MIN_BYTES, 40)] {
+            let (samples, labels) = clustered(&mut rng, n, 40);
+            let knn = KnnClassifier::fit(3, samples, labels).unwrap();
+            let copy = knn.clone();
+            match (&knn.index, &copy.index) {
+                (Index::Block(a), Index::Block(b)) => assert_eq!((n, a), (20, b)),
+                (Index::Bounded(a), Index::Bounded(b)) => assert!(n > 20 && a == b),
+                _ => panic!("dim 40 must fit a block or sketches, and the clone keep them"),
+            }
+            let (queries, _) = clustered(&mut rng, 6, 40);
+            assert_eq!(
+                knn.predict_batch(&queries).unwrap(),
+                copy.predict_batch(&queries).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn neighbour_ties_go_to_the_lower_index_on_every_shape() {
+        // Four copies of each of three points, in shuffled order: every
+        // query sees ties, and each shape must break them by index.
+        let points = [[0.0f32; 20], [1.0; 20], [3.0; 20]];
+        let order = [2, 0, 1, 1, 2, 0, 0, 2, 1, 0, 1, 2];
+        let samples: Vec<Vec<f32>> = order.iter().map(|&p| points[p].to_vec()).collect();
+        let labels = vec!["x".to_string(); samples.len()];
+        let knn = KnnClassifier::fit(6, samples.clone(), labels.clone()).unwrap();
+        assert!(matches!(knn.index, Index::Block(_)));
+        let bounded = KnnClassifier {
+            index: Index::Bounded(Sketches::new(&samples)),
+            ..knn.clone()
         };
-        assert_eq!(a, b);
-        let (queries, _) = clustered(&mut rng, 6, 40);
-        assert_eq!(
-            knn.predict_batch(&queries).unwrap(),
-            copy.predict_batch(&queries).unwrap()
-        );
+        let copies = |p: usize| order.iter().enumerate().filter(move |&(_, &o)| o == p);
+        let expected: Vec<usize> = copies(0).chain(copies(1)).map(|(i, _)| i).take(6).collect();
+        assert_eq!(expected, vec![1, 5, 6, 9, 2, 3]);
+        let q = [0.1f32; 20];
+        assert_eq!(knn.brute_force(&q), expected);
+        assert_eq!(knn.brute_force_scalar(&q), expected);
+        assert_eq!(knn.neighbours(&q).unwrap(), expected);
+        assert_eq!(bounded.neighbours(&q).unwrap(), expected);
+        // The same ties on a line through the tree.
+        let line: Vec<Vec<f32>> = order.iter().map(|&p| vec![points[p][0]]).collect();
+        let tree = KnnClassifier::fit(6, line, labels).unwrap();
+        assert!(tree.uses_kdtree());
+        assert_eq!(tree.neighbours(&[0.1]).unwrap(), expected);
+    }
+
+    /// Vectors of `dim` components drawn from ±`scale`.
+    fn scaled(dim: usize, scale: f32, rng: &mut StdRng) -> Vec<f32> {
+        (0..dim)
+            .map(|_| scale * rng.gen_range(-1.0f32..1.0))
+            .collect()
+    }
+
+    fn sketch(x: &[f32]) -> Vec<f32> {
+        let mut out = Vec::new();
+        sketch_into(x, &mut out);
+        out
+    }
+
+    proptest::proptest! {
+        /// The sketch distance is a lower bound on the distance, with the
+        /// 2⁻¹⁰ margin to spare, at magnitudes from 1e-3 to 1e3 and spans
+        /// that do not divide the dimension; and for a pair far closer than
+        /// it is long, where rounding the sketches is an absolute error the
+        /// margin alone does not cover, the widened pruning test still keeps
+        /// the pair.
+        #[test]
+        fn sketch_distance_bounds_the_distance(
+            dim in 17usize..=600,
+            exponent in -3.0f32..=3.0,
+            nudge in -8.0f32..=-4.0,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let scale = 10f32.powf(exponent);
+            let (q, x) = (scaled(dim, scale, &mut rng), scaled(dim, scale, &mut rng));
+            prop_assert_eq!(sketch(&q).len(), dim.div_ceil(SKETCH_SPAN));
+            let bound = squared_distance(&sketch(&q), &sketch(&x));
+            let exact = squared_distance(&q, &x);
+            proptest::prop_assert!(bound * SHRINK <= exact, "{} > {}", bound * SHRINK, exact);
+            let near: Vec<f32> = q
+                .iter()
+                .zip(scaled(dim, scale * 10f32.powf(nudge), &mut rng))
+                .map(|(a, b)| a + b)
+                .collect();
+            let bound = squared_distance(&sketch(&q), &sketch(&near));
+            let exact = squared_distance(&q, &near);
+            let reach = exact.sqrt() + ROUNDING * (dot(&q, &q).sqrt() + dot(&near, &near).sqrt());
+            proptest::prop_assert!(bound * SHRINK <= reach * reach, "near pair pruned");
+        }
     }
 
     #[test]

@@ -219,9 +219,9 @@ pub fn squared_norms<P: AsRef<[f32]>>(points: &[P]) -> Vec<f32> {
 /// A point set frozen for repeated distance-matrix calls: the column-major
 /// copy and the squared norms are built once, so per-call work is only the
 /// row-parallel walk. k-means freezes its samples this way at fit time and
-/// reuses the block across every assignment iteration; the brute-force
-/// k-NN classifier freezes its training set the same way and queries it
-/// once per frame.
+/// reuses the block across every assignment iteration; a high-dimensional
+/// k-NN classifier whose training set is small enough to stay in cache
+/// freezes it the same way and queries it once per frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointBlock {
     /// Column-major: slot `d * len + p` holds component `d` of point `p`,

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use videopipe_ml::kmeans::KMeans;
-use videopipe_ml::knn::{KdTree, KnnClassifier};
+use videopipe_ml::knn::{KdTree, KnnClassifier, BOUNDED_MIN_BYTES};
 use videopipe_ml::math::{
     axpy, axpy_scalar, distances_into, distances_into_scalar, dot, dot_scalar, iou, mean,
     mean_scalar, squared_distance, squared_distance_scalar,
@@ -301,6 +301,53 @@ proptest! {
                 &expected[..tile],
                 "batch of {}", tile
             );
+        }
+    }
+}
+
+proptest! {
+    // Each case is a model of at least BOUNDED_MIN_BYTES, row-scanned per
+    // query.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The bound-pruned search returns exactly the row scan's list on the
+    /// same blocked distance kernel — same indices in the same order, ties
+    /// included — at dimensions the sketch span does not divide, with
+    /// duplicated samples and queries that sit on a training sample (so
+    /// ties at distance 0 as well). Magnitudes vary per case so the pruning
+    /// margin is exercised on close and on far pairs.
+    #[test]
+    fn knn_bounded_neighbours_equal_brute_force(
+        dim in 17usize..=600,
+        duplicates in 0usize..=60,
+        k in 1usize..=7,
+        exponent in -3.0f32..=3.0,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let scale = 10f32.powf(exponent);
+        // Enough rows that fit chooses the bounded shape.
+        let distinct = BOUNDED_MIN_BYTES.div_ceil(dim * 4);
+        let mut samples: Vec<Vec<f32>> = Vec::with_capacity(distinct + duplicates);
+        for _ in 0..distinct {
+            let class = rng.gen_range(0..CENTRES.len());
+            samples.push(noisy_point(&mut rng, class, dim).iter().map(|v| v * scale).collect());
+        }
+        for _ in 0..duplicates {
+            let original = rng.gen_range(0..distinct);
+            samples.push(samples[original].clone());
+        }
+        let labels: Vec<String> = (0..samples.len()).map(|i| format!("c{}", i % 3)).collect();
+        let knn = KnnClassifier::fit(k, samples.clone(), labels).unwrap();
+        prop_assert!(!knn.uses_kdtree());
+        for i in 0..12 {
+            let query: Vec<f32> = if i % 3 == 0 {
+                samples[rng.gen_range(0..samples.len())].clone()
+            } else {
+                let class = rng.gen_range(0..CENTRES.len());
+                noisy_point(&mut rng, class, dim).iter().map(|v| v * scale).collect()
+            };
+            prop_assert_eq!(knn.neighbours(&query).unwrap(), knn.brute_force(&query));
         }
     }
 }

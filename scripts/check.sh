@@ -41,7 +41,7 @@ if grep -rnE 'LocalRunt[i]me|ThreadEx[e]c|service_executor_lo[o]p|ShutdownGat[e]
 fi
 count_non_test crates/core/src/runtime.rs crates/core/src/reactor.rs crates/core/src/engine.rs
 
-echo "==> one route table (channels and metric cells resolved at deploy, tasks owned by their pipeline; vendored channel size; relay footprint)"
+echo "==> one route table (channels and metric cells resolved at deploy, tasks owned by their pipeline; vendored channel size; relay footprint; k-NN rows per query)"
 # Every sending site holds a route resolved once in Shared::deploy: the
 # destination's queue and the task that consumes it. A channel -> device
 # map, a channel -> task lookup, a wake by channel name or a hub connect in
@@ -91,6 +91,11 @@ fi
 count_non_test vendor/crossbeam/src/lib.rs
 cargo test -q --offline -p videopipe-core --test deploy_footprint -- --nocapture 2>&1 |
     grep -E 'bytes per relay pipeline|bytes left by' | sed 's/^/    /'
+# The activity classifier's footprint per query: rows of the deployed
+# fitness model whose exact distance the bound-pruned search measures (the
+# test itself fails above its ceiling; a whole-model scan reads 450).
+cargo test -q --offline -p videopipe-ml --lib bounded_search_measures -- --nocapture 2>&1 |
+    grep -E 'rows measured per query' | sed 's/^/    /'
 
 echo "==> one ingress (a single accept loop and a single readiness loop; videopipe-net size)"
 # Every TCP receiver is a PollEndpoint turned by videopipe_net::Ingress. A
@@ -394,13 +399,15 @@ echo "==> k-NN single-query gates (production shape: 450 x 510 model, batch of o
 # dim 34, which is how a per-call transpose of the whole training set went
 # unseen. This cell classifies as the pipeline does — one 510-dim window
 # per handle_batch against the deployed model — next to the same query
-# through one-shot distances_into, which transposes on every call. Two
-# bars, neither tied to runner speed: the frozen-block path must be at
-# least 3x faster than the transposing arm measured in the SAME run (the
-# two slow down together under load; a transpose creeping back drags the
-# ratio to ~1), and a call may allocate at most 16 KB (request and
-# response plumbing plus one 450-float distance row; the transpose alone
-# was 918 KB). Allocation counts are deterministic.
+# through one-shot distances_into, which transposes on every call. The
+# deployed model is large enough that fit gives it the bound-pruned search
+# (knn::BOUNDED_MIN_BYTES) instead of a frozen block. Two bars, neither
+# tied to runner speed: the index built at fit must be at least 3x faster
+# than the transposing arm measured in the SAME run (the two slow down
+# together under load; a transpose creeping back drags the ratio to ~1),
+# and a call may allocate at most 16 KB (request and response plumbing
+# plus one 450-float bound row; the transpose alone was 918 KB).
+# Allocation counts are deterministic.
 knn_single_gate() { # knn_single_gate SNAPSHOT -> 0 if ratio and bytes hold
     local snapshot="$1"
     speedup=$(extract "$snapshot" knn_single_query speedup_x)
