@@ -111,7 +111,7 @@ pub fn run_fitness(config: &ExperimentConfig, arch: Arch) -> Result<ExperimentRu
 /// # Errors
 ///
 /// Propagates deployment/simulation setup errors.
-pub fn run_fitness_plan(
+pub(crate) fn run_fitness_plan(
     config: &ExperimentConfig,
     plan: &DeploymentPlan,
 ) -> Result<ExperimentRun, PipelineError> {

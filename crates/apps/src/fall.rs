@@ -19,7 +19,7 @@ use videopipe_media::motion::{ExerciseKind, MotionClip};
 use videopipe_media::SourceConfig;
 
 /// The fall-detection pipeline DAG.
-pub fn pipeline_spec() -> PipelineSpec {
+pub(crate) fn pipeline_spec() -> PipelineSpec {
     PipelineSpec::new("fall_detection")
         .with_module(
             ModuleSpec::new("video_streaming", "FallVideoModule").with_next("pose_detection"),
@@ -33,7 +33,7 @@ pub fn pipeline_spec() -> PipelineSpec {
 }
 
 /// Devices: phone camera + desktop pose service.
-pub fn devices() -> Vec<DeviceSpec> {
+pub(crate) fn devices() -> Vec<DeviceSpec> {
     vec![
         DeviceSpec::new(crate::fitness::PHONE, 0.6),
         DeviceSpec::new(crate::fitness::DESKTOP, 2.0)
@@ -43,7 +43,7 @@ pub fn devices() -> Vec<DeviceSpec> {
 }
 
 /// VideoPipe placement.
-pub fn videopipe_placement() -> Placement {
+pub(crate) fn videopipe_placement() -> Placement {
     Placement::new()
         .assign("video_streaming", crate::fitness::PHONE)
         .assign("pose_detection", crate::fitness::DESKTOP)

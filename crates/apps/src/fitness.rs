@@ -27,7 +27,7 @@ use videopipe_core::deploy::{plan, DeploymentPlan, DeviceSpec, Placement};
 use videopipe_core::module::ModuleRegistry;
 use videopipe_core::service::ServiceRegistry;
 use videopipe_core::slo::{Knob, SloConfig};
-use videopipe_core::spec::{ModuleSpec, PipelineSpec};
+use videopipe_core::spec::PipelineSpec;
 use videopipe_core::PipelineError;
 use videopipe_media::motion::{ExerciseKind, MotionClip};
 use videopipe_media::SourceConfig;
@@ -74,32 +74,6 @@ modules : [
 /// The fitness pipeline DAG (parsed from [`CONFIG_TEXT`]).
 pub fn pipeline_spec() -> PipelineSpec {
     videopipe_core::config::parse(CONFIG_TEXT).expect("fitness config is valid")
-}
-
-/// A programmatically built equivalent of [`pipeline_spec`] (used by tests
-/// to pin the parser).
-pub fn pipeline_spec_builder() -> PipelineSpec {
-    PipelineSpec::new("fitness")
-        .with_module(
-            ModuleSpec::new("video_streaming", "VideoStreamingModule").with_next("pose_detection"),
-        )
-        .with_module(
-            ModuleSpec::new("pose_detection", "PoseDetectionModule")
-                .with_service("pose_detector")
-                .with_next("activity_recognition"),
-        )
-        .with_module(
-            ModuleSpec::new("activity_recognition", "ActivityRecognitionModule")
-                .with_service("activity_classifier")
-                .with_next("rep_counter")
-                .with_next("display"),
-        )
-        .with_module(
-            ModuleSpec::new("rep_counter", "RepCounterModule")
-                .with_service("rep_counter")
-                .with_next("display"),
-        )
-        .with_module(ModuleSpec::new("display", "DisplayModule").with_service("display"))
 }
 
 /// The three home devices of the paper's evaluation (§5.1).
@@ -195,7 +169,7 @@ pub fn module_registry(seed: u64) -> ModuleRegistry {
 }
 
 /// [`module_registry`] with a chosen exercise.
-pub fn module_registry_with_motion(seed: u64, kind: ExerciseKind) -> ModuleRegistry {
+pub(crate) fn module_registry_with_motion(seed: u64, kind: ExerciseKind) -> ModuleRegistry {
     let mut registry = ModuleRegistry::new();
     registry.register("VideoStreamingModule", move || {
         Box::new(VideoStreamingModule::synthetic(
@@ -241,6 +215,34 @@ pub fn service_registry(seed: u64) -> ServiceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use videopipe_core::spec::ModuleSpec;
+
+    /// A programmatically built equivalent of [`pipeline_spec`] (used by tests
+    /// to pin the parser).
+    pub(crate) fn pipeline_spec_builder() -> PipelineSpec {
+        PipelineSpec::new("fitness")
+            .with_module(
+                ModuleSpec::new("video_streaming", "VideoStreamingModule")
+                    .with_next("pose_detection"),
+            )
+            .with_module(
+                ModuleSpec::new("pose_detection", "PoseDetectionModule")
+                    .with_service("pose_detector")
+                    .with_next("activity_recognition"),
+            )
+            .with_module(
+                ModuleSpec::new("activity_recognition", "ActivityRecognitionModule")
+                    .with_service("activity_classifier")
+                    .with_next("rep_counter")
+                    .with_next("display"),
+            )
+            .with_module(
+                ModuleSpec::new("rep_counter", "RepCounterModule")
+                    .with_service("rep_counter")
+                    .with_next("display"),
+            )
+            .with_module(ModuleSpec::new("display", "DisplayModule").with_service("display"))
+    }
 
     #[test]
     fn config_text_matches_builder() {

@@ -25,10 +25,10 @@ use videopipe_media::motion::{ExerciseKind, MotionClip};
 use videopipe_media::SourceConfig;
 
 /// Service name of the gesture classifier instance.
-pub const GESTURE_CLASSIFIER: &str = "gesture_classifier";
+pub(crate) const GESTURE_CLASSIFIER: &str = "gesture_classifier";
 
 /// The gesture pipeline DAG.
-pub fn pipeline_spec() -> PipelineSpec {
+pub(crate) fn pipeline_spec() -> PipelineSpec {
     PipelineSpec::new("gesture")
         .with_module(
             ModuleSpec::new("video_streaming", "GestureVideoModule").with_next("pose_detection"),
@@ -48,7 +48,7 @@ pub fn pipeline_spec() -> PipelineSpec {
 
 /// Devices for the gesture app: the same phone and desktop as the fitness
 /// app (the desktop additionally hosts the gesture classifier container).
-pub fn devices() -> Vec<DeviceSpec> {
+pub(crate) fn devices() -> Vec<DeviceSpec> {
     vec![
         DeviceSpec::new(crate::fitness::PHONE, 0.6),
         DeviceSpec::new(crate::fitness::DESKTOP, 2.0)
@@ -60,7 +60,7 @@ pub fn devices() -> Vec<DeviceSpec> {
 
 /// VideoPipe placement: processing modules co-located with their services
 /// on the desktop, actuation back on the phone (next to the IoT hub).
-pub fn videopipe_placement() -> Placement {
+pub(crate) fn videopipe_placement() -> Placement {
     Placement::new()
         .assign("video_streaming", crate::fitness::PHONE)
         .assign("pose_detection", crate::fitness::DESKTOP)

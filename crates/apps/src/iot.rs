@@ -46,7 +46,7 @@ impl IotHub {
     }
 
     /// Toggles the light, recording the command.
-    pub fn toggle_light(&self, t_ns: u64) -> bool {
+    pub(crate) fn toggle_light(&self, t_ns: u64) -> bool {
         let mut s = self.state.lock();
         s.light_on = !s.light_on;
         let state = s.light_on;
@@ -59,7 +59,7 @@ impl IotHub {
     }
 
     /// Toggles the doorbell camera, recording the command.
-    pub fn toggle_doorbell(&self, t_ns: u64) -> bool {
+    pub(crate) fn toggle_doorbell(&self, t_ns: u64) -> bool {
         let mut s = self.state.lock();
         s.doorbell_on = !s.doorbell_on;
         let state = s.doorbell_on;

@@ -6,8 +6,8 @@
 //! stateless services. Every module here runs unchanged on the runtime
 //! and on the simulator.
 
-use crate::iot::IotHub;
 use crate::services::{rep_classify_request, rep_model_from_payload};
+use crate::IotHub;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use videopipe_core::message::Payload;
@@ -15,9 +15,9 @@ use videopipe_core::module::{Event, Module, ModuleCtx};
 use videopipe_core::service::ServiceRequest;
 use videopipe_core::PipelineError;
 use videopipe_media::{Pose, SourceConfig, SyntheticVideoSource};
-use videopipe_ml::fall::{FallDetector, FallState};
-use videopipe_ml::features::{PoseWindow, WINDOW_LEN};
-use videopipe_ml::reps::{RepCounter, RepCounterModel};
+use videopipe_ml::{FallDetector, FallState};
+use videopipe_ml::{PoseWindow, WINDOW_LEN};
+use videopipe_ml::{RepCounter, RepCounterModel};
 
 fn module_err(module: &str, reason: impl Into<String>) -> PipelineError {
     PipelineError::Module {
@@ -29,14 +29,14 @@ fn module_err(module: &str, reason: impl Into<String>) -> PipelineError {
 /// `VideoStreamingModule` — the camera source. On every admitted tick it
 /// captures a synthetic frame, registers it in the device frame store, and
 /// forwards the frame *reference* downstream.
-pub struct VideoStreamingModule {
+pub(crate) struct VideoStreamingModule {
     source: SyntheticVideoSource,
     next: String,
 }
 
 impl VideoStreamingModule {
     /// Creates the source forwarding to `next`.
-    pub fn new(source: SyntheticVideoSource, next: impl Into<String>) -> Self {
+    pub(crate) fn new(source: SyntheticVideoSource, next: impl Into<String>) -> Self {
         VideoStreamingModule {
             source,
             next: next.into(),
@@ -44,7 +44,7 @@ impl VideoStreamingModule {
     }
 
     /// Convenience constructor from a [`SourceConfig`] and motion clip.
-    pub fn synthetic(
+    pub(crate) fn synthetic(
         config: SourceConfig,
         clip: videopipe_media::motion::MotionClip,
         next: impl Into<String>,
@@ -76,14 +76,14 @@ impl std::fmt::Debug for VideoStreamingModule {
 /// and forwards the detected pose. Frames with no detection return their
 /// flow-control credit immediately (the frame leaves the pipeline here).
 #[derive(Debug)]
-pub struct PoseDetectionModule {
+pub(crate) struct PoseDetectionModule {
     service: String,
     nexts: Vec<String>,
 }
 
 impl PoseDetectionModule {
     /// Creates the module calling `service` and forwarding to `nexts`.
-    pub fn new(service: impl Into<String>, nexts: Vec<String>) -> Self {
+    pub(crate) fn new(service: impl Into<String>, nexts: Vec<String>) -> Self {
         PoseDetectionModule {
             service: service.into(),
             nexts,
@@ -129,7 +129,7 @@ impl Module for PoseDetectionModule {
 /// state) and asks the classifier service for a label. Until the window
 /// fills it emits a `warming_up` label so downstream fan-in stays in step.
 #[derive(Debug)]
-pub struct ActivityRecognitionModule {
+pub(crate) struct ActivityRecognitionModule {
     service: String,
     window: PoseWindow,
     label_targets: Vec<String>,
@@ -138,11 +138,11 @@ pub struct ActivityRecognitionModule {
 
 impl ActivityRecognitionModule {
     /// Label emitted while the pose window is still filling.
-    pub const WARMING_UP: &'static str = "warming_up";
+    pub(crate) const WARMING_UP: &'static str = "warming_up";
 
     /// Creates the module: labels go to `label_targets`, the raw pose is
     /// passed through to `pose_targets` (the rep counter).
-    pub fn new(
+    pub(crate) fn new(
         service: impl Into<String>,
         label_targets: Vec<String>,
         pose_targets: Vec<String>,
@@ -206,7 +206,7 @@ impl Module for ActivityRecognitionModule {
 /// rep-counter service, then streams cluster queries and keeps the
 /// debounced state machine locally (paper §4.1.3).
 #[derive(Debug)]
-pub struct RepCounterModule {
+pub(crate) struct RepCounterModule {
     service: String,
     next: String,
     calibration_frames: usize,
@@ -216,11 +216,11 @@ pub struct RepCounterModule {
 
 impl RepCounterModule {
     /// Default calibration window: one full repetition at 15 FPS.
-    pub const DEFAULT_CALIBRATION_FRAMES: usize = 2 * WINDOW_LEN;
+    pub(crate) const DEFAULT_CALIBRATION_FRAMES: usize = 2 * WINDOW_LEN;
 
     /// Creates the module calling `service` and reporting counts to
     /// `next`.
-    pub fn new(service: impl Into<String>, next: impl Into<String>) -> Self {
+    pub(crate) fn new(service: impl Into<String>, next: impl Into<String>) -> Self {
         RepCounterModule {
             service: service.into(),
             next: next.into(),
@@ -228,17 +228,6 @@ impl RepCounterModule {
             calibration: Vec::new(),
             counter: None,
         }
-    }
-
-    /// Overrides the calibration window length.
-    pub fn with_calibration_frames(mut self, frames: usize) -> Self {
-        self.calibration_frames = frames.max(4);
-        self
-    }
-
-    /// The trained model, once calibrated.
-    pub fn model(&self) -> Option<&RepCounterModel> {
-        self.counter.as_ref().map(|c| c.model())
     }
 }
 
@@ -356,7 +345,7 @@ impl Module for RepCounterModule {
 /// service, and returns the flow-control credit (paper §2.3: "when the
 /// final module is done with its current data, it signals the source").
 #[derive(Debug)]
-pub struct DisplayModule {
+pub(crate) struct DisplayModule {
     service: Option<String>,
     fan_in: usize,
     pending: BTreeMap<u64, Vec<Payload>>,
@@ -366,18 +355,13 @@ pub struct DisplayModule {
 impl DisplayModule {
     /// Creates a display expecting `fan_in` messages per frame, rendering
     /// through `service` (or only logging when `None`).
-    pub fn new(service: Option<String>, fan_in: usize) -> Self {
+    pub(crate) fn new(service: Option<String>, fan_in: usize) -> Self {
         DisplayModule {
             service,
             fan_in: fan_in.max(1),
             pending: BTreeMap::new(),
             frames_displayed: 0,
         }
-    }
-
-    /// Frames fully rendered so far.
-    pub fn frames_displayed(&self) -> u64 {
-        self.frames_displayed
     }
 }
 
@@ -390,12 +374,13 @@ impl Module for DisplayModule {
         let entry = self.pending.entry(seq).or_default();
         entry.push(msg.payload);
         if entry.len() < self.fan_in {
-            // Defensive: a stalled frame must not wedge the pipeline. With
-            // one credit this map never exceeds one entry in practice.
+            // Bound the map of half-collected frames. A frame only goes
+            // stale after its other branch failed, and that failure already
+            // returned the frame's credit through the error path — so an
+            // eviction returns nothing. Signalling here would complete the
+            // *current* frame (the context's header) before it is shown.
             while self.pending.len() > 8 {
-                let (&stale, _) = self.pending.iter().next().expect("nonempty");
-                self.pending.remove(&stale);
-                ctx.signal_source()?;
+                self.pending.pop_first();
             }
             return Ok(());
         }
@@ -424,7 +409,7 @@ impl Module for DisplayModule {
 /// gestures to smart-home commands (§4.2: "'clapping' to toggle the light
 /// … 'waving' to toggle a doorbell camera").
 #[derive(Debug)]
-pub struct IoTActuatorModule {
+pub(crate) struct IoTActuatorModule {
     hub: Arc<IotHub>,
     /// Consecutive identical labels required before acting (prevents one
     /// noisy window from toggling the lights).
@@ -437,7 +422,7 @@ pub struct IoTActuatorModule {
 
 impl IoTActuatorModule {
     /// Creates the actuator with a 3-window confirmation streak.
-    pub fn new(hub: Arc<IotHub>) -> Self {
+    pub(crate) fn new(hub: Arc<IotHub>) -> Self {
         IoTActuatorModule {
             hub,
             confirm: 3,
@@ -445,17 +430,6 @@ impl IoTActuatorModule {
             streak: 0,
             last_action: None,
         }
-    }
-
-    /// Overrides the confirmation streak.
-    pub fn with_confirmation(mut self, windows: usize) -> Self {
-        self.confirm = windows.max(1);
-        self
-    }
-
-    /// The most recent action taken.
-    pub fn last_action(&self) -> Option<&str> {
-        self.last_action.as_deref()
     }
 }
 
@@ -494,7 +468,7 @@ impl Module for IoTActuatorModule {
 /// `FallAlertModule` — the sink of the fall-detection pipeline (§4.3):
 /// watches the pose stream and raises an alert once per fall.
 #[derive(Debug)]
-pub struct FallAlertModule {
+pub(crate) struct FallAlertModule {
     detector: FallDetector,
     alerts: u64,
     was_latched: bool,
@@ -502,17 +476,12 @@ pub struct FallAlertModule {
 
 impl FallAlertModule {
     /// Creates the module with default detector thresholds.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FallAlertModule {
             detector: FallDetector::new(),
             alerts: 0,
             was_latched: false,
         }
-    }
-
-    /// Alerts raised so far.
-    pub fn alerts(&self) -> u64 {
-        self.alerts
     }
 }
 
@@ -541,6 +510,38 @@ impl Module for FallAlertModule {
             self.was_latched = latched;
         }
         ctx.signal_source()
+    }
+}
+
+#[cfg(test)]
+impl RepCounterModule {
+    /// The trained model, once calibrated.
+    pub(crate) fn model(&self) -> Option<&RepCounterModel> {
+        self.counter.as_ref().map(|c| c.model())
+    }
+}
+
+#[cfg(test)]
+impl DisplayModule {
+    /// Frames fully rendered so far.
+    pub(crate) fn frames_displayed(&self) -> u64 {
+        self.frames_displayed
+    }
+}
+
+#[cfg(test)]
+impl IoTActuatorModule {
+    /// The most recent action taken.
+    pub(crate) fn last_action(&self) -> Option<&str> {
+        self.last_action.as_deref()
+    }
+}
+
+#[cfg(test)]
+impl FallAlertModule {
+    /// Alerts raised so far.
+    pub(crate) fn alerts(&self) -> u64 {
+        self.alerts
     }
 }
 
@@ -695,8 +696,8 @@ mod tests {
     fn activity_module_warms_up_then_labels() {
         use crate::services::ActivityClassifierService;
         use videopipe_media::motion::{ExerciseKind, MotionClip};
-        use videopipe_ml::dataset::DatasetConfig;
         use videopipe_ml::ActivityRecognizer;
+        use videopipe_ml::DatasetConfig;
 
         let recognizer = ActivityRecognizer::train_synthetic(
             &ExerciseKind::FITNESS,
@@ -844,10 +845,27 @@ mod tests {
     }
 
     #[test]
+    fn display_evicts_stale_half_frames_without_signalling() {
+        let mut ctx = StubCtx::new();
+        let mut module = DisplayModule::new(None, 2);
+        for seq in 0..9u64 {
+            ctx.set_header(Header {
+                frame_seq: seq,
+                capture_ts_ns: 0,
+            });
+            module
+                .on_event(msg(Payload::Count(1), seq), &mut ctx)
+                .unwrap();
+        }
+        assert_eq!(ctx.signalled, 0, "an eviction must not return a credit");
+        assert_eq!(module.frames_displayed(), 0);
+    }
+
+    #[test]
     fn actuator_requires_confirmation_streak() {
         let hub = Arc::new(IotHub::new());
         let mut ctx = StubCtx::new();
-        let mut module = IoTActuatorModule::new(Arc::clone(&hub)).with_confirmation(3);
+        let mut module = IoTActuatorModule::new(Arc::clone(&hub));
         let clap = |seq| {
             msg(
                 Payload::Label {

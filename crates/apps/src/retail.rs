@@ -19,11 +19,11 @@ use videopipe_core::PipelineError;
 use videopipe_media::motion::{ExerciseKind, MotionClip};
 use videopipe_media::scene::SceneObject;
 use videopipe_media::{SourceConfig, SyntheticVideoSource};
-use videopipe_ml::track::IouTracker;
+use videopipe_ml::IouTracker;
 
 /// A shelf camera: renders a scene whose items disappear over time
 /// (customers taking them).
-pub struct ShelfCameraModule {
+pub(crate) struct ShelfCameraModule {
     source_seed: u64,
     /// `(object, taken_at_ns)` — the item leaves the shelf at that time.
     items: Vec<(SceneObject, Option<u64>)>,
@@ -33,7 +33,11 @@ pub struct ShelfCameraModule {
 
 impl ShelfCameraModule {
     /// Creates a shelf with `items`; entries with `Some(t)` vanish at `t`.
-    pub fn new(seed: u64, items: Vec<(SceneObject, Option<u64>)>, next: impl Into<String>) -> Self {
+    pub(crate) fn new(
+        seed: u64,
+        items: Vec<(SceneObject, Option<u64>)>,
+        next: impl Into<String>,
+    ) -> Self {
         ShelfCameraModule {
             source_seed: seed,
             items,
@@ -94,13 +98,13 @@ impl std::fmt::Debug for ShelfCameraModule {
 
 /// Calls the object detector and forwards the boxes.
 #[derive(Debug)]
-pub struct ObjectDetectionModule {
+pub(crate) struct ObjectDetectionModule {
     next: String,
 }
 
 impl ObjectDetectionModule {
     /// Creates the module.
-    pub fn new(next: impl Into<String>) -> Self {
+    pub(crate) fn new(next: impl Into<String>) -> Self {
         ObjectDetectionModule { next: next.into() }
     }
 }
@@ -124,7 +128,7 @@ impl Module for ObjectDetectionModule {
 
 /// Tracks shelf items and records a purchase when a track disappears.
 #[derive(Debug)]
-pub struct CheckoutModule {
+pub(crate) struct CheckoutModule {
     tracker: IouTracker,
     /// Tracks seen alive on the previous frame.
     live_tracks: Vec<u64>,
@@ -136,18 +140,13 @@ pub struct CheckoutModule {
 impl CheckoutModule {
     /// Creates the checkout with an IoU gate of 0.3 and a 3-frame track
     /// maturity requirement.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CheckoutModule {
             tracker: IouTracker::new(0.3, 2),
             live_tracks: Vec::new(),
             purchases: 0,
             min_hits: 3,
         }
-    }
-
-    /// Purchases recorded so far.
-    pub fn purchases(&self) -> u64 {
-        self.purchases
     }
 }
 
@@ -185,7 +184,7 @@ impl Module for CheckoutModule {
 }
 
 /// The retail pipeline DAG.
-pub fn pipeline_spec() -> PipelineSpec {
+pub(crate) fn pipeline_spec() -> PipelineSpec {
     PipelineSpec::new("retail_checkout")
         .with_module(
             ModuleSpec::new("shelf_camera", "ShelfCameraModule").with_next("object_detection"),
@@ -199,7 +198,7 @@ pub fn pipeline_spec() -> PipelineSpec {
 }
 
 /// Devices: a shelf camera (edge sensor) and the store's edge server.
-pub fn devices() -> Vec<DeviceSpec> {
+pub(crate) fn devices() -> Vec<DeviceSpec> {
     vec![
         DeviceSpec::new("shelf-cam", 0.5),
         DeviceSpec::new("edge-server", 2.5)
@@ -209,7 +208,7 @@ pub fn devices() -> Vec<DeviceSpec> {
 }
 
 /// VideoPipe placement: detection co-located with its service.
-pub fn videopipe_placement() -> Placement {
+pub(crate) fn videopipe_placement() -> Placement {
     Placement::new()
         .assign("shelf_camera", "shelf-cam")
         .assign("object_detection", "edge-server")

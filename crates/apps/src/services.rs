@@ -14,12 +14,12 @@ use videopipe_core::service::{
 };
 use videopipe_core::PipelineError;
 use videopipe_media::{Frame, FrameStore, Pose};
-use videopipe_ml::activity::ActivityModel;
-use videopipe_ml::classify::ImageClassifier;
-use videopipe_ml::faces::FaceDetector;
-use videopipe_ml::objects::ObjectDetector;
-use videopipe_ml::pose::PoseDetector;
-use videopipe_ml::reps::RepCounterModel;
+use videopipe_ml::ActivityModel;
+use videopipe_ml::FaceDetector;
+use videopipe_ml::ImageClassifier;
+use videopipe_ml::ObjectDetector;
+use videopipe_ml::PoseDetector;
+use videopipe_ml::RepCounterModel;
 
 fn service_err(service: &str, reason: impl Into<String>) -> PipelineError {
     PipelineError::Service {
@@ -34,16 +34,16 @@ fn service_err(service: &str, reason: impl Into<String>) -> PipelineError {
 /// Response: [`Payload::Pose`] (pose + score), or [`Payload::Empty`] when
 /// no person is detected.
 #[derive(Debug, Default)]
-pub struct PoseDetectorService {
+pub(crate) struct PoseDetectorService {
     detector: PoseDetector,
 }
 
 impl PoseDetectorService {
     /// Canonical service name.
-    pub const NAME: &'static str = "pose_detector";
+    pub(crate) const NAME: &'static str = "pose_detector";
 
     /// Creates the service with the default detector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -131,11 +131,11 @@ pub struct ActivityClassifierService {
 
 impl ActivityClassifierService {
     /// Canonical name of the fitness-app instance.
-    pub const NAME: &'static str = "activity_classifier";
+    pub(crate) const NAME: &'static str = "activity_classifier";
 
     /// Creates the service under a custom name (the gesture app deploys its
     /// own instance as `gesture_classifier`).
-    pub fn with_name(name: impl Into<String>, model: ActivityModel) -> Self {
+    pub(crate) fn with_name(name: impl Into<String>, model: ActivityModel) -> Self {
         ActivityClassifierService {
             name: name.into(),
             model,
@@ -184,7 +184,7 @@ impl Service for ActivityClassifierService {
         _store: &FrameStore,
     ) -> Vec<Result<ServiceResponse, PipelineError>> {
         use std::borrow::Cow;
-        use videopipe_ml::features::window_features;
+        use videopipe_ml::window_features;
         // Extract features per request so per-slot failures stay per-slot
         // (wrong payload kind, wrong window length, wrong feature dim), then
         // run the k-NN batch kernel — one fused distance matrix per query
@@ -244,7 +244,7 @@ impl Service for ActivityClassifierService {
 
 /// Encodes a [`RepCounterModel`] as a payload: a matrix whose first two
 /// rows are the centroids and whose third row is `[initial_cluster]`.
-pub fn rep_model_to_payload(model: &RepCounterModel) -> Payload {
+pub(crate) fn rep_model_to_payload(model: &RepCounterModel) -> Payload {
     let mut rows = model.centroids().to_vec();
     rows.push(vec![model.initial_cluster() as f32]);
     Payload::Matrix(rows)
@@ -255,7 +255,7 @@ pub fn rep_model_to_payload(model: &RepCounterModel) -> Payload {
 /// # Errors
 ///
 /// Returns [`PipelineError::BadPayload`] when the matrix shape is wrong.
-pub fn rep_model_from_payload(payload: &Payload) -> Result<RepCounterModel, PipelineError> {
+pub(crate) fn rep_model_from_payload(payload: &Payload) -> Result<RepCounterModel, PipelineError> {
     let Payload::Matrix(rows) = payload else {
         return Err(PipelineError::BadPayload("rep model must be a matrix"));
     };
@@ -276,7 +276,7 @@ pub fn rep_model_from_payload(payload: &Payload) -> Result<RepCounterModel, Pipe
 
 /// Builds the `classify` request: model rows plus the flattened pose as a
 /// fourth row.
-pub fn rep_classify_request(model: &RepCounterModel, pose: &Pose) -> ServiceRequest {
+pub(crate) fn rep_classify_request(model: &RepCounterModel, pose: &Pose) -> ServiceRequest {
     let mut rows = model.centroids().to_vec();
     rows.push(vec![model.initial_cluster() as f32]);
     rows.push(pose.flatten());
@@ -292,14 +292,14 @@ pub fn rep_classify_request(model: &RepCounterModel, pose: &Pose) -> ServiceRequ
 /// * op `classify`: model rows + flattened pose (see
 ///   [`rep_classify_request`]) → [`Payload::Count`] with the cluster id.
 #[derive(Debug, Default)]
-pub struct RepCounterService;
+pub(crate) struct RepCounterService;
 
 impl RepCounterService {
     /// Canonical service name.
-    pub const NAME: &'static str = "rep_counter";
+    pub(crate) const NAME: &'static str = "rep_counter";
 
     /// Creates the service.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RepCounterService
     }
 }
@@ -357,14 +357,14 @@ impl Service for RepCounterService {
 /// Request: `render` with any payload.
 /// Response: [`Payload::Text`] describing what was drawn.
 #[derive(Debug, Default)]
-pub struct DisplayService;
+pub(crate) struct DisplayService;
 
 impl DisplayService {
     /// Canonical service name.
-    pub const NAME: &'static str = "display";
+    pub(crate) const NAME: &'static str = "display";
 
     /// Creates the service.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DisplayService
     }
 }
@@ -399,16 +399,16 @@ impl Service for DisplayService {
 /// Request: `detect` with a [`Payload::FrameRef`].
 /// Response: [`Payload::Boxes`].
 #[derive(Debug, Default)]
-pub struct ObjectDetectorService {
+pub(crate) struct ObjectDetectorService {
     detector: ObjectDetector,
 }
 
 impl ObjectDetectorService {
     /// Canonical service name.
-    pub const NAME: &'static str = "object_detector";
+    pub(crate) const NAME: &'static str = "object_detector";
 
     /// Creates the service with default thresholds.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -452,7 +452,7 @@ pub struct FaceDetectorService {
 
 impl FaceDetectorService {
     /// Canonical service name.
-    pub const NAME: &'static str = "face_detector";
+    pub(crate) const NAME: &'static str = "face_detector";
 
     /// Creates the service.
     pub fn new() -> Self {
@@ -498,7 +498,7 @@ pub struct ImageClassifierService {
 
 impl ImageClassifierService {
     /// Canonical service name.
-    pub const NAME: &'static str = "image_classifier";
+    pub(crate) const NAME: &'static str = "image_classifier";
 
     /// Creates the service from a trained classifier.
     pub fn new(classifier: ImageClassifier) -> Self {
@@ -570,8 +570,8 @@ mod tests {
     use super::*;
     use videopipe_media::motion::{ExerciseKind, MotionClip};
     use videopipe_media::scene::SceneRenderer;
-    use videopipe_ml::dataset::DatasetConfig;
     use videopipe_ml::ActivityRecognizer;
+    use videopipe_ml::DatasetConfig;
 
     fn store_with_pose_frame() -> (FrameStore, videopipe_media::FrameId) {
         let store = FrameStore::new();
@@ -855,7 +855,7 @@ mod tests {
 
     #[test]
     fn activity_batch_matches_sequential_and_isolates_errors() {
-        use videopipe_ml::features::window_features;
+        use videopipe_ml::window_features;
         let recognizer = ActivityRecognizer::train_synthetic(
             &ExerciseKind::FITNESS,
             &DatasetConfig {
@@ -915,7 +915,7 @@ mod tests {
         // dispatches it — one request per `handle_batch` call.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        use videopipe_ml::features::{window_features, WINDOW_LEN};
+        use videopipe_ml::{window_features, WINDOW_LEN};
         const RING: usize = 30;
         let svc = ActivityClassifierService::new(crate::training::trained_fitness_classifier(42));
         let store = FrameStore::new();

@@ -13,11 +13,11 @@ use rand::{Rng, SeedableRng};
 use videopipe_media::codec::{self, Quality};
 use videopipe_media::motion::{ExerciseKind, MotionClip};
 use videopipe_media::scene::SceneRenderer;
-use videopipe_ml::activity::{synthetic_split, ActivityModel, ActivityRecognizer};
-use videopipe_ml::dataset::{generate_rep_sequence, DatasetConfig};
-use videopipe_ml::features::WINDOW_LEN;
-use videopipe_ml::reps::count_sequence;
+use videopipe_ml::count_sequence;
 use videopipe_ml::PoseDetector;
+use videopipe_ml::WINDOW_LEN;
+use videopipe_ml::{generate_rep_sequence, DatasetConfig};
+use videopipe_ml::{synthetic_split, ActivityModel, ActivityRecognizer};
 
 /// Trains the fitness activity classifier (five exercise classes). This is
 /// what every deploy runs, so it trains and nothing else — the withheld
@@ -31,7 +31,7 @@ pub fn trained_fitness_classifier(seed: u64) -> ActivityModel {
 }
 
 /// Trains the gesture classifier (wave / clap / idle).
-pub fn trained_gesture_classifier(seed: u64) -> ActivityModel {
+pub(crate) fn trained_gesture_classifier(seed: u64) -> ActivityModel {
     let config = DatasetConfig {
         seed: seed ^ 0x6E57,
         ..DatasetConfig::default()
@@ -126,7 +126,7 @@ pub fn activity_per_class_accuracy(classes: &[ExerciseKind], seed: u64) -> Vec<(
                 .filter(|(_, l)| l.as_str() == label)
                 .map(|(f, l)| (f.clone(), l.clone()))
                 .unzip();
-            let subset = videopipe_ml::dataset::WindowDataset { features, labels };
+            let subset = videopipe_ml::WindowDataset { features, labels };
             (label.to_string(), model.accuracy(&subset))
         })
         .collect()

@@ -17,7 +17,7 @@
 use bytes::Bytes;
 use std::time::{Duration, Instant};
 use videopipe_bench::{banner, Table};
-use videopipe_net::broker::Broker;
+use videopipe_net::Broker;
 use videopipe_net::{InprocHub, MsgReceiver, MsgSender, WireMessage};
 
 const MESSAGES: usize = 2_000;

@@ -13,7 +13,7 @@
 //! Run with `cargo bench -p videopipe-bench --bench ablation_flowcontrol`.
 
 use std::time::Duration;
-use videopipe_apps::experiments::{run_fitness, Arch, ExperimentConfig};
+use videopipe_apps::{run_fitness, Arch, ExperimentConfig};
 use videopipe_bench::{banner, f2, ms, Table};
 
 fn main() {

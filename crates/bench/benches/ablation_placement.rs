@@ -10,8 +10,8 @@
 //! Run with `cargo bench -p videopipe-bench --bench ablation_placement`.
 
 use std::time::Duration;
-use videopipe_apps::experiments::{run_fitness_placement, ExperimentConfig};
 use videopipe_apps::fitness;
+use videopipe_apps::{run_fitness_placement, ExperimentConfig};
 use videopipe_bench::{banner, f2, ms, Table};
 use videopipe_core::deploy::{autoplace_pinned, estimate_latency, plan, Placement};
 use videopipe_sim::SimProfile;

@@ -20,7 +20,7 @@ const FPS: f64 = 30.0;
 const DURATION: Duration = Duration::from_secs(60);
 
 fn run_with(profile: SimProfile, autoscale: bool) -> (f64, f64, usize, Duration) {
-    let hub = Arc::new(videopipe_apps::iot::IotHub::new());
+    let hub = Arc::new(videopipe_apps::IotHub::new());
     let mut scenario = Scenario::new(profile);
     let fh = scenario
         .add_pipeline(

@@ -7,13 +7,13 @@
 //!
 //! Run with `cargo bench -p videopipe-bench --bench accuracy_eval`.
 
-use videopipe_apps::training::{
+use videopipe_apps::{
     activity_per_class_accuracy, activity_test_accuracy, rep_counter_accuracy, PAPER_REP_JITTER,
 };
 use videopipe_bench::{banner, f2, Table};
 use videopipe_media::motion::ExerciseKind;
 use videopipe_media::scene::SceneRenderer;
-use videopipe_ml::pose::{detection_error, PoseDetector};
+use videopipe_ml::{detection_error, PoseDetector};
 
 fn main() {
     banner(

@@ -9,7 +9,7 @@
 //! Run with `cargo bench -p videopipe-bench --bench fig6_latency`.
 
 use std::time::Duration;
-use videopipe_apps::experiments::{run_fitness, stage_label, Arch, ExperimentConfig};
+use videopipe_apps::{run_fitness, stage_label, Arch, ExperimentConfig};
 use videopipe_bench::{banner, ms, ratio, Table};
 
 /// Approximate values read off the paper's Fig. 6 bar chart (ms).
@@ -28,7 +28,7 @@ const PAPER_BL: [(&str, f64); 5] = [
     ("Total Duration", 120.0),
 ];
 
-fn mean_for(run: &videopipe_apps::experiments::ExperimentRun, label: &str) -> f64 {
+fn mean_for(run: &videopipe_apps::ExperimentRun, label: &str) -> f64 {
     if label == "Total Duration" {
         return run.metrics.end_to_end.mean_ms();
     }

@@ -12,7 +12,7 @@ use videopipe_core::message::Payload;
 use videopipe_media::motion::{ExerciseKind, MotionClip};
 use videopipe_media::scene::SceneRenderer;
 use videopipe_media::{codec, Frame, Pose};
-use videopipe_ml::features::window_features;
+use videopipe_ml::window_features;
 use videopipe_ml::{KMeans, KnnClassifier, PoseDetector};
 use videopipe_net::{MessageKind, WireMessage};
 use videopipe_sim::{Engine, SimTime};

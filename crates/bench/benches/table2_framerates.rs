@@ -8,7 +8,7 @@
 //! Run with `cargo bench -p videopipe-bench --bench table2_framerates`.
 
 use std::time::Duration;
-use videopipe_apps::experiments::{run_fitness, run_fitness_and_gesture, Arch, ExperimentConfig};
+use videopipe_apps::{run_fitness, run_fitness_and_gesture, Arch, ExperimentConfig};
 use videopipe_bench::{banner, f2, Table};
 
 /// One row of the paper's Table 2: source FPS, VideoPipe, baseline, and

@@ -38,7 +38,7 @@
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use videopipe_apps::training;
+use videopipe_apps::{activity_test_accuracy_at_quality, trained_fitness_classifier};
 use videopipe_core::deploy::{plan, DeviceSpec, Placement};
 use videopipe_core::message::Payload;
 use videopipe_core::module::{Event, Module, ModuleCtx, ModuleRegistry};
@@ -538,12 +538,12 @@ fn lcg_vecs(n: usize, dim: usize, seed: &mut u64) -> Vec<Vec<f32>> {
 /// `scripts/check.sh` can gate it with the same awk extractor as the
 /// codec cells.
 fn ml_section(quick: bool, out: &mut String) {
-    use videopipe_apps::services::ActivityClassifierService;
-    use videopipe_ml::knn::KnnClassifier;
+    use videopipe_apps::ActivityClassifierService;
     use videopipe_ml::math::{
         distances_block_into, distances_into, distances_into_scalar, squared_distance_scalar,
         PointBlock,
     };
+    use videopipe_ml::KnnClassifier;
     use videopipe_ml::PoseDetector;
 
     let _ = writeln!(out, r#"  "ml": {{"#);
@@ -696,15 +696,13 @@ fn ml_section(quick: bool, out: &mut String) {
     // the same query's distance row through one-shot `distances_into`,
     // which is what every classify paid before the index was built once at
     // fit; it omits top-k and the vote, so the ratio is a floor.
-    let model = training::trained_fitness_classifier(42);
-    let config = videopipe_ml::dataset::DatasetConfig {
+    let model = trained_fitness_classifier(42);
+    let config = videopipe_ml::DatasetConfig {
         seed: 42,
         ..Default::default()
     };
-    let (train, _) = videopipe_ml::activity::synthetic_split(
-        &videopipe_media::motion::ExerciseKind::FITNESS,
-        &config,
-    );
+    let (train, _) =
+        videopipe_ml::synthetic_split(&videopipe_media::motion::ExerciseKind::FITNESS, &config);
     assert_eq!(
         (model.training_size(), model.dim()),
         (train.features.len(), train.features[0].len()),
@@ -750,7 +748,7 @@ fn ml_section(quick: bool, out: &mut String) {
 fn squat_ring_requests() -> Vec<ServiceRequest> {
     use rand::SeedableRng;
     use videopipe_media::motion::{ExerciseKind, MotionClip};
-    use videopipe_ml::features::{window_features, WINDOW_LEN};
+    use videopipe_ml::{window_features, WINDOW_LEN};
     const RING: usize = 30;
     let poses = MotionClip::new(ExerciseKind::Squat, 2.0)
         .with_jitter(0.004)
@@ -1359,7 +1357,7 @@ fn mttr_section(out: &mut String) {
 /// binaries are not next to this one (build with
 /// `cargo build --release -p videopipe --bins`).
 fn fleet_section(quick: bool, out: &mut String) {
-    use videopipe_cluster::scenario::{ClusterScenario, Fault, LocalProcessRunner};
+    use videopipe_cluster::{ClusterScenario, Fault, LocalProcessRunner};
 
     let exe_dir = std::env::current_exe()
         .ok()
@@ -1555,11 +1553,9 @@ fn slo_section(quick: bool, out: &mut String) {
     let windows = if quick { 6 } else { 12 };
     let kinds = videopipe_media::motion::ExerciseKind::FITNESS;
     let acc_base =
-        training::activity_test_accuracy_at_quality(&kinds, 42, codec::Quality::default(), windows);
-    let acc_shift4 =
-        training::activity_test_accuracy_at_quality(&kinds, 42, codec::Quality::new(4), windows);
-    let acc_shift6 =
-        training::activity_test_accuracy_at_quality(&kinds, 42, codec::Quality::new(6), windows);
+        activity_test_accuracy_at_quality(&kinds, 42, codec::Quality::default(), windows);
+    let acc_shift4 = activity_test_accuracy_at_quality(&kinds, 42, codec::Quality::new(4), windows);
+    let acc_shift6 = activity_test_accuracy_at_quality(&kinds, 42, codec::Quality::new(6), windows);
     let acc_cost_pts = (acc_base - acc_shift6) * 100.0;
 
     println!(

@@ -8,11 +8,11 @@
 
 /// Virtual nodes per member: enough to spread a 3-node fleet within a few
 /// percent of even, cheap enough to rebuild on every membership change.
-pub const VNODES: usize = 64;
+pub(crate) const VNODES: usize = 64;
 
 /// A consistent-hash ring over named members.
 #[derive(Debug, Clone, Default)]
-pub struct HashRing {
+pub(crate) struct HashRing {
     /// Sorted (hash, member-index) points; member names held separately.
     points: Vec<(u64, usize)>,
     members: Vec<String>,
@@ -37,7 +37,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 impl HashRing {
     /// Builds a ring over `members` (order-insensitive: members are
     /// sorted first so every caller derives the identical ring).
-    pub fn new<I: IntoIterator<Item = String>>(members: I) -> Self {
+    pub(crate) fn new<I: IntoIterator<Item = String>>(members: I) -> Self {
         let mut members: Vec<String> = members.into_iter().collect();
         members.sort();
         members.dedup();
@@ -51,19 +51,14 @@ impl HashRing {
         HashRing { points, members }
     }
 
-    /// Ring members, sorted.
-    pub fn members(&self) -> &[String] {
-        &self.members
-    }
-
     /// Whether the ring has no members.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
 
     /// The member owning `key`: first ring point clockwise of the key's
     /// hash. `None` on an empty ring.
-    pub fn lookup(&self, key: &str) -> Option<&str> {
+    pub(crate) fn lookup(&self, key: &str) -> Option<&str> {
         if self.points.is_empty() {
             return None;
         }

@@ -14,15 +14,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// SIGINT (Ctrl-C).
-pub const SIGINT: i32 = 2;
-/// SIGKILL (uncatchable; chaos "machine died").
-pub const SIGKILL: i32 = 9;
+pub(crate) const SIGINT: i32 = 2;
 /// SIGTERM (graceful shutdown request).
-pub const SIGTERM: i32 = 15;
+pub(crate) const SIGTERM: i32 = 15;
 /// SIGSTOP (uncatchable freeze; chaos "network partition/GC pause").
-pub const SIGSTOP: i32 = 19;
+pub(crate) const SIGSTOP: i32 = 19;
 /// SIGCONT (resume a stopped process; chaos "partition heals").
-pub const SIGCONT: i32 = 18;
+pub(crate) const SIGCONT: i32 = 18;
 
 static TERMINATE: AtomicBool = AtomicBool::new(false);
 
@@ -58,16 +56,10 @@ pub fn termination_requested() -> bool {
     TERMINATE.load(Ordering::Relaxed)
 }
 
-/// Test hook: pretend a termination signal arrived (same flag the real
-/// handler sets).
-pub fn request_termination() {
-    TERMINATE.store(true, Ordering::Relaxed);
-}
-
 /// Sends `sig` to `pid` via `kill(2)`. Returns `false` when the syscall
 /// fails (no such process, no permission). Used by the chaos harness to
 /// SIGKILL/SIGSTOP/SIGCONT real child processes it spawned.
-pub fn kill(pid: u32, sig: i32) -> bool {
+pub(crate) fn kill(pid: u32, sig: i32) -> bool {
     if pid == 0 {
         // Never signal "every process in our group" by accident.
         return false;
@@ -79,6 +71,15 @@ pub fn kill(pid: u32, sig: i32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// SIGKILL (uncatchable; chaos "machine died").
+    pub(crate) const SIGKILL: i32 = 9;
+
+    /// Test hook: pretend a termination signal arrived (same flag the real
+    /// handler sets).
+    pub(crate) fn request_termination() {
+        TERMINATE.store(true, Ordering::Relaxed);
+    }
 
     #[test]
     fn termination_flag_roundtrip() {

@@ -13,14 +13,14 @@ use std::path::{Path, PathBuf};
 
 /// Writer half: owned by the coordinator.
 #[derive(Debug)]
-pub struct StatusFile {
+pub(crate) struct StatusFile {
     path: PathBuf,
     tmp: PathBuf,
 }
 
 impl StatusFile {
     /// A status file at `path` (the temp sibling lives alongside it).
-    pub fn new(path: impl Into<PathBuf>) -> Self {
+    pub(crate) fn new(path: impl Into<PathBuf>) -> Self {
         let path = path.into();
         let mut tmp = path.clone();
         tmp.set_extension("tmp");
@@ -34,7 +34,7 @@ impl StatusFile {
     ///
     /// Propagates filesystem errors (the coordinator logs and carries on;
     /// a missed tick is not fatal).
-    pub fn write(&self, entries: &BTreeMap<String, String>) -> std::io::Result<()> {
+    pub(crate) fn write(&self, entries: &BTreeMap<String, String>) -> std::io::Result<()> {
         let mut out = String::with_capacity(entries.len() * 24);
         for (k, v) in entries {
             debug_assert!(!k.contains('\n') && !v.contains('\n'));
@@ -65,7 +65,7 @@ impl StatusSnapshot {
     /// # Errors
     ///
     /// Propagates read errors other than `NotFound`.
-    pub fn read(path: &Path) -> std::io::Result<Option<Self>> {
+    pub(crate) fn read(path: &Path) -> std::io::Result<Option<Self>> {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -91,7 +91,7 @@ impl StatusSnapshot {
     }
 
     /// `f64` value for `key` (0.0 when absent or malformed).
-    pub fn f64(&self, key: &str) -> f64 {
+    pub(crate) fn f64(&self, key: &str) -> f64 {
         self.get(key).and_then(|v| v.parse().ok()).unwrap_or(0.0)
     }
 }

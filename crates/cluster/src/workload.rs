@@ -24,16 +24,16 @@ use videopipe_core::service::ServiceRegistry;
 use videopipe_core::spec::{ModuleSpec, PipelineSpec};
 
 /// Module-spec name of the counting source (checkpoint key).
-pub const SRC_MODULE: &str = "src";
+pub(crate) const SRC_MODULE: &str = "src";
 /// Module-spec name of the counting sink (checkpoint key).
-pub const SINK_MODULE: &str = "sink";
+pub(crate) const SINK_MODULE: &str = "sink";
 /// The single device name a node hosts tenants on.
-pub const NODE_DEVICE: &str = "local";
+pub(crate) const NODE_DEVICE: &str = "local";
 
 /// Live counters one tenant pipeline publishes, sampled by the node agent
 /// for control-plane reports without touching the running modules.
 #[derive(Debug, Default)]
-pub struct TenantStats {
+pub(crate) struct TenantStats {
     /// Frames counted exactly once by the sink.
     pub counted: AtomicU64,
     /// Redelivered frames the sink recognised and refused to recount.
@@ -47,7 +47,7 @@ pub struct TenantStats {
 /// Source: mints a monotonic sequence (independent of the pacer's tick
 /// counter, so it survives checkpoint/restore across processes) and sends
 /// one [`Payload::Count`] per tick.
-pub struct CountSource {
+pub(crate) struct CountSource {
     stats: Arc<TenantStats>,
     next_seq: u64,
 }
@@ -57,7 +57,7 @@ const SNAP_VERSION: u8 = 1;
 impl CountSource {
     /// New source publishing into `stats`, optionally resuming from a
     /// checkpoint shipped by the coordinator.
-    pub fn new(stats: Arc<TenantStats>, ckpt: Option<&[u8]>) -> Self {
+    pub(crate) fn new(stats: Arc<TenantStats>, ckpt: Option<&[u8]>) -> Self {
         let mut s = CountSource { stats, next_seq: 0 };
         if let Some(c) = ckpt {
             s.restore(c);
@@ -66,7 +66,7 @@ impl CountSource {
     }
 
     /// Encodes `next_seq` as a versioned snapshot.
-    pub fn encode_snapshot(next_seq: u64) -> Vec<u8> {
+    pub(crate) fn encode_snapshot(next_seq: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(9);
         out.push(SNAP_VERSION);
         out.extend_from_slice(&next_seq.to_be_bytes());
@@ -74,7 +74,7 @@ impl CountSource {
     }
 
     /// Decodes a source snapshot (best-effort: `None` on malformed input).
-    pub fn decode_snapshot(bytes: &[u8]) -> Option<u64> {
+    pub(crate) fn decode_snapshot(bytes: &[u8]) -> Option<u64> {
         if bytes.len() != 9 || bytes[0] != SNAP_VERSION {
             return None;
         }
@@ -110,7 +110,7 @@ impl Module for CountSource {
 /// Sink: counts each minted sequence exactly once. `(counted,
 /// next_expected, duplicates)` move together — in memory and in the
 /// snapshot — so a restore can lose progress but never double-count.
-pub struct CountSink {
+pub(crate) struct CountSink {
     stats: Arc<TenantStats>,
     counted: u64,
     next_expected: u64,
@@ -120,7 +120,7 @@ pub struct CountSink {
 impl CountSink {
     /// New sink publishing into `stats`, optionally resuming from a
     /// checkpoint shipped by the coordinator.
-    pub fn new(stats: Arc<TenantStats>, ckpt: Option<&[u8]>) -> Self {
+    pub(crate) fn new(stats: Arc<TenantStats>, ckpt: Option<&[u8]>) -> Self {
         let mut s = CountSink {
             stats,
             counted: 0,
@@ -134,7 +134,7 @@ impl CountSink {
     }
 
     /// Encodes the atomic `(counted, next_expected, duplicates)` triple.
-    pub fn encode_snapshot(counted: u64, next_expected: u64, duplicates: u64) -> Vec<u8> {
+    pub(crate) fn encode_snapshot(counted: u64, next_expected: u64, duplicates: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(25);
         out.push(SNAP_VERSION);
         out.extend_from_slice(&counted.to_be_bytes());
@@ -144,7 +144,7 @@ impl CountSink {
     }
 
     /// Decodes a sink snapshot (best-effort: `None` on malformed input).
-    pub fn decode_snapshot(bytes: &[u8]) -> Option<(u64, u64, u64)> {
+    pub(crate) fn decode_snapshot(bytes: &[u8]) -> Option<(u64, u64, u64)> {
         if bytes.len() != 25 || bytes[0] != SNAP_VERSION {
             return None;
         }
@@ -167,7 +167,7 @@ impl CountSink {
 
     /// Applies one arriving sequence: counted exactly once if new, a
     /// refused duplicate otherwise. Returns whether it was new.
-    pub fn accept(&mut self, seq: u64) -> bool {
+    pub(crate) fn accept(&mut self, seq: u64) -> bool {
         let fresh = seq >= self.next_expected;
         if fresh {
             self.counted += 1;
@@ -212,7 +212,7 @@ impl Module for CountSink {
 }
 
 /// Everything a node needs to host one counting tenant.
-pub struct TenantWorkload {
+pub(crate) struct TenantWorkload {
     /// Single-device deployment plan (the node hosts every module).
     pub plan: DeploymentPlan,
     /// Registry with the tenant's source and sink factories (closing over
@@ -227,7 +227,7 @@ pub struct TenantWorkload {
 /// The tenant pipeline spec — shared by the node (which instantiates it
 /// on its local device) and the coordinator (which runs placement over it
 /// with node names as devices).
-pub fn tenant_spec(tenant: &str) -> PipelineSpec {
+pub(crate) fn tenant_spec(tenant: &str) -> PipelineSpec {
     PipelineSpec::new(tenant)
         .with_module(ModuleSpec::new(SRC_MODULE, "CountSource").with_next(SINK_MODULE))
         .with_module(ModuleSpec::new(SINK_MODULE, "CountSink"))
@@ -235,7 +235,7 @@ pub fn tenant_spec(tenant: &str) -> PipelineSpec {
 
 /// Builds the counting workload for `tenant`, optionally resuming both
 /// modules from coordinator-shipped checkpoints.
-pub fn counting_workload(
+pub(crate) fn counting_workload(
     tenant: &str,
     source_ckpt: Option<bytes::Bytes>,
     sink_ckpt: Option<bytes::Bytes>,

@@ -257,7 +257,7 @@ impl Parser {
 
 /// Normalises an include path to a module-registry key:
 /// `"./PoseDetectorModule.js"` → `"PoseDetectorModule"`.
-pub fn include_key(path: &str) -> String {
+pub(crate) fn include_key(path: &str) -> String {
     let base = path.rsplit('/').next().unwrap_or(path);
     base.strip_suffix(".js").unwrap_or(base).to_string()
 }

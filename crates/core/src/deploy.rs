@@ -4,7 +4,7 @@
 //! The paper deploys modules manually ("we move this computation to a
 //! desktop", §4.1) and names automatic deployment as future work (§7). This
 //! module implements both: [`plan`] validates and wires an explicit
-//! placement, and [`autoplace`] searches placements using a per-frame
+//! placement, and [`autoplace_pinned`] searches placements using a per-frame
 //! latency model — which also powers the placement ablation bench.
 
 use crate::error::PipelineError;
@@ -96,16 +96,6 @@ impl Placement {
         self.assignments
             .iter()
             .map(|(m, d)| (m.as_str(), d.as_str()))
-    }
-
-    /// Number of assigned modules.
-    pub fn len(&self) -> usize {
-        self.assignments.len()
-    }
-
-    /// Whether the placement is empty.
-    pub fn is_empty(&self) -> bool {
-        self.assignments.is_empty()
     }
 }
 
@@ -297,7 +287,7 @@ pub fn plan(
 }
 
 /// Parameters of the per-frame latency model used by [`estimate_latency`]
-/// and [`autoplace`].
+/// and [`autoplace_pinned`].
 #[derive(Debug, Clone)]
 pub struct CostParams {
     /// Handler cost per module (reference device), nanoseconds.
@@ -347,7 +337,7 @@ impl Default for CostParams {
 
 impl CostParams {
     /// One-way transfer time for `bytes` over the modeled link.
-    pub fn link_time_ns(&self, bytes: usize) -> u64 {
+    pub(crate) fn link_time_ns(&self, bytes: usize) -> u64 {
         self.link_latency_ns
             + (bytes as u64 * 8).saturating_mul(1_000_000_000) / self.link_bandwidth_bps
     }
@@ -438,32 +428,17 @@ pub fn estimate_latency(plan: &DeploymentPlan, params: &CostParams) -> u64 {
     best
 }
 
-/// Searches for the placement minimising [`estimate_latency`].
-///
-/// Exhaustive when `devices.len() ^ modules.len() <= max_enumerate`
-/// (default 1 << 16 via [`autoplace`]); greedy (topo order, locally best
-/// device) beyond that.
+/// Searches for the placement minimising [`estimate_latency`], with
+/// device-affinity pins: modules in `pins` are fixed to their device
+/// (camera hardware lives on the phone, the screen on the TV) and only the
+/// remaining modules are searched — exhaustively when
+/// `devices.len() ^ unpinned modules <= 1 << 16`, greedily (topo order,
+/// locally best device) beyond that.
 ///
 /// # Errors
 ///
 /// Returns an error when no valid placement exists (e.g. a required service
-/// is installed nowhere).
-pub fn autoplace(
-    spec: &PipelineSpec,
-    devices: &[DeviceSpec],
-    params: &CostParams,
-) -> Result<(Placement, u64), PipelineError> {
-    autoplace_with_limit(spec, devices, params, 1 << 16)
-}
-
-/// [`autoplace`] with device-affinity pins: modules in `pins` are fixed to
-/// their device (camera hardware lives on the phone, the screen on the TV)
-/// and only the remaining modules are searched.
-///
-/// # Errors
-///
-/// See [`autoplace`]; additionally errors when a pin names an unknown
-/// module.
+/// is installed nowhere) or a pin names an unknown module.
 pub fn autoplace_pinned(
     spec: &PipelineSpec,
     devices: &[DeviceSpec],
@@ -478,20 +453,6 @@ pub fn autoplace_pinned(
         }
     }
     autoplace_impl(spec, devices, params, pins, 1 << 16)
-}
-
-/// [`autoplace`] with an explicit enumeration budget.
-///
-/// # Errors
-///
-/// See [`autoplace`].
-pub fn autoplace_with_limit(
-    spec: &PipelineSpec,
-    devices: &[DeviceSpec],
-    params: &CostParams,
-    max_enumerate: u64,
-) -> Result<(Placement, u64), PipelineError> {
-    autoplace_impl(spec, devices, params, &Placement::new(), max_enumerate)
 }
 
 /// Recomputes a deployment after `dead_device` is confirmed lost.
@@ -648,6 +609,19 @@ fn autoplace_impl(
 }
 
 #[cfg(test)]
+impl Placement {
+    /// Number of assigned modules.
+    pub(crate) fn len(&self) -> usize {
+        self.assignments.len()
+    }
+
+    /// Whether the placement is empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.assignments.is_empty()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::ModuleSpec;
@@ -774,7 +748,8 @@ mod tests {
         params
             .service_cost_ns
             .insert("pose_detector".into(), 170_000_000);
-        let (placement, cost) = autoplace(&fitness_spec(), &devices(), &params).unwrap();
+        let (placement, cost) =
+            autoplace_pinned(&fitness_spec(), &devices(), &params, &Placement::new()).unwrap();
         assert_eq!(placement.device_for("pose"), Some("desktop"));
         assert!(cost > 0);
     }
@@ -786,7 +761,8 @@ mod tests {
         params
             .service_cost_ns
             .insert("pose_detector".into(), 170_000_000);
-        let (placement, _) = autoplace_with_limit(&fitness_spec(), &devices(), &params, 1).unwrap();
+        let (placement, _) =
+            autoplace_impl(&fitness_spec(), &devices(), &params, &Placement::new(), 1).unwrap();
         // Greedy must still produce a valid plan.
         assert!(plan(&fitness_spec(), &devices(), &placement).is_ok());
     }
@@ -811,7 +787,13 @@ mod tests {
     #[test]
     fn autoplace_errors_when_impossible() {
         let devices = vec![DeviceSpec::new("phone", 1.0)]; // no service anywhere
-        assert!(autoplace(&fitness_spec(), &devices, &CostParams::default()).is_err());
+        assert!(autoplace_pinned(
+            &fitness_spec(),
+            &devices,
+            &CostParams::default(),
+            &Placement::new()
+        )
+        .is_err());
     }
 
     #[test]

@@ -563,12 +563,12 @@ impl Shared {
         }
     }
 
-    /// The micro-batch ceiling in effect for `service` right now: the
-    /// configured policy, raised to the controller's batch floor when the
-    /// batch knob is engaged.
-    pub(crate) fn effective_max_batch(&self, service: &str) -> usize {
+    /// The micro-batch ceiling in effect right now: the configured policy,
+    /// raised to the controller's batch floor when the batch knob is
+    /// engaged.
+    pub(crate) fn effective_max_batch(&self) -> usize {
         self.config
-            .batch_for(service)
+            .batch
             .max_batch
             .max(1)
             .max(self.knobs.batch_floor.load(Ordering::Relaxed))
@@ -1309,7 +1309,7 @@ impl ServiceHost {
         if first.kind != MessageKind::Request {
             return None;
         }
-        let max_batch = shared.effective_max_batch(self.image.name());
+        let max_batch = shared.effective_max_batch();
         let queue_depth = self.inbox.pending() as u64;
         let mut msgs = vec![first];
         while msgs.len() < max_batch {
@@ -1338,43 +1338,32 @@ impl ServiceHost {
         // Decode every request up front. A slot that fails here still gets
         // a typed error reply below — a caller must never wait out its full
         // deadline because the host dropped its request on the floor.
-        let mut slots: Vec<Result<ServiceRequest, PipelineError>> = msgs
-            .iter()
-            .map(|m| ServiceRequest::decode(&m.payload))
-            .collect();
-        // Cross-device frames arrive encoded; decode the whole batch in one
-        // pass into the local store so the service sees FrameRefs like any
+        // Cross-device frames arrive encoded; they are decoded in the same
+        // pass into the local store, so the service sees FrameRefs like any
         // other request.
-        let encoded: Vec<(usize, bytes::Bytes)> = slots
+        let slots: Vec<Result<ServiceRequest, PipelineError>> = msgs
             .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| match slot {
-                Ok(ServiceRequest {
-                    payload: Payload::EncodedFrame(bytes),
-                    ..
-                }) => Some((i, bytes.clone())),
-                _ => None,
-            })
-            .collect();
-        let frames = codec::decode_batch(encoded.iter().map(|(_, b)| b.as_ref()));
-        for ((i, _), result) in encoded.iter().zip(frames) {
-            match result {
-                Ok(frame) => {
-                    if let Ok(req) = &mut slots[*i] {
-                        req.payload = Payload::FrameRef(self.store.insert(frame));
+            .map(|m| {
+                let mut req = ServiceRequest::decode(&m.payload)?;
+                if let Payload::EncodedFrame(bytes) = &req.payload {
+                    match codec::decode(bytes) {
+                        Ok(frame) => req.payload = Payload::FrameRef(self.store.insert(frame)),
+                        Err(e) => {
+                            let reason = format!("frame decode failed: {e}");
+                            shared
+                                .errors
+                                .lock()
+                                .push(format!("service {name}: {reason}"));
+                            return Err(PipelineError::Service {
+                                service: name.to_string(),
+                                reason,
+                            });
+                        }
                     }
                 }
-                Err(e) => {
-                    let reason = format!("frame decode failed: {e}");
-                    let mut errors = shared.errors.lock();
-                    errors.push(format!("service {name}: {reason}"));
-                    slots[*i] = Err(PipelineError::Service {
-                        service: name.to_string(),
-                        reason,
-                    });
-                }
-            }
-        }
+                Ok(req)
+            })
+            .collect();
 
         // Modeled compute cost of the batch: the leading request pays its
         // full base cost, followers pay the amortised batched base.
@@ -1594,6 +1583,12 @@ impl Pacer {
         let fenced = msg.epoch != self.current_epoch;
         match msg.kind {
             MessageKind::Signal if known && !fenced => {
+                // A signal that finds nothing in flight (a sink signalling
+                // twice for one frame) took no credit back, so it delivered
+                // nothing either.
+                if self.controller.in_flight() == 0 {
+                    return;
+                }
                 self.controller.complete();
                 if self.dedup_window > 0 {
                     if self.dedup_order.len() == self.dedup_window {
@@ -2205,5 +2200,76 @@ mod tests {
         let dispatch = metrics.dispatch.get("one/doubler").expect("dispatch stats");
         assert_eq!((dispatch.requests, dispatch.batches), (6, 2));
         assert_eq!((dispatch.max_batch, dispatch.max_queue_depth), (4, 5));
+    }
+
+    /// Answers a frame request with the frame's width.
+    struct FrameWidth;
+    impl Service for FrameWidth {
+        fn name(&self) -> &str {
+            "width"
+        }
+        fn handle(
+            &self,
+            request: &ServiceRequest,
+            store: &FrameStore,
+        ) -> Result<ServiceResponse, PipelineError> {
+            match request.payload {
+                Payload::FrameRef(id) => Ok(ServiceResponse::new(Payload::Count(u64::from(
+                    store.get(id)?.width(),
+                )))),
+                ref other => Err(crate::service::wrong_payload("width", "frame_ref", other)),
+            }
+        }
+    }
+
+    #[test]
+    fn serve_decodes_each_encoded_frame_and_fails_only_its_own_slot() {
+        let shared = bare_shared(RuntimeConfig::default());
+        let host = ServiceHost::bare(&shared, Arc::new(FrameWidth), "one");
+        let frame = FrameBuf::new(8, 4).freeze(0, 0);
+        let good = codec::encode(&frame, codec::Quality::default());
+        let msgs: Vec<WireMessage> = [good.clone(), bytes::Bytes::from_static(b"junk"), good]
+            .into_iter()
+            .enumerate()
+            .map(|(i, bytes)| {
+                let request = ServiceRequest::new("width", Payload::EncodedFrame(bytes));
+                WireMessage::request(String::new(), String::new(), i as u64, request.encode())
+            })
+            .collect();
+        let (replies, _) = host.serve(&shared, &msgs, 0);
+        let widths: Vec<Payload> = replies
+            .iter()
+            .map(|reply| ServiceResponse::decode(&reply.payload).unwrap().payload)
+            .collect();
+        assert_eq!(widths[0], Payload::Count(8));
+        assert!(
+            matches!(&widths[1], Payload::Error(e) if e.contains("frame decode failed")),
+            "{:?}",
+            widths[1]
+        );
+        assert_eq!(widths[2], Payload::Count(8));
+        let errors = shared.errors.lock();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("frame decode failed"), "{errors:?}");
+    }
+
+    #[test]
+    fn a_second_signal_for_one_frame_counts_no_second_delivery() {
+        let shared = bare_shared(RuntimeConfig::default());
+        let mut pacer = Pacer::deploy(&shared).unwrap();
+        assert!(!pacer.track_outstanding);
+        pacer.tick(&shared, &FakeExec::new(&shared, Vec::new()));
+        let header = Header {
+            frame_seq: 1,
+            capture_ts_ns: 0,
+        };
+        for _ in 0..2 {
+            pacer.on_signal(&shared, &frame_msg(MessageKind::Signal, header, 0));
+        }
+        pacer.finalize(&shared);
+        assert_eq!(shared.deliveries.load(Ordering::Relaxed), 1);
+        let metrics = shared.metrics.lock();
+        assert_eq!((metrics.frames_admitted, metrics.frames_delivered), (1, 1));
+        assert!(metrics.credits_balanced(), "{metrics:?}");
     }
 }

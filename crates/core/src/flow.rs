@@ -23,11 +23,6 @@ pub struct CreditController {
 }
 
 impl CreditController {
-    /// The paper's design: exactly one frame in flight.
-    pub fn paper_default() -> Self {
-        Self::new(1)
-    }
-
     /// Creates a controller allowing up to `credits` frames in flight.
     ///
     /// # Panics
@@ -102,11 +97,6 @@ impl CreditController {
         self.admitted
     }
 
-    /// Frames dropped at the source so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Frames whose completion signal has returned.
     pub fn completed(&self) -> u64 {
         self.completed
@@ -149,13 +139,8 @@ impl SourcePacer {
         self.interval_ns
     }
 
-    /// The time of the next camera tick.
-    pub fn peek_next(&self) -> u64 {
-        self.next_tick_ns
-    }
-
     /// Consumes and returns the next tick time.
-    pub fn advance(&mut self) -> u64 {
+    pub(crate) fn advance(&mut self) -> u64 {
         let t = self.next_tick_ns;
         self.ticks += 1;
         self.next_tick_ns += self.interval_ns;
@@ -163,8 +148,24 @@ impl SourcePacer {
     }
 
     /// Total camera ticks generated.
-    pub fn ticks(&self) -> u64 {
+    pub(crate) fn ticks(&self) -> u64 {
         self.ticks
+    }
+}
+
+#[cfg(test)]
+impl SourcePacer {
+    /// The time of the next camera tick.
+    pub(crate) fn peek_next(&self) -> u64 {
+        self.next_tick_ns
+    }
+}
+
+#[cfg(test)]
+impl CreditController {
+    /// Frames dropped at the source so far.
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped
     }
 }
 
@@ -174,7 +175,7 @@ mod tests {
 
     #[test]
     fn single_credit_serialises_frames() {
-        let mut fc = CreditController::paper_default();
+        let mut fc = CreditController::new(1);
         assert!(fc.try_admit());
         assert!(!fc.try_admit()); // dropped
         assert!(!fc.try_admit()); // dropped
@@ -238,7 +239,7 @@ mod tests {
 
     #[test]
     fn fault_returns_credit_without_counting_completion() {
-        let mut fc = CreditController::paper_default();
+        let mut fc = CreditController::new(1);
         assert!(fc.try_admit());
         fc.fault();
         assert_eq!(fc.in_flight(), 0);

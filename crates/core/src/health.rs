@@ -89,11 +89,6 @@ impl FailureDetector {
         }
     }
 
-    /// The configuration the detector was built with.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
     /// Registers `device` as expected, dating its lease from `now_ns`.
     /// A device never heard from at all would otherwise be invisible.
     pub fn expect(&mut self, device: &str, now_ns: u64) {
@@ -108,7 +103,7 @@ impl FailureDetector {
 
     /// Classifies `device` at `now_ns`. Unknown devices are `Alive` (they
     /// were never expected, so they cannot be late).
-    pub fn status(&self, device: &str, now_ns: u64) -> DeviceStatus {
+    pub(crate) fn status(&self, device: &str, now_ns: u64) -> DeviceStatus {
         let Some(&beat) = self.last_beat.get(device) else {
             return DeviceStatus::Alive;
         };

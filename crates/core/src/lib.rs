@@ -40,7 +40,7 @@
 //! * [`slo`] — the per-pipeline SLO feedback controller: windowed-tail
 //!   observation over the metrics histograms, an ordered degradation knob
 //!   lattice, hysteresis and dwell.
-//! * [`telemetry`] — pipeline monitoring snapshots over PUB/SUB (the
+//! * `telemetry` — pipeline monitoring snapshots over PUB/SUB (the
 //!   paper's §7 future work).
 //!
 //! # Quickstart
@@ -58,6 +58,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod config;
 pub mod deploy;
@@ -74,7 +75,7 @@ pub mod runtime;
 pub mod service;
 pub mod slo;
 pub mod spec;
-pub mod telemetry;
+mod telemetry;
 
 pub use error::PipelineError;
 

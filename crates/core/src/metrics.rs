@@ -49,19 +49,6 @@ impl LatencyHistogram {
         self.max_ns = self.max_ns.max(ns);
     }
 
-    /// Merges another histogram into this one (saturating).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        if other.count > 0 {
-            self.min_ns = self.min_ns.min(other.min_ns);
-            self.max_ns = self.max_ns.max(other.max_ns);
-        }
-    }
-
     /// The histogram seen since `prev` was cloned from this same series:
     /// bucket-wise difference of two cumulative snapshots. This is how the
     /// SLO controller computes *windowed* p50/p99 between control ticks
@@ -73,7 +60,7 @@ impl LatencyHistogram {
     /// the window's bounds are the covered bucket ranges (lowest nonzero
     /// bucket's floor, highest nonzero bucket's ceiling), which is what
     /// [`LatencyHistogram::quantile_ns`] clamps against.
-    pub fn since(&self, prev: &LatencyHistogram) -> LatencyHistogram {
+    pub(crate) fn since(&self, prev: &LatencyHistogram) -> LatencyHistogram {
         let mut delta = LatencyHistogram::new();
         for (i, (a, b)) in self.buckets.iter().zip(prev.buckets.iter()).enumerate() {
             let d = a.saturating_sub(*b);
@@ -173,7 +160,7 @@ impl fmt::Display for LatencyHistogram {
 /// registered. It stays valid for the life of the map: entries are never
 /// removed, and a later insert appends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slot(usize);
+pub(crate) struct Slot(usize);
 
 /// A small map from labels to cells — a pipeline's stages or service hosts,
 /// a handful of them: one `Vec` of `(label, value)` pairs in insertion
@@ -189,20 +176,20 @@ pub struct LabelMap<V> {
 
 impl<V> LabelMap<V> {
     /// An empty map (allocates nothing).
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         LabelMap {
             entries: Vec::new(),
         }
     }
 
     /// The slot registered for `label`, if any.
-    pub fn slot_of(&self, label: &str) -> Option<Slot> {
+    pub(crate) fn slot_of(&self, label: &str) -> Option<Slot> {
         self.entries.iter().position(|(l, _)| l == label).map(Slot)
     }
 
     /// The slot of `label`, registering it with `make()` first if it is
     /// new.
-    pub fn slot_or_insert_with(&mut self, label: &str, make: impl FnOnce() -> V) -> Slot {
+    pub(crate) fn slot_or_insert_with(&mut self, label: &str, make: impl FnOnce() -> V) -> Slot {
         self.slot_of(label).unwrap_or_else(|| {
             self.entries.push((label.to_string(), make()));
             Slot(self.entries.len() - 1)
@@ -236,7 +223,7 @@ impl<V> LabelMap<V> {
 impl<V: Default> LabelMap<V> {
     /// The slot of `label`, registering it with a default value first if it
     /// is new.
-    pub fn slot(&mut self, label: &str) -> Slot {
+    pub(crate) fn slot(&mut self, label: &str) -> Slot {
         self.slot_or_insert_with(label, V::default)
     }
 }
@@ -311,7 +298,7 @@ impl<'a, V> Iterator for LabelIter<'a, V> {
 /// Number of batch-size histogram buckets in [`DispatchStats`]: bucket `i`
 /// counts batches of exactly `i + 1` requests, and the final bucket absorbs
 /// everything of size ≥ `BATCH_BUCKETS`.
-pub const BATCH_BUCKETS: usize = 8;
+pub(crate) const BATCH_BUCKETS: usize = 8;
 
 /// Per-service-host dispatch counters, keyed by `device/service`.
 ///
@@ -338,26 +325,6 @@ pub struct DispatchStats {
 }
 
 impl DispatchStats {
-    /// Mean handling time per request in milliseconds (0 when idle).
-    pub fn mean_busy_ms(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / self.requests as f64 / 1e6
-        }
-    }
-
-    /// Mean wall time per *batch* in milliseconds (0 when idle). With
-    /// batching this is the amortised unit of executor work; without it,
-    /// identical to [`DispatchStats::mean_busy_ms`].
-    pub fn mean_batch_busy_ms(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / self.batches as f64 / 1e6
-        }
-    }
-
     /// Mean requests per dispatched batch (0 when idle, 1.0 when batching
     /// never engaged).
     pub fn mean_batch(&self) -> f64 {
@@ -365,19 +332,6 @@ impl DispatchStats {
             0.0
         } else {
             self.requests as f64 / self.batches as f64
-        }
-    }
-
-    /// Adds `other`'s counters to these (saturating; maxima take the
-    /// larger).
-    fn merge(&mut self, other: &DispatchStats) {
-        self.requests = self.requests.saturating_add(other.requests);
-        self.busy_ns = self.busy_ns.saturating_add(other.busy_ns);
-        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
-        self.batches = self.batches.saturating_add(other.batches);
-        self.max_batch = self.max_batch.max(other.max_batch);
-        for (a, b) in self.batch_sizes.iter_mut().zip(other.batch_sizes.iter()) {
-            *a = a.saturating_add(*b);
         }
     }
 
@@ -477,39 +431,13 @@ impl PipelineMetrics {
     }
 
     /// Records a stage latency sample in the stage registered as `slot`.
-    pub fn record_stage_at(&mut self, slot: Slot, ns: u64) {
+    pub(crate) fn record_stage_at(&mut self, slot: Slot, ns: u64) {
         self.stages[slot].record(ns);
-    }
-
-    /// Records one executed service request: how long the executor was busy
-    /// and how deep the request queue was when the request was dequeued.
-    /// Equivalent to a batch of one.
-    pub fn record_dispatch(&mut self, host: &str, busy_ns: u64, queue_depth: u64) {
-        self.record_dispatch_batch(host, busy_ns, queue_depth, 1);
-    }
-
-    /// Records one executed micro-batch of `batch_len` requests:
-    /// `busy_ns` covers the whole batch (drain → decode → handle → reply)
-    /// and `queue_depth` is the backlog observed *before* the drain, so
-    /// `max_queue_depth` still reflects true pressure. Registers `host` the
-    /// first time it is seen; the runtime records through
-    /// [`record_dispatch_batch_at`] instead.
-    ///
-    /// [`record_dispatch_batch_at`]: PipelineMetrics::record_dispatch_batch_at
-    pub fn record_dispatch_batch(
-        &mut self,
-        host: &str,
-        busy_ns: u64,
-        queue_depth: u64,
-        batch_len: u64,
-    ) {
-        let slot = self.dispatch.slot(host);
-        self.record_dispatch_batch_at(slot, busy_ns, queue_depth, batch_len);
     }
 
     /// [`PipelineMetrics::record_dispatch_batch`] for the host registered
     /// as `slot`.
-    pub fn record_dispatch_batch_at(
+    pub(crate) fn record_dispatch_batch_at(
         &mut self,
         slot: Slot,
         busy_ns: u64,
@@ -599,9 +527,74 @@ impl PipelineMetrics {
         ));
         out
     }
+}
+
+#[cfg(test)]
+impl DispatchStats {
+    /// Mean handling time per request in milliseconds (0 when idle).
+    pub(crate) fn mean_busy_ms(&self) -> f64 {
+        if self.requests == 0 {
+            0.0
+        } else {
+            self.busy_ns as f64 / self.requests as f64 / 1e6
+        }
+    }
+
+    /// Mean wall time per *batch* in milliseconds (0 when idle). With
+    /// batching this is the amortised unit of executor work; without it,
+    /// identical to [`DispatchStats::mean_busy_ms`].
+    pub(crate) fn mean_batch_busy_ms(&self) -> f64 {
+        if self.batches == 0 {
+            0.0
+        } else {
+            self.busy_ns as f64 / self.batches as f64 / 1e6
+        }
+    }
+
+    /// Adds `other`'s counters to these (saturating; maxima take the
+    /// larger).
+    fn merge(&mut self, other: &DispatchStats) {
+        self.requests = self.requests.saturating_add(other.requests);
+        self.busy_ns = self.busy_ns.saturating_add(other.busy_ns);
+        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
+        self.batches = self.batches.saturating_add(other.batches);
+        self.max_batch = self.max_batch.max(other.max_batch);
+        for (a, b) in self.batch_sizes.iter_mut().zip(other.batch_sizes.iter()) {
+            *a = a.saturating_add(*b);
+        }
+    }
+}
+
+#[cfg(test)]
+impl PipelineMetrics {
+    /// Records one executed service request: how long the executor was busy
+    /// and how deep the request queue was when the request was dequeued.
+    /// Equivalent to a batch of one.
+    pub(crate) fn record_dispatch(&mut self, host: &str, busy_ns: u64, queue_depth: u64) {
+        self.record_dispatch_batch(host, busy_ns, queue_depth, 1);
+    }
+
+    /// Records one executed micro-batch of `batch_len` requests:
+    /// `busy_ns` covers the whole batch (drain → decode → handle → reply)
+    /// and `queue_depth` is the backlog observed *before* the drain, so
+    /// `max_queue_depth` still reflects true pressure. Registers `host` the
+    /// first time it is seen; the runtime records through
+    /// [`record_dispatch_batch_at`] instead.
+    ///
+    /// [`record_dispatch_batch_at`]: PipelineMetrics::record_dispatch_batch_at
+    pub(crate) fn record_dispatch_batch(
+        &mut self,
+        host: &str,
+        busy_ns: u64,
+        queue_depth: u64,
+        batch_len: u64,
+    ) {
+        let slot = self.dispatch.slot(host);
+        self.record_dispatch_batch_at(slot, busy_ns, queue_depth, batch_len);
+    }
 
     /// Merges another run's metrics (e.g. across repetitions).
-    pub fn merge(&mut self, other: &PipelineMetrics) {
+    pub(crate) fn merge(&mut self, other: &PipelineMetrics) {
         for (stage, hist) in &other.stages {
             let slot = self.stages.slot(stage);
             self.stages[slot].merge(hist);
@@ -619,6 +612,22 @@ impl PipelineMetrics {
         self.in_flight_at_end = self.in_flight_at_end.saturating_add(other.in_flight_at_end);
         self.last_delivery_ns = self.last_delivery_ns.max(other.last_delivery_ns);
         self.run_duration_ns = self.run_duration_ns.max(other.run_duration_ns);
+    }
+}
+
+#[cfg(test)]
+impl LatencyHistogram {
+    /// Merges another histogram into this one (saturating).
+    pub(crate) fn merge(&mut self, other: &LatencyHistogram) {
+        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *a = a.saturating_add(*b);
+        }
+        self.count = self.count.saturating_add(other.count);
+        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
+        if other.count > 0 {
+            self.min_ns = self.min_ns.min(other.min_ns);
+            self.max_ns = self.max_ns.max(other.max_ns);
+        }
     }
 }
 

@@ -190,7 +190,7 @@ impl ModuleRegistry {
     }
 
     /// Registered include keys, sorted.
-    pub fn names(&self) -> Vec<&str> {
+    pub(crate) fn names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.factories.keys().map(String::as_str).collect();
         names.sort_unstable();
         names

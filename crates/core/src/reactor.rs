@@ -81,7 +81,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use videopipe_media::FrameStoreStats;
 use videopipe_net::{Ingress, PollEndpoint, Poller, WireMessage};
 
 /// Executor knobs for a [`ReactorRuntime`].
@@ -1461,25 +1460,12 @@ impl ReactorRuntime {
         self.core.scheduler_stats()
     }
 
-    /// Times the TCP I/O thread has come out of its readiness wait: one
-    /// per batch of ready sockets, deploy or shutdown. It stays put while
-    /// no bytes arrive — an idle fleet costs no I/O wake-ups.
-    pub fn io_wakeups(&self) -> u64 {
-        self.core.io_wakeups.load(Ordering::Relaxed)
-    }
-
     /// The latest checkpoint taken for `module` on pipeline `id`, if any
     /// (periodic while running; refreshed one last time by
     /// [`ReactorRuntime::stop_pipeline`] and at shutdown).
     pub fn checkpoint_for(&self, id: usize, module: &str) -> Option<Vec<u8>> {
         let checkpoints = self.pipe(id)?.shared.checkpoints.lock();
         checkpoints.get(module).cloned()
-    }
-
-    /// Frame-store counters for `device` on pipeline `id`, including the
-    /// encode-cache hit/miss tallies (diagnostics and tests).
-    pub fn frame_store_stats(&self, id: usize, device: &str) -> Option<FrameStoreStats> {
-        Some(self.pipe(id)?.shared.stores.get(device)?.stats())
     }
 
     /// Subscribes a telemetry monitor to pipeline `id` (snapshots flow only
@@ -1502,8 +1488,8 @@ impl ReactorRuntime {
     /// Its module instances, service hosts and routes are freed as soon as
     /// no run queue or armed deadline holds their task any more (a stopped
     /// task runs no more work and arms nothing). Its shared state stays:
-    /// [`ReactorRuntime::report_for`] and [`ReactorRuntime::checkpoint_for`]
-    /// still answer, and its report remains collectable at
+    /// [`ReactorRuntime::checkpoint_for`] still answers, and its report
+    /// remains collectable at
     /// [`ReactorRuntime::finish`]. Returns `false` for unknown ids or
     /// pipelines already stopped.
     pub fn stop_pipeline(&self, id: usize) -> bool {
@@ -1522,26 +1508,6 @@ impl ReactorRuntime {
             task.runner.lock().finalize();
         }
         true
-    }
-
-    /// Collects a report for pipeline `id` from its live shared state
-    /// (non-consuming: metrics, logs and errors are cloned and stay for the
-    /// final report; pair with
-    /// [`ReactorRuntime::stop_pipeline`] when retiring a single pipeline
-    /// from a long-lived runtime). Mid-run, this is where the failure
-    /// detector's device view, the fence epoch, the SLO level and the
-    /// restart count are read.
-    pub fn report_for(&self, id: usize) -> Option<RunReport> {
-        Some(self.pipe(id)?.shared.report(false))
-    }
-
-    /// Chaos hook: silences `device`'s heartbeat sender on pipeline `id`,
-    /// as if the device dropped off the network. The failure detector will
-    /// walk it through suspicion to confirmed loss. Returns whether the
-    /// device was newly muted.
-    pub fn inject_heartbeat_loss(&self, id: usize, device: &str) -> bool {
-        self.pipe(id)
-            .is_some_and(|p| p.shared.muted_heartbeats.lock().insert(device.to_string()))
     }
 
     /// Chaos hook: severs every cross-device TCP connection of pipeline
@@ -1632,6 +1598,46 @@ impl std::fmt::Debug for ReactorRuntime {
             .field("pipelines", &self.pipelines.len())
             .field("threads", &self.threads.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl ReactorRuntime {
+    /// Times the TCP I/O thread has come out of its readiness wait: one
+    /// per batch of ready sockets, deploy or shutdown. It stays put while
+    /// no bytes arrive — an idle fleet costs no I/O wake-ups.
+    pub(crate) fn io_wakeups(&self) -> u64 {
+        self.core.io_wakeups.load(Ordering::Relaxed)
+    }
+
+    /// Frame-store counters for `device` on pipeline `id`, including the
+    /// encode-cache hit/miss tallies (diagnostics and tests).
+    pub(crate) fn frame_store_stats(
+        &self,
+        id: usize,
+        device: &str,
+    ) -> Option<videopipe_media::FrameStoreStats> {
+        Some(self.pipe(id)?.shared.stores.get(device)?.stats())
+    }
+
+    /// Collects a report for pipeline `id` from its live shared state
+    /// (non-consuming: metrics, logs and errors are cloned and stay for the
+    /// final report; pair with
+    /// [`ReactorRuntime::stop_pipeline`] when retiring a single pipeline
+    /// from a long-lived runtime). Mid-run, this is where the failure
+    /// detector's device view, the fence epoch, the SLO level and the
+    /// restart count are read.
+    pub(crate) fn report_for(&self, id: usize) -> Option<RunReport> {
+        Some(self.pipe(id)?.shared.report(false))
+    }
+
+    /// Chaos hook: silences `device`'s heartbeat sender on pipeline `id`,
+    /// as if the device dropped off the network. The failure detector will
+    /// walk it through suspicion to confirmed loss. Returns whether the
+    /// device was newly muted.
+    pub(crate) fn inject_heartbeat_loss(&self, id: usize, device: &str) -> bool {
+        self.pipe(id)
+            .is_some_and(|p| p.shared.muted_heartbeats.lock().insert(device.to_string()))
     }
 }
 

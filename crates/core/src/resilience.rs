@@ -28,18 +28,18 @@ use std::time::Duration;
 /// Kept in-tree so `videopipe-core` stays dependency-free and jittered
 /// schedules are bit-for-bit reproducible across platforms from a seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeededJitter {
+pub(crate) struct SeededJitter {
     state: u64,
 }
 
 impl SeededJitter {
     /// Creates a generator from a seed. Equal seeds yield equal sequences.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SeededJitter { state: seed }
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -48,14 +48,14 @@ impl SeededJitter {
     }
 
     /// Uniform value in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
 /// Derives a per-name seed from a base seed, so each module gets an
 /// independent but reproducible jitter stream (FNV-1a over the name).
-pub fn seed_for(base: u64, name: &str) -> u64 {
+pub(crate) fn seed_for(base: u64, name: &str) -> u64 {
     let h = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
@@ -78,7 +78,7 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// One attempt, no retries — the seed runtime's behaviour.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         RetryPolicy {
             max_attempts: 1,
             base_backoff: Duration::ZERO,
@@ -98,16 +98,10 @@ impl RetryPolicy {
         }
     }
 
-    /// Overrides the jitter amplitude (clamped to `[0, 1]`).
-    pub fn with_jitter(mut self, frac: f64) -> Self {
-        self.jitter_frac = frac.clamp(0.0, 1.0);
-        self
-    }
-
     /// Backoff to sleep before retry number `retry` (1-based: `retry = 1`
     /// follows the first failed attempt). Returns zero when the policy has
     /// no retries.
-    pub fn backoff(&self, retry: u32, jitter: &mut SeededJitter) -> Duration {
+    pub(crate) fn backoff(&self, retry: u32, jitter: &mut SeededJitter) -> Duration {
         if self.max_attempts <= 1 || retry == 0 || self.base_backoff.is_zero() {
             return Duration::ZERO;
         }
@@ -145,7 +139,7 @@ pub enum BreakerState {
 /// Time is supplied by the caller as nanoseconds (the runtime's epoch
 /// clock), keeping the breaker clock-agnostic and unit-testable.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     failure_threshold: u32,
     cooldown: Duration,
     state: BreakerState,
@@ -169,7 +163,7 @@ impl CircuitBreaker {
     ///
     /// Panics if `failure_threshold` is zero (use
     /// [`ResilienceConfig::breaker_enabled`] to disable breaking entirely).
-    pub fn new(failure_threshold: u32, cooldown: Duration) -> Self {
+    pub(crate) fn new(failure_threshold: u32, cooldown: Duration) -> Self {
         assert!(failure_threshold > 0, "breaker threshold must be positive");
         CircuitBreaker {
             failure_threshold,
@@ -191,7 +185,7 @@ impl CircuitBreaker {
     /// the *single* probe for that window; further callers are rejected
     /// until the probe resolves (or its lease — one cooldown — expires, in
     /// case the probing caller wedged and never reported back).
-    pub fn allow(&mut self, now_ns: u64) -> bool {
+    pub(crate) fn allow(&mut self, now_ns: u64) -> bool {
         let cooldown_ns = u64::try_from(self.cooldown.as_nanos()).unwrap_or(u64::MAX);
         match self.state {
             BreakerState::Closed => true,
@@ -223,7 +217,7 @@ impl CircuitBreaker {
     }
 
     /// Records a successful call, closing the breaker if it was half-open.
-    pub fn record_success(&mut self) {
+    pub(crate) fn record_success(&mut self) {
         if self.state == BreakerState::HalfOpen {
             self.reclosed += 1;
         }
@@ -234,7 +228,7 @@ impl CircuitBreaker {
 
     /// Records a failed call at time `now_ns`, opening the breaker when the
     /// consecutive-failure threshold is reached or a half-open probe fails.
-    pub fn record_failure(&mut self, now_ns: u64) {
+    pub(crate) fn record_failure(&mut self, now_ns: u64) {
         self.probe_in_flight = false;
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let trip = match self.state {
@@ -249,13 +243,8 @@ impl CircuitBreaker {
         }
     }
 
-    /// Current state.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
     /// Copies the observable counters out for reporting.
-    pub fn snapshot(&self) -> BreakerSnapshot {
+    pub(crate) fn snapshot(&self) -> BreakerSnapshot {
         BreakerSnapshot {
             state: self.state,
             opened: self.opened,
@@ -343,13 +332,30 @@ impl Default for ResilienceConfig {
 
 impl ResilienceConfig {
     /// Whether circuit breaking is enabled.
-    pub fn breaker_enabled(&self) -> bool {
+    pub(crate) fn breaker_enabled(&self) -> bool {
         self.breaker_failure_threshold > 0
     }
 
     /// Builds a breaker from the configured threshold and cooldown.
-    pub fn make_breaker(&self) -> CircuitBreaker {
+    pub(crate) fn make_breaker(&self) -> CircuitBreaker {
         CircuitBreaker::new(self.breaker_failure_threshold.max(1), self.breaker_cooldown)
+    }
+}
+
+#[cfg(test)]
+impl CircuitBreaker {
+    /// Current state.
+    pub(crate) fn state(&self) -> BreakerState {
+        self.state
+    }
+}
+
+#[cfg(test)]
+impl RetryPolicy {
+    /// Overrides the jitter amplitude (clamped to `[0, 1]`).
+    pub(crate) fn with_jitter(mut self, frac: f64) -> Self {
+        self.jitter_frac = frac.clamp(0.0, 1.0);
+        self
     }
 }
 

@@ -90,10 +90,6 @@ pub struct RuntimeConfig {
     /// Service-dispatch micro-batching defaults for every service host.
     /// The default (`max_batch` 1) preserves request-at-a-time dispatch.
     pub batch: BatchConfig,
-    /// Per-service overrides of [`RuntimeConfig::batch`], keyed by service
-    /// name — lets a deployment batch the heavy detector aggressively while
-    /// leaving a latency-critical display service unbatched.
-    pub service_batch: HashMap<String, BatchConfig>,
     /// When set, every device emits heartbeats on the `hb/<pipeline>`
     /// channel and a failure detector maintains a live
     /// [`DeviceStatus`] view; a *confirmed* device loss bumps the
@@ -121,27 +117,6 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// The effective batching policy for `service` (the per-service
-    /// override when present, the runtime default otherwise).
-    pub fn batch_for(&self, service: &str) -> BatchConfig {
-        self.service_batch
-            .get(service)
-            .copied()
-            .unwrap_or(self.batch)
-    }
-
-    /// Builder-style per-service batching override.
-    pub fn with_service_batch(mut self, service: impl Into<String>, batch: BatchConfig) -> Self {
-        self.service_batch.insert(service.into(), batch);
-        self
-    }
-
-    /// Builder-style SLO controller attachment.
-    pub fn with_slo(mut self, slo: SloConfig) -> Self {
-        self.slo = Some(slo);
-        self
-    }
-
     /// Deploy-time validation of every statically checkable field. The
     /// flow-control types would otherwise panic inside runtime tasks
     /// (`SourcePacer` on a non-positive fps, `CreditController` on zero
@@ -150,7 +125,7 @@ impl RuntimeConfig {
     /// # Errors
     ///
     /// Returns [`PipelineError::InvalidConfig`] naming the offending field.
-    pub fn validate(&self) -> Result<(), PipelineError> {
+    pub(crate) fn validate(&self) -> Result<(), PipelineError> {
         if !(self.fps.is_finite() && self.fps > 0.0) {
             return Err(PipelineError::InvalidConfig {
                 field: "fps",
@@ -175,16 +150,6 @@ impl RuntimeConfig {
                 reason: "zero-sized batch can never dispatch; use 1 to disable batching".into(),
             });
         }
-        for (service, batch) in &self.service_batch {
-            if batch.max_batch == 0 {
-                return Err(PipelineError::InvalidConfig {
-                    field: "service_batch",
-                    reason: format!(
-                        "zero-sized batch for service {service:?}; use 1 to disable batching"
-                    ),
-                });
-            }
-        }
         if let Some(slo) = &self.slo {
             slo.validate()
                 .map_err(|reason| PipelineError::InvalidConfig {
@@ -207,7 +172,6 @@ impl Default for RuntimeConfig {
             telemetry_interval: None,
             resilience: ResilienceConfig::default(),
             batch: BatchConfig::disabled(),
-            service_batch: HashMap::new(),
             heartbeats: None,
             checkpoint_period: None,
             dedup_window: 0,
@@ -243,8 +207,7 @@ pub struct RunReport {
     /// SLO controller direction reversals over the run (bounded by the
     /// dwell time: at most one move per dwell).
     pub slo_flaps: u64,
-    /// Per-worker reactor scheduler counters (empty in a mid-run
-    /// [`report_for`](crate::reactor::ReactorRuntime::report_for)).
+    /// Per-worker reactor scheduler counters (empty in a mid-run report).
     /// Runtime-wide: every pipeline's final report carries the same
     /// snapshot.
     pub scheduler: Vec<crate::metrics::WorkerSchedStats>,
@@ -828,18 +791,26 @@ mod tests {
             },
             "batch.max_batch",
         );
-        expect_invalid(
-            RuntimeConfig::default().with_service_batch("doubler", BatchConfig { max_batch: 0 }),
-            "service_batch",
-        );
         // Inverted SLO bounds: p50 above p99.
         let mut slo = crate::slo::SloConfig::p99(Duration::from_millis(50));
         slo.slo.p50 = Some(Duration::from_millis(80));
-        expect_invalid(RuntimeConfig::default().with_slo(slo), "slo");
+        expect_invalid(
+            RuntimeConfig {
+                slo: Some(slo),
+                ..RuntimeConfig::default()
+            },
+            "slo",
+        );
         // Inverted hysteresis band.
         let mut slo = crate::slo::SloConfig::p99(Duration::from_millis(50));
         slo.relax_headroom = 2.0;
-        expect_invalid(RuntimeConfig::default().with_slo(slo), "slo");
+        expect_invalid(
+            RuntimeConfig {
+                slo: Some(slo),
+                ..RuntimeConfig::default()
+            },
+            "slo",
+        );
         // The typed error renders the field name for operators.
         let err = RuntimeConfig {
             credits: 0,
@@ -1564,8 +1535,7 @@ mod tests {
             fps: 200.0,
             batch: BatchConfig::up_to(4),
             ..RuntimeConfig::default()
-        }
-        .with_service_batch("doubler", BatchConfig::up_to(4));
+        };
         let runtime = start(&plan, &modules, &services, config).unwrap();
         await_deliveries(&runtime, 10);
         let stats = runtime

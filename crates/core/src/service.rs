@@ -158,17 +158,6 @@ impl ServiceCost {
         };
         fixed + self.per_kib * (payload_bytes as u32 / 1024)
     }
-
-    /// Total modeled cost of serving `payload_sizes` as one batch. With a
-    /// single element this equals [`ServiceCost::for_bytes`]; without a
-    /// `batched_base` it equals the sequential sum.
-    pub fn for_batch(&self, payload_sizes: &[usize]) -> Duration {
-        payload_sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &bytes)| self.for_batch_item(i == 0, bytes))
-            .sum()
-    }
 }
 
 /// A stateless service.
@@ -452,16 +441,6 @@ impl ServiceRegistry {
         names.sort_unstable();
         names
     }
-
-    /// Number of installed services.
-    pub fn len(&self) -> usize {
-        self.services.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.services.is_empty()
-    }
 }
 
 impl std::fmt::Debug for ServiceRegistry {
@@ -469,6 +448,33 @@ impl std::fmt::Debug for ServiceRegistry {
         f.debug_struct("ServiceRegistry")
             .field("services", &self.names())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl ServiceCost {
+    /// Total modeled cost of serving `payload_sizes` as one batch. With a
+    /// single element this equals [`ServiceCost::for_bytes`]; without a
+    /// `batched_base` it equals the sequential sum.
+    pub(crate) fn for_batch(&self, payload_sizes: &[usize]) -> Duration {
+        payload_sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &bytes)| self.for_batch_item(i == 0, bytes))
+            .sum()
+    }
+}
+
+#[cfg(test)]
+impl ServiceRegistry {
+    /// Number of installed services.
+    pub(crate) fn len(&self) -> usize {
+        self.services.len()
+    }
+
+    /// Whether the registry is empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.services.is_empty()
     }
 }
 

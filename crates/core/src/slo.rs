@@ -1,6 +1,7 @@
 //! SLO-driven adaptive degradation and load shedding.
 //!
-//! PRs 1–5 built the lossy *mechanisms* — codec [`Quality`], micro-batch
+//! PRs 1–5 built the lossy *mechanisms* — codec
+//! [`Quality`](videopipe_media::codec::Quality), micro-batch
 //! [`BatchConfig`](crate::runtime::BatchConfig), credit leases, degradation
 //! policies — but every knob was static, so an overloaded pipeline just
 //! blew its queue until the breaker tripped. This module closes the loop
@@ -19,7 +20,6 @@
 
 use crate::metrics::LatencyHistogram;
 use std::time::Duration;
-use videopipe_media::codec::Quality;
 
 /// A latency service-level objective for one pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +34,7 @@ pub struct Slo {
 
 impl Slo {
     /// An SLO bounding only the p99 tail.
-    pub const fn p99(target: Duration) -> Self {
+    pub(crate) const fn p99(target: Duration) -> Self {
         Slo {
             p50: None,
             p99: target,
@@ -51,7 +51,7 @@ pub enum Knob {
     /// Drop cross-device codec quality to this shift (higher = lossier,
     /// smaller frames on the wire). Must be `< 8`.
     CodecQuality {
-        /// Quantisation shift (see [`Quality::new`]).
+        /// Quantisation shift (see [`Quality::new`](videopipe_media::codec::Quality::new)).
         shift: u8,
     },
     /// Raise the service micro-batch ceiling to this size (more
@@ -149,12 +149,6 @@ impl SloConfig {
         self
     }
 
-    /// Builder-style queue-depth trip wire.
-    pub fn with_queue_trip(mut self, depth: u64) -> Self {
-        self.queue_trip = Some(depth);
-        self
-    }
-
     /// Deploy-time validation (called from `RuntimeConfig::validate`).
     ///
     /// # Errors
@@ -240,14 +234,6 @@ impl KnobSettings {
     /// `sample_divisor × shed_one_in`.
     pub fn admit_stride(&self) -> u64 {
         u64::from(self.sample_divisor.max(1)) * u64::from(self.shed_one_in.max(1))
-    }
-
-    /// The effective codec quality given the configured baseline.
-    pub fn quality_or(&self, configured: Quality) -> Quality {
-        match self.quality_shift {
-            Some(shift) if shift < 8 => Quality::new(shift),
-            _ => configured,
-        }
     }
 }
 
@@ -346,7 +332,7 @@ impl SloController {
     }
 
     /// Settings with the first `level` lattice knobs applied.
-    pub fn settings_at(lattice: &[Knob], level: usize) -> KnobSettings {
+    pub(crate) fn settings_at(lattice: &[Knob], level: usize) -> KnobSettings {
         let mut s = KnobSettings::baseline();
         for knob in lattice.iter().take(level) {
             match *knob {
@@ -444,8 +430,23 @@ impl SloController {
 }
 
 #[cfg(test)]
+impl KnobSettings {
+    /// The effective codec quality given the configured baseline.
+    pub(crate) fn quality_or(
+        &self,
+        configured: videopipe_media::codec::Quality,
+    ) -> videopipe_media::codec::Quality {
+        match self.quality_shift {
+            Some(shift) if shift < 8 => videopipe_media::codec::Quality::new(shift),
+            _ => configured,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use videopipe_media::codec::Quality;
 
     fn hist_with(ms: u64, n: u64) -> LatencyHistogram {
         let mut h = LatencyHistogram::new();
@@ -580,7 +581,10 @@ mod tests {
 
     #[test]
     fn queue_trip_fires_even_when_nothing_is_delivered() {
-        let mut c = SloController::new(config().with_queue_trip(8));
+        let mut c = SloController::new(SloConfig {
+            queue_trip: Some(8),
+            ..config()
+        });
         let cum = LatencyHistogram::new(); // no deliveries at all
         assert_eq!(
             c.observe(300_000_000, &cum, 16),

@@ -43,12 +43,6 @@ impl ModuleSpec {
         self
     }
 
-    /// Sets the endpoint.
-    pub fn with_endpoint(mut self, endpoint: Endpoint) -> Self {
-        self.endpoint = Some(endpoint);
-        self
-    }
-
     /// Adds an outgoing edge.
     pub fn with_next(mut self, next: impl Into<String>) -> Self {
         self.next_modules.push(next.into());
@@ -90,7 +84,7 @@ impl PipelineSpec {
     }
 
     /// Looks up a module by name.
-    pub fn module(&self, name: &str) -> Option<&ModuleSpec> {
+    pub(crate) fn module(&self, name: &str) -> Option<&ModuleSpec> {
         self.modules.iter().find(|m| m.name == name)
     }
 
@@ -390,10 +384,8 @@ mod tests {
         let m = ModuleSpec::new("n", "i")
             .with_service("s1")
             .with_service("s2")
-            .with_endpoint("bind#tcp://*:5861".parse().unwrap())
             .with_next("x");
         assert_eq!(m.services, vec!["s1", "s2"]);
-        assert!(m.endpoint.is_some());
         assert_eq!(m.next_modules, vec!["x"]);
     }
 }

@@ -51,7 +51,7 @@ pub struct TelemetrySnapshot {
 
 impl TelemetrySnapshot {
     /// Builds a snapshot from live metrics.
-    pub fn from_metrics(pipeline: &str, at_ns: u64, metrics: &PipelineMetrics) -> Self {
+    pub(crate) fn from_metrics(pipeline: &str, at_ns: u64, metrics: &PipelineMetrics) -> Self {
         TelemetrySnapshot {
             pipeline: pipeline.to_string(),
             at_ns,
@@ -84,12 +84,12 @@ impl TelemetrySnapshot {
     }
 
     /// The pub/sub topic snapshots for `pipeline` are published on.
-    pub fn topic(pipeline: &str) -> String {
+    pub(crate) fn topic(pipeline: &str) -> String {
         format!("telemetry/{pipeline}")
     }
 
     /// Encodes as a compact `key=value` line protocol.
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         let mut out = format!(
             "pipeline={};at_ns={};delivered={};dropped={};fps={:.4};latency_ms={:.4}",
             self.pipeline,
@@ -121,7 +121,7 @@ impl TelemetrySnapshot {
     /// # Errors
     ///
     /// Returns [`PipelineError::BadPayload`] on malformed lines.
-    pub fn decode(line: &str) -> Result<Self, PipelineError> {
+    pub(crate) fn decode(line: &str) -> Result<Self, PipelineError> {
         let mut snapshot = TelemetrySnapshot {
             pipeline: String::new(),
             at_ns: 0,
@@ -173,7 +173,7 @@ impl TelemetrySnapshot {
     }
 
     /// Publishes this snapshot on `hub`; returns how many monitors got it.
-    pub fn publish(&self, hub: &InprocHub) -> usize {
+    pub(crate) fn publish(&self, hub: &InprocHub) -> usize {
         hub.publish(&WireMessage {
             kind: MessageKind::Control,
             channel: Self::topic(&self.pipeline),
@@ -214,7 +214,7 @@ impl TelemetryMonitor {
     /// # Errors
     ///
     /// Propagates hub binding errors.
-    pub fn subscribe(hub: &InprocHub, pipeline: &str) -> Result<Self, PipelineError> {
+    pub(crate) fn subscribe(hub: &InprocHub, pipeline: &str) -> Result<Self, PipelineError> {
         // A unique inbox per monitor.
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);

@@ -37,8 +37,7 @@
 //! only non-zero runs are filled in, then one top-down sweep XORs each row
 //! with the one above and, in the same step, widens the row above (which
 //! nothing reads again) to band centres. The buffer then moves into the
-//! [`Frame`]; nothing copies it. [`decode_batch`] is `decode` mapped over a
-//! batch — there is no per-batch state to amortise.
+//! [`Frame`]; nothing copies it.
 //!
 //! [`encode_scalar`]/[`decode_scalar`] keep the original byte-at-a-time
 //! implementation as the reference oracle; the kernels are required (and
@@ -63,12 +62,12 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::cell::RefCell;
 
 /// Magic bytes at the start of every encoded frame.
-pub const MAGIC: [u8; 4] = *b"VPF1";
+pub(crate) const MAGIC: [u8; 4] = *b"VPF1";
 /// Codec version written to (and required in) the header.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 /// Upper bound on frame dimensions accepted by the decoder (defensive limit
 /// against corrupt or hostile headers).
-pub const MAX_DIMENSION: u32 = 16_384;
+pub(crate) const MAX_DIMENSION: u32 = 16_384;
 
 /// Encoding quality: how many low-order bits are discarded per pixel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -381,16 +380,6 @@ pub fn decode(encoded: &[u8]) -> Result<Frame, MediaError> {
     Ok(Frame::from_pixels(width, height, pixels, seq, timestamp_ns))
 }
 
-/// Decodes a batch of encoded frames, returning one result per input in
-/// order: [`decode`] mapped over the batch, so a malformed frame yields a
-/// per-slot error without aborting the rest.
-pub fn decode_batch<'a, I>(encoded: I) -> Vec<Result<Frame, MediaError>>
-where
-    I: IntoIterator<Item = &'a [u8]>,
-{
-    encoded.into_iter().map(decode).collect()
-}
-
 fn decode_header(buf: &mut &[u8]) -> Result<(u32, u32, u8, u64, u64), MediaError> {
     if buf.len() < 4 {
         return Err(MediaError::Truncated {
@@ -661,40 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_batch_matches_decode_per_slot() {
-        let renderer = SceneRenderer::new(160, 120);
-        let mut encoded: Vec<Bytes> = Vec::new();
-        for (i, shift) in [2u8, 2, 0, 5, 5, 2].iter().enumerate() {
-            let pose = standing_pose().translated(i as f32 * 0.01, 0.0);
-            let frame = renderer.render(&pose, i as u64, i as u64 * 10);
-            encoded.push(encode(&frame, Quality::new(*shift)));
-        }
-        let batch = decode_batch(encoded.iter().map(|b| b.as_ref()));
-        assert_eq!(batch.len(), encoded.len());
-        for (bytes, result) in encoded.iter().zip(batch) {
-            let single = decode(bytes).unwrap();
-            let batched = result.unwrap();
-            assert_eq!(batched.pixels(), single.pixels());
-            assert_eq!(batched.seq(), single.seq());
-        }
-    }
-
-    #[test]
-    fn decode_batch_reports_errors_per_slot() {
-        let good = encode(&test_frame(), Quality::default());
-        let results = decode_batch([good.as_ref(), b"NOPE" as &[u8], &good[..10], good.as_ref()]);
-        assert!(results[0].is_ok());
-        assert!(matches!(results[1], Err(MediaError::BadMagic { .. })));
-        assert!(results[2].is_err());
-        // A bad slot must not affect the next one.
-        assert_eq!(
-            results[3].as_ref().unwrap().pixels(),
-            results[0].as_ref().unwrap().pixels()
-        );
-        assert!(decode_batch(std::iter::empty::<&[u8]>()).is_empty());
-    }
-
-    #[test]
     fn compresses_synthetic_frames_substantially() {
         let frame = test_frame();
         let encoded = encode(&frame, Quality::default());
@@ -754,7 +709,6 @@ mod tests {
         };
         assert_eq!(decode(&bytes).unwrap_err(), expected);
         assert_eq!(decode_scalar(&bytes).unwrap_err(), expected);
-        assert_eq!(decode_batch([&bytes[..]]), [Err(expected)]);
     }
 
     #[test]

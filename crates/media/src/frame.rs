@@ -30,32 +30,9 @@ impl FrameBuf {
         }
     }
 
-    /// Canvas width in pixels.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Canvas height in pixels.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Raw pixel bytes, row-major.
-    pub fn pixels(&self) -> &[u8] {
-        &self.pixels
-    }
-
     /// Mutable access to the raw pixel bytes, row-major.
-    pub fn pixels_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn pixels_mut(&mut self) -> &mut [u8] {
         &mut self.pixels
-    }
-
-    /// Reads the pixel at `(x, y)`, or `None` when out of bounds.
-    pub fn get(&self, x: i64, y: i64) -> Option<u8> {
-        if x < 0 || y < 0 || x >= i64::from(self.width) || y >= i64::from(self.height) {
-            return None;
-        }
-        Some(self.pixels[y as usize * self.width as usize + x as usize])
     }
 
     /// Writes the pixel at `(x, y)`; out-of-bounds writes are silently
@@ -67,14 +44,9 @@ impl FrameBuf {
         self.pixels[y as usize * self.width as usize + x as usize] = value;
     }
 
-    /// Fills the whole canvas with `value`.
-    pub fn fill(&mut self, value: u8) {
-        self.pixels.fill(value);
-    }
-
     /// Draws a line from `(x0, y0)` to `(x1, y1)` using Bresenham's
     /// algorithm. Endpoints may lie outside the canvas.
-    pub fn draw_line(&mut self, x0: i64, y0: i64, x1: i64, y1: i64, value: u8) {
+    pub(crate) fn draw_line(&mut self, x0: i64, y0: i64, x1: i64, y1: i64, value: u8) {
         let (mut x, mut y) = (x0, y0);
         let dx = (x1 - x0).abs();
         let dy = -(y1 - y0).abs();
@@ -112,7 +84,7 @@ impl FrameBuf {
 
     /// Draws a filled axis-aligned rectangle with corners `(x0, y0)`
     /// (inclusive) and `(x1, y1)` (exclusive).
-    pub fn draw_rect(&mut self, x0: i64, y0: i64, x1: i64, y1: i64, value: u8) {
+    pub(crate) fn draw_rect(&mut self, x0: i64, y0: i64, x1: i64, y1: i64, value: u8) {
         for y in y0..y1 {
             for x in x0..x1 {
                 self.put(x, y, value);
@@ -212,44 +184,18 @@ impl Frame {
         &self.pixels
     }
 
-    /// Reads the pixel at `(x, y)`, or `None` when out of bounds.
-    pub fn get(&self, x: u32, y: u32) -> Option<u8> {
-        if x >= self.width || y >= self.height {
-            return None;
-        }
-        Some(self.pixels[y as usize * self.width as usize + x as usize])
-    }
-
     /// Size of the raw pixel payload in bytes.
     pub fn raw_size(&self) -> usize {
         self.pixels.len()
     }
 
     /// Thaws the frame back into a mutable canvas (copies the pixels).
-    pub fn to_buf(&self) -> FrameBuf {
+    pub(crate) fn to_buf(&self) -> FrameBuf {
         FrameBuf {
             width: self.width,
             height: self.height,
             pixels: self.pixels.to_vec(),
         }
-    }
-
-    /// Mean absolute pixel difference against another frame of identical
-    /// dimensions; used by codec quality tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn mean_abs_diff(&self, other: &Frame) -> f64 {
-        assert_eq!(self.width, other.width);
-        assert_eq!(self.height, other.height);
-        let sum: u64 = self
-            .pixels
-            .iter()
-            .zip(other.pixels.iter())
-            .map(|(a, b)| u64::from(a.abs_diff(*b)))
-            .sum();
-        sum as f64 / self.pixels.len() as f64
     }
 }
 
@@ -261,6 +207,66 @@ impl fmt::Debug for Frame {
             .field("width", &self.width)
             .field("height", &self.height)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+impl Frame {
+    /// Mean absolute pixel difference against another frame of identical
+    /// dimensions; used by codec quality tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    pub(crate) fn mean_abs_diff(&self, other: &Frame) -> f64 {
+        assert_eq!(self.width, other.width);
+        assert_eq!(self.height, other.height);
+        let sum: u64 = self
+            .pixels
+            .iter()
+            .zip(other.pixels.iter())
+            .map(|(a, b)| u64::from(a.abs_diff(*b)))
+            .sum();
+        sum as f64 / self.pixels.len() as f64
+    }
+
+    /// Reads the pixel at `(x, y)`, or `None` when out of bounds.
+    pub(crate) fn get(&self, x: u32, y: u32) -> Option<u8> {
+        if x >= self.width || y >= self.height {
+            return None;
+        }
+        Some(self.pixels[y as usize * self.width as usize + x as usize])
+    }
+}
+
+#[cfg(test)]
+impl FrameBuf {
+    /// Canvas width in pixels.
+    pub(crate) fn width(&self) -> u32 {
+        self.width
+    }
+
+    /// Canvas height in pixels.
+    pub(crate) fn height(&self) -> u32 {
+        self.height
+    }
+
+    /// Raw pixel bytes, row-major.
+    pub(crate) fn pixels(&self) -> &[u8] {
+        &self.pixels
+    }
+
+    /// Reads the pixel at `(x, y)`, or `None` when out of bounds.
+    pub(crate) fn get(&self, x: i64, y: i64) -> Option<u8> {
+        if x < 0 || y < 0 || x >= i64::from(self.width) || y >= i64::from(self.height) {
+            return None;
+        }
+        Some(self.pixels[y as usize * self.width as usize + x as usize])
+    }
+
+    /// Fills the whole canvas with `value`.
+    pub(crate) fn fill(&mut self, value: u8) {
+        self.pixels.fill(value);
     }
 }
 

@@ -41,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod codec;
 mod error;
@@ -54,6 +55,6 @@ mod store;
 
 pub use error::MediaError;
 pub use frame::{Frame, FrameBuf};
-pub use pose::{Joint, Keypoint, Pose, BONES, JOINT_COUNT};
+pub use pose::{Joint, Keypoint, Pose, JOINT_COUNT};
 pub use source::{SourceConfig, SyntheticVideoSource};
 pub use store::{FrameId, FrameStore, FrameStoreStats};

@@ -284,7 +284,7 @@ fn idle(pose: &mut Pose, phase: f32) {
 ///
 /// `rand_distr` is not in the approved offline dependency set, so the few
 /// places that need Gaussian noise use this helper.
-pub fn sample_gaussian<R: Rng + ?Sized>(rng: &mut R) -> f32 {
+pub(crate) fn sample_gaussian<R: Rng + ?Sized>(rng: &mut R) -> f32 {
     loop {
         let u1: f32 = rng.gen::<f32>();
         if u1 <= f32::EPSILON {
@@ -330,16 +330,6 @@ impl MotionClip {
         self
     }
 
-    /// The motion class of this clip.
-    pub fn kind(&self) -> ExerciseKind {
-        self.kind
-    }
-
-    /// One repetition period in seconds.
-    pub fn period_s(&self) -> f64 {
-        self.period_s
-    }
-
     /// Ground-truth pose at the given phase (no jitter applied).
     pub fn pose_at_phase(&self, phase: f32) -> Pose {
         self.kind.pose_at_phase(phase)
@@ -357,7 +347,7 @@ impl MotionClip {
     }
 
     /// Pose at time `t_ns` with this clip's jitter applied from `rng`.
-    pub fn sample_at<R: Rng + ?Sized>(&self, t_ns: u64, rng: &mut R) -> Pose {
+    pub(crate) fn sample_at<R: Rng + ?Sized>(&self, t_ns: u64, rng: &mut R) -> Pose {
         let mut pose = self.pose_at(t_ns);
         if self.jitter > 0.0 {
             let mut kps = *pose.keypoints();

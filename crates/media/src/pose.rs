@@ -56,12 +56,12 @@ impl Joint {
     }
 
     /// The joint with the given index, or `None` if out of range.
-    pub fn from_index(index: usize) -> Option<Joint> {
+    pub(crate) fn from_index(index: usize) -> Option<Joint> {
         Joint::ALL.get(index).copied()
     }
 
     /// Short lowercase name (e.g. `"left_wrist"`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Joint::Nose => "nose",
             Joint::LeftEye => "left_eye",
@@ -92,7 +92,7 @@ impl fmt::Display for Joint {
 
 /// Skeleton bones as joint pairs, used by the scene renderer and by
 /// visualisation.
-pub const BONES: &[(Joint, Joint)] = &[
+pub(crate) const BONES: &[(Joint, Joint)] = &[
     (Joint::Nose, Joint::LeftEye),
     (Joint::Nose, Joint::RightEye),
     (Joint::LeftEye, Joint::LeftEar),
@@ -161,7 +161,7 @@ impl Pose {
     }
 
     /// Replaces the keypoint for a specific joint.
-    pub fn set_joint(&mut self, joint: Joint, kp: Keypoint) {
+    pub(crate) fn set_joint(&mut self, joint: Joint, kp: Keypoint) {
         self.keypoints[joint.index()] = kp;
     }
 
@@ -186,16 +186,6 @@ impl Pose {
         for kp in &mut kps {
             kp.x += dx;
             kp.y += dy;
-        }
-        Pose { keypoints: kps }
-    }
-
-    /// Returns this pose scaled about the origin.
-    pub fn scaled(&self, factor: f32) -> Pose {
-        let mut kps = self.keypoints;
-        for kp in &mut kps {
-            kp.x *= factor;
-            kp.y *= factor;
         }
         Pose { keypoints: kps }
     }
@@ -264,7 +254,7 @@ impl Default for Pose {
 /// A neutral standing skeleton, the base from which all motion generators
 /// start. Centred horizontally at `x = 0.5`; head near `y = 0.18`, ankles
 /// near `y = 0.92`.
-pub fn standing_pose() -> Pose {
+pub(crate) fn standing_pose() -> Pose {
     use Joint::*;
     let mut kps = [Keypoint::default(); JOINT_COUNT];
     let set = |kps: &mut [Keypoint; JOINT_COUNT], j: Joint, x: f32, y: f32| {
@@ -288,6 +278,19 @@ pub fn standing_pose() -> Pose {
     set(&mut kps, LeftAnkle, 0.56, 0.92);
     set(&mut kps, RightAnkle, 0.44, 0.92);
     Pose::new(kps)
+}
+
+#[cfg(test)]
+impl Pose {
+    /// Returns this pose scaled about the origin.
+    pub(crate) fn scaled(&self, factor: f32) -> Pose {
+        let mut kps = self.keypoints;
+        for kp in &mut kps {
+            kp.x *= factor;
+            kp.y *= factor;
+        }
+        Pose { keypoints: kps }
+    }
 }
 
 #[cfg(test)]

@@ -14,14 +14,14 @@ use crate::pose::{Joint, Pose, BONES, JOINT_COUNT};
 use rand::Rng;
 
 /// Lowest intensity used for joint discs.
-pub const JOINT_BASE_INTENSITY: u8 = 80;
+pub(crate) const JOINT_BASE_INTENSITY: u8 = 80;
 /// Intensity spacing between consecutive joint bands.
-pub const JOINT_INTENSITY_STEP: u8 = 9;
+pub(crate) const JOINT_INTENSITY_STEP: u8 = 9;
 /// Half-width of a joint intensity band (pixels within
 /// `joint_intensity(j) ± JOINT_BAND_HALF_WIDTH` belong to joint `j`).
 pub const JOINT_BAND_HALF_WIDTH: u8 = 3;
 /// Intensity used for skeleton bones.
-pub const BONE_INTENSITY: u8 = 40;
+pub(crate) const BONE_INTENSITY: u8 = 40;
 
 /// The disc intensity that encodes `joint`.
 pub fn joint_intensity(joint: Joint) -> u8 {
@@ -103,21 +103,6 @@ impl SceneRenderer {
         }
     }
 
-    /// Frame width in pixels.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Frame height in pixels.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Radius (pixels) of the rendered joint discs.
-    pub fn joint_radius(&self) -> i64 {
-        self.joint_radius
-    }
-
     fn to_px(&self, x: f32, y: f32) -> (i64, i64) {
         (
             (x * self.width as f32).round() as i64,
@@ -168,7 +153,7 @@ impl SceneRenderer {
     }
 
     /// Draws the skeleton onto an existing canvas.
-    pub fn draw_pose(&self, buf: &mut FrameBuf, pose: &Pose) {
+    pub(crate) fn draw_pose(&self, buf: &mut FrameBuf, pose: &Pose) {
         for (a, b) in BONES {
             let ka = pose.joint(*a);
             let kb = pose.joint(*b);
@@ -211,10 +196,18 @@ impl SceneRenderer {
 }
 
 /// Adds clamped Gaussian noise (σ in intensity levels) to every pixel.
-pub fn add_noise<R: Rng + ?Sized>(buf: &mut FrameBuf, sigma: f32, rng: &mut R) {
+pub(crate) fn add_noise<R: Rng + ?Sized>(buf: &mut FrameBuf, sigma: f32, rng: &mut R) {
     for px in buf.pixels_mut() {
         let noise = sigma * sample_gaussian(rng);
         *px = (f32::from(*px) + noise).round().clamp(0.0, 255.0) as u8;
+    }
+}
+
+#[cfg(test)]
+impl SceneRenderer {
+    /// Radius (pixels) of the rendered joint discs.
+    pub(crate) fn joint_radius(&self) -> i64 {
+        self.joint_radius
     }
 }
 

@@ -38,12 +38,6 @@ impl SourceConfig {
         }
     }
 
-    /// Sets the capture overhead in nanoseconds.
-    pub fn with_capture_overhead_ns(mut self, ns: u64) -> Self {
-        self.capture_overhead_ns = ns;
-        self
-    }
-
     /// Sets the frame resolution.
     pub fn with_resolution(mut self, width: u32, height: u32) -> Self {
         assert!(width > 0 && height > 0, "resolution must be nonzero");
@@ -63,11 +57,6 @@ impl SourceConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Interval between consecutive camera frames, in nanoseconds.
-    pub fn frame_interval_ns(&self) -> u64 {
-        (1e9 / self.fps).round() as u64
     }
 }
 
@@ -100,27 +89,6 @@ impl SyntheticVideoSource {
             rng,
             next_seq: 0,
         }
-    }
-
-    /// Adds static scene objects (for object-detection pipelines).
-    pub fn with_objects(mut self, objects: Vec<SceneObject>) -> Self {
-        self.objects = objects;
-        self
-    }
-
-    /// The source configuration.
-    pub fn config(&self) -> &SourceConfig {
-        &self.config
-    }
-
-    /// The motion clip being filmed.
-    pub fn clip(&self) -> &MotionClip {
-        &self.clip
-    }
-
-    /// Number of frames captured so far.
-    pub fn frames_captured(&self) -> u64 {
-        self.next_seq
     }
 
     /// Captures the frame at absolute time `t_ns`, assigning the next
@@ -165,6 +133,28 @@ impl fmt::Debug for SyntheticVideoSource {
             .field("clip", &self.clip)
             .field("next_seq", &self.next_seq)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+impl SyntheticVideoSource {
+    /// Adds static scene objects (for object-detection pipelines).
+    pub(crate) fn with_objects(mut self, objects: Vec<SceneObject>) -> Self {
+        self.objects = objects;
+        self
+    }
+
+    /// Number of frames captured so far.
+    pub(crate) fn frames_captured(&self) -> u64 {
+        self.next_seq
+    }
+}
+
+#[cfg(test)]
+impl SourceConfig {
+    /// Interval between consecutive camera frames, in nanoseconds.
+    pub(crate) fn frame_interval_ns(&self) -> u64 {
+        (1e9 / self.fps).round() as u64
     }
 }
 

@@ -86,7 +86,7 @@ pub struct FrameStore {
 impl FrameStore {
     /// Default capacity used by runtimes (enough for a deep pipeline plus
     /// generous slack).
-    pub const DEFAULT_CAPACITY: usize = 64;
+    pub(crate) const DEFAULT_CAPACITY: usize = 64;
 
     /// Creates a store holding at most `capacity` frames.
     ///
@@ -208,11 +208,6 @@ impl FrameStore {
     /// Whether the store currently holds no frames.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Maximum number of resident frames.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// A snapshot of the lifetime counters.

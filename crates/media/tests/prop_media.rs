@@ -153,9 +153,8 @@ proptest! {
         prop_assert_eq!(word, scalar);
     }
 
-    /// The decoder reconstructs exactly what the scalar oracle does, alone
-    /// and as a slot of `decode_batch`, and `decode(encode(f))` round-trips
-    /// losslessly at shift 0.
+    /// The decoder reconstructs exactly what the scalar oracle does, and
+    /// `decode(encode(f))` round-trips losslessly at shift 0.
     #[test]
     fn word_decoder_matches_scalar_oracle(frame in arb_codec_frame(), shift in 0u8..=7) {
         let quality = codec::Quality::new(shift);
@@ -163,10 +162,6 @@ proptest! {
         let word = codec::decode(&encoded).unwrap();
         let scalar = codec::decode_scalar(&encoded).unwrap();
         prop_assert_eq!(word.pixels(), scalar.pixels());
-        let batch = codec::decode_batch([&encoded[..], b"junk", &encoded[..]]);
-        prop_assert_eq!(batch[0].as_ref(), Ok(&word));
-        prop_assert!(batch[1].is_err());
-        prop_assert_eq!(batch[2].as_ref(), Ok(&word));
         prop_assert_eq!(word.width(), frame.width());
         prop_assert_eq!(word.height(), frame.height());
         prop_assert_eq!((word.seq(), word.timestamp_ns()), (frame.seq(), frame.timestamp_ns()));

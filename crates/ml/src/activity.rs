@@ -142,9 +142,12 @@ impl ActivityRecognizer {
     pub fn test_accuracy(&self) -> f32 {
         self.test_accuracy
     }
+}
 
+#[cfg(test)]
+impl ActivityRecognizer {
     /// Classifies a pose window.
-    pub fn classify_window(&self, window: &[Pose]) -> Option<String> {
+    pub(crate) fn classify_window(&self, window: &[Pose]) -> Option<String> {
         self.model.classify_window(window)
     }
 }

@@ -6,15 +6,15 @@
 //! classic "tiny-CNN substitute" that still has real failure modes (noise,
 //! unseen poses) while being fully self-contained.
 
-use crate::math::{argmin, axpy, distance, FORCE_SCALAR};
+use crate::math::{argmin, axpy, distance};
 use std::error::Error;
 use std::fmt;
 use videopipe_media::Frame;
 
 /// Side length of the pooled feature grid.
-pub const GRID: usize = 8;
+pub(crate) const GRID: usize = 8;
 /// Feature dimensionality.
-pub const FEATURE_DIM: usize = GRID * GRID;
+pub(crate) const FEATURE_DIM: usize = GRID * GRID;
 
 /// Errors from classifier training.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +38,7 @@ impl fmt::Display for ClassifyError {
 impl Error for ClassifyError {}
 
 /// Extracts the pooled 8×8 mean-intensity feature vector of a frame.
-pub fn image_features(frame: &Frame) -> Vec<f32> {
+pub(crate) fn image_features(frame: &Frame) -> Vec<f32> {
     let mut scratch = FeatureScratch::default();
     let mut out = Vec::new();
     image_features_into(frame, &mut scratch, &mut out);
@@ -48,7 +48,7 @@ pub fn image_features(frame: &Frame) -> Vec<f32> {
 /// Reusable accumulators for [`image_features_into`]: the batch paths carry
 /// one of these across a whole batch instead of allocating per frame.
 #[derive(Debug, Default)]
-pub struct FeatureScratch {
+pub(crate) struct FeatureScratch {
     sums: Vec<u64>,
     counts: Vec<u64>,
 }
@@ -64,10 +64,7 @@ pub struct FeatureScratch {
 /// one contiguous byte-range sum, reduced 8 bytes per `u64` load by SWAR
 /// pair-summing. All accumulation is exact integer arithmetic, so the
 /// result is **bit-identical** to [`image_features_into_scalar`].
-pub fn image_features_into(frame: &Frame, scratch: &mut FeatureScratch, out: &mut Vec<f32>) {
-    if FORCE_SCALAR {
-        return image_features_into_scalar(frame, scratch, out);
-    }
+pub(crate) fn image_features_into(frame: &Frame, scratch: &mut FeatureScratch, out: &mut Vec<f32>) {
     let width = frame.width() as usize;
     let height = frame.height() as usize;
     let pixels = frame.pixels();
@@ -89,29 +86,6 @@ pub fn image_features_into(frame: &Frame, scratch: &mut FeatureScratch, out: &mu
                 scratch.sums[cell] += sum_bytes(&row[start..end]);
                 scratch.counts[cell] += (end - start) as u64;
             }
-        }
-    }
-    write_features(scratch, out);
-}
-
-/// Scalar reference oracle for [`image_features_into`]: the pre-kernel
-/// per-pixel cell-index loop.
-pub fn image_features_into_scalar(frame: &Frame, scratch: &mut FeatureScratch, out: &mut Vec<f32>) {
-    let width = frame.width() as usize;
-    let height = frame.height() as usize;
-    let pixels = frame.pixels();
-    scratch.sums.clear();
-    scratch.sums.resize(FEATURE_DIM, 0);
-    scratch.counts.clear();
-    scratch.counts.resize(FEATURE_DIM, 0);
-    for y in 0..height {
-        let gy = y * GRID / height;
-        let row = &pixels[y * width..(y + 1) * width];
-        for (x, &p) in row.iter().enumerate() {
-            let gx = x * GRID / width;
-            let cell = gy * GRID + gx;
-            scratch.sums[cell] += u64::from(p);
-            scratch.counts[cell] += 1;
         }
     }
     write_features(scratch, out);
@@ -192,11 +166,6 @@ impl ImageClassifier {
         Ok(ImageClassifier { labels, centroids })
     }
 
-    /// The known class labels (sorted).
-    pub fn labels(&self) -> &[String] {
-        &self.labels
-    }
-
     /// Classifies a frame, returning `(label, distance_to_centroid)`.
     pub fn classify(&self, frame: &Frame) -> (&str, f32) {
         let features = image_features(frame);
@@ -228,9 +197,17 @@ impl ImageClassifier {
             })
             .collect()
     }
+}
+
+#[cfg(test)]
+impl ImageClassifier {
+    /// The known class labels (sorted).
+    pub(crate) fn labels(&self) -> &[String] {
+        &self.labels
+    }
 
     /// Accuracy over labelled frames.
-    pub fn accuracy<'a, I>(&self, examples: I) -> f32
+    pub(crate) fn accuracy<'a, I>(&self, examples: I) -> f32
     where
         I: IntoIterator<Item = (&'a Frame, &'a str)>,
     {
@@ -253,6 +230,33 @@ impl ImageClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Scalar reference oracle for [`image_features_into`]: the pre-kernel
+    /// per-pixel cell-index loop.
+    pub(crate) fn image_features_into_scalar(
+        frame: &Frame,
+        scratch: &mut FeatureScratch,
+        out: &mut Vec<f32>,
+    ) {
+        let width = frame.width() as usize;
+        let height = frame.height() as usize;
+        let pixels = frame.pixels();
+        scratch.sums.clear();
+        scratch.sums.resize(FEATURE_DIM, 0);
+        scratch.counts.clear();
+        scratch.counts.resize(FEATURE_DIM, 0);
+        for y in 0..height {
+            let gy = y * GRID / height;
+            let row = &pixels[y * width..(y + 1) * width];
+            for (x, &p) in row.iter().enumerate() {
+                let gx = x * GRID / width;
+                let cell = gy * GRID + gx;
+                scratch.sums[cell] += u64::from(p);
+                scratch.counts[cell] += 1;
+            }
+        }
+        write_features(scratch, out);
+    }
     use videopipe_media::motion::ExerciseKind;
     use videopipe_media::scene::SceneRenderer;
 

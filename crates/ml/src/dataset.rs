@@ -21,19 +21,9 @@ pub struct WindowDataset {
 }
 
 impl WindowDataset {
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.features.len()
-    }
-
-    /// Whether the dataset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.features.is_empty()
-    }
-
     /// Splits into `(train, test)` with the given test fraction, shuffled
     /// deterministically by `seed`.
-    pub fn split(mut self, test_fraction: f64, seed: u64) -> (WindowDataset, WindowDataset) {
+    pub(crate) fn split(mut self, test_fraction: f64, seed: u64) -> (WindowDataset, WindowDataset) {
         assert!(
             (0.0..1.0).contains(&test_fraction),
             "test fraction must be in [0, 1)"
@@ -83,7 +73,7 @@ impl Default for DatasetConfig {
 }
 
 /// Generates a labelled window dataset over `classes`.
-pub fn generate_windows(classes: &[ExerciseKind], config: &DatasetConfig) -> WindowDataset {
+pub(crate) fn generate_windows(classes: &[ExerciseKind], config: &DatasetConfig) -> WindowDataset {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let dt_ns = (1e9 / config.fps).round() as u64;
     let mut dataset = WindowDataset::default();
@@ -134,6 +124,14 @@ pub fn generate_rep_sequence(
         poses,
         true_reps: reps,
         kind,
+    }
+}
+
+#[cfg(test)]
+impl WindowDataset {
+    /// Number of samples.
+    pub(crate) fn len(&self) -> usize {
+        self.features.len()
     }
 }
 

@@ -29,14 +29,8 @@ pub struct FaceDetector {
 
 impl FaceDetector {
     /// Default detector: requires at least 3 of the 5 head landmarks.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FaceDetector { min_landmarks: 3 }
-    }
-
-    /// Sets the minimum number of head landmarks (1–5).
-    pub fn with_min_landmarks(mut self, n: usize) -> Self {
-        self.min_landmarks = n.clamp(1, 5);
-        self
     }
 
     /// Detects the (single) face in the frame, if present.
@@ -113,6 +107,15 @@ impl FaceDetector {
 impl Default for FaceDetector {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+impl FaceDetector {
+    /// Sets the minimum number of head landmarks (1–5).
+    pub(crate) fn with_min_landmarks(mut self, n: usize) -> Self {
+        self.min_landmarks = n.clamp(1, 5);
+        self
     }
 }
 

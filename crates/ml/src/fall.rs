@@ -51,36 +51,6 @@ impl FallDetector {
         }
     }
 
-    /// Sets the descent observation window (nanoseconds).
-    pub fn with_window_ns(mut self, ns: u64) -> Self {
-        self.window_ns = ns.max(1);
-        self
-    }
-
-    /// Sets the minimum width/height ratio to call a body horizontal.
-    pub fn with_min_aspect(mut self, aspect: f32) -> Self {
-        self.min_aspect = aspect;
-        self
-    }
-
-    /// Sets the minimum hip descent speed (scene units/second).
-    pub fn with_min_descent_speed(mut self, speed: f32) -> Self {
-        self.min_descent_speed = speed;
-        self
-    }
-
-    /// Whether a fall has been detected and not yet cleared.
-    pub fn is_latched(&self) -> bool {
-        self.latched
-    }
-
-    /// Clears a latched fall (e.g. after the person stood back up and an
-    /// operator acknowledged the alert).
-    pub fn clear(&mut self) {
-        self.latched = false;
-        self.history.clear();
-    }
-
     /// Feeds one timestamped pose.
     pub fn push(&mut self, pose: &Pose, timestamp_ns: u64) -> FallState {
         let hip_y = pose.hip_center().y;
@@ -128,6 +98,21 @@ impl FallDetector {
 impl Default for FallDetector {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+impl FallDetector {
+    /// Whether a fall has been detected and not yet cleared.
+    pub(crate) fn is_latched(&self) -> bool {
+        self.latched
+    }
+
+    /// Clears a latched fall (e.g. after the person stood back up and an
+    /// operator acknowledged the alert).
+    pub(crate) fn clear(&mut self) {
+        self.latched = false;
+        self.history.clear();
     }
 }
 

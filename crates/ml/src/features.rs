@@ -10,10 +10,10 @@ use videopipe_media::{Pose, JOINT_COUNT};
 pub const WINDOW_LEN: usize = 15;
 
 /// Feature dimensionality of a full window.
-pub const WINDOW_DIM: usize = WINDOW_LEN * JOINT_COUNT * 2;
+pub(crate) const WINDOW_DIM: usize = WINDOW_LEN * JOINT_COUNT * 2;
 
 /// Normalises one pose framewise: hips to the origin.
-pub fn normalize_pose(pose: &Pose) -> Pose {
+pub(crate) fn normalize_pose(pose: &Pose) -> Pose {
     pose.hip_normalized()
 }
 
@@ -32,7 +32,7 @@ pub fn window_features(window: &[Pose]) -> Option<Vec<f32>> {
 /// poses are supplied. One buffer carried across a batch of windows
 /// replaces one `Vec` allocation per window (plus the per-pose flatten
 /// temporaries the old path paid).
-pub fn window_features_into(window: &[Pose], out: &mut Vec<f32>) -> bool {
+pub(crate) fn window_features_into(window: &[Pose], out: &mut Vec<f32>) -> bool {
     out.clear();
     if window.len() != WINDOW_LEN {
         return false;
@@ -81,31 +81,11 @@ impl PoseWindow {
             None
         }
     }
-
-    /// Number of poses currently buffered.
-    pub fn len(&self) -> usize {
-        self.poses.len()
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.poses.is_empty()
-    }
-
-    /// Clears the buffered poses.
-    pub fn clear(&mut self) {
-        self.poses.clear();
-    }
-
-    /// The buffered poses, oldest first.
-    pub fn poses(&self) -> &[Pose] {
-        &self.poses
-    }
 }
 
 /// Per-frame feature for the rep counter: the hip-normalised flattened pose
 /// (34 values). The rep counter clusters these with k-means.
-pub fn frame_features(pose: &Pose) -> Vec<f32> {
+pub(crate) fn frame_features(pose: &Pose) -> Vec<f32> {
     let mut out = Vec::with_capacity(FRAME_DIM);
     frame_features_into(pose, &mut out);
     out
@@ -113,14 +93,32 @@ pub fn frame_features(pose: &Pose) -> Vec<f32> {
 
 /// Allocation-reusing variant of [`frame_features`]: clears `out` and fills
 /// it with the pose's [`FRAME_DIM`] features.
-pub fn frame_features_into(pose: &Pose, out: &mut Vec<f32>) {
+pub(crate) fn frame_features_into(pose: &Pose, out: &mut Vec<f32>) {
     out.clear();
     out.reserve(FRAME_DIM);
     append_normalized(pose, out);
 }
 
 /// Dimensionality of [`frame_features`].
-pub const FRAME_DIM: usize = JOINT_COUNT * 2;
+pub(crate) const FRAME_DIM: usize = JOINT_COUNT * 2;
+
+#[cfg(test)]
+impl PoseWindow {
+    /// Number of poses currently buffered.
+    pub(crate) fn len(&self) -> usize {
+        self.poses.len()
+    }
+
+    /// Whether the window is empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.poses.is_empty()
+    }
+
+    /// Clears the buffered poses.
+    pub(crate) fn clear(&mut self) {
+        self.poses.clear();
+    }
+}
 
 #[cfg(test)]
 mod tests {

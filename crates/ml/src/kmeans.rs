@@ -76,22 +76,11 @@ impl KMeans {
         }
     }
 
-    /// Sets the iteration cap (default 100).
-    pub fn with_max_iters(mut self, max_iters: usize) -> Self {
-        self.max_iters = max_iters.max(1);
-        self
-    }
-
     /// Sets the RNG seed for k-means++ initialisation (default fixed, so
     /// training is deterministic).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Number of clusters.
-    pub fn k(&self) -> usize {
-        self.k
     }
 
     /// Trains on `samples` (each an equal-length feature vector).
@@ -230,7 +219,7 @@ impl KMeansModel {
     /// # Panics
     ///
     /// Panics if `centroids` is empty or dimensions are inconsistent.
-    pub fn from_centroids(centroids: Vec<Vec<f32>>) -> Self {
+    pub(crate) fn from_centroids(centroids: Vec<Vec<f32>>) -> Self {
         assert!(!centroids.is_empty(), "model needs at least one centroid");
         let dim = centroids[0].len();
         assert!(
@@ -243,16 +232,6 @@ impl KMeansModel {
     /// The cluster centroids.
     pub fn centroids(&self) -> &[Vec<f32>] {
         &self.centroids
-    }
-
-    /// Number of clusters.
-    pub fn k(&self) -> usize {
-        self.centroids.len()
-    }
-
-    /// Feature dimensionality.
-    pub fn dim(&self) -> usize {
-        self.centroids[0].len()
     }
 
     /// Index of the nearest centroid to `sample`.
@@ -268,9 +247,12 @@ impl KMeansModel {
             .collect();
         argmin(&dists).expect("model has at least one centroid")
     }
+}
 
+#[cfg(test)]
+impl KMeansModel {
     /// Sum of squared distances of each sample to its assigned centroid.
-    pub fn inertia(&self, samples: &[Vec<f32>]) -> f32 {
+    pub(crate) fn inertia(&self, samples: &[Vec<f32>]) -> f32 {
         samples
             .iter()
             .map(|s| {
@@ -280,6 +262,16 @@ impl KMeansModel {
                     .fold(f32::INFINITY, f32::min)
             })
             .sum()
+    }
+
+    /// Number of clusters.
+    pub(crate) fn k(&self) -> usize {
+        self.centroids.len()
+    }
+
+    /// Feature dimensionality.
+    pub(crate) fn dim(&self) -> usize {
+        self.centroids[0].len()
     }
 }
 

@@ -85,13 +85,13 @@ impl Error for KnnError {}
 
 /// Dimensionality above which the KD-tree is skipped in favour of the
 /// brute-force scan (the curse of dimensionality makes the tree useless).
-pub const KDTREE_MAX_DIM: usize = 16;
+pub(crate) const KDTREE_MAX_DIM: usize = 16;
 
 /// Maximum points per KD-tree leaf. Leaves are scanned with the blocked
 /// distance kernel, so bucketing trades a few extra distance evaluations
 /// for far fewer pointer-chasing splits — the classic cache-friendly
 /// KD-tree layout.
-pub const KDTREE_LEAF_SIZE: usize = 16;
+pub(crate) const KDTREE_LEAF_SIZE: usize = 16;
 
 /// Training-set size, in bytes of `f32` samples, from which a
 /// high-dimensional model is searched through per-sample sketches instead of
@@ -105,7 +105,7 @@ pub const BOUNDED_MIN_BYTES: usize = 256 * 1024;
 /// Consecutive dimensions summed into one sketch coordinate of the bounded
 /// search: 510-dimensional pose windows get 34 coordinates, 8 % of the
 /// model's bytes.
-pub const SKETCH_SPAN: usize = 15;
+pub(crate) const SKETCH_SPAN: usize = 15;
 
 /// Highest dimension the bounded search takes: its pruning margin covers
 /// the rounding of a distance summed over at most this many terms (see
@@ -134,7 +134,6 @@ enum KdNode {
 #[derive(Debug, Clone)]
 pub struct KdTree {
     root: Option<KdNode>,
-    dim: usize,
 }
 
 impl KdTree {
@@ -146,7 +145,7 @@ impl KdTree {
     /// Panics if samples have inconsistent dimensions.
     pub fn build(samples: &[Vec<f32>]) -> Self {
         if samples.is_empty() {
-            return KdTree { root: None, dim: 0 };
+            return KdTree { root: None };
         }
         let dim = samples[0].len();
         assert!(
@@ -155,7 +154,7 @@ impl KdTree {
         );
         let mut indices: Vec<usize> = (0..samples.len()).collect();
         let root = Some(Self::build_node(samples, &mut indices, 0, dim));
-        KdTree { root, dim }
+        KdTree { root }
     }
 
     fn build_node(samples: &[Vec<f32>], indices: &mut [usize], depth: usize, dim: usize) -> KdNode {
@@ -226,11 +225,6 @@ impl KdTree {
                 }
             }
         }
-    }
-
-    /// Feature dimensionality the tree was built for.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 }
 
@@ -483,24 +477,13 @@ impl KnnClassifier {
         })
     }
 
-    /// Number of neighbours consulted per prediction.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Number of memorised samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.samples.len()
     }
 
-    /// Whether the training set is empty (never true for a constructed
-    /// classifier; provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Feature dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.samples[0].len()
     }
 
@@ -663,8 +646,7 @@ impl KnnClassifier {
     }
 
     /// Scalar oracle for [`brute_force`](Self::brute_force): the pre-kernel
-    /// per-element scan, kept for equivalence tests and `force-scalar`
-    /// benchmarking.
+    /// per-element scan, kept for equivalence tests and benchmarking.
     pub fn brute_force_scalar(&self, query: &[f32]) -> Vec<usize> {
         let mut best: Vec<(f32, usize)> = Vec::with_capacity(self.k + 1);
         for (i, s) in self.samples.iter().enumerate() {
@@ -864,7 +846,7 @@ mod tests {
             let knn = KnnClassifier::fit(3, samples.clone(), labels).unwrap();
             assert_eq!(knn.uses_kdtree(), shape == "tree", "dim {dim}");
             match &knn.index {
-                Index::Tree(t) => assert_eq!((shape, t.dim()), ("tree", dim)),
+                Index::Tree(_) => assert_eq!(shape, "tree"),
                 Index::Block(block) => {
                     assert_eq!(shape, "block", "dim {dim}, {n} samples");
                     assert_eq!((block.len(), block.dim()), (n, dim));

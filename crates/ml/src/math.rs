@@ -19,18 +19,11 @@
 //! | [`dot`], [`squared_distance`] | ε-bounded (8-lane tree sum re-associates the reduction) |
 //! | [`distances_block_into`], [`distances_into`] | ε-bounded (‖a−b‖² = ‖a‖²+‖b‖²−2a·b decomposition, clamped at 0) |
 //!
-//! Building `videopipe-ml` with the `force-scalar` feature routes every
-//! dispatching kernel through its scalar oracle, which keeps the fallback
-//! path exercised in CI and gives a one-flag A/B switch for benchmarks.
-//!
 //! # Length mismatches
 //!
 //! All two-vector kernels `assert!` on length mismatch in **every** build
 //! profile. (They previously only `debug_assert!`ed, silently truncating to
 //! the shorter vector in release builds — which is never correct.)
-
-/// Whether the `force-scalar` feature routes kernels through their oracles.
-pub const FORCE_SCALAR: bool = cfg!(feature = "force-scalar");
 
 /// Number of independent accumulator lanes in the blocked kernels.
 const LANES: usize = 8;
@@ -43,9 +36,6 @@ const LANES: usize = 8;
 /// Panics when the lengths differ, in release builds too.
 pub fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "vector length mismatch");
-    if FORCE_SCALAR {
-        return squared_distance_scalar(a, b);
-    }
     let mut lanes = [0.0f32; LANES];
     let mut ca = a.chunks_exact(LANES);
     let mut cb = b.chunks_exact(LANES);
@@ -87,9 +77,6 @@ pub fn squared_distance_scalar(a: &[f32], b: &[f32]) -> f32 {
 /// Panics when the lengths differ, in release builds too.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "vector length mismatch");
-    if FORCE_SCALAR {
-        return dot_scalar(a, b);
-    }
     let mut lanes = [0.0f32; LANES];
     let mut ca = a.chunks_exact(LANES);
     let mut cb = b.chunks_exact(LANES);
@@ -131,9 +118,6 @@ fn reduce_lanes(lanes: &[f32; LANES]) -> f32 {
 /// Panics when the lengths differ, in release builds too.
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "vector length mismatch");
-    if FORCE_SCALAR {
-        return axpy_scalar(alpha, x, y);
-    }
     let mut cy = y.chunks_exact_mut(LANES);
     let mut cx = x.chunks_exact(LANES);
     for (ya, xa) in cy.by_ref().zip(cx.by_ref()) {
@@ -168,9 +152,6 @@ pub fn axpy_scalar(alpha: f32, x: &[f32], y: &mut [f32]) {
 ///
 /// Panics when the vectors have inconsistent lengths, in release builds too.
 pub fn mean<V: AsRef<[f32]>>(vectors: &[V]) -> Option<Vec<f32>> {
-    if FORCE_SCALAR {
-        return mean_scalar(vectors);
-    }
     let first = vectors.first()?.as_ref();
     let mut acc = vec![0.0f64; first.len()];
     for v in vectors {
@@ -212,7 +193,7 @@ pub fn mean_scalar<V: AsRef<[f32]>>(vectors: &[V]) -> Option<Vec<f32>> {
 
 /// Squared norms ‖p‖² of a set of points (the per-point half of the
 /// ‖a‖² + ‖b‖² − 2·a·b decomposition; [`PointBlock`] caches them).
-pub fn squared_norms<P: AsRef<[f32]>>(points: &[P]) -> Vec<f32> {
+pub(crate) fn squared_norms<P: AsRef<[f32]>>(points: &[P]) -> Vec<f32> {
     points.iter().map(|p| dot(p.as_ref(), p.as_ref())).collect()
 }
 
@@ -258,18 +239,13 @@ impl PointBlock {
     }
 
     /// Number of points in the block.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the block holds no points.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Dimensionality of the points (0 for an empty block).
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 }
 
@@ -285,9 +261,7 @@ impl PointBlock {
 /// negative when a query coincides with a point) and are ε-bounded, not
 /// bit-identical, against [`distances_into_scalar`]:
 /// `|d − d_scalar| ≤ 1e-3 · (1 + ‖a‖² + ‖b‖²)`, the documented policy the
-/// property tests pin. Under `force-scalar` the column-major layout is
-/// walked in ascending-dimension order per pair, which reproduces
-/// [`distances_into_scalar`]'s accumulation exactly.
+/// property tests pin.
 ///
 /// `out` is cleared and refilled, so one buffer can be reused across calls;
 /// an empty block yields an empty `out`.
@@ -306,22 +280,6 @@ pub fn distances_block_into<Q: AsRef<[f32]>>(
         return;
     }
     let np = block.len;
-    if FORCE_SCALAR {
-        out.reserve(queries.len() * np);
-        for q in queries {
-            let q = q.as_ref();
-            assert_eq!(q.len(), block.dim, "vector length mismatch");
-            for p in 0..np {
-                let mut d = 0.0f32;
-                for (dd, &qd) in q.iter().enumerate() {
-                    let diff = qd - block.transposed[dd * np + p];
-                    d += diff * diff;
-                }
-                out.push(d);
-            }
-        }
-        return;
-    }
     out.resize(queries.len() * np, 0.0);
     for (q, row) in queries.iter().zip(out.chunks_exact_mut(np)) {
         let q = q.as_ref();
@@ -387,30 +345,21 @@ pub fn distances_into_scalar<Q: AsRef<[f32]>, P: AsRef<[f32]>>(
 /// # Panics
 ///
 /// Panics when the lengths differ, in release builds too.
-pub fn distance(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn distance(a: &[f32], b: &[f32]) -> f32 {
     squared_distance(a, b).sqrt()
 }
 
 /// Arithmetic mean of a scalar slice (0.0 for an empty slice).
-pub fn scalar_mean(values: &[f32]) -> f32 {
+pub(crate) fn scalar_mean(values: &[f32]) -> f32 {
     if values.is_empty() {
         return 0.0;
     }
     values.iter().sum::<f32>() / values.len() as f32
 }
 
-/// Population variance of a scalar slice (0.0 for fewer than two values).
-pub fn scalar_variance(values: &[f32]) -> f32 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = scalar_mean(values);
-    values.iter().map(|v| (v - m) * (v - m)).sum::<f32>() / values.len() as f32
-}
-
 /// Index of the minimum value (ties broken towards the lower index).
 /// Returns `None` for an empty slice or when every value is NaN.
-pub fn argmin(values: &[f32]) -> Option<usize> {
+pub(crate) fn argmin(values: &[f32]) -> Option<usize> {
     let mut best: Option<(usize, f32)> = None;
     for (i, &v) in values.iter().enumerate() {
         if v.is_nan() {
@@ -418,22 +367,6 @@ pub fn argmin(values: &[f32]) -> Option<usize> {
         }
         match best {
             Some((_, bv)) if bv <= v => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Index of the maximum value (ties broken towards the lower index).
-/// Returns `None` for an empty slice or when every value is NaN.
-pub fn argmax(values: &[f32]) -> Option<usize> {
-    let mut best: Option<(usize, f32)> = None;
-    for (i, &v) in values.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if bv >= v => {}
             _ => best = Some((i, v)),
         }
     }
@@ -457,8 +390,41 @@ pub fn iou(a: (f32, f32, f32, f32), b: (f32, f32, f32, f32)) -> f32 {
 }
 
 #[cfg(test)]
+impl PointBlock {
+    /// Dimensionality of the points (0 for an empty block).
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Population variance of a scalar slice (0.0 for fewer than two values).
+    pub(crate) fn scalar_variance(values: &[f32]) -> f32 {
+        if values.len() < 2 {
+            return 0.0;
+        }
+        let m = scalar_mean(values);
+        values.iter().map(|v| (v - m) * (v - m)).sum::<f32>() / values.len() as f32
+    }
+
+    /// Index of the maximum value (ties broken towards the lower index).
+    /// Returns `None` for an empty slice or when every value is NaN.
+    pub(crate) fn argmax(values: &[f32]) -> Option<usize> {
+        let mut best: Option<(usize, f32)> = None;
+        for (i, &v) in values.iter().enumerate() {
+            if v.is_nan() {
+                continue;
+            }
+            match best {
+                Some((_, bv)) if bv >= v => {}
+                _ => best = Some((i, v)),
+            }
+        }
+        best.map(|(i, _)| i)
+    }
 
     #[test]
     fn distances() {

@@ -14,13 +14,12 @@
 //! implementation stays available as the [`ObjectDetector::detect_scalar`]
 //! oracle; both produce the same set of objects (the unit tests pin it).
 
-use crate::math::FORCE_SCALAR;
 use videopipe_media::scan::scan_at_least;
 use videopipe_media::Frame;
 
 /// Default intensity threshold separating objects from the skeleton
 /// (joint bands end at 80 + 16·9 + 3 = 227).
-pub const DEFAULT_THRESHOLD: u8 = 235;
+pub(crate) const DEFAULT_THRESHOLD: u8 = 235;
 
 /// A detected object.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,23 +54,11 @@ pub struct ObjectDetector {
 
 impl ObjectDetector {
     /// Detector with [`DEFAULT_THRESHOLD`] and a 12-pixel minimum area.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ObjectDetector {
             threshold: DEFAULT_THRESHOLD,
             min_area: 12,
         }
-    }
-
-    /// Sets the intensity threshold.
-    pub fn with_threshold(mut self, threshold: u8) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Sets the minimum blob area in pixels.
-    pub fn with_min_area(mut self, min_area: usize) -> Self {
-        self.min_area = min_area.max(1);
-        self
     }
 
     /// Detects all objects in the frame, largest first.
@@ -80,9 +67,6 @@ impl ObjectDetector {
     /// and records the foreground indices, so the statistics pass walks the
     /// (sparse) foreground list instead of re-scanning the whole grid.
     pub fn detect(&self, frame: &Frame) -> Vec<DetectedObject> {
-        if FORCE_SCALAR {
-            return self.detect_scalar(frame);
-        }
         let width = frame.width() as usize;
         let height = frame.height() as usize;
         let pixels = frame.pixels();
@@ -122,57 +106,6 @@ impl ObjectDetector {
             let (x, y) = (idx % width, idx / width);
             let root = find(&mut parent, fg);
             accumulate(&mut blobs, root, x, y, pixels[idx]);
-        }
-
-        self.summarise(blobs, width, height)
-    }
-
-    /// Scalar reference oracle for [`detect`](Self::detect): per-pixel
-    /// threshold branch and a second full-grid statistics pass, exactly the
-    /// pre-kernel implementation.
-    pub fn detect_scalar(&self, frame: &Frame) -> Vec<DetectedObject> {
-        let width = frame.width() as usize;
-        let height = frame.height() as usize;
-        let pixels = frame.pixels();
-
-        // Union-find over foreground pixels.
-        let mut parent: Vec<u32> = vec![u32::MAX; width * height];
-        for y in 0..height {
-            for x in 0..width {
-                let idx = y * width + x;
-                if pixels[idx] < self.threshold {
-                    continue;
-                }
-                parent[idx] = idx as u32;
-                // Union with left and top foreground neighbours.
-                if x > 0 && parent[idx - 1] != u32::MAX {
-                    let a = find(&mut parent, idx as u32);
-                    let b = find(&mut parent, (idx - 1) as u32);
-                    if a != b {
-                        parent[a as usize] = b;
-                    }
-                }
-                if y > 0 && parent[idx - width] != u32::MAX {
-                    let a = find(&mut parent, idx as u32);
-                    let b = find(&mut parent, (idx - width) as u32);
-                    if a != b {
-                        parent[a as usize] = b;
-                    }
-                }
-            }
-        }
-
-        // Accumulate per-root statistics.
-        let mut blobs: HashMap<u32, Acc> = HashMap::new();
-        for y in 0..height {
-            for x in 0..width {
-                let idx = y * width + x;
-                if parent[idx] == u32::MAX {
-                    continue;
-                }
-                let root = find(&mut parent, idx as u32);
-                accumulate(&mut blobs, root, x, y, pixels[idx]);
-            }
         }
 
         self.summarise(blobs, width, height)
@@ -268,6 +201,66 @@ fn find(parent: &mut [u32], mut i: u32) -> u32 {
 impl Default for ObjectDetector {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+impl ObjectDetector {
+    /// Sets the minimum blob area in pixels.
+    pub(crate) fn with_min_area(mut self, min_area: usize) -> Self {
+        self.min_area = min_area.max(1);
+        self
+    }
+
+    /// Scalar reference oracle for [`detect`](Self::detect): per-pixel
+    /// threshold branch and a second full-grid statistics pass, exactly the
+    /// pre-kernel implementation.
+    pub(crate) fn detect_scalar(&self, frame: &Frame) -> Vec<DetectedObject> {
+        let width = frame.width() as usize;
+        let height = frame.height() as usize;
+        let pixels = frame.pixels();
+
+        // Union-find over foreground pixels.
+        let mut parent: Vec<u32> = vec![u32::MAX; width * height];
+        for y in 0..height {
+            for x in 0..width {
+                let idx = y * width + x;
+                if pixels[idx] < self.threshold {
+                    continue;
+                }
+                parent[idx] = idx as u32;
+                // Union with left and top foreground neighbours.
+                if x > 0 && parent[idx - 1] != u32::MAX {
+                    let a = find(&mut parent, idx as u32);
+                    let b = find(&mut parent, (idx - 1) as u32);
+                    if a != b {
+                        parent[a as usize] = b;
+                    }
+                }
+                if y > 0 && parent[idx - width] != u32::MAX {
+                    let a = find(&mut parent, idx as u32);
+                    let b = find(&mut parent, (idx - width) as u32);
+                    if a != b {
+                        parent[a as usize] = b;
+                    }
+                }
+            }
+        }
+
+        // Accumulate per-root statistics.
+        let mut blobs: HashMap<u32, Acc> = HashMap::new();
+        for y in 0..height {
+            for x in 0..width {
+                let idx = y * width + x;
+                if parent[idx] == u32::MAX {
+                    continue;
+                }
+                let root = find(&mut parent, idx as u32);
+                accumulate(&mut blobs, root, x, y, pixels[idx]);
+            }
+        }
+
+        self.summarise(blobs, width, height)
     }
 }
 

@@ -18,9 +18,9 @@
 //! The pre-kernel two-pass implementation stays available as the
 //! bit-identical [`PoseDetector::detect_scalar`] oracle.
 
-use crate::math::{scalar_mean, FORCE_SCALAR};
+use crate::math::scalar_mean;
 use videopipe_media::scan::scan_at_least;
-use videopipe_media::scene::{joint_for_intensity, JOINT_BAND_HALF_WIDTH};
+use videopipe_media::scene::joint_for_intensity;
 use videopipe_media::{Frame, Joint, Keypoint, Pose, JOINT_COUNT};
 
 /// Anything at least this bright counts as a body pixel (bone or joint,
@@ -44,15 +44,7 @@ pub struct DetectedPose {
     pub score: f32,
 }
 
-impl DetectedPose {
-    /// Number of joints detected with confidence above `threshold`.
-    pub fn joints_above(&self, threshold: f32) -> usize {
-        self.joint_confidence
-            .iter()
-            .filter(|&&c| c >= threshold)
-            .count()
-    }
-}
+impl DetectedPose {}
 
 /// Sentinel in the intensity → joint lookup table: "not a joint band".
 const NO_JOINT: u8 = 0xFF;
@@ -91,18 +83,6 @@ impl PoseDetector {
         }
     }
 
-    /// Sets the minimum blob size in pixels.
-    pub fn with_min_blob_pixels(mut self, n: usize) -> Self {
-        self.min_blob_pixels = n.max(1);
-        self
-    }
-
-    /// Sets the minimum overall score for a detection to be reported.
-    pub fn with_min_score(mut self, score: f32) -> Self {
-        self.min_score = score.clamp(0.0, 1.0);
-        self
-    }
-
     /// Detects the (single) person in `frame`.
     ///
     /// Returns `None` when no plausible human is present — e.g. an empty or
@@ -123,9 +103,6 @@ impl PoseDetector {
     ///
     /// [`detect_scalar`]: PoseDetector::detect_scalar
     pub fn detect(&self, frame: &Frame) -> Option<DetectedPose> {
-        if FORCE_SCALAR {
-            return self.detect_scalar(frame);
-        }
         let width = frame.width() as usize;
         let height = frame.height() as usize;
         let pixels = frame.pixels();
@@ -307,12 +284,6 @@ impl PoseDetector {
             score,
         })
     }
-
-    /// The intensity half-width tolerated per joint band (re-exported for
-    /// diagnostics).
-    pub fn band_half_width(&self) -> u8 {
-        JOINT_BAND_HALF_WIDTH
-    }
 }
 
 impl Default for PoseDetector {
@@ -332,6 +303,26 @@ pub fn detection_error(detected: &DetectedPose, truth: &Pose, min_confidence: f3
         }
     }
     scalar_mean(&errs)
+}
+
+#[cfg(test)]
+impl DetectedPose {
+    /// Number of joints detected with confidence above `threshold`.
+    pub(crate) fn joints_above(&self, threshold: f32) -> usize {
+        self.joint_confidence
+            .iter()
+            .filter(|&&c| c >= threshold)
+            .count()
+    }
+}
+
+#[cfg(test)]
+impl PoseDetector {
+    /// Sets the minimum overall score for a detection to be reported.
+    pub(crate) fn with_min_score(mut self, score: f32) -> Self {
+        self.min_score = score.clamp(0.0, 1.0);
+        self
+    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use videopipe_media::Pose;
 
 /// Number of consecutive frames that must agree before a cluster transition
 /// is committed (paper value).
-pub const DEBOUNCE_FRAMES: usize = 4;
+pub(crate) const DEBOUNCE_FRAMES: usize = 4;
 
 /// A fitted rep-counting model: the k = 2 clustering plus the identity of
 /// the initial-position cluster.
@@ -116,12 +116,6 @@ impl RepCounter {
         }
     }
 
-    /// Overrides the debounce length (ablation experiments).
-    pub fn with_debounce(mut self, frames: usize) -> Self {
-        self.debounce = frames.max(1);
-        self
-    }
-
     /// The fitted model.
     pub fn model(&self) -> &RepCounterModel {
         &self.model
@@ -134,7 +128,7 @@ impl RepCounter {
 
     /// Feeds one pose; returns `Some(new_total)` when a repetition
     /// completes on this frame.
-    pub fn push(&mut self, pose: &Pose) -> Option<u32> {
+    pub(crate) fn push(&mut self, pose: &Pose) -> Option<u32> {
         let cluster = self.model.classify(pose);
         self.push_cluster(cluster)
     }
@@ -210,15 +204,6 @@ impl RepCounter {
             away_from_initial,
         }
     }
-
-    /// Resets the rep count and state machine (model is kept).
-    pub fn reset(&mut self) {
-        self.state = self.model.initial_cluster();
-        self.candidate = self.state;
-        self.candidate_run = 0;
-        self.reps = 0;
-        self.away_from_initial = false;
-    }
 }
 
 /// Counts the reps in a complete sequence: fits the model on the first
@@ -232,6 +217,24 @@ pub fn count_sequence(poses: &[Pose], calibration_frames: usize) -> Result<u32, 
         counter.push(pose);
     }
     Ok(counter.reps())
+}
+
+#[cfg(test)]
+impl RepCounter {
+    /// Overrides the debounce length (ablation experiments).
+    pub(crate) fn with_debounce(mut self, frames: usize) -> Self {
+        self.debounce = frames.max(1);
+        self
+    }
+
+    /// Resets the rep count and state machine (model is kept).
+    pub(crate) fn reset(&mut self) {
+        self.state = self.model.initial_cluster();
+        self.candidate = self.state;
+        self.candidate_run = 0;
+        self.reps = 0;
+        self.away_from_initial = false;
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 use crate::math::iou;
 
 /// A box being tracked: `(min_x, min_y, max_x, max_y)` in scene coordinates.
-pub type Box2 = (f32, f32, f32, f32);
+pub(crate) type Box2 = (f32, f32, f32, f32);
 
 /// A live track.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,7 +24,7 @@ pub struct Track {
 
 /// Result of associating detections to existing tracks.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Association {
+pub(crate) struct Association {
     /// `matches[i] = (track_index, detection_index)` pairs.
     pub matches: Vec<(usize, usize)>,
     /// Detection indices that start new tracks.
@@ -36,7 +36,7 @@ pub struct Association {
 /// Greedy IoU association: repeatedly match the highest-IoU (track,
 /// detection) pair above `min_iou`. Pure function — the stateless service
 /// kernel.
-pub fn associate(tracks: &[Box2], detections: &[Box2], min_iou: f32) -> Association {
+pub(crate) fn associate(tracks: &[Box2], detections: &[Box2], min_iou: f32) -> Association {
     let mut pairs: Vec<(f32, usize, usize)> = Vec::new();
     for (t, tb) in tracks.iter().enumerate() {
         for (d, db) in detections.iter().enumerate() {

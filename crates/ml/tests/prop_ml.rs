@@ -4,13 +4,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use videopipe_ml::kmeans::KMeans;
-use videopipe_ml::knn::{KdTree, KnnClassifier, BOUNDED_MIN_BYTES};
 use videopipe_ml::math::{
     axpy, axpy_scalar, distances_into, distances_into_scalar, dot, dot_scalar, iou, mean,
     mean_scalar, squared_distance, squared_distance_scalar,
 };
-use videopipe_ml::reps::{RepCounter, RepCounterModel};
+use videopipe_ml::KMeans;
+use videopipe_ml::{KdTree, KnnClassifier, BOUNDED_MIN_BYTES};
+use videopipe_ml::{RepCounter, RepCounterModel};
 
 fn arb_points(dim: usize, n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<f32>>> {
     proptest::collection::vec(proptest::collection::vec(-100.0f32..100.0, dim), n)

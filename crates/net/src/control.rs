@@ -16,12 +16,12 @@ use crate::wire::{MessageKind, WireMessage, MAX_CHANNEL_LEN};
 use bytes::Bytes;
 
 /// Channel name carried by every control-plane frame.
-pub const CONTROL_CHANNEL: &str = "fleet/ctrl";
+pub(crate) const CONTROL_CHANNEL: &str = "fleet/ctrl";
 
 /// Upper bound on one serialized module checkpoint (64 KiB). Checkpoints
 /// are compact recoverable state (counters, small model state), not media;
 /// a larger blob is a bug or an attack, and is rejected before allocation.
-pub const MAX_CHECKPOINT_LEN: usize = 64 * 1024;
+pub(crate) const MAX_CHECKPOINT_LEN: usize = 64 * 1024;
 
 const TAG_HELLO: u8 = 1;
 const TAG_HEARTBEAT: u8 = 2;
@@ -208,7 +208,7 @@ impl ControlMsg {
     /// # Errors
     ///
     /// Identical to [`ControlMsg::decode`].
-    pub fn decode_shared(payload: &Bytes) -> Result<Self, NetError> {
+    pub(crate) fn decode_shared(payload: &Bytes) -> Result<Self, NetError> {
         Self::decode_cursor(Cursor {
             buf: payload,
             pos: 0,

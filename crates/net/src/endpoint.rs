@@ -84,28 +84,6 @@ impl Endpoint {
     pub fn mode(&self) -> EndpointMode {
         self.mode
     }
-
-    /// The transport.
-    pub fn transport(&self) -> &EndpointTransport {
-        &self.transport
-    }
-
-    /// Whether this endpoint is in-process.
-    pub fn is_inproc(&self) -> bool {
-        matches!(self.transport, EndpointTransport::Inproc { .. })
-    }
-
-    /// For a TCP endpoint, the `host:port` string a socket API expects
-    /// (bind-any `*` becomes `0.0.0.0`).
-    pub fn socket_addr(&self) -> Option<String> {
-        match &self.transport {
-            EndpointTransport::Tcp { host, port } => {
-                let host = if host == "*" { "0.0.0.0" } else { host };
-                Some(format!("{host}:{port}"))
-            }
-            EndpointTransport::Inproc { .. } => None,
-        }
-    }
 }
 
 impl FromStr for Endpoint {
@@ -173,6 +151,31 @@ impl fmt::Display for Endpoint {
             EndpointTransport::Tcp { host, port } => write!(f, "{mode}#tcp://{host}:{port}"),
             EndpointTransport::Inproc { name } => write!(f, "{mode}#inproc://{name}"),
         }
+    }
+}
+
+#[cfg(test)]
+impl Endpoint {
+    /// Whether this endpoint is in-process.
+    pub(crate) fn is_inproc(&self) -> bool {
+        matches!(self.transport, EndpointTransport::Inproc { .. })
+    }
+
+    /// For a TCP endpoint, the `host:port` string a socket API expects
+    /// (bind-any `*` becomes `0.0.0.0`).
+    pub(crate) fn socket_addr(&self) -> Option<String> {
+        match &self.transport {
+            EndpointTransport::Tcp { host, port } => {
+                let host = if host == "*" { "0.0.0.0" } else { host };
+                Some(format!("{host}:{port}"))
+            }
+            EndpointTransport::Inproc { .. } => None,
+        }
+    }
+
+    /// The transport.
+    pub(crate) fn transport(&self) -> &EndpointTransport {
+        &self.transport
     }
 }
 

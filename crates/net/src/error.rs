@@ -74,16 +74,6 @@ impl From<std::io::Error> for NetError {
     }
 }
 
-impl NetError {
-    /// Whether the error is transient (retry may succeed).
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            NetError::WouldBlock | NetError::Timeout | NetError::RequestTimeout { .. }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,13 +100,6 @@ mod tests {
         for v in variants {
             assert!(!v.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn transient_classification() {
-        assert!(NetError::WouldBlock.is_transient());
-        assert!(NetError::Timeout.is_transient());
-        assert!(!NetError::Disconnected.is_transient());
     }
 
     #[test]

@@ -74,20 +74,6 @@ impl InprocHub {
         })
     }
 
-    /// Removes a binding (subsequent sends fail with disconnect).
-    pub fn unbind(&self, name: &str) {
-        let mut inner = self.inner.lock();
-        inner.channels.remove(name);
-        for subs in inner.subscriptions.values_mut() {
-            subs.retain(|s| s != name);
-        }
-    }
-
-    /// Whether `name` is currently bound.
-    pub fn is_bound(&self, name: &str) -> bool {
-        self.inner.lock().channels.contains_key(name)
-    }
-
     /// Subscribes the bound channel `subscriber` to `topic` (PUB/SUB).
     ///
     /// # Errors
@@ -106,13 +92,6 @@ impl InprocHub {
         Ok(())
     }
 
-    /// Unsubscribes `subscriber` from `topic`.
-    pub fn unsubscribe(&self, topic: &str, subscriber: &str) {
-        if let Some(subs) = self.inner.lock().subscriptions.get_mut(topic) {
-            subs.retain(|s| s != subscriber);
-        }
-    }
-
     /// Publishes `msg` to every subscriber of `msg.channel` (interpreted as
     /// the topic). Returns how many subscribers received it.
     pub fn publish(&self, msg: &WireMessage) -> usize {
@@ -129,16 +108,6 @@ impl InprocHub {
             }
         }
         delivered
-    }
-
-    /// Number of bound channels.
-    pub fn len(&self) -> usize {
-        self.inner.lock().channels.len()
-    }
-
-    /// Whether no channels are bound.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -159,12 +128,7 @@ pub struct InprocSender {
     tx: Sender<WireMessage>,
 }
 
-impl InprocSender {
-    /// The channel name this sender targets.
-    pub fn channel(&self) -> &str {
-        &self.name
-    }
-}
+impl InprocSender {}
 
 impl fmt::Debug for InprocSender {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -191,17 +155,7 @@ pub struct InprocReceiver {
     rx: Receiver<WireMessage>,
 }
 
-impl InprocReceiver {
-    /// The bound channel name.
-    pub fn channel(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of messages waiting.
-    pub fn pending(&self) -> usize {
-        self.rx.len()
-    }
-}
+impl InprocReceiver {}
 
 impl fmt::Debug for InprocReceiver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -229,6 +183,56 @@ impl MsgReceiver for InprocReceiver {
             crossbeam::channel::RecvTimeoutError::Timeout => NetError::Timeout,
             crossbeam::channel::RecvTimeoutError::Disconnected => NetError::Disconnected,
         })
+    }
+}
+
+#[cfg(test)]
+impl InprocHub {
+    /// Removes a binding (subsequent sends fail with disconnect).
+    pub(crate) fn unbind(&self, name: &str) {
+        let mut inner = self.inner.lock();
+        inner.channels.remove(name);
+        for subs in inner.subscriptions.values_mut() {
+            subs.retain(|s| s != name);
+        }
+    }
+
+    /// Whether `name` is currently bound.
+    pub(crate) fn is_bound(&self, name: &str) -> bool {
+        self.inner.lock().channels.contains_key(name)
+    }
+
+    /// Unsubscribes `subscriber` from `topic`.
+    pub(crate) fn unsubscribe(&self, topic: &str, subscriber: &str) {
+        if let Some(subs) = self.inner.lock().subscriptions.get_mut(topic) {
+            subs.retain(|s| s != subscriber);
+        }
+    }
+
+    /// Number of bound channels.
+    pub(crate) fn len(&self) -> usize {
+        self.inner.lock().channels.len()
+    }
+}
+
+#[cfg(test)]
+impl InprocSender {
+    /// The channel name this sender targets.
+    pub(crate) fn channel(&self) -> &str {
+        &self.name
+    }
+}
+
+#[cfg(test)]
+impl InprocReceiver {
+    /// The bound channel name.
+    pub(crate) fn channel(&self) -> &str {
+        &self.name
+    }
+
+    /// Number of messages waiting.
+    pub(crate) fn pending(&self) -> usize {
+        self.rx.len()
     }
 }
 

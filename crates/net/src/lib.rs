@@ -21,7 +21,7 @@
 //!   `TcpSender` → `PollEndpoint` edge, REQ/REP is
 //!   [`WireMessage::request`] / [`WireMessage::response_to`] matched by
 //!   correlation id in the runtime, PUB/SUB is [`InprocHub::publish`].
-//! * [`broker`] — a deliberately *brokered* relay used only as the ablation
+//! * `broker` — a deliberately *brokered* relay used only as the ablation
 //!   baseline that quantifies the paper's extra-hop claim.
 //! * [`Poller`] — readiness waiting (`epoll` + `eventfd` on Linux) under
 //!   [`Ingress`], so its thread blocks until a socket has something to
@@ -33,28 +33,28 @@
 // four `epoll`/`eventfd` calls and the one `prctl` no vendored crate wraps.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod broker;
+mod broker;
 pub mod control;
 mod endpoint;
 mod error;
 mod inproc;
 #[allow(unsafe_code)]
 mod poller;
-pub mod pool;
+mod pool;
 pub mod tcp;
 pub mod telemetry;
 mod wire;
 
+pub use broker::Broker;
 pub use endpoint::{Endpoint, EndpointMode, EndpointTransport};
 pub use error::NetError;
 pub use inproc::{InprocHub, InprocReceiver, InprocSender};
 pub use poller::{exact_timer_wakeups, Poller};
 pub use pool::{BufferPool, PoolStats};
 pub use tcp::{Ingress, PollEndpoint};
-pub use wire::{
-    FrameBatch, MessageKind, StreamDecoder, WireMessage, MAX_CHANNEL_LEN, MAX_FRAME_LEN,
-};
+pub use wire::{FrameBatch, MessageKind, StreamDecoder, WireMessage, MAX_FRAME_LEN};
 
 use std::time::Duration;
 

@@ -113,7 +113,7 @@ mod imp {
         ///
         /// Propagates `epoll_create1`/`eventfd`/`epoll_ctl` failures (fd
         /// limit reached, out of memory).
-        pub fn new() -> io::Result<Self> {
+        pub(crate) fn new() -> io::Result<Self> {
             // SAFETY: `epoll_create1` takes a flag word and no pointers.
             let epoll = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
             // SAFETY: `epoll` was just returned by a successful
@@ -149,7 +149,7 @@ mod imp {
         ///
         /// `InvalidInput` for the reserved key `u64::MAX`; otherwise the
         /// `epoll_ctl` failure (`EEXIST` when already registered).
-        pub fn add(&self, source: &impl AsRawFd, key: u64) -> io::Result<()> {
+        pub(crate) fn add(&self, source: &impl AsRawFd, key: u64) -> io::Result<()> {
             if key == WAKER_KEY {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -166,7 +166,7 @@ mod imp {
         /// # Errors
         ///
         /// Propagates the `epoll_ctl` failure (`ENOENT` when not registered).
-        pub fn delete(&self, source: &impl AsRawFd) -> io::Result<()> {
+        pub(crate) fn delete(&self, source: &impl AsRawFd) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, source.as_raw_fd(), 0)
         }
 
@@ -178,7 +178,11 @@ mod imp {
         /// # Errors
         ///
         /// Propagates `epoll_wait` failures other than `EINTR`.
-        pub fn wait(&self, ready: &mut Vec<u64>, timeout: Option<Duration>) -> io::Result<()> {
+        pub(crate) fn wait(
+            &self,
+            ready: &mut Vec<u64>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
             let timeout_ms = match timeout {
                 None => -1,
                 // Round up so a sub-millisecond deadline is not turned into
@@ -263,7 +267,7 @@ mod imp {
         /// # Errors
         ///
         /// Never fails on this target.
-        pub fn new() -> io::Result<Self> {
+        pub(crate) fn new() -> io::Result<Self> {
             Ok(Self::default())
         }
 
@@ -272,7 +276,7 @@ mod imp {
         /// # Errors
         ///
         /// `InvalidInput` for the reserved key `u64::MAX`.
-        pub fn add<S>(&self, _source: &S, key: u64) -> io::Result<()> {
+        pub(crate) fn add<S>(&self, _source: &S, key: u64) -> io::Result<()> {
             if key == WAKER_KEY {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -290,7 +294,7 @@ mod imp {
         /// # Errors
         ///
         /// Never fails on this target.
-        pub fn delete<S>(&self, _source: &S) -> io::Result<()> {
+        pub(crate) fn delete<S>(&self, _source: &S) -> io::Result<()> {
             Ok(())
         }
 
@@ -300,7 +304,11 @@ mod imp {
         /// # Errors
         ///
         /// Never fails on this target.
-        pub fn wait(&self, ready: &mut Vec<u64>, timeout: Option<Duration>) -> io::Result<()> {
+        pub(crate) fn wait(
+            &self,
+            ready: &mut Vec<u64>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
             let nap = timeout.map_or(SCAN_INTERVAL, |t| t.min(SCAN_INTERVAL));
             let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             if !state.1 {
@@ -316,7 +324,7 @@ mod imp {
         }
 
         /// Makes the current or next [`Poller::wait`] return at once.
-        pub fn notify(&self) {
+        pub(crate) fn notify(&self) {
             self.state.lock().unwrap_or_else(PoisonError::into_inner).1 = true;
             self.wake.notify_one();
         }

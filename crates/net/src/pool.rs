@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default pooled chunk size (bytes). One chunk typically carries a whole
 /// read batch of coalesced frames, so payload slices share one allocation.
-pub const DEFAULT_CHUNK: usize = 16 * 1024;
+pub(crate) const DEFAULT_CHUNK: usize = 16 * 1024;
 
 /// Free buffers retained before extras are released to the allocator.
 const DEFAULT_MAX_RETAINED: usize = 32;
@@ -89,15 +89,10 @@ impl BufferPool {
         }
     }
 
-    /// The pool's chunk size.
-    pub fn chunk(&self) -> usize {
-        self.chunk
-    }
-
     /// A full-length scratch buffer (`len() == capacity() >= chunk`) for
     /// reading into: contents are unspecified, callers must track their
     /// own fill level and never expose bytes they did not write.
-    pub fn get_scratch(&self) -> BytesMut {
+    pub(crate) fn get_scratch(&self) -> BytesMut {
         let mut buf = self.get_any();
         if buf.len() < buf.capacity() {
             let cap = buf.capacity();
@@ -110,7 +105,7 @@ impl BufferPool {
 
     /// An empty append buffer (`len() == 0`, `capacity() >= chunk`) for
     /// staging encoded headers.
-    pub fn get_arena(&self) -> BytesMut {
+    pub(crate) fn get_arena(&self) -> BytesMut {
         let mut buf = self.get_any();
         buf.clear();
         buf
@@ -150,7 +145,7 @@ impl BufferPool {
 
     /// Returns a mutable buffer directly (arena swaps, growth leftovers).
     /// Oversized or surplus buffers are released to the allocator.
-    pub fn put(&self, buf: BytesMut) {
+    pub(crate) fn put(&self, buf: BytesMut) {
         if buf.capacity() < self.chunk || buf.capacity() > self.chunk * OVERSIZE_FACTOR {
             return;
         }
@@ -163,7 +158,7 @@ impl BufferPool {
     /// Registers a frozen chunk for refcount-drop reclamation: when every
     /// other reference (decoded payloads, staged headers) drops, the next
     /// `get_*` call recovers the allocation without copying.
-    pub fn recycle(&self, frozen: Bytes) {
+    pub(crate) fn recycle(&self, frozen: Bytes) {
         let mut inner = self.inner.lock();
         inner.pending.push_back(frozen);
         if inner.pending.len() > MAX_PENDING_RECLAIM {
@@ -174,7 +169,7 @@ impl BufferPool {
     }
 
     /// Current pool counters.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         let inner = self.inner.lock();
         PoolStats {
             hits: self.hits.load(Ordering::Relaxed),

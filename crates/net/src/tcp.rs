@@ -94,7 +94,7 @@ impl TcpListenerHandle {
 
     /// Stops the ingress thread, which closes the listener and every peer
     /// connection; frames already received stay readable.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.waker.notify();
     }
@@ -239,7 +239,7 @@ impl TcpSender {
     /// # Errors
     ///
     /// Propagates connection errors.
-    pub fn connect(addr: &str) -> Result<Self, NetError> {
+    pub(crate) fn connect(addr: &str) -> Result<Self, NetError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(TcpSender {
@@ -284,26 +284,6 @@ impl TcpSender {
         self.state.get_mut().backoff = policy.base_backoff;
         self.reconnect = Some(policy);
         self
-    }
-
-    /// The peer address.
-    pub fn peer(&self) -> &str {
-        &self.peer
-    }
-
-    /// Messages dropped because the reconnect buffer overflowed.
-    pub fn dropped_frames(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Successful re-dials after a mid-stream disconnect.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
-    }
-
-    /// Messages currently buffered awaiting a reconnect.
-    pub fn buffered(&self) -> usize {
-        self.state.lock().batch.len()
     }
 
     /// Flushes whatever a reconnecting sender still holds staged, without
@@ -507,16 +487,6 @@ impl PollEndpoint {
         self.local_port
     }
 
-    /// Currently open peer connections.
-    pub fn connections(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// Peers accepted over the endpoint's lifetime.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
     /// Registers the listener and every open connection with `poller`;
     /// connections accepted later register themselves, and a connection is
     /// taken off the poller before its socket closes. Every key has
@@ -599,7 +569,11 @@ impl PollEndpoint {
     /// Like [`PollEndpoint::poll`], but stops reading once `budget` frames
     /// have been delivered in this pass; undelivered bytes stay in the
     /// kernel socket buffer (and the reassembly buffer) for the next pass.
-    pub fn poll_budget(&mut self, budget: usize, sink: &mut dyn FnMut(WireMessage)) -> usize {
+    pub(crate) fn poll_budget(
+        &mut self,
+        budget: usize,
+        sink: &mut dyn FnMut(WireMessage),
+    ) -> usize {
         self.accept_pending();
         let mut delivered = 0usize;
         let mut idx = 0usize;
@@ -900,6 +874,37 @@ impl<T> Ingress<T> {
             }
         }
         Ok(delivered)
+    }
+}
+
+#[cfg(test)]
+impl TcpSender {
+    /// Messages dropped because the reconnect buffer overflowed.
+    pub(crate) fn dropped_frames(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Successful re-dials after a mid-stream disconnect.
+    pub(crate) fn reconnects(&self) -> u64 {
+        self.reconnects.load(Ordering::Relaxed)
+    }
+
+    /// Messages currently buffered awaiting a reconnect.
+    pub(crate) fn buffered(&self) -> usize {
+        self.state.lock().batch.len()
+    }
+}
+
+#[cfg(test)]
+impl PollEndpoint {
+    /// Currently open peer connections.
+    pub(crate) fn connections(&self) -> usize {
+        self.conns.len()
+    }
+
+    /// Peers accepted over the endpoint's lifetime.
+    pub(crate) fn accepted(&self) -> u64 {
+        self.accepted
     }
 }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// Maximum channel-name length on the wire.
-pub const MAX_CHANNEL_LEN: usize = 255;
+pub(crate) const MAX_CHANNEL_LEN: usize = 255;
 
 /// The kind of a wire message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -512,7 +512,7 @@ impl StreamDecoder {
     }
 
     /// Completed frames waiting to be drained.
-    pub fn pending_frames(&self) -> usize {
+    pub(crate) fn pending_frames(&self) -> usize {
         self.pending.len()
     }
 
@@ -526,17 +526,6 @@ impl StreamDecoder {
     /// Whether a partial frame is buffered awaiting more bytes.
     pub fn has_partial(&self) -> bool {
         self.filled > 0
-    }
-
-    /// Bytes currently buffered for the partial frame at the front.
-    pub fn buffered_bytes(&self) -> usize {
-        self.filled
-    }
-
-    /// Capacity of the current read window (tests assert the exact-reserve
-    /// behaviour for oversized frames through this).
-    pub fn window_capacity(&self) -> usize {
-        self.buf.capacity()
     }
 }
 
@@ -633,7 +622,7 @@ impl FrameBatch {
     }
 
     /// Staged frames not yet fully written.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.frames.len()
     }
 
@@ -650,13 +639,13 @@ impl FrameBatch {
     /// Forgets write progress on the front frame. Call after a transport
     /// loss: the replacement connection must see the frame from byte 0,
     /// never a torn continuation of a stream that died elsewhere.
-    pub fn reset_cursor(&mut self) {
+    pub(crate) fn reset_cursor(&mut self) {
         self.cursor = 0;
     }
 
     /// Drops every staged frame and all write progress (fail-fast senders
     /// abandoning a backlog nobody will replay).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.frames.clear();
         self.arena.clear();
         self.staged = 0;
@@ -667,7 +656,7 @@ impl FrameBatch {
     /// Drops the oldest staged frame (bounded-backlog policies), returning
     /// its framed length. Refuses (`None`) when the front frame is
     /// mid-write — dropping it would tear the live stream.
-    pub fn drop_front(&mut self) -> Option<usize> {
+    pub(crate) fn drop_front(&mut self) -> Option<usize> {
         if self.cursor != 0 {
             return None;
         }
@@ -788,6 +777,15 @@ impl std::fmt::Debug for FrameBatch {
             .field("pending_bytes", &self.pending_bytes)
             .field("cursor", &self.cursor)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+impl StreamDecoder {
+    /// Capacity of the current read window (tests assert the exact-reserve
+    /// behaviour for oversized frames through this).
+    pub(crate) fn window_capacity(&self) -> usize {
+        self.buf.capacity()
     }
 }
 

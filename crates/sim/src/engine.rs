@@ -55,11 +55,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// The current virtual time (the time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
@@ -90,27 +85,12 @@ impl<E> Engine<E> {
     }
 
     /// Pops the next event only if it fires at or before `deadline`.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+    pub(crate) fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         if self.heap.peek().map(|e| e.at <= deadline).unwrap_or(false) {
             self.pop()
         } else {
             None
         }
-    }
-
-    /// Number of events waiting.
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total events processed.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 }
 
@@ -127,6 +107,29 @@ impl<E> std::fmt::Debug for Engine<E> {
             .field("pending", &self.heap.len())
             .field("processed", &self.processed)
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl<E> Engine<E> {
+    /// The current virtual time (the time of the last popped event).
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Number of events waiting.
+    pub(crate) fn pending(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Whether the queue is empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Total events processed.
+    pub(crate) fn processed(&self) -> u64 {
+        self.processed
     }
 }
 

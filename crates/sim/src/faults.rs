@@ -80,15 +80,78 @@ impl FaultPlan {
         }
     }
 
-    /// The seed driving probabilistic faults.
-    pub fn seed(&self) -> u64 {
-        self.seed
+    /// Schedules a permanent crash of `device` at virtual-time offset `at`.
+    /// The scenario's failover machinery (when enabled) detects the loss
+    /// via missed heartbeats and replans around it.
+    #[must_use]
+    pub fn with_device_crash(mut self, device: &str, at: Duration) -> Self {
+        self.crashes.push(DeviceCrash {
+            device: device.to_string(),
+            at,
+        });
+        self
     }
 
+    /// All scheduled device crashes, in insertion order.
+    pub(crate) fn device_crashes(&self) -> &[DeviceCrash] {
+        &self.crashes
+    }
+
+    /// The virtual time at which `device` crashes (the earliest, if it was
+    /// scheduled more than once), or `None` if it never does.
+    pub(crate) fn crash_time(&self, device: &str) -> Option<SimTime> {
+        self.crashes
+            .iter()
+            .filter(|c| c.device == device)
+            .map(|c| SimTime::ZERO + c.at)
+            .min()
+    }
+
+    /// Total extra one-way latency active at `now` (overlapping spikes add).
+    pub(crate) fn extra_latency(&self, now: SimTime) -> Duration {
+        self.spikes
+            .iter()
+            .filter(|s| s.active(now))
+            .map(|s| s.extra)
+            .sum()
+    }
+
+    /// If the `from → to` link is partitioned at `now`, the virtual time at
+    /// which it heals (the latest heal among active partitions).
+    pub(crate) fn partition_until(&self, from: &str, to: &str, now: SimTime) -> Option<SimTime> {
+        self.partitions
+            .iter()
+            .filter(|p| p.matches(from, to))
+            .filter(|p| {
+                let begin = SimTime::ZERO + p.start;
+                let heal = SimTime::ZERO + p.heal;
+                now >= begin && now < heal
+            })
+            .map(|p| SimTime::ZERO + p.heal)
+            .max()
+    }
+
+    /// Wraps a service image with the plan's probabilistic failure mode;
+    /// returns the image untouched when the probability is zero.
+    pub(crate) fn wrap_service(&self, inner: Arc<dyn Service>) -> Arc<dyn Service> {
+        if self.service_failure_probability > 0.0 {
+            Arc::new(ChaosService::probabilistic(
+                inner,
+                self.seed,
+                self.service_failure_probability,
+            ))
+        } else {
+            inner
+        }
+    }
+}
+
+#[cfg(test)]
+impl FaultPlan {
     /// Adds a latency spike: `extra` one-way latency on every link from
     /// `start` (virtual time) for `duration`.
     #[must_use]
-    pub fn with_latency_spike(
+    pub(crate) fn with_latency_spike(
         mut self,
         start: Duration,
         duration: Duration,
@@ -109,7 +172,13 @@ impl FaultPlan {
     ///
     /// Panics unless `heal > start`.
     #[must_use]
-    pub fn with_partition(mut self, a: &str, b: &str, start: Duration, heal: Duration) -> Self {
+    pub(crate) fn with_partition(
+        mut self,
+        a: &str,
+        b: &str,
+        start: Duration,
+        heal: Duration,
+    ) -> Self {
         assert!(heal > start, "partition must heal after it starts");
         self.partitions.push(LinkPartition {
             a: a.to_string(),
@@ -127,80 +196,15 @@ impl FaultPlan {
     ///
     /// Panics unless `p` is in `[0, 1]`.
     #[must_use]
-    pub fn with_service_failure_probability(mut self, p: f64) -> Self {
+    pub(crate) fn with_service_failure_probability(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         self.service_failure_probability = p;
         self
     }
 
-    /// Schedules a permanent crash of `device` at virtual-time offset `at`.
-    /// The scenario's failover machinery (when enabled) detects the loss
-    /// via missed heartbeats and replans around it.
-    #[must_use]
-    pub fn with_device_crash(mut self, device: &str, at: Duration) -> Self {
-        self.crashes.push(DeviceCrash {
-            device: device.to_string(),
-            at,
-        });
-        self
-    }
-
-    /// All scheduled device crashes, in insertion order.
-    pub fn device_crashes(&self) -> &[DeviceCrash] {
-        &self.crashes
-    }
-
     /// Whether `device` has crashed at or before `now`.
-    pub fn device_crashed(&self, device: &str, now: SimTime) -> bool {
+    pub(crate) fn device_crashed(&self, device: &str, now: SimTime) -> bool {
         self.crash_time(device).is_some_and(|at| now >= at)
-    }
-
-    /// The virtual time at which `device` crashes (the earliest, if it was
-    /// scheduled more than once), or `None` if it never does.
-    pub fn crash_time(&self, device: &str) -> Option<SimTime> {
-        self.crashes
-            .iter()
-            .filter(|c| c.device == device)
-            .map(|c| SimTime::ZERO + c.at)
-            .min()
-    }
-
-    /// Total extra one-way latency active at `now` (overlapping spikes add).
-    pub fn extra_latency(&self, now: SimTime) -> Duration {
-        self.spikes
-            .iter()
-            .filter(|s| s.active(now))
-            .map(|s| s.extra)
-            .sum()
-    }
-
-    /// If the `from → to` link is partitioned at `now`, the virtual time at
-    /// which it heals (the latest heal among active partitions).
-    pub fn partition_until(&self, from: &str, to: &str, now: SimTime) -> Option<SimTime> {
-        self.partitions
-            .iter()
-            .filter(|p| p.matches(from, to))
-            .filter(|p| {
-                let begin = SimTime::ZERO + p.start;
-                let heal = SimTime::ZERO + p.heal;
-                now >= begin && now < heal
-            })
-            .map(|p| SimTime::ZERO + p.heal)
-            .max()
-    }
-
-    /// Wraps a service image with the plan's probabilistic failure mode;
-    /// returns the image untouched when the probability is zero.
-    pub fn wrap_service(&self, inner: Arc<dyn Service>) -> Arc<dyn Service> {
-        if self.service_failure_probability > 0.0 {
-            Arc::new(ChaosService::probabilistic(
-                inner,
-                self.seed,
-                self.service_failure_probability,
-            ))
-        } else {
-            inner
-        }
     }
 }
 

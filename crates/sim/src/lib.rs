@@ -22,13 +22,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod engine;
-pub mod faults;
-pub mod net_model;
-pub mod pool;
-pub mod profiles;
-pub mod scenario;
+mod engine;
+mod faults;
+mod net_model;
+mod pool;
+mod profiles;
+mod scenario;
 mod time;
 
 pub use engine::Engine;

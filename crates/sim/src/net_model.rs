@@ -40,7 +40,7 @@ impl LinkModel {
     ///
     /// Panics if `bandwidth_bps` is zero or `jitter_frac` is not in
     /// `[0, 1)`.
-    pub fn new(latency: Duration, bandwidth_bps: u64, jitter_frac: f64) -> Self {
+    pub(crate) fn new(latency: Duration, bandwidth_bps: u64, jitter_frac: f64) -> Self {
         assert!(bandwidth_bps > 0, "bandwidth must be positive");
         assert!(
             (0.0..1.0).contains(&jitter_frac),
@@ -56,20 +56,14 @@ impl LinkModel {
     }
 
     /// Pure transmission time for `bytes` (no queueing, no jitter).
-    pub fn tx_time(&self, bytes: usize) -> Duration {
+    pub(crate) fn tx_time(&self, bytes: usize) -> Duration {
         Duration::from_nanos((bytes as u64 * 8).saturating_mul(1_000_000_000) / self.bandwidth_bps)
-    }
-
-    /// Books a transfer of `bytes` starting no earlier than `now`; returns
-    /// the arrival time at the far end.
-    pub fn transfer(&mut self, now: SimTime, bytes: usize, rng: &mut StdRng) -> SimTime {
-        self.transfer_at(now, bytes, rng, Duration::ZERO)
     }
 
     /// Like [`LinkModel::transfer`], but the transfer cannot start before
     /// `earliest` (e.g. a partition's heal time) and `extra_latency` is
     /// added to propagation (e.g. an injected latency spike).
-    pub fn transfer_at(
+    pub(crate) fn transfer_at(
         &mut self,
         earliest: SimTime,
         bytes: usize,
@@ -95,14 +89,18 @@ impl LinkModel {
         arrival
     }
 
-    /// One-way latency component.
-    pub fn latency(&self) -> Duration {
-        self.latency
-    }
-
     /// The statistics so far.
-    pub fn stats(&self) -> LinkStats {
+    pub(crate) fn stats(&self) -> LinkStats {
         self.stats
+    }
+}
+
+#[cfg(test)]
+impl LinkModel {
+    /// Books a transfer of `bytes` starting no earlier than `now`; returns
+    /// the arrival time at the far end.
+    pub(crate) fn transfer(&mut self, now: SimTime, bytes: usize, rng: &mut StdRng) -> SimTime {
+        self.transfer_at(now, bytes, rng, Duration::ZERO)
     }
 }
 

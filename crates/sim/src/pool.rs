@@ -49,8 +49,6 @@ impl PoolStats {
 /// A FIFO pool of service executors on the virtual clock.
 #[derive(Debug, Clone)]
 pub struct ServicePool {
-    device: String,
-    service: String,
     /// `busy_until` per executor instance.
     executors: Vec<SimTime>,
     stats: PoolStats,
@@ -62,33 +60,21 @@ impl ServicePool {
     /// # Panics
     ///
     /// Panics if `instances` is zero.
-    pub fn new(device: impl Into<String>, service: impl Into<String>, instances: usize) -> Self {
+    pub(crate) fn new(instances: usize) -> Self {
         assert!(instances > 0, "pool needs at least one instance");
         ServicePool {
-            device: device.into(),
-            service: service.into(),
             executors: vec![SimTime::ZERO; instances],
             stats: PoolStats::default(),
         }
     }
 
-    /// The hosting device.
-    pub fn device(&self) -> &str {
-        &self.device
-    }
-
-    /// The service name.
-    pub fn service(&self) -> &str {
-        &self.service
-    }
-
     /// Number of executor instances.
-    pub fn instances(&self) -> usize {
+    pub(crate) fn instances(&self) -> usize {
         self.executors.len()
     }
 
     /// Adds `n` instances (horizontal scaling; new instances are idle).
-    pub fn grow(&mut self, n: usize, now: SimTime) {
+    pub(crate) fn grow(&mut self, n: usize, now: SimTime) {
         for _ in 0..n {
             self.executors.push(now);
         }
@@ -99,7 +85,7 @@ impl ServicePool {
     ///
     /// Correct FIFO behaviour relies on arrivals being booked in
     /// nondecreasing time order, which the DES guarantees.
-    pub fn book(&mut self, arrival: SimTime, compute: Duration) -> SimTime {
+    pub(crate) fn book(&mut self, arrival: SimTime, compute: Duration) -> SimTime {
         // Earliest-free executor.
         let (idx, &free_at) = self
             .executors
@@ -125,12 +111,15 @@ impl ServicePool {
     }
 
     /// The statistics so far.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         self.stats
     }
+}
 
+#[cfg(test)]
+impl ServicePool {
     /// The time the earliest executor becomes free.
-    pub fn earliest_free(&self) -> SimTime {
+    pub(crate) fn earliest_free(&self) -> SimTime {
         self.executors
             .iter()
             .copied()
@@ -145,7 +134,7 @@ mod tests {
 
     #[test]
     fn single_executor_serialises() {
-        let mut pool = ServicePool::new("desktop", "pose", 1);
+        let mut pool = ServicePool::new(1);
         let d1 = pool.book(SimTime::ZERO, Duration::from_millis(50));
         assert_eq!(d1, SimTime::from_ms(50));
         // Second request arrives while busy → waits.
@@ -160,7 +149,7 @@ mod tests {
 
     #[test]
     fn two_executors_run_concurrently() {
-        let mut pool = ServicePool::new("desktop", "pose", 2);
+        let mut pool = ServicePool::new(2);
         let d1 = pool.book(SimTime::ZERO, Duration::from_millis(50));
         let d2 = pool.book(SimTime::from_ms(1), Duration::from_millis(50));
         assert_eq!(d1, SimTime::from_ms(50));
@@ -173,7 +162,7 @@ mod tests {
 
     #[test]
     fn grow_adds_capacity() {
-        let mut pool = ServicePool::new("d", "s", 1);
+        let mut pool = ServicePool::new(1);
         pool.book(SimTime::ZERO, Duration::from_millis(100));
         pool.grow(1, SimTime::from_ms(10));
         assert_eq!(pool.instances(), 2);
@@ -184,7 +173,7 @@ mod tests {
 
     #[test]
     fn idle_pool_has_no_wait() {
-        let mut pool = ServicePool::new("d", "s", 1);
+        let mut pool = ServicePool::new(1);
         let done = pool.book(SimTime::from_ms(100), Duration::from_millis(5));
         assert_eq!(done, SimTime::from_ms(105));
         assert_eq!(pool.stats().mean_wait(), Duration::ZERO);
@@ -192,7 +181,7 @@ mod tests {
 
     #[test]
     fn utilization_computation() {
-        let mut pool = ServicePool::new("d", "s", 2);
+        let mut pool = ServicePool::new(2);
         pool.book(SimTime::ZERO, Duration::from_millis(500));
         pool.book(SimTime::ZERO, Duration::from_millis(500));
         let util = pool.stats().utilization(Duration::from_secs(1), 2);
@@ -203,12 +192,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one instance")]
     fn zero_instances_panics() {
-        let _ = ServicePool::new("d", "s", 0);
+        let _ = ServicePool::new(0);
     }
 
     #[test]
     fn earliest_free_tracks_bookings() {
-        let mut pool = ServicePool::new("d", "s", 2);
+        let mut pool = ServicePool::new(2);
         assert_eq!(pool.earliest_free(), SimTime::ZERO);
         pool.book(SimTime::ZERO, Duration::from_millis(10));
         assert_eq!(pool.earliest_free(), SimTime::ZERO); // second idle

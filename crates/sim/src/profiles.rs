@@ -128,7 +128,7 @@ impl SimProfile {
     }
 
     /// Handler cost for a module include key.
-    pub fn module_cost(&self, include: &str) -> Duration {
+    pub(crate) fn module_cost(&self, include: &str) -> Duration {
         self.module_cost
             .get(include)
             .copied()
@@ -136,7 +136,7 @@ impl SimProfile {
     }
 
     /// Executor instances for a service.
-    pub fn instances_for(&self, service: &str) -> usize {
+    pub(crate) fn instances_for(&self, service: &str) -> usize {
         self.service_instances.get(service).copied().unwrap_or(1)
     }
 

@@ -152,36 +152,6 @@ impl LoadPlan {
         }
     }
 
-    /// Sets the base multiplier to `multiplier` from `at` onward (until the
-    /// next step).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `multiplier` is finite and positive.
-    pub fn step(mut self, at: Duration, multiplier: f64) -> Self {
-        assert!(
-            multiplier.is_finite() && multiplier > 0.0,
-            "load multiplier must be finite and positive"
-        );
-        self.steps.push((at, multiplier));
-        self.steps.sort_by_key(|(t, _)| *t);
-        self
-    }
-
-    /// A day compressed into `day`: an overnight lull (0.4×) for the first
-    /// quarter, a morning ramp (0.8×), a midday plateau (1.0×), an evening
-    /// peak of `peak`×, and a wind-down (0.6×) for the final fifth. The
-    /// pattern repeats if the run outlasts `day`... it does not; steps are
-    /// absolute offsets, so size `day` to the run.
-    pub fn diurnal(day: Duration, peak: f64) -> Self {
-        LoadPlan::flat()
-            .step(Duration::ZERO, 0.4)
-            .step(day.mul_f64(0.25), 0.8)
-            .step(day.mul_f64(0.40), 1.0)
-            .step(day.mul_f64(0.60), peak)
-            .step(day.mul_f64(0.80), 0.6)
-    }
-
     /// Overlays a flash crowd: the multiplier is multiplied by `multiplier`
     /// for `lasting` starting at `at`.
     ///
@@ -198,7 +168,7 @@ impl LoadPlan {
     }
 
     /// The multiplier in effect at offset `t`.
-    pub fn multiplier_at(&self, t: Duration) -> f64 {
+    pub(crate) fn multiplier_at(&self, t: Duration) -> f64 {
         let mut m = self
             .steps
             .iter()
@@ -216,7 +186,7 @@ impl LoadPlan {
 
     /// Frames a camera with base `interval` offers over `duration` under
     /// this plan (the piecewise integral of `multiplier / interval`).
-    pub fn expected_frames(&self, interval: Duration, duration: Duration) -> u64 {
+    pub(crate) fn expected_frames(&self, interval: Duration, duration: Duration) -> u64 {
         let mut boundaries: Vec<Duration> = vec![Duration::ZERO, duration];
         for (at, _) in &self.steps {
             boundaries.push(*at);
@@ -689,11 +659,6 @@ impl Scenario {
         }
     }
 
-    /// The shared frame store (the simulation's data plane).
-    pub fn store(&self) -> &Arc<FrameStore> {
-        &self.store
-    }
-
     /// Adds a deployed pipeline offering frames at `fps` with `credits`
     /// in-flight frames allowed (1 = the paper's design).
     ///
@@ -741,7 +706,7 @@ impl Scenario {
             let instances = self.profile.instances_for(&b.service);
             self.pools
                 .entry(key)
-                .or_insert_with(|| ServicePool::new(&b.device, &b.service, instances));
+                .or_insert_with(|| ServicePool::new(instances));
         }
 
         let sources = plan.pipeline.sources();
@@ -1304,7 +1269,7 @@ impl Scenario {
             let instances = self.profile.instances_for(&b.service);
             self.pools
                 .entry(key)
-                .or_insert_with(|| ServicePool::new(&b.device, &b.service, instances));
+                .or_insert_with(|| ServicePool::new(instances));
         }
 
         let module_count = self.pipelines[p].modules.len();
@@ -1682,6 +1647,39 @@ impl std::fmt::Debug for Scenario {
             .field("pools", &self.pools.len())
             .field("engine", &self.engine)
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl LoadPlan {
+    /// A day compressed into `day`: an overnight lull (0.4×) for the first
+    /// quarter, a morning ramp (0.8×), a midday plateau (1.0×), an evening
+    /// peak of `peak`×, and a wind-down (0.6×) for the final fifth. The
+    /// pattern repeats if the run outlasts `day`... it does not; steps are
+    /// absolute offsets, so size `day` to the run.
+    pub(crate) fn diurnal(day: Duration, peak: f64) -> Self {
+        LoadPlan::flat()
+            .step(Duration::ZERO, 0.4)
+            .step(day.mul_f64(0.25), 0.8)
+            .step(day.mul_f64(0.40), 1.0)
+            .step(day.mul_f64(0.60), peak)
+            .step(day.mul_f64(0.80), 0.6)
+    }
+
+    /// Sets the base multiplier to `multiplier` from `at` onward (until the
+    /// next step).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `multiplier` is finite and positive.
+    pub(crate) fn step(mut self, at: Duration, multiplier: f64) -> Self {
+        assert!(
+            multiplier.is_finite() && multiplier > 0.0,
+            "load multiplier must be finite and positive"
+        );
+        self.steps.push((at, multiplier));
+        self.steps.sort_by_key(|(t, _)| *t);
+        self
     }
 }
 

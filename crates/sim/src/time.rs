@@ -11,40 +11,25 @@ pub struct SimTime(u64);
 
 impl SimTime {
     /// The scenario start.
-    pub const ZERO: SimTime = SimTime(0);
+    pub(crate) const ZERO: SimTime = SimTime(0);
 
     /// From raw nanoseconds.
     pub const fn from_ns(ns: u64) -> Self {
         SimTime(ns)
     }
 
-    /// From milliseconds.
-    pub const fn from_ms(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
-    }
-
-    /// From seconds.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        SimTime((secs * 1e9) as u64)
-    }
-
     /// Raw nanoseconds.
-    pub const fn as_ns(self) -> u64 {
+    pub(crate) const fn as_ns(self) -> u64 {
         self.0
     }
 
     /// As floating-point seconds.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
-    /// Saturating difference as a [`Duration`].
-    pub fn since(self, earlier: SimTime) -> Duration {
-        Duration::from_nanos(self.0.saturating_sub(earlier.0))
-    }
-
     /// The later of two times.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 }
@@ -72,6 +57,24 @@ impl Sub<SimTime> for SimTime {
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.6}s", self.as_secs_f64())
+    }
+}
+
+#[cfg(test)]
+impl SimTime {
+    /// From milliseconds.
+    pub(crate) const fn from_ms(ms: u64) -> Self {
+        SimTime(ms * 1_000_000)
+    }
+
+    /// From seconds.
+    pub(crate) fn from_secs_f64(secs: f64) -> Self {
+        SimTime((secs * 1e9) as u64)
+    }
+
+    /// Saturating difference as a [`Duration`].
+    pub(crate) fn since(self, earlier: SimTime) -> Duration {
+        Duration::from_nanos(self.0.saturating_sub(earlier.0))
     }
 }
 

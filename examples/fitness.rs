@@ -7,7 +7,7 @@
 //! Run with `cargo run --release --example fitness`.
 
 use std::time::Duration;
-use videopipe::apps::experiments::{run_fitness, stage_label, Arch, ExperimentConfig};
+use videopipe::apps::{run_fitness, stage_label, Arch, ExperimentConfig};
 
 fn main() {
     let config = ExperimentConfig::default()

@@ -7,8 +7,8 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use videopipe::apps::iot::{IotDevice, IotHub};
 use videopipe::apps::{fitness, gesture};
+use videopipe::apps::{IotDevice, IotHub};
 use videopipe::media::motion::ExerciseKind;
 use videopipe::sim::{Scenario, SimProfile};
 

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use videopipe::apps::iot::IotHub;
+use videopipe::apps::IotHub;
 use videopipe::apps::{fitness, gesture};
 use videopipe::media::motion::ExerciseKind;
 use videopipe::sim::{Scenario, SimProfile};

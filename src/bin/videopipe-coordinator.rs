@@ -13,7 +13,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use videopipe::cluster::coordinator::{run_coordinator, CoordinatorOpts};
+use videopipe::cluster::{run_coordinator, CoordinatorOpts};
 
 const USAGE: &str = "\
 videopipe-coordinator — fleet placement, failure detection, failover

@@ -12,7 +12,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use videopipe::cluster::node::{run_node, NodeOpts};
+use videopipe::cluster::{run_node, NodeOpts};
 
 const USAGE: &str = "\
 videopipe-node — fleet member hosting tenant pipelines

@@ -13,8 +13,8 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
-use videopipe::apps::experiments::{run_fitness, Arch, ExperimentConfig};
-use videopipe::apps::{fall, fitness, gesture, iot::IotHub, retail};
+use videopipe::apps::{fall, fitness, gesture, retail, IotHub};
+use videopipe::apps::{run_fitness, Arch, ExperimentConfig};
 use videopipe::core::deploy::{autoplace_pinned, estimate_latency, plan, Placement};
 use videopipe::core::prelude::*;
 use videopipe::core::runtime::EdgeTransport;
@@ -261,15 +261,13 @@ fn run_real(
     // Graceful shutdown: SIGTERM/SIGINT ends the run early through the
     // same drain path as the deadline — in-flight frames complete, every
     // module takes a final checkpoint, and senders close cleanly.
-    videopipe::cluster::signals::install_termination_handler();
+    videopipe::cluster::install_termination_handler();
     let deadline = std::time::Instant::now() + opts.duration;
-    while std::time::Instant::now() < deadline
-        && !videopipe::cluster::signals::termination_requested()
-    {
+    while std::time::Instant::now() < deadline && !videopipe::cluster::termination_requested() {
         let left = deadline.saturating_duration_since(std::time::Instant::now());
         std::thread::sleep(left.min(Duration::from_millis(50)));
     }
-    if videopipe::cluster::signals::termination_requested() {
+    if videopipe::cluster::termination_requested() {
         println!("signal received — draining pipelines...");
     }
     let report = runtime.finish().remove(0);

@@ -10,7 +10,7 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use videopipe::cluster::scenario::{ClusterScenario, Fault, LocalProcessRunner};
+use videopipe::cluster::{ClusterScenario, Fault, LocalProcessRunner};
 
 /// Serializes scenarios (see module docs).
 static GATE: Mutex<()> = Mutex::new(());

@@ -104,7 +104,7 @@ fn baseline_topology_also_runs_on_real_threads() {
 fn gesture_pipeline_toggles_the_light_on_real_threads() {
     use std::sync::Arc;
     use videopipe::apps::gesture;
-    use videopipe::apps::iot::IotHub;
+    use videopipe::apps::IotHub;
     use videopipe::media::motion::ExerciseKind;
 
     let hub = Arc::new(IotHub::new());

@@ -2,7 +2,7 @@
 //! (shorter runs than the benches, same calibrated profile).
 
 use std::time::Duration;
-use videopipe::apps::experiments::{run_fitness, run_fitness_and_gesture, Arch, ExperimentConfig};
+use videopipe::apps::{run_fitness, run_fitness_and_gesture, Arch, ExperimentConfig};
 use videopipe::sim::SimProfile;
 
 fn quick(fps: f64) -> ExperimentConfig {
