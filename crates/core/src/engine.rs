@@ -4,7 +4,7 @@
 //! `signal_source`) over one flow-control loop. This module owns all of it —
 //! the [`ModuleCtx`] implementation (breaker gate → cached transcode → retry
 //! loop → last-known-good), the module step, the service batch, the pacer's
-//! credit accounting, the SLO / heartbeat / telemetry tick bodies and the
+//! credit accounting, the SLO and heartbeat tick bodies and the
 //! deploy-time wiring — generic over the three-method [`Exec`] seam.
 //! [`ReactorRuntime`](crate::reactor::ReactorRuntime) decides *when* a step
 //! runs (scheduled tasks, timers) and lends its `Exec` for *how* a wait is
@@ -50,7 +50,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 use videopipe_media::{codec, FrameStore};
 use videopipe_net::tcp::{ReconnectPolicy, TcpSender};
-use videopipe_net::{BufferPool, InprocHub, MessageKind, MsgSender, PollEndpoint, WireMessage};
+use videopipe_net::{BufferPool, MessageKind, MsgSender, PollEndpoint, WireMessage};
 
 /// What the runtime lends the engine: how a message leaves, how a module
 /// waits for a reply, and how modeled time passes. Statically dispatched.
@@ -296,8 +296,6 @@ pub(crate) struct Shared {
     /// Source module names; the pacer ticks them, on the device of the
     /// first.
     pub(crate) sources: Vec<String>,
-    /// Telemetry's PUB/SUB hub; no pipeline channel is bound on it.
-    pub(crate) hub: InprocHub,
     /// Every channel of the pipeline, indexed by the id [`Layout`] gives it.
     channels: Vec<Arc<Channel>>,
     layout: Layout,
@@ -347,7 +345,7 @@ pub(crate) struct KnobActuators {
     pub(crate) sample_divisor: AtomicU32,
     /// Shedding factor applied after sampling (1 = keep everything).
     pub(crate) shed_one_in: AtomicU32,
-    /// Current lattice level, for telemetry and reports.
+    /// Current lattice level, for reports.
     pub(crate) level: AtomicUsize,
     /// Knob moves / direction reversals, mirrored from the controller.
     pub(crate) moves: AtomicU64,
@@ -470,7 +468,6 @@ impl Shared {
         let shared = Arc::new(Shared {
             pipeline,
             sources,
-            hub: InprocHub::new(),
             channels: (0..layout.len())
                 .map(|_| Arc::new(Channel::new()))
                 .collect(),
@@ -581,20 +578,22 @@ impl Shared {
         (scale > 0.0 && !modeled.is_zero()).then(|| modeled.mul_f64(scale / speed))
     }
 
+    /// The pipeline's metrics so far, with the run's duration stamped:
+    /// handed over at the end of the run (`last`), a copy taken under the
+    /// lock mid-run.
+    pub(crate) fn metrics_so_far(&self, last: bool) -> PipelineMetrics {
+        let run_duration_ns = self.now_ns();
+        let mut metrics = hand_over(&mut *self.metrics.lock(), last);
+        metrics.run_duration_ns = run_duration_ns;
+        metrics
+    }
+
     /// A report of the pipeline so far. At the end of the run (`last`) the
     /// metrics, log and error lines are handed over; a mid-run snapshot
     /// clones them, leaving them for the final report.
     pub(crate) fn report(&self, last: bool) -> RunReport {
-        fn hand_over<T: Clone + Default>(value: &mut T, last: bool) -> T {
-            if last {
-                std::mem::take(value)
-            } else {
-                value.clone()
-            }
-        }
-        let run_duration_ns = self.now_ns();
-        let mut metrics = hand_over(&mut *self.metrics.lock(), last);
-        metrics.run_duration_ns = run_duration_ns;
+        let metrics = self.metrics_so_far(last);
+        let run_duration_ns = metrics.run_duration_ns;
         let breakers = self
             .breakers
             .lock()
@@ -621,6 +620,16 @@ impl Shared {
             scheduler: Vec::new(),
             checkpoints: self.checkpoints.lock().clone(),
         }
+    }
+}
+
+/// `value` itself at the end of the run (`last`), leaving its default
+/// behind; a clone of it mid-run.
+fn hand_over<T: Clone + Default>(value: &mut T, last: bool) -> T {
+    if last {
+        std::mem::take(value)
+    } else {
+        value.clone()
     }
 }
 
@@ -1676,9 +1685,9 @@ impl Pacer {
 }
 
 /// One tick of the SLO feedback controller. It reads cumulative metrics
-/// (the same histograms telemetry publishes), diffs them into a window,
-/// and actuates the knob lattice through the shared atomics — never
-/// touching the per-frame path.
+/// (the same histograms `ReactorRuntime::metrics` returns), diffs them into
+/// a window, and actuates the knob lattice through the shared atomics —
+/// never touching the per-frame path.
 pub(crate) fn slo_tick(controller: &mut SloController, shared: &Shared) {
     let (hist, queue_max) = {
         let metrics = shared.metrics.lock();
@@ -1775,20 +1784,6 @@ impl HbMonitor {
     }
 }
 
-/// Publishes one telemetry snapshot (paper §7 monitoring).
-pub(crate) fn publish_telemetry(shared: &Shared) {
-    let mut snapshot = {
-        let metrics = shared.metrics.lock();
-        crate::telemetry::TelemetrySnapshot::from_metrics(
-            &shared.pipeline,
-            shared.now_ns(),
-            &metrics,
-        )
-    };
-    snapshot.slo_level = shared.knobs.level.load(Ordering::Relaxed) as u64;
-    snapshot.publish(&shared.hub);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1815,7 +1810,6 @@ mod tests {
         Arc::new(Shared {
             pipeline: "test".to_string(),
             sources: Vec::new(),
-            hub: InprocHub::new(),
             channels: (0..layout.len())
                 .map(|_| Arc::new(Channel::new()))
                 .collect(),

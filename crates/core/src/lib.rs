@@ -26,7 +26,8 @@
 //!   degradation policies that keep the §2.3 design from wedging when
 //!   services fail.
 //! * [`metrics`] — per-stage latency histograms and FPS accounting (the
-//!   exact quantities of Fig. 6 and Table 2).
+//!   exact quantities of Fig. 6 and Table 2), read mid-run through
+//!   [`ReactorRuntime::metrics`](reactor::ReactorRuntime::metrics).
 //! * [`reactor`] — the runtime: executes deployments for real, with
 //!   per-module isolation, transparent cross-device frame transcoding and
 //!   optional real-TCP cross-device transport. One worker pool sized to
@@ -40,8 +41,6 @@
 //! * [`slo`] — the per-pipeline SLO feedback controller: windowed-tail
 //!   observation over the metrics histograms, an ordered degradation knob
 //!   lattice, hysteresis and dwell.
-//! * `telemetry` — pipeline monitoring snapshots over PUB/SUB (the
-//!   paper's §7 future work).
 //!
 //! # Quickstart
 //!
@@ -75,7 +74,6 @@ pub mod runtime;
 pub mod service;
 pub mod slo;
 pub mod spec;
-mod telemetry;
 
 pub use error::PipelineError;
 

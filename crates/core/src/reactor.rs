@@ -23,10 +23,10 @@
 //!   from siblings (randomized victim sweep) as the escape valve under
 //!   imbalance, and local-queue overflow spills to a pair of global MPMC
 //!   queues visible to all.
-//! * **Worker-owned timers, not sleeps.** Pacer ticks, SLO/heartbeat/
-//!   telemetry intervals, checkpoint periods and *modeled service costs*
-//!   are exact nanosecond deadlines on the timer shard of the pipeline's
-//!   home worker. A worker fires its shard's due entries at the top of
+//! * **Worker-owned timers, not sleeps.** Pacer ticks, SLO and heartbeat
+//!   intervals, checkpoint periods and *modeled service costs* are exact
+//!   nanosecond deadlines on the timer shard of the pipeline's home
+//!   worker. A worker fires its shard's due entries at the top of
 //!   every scheduling step (one clock read, one atomic load) and, with
 //!   nothing to run, sleeps until its next deadline: a pacer goes from
 //!   "due" to "running" on one thread. Every reactor thread asks the
@@ -42,12 +42,13 @@
 //!   container busy until its deferred replies fire, and with every
 //!   container busy the host leaves requests queued — where they batch —
 //!   and re-arms itself for the first container to free up.
-//! * **Wait by helping.** [`ModuleCtx::call_service`] is synchronous by
-//!   contract. A module task waiting for a reply runs *other* ready tasks
-//!   inline instead of parking its worker. Helpers above a bounded depth
-//!   only run non-blocking tasks (service dispatch, pacers, watchers) —
-//!   and replies are always produced by non-blocking tasks, so the wait
-//!   always makes progress even with a single worker.
+//! * **Wait by helping.**
+//!   [`ModuleCtx::call_service`](crate::module::ModuleCtx::call_service) is
+//!   synchronous by contract. A module task waiting for a reply runs
+//!   *other* ready tasks inline instead of parking its worker. Helpers
+//!   above a bounded depth only run non-blocking tasks (service dispatch,
+//!   pacers, watchers) — and replies are always produced by non-blocking
+//!   tasks, so the wait always makes progress even with a single worker.
 //! * **One I/O thread.** TCP ingress is one thread turning one
 //!   [`Ingress`](videopipe_net::Ingress) — the readiness loop
 //!   `TcpListenerHandle` runs too — over the sockets of every
@@ -70,11 +71,11 @@ use crate::engine::{
     self, reply_route, Channel, Exec, HbMonitor, ModuleTask, Pacer, Route, ServiceHost, Shared,
 };
 use crate::error::PipelineError;
+use crate::metrics::PipelineMetrics;
 use crate::module::ModuleRegistry;
 use crate::runtime::{RunReport, RuntimeConfig};
 use crate::service::ServiceRegistry;
 use crate::slo::SloController;
-use crate::telemetry::TelemetryMonitor;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -1092,8 +1093,8 @@ impl TaskRunner for PacerRunner {
     }
 }
 
-/// A watcher (SLO controller, heartbeat sender, telemetry publisher) as a
-/// self-rearming timer task: runs `tick` each time `interval` has elapsed.
+/// A watcher (SLO controller, heartbeat sender) as a self-rearming timer
+/// task: runs `tick` each time `interval` has elapsed.
 struct IntervalRunner<F> {
     pipe: Arc<PipeRt>,
     interval: Duration,
@@ -1166,14 +1167,16 @@ pub struct ReactorRuntime {
     pipelines: Vec<Deployed>,
 }
 
-/// One deployed pipeline: the owner of its tasks, which own its modules,
-/// service hosts and routes. Dropping it frees all of that once the run
-/// queues and timers let go of the tasks they hold.
-struct Deployed {
-    pipe: Arc<PipeRt>,
-    /// Emptied by [`ReactorRuntime::stop_pipeline`], which takes `&self`:
-    /// hence the lock, which nothing else contends.
-    tasks: Mutex<Vec<Arc<Task>>>,
+/// One deployed pipeline. A live one owns its tasks, which own its modules,
+/// service hosts and routes: dropping them frees all of that once the run
+/// queues and timers let go of the tasks they hold. A stopped one keeps only
+/// its final report, boxed so that the live entries stay small.
+enum Deployed {
+    Live {
+        pipe: Arc<PipeRt>,
+        tasks: Vec<Arc<Task>>,
+    },
+    Stopped(Box<RunReport>),
 }
 
 impl ReactorRuntime {
@@ -1305,10 +1308,7 @@ impl ReactorRuntime {
         for task in &initial_wakes {
             self.core.wake(task);
         }
-        self.pipelines.push(Deployed {
-            pipe,
-            tasks: Mutex::new(tasks),
-        });
+        self.pipelines.push(Deployed::Live { pipe, tasks });
         Ok(pipeline_id)
     }
 
@@ -1401,10 +1401,6 @@ impl ReactorRuntime {
             inbox.set_consumer(&task);
             watchers.push(task);
         }
-        if let Some(interval) = shared.config.telemetry_interval {
-            let publish = |shared: &Shared, _: &ReactorExec<'_>| engine::publish_telemetry(shared);
-            watchers.push(Self::interval_task(pipe, interval, now + interval, publish));
-        }
 
         // --- Pacer task. Its first run fires the first camera tick
         // immediately.
@@ -1434,23 +1430,29 @@ impl ReactorRuntime {
         self.pipelines.len()
     }
 
+    /// Pipeline `id`'s shared state, while it is live.
     fn pipe(&self, id: usize) -> Option<&PipeRt> {
-        Some(&self.pipelines.get(id)?.pipe)
+        match self.pipelines.get(id)? {
+            Deployed::Live { pipe, .. } => Some(pipe),
+            Deployed::Stopped(_) => None,
+        }
     }
 
     /// Total frames delivered across every pipeline.
     pub fn deliveries(&self) -> u64 {
-        self.pipelines
-            .iter()
-            .map(|p| p.pipe.shared.deliveries.load(Ordering::Relaxed))
+        (0..self.pipelines.len())
+            .map(|id| self.deliveries_for(id))
             .sum()
     }
 
     /// Frames delivered by pipeline `id` (as returned by
     /// [`ReactorRuntime::add_pipeline`]).
     pub fn deliveries_for(&self, id: usize) -> u64 {
-        self.pipe(id)
-            .map_or(0, |p| p.shared.deliveries.load(Ordering::Relaxed))
+        match self.pipelines.get(id) {
+            Some(Deployed::Live { pipe, .. }) => pipe.shared.deliveries.load(Ordering::Relaxed),
+            Some(Deployed::Stopped(report)) => report.metrics.frames_delivered,
+            None => 0,
+        }
     }
 
     /// Live snapshot of the per-worker scheduler counters (tasks run,
@@ -1461,52 +1463,61 @@ impl ReactorRuntime {
     }
 
     /// The latest checkpoint taken for `module` on pipeline `id`, if any
-    /// (periodic while running; refreshed one last time by
-    /// [`ReactorRuntime::stop_pipeline`] and at shutdown).
+    /// (periodic while running; the final one once
+    /// [`ReactorRuntime::stop_pipeline`] has stopped it).
     pub fn checkpoint_for(&self, id: usize, module: &str) -> Option<Vec<u8>> {
-        let checkpoints = self.pipe(id)?.shared.checkpoints.lock();
-        checkpoints.get(module).cloned()
+        match self.pipelines.get(id)? {
+            Deployed::Live { pipe, .. } => pipe.shared.checkpoints.lock().get(module).cloned(),
+            Deployed::Stopped(report) => report.checkpoints.get(module).cloned(),
+        }
     }
 
-    /// Subscribes a telemetry monitor to pipeline `id` (snapshots flow only
-    /// when [`RuntimeConfig::telemetry_interval`] is set).
-    ///
-    /// # Errors
-    ///
-    /// An unknown `id`, or hub binding errors.
-    pub fn monitor(&self, id: usize) -> Result<TelemetryMonitor, PipelineError> {
-        let pipe = self
-            .pipe(id)
-            .ok_or_else(|| PipelineError::Deploy(format!("no pipeline {id}")))?;
-        TelemetryMonitor::subscribe(&pipe.shared.hub, &pipe.shared.pipeline)
+    /// Pipeline `id`'s metrics so far, with
+    /// [`run_duration_ns`](PipelineMetrics::run_duration_ns) stamped: a copy
+    /// taken under its metrics lock while it runs, its final counts once
+    /// [`ReactorRuntime::stop_pipeline`] has stopped it. `None` for an
+    /// unknown id. Rates, quantiles and stage means are derived from it as
+    /// from a final report's metrics.
+    pub fn metrics(&self, id: usize) -> Option<PipelineMetrics> {
+        match self.pipelines.get(id)? {
+            Deployed::Live { pipe, .. } => Some(pipe.shared.metrics_so_far(false)),
+            Deployed::Stopped(report) => Some(report.metrics.clone()),
+        }
     }
 
     /// Stops pipeline `id` mid-run without touching the rest of the fleet:
     /// sets its stop flag (every task runner checks it on entry),
     /// finalizes its tasks so pacer credit accounting flushes and each
-    /// checkpointing module takes one final snapshot, and lets go of them.
-    /// Its module instances, service hosts and routes are freed as soon as
-    /// no run queue or armed deadline holds their task any more (a stopped
-    /// task runs no more work and arms nothing). Its shared state stays:
-    /// [`ReactorRuntime::checkpoint_for`] still answers, and its report
-    /// remains collectable at
+    /// checkpointing module takes one final snapshot, takes its final
+    /// report and lets go of everything else. Its module instances, service
+    /// hosts, routes and shared state are freed as soon as no run queue or
+    /// armed deadline holds their task any more (a stopped task runs no
+    /// more work and arms nothing). The report answers
+    /// [`ReactorRuntime::metrics`], [`ReactorRuntime::checkpoint_for`] and
+    /// the delivery counts from then on, and is handed over by
     /// [`ReactorRuntime::finish`]. Returns `false` for unknown ids or
     /// pipelines already stopped.
-    pub fn stop_pipeline(&self, id: usize) -> bool {
-        let Some(deployed) = self.pipelines.get(id) else {
+    ///
+    /// In `Tcp` mode the I/O thread keeps the pipeline's ingress endpoints
+    /// registered, tagged with its shared state, so that state (and its
+    /// sockets) stays live until the runtime drops; deregistering them is
+    /// open (ROADMAP N5).
+    pub fn stop_pipeline(&mut self, id: usize) -> bool {
+        let Some(deployed) = self.pipelines.get_mut(id) else {
             return false;
         };
-        if deployed.pipe.shared.stop.swap(true, Ordering::SeqCst) {
+        let Deployed::Live { pipe, tasks } = deployed else {
             return false;
-        }
+        };
+        pipe.shared.stop.store(true, Ordering::SeqCst);
         // Locking each runner serializes with any in-flight quantum; once
         // the stop flag is set a queued task returns at entry without
         // touching its module instance, so the final snapshot taken here
         // cannot go stale.
-        let tasks = std::mem::take(&mut *deployed.tasks.lock());
-        for task in tasks {
+        for task in tasks.iter() {
             task.runner.lock().finalize();
         }
+        *deployed = Deployed::Stopped(Box::new(pipe.shared.report(true)));
         true
     }
 
@@ -1551,9 +1562,12 @@ impl ReactorRuntime {
         self.shutdown();
         let sched = self.core.scheduler_stats();
         self.pipelines
-            .iter()
+            .iter_mut()
             .map(|p| {
-                let mut report = p.pipe.shared.report(true);
+                let mut report = match p {
+                    Deployed::Live { pipe, .. } => pipe.shared.report(true),
+                    Deployed::Stopped(report) => std::mem::take(&mut **report),
+                };
                 report.scheduler = sched.clone();
                 report
             })
@@ -1563,7 +1577,9 @@ impl ReactorRuntime {
     fn shutdown(&mut self) {
         self.core.stop.store(true, Ordering::SeqCst);
         for p in &self.pipelines {
-            p.pipe.shared.stop.store(true, Ordering::SeqCst);
+            if let Deployed::Live { pipe, .. } = p {
+                pipe.shared.stop.store(true, Ordering::SeqCst);
+            }
         }
         for wq in &self.core.workers {
             wq.parker.unpark();
@@ -1577,8 +1593,10 @@ impl ReactorRuntime {
         // Finalize every task still deployed (pacers flush credit
         // accounting); a stopped pipeline's went when it stopped.
         for p in &self.pipelines {
-            for task in p.tasks.lock().iter() {
-                task.runner.lock().finalize();
+            if let Deployed::Live { tasks, .. } = p {
+                for task in tasks {
+                    task.runner.lock().finalize();
+                }
             }
         }
     }
@@ -1620,13 +1638,12 @@ impl ReactorRuntime {
         Some(self.pipe(id)?.shared.stores.get(device)?.stats())
     }
 
-    /// Collects a report for pipeline `id` from its live shared state
+    /// Collects a report for live pipeline `id` from its shared state
     /// (non-consuming: metrics, logs and errors are cloned and stay for the
-    /// final report; pair with
-    /// [`ReactorRuntime::stop_pipeline`] when retiring a single pipeline
-    /// from a long-lived runtime). Mid-run, this is where the failure
-    /// detector's device view, the fence epoch, the SLO level and the
-    /// restart count are read.
+    /// final report; `None` once [`ReactorRuntime::stop_pipeline`] has
+    /// taken that). Mid-run, this is where the failure detector's device
+    /// view, the fence epoch, the SLO level and the restart count are
+    /// read.
     pub(crate) fn report_for(&self, id: usize) -> Option<RunReport> {
         Some(self.pipe(id)?.shared.report(false))
     }
@@ -2440,19 +2457,8 @@ pub(crate) mod tests {
         let sibling = rt
             .add_pipeline(&plan("sibling"), &modules, &services, config())
             .unwrap();
-        let until = |id: usize, frames: u64| {
-            let start = Instant::now();
-            while rt.deliveries_for(id) < frames {
-                assert!(
-                    start.elapsed() < Duration::from_secs(10),
-                    "pipeline {id} stuck at {} frames",
-                    rt.deliveries_for(id)
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        };
-        until(stopped, 5);
-        until(sibling, 5);
+        until(&rt, stopped, 5);
+        until(&rt, sibling, 5);
         assert!(census.live() >= 3);
         assert!(rt.stop_pipeline(stopped));
         std::thread::sleep(period);
@@ -2465,19 +2471,131 @@ pub(crate) mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Its shared state stays: the live report and the final checkpoints.
-        let live = rt
-            .report_for(stopped)
-            .expect("a report for the stopped pipeline");
-        assert!(live.metrics.frames_delivered >= 5, "{:?}", live.metrics);
+        // Its final report stays: the metrics and the final checkpoints.
+        assert!(rt.report_for(stopped).is_none());
+        let kept = rt
+            .metrics(stopped)
+            .expect("metrics of the stopped pipeline");
+        assert!(kept.frames_delivered >= 5, "{kept:?}");
         assert!(rt.checkpoint_for(stopped, "mid").is_some());
         // The sibling keeps delivering.
-        until(sibling, rt.deliveries_for(sibling) + 5);
+        until(&rt, sibling, rt.deliveries_for(sibling) + 5);
         let reports = rt.finish();
         assert_eq!(reports.len(), 2);
         let last = &reports[stopped].metrics;
-        assert!(last.frames_delivered >= live.metrics.frames_delivered);
+        assert_eq!(last.frames_delivered, kept.frames_delivered);
         assert!(last.credits_balanced(), "{last:?}");
+    }
+
+    /// Waits (at most 10 s) until pipeline `id` has delivered `frames`.
+    fn until(rt: &ReactorRuntime, id: usize, frames: u64) {
+        let start = Instant::now();
+        while rt.deliveries_for(id) < frames {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "pipeline {id} stuck at {} frames",
+                rt.deliveries_for(id)
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn metrics_of_an_unknown_id_is_none_and_of_a_stopped_id_its_final_counts() {
+        let (modules, services) = registries();
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        let config = RuntimeConfig {
+            fps: 200.0,
+            ..RuntimeConfig::default()
+        };
+        let id = rt
+            .add_pipeline(&single_device_plan("final"), &modules, &services, config)
+            .unwrap();
+        assert!(rt.metrics(id + 1).is_none());
+        until(&rt, id, 5);
+        assert!(rt.stop_pipeline(id));
+        let kept = rt.metrics(id).expect("metrics of the stopped pipeline");
+        assert_eq!(kept.frames_delivered, rt.deliveries_for(id));
+        assert!(kept.frames_delivered >= 5 && kept.stages["sink"].count() >= 5);
+        // Frozen: a later read returns the same counts and duration.
+        std::thread::sleep(Duration::from_millis(20));
+        let again = rt.metrics(id).unwrap();
+        assert_eq!(again.frames_delivered, kept.frames_delivered);
+        assert_eq!(again.run_duration_ns, kept.run_duration_ns);
+        assert!(rt.metrics(id + 1).is_none());
+        let last = rt.finish().remove(0);
+        assert_eq!(last.metrics.frames_delivered, kept.frames_delivered);
+        assert_eq!(last.metrics.run_duration_ns, kept.run_duration_ns);
+        assert!(last.metrics.credits_balanced(), "{:?}", last.metrics);
+    }
+
+    #[test]
+    fn pubsub_delivery() {
+        /// Fails every frame: its pipeline delivers nothing and calls no
+        /// service.
+        struct Refuse;
+        impl Module for Refuse {
+            fn on_event(
+                &mut self,
+                event: Event,
+                _: &mut dyn ModuleCtx,
+            ) -> Result<(), PipelineError> {
+                match event {
+                    Event::Message(_) => Err(PipelineError::BadPayload("refused")),
+                    _ => Ok(()),
+                }
+            }
+        }
+        let (modules, services) = registries();
+        let (mut refusing, _) = registries();
+        refusing.register("TestMid", || Box::new(Refuse));
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        let config = || RuntimeConfig {
+            fps: 200.0,
+            ..RuntimeConfig::default()
+        };
+        let fitness = rt
+            .add_pipeline(
+                &single_device_plan("fitness"),
+                &modules,
+                &services,
+                config(),
+            )
+            .unwrap();
+        let gesture = rt
+            .add_pipeline(
+                &single_device_plan("gesture"),
+                &refusing,
+                &services,
+                config(),
+            )
+            .unwrap();
+        until(&rt, fitness, 5);
+        let start = Instant::now();
+        while rt.metrics(gesture).unwrap().stages["mid"].count() == 0 {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "gesture saw no frame"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // No cross-talk: each id reads its own pipeline's metrics.
+        let (ours, theirs) = (rt.metrics(fitness).unwrap(), rt.metrics(gesture).unwrap());
+        assert!(ours.frames_delivered >= 5);
+        assert!(ours.dispatch["one/doubler"].requests >= 5);
+        assert!(ours.stages["sink"].count() >= 5);
+        assert_eq!(theirs.frames_delivered, 0);
+        assert_eq!(theirs.stages["sink"].count(), 0);
+        assert_eq!(
+            theirs.dispatch.get("one/doubler").map_or(0, |d| d.requests),
+            0
+        );
     }
 
     #[test]

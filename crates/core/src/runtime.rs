@@ -79,10 +79,6 @@ pub struct RuntimeConfig {
     pub codec_quality: codec::Quality,
     /// Cross-device transport.
     pub transport: EdgeTransport,
-    /// When set, a telemetry watcher publishes
-    /// [`TelemetrySnapshot`](crate::telemetry::TelemetrySnapshot)s at this
-    /// interval on the `telemetry/<pipeline>` topic.
-    pub telemetry_interval: Option<Duration>,
     /// Resilience behaviour: retries, per-call deadlines, circuit breakers,
     /// degradation and the flow-control credit lease. The default disables
     /// everything but the (30 s) deadline.
@@ -98,7 +94,7 @@ pub struct RuntimeConfig {
     /// the health layer entirely and preserves seed behaviour.
     pub heartbeats: Option<HealthConfig>,
     /// Interval at which module state is snapshotted
-    /// ([`Module::snapshot`]) into the runtime's checkpoint store, so a
+    /// ([`Module::snapshot`](crate::module::Module::snapshot)) into the runtime's checkpoint store, so a
     /// supervised restart resumes near where the old instance died.
     /// `None` (the default) disables checkpointing.
     pub checkpoint_period: Option<Duration>,
@@ -169,7 +165,6 @@ impl Default for RuntimeConfig {
             time_scale: 0.0,
             codec_quality: codec::Quality::default(),
             transport: EdgeTransport::Inproc,
-            telemetry_interval: None,
             resilience: ResilienceConfig::default(),
             batch: BatchConfig::disabled(),
             heartbeats: None,
@@ -181,7 +176,7 @@ impl Default for RuntimeConfig {
 }
 
 /// The outcome of a runtime run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RunReport {
     /// Collected metrics.
     pub metrics: PipelineMetrics,
@@ -691,26 +686,26 @@ mod tests {
         let (modules, services) = registries();
         let config = RuntimeConfig {
             fps: 200.0,
-            telemetry_interval: Some(Duration::from_millis(40)),
             ..RuntimeConfig::default()
         };
         let runtime = start(&plan, &modules, &services, config).unwrap();
-        let mut monitor = runtime.monitor(0).unwrap();
-        let report = run_for(runtime, Duration::from_millis(400));
+        // A monitor samples the metrics while the pipeline runs.
+        let mut history = Vec::new();
+        for _ in 0..4 {
+            std::thread::sleep(Duration::from_millis(60));
+            history.push(runtime.metrics(0).expect("pipeline 0"));
+        }
+        let report = runtime.finish().remove(0);
         assert!(report.errors.is_empty(), "{:?}", report.errors);
-        let received = monitor.poll();
-        assert!(received >= 2, "only {received} snapshots");
-        let latest = monitor.latest().unwrap();
-        assert_eq!(latest.pipeline, "test");
+        let latest = history.last().unwrap();
         assert!(latest.frames_delivered > 0);
-        // Only stages that have run appear, so "mid" had samples.
-        assert!(latest.stage_means_ms.contains_key("mid"));
-        // Snapshots are monotone in time and delivered count.
-        let history = monitor.history();
+        assert!(latest.stages["mid"].count() > 0);
+        // Samples are monotone in time and delivered count.
         for pair in history.windows(2) {
-            assert!(pair[1].at_ns >= pair[0].at_ns);
+            assert!(pair[1].run_duration_ns > pair[0].run_duration_ns);
             assert!(pair[1].frames_delivered >= pair[0].frames_delivered);
         }
+        assert!(report.metrics.frames_delivered >= latest.frames_delivered);
     }
 
     #[test]
@@ -1570,7 +1565,7 @@ mod tests {
     #[test]
     fn teardown_wakes_interval_parked_watchers_promptly() {
         // Watchers wait out their FULL interval on a timer. With
-        // multi-second heartbeat/SLO/telemetry intervals, teardown must
+        // multi-second heartbeat/SLO intervals, teardown must
         // still take milliseconds, not an interval.
         let devices = vec![DeviceSpec::new("one", 1.0)
             .with_containers(2)
@@ -1584,7 +1579,6 @@ mod tests {
         let long = Duration::from_secs(30);
         let config = RuntimeConfig {
             fps: 100.0,
-            telemetry_interval: Some(long),
             heartbeats: Some(HealthConfig {
                 heartbeat_interval: long,
                 lease: long * 4,

@@ -17,6 +17,14 @@
 //! gone. A second round deploys the same fleet and drops the runtime
 //! without `finish()`, which must free it all the same.
 //!
+//! A third round deploys the fleet again and stops every relay with
+//! `stop_pipeline`. 300 ms later — every deadline a stopped task had armed
+//! has fired — the live bytes the fleet added, divided by 200, are what one
+//! stopped relay keeps: its final report, held for `metrics`,
+//! `checkpoint_for` and `finish()`, and nothing else ([`STOPPED_CEILING`]).
+//! After `finish()` and its reports, this round too must leave no more than
+//! [`LEFT_CEILING`].
+//!
 //! Readings (x86-64 Linux, debug build; they repeat to within a few bytes):
 //!
 //! | code                                                  | B per pipeline | B per report |
@@ -28,11 +36,17 @@
 //! | task and per channel, metrics handed over at the end  |                |              |
 //! | the runtime owns its tasks (no task table, no ids), a |          9 522 |          735 |
 //! | channel names its consumer by a `Weak`                |                |              |
+//! | no telemetry hub per pipeline                         |          9 317 |          735 |
 //!
 //! The ceilings are the second row plus 10 %. Before the runtime owned its
 //! tasks (a channel held its consumer, whose runner held the channel), this
 //! fleet left 1 487 890 B live after `finish()` and its reports were
 //! dropped, and 1 863 290 B after a plain drop.
+//!
+//! | code                                                  | B per stopped relay |
+//! |-------------------------------------------------------|--------------------:|
+//! | a stopped pipeline keeps its whole shared state       |               7 761 |
+//! | a stopped pipeline keeps only its final report        |               2 598 |
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -117,6 +131,9 @@ const REPORT_CEILING: i64 = 810;
 /// Live heap bytes a finished or dropped runtime may leave behind, for the
 /// whole fleet.
 const LEFT_CEILING: i64 = 1024;
+
+/// Live heap bytes a stopped relay may keep: its final report.
+const STOPPED_CEILING: i64 = 3000;
 
 const PIPELINES: usize = 200;
 
@@ -260,10 +277,31 @@ fn a_deployed_relay_and_its_final_report_stay_under_their_ceilings() {
     drop(rt);
     let after_drop = LIVE.load(Ordering::Relaxed) - at_start;
 
+    // Third round: every relay stopped mid-run. Once the deadlines their
+    // tasks had armed have fired (a tick is 100 ms), each keeps only its
+    // final report.
+    let at_start = LIVE.load(Ordering::Relaxed);
+    let mut rt = one_worker();
+    let before = LIVE.load(Ordering::Relaxed);
+    deploy_fleet(&mut rt, &plans, &modules, &services);
+    for id in 0..PIPELINES {
+        assert!(rt.stop_pipeline(id));
+    }
+    std::thread::sleep(Duration::from_millis(300));
+    let per_stopped = (LIVE.load(Ordering::Relaxed) - before) / PIPELINES as i64;
+    let reports = rt.finish();
+    assert!(reports.iter().all(|r| r.metrics.frames_delivered > 0));
+    drop(reports);
+    let after_stop = LIVE.load(Ordering::Relaxed) - at_start;
+
     println!("{per_pipeline} live heap bytes per relay pipeline, {per_report} added per report");
     println!(
         "{after_finish} live heap bytes left by {PIPELINES} relays after finish() and their \
          reports, {after_drop} after a plain drop"
+    );
+    println!(
+        "{per_stopped} live heap bytes per stopped relay, {after_stop} left after stopping \
+         {PIPELINES} relays, finish() and their reports"
     );
     assert!(
         per_pipeline <= PIPELINE_CEILING,
@@ -273,7 +311,15 @@ fn a_deployed_relay_and_its_final_report_stay_under_their_ceilings() {
         per_report <= REPORT_CEILING,
         "{per_report} B per report, ceiling {REPORT_CEILING}"
     );
-    for (left, how) in [(after_finish, "finish()"), (after_drop, "a plain drop")] {
+    assert!(
+        per_stopped <= STOPPED_CEILING,
+        "{per_stopped} B per stopped relay, ceiling {STOPPED_CEILING}"
+    );
+    for (left, how) in [
+        (after_finish, "finish()"),
+        (after_drop, "a plain drop"),
+        (after_stop, "stop_pipeline() and finish()"),
+    ] {
         assert!(
             left <= LEFT_CEILING,
             "{left} B still live after {how}, ceiling {LEFT_CEILING}"

@@ -14,22 +14,13 @@ use std::time::Duration;
 /// [`bind`](InprocHub::bind) per name, any number of
 /// [`connect`](InprocHub::connect)s, and the bound [`InprocReceiver`] can be
 /// cloned into additional competing consumers (each message is delivered to
-/// exactly one of them). Topics fan a message out to every subscriber
-/// ([`publish`](InprocHub::publish)). A connect looks the name up under the
-/// hub's lock, so a hot path connects once and keeps the sender: the core
-/// runtime resolves its pipelines' channels at deploy and routes no message
-/// through a hub; it keeps one per pipeline for telemetry PUB/SUB.
+/// exactly one of them). A connect looks the name up under the hub's lock,
+/// so a hot path connects once and keeps the sender: the core runtime
+/// resolves its pipelines' channels at deploy and uses no hub.
 #[derive(Clone, Default)]
 pub struct InprocHub {
-    inner: Arc<Mutex<HubInner>>,
-}
-
-#[derive(Default)]
-struct HubInner {
     /// Channel name → sender side (the receiver was handed out at bind).
-    channels: HashMap<String, Sender<WireMessage>>,
-    /// Topic → subscriber channel names.
-    subscriptions: HashMap<String, Vec<String>>,
+    channels: Arc<Mutex<HashMap<String, Sender<WireMessage>>>>,
 }
 
 impl InprocHub {
@@ -44,12 +35,12 @@ impl InprocHub {
     ///
     /// Returns [`NetError::AlreadyBound`] if the name is taken.
     pub fn bind(&self, name: &str) -> Result<InprocReceiver, NetError> {
-        let mut inner = self.inner.lock();
-        if inner.channels.contains_key(name) {
+        let mut channels = self.channels.lock();
+        if channels.contains_key(name) {
             return Err(NetError::AlreadyBound(name.to_string()));
         }
         let (tx, rx) = unbounded();
-        inner.channels.insert(name.to_string(), tx);
+        channels.insert(name.to_string(), tx);
         Ok(InprocReceiver {
             name: name.to_string(),
             rx,
@@ -62,9 +53,9 @@ impl InprocHub {
     ///
     /// Returns [`NetError::NotBound`] if nothing bound the name yet.
     pub fn connect(&self, name: &str) -> Result<InprocSender, NetError> {
-        let inner = self.inner.lock();
-        let tx = inner
+        let tx = self
             .channels
+            .lock()
             .get(name)
             .ok_or_else(|| NetError::NotBound(name.to_string()))?
             .clone();
@@ -73,50 +64,12 @@ impl InprocHub {
             tx,
         })
     }
-
-    /// Subscribes the bound channel `subscriber` to `topic` (PUB/SUB).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NotBound`] if `subscriber` is not a bound
-    /// channel.
-    pub fn subscribe(&self, topic: &str, subscriber: &str) -> Result<(), NetError> {
-        let mut inner = self.inner.lock();
-        if !inner.channels.contains_key(subscriber) {
-            return Err(NetError::NotBound(subscriber.to_string()));
-        }
-        let subs = inner.subscriptions.entry(topic.to_string()).or_default();
-        if !subs.iter().any(|s| s == subscriber) {
-            subs.push(subscriber.to_string());
-        }
-        Ok(())
-    }
-
-    /// Publishes `msg` to every subscriber of `msg.channel` (interpreted as
-    /// the topic). Returns how many subscribers received it.
-    pub fn publish(&self, msg: &WireMessage) -> usize {
-        let inner = self.inner.lock();
-        let Some(subs) = inner.subscriptions.get(&msg.channel) else {
-            return 0;
-        };
-        let mut delivered = 0;
-        for sub in subs {
-            if let Some(tx) = inner.channels.get(sub) {
-                if tx.send(msg.clone()).is_ok() {
-                    delivered += 1;
-                }
-            }
-        }
-        delivered
-    }
 }
 
 impl fmt::Debug for InprocHub {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("InprocHub")
-            .field("channels", &inner.channels.len())
-            .field("topics", &inner.subscriptions.len())
+            .field("channels", &self.channels.lock().len())
             .finish()
     }
 }
@@ -127,8 +80,6 @@ pub struct InprocSender {
     name: String,
     tx: Sender<WireMessage>,
 }
-
-impl InprocSender {}
 
 impl fmt::Debug for InprocSender {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -148,14 +99,12 @@ impl MsgSender for InprocSender {
 ///
 /// Cloning produces another *competing* consumer on the same queue: every
 /// message goes to exactly one clone (MPMC work sharing), not to all of
-/// them. Use [`InprocHub::subscribe`] for fan-out semantics instead.
+/// them.
 #[derive(Clone)]
 pub struct InprocReceiver {
     name: String,
     rx: Receiver<WireMessage>,
 }
-
-impl InprocReceiver {}
 
 impl fmt::Debug for InprocReceiver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -190,28 +139,17 @@ impl MsgReceiver for InprocReceiver {
 impl InprocHub {
     /// Removes a binding (subsequent sends fail with disconnect).
     pub(crate) fn unbind(&self, name: &str) {
-        let mut inner = self.inner.lock();
-        inner.channels.remove(name);
-        for subs in inner.subscriptions.values_mut() {
-            subs.retain(|s| s != name);
-        }
+        self.channels.lock().remove(name);
     }
 
     /// Whether `name` is currently bound.
     pub(crate) fn is_bound(&self, name: &str) -> bool {
-        self.inner.lock().channels.contains_key(name)
-    }
-
-    /// Unsubscribes `subscriber` from `topic`.
-    pub(crate) fn unsubscribe(&self, topic: &str, subscriber: &str) {
-        if let Some(subs) = self.inner.lock().subscriptions.get_mut(topic) {
-            subs.retain(|s| s != subscriber);
-        }
+        self.channels.lock().contains_key(name)
     }
 
     /// Number of bound channels.
     pub(crate) fn len(&self) -> usize {
-        self.inner.lock().channels.len()
+        self.channels.lock().len()
     }
 }
 
@@ -228,11 +166,6 @@ impl InprocReceiver {
     /// The bound channel name.
     pub(crate) fn channel(&self) -> &str {
         &self.name
-    }
-
-    /// Number of messages waiting.
-    pub(crate) fn pending(&self) -> usize {
-        self.rx.len()
     }
 }
 
@@ -305,49 +238,6 @@ mod tests {
         assert!(!hub.is_bound("a"));
         drop(rx);
         assert!(matches!(tx.send(msg("a", 1)), Err(NetError::Disconnected)));
-    }
-
-    #[test]
-    fn pubsub_delivers_to_all_subscribers() {
-        let hub = InprocHub::new();
-        let rx1 = hub.bind("sub1").unwrap();
-        let rx2 = hub.bind("sub2").unwrap();
-        hub.subscribe("frames", "sub1").unwrap();
-        hub.subscribe("frames", "sub2").unwrap();
-        let delivered = hub.publish(&msg("frames", 9));
-        assert_eq!(delivered, 2);
-        assert_eq!(rx1.recv().unwrap().seq, 9);
-        assert_eq!(rx2.recv().unwrap().seq, 9);
-    }
-
-    #[test]
-    fn pubsub_topic_isolation_and_unsubscribe() {
-        let hub = InprocHub::new();
-        let rx = hub.bind("sub").unwrap();
-        hub.subscribe("topic_a", "sub").unwrap();
-        assert_eq!(hub.publish(&msg("topic_b", 1)), 0);
-        hub.unsubscribe("topic_a", "sub");
-        assert_eq!(hub.publish(&msg("topic_a", 2)), 0);
-        assert!(matches!(rx.try_recv(), Err(NetError::WouldBlock)));
-    }
-
-    #[test]
-    fn subscribe_requires_bound_channel() {
-        let hub = InprocHub::new();
-        assert!(matches!(
-            hub.subscribe("t", "ghost"),
-            Err(NetError::NotBound(_))
-        ));
-    }
-
-    #[test]
-    fn duplicate_subscribe_is_idempotent() {
-        let hub = InprocHub::new();
-        let rx = hub.bind("s").unwrap();
-        hub.subscribe("t", "s").unwrap();
-        hub.subscribe("t", "s").unwrap();
-        assert_eq!(hub.publish(&msg("t", 1)), 1);
-        assert_eq!(rx.pending(), 1);
     }
 
     #[test]

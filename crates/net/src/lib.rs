@@ -9,8 +9,7 @@
 //!   id, sequence, timestamp, payload bytes) with a hand-written codec.
 //! * [`Endpoint`] — endpoint strings exactly as they appear in the paper's
 //!   pipeline configuration (`"bind#tcp://*:5861"`), plus `inproc://`.
-//! * [`InprocHub`] — named in-process channels and PUB/SUB topics
-//!   (crossbeam-backed).
+//! * [`InprocHub`] — named in-process channels (crossbeam-backed).
 //! * [`tcp`] — a real TCP transport with length-prefixed framing for
 //!   cross-device edges, with one way in and one way out: every receiver
 //!   is a [`PollEndpoint`] on an [`Ingress`] readiness loop (the reactor's
@@ -20,7 +19,7 @@
 //!   types of their own: PUSH/PULL is an [`InprocHub`] channel or a
 //!   `TcpSender` → `PollEndpoint` edge, REQ/REP is
 //!   [`WireMessage::request`] / [`WireMessage::response_to`] matched by
-//!   correlation id in the runtime, PUB/SUB is [`InprocHub::publish`].
+//!   correlation id in the runtime.
 //! * `broker` — a deliberately *brokered* relay used only as the ablation
 //!   baseline that quantifies the paper's extra-hop claim.
 //! * [`Poller`] — readiness waiting (`epoll` + `eventfd` on Linux) under

@@ -1,11 +1,10 @@
-//! Live pipeline monitoring (the paper's §7 future work): the runtime
-//! publishes telemetry snapshots over PUB/SUB while the fitness pipeline
-//! runs on real threads; a monitor subscribes and prints a dashboard line
-//! per snapshot.
+//! Live pipeline monitoring (the paper's §7 future work): while the
+//! fitness pipeline runs on the reactor, a monitor reads its metrics every
+//! 250 ms, keeps the history itself and prints a dashboard line per read.
 //!
 //! Run with `cargo run --release --example monitoring`.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use videopipe::apps::fitness;
 use videopipe::core::prelude::*;
 
@@ -17,38 +16,42 @@ fn main() -> Result<(), PipelineError> {
         &fitness::service_registry(2),
         RuntimeConfig {
             fps: 60.0,
-            telemetry_interval: Some(Duration::from_millis(250)),
             ..RuntimeConfig::default()
         },
     )?;
-    let mut monitor = runtime.monitor(id)?;
 
-    println!("fitness pipeline running on real threads; telemetry every 250 ms:\n");
-    let report = {
-        // Poll the monitor while the pipeline runs.
-        let deadline = std::time::Instant::now() + Duration::from_secs(3);
-        while std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(100));
-            if monitor.poll() > 0 {
-                if let Some(snapshot) = monitor.latest() {
-                    println!("  {snapshot}");
-                }
-            }
-        }
-        runtime.finish().remove(id)
-    };
+    println!("fitness pipeline running on the reactor; metrics read every 250 ms:\n");
+    let mut history: Vec<PipelineMetrics> = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(3);
+    while Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(250));
+        let metrics = runtime.metrics(id).expect("deployed above");
+        println!(
+            "  t={:.2}s {} delivered, {} dropped, {:.2} fps, p50 {:.1} ms, p99 {:.1} ms",
+            metrics.run_duration_ns as f64 / 1e9,
+            metrics.frames_delivered,
+            metrics.frames_dropped,
+            metrics.fps(),
+            metrics.end_to_end.quantile_ns(0.5) as f64 / 1e6,
+            metrics.end_to_end.quantile_ns(0.99) as f64 / 1e6,
+        );
+        history.push(metrics);
+    }
+    let report = runtime.finish().remove(id);
 
     println!(
-        "\nfinal: {} snapshots observed; {} frames delivered at {:.1} fps",
-        monitor.history().len(),
+        "\nfinal: {} reads; {} frames delivered at {:.1} fps",
+        history.len(),
         report.metrics.frames_delivered,
         report.metrics.fps()
     );
-    // Per-stage means from the last snapshot (what a dashboard would plot).
-    if let Some(last) = monitor.latest() {
-        println!("last snapshot per-stage means:");
-        for (stage, ms) in &last.stage_means_ms {
-            println!("  {stage:<22} {ms:>7.2} ms");
+    // Per-stage means from the last read (what a dashboard would plot).
+    if let Some(last) = history.last() {
+        println!("last read per-stage means:");
+        for (stage, latency) in &last.stages {
+            if latency.count() > 0 {
+                println!("  {stage:<22} {:>7.2} ms", latency.mean_ms());
+            }
         }
     }
     Ok(())
