@@ -911,16 +911,12 @@ total (end-to-end)                 8.00       8.00       8.00          1
     }
 
     #[test]
-    fn tail_latency_queue_depth_and_batch_means_derive_from_metrics() {
+    fn tail_latency_and_queue_depth_derive_from_metrics() {
         let mut m = PipelineMetrics::new();
         for ms in [10u64, 12, 90] {
             m.record_delivery(ms, ms * 1_000_000);
         }
         m.record_dispatch("edge/pose", 1_000_000, 11);
-        m.record_dispatch_batch("edge/pose_detector", 5_000_000, 6, 4);
-        m.record_dispatch_batch("edge/pose_detector", 5_000_000, 0, 2);
-        // Registered at deploy, never dispatched.
-        m.dispatch.slot("edge/idle");
         let (p50, p99) = (
             m.end_to_end.quantile_ns(0.5),
             m.end_to_end.quantile_ns(0.99),
@@ -928,17 +924,23 @@ total (end-to-end)                 8.00       8.00       8.00          1
         assert!(p99 >= p50 && p50 > 0, "p50 {p50} p99 {p99}");
         let deepest = m.dispatch.values().map(|s| s.max_queue_depth).max();
         assert_eq!(deepest, Some(11));
-        // Only hosts that dispatched a batch have a mean batch size.
+    }
+
+    #[test]
+    fn batch_means_only_for_hosts_that_dispatched() {
+        let mut m = PipelineMetrics::new();
+        m.record_delivery(0, 1_000_000);
+        m.record_dispatch_batch("edge/pose_detector", 5_000_000, 6, 4);
+        m.record_dispatch_batch("edge/pose_detector", 5_000_000, 0, 2);
+        // Registered at deploy, never dispatched.
+        m.dispatch.slot("edge/idle");
         let batch_means: Vec<(&str, f64)> = m
             .dispatch
             .iter()
             .filter(|(_, s)| s.batches > 0)
             .map(|(host, s)| (host.as_str(), s.mean_batch()))
             .collect();
-        assert_eq!(
-            batch_means,
-            [("edge/pose", 1.0), ("edge/pose_detector", 3.0)]
-        );
+        assert_eq!(batch_means, [("edge/pose_detector", 3.0)]);
         assert_eq!(m.dispatch["edge/idle"].mean_batch(), 0.0);
     }
 
