@@ -37,14 +37,17 @@ use videopipe_core::deploy::{
 };
 use videopipe_core::health::{DeviceStatus, FailureDetector, HealthConfig};
 use videopipe_net::control::ControlMsg;
-use videopipe_net::tcp::{ReconnectPolicy, TcpListenerHandle, TcpSender};
-use videopipe_net::{MsgReceiver, MsgSender, WireMessage};
+use videopipe_net::tcp::{ReconnectPolicy, TcpSender};
+use videopipe_net::{Ingress, MsgSender, NetError, WireMessage};
 
+use crate::bind_control;
 use crate::ring::HashRing;
 use crate::signals;
 use crate::status::StatusFile;
 use crate::workload::{tenant_spec, SINK_MODULE, SRC_MODULE};
 
+/// Cadence of the liveness, placement and stuck-move sweeps.
+const SWEEP_INTERVAL: Duration = Duration::from_millis(20);
 /// On shutdown, the listener counts as drained after this long without a
 /// frame…
 const DRAIN_QUIET: Duration = Duration::from_millis(100);
@@ -139,7 +142,8 @@ struct FailoverEvent {
 struct Coordinator {
     opts: CoordinatorOpts,
     started: Instant,
-    listener: TcpListenerHandle,
+    /// The control listener's bound port, published in the status file.
+    control_port: u16,
     status: StatusFile,
     detector: FailureDetector,
     nodes: BTreeMap<String, NodeState>,
@@ -158,11 +162,11 @@ struct Coordinator {
 ///
 /// # Errors
 ///
-/// Returns an error string when the listener cannot bind or the status
-/// file cannot be written at startup.
+/// Returns an error string when the listener cannot bind, the status file
+/// cannot be written at startup or waiting on the listener fails.
 pub fn run_coordinator(opts: &CoordinatorOpts) -> Result<usize, String> {
     signals::install_termination_handler();
-    let listener = TcpListenerHandle::bind(&opts.listen)
+    let (mut ingress, control_port) = bind_control(&opts.listen)
         .map_err(|e| format!("coordinator: bind {}: {e}", opts.listen))?;
     let status = StatusFile::new(&opts.status_path);
     let detector = FailureDetector::new(HealthConfig {
@@ -171,25 +175,26 @@ pub fn run_coordinator(opts: &CoordinatorOpts) -> Result<usize, String> {
         suspicion_threshold: 1,
         confirmation_threshold: opts.confirmation_threshold,
     });
-    let mut c = Coordinator::new(opts, listener, status, detector);
+    let mut c = Coordinator::new(opts, control_port, status, detector);
     // Publish the bound port immediately: the harness reads it to point
     // the nodes here.
     c.write_status()
         .map_err(|e| format!("coordinator: status: {e}"))?;
-    c.run(signals::termination_requested);
+    c.run(&mut ingress, signals::termination_requested)
+        .map_err(|e| format!("coordinator: control listener: {e}"))?;
     Ok(c.failovers.len())
 }
 
 impl Coordinator {
     fn new(
         opts: &CoordinatorOpts,
-        listener: TcpListenerHandle,
+        control_port: u16,
         status: StatusFile,
         detector: FailureDetector,
     ) -> Self {
         Coordinator {
             started: Instant::now(),
-            listener,
+            control_port,
             status,
             detector,
             nodes: BTreeMap::new(),
@@ -227,51 +232,60 @@ impl Coordinator {
         u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// The control loop, until `stop` says so or `run_for` passes.
-    fn run(&mut self, stop: impl Fn() -> bool) {
-        let mut next_status = Instant::now();
+    /// The control loop over `ingress`, until `stop` says so or `run_for`
+    /// passes. It sleeps in [`Ingress::turn`] until a frame arrives or the
+    /// next sweep, status write or `run_for` is due; the sweep and status
+    /// deadlines step on fixed grids from the start, so with the default
+    /// 100 ms status cadence every status write shares a sweep's wake-up.
+    /// A termination signal ends the wait early (`EINTR`).
+    ///
+    /// # Errors
+    ///
+    /// A failed wait on `ingress`; the final status is written first.
+    fn run(&mut self, ingress: &mut Ingress<()>, stop: impl Fn() -> bool) -> Result<(), NetError> {
+        let end = self.opts.run_for.map(|limit| self.started + limit);
         let mut next_sweep = Instant::now();
-        loop {
+        let mut next_status = next_sweep;
+        let result = loop {
             if stop() {
                 // Nodes drain before the coordinator is told to stop, so
                 // their final reports and `Bye`s may still be in flight.
-                self.drain_listener();
-                break;
-            }
-            if let Some(limit) = self.opts.run_for {
-                if self.started.elapsed() >= limit {
-                    break;
-                }
-            }
-            match self.listener.recv_timeout(Duration::from_millis(5)) {
-                Ok(frame) => self.handle_frame(&frame),
-                Err(videopipe_net::NetError::Timeout) => {}
-                Err(_) => std::thread::sleep(Duration::from_millis(2)),
+                break self.drain(ingress);
             }
             let now = Instant::now();
-            if now >= next_sweep {
-                next_sweep = now + Duration::from_millis(20);
+            if end.is_some_and(|end| now >= end) {
+                break Ok(());
+            }
+            if step(&mut next_sweep, SWEEP_INTERVAL, now) {
                 self.maybe_initial_deploy();
                 self.sweep_liveness();
                 self.sweep_stuck_moves();
             }
-            if now >= next_status {
-                next_status = now + self.opts.status_interval;
+            if step(&mut next_status, self.opts.status_interval, now) {
                 let _ = self.write_status();
             }
-        }
+            let until = end.into_iter().chain([next_sweep, next_status]).min();
+            if let Err(e) = ingress.turn(until, |_, frame| self.handle_frame(&frame)) {
+                break Err(e);
+            }
+        };
         // Final snapshot so the harness reads end-of-run truth.
         let _ = self.write_status();
+        result
     }
 
-    /// Handles what the listener holds or still receives, until it has
-    /// been quiet for [`DRAIN_QUIET`] or [`DRAIN_CAP`] has passed.
-    fn drain_listener(&mut self) {
+    /// Handles what `ingress` holds or still receives, until it has been
+    /// quiet for [`DRAIN_QUIET`] or [`DRAIN_CAP`] has passed.
+    fn drain(&mut self, ingress: &mut Ingress<()>) -> Result<(), NetError> {
         let cap = Instant::now() + DRAIN_CAP;
-        while let Some(left) = cap.checked_duration_since(Instant::now()) {
-            match self.listener.recv_timeout(DRAIN_QUIET.min(left)) {
-                Ok(frame) => self.handle_frame(&frame),
-                Err(_) => return,
+        let mut quiet_at = Instant::now() + DRAIN_QUIET;
+        loop {
+            let until = quiet_at.min(cap);
+            if Instant::now() >= until {
+                return Ok(());
+            }
+            if ingress.turn(Some(until), |_, frame| self.handle_frame(&frame))? > 0 {
+                quiet_at = Instant::now() + DRAIN_QUIET;
             }
         }
     }
@@ -698,10 +712,7 @@ impl Coordinator {
     fn write_status(&self) -> std::io::Result<()> {
         let mut e: BTreeMap<String, String> = BTreeMap::new();
         e.insert("schema".into(), "1".into());
-        e.insert(
-            "control_port".into(),
-            self.listener.local_port().to_string(),
-        );
+        e.insert("control_port".into(), self.control_port.to_string());
         e.insert(
             "now_ms".into(),
             format!("{:.1}", self.started.elapsed().as_secs_f64() * 1e3),
@@ -775,6 +786,20 @@ impl Coordinator {
     }
 }
 
+/// Whether `deadline` is due at `now`; a due deadline moves on by whole
+/// `every`s to the first grid point after `now`, so a late wake-up does not
+/// shift the grid and ticks missed by a stall are skipped, not run back to
+/// back.
+fn step(deadline: &mut Instant, every: Duration, now: Instant) -> bool {
+    if now < *deadline {
+        return false;
+    }
+    let behind = now.duration_since(*deadline).as_nanos() / every.as_nanos().max(1);
+    let ticks = u32::try_from(behind + 1).unwrap_or(u32::MAX);
+    *deadline += every.saturating_mul(ticks);
+    true
+}
+
 /// fps → wire milli-fps, clamped into `u32`.
 fn fps_millis(fps: f64) -> u32 {
     let scaled = (fps * 1000.0).round().clamp(0.0, f64::from(u32::MAX));
@@ -788,15 +813,16 @@ fn fps_millis(fps: f64) -> u32 {
 mod tests {
     use super::*;
 
-    fn coordinator(status_path: std::path::PathBuf) -> Coordinator {
+    fn coordinator(status_path: std::path::PathBuf) -> (Coordinator, Ingress<()>) {
         let opts = CoordinatorOpts {
             status_path: status_path.clone(),
             tenants: 1,
             ..CoordinatorOpts::default()
         };
-        let listener = TcpListenerHandle::bind(&opts.listen).expect("bind");
+        let (ingress, port) = bind_control(&opts.listen).expect("bind");
         let detector = FailureDetector::new(HealthConfig::default());
-        Coordinator::new(&opts, listener, StatusFile::new(status_path), detector)
+        let status = StatusFile::new(status_path);
+        (Coordinator::new(&opts, port, status, detector), ingress)
     }
 
     #[test]
@@ -805,12 +831,12 @@ mod tests {
             "vp-coordinator-drain-{}.status",
             std::process::id()
         ));
-        let mut c = coordinator(path.clone());
+        let (mut c, mut ingress) = coordinator(path.clone());
         let t = c.tenants.get_mut("t000").expect("tenant");
         t.host = Some("n1".into());
         t.epoch = 1;
         let node = TcpSender::connect_retry(
-            &format!("127.0.0.1:{}", c.listener.local_port()),
+            &format!("127.0.0.1:{}", c.control_port),
             Duration::from_secs(5),
         )
         .expect("connect");
@@ -833,7 +859,7 @@ mod tests {
         }
         node.flush_now().expect("flush");
         // Termination is already requested when the loop first looks.
-        c.run(|| true);
+        c.run(&mut ingress, || true).expect("run");
         let status = crate::status::StatusSnapshot::read(&path)
             .expect("status readable")
             .expect("status written");

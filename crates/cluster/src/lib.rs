@@ -46,3 +46,16 @@ pub use coordinator::{run_coordinator, CoordinatorOpts};
 pub use node::{run_node, NodeOpts};
 pub use scenario::{ClusterScenario, Fault, LocalProcessRunner};
 pub use signals::{install_termination_handler, termination_requested};
+
+use videopipe_net::{Ingress, NetError, PollEndpoint};
+
+/// Binds a control listener at `addr` on an [`Ingress`] of its own, the
+/// way the coordinator and every node receive control-plane frames;
+/// returns it with the bound port.
+fn bind_control(addr: &str) -> Result<(Ingress<()>, u16), NetError> {
+    let endpoint = PollEndpoint::bind(addr)?;
+    let port = endpoint.local_port();
+    let mut ingress = Ingress::new()?;
+    ingress.add((), endpoint)?;
+    Ok((ingress, port))
+}

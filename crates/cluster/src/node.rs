@@ -2,20 +2,27 @@
 //!
 //! A node is a [`ReactorRuntime`] wrapped in a control-plane shell. On
 //! start it dials the coordinator over TCP, introduces itself with
-//! `Hello{node_id, control_port}` and then loops: per-tenant
-//! [`TenantReport`](ControlMsg::TenantReport)s (counters + fresh
-//! checkpoints) on one cadence, coordinator commands (deploy / retire /
-//! drain) whenever they arrive on its listener. Heartbeats ride a
-//! dedicated thread and a dedicated TCP connection: a report pass that
-//! stalls on a busy module's checkpoint (or a slow control write) must
-//! not delay the liveness signal — that coupling is exactly how a
-//! loaded-but-healthy node would get falsely confirmed dead.
+//! `Hello{node_id, control_port}` and then loops on the main thread:
+//! per-tenant [`TenantReport`](ControlMsg::TenantReport)s (counters +
+//! fresh checkpoints) on one cadence, coordinator commands (deploy /
+//! retire / drain) whenever they arrive on its listener. In between it
+//! sleeps in [`Ingress::turn`](videopipe_net::Ingress::turn) on that
+//! listener until a command arrives or the next report is due; the
+//! listener has no thread of its own. Heartbeats ride a dedicated thread
+//! and a dedicated TCP connection: a report pass that stalls on a busy
+//! module's checkpoint (or a slow control write) must not delay the
+//! liveness signal — that coupling is exactly how a loaded-but-healthy
+//! node would get falsely confirmed dead. A node thus runs `workers + 2`
+//! threads: the main loop, the heartbeat thread and the reactor's workers
+//! (plus its I/O thread once a tenant uses TCP).
 //!
 //! Shutdown is graceful by construction: SIGTERM/SIGINT (or a `Drain`
-//! command) breaks the loop, stops every pipeline — which takes one final
-//! checkpoint per module — ships final `retired` reports plus a `Bye`,
-//! flushes the TCP sender and exits 0. A SIGKILL, by contrast, is exactly
-//! the machine-death the coordinator's failure detector exists for.
+//! command) breaks the loop — the kernel hands a process-directed signal
+//! to the main thread while it waits, which ends the wait — stops every
+//! pipeline — which takes one final checkpoint per module — ships final
+//! `retired` reports plus a `Bye`, flushes the TCP sender and exits 0. A
+//! SIGKILL, by contrast, is exactly the machine-death the coordinator's
+//! failure detector exists for.
 
 use bytes::Bytes;
 use std::collections::HashMap;
@@ -26,11 +33,11 @@ use std::time::{Duration, Instant};
 use videopipe_core::reactor::{ReactorConfig, ReactorRuntime};
 use videopipe_core::runtime::RuntimeConfig;
 use videopipe_net::control::ControlMsg;
-use videopipe_net::tcp::{ReconnectPolicy, TcpListenerHandle, TcpSender};
-use videopipe_net::{MsgReceiver, MsgSender};
+use videopipe_net::tcp::{ReconnectPolicy, TcpSender};
+use videopipe_net::{MsgSender, WireMessage};
 
-use crate::signals;
 use crate::workload::{self, TenantStats, SINK_MODULE, SRC_MODULE};
+use crate::{bind_control, signals};
 
 /// Node agent configuration (mirrors the `videopipe-node` CLI flags).
 #[derive(Debug, Clone)]
@@ -80,11 +87,12 @@ struct HostedTenant {
 ///
 /// # Errors
 ///
-/// Returns an error string when the listener cannot bind or the
-/// coordinator cannot be reached within the connect deadline.
+/// Returns an error string when the listener cannot bind, the coordinator
+/// cannot be reached within the connect deadline or waiting on the
+/// listener fails (after the graceful drain).
 pub fn run_node(opts: &NodeOpts) -> Result<usize, String> {
     signals::install_termination_handler();
-    let listener = TcpListenerHandle::bind(&opts.listen)
+    let (mut ingress, control_port) = bind_control(&opts.listen)
         .map_err(|e| format!("node {}: bind {}: {e}", opts.node_id, opts.listen))?;
     let coord = TcpSender::connect_retry(&opts.coordinator, Duration::from_secs(10))
         .map_err(|e| {
@@ -98,7 +106,7 @@ pub fn run_node(opts: &NodeOpts) -> Result<usize, String> {
         .send(
             ControlMsg::Hello {
                 node_id: opts.node_id.clone(),
-                control_port: listener.local_port(),
+                control_port,
             }
             .into_wire(),
         )
@@ -139,58 +147,15 @@ pub fn run_node(opts: &NodeOpts) -> Result<usize, String> {
     });
     let mut tenants: HashMap<String, HostedTenant> = HashMap::new();
     let started = Instant::now();
+    let end = opts.run_for.map(|limit| started + limit);
     let mut next_report = started + opts.report_interval;
     let mut draining = false;
 
-    loop {
-        if signals::termination_requested() || draining {
-            break;
-        }
-        if let Some(limit) = opts.run_for {
-            if started.elapsed() >= limit {
-                break;
-            }
-        }
-        // Coordinator commands (short poll doubles as the loop pace).
-        match listener.recv_timeout(Duration::from_millis(10)) {
-            Ok(frame) => match ControlMsg::from_wire(&frame) {
-                Ok(ControlMsg::DeployTenant {
-                    tenant,
-                    epoch,
-                    fps_millis,
-                    source_ckpt,
-                    sink_ckpt,
-                }) => {
-                    deploy_tenant(
-                        &mut rt,
-                        &mut tenants,
-                        opts,
-                        &tenant,
-                        epoch,
-                        fps_millis,
-                        source_ckpt,
-                        sink_ckpt,
-                    );
-                }
-                Ok(ControlMsg::RetireTenant { tenant, epoch }) => {
-                    // Retire anything at-or-below the coordinator's epoch:
-                    // covers planned rebalance (equal) and zombie cleanup
-                    // after a partition heals (ours is stale, theirs newer).
-                    if tenants.get(&tenant).is_some_and(|t| t.epoch <= epoch) {
-                        if let Some(t) = tenants.remove(&tenant) {
-                            rt.stop_pipeline(t.pipe_id);
-                            let report = tenant_report(opts, &rt, &tenant, &t, true);
-                            let _ = coord.send(report.into_wire());
-                        }
-                    }
-                }
-                Ok(ControlMsg::Drain) => draining = true,
-                Ok(_) | Err(_) => {}
-            },
-            Err(videopipe_net::NetError::Timeout) => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
+    let turned = loop {
         let now = Instant::now();
+        if signals::termination_requested() || draining || end.is_some_and(|end| now >= end) {
+            break Ok(());
+        }
         if now >= next_report {
             next_report = now + opts.report_interval;
             for (name, t) in &tenants {
@@ -198,7 +163,14 @@ pub fn run_node(opts: &NodeOpts) -> Result<usize, String> {
                 let _ = coord.send(report.into_wire());
             }
         }
-    }
+        let until = end.map_or(next_report, |end| end.min(next_report));
+        let turn = ingress.turn(Some(until), |_, frame| {
+            draining |= on_command(&frame, opts, &mut rt, &mut tenants, &coord);
+        });
+        if let Err(e) = turn {
+            break Err(format!("node {}: control listener: {e}", opts.node_id));
+        }
+    };
 
     // Graceful drain: stop heartbeating (so nothing lands after Bye),
     // stop every pipeline (final checkpoints), ship final reports, say
@@ -219,7 +191,52 @@ pub fn run_node(opts: &NodeOpts) -> Result<usize, String> {
     );
     let _ = coord.flush_now();
     drop(rt); // joins reactor threads
-    Ok(hosted)
+    turned.map(|()| hosted)
+}
+
+/// Carries out one coordinator command; returns whether it was `Drain`.
+fn on_command(
+    frame: &WireMessage,
+    opts: &NodeOpts,
+    rt: &mut ReactorRuntime,
+    tenants: &mut HashMap<String, HostedTenant>,
+    coord: &TcpSender,
+) -> bool {
+    match ControlMsg::from_wire(frame) {
+        Ok(ControlMsg::DeployTenant {
+            tenant,
+            epoch,
+            fps_millis,
+            source_ckpt,
+            sink_ckpt,
+        }) => {
+            deploy_tenant(
+                rt,
+                tenants,
+                opts,
+                &tenant,
+                epoch,
+                fps_millis,
+                source_ckpt,
+                sink_ckpt,
+            );
+        }
+        Ok(ControlMsg::RetireTenant { tenant, epoch }) => {
+            // Retire anything at-or-below the coordinator's epoch:
+            // covers planned rebalance (equal) and zombie cleanup
+            // after a partition heals (ours is stale, theirs newer).
+            if tenants.get(&tenant).is_some_and(|t| t.epoch <= epoch) {
+                if let Some(t) = tenants.remove(&tenant) {
+                    rt.stop_pipeline(t.pipe_id);
+                    let report = tenant_report(opts, rt, &tenant, &t, true);
+                    let _ = coord.send(report.into_wire());
+                }
+            }
+        }
+        Ok(ControlMsg::Drain) => return true,
+        Ok(_) | Err(_) => {}
+    }
+    false
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -1563,6 +1563,7 @@ impl Pacer {
                 self.controller.fault();
             }
             if fenced > 0 {
+                self.publish_credits(&mut shared.metrics.lock());
                 shared.logs.lock().push(format!(
                     "pacer: fenced {fenced} in-flight frame(s) at epoch {fence}"
                 ));
@@ -1610,12 +1611,17 @@ impl Pacer {
                 }
                 let now_ns = shared.now_ns();
                 let latency = now_ns.saturating_sub(msg.timestamp_ns);
-                shared.metrics.lock().record_delivery(now_ns, latency);
+                let mut metrics = shared.metrics.lock();
+                metrics.record_delivery(now_ns, latency);
+                self.publish_credits(&mut metrics);
                 shared.deliveries.fetch_add(1, Ordering::Relaxed);
             }
             // A fenced completion, or the error path: the frame died
             // mid-pipeline.
-            MessageKind::Signal | MessageKind::Control if known => self.controller.fault(),
+            MessageKind::Signal | MessageKind::Control if known => {
+                self.controller.fault();
+                self.publish_credits(&mut shared.metrics.lock());
+            }
             _ => {}
         }
     }
@@ -1632,12 +1638,16 @@ impl Pacer {
             .filter(|(_, admitted_at)| now.duration_since(**admitted_at) > timeout)
             .map(|(seq, _)| *seq)
             .collect();
-        for seq in expired {
+        if expired.is_empty() {
+            return;
+        }
+        for &seq in &expired {
             self.outstanding.remove(&seq);
             self.controller.fault();
             let mut errors = shared.errors.lock();
             errors.push(format!("pacer: credit lease expired for frame {seq}"));
         }
+        self.publish_credits(&mut shared.metrics.lock());
     }
 
     /// One camera tick. The SLO controller's sampling/shedding knobs thin
@@ -1657,6 +1667,7 @@ impl Pacer {
             if !admitted {
                 metrics.frames_dropped = metrics.frames_dropped.saturating_add(1);
             }
+            self.publish_credits(&mut metrics);
         }
         if !admitted {
             return;
@@ -1674,10 +1685,11 @@ impl Pacer {
         }
     }
 
-    /// Final credit accounting: lets reports prove no credit leaked
-    /// (admitted == delivered + faulted + in_flight). Idempotent.
-    pub(crate) fn finalize(&self, shared: &Shared) {
-        let mut metrics = shared.metrics.lock();
+    /// Copies the credit counts into `metrics`, under the lock the caller
+    /// took for its own update, so every read — mid-run or final — can
+    /// prove no credit leaked (admitted == delivered + faulted +
+    /// in flight). Called wherever the controller changes.
+    fn publish_credits(&self, metrics: &mut PipelineMetrics) {
         metrics.frames_admitted = self.controller.admitted();
         metrics.frames_faulted = self.controller.faulted();
         metrics.in_flight_at_end = self.controller.in_flight();
@@ -2260,7 +2272,6 @@ mod tests {
         for _ in 0..2 {
             pacer.on_signal(&shared, &frame_msg(MessageKind::Signal, header, 0));
         }
-        pacer.finalize(&shared);
         assert_eq!(shared.deliveries.load(Ordering::Relaxed), 1);
         let metrics = shared.metrics.lock();
         assert_eq!((metrics.frames_admitted, metrics.frames_delivered), (1, 1));

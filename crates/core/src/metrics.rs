@@ -401,9 +401,12 @@ pub struct PipelineMetrics {
     /// Frames that died mid-pipeline (module error, panic or abandoned
     /// service call) and had their flow-control credit reclaimed.
     pub frames_faulted: u64,
-    /// Frames still in flight when the run stopped. Credit accounting is
-    /// leak-free iff `frames_admitted == frames_delivered + frames_faulted
-    /// + in_flight_at_end` (see [`credits_balanced`]).
+    /// Frames in flight now: admitted, neither delivered nor faulted yet —
+    /// in a final report, those still in flight when the run stopped. The
+    /// pacer keeps this and the two counts above current under the metrics
+    /// lock, so credit accounting is leak-free iff `frames_admitted ==
+    /// frames_delivered + frames_faulted + in_flight_at_end` on every read,
+    /// mid-run too (see [`credits_balanced`]).
     ///
     /// [`credits_balanced`]: PipelineMetrics::credits_balanced
     pub in_flight_at_end: u32,

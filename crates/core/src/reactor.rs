@@ -50,8 +50,8 @@
 //!   pacers, watchers) — and replies are always produced by non-blocking
 //!   tasks, so the wait always makes progress even with a single worker.
 //! * **One I/O thread.** TCP ingress is one thread turning one
-//!   [`Ingress`](videopipe_net::Ingress) — the readiness loop
-//!   `TcpListenerHandle` runs too — over the sockets of every
+//!   [`Ingress`](videopipe_net::Ingress) — the readiness loop the fleet's
+//!   control loops turn too — over the sockets of every
 //!   [`PollEndpoint`](videopipe_net::PollEndpoint) of every pipeline: it
 //!   wakes when bytes arrive, services exactly the sockets that are ready
 //!   and feeds completed frames to the readiness queues. No per-connection
@@ -846,7 +846,7 @@ impl Core {
                     report(&pipe, format!("tcp ingress endpoint not registered: {e}"));
                 }
             }
-            let turned = ingress.turn(|pipe, msg| {
+            let turned = ingress.turn(None, |pipe, msg| {
                 if let Some(channel) = pipe.shared.ingress_channel(&msg.channel) {
                     if let Some(task) = channel.push(msg) {
                         self.wake(&task);
@@ -1086,10 +1086,6 @@ impl TaskRunner for PacerRunner {
         }
         rearm.ensure(core, me, pacer.next_tick);
         false
-    }
-
-    fn finalize(&mut self) {
-        self.pacer.finalize(&self.pipe.shared);
     }
 }
 
@@ -1487,14 +1483,13 @@ impl ReactorRuntime {
 
     /// Stops pipeline `id` mid-run without touching the rest of the fleet:
     /// sets its stop flag (every task runner checks it on entry),
-    /// finalizes its tasks so pacer credit accounting flushes and each
-    /// checkpointing module takes one final snapshot, takes its final
-    /// report and lets go of everything else. Its module instances, service
-    /// hosts, routes and shared state are freed as soon as no run queue or
-    /// armed deadline holds their task any more (a stopped task runs no
-    /// more work and arms nothing). The report answers
-    /// [`ReactorRuntime::metrics`], [`ReactorRuntime::checkpoint_for`] and
-    /// the delivery counts from then on, and is handed over by
+    /// finalizes its tasks so each checkpointing module takes one final
+    /// snapshot, takes its final report and lets go of everything else.
+    /// Its module instances, service hosts, routes and shared state are
+    /// freed as soon as no run queue or armed deadline holds their task any
+    /// more (a stopped task runs no more work and arms nothing). The report
+    /// answers [`ReactorRuntime::metrics`], [`ReactorRuntime::checkpoint_for`]
+    /// and the delivery counts from then on, and is handed over by
     /// [`ReactorRuntime::finish`]. Returns `false` for unknown ids or
     /// pipelines already stopped.
     ///
@@ -1590,8 +1585,8 @@ impl ReactorRuntime {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        // Finalize every task still deployed (pacers flush credit
-        // accounting); a stopped pipeline's went when it stopped.
+        // Finalize every task still deployed (modules take their final
+        // checkpoint); a stopped pipeline's went when it stopped.
         for p in &self.pipelines {
             if let Deployed::Live { tasks, .. } = p {
                 for task in tasks {
@@ -2595,6 +2590,59 @@ pub(crate) mod tests {
         assert_eq!(
             theirs.dispatch.get("one/doubler").map_or(0, |d| d.requests),
             0
+        );
+    }
+
+    #[test]
+    fn live_metrics_balance_credits_while_a_module_refuses_frames() {
+        /// Refuses every other frame and passes the rest on as `TestMid`.
+        struct RefuseEveryOther(u64);
+        impl Module for RefuseEveryOther {
+            fn on_event(
+                &mut self,
+                event: Event,
+                ctx: &mut dyn ModuleCtx,
+            ) -> Result<(), PipelineError> {
+                if let Event::Message(_) = event {
+                    self.0 += 1;
+                    if self.0.is_multiple_of(2) {
+                        return Err(PipelineError::BadPayload("refused"));
+                    }
+                }
+                TestMid.on_event(event, ctx)
+            }
+        }
+        let (mut modules, services) = registries();
+        modules.register("TestMid", || Box::new(RefuseEveryOther(0)));
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        let config = RuntimeConfig {
+            fps: 200.0,
+            ..RuntimeConfig::default()
+        };
+        let id = rt
+            .add_pipeline(&single_device_plan("refusing"), &modules, &services, config)
+            .unwrap();
+        until(&rt, id, 3);
+        let start = Instant::now();
+        let live = loop {
+            let metrics = rt.metrics(id).unwrap();
+            if metrics.frames_faulted > 0 {
+                break metrics;
+            }
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "no refused frame counted mid-run: {metrics:?}"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        assert!(live.frames_admitted > 0, "{live:?}");
+        assert!(live.frames_delivered > 0, "{live:?}");
+        assert!(
+            live.credits_balanced(),
+            "credits unbalanced mid-run: {live:?}"
         );
     }
 

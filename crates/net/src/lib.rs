@@ -13,7 +13,7 @@
 //! * [`tcp`] — a real TCP transport with length-prefixed framing for
 //!   cross-device edges, with one way in and one way out: every receiver
 //!   is a [`PollEndpoint`] on an [`Ingress`] readiness loop (the reactor's
-//!   I/O thread and [`tcp::TcpListenerHandle`] both turn the same loop), and
+//!   I/O thread and the fleet's control loops turn the same loop), and
 //!   [`tcp::TcpSender`] has one stage → flush send path.
 //! * The ZeroMQ socket patterns are shapes of those pieces rather than
 //!   types of their own: PUSH/PULL is an [`InprocHub`] channel or a

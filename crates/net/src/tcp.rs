@@ -7,10 +7,11 @@
 //! readiness loop, [`Ingress`]: wait on one [`Poller`], service exactly the
 //! ready sockets under a budget, carry backlogs and paused listeners to the
 //! next turn. The loop has two users, which differ only in the tag they
-//! hang on an endpoint and the sink they hand to [`Ingress::turn`]: the
-//! reactor's I/O thread (every pipeline's endpoints, tagged with the
-//! pipeline) and [`TcpListenerHandle`] (one endpoint feeding a channel, the ZeroMQ PULL
-//! shape the cluster control plane uses).
+//! hang on an endpoint, the sink they hand to [`Ingress::turn`] and the
+//! deadline they wait up to: the reactor's I/O thread (every pipeline's
+//! endpoints, tagged with the pipeline; no deadline) and the fleet's
+//! control loops (one endpoint, the ZeroMQ PULL shape; the deadline is the
+//! loop's next periodic duty).
 //!
 //! **One way out.** [`TcpSender::send`] stages the frame in a
 //! [`FrameBatch`] — header encoded into a pooled arena, payload shared, not
@@ -22,120 +23,13 @@ use crate::error::NetError;
 use crate::poller::Poller;
 use crate::pool::BufferPool;
 use crate::wire::{FrameBatch, StreamDecoder, WireMessage};
-use crate::{MsgReceiver, MsgSender};
-use crossbeam::channel::{unbounded, Receiver, TryRecvError};
+use crate::MsgSender;
 use parking_lot::Mutex;
 use std::io::Read;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A bound TCP endpoint: one background thread runs an [`Ingress`] over it
-/// and exposes the merged frame stream of every peer as a [`MsgReceiver`].
-pub struct TcpListenerHandle {
-    local_port: u16,
-    rx: Receiver<WireMessage>,
-    shutdown: Arc<AtomicBool>,
-    waker: Arc<Poller>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TcpListenerHandle {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn bind(addr: &str) -> Result<Self, NetError> {
-        let mut ingress = Ingress::new()?;
-        ingress.add((), PollEndpoint::bind(addr)?)?;
-        Ok(Self::spawn(ingress))
-    }
-
-    /// Starts the thread that turns `ingress`, over its one endpoint, into
-    /// the channel.
-    fn spawn(mut ingress: Ingress<()>) -> Self {
-        let local_port = ingress.endpoints[0].1.local_port();
-        let waker = ingress.waker();
-        let (tx, rx) = unbounded();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let thread = std::thread::Builder::new()
-            .name(format!("vp-tcp-listen-{local_port}"))
-            .spawn(move || {
-                // The handle owns the receiver and joins this thread before
-                // dropping it, so a send cannot fail while the loop runs.
-                // A failed wait ends the loop: the channel disconnects and
-                // `recv*` says so.
-                while !flag.load(Ordering::SeqCst) {
-                    let turned = ingress.turn(|_, msg| {
-                        let _ = tx.send(msg);
-                    });
-                    if turned.is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("spawn tcp listener thread");
-        TcpListenerHandle {
-            local_port,
-            rx,
-            shutdown,
-            waker,
-            thread: Some(thread),
-        }
-    }
-
-    /// The port actually bound (useful with port 0).
-    pub fn local_port(&self) -> u16 {
-        self.local_port
-    }
-
-    /// Stops the ingress thread, which closes the listener and every peer
-    /// connection; frames already received stay readable.
-    pub(crate) fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.waker.notify();
-    }
-}
-
-impl Drop for TcpListenerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-        if let Some(handle) = self.thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for TcpListenerHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpListenerHandle")
-            .field("local_port", &self.local_port)
-            .finish_non_exhaustive()
-    }
-}
-
-impl MsgReceiver for TcpListenerHandle {
-    fn recv(&self) -> Result<WireMessage, NetError> {
-        self.rx.recv().map_err(|_| NetError::Disconnected)
-    }
-
-    fn try_recv(&self) -> Result<WireMessage, NetError> {
-        self.rx.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => NetError::WouldBlock,
-            TryRecvError::Disconnected => NetError::Disconnected,
-        })
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<WireMessage, NetError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam::channel::RecvTimeoutError::Timeout => NetError::Timeout,
-            crossbeam::channel::RecvTimeoutError::Disconnected => NetError::Disconnected,
-        })
-    }
-}
 
 /// Reconnect behaviour for a [`TcpSender`].
 ///
@@ -388,8 +282,8 @@ impl MsgSender for TcpSender {
 ///
 /// * **Readiness:** an [`Ingress`] registers the endpoint's sockets with its
 ///   [`Poller`] and services exactly those reported readable. An idle
-///   endpoint then costs nothing at all. This is how the runtimes and
-///   [`TcpListenerHandle`] run it.
+///   endpoint then costs nothing at all. This is how the reactor's I/O
+///   thread and the fleet's control loops run it.
 /// * **Scan:** [`PollEndpoint::poll`] accepts pending peers and services
 ///   every connection; the caller decides when to come back. Kept as the
 ///   reference arm of the `both_drivers!` tests and for the benchmark's
@@ -770,7 +664,7 @@ const TURN_BUDGET: usize = 256;
 /// everyone else holds the [`Ingress::waker`] and calls
 /// [`Poller::notify`] to get that thread out of its wait (new endpoints to
 /// [`Ingress::add`], shutdown). An idle loop costs nothing: the wait has no
-/// timeout unless a turn left work behind.
+/// timeout unless a turn left work behind or the caller named a deadline.
 pub struct Ingress<T> {
     poller: Arc<Poller>,
     /// Indexed by the token in the high half of each endpoint's keys.
@@ -827,19 +721,25 @@ impl<T> Ingress<T> {
         self.endpoints.iter().map(|(tag, _)| tag)
     }
 
-    /// One turn: waits — not at all with a backlog, until the earliest
-    /// paused listener's retry time, else until a socket is readable or the
-    /// waker is notified — then services exactly the ready sockets, handing
-    /// each completed frame and its endpoint's tag to `sink`. Returns the
-    /// frames delivered (0 after a bare notify).
+    /// One turn: waits — not at all with a backlog, else until a socket is
+    /// readable, the waker is notified, the earliest paused listener's
+    /// retry time or `until`, whichever comes first — then services exactly
+    /// the ready sockets, handing each completed frame and its endpoint's
+    /// tag to `sink`. Returns the frames delivered (0 after a bare notify or
+    /// at the deadline).
     ///
     /// # Errors
     ///
     /// Propagates a failed readiness wait; nothing was serviced.
-    pub fn turn(&mut self, mut sink: impl FnMut(&T, WireMessage)) -> Result<usize, NetError> {
+    pub fn turn(
+        &mut self,
+        until: Option<Instant>,
+        mut sink: impl FnMut(&T, WireMessage),
+    ) -> Result<usize, NetError> {
         let timeout = if self.backlog.is_empty() {
             let next_retry = self.retries.iter().map(|&(at, _)| at).min();
-            next_retry.map(|at| at.saturating_duration_since(Instant::now()))
+            let wake_at = next_retry.into_iter().chain(until).min();
+            wake_at.map(|at| at.saturating_duration_since(Instant::now()))
         } else {
             Some(Duration::ZERO)
         };
@@ -912,11 +812,64 @@ impl PollEndpoint {
 mod tests {
     use super::*;
     use bytes::{Bytes, BytesMut};
+    use std::collections::VecDeque;
     use std::io::Write;
+    use std::sync::atomic::AtomicBool;
+
+    /// A PULL socket as the fleet's control loops hold one: an [`Ingress`]
+    /// over one endpoint, turned only while a receive waits. Frames a turn
+    /// delivers beyond the one asked for queue here, in order.
+    struct Pull {
+        ingress: Ingress<()>,
+        queued: VecDeque<WireMessage>,
+    }
+
+    impl Pull {
+        fn bind(addr: &str) -> Result<Self, NetError> {
+            let mut ingress = Ingress::new()?;
+            ingress.add((), PollEndpoint::bind(addr)?)?;
+            Ok(Pull::of(ingress))
+        }
+
+        fn of(ingress: Ingress<()>) -> Self {
+            Pull {
+                ingress,
+                queued: VecDeque::new(),
+            }
+        }
+
+        fn local_port(&self) -> u16 {
+            self.ingress.endpoints[0].1.local_port()
+        }
+
+        /// The next frame, turning until one came or `timeout` passed.
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<WireMessage, NetError> {
+            let until = Instant::now() + timeout;
+            loop {
+                if let Some(msg) = self.queued.pop_front() {
+                    return Ok(msg);
+                }
+                if Instant::now() >= until {
+                    return Err(NetError::Timeout);
+                }
+                let queued = &mut self.queued;
+                self.ingress
+                    .turn(Some(until), |_, msg| queued.push_back(msg))?;
+            }
+        }
+
+        /// The next frame if one turn without waiting has it.
+        fn try_recv(&mut self) -> Result<WireMessage, NetError> {
+            let queued = &mut self.queued;
+            self.ingress
+                .turn(Some(Instant::now()), |_, msg| queued.push_back(msg))?;
+            self.queued.pop_front().ok_or(NetError::WouldBlock)
+        }
+    }
 
     #[test]
     fn end_to_end_over_loopback() {
-        let listener = TcpListenerHandle::bind("127.0.0.1:0").unwrap();
+        let mut listener = Pull::bind("127.0.0.1:0").unwrap();
         let addr = format!("127.0.0.1:{}", listener.local_port());
         let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2)).unwrap();
         for i in 0..10u64 {
@@ -938,7 +891,7 @@ mod tests {
 
     #[test]
     fn multiple_senders_merge() {
-        let listener = TcpListenerHandle::bind("127.0.0.1:0").unwrap();
+        let mut listener = Pull::bind("127.0.0.1:0").unwrap();
         let addr = format!("127.0.0.1:{}", listener.local_port());
         let s1 = TcpSender::connect_retry(&addr, Duration::from_secs(2)).unwrap();
         let s2 = TcpSender::connect_retry(&addr, Duration::from_secs(2)).unwrap();
@@ -964,7 +917,7 @@ mod tests {
 
     #[test]
     fn large_payload_roundtrip() {
-        let listener = TcpListenerHandle::bind("127.0.0.1:0").unwrap();
+        let mut listener = Pull::bind("127.0.0.1:0").unwrap();
         let addr = format!("127.0.0.1:{}", listener.local_port());
         let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2)).unwrap();
         let payload = Bytes::from(vec![7u8; 512 * 1024]);
@@ -977,19 +930,19 @@ mod tests {
 
     #[test]
     fn try_recv_empty_then_message() {
-        let listener = TcpListenerHandle::bind("127.0.0.1:0").unwrap();
+        let mut listener = Pull::bind("127.0.0.1:0").unwrap();
         assert!(matches!(listener.try_recv(), Err(NetError::WouldBlock)));
         let addr = format!("127.0.0.1:{}", listener.local_port());
         let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2)).unwrap();
         sender.send(WireMessage::signal("s", 9)).unwrap();
-        // Poll until the reader thread delivers.
+        // Turn until the frame is in.
         let msg = listener.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(msg.seq, 9);
     }
 
     #[test]
     fn shutdown_is_clean() {
-        let listener = TcpListenerHandle::bind("127.0.0.1:0").unwrap();
+        let listener = Pull::bind("127.0.0.1:0").unwrap();
         let port = listener.local_port();
         drop(listener); // must not hang
                         // Port becomes reusable shortly after.
@@ -998,7 +951,7 @@ mod tests {
 
     #[test]
     fn mid_stream_listener_death_is_a_typed_error() {
-        let listener = TcpListenerHandle::bind("127.0.0.1:0").unwrap();
+        let mut listener = Pull::bind("127.0.0.1:0").unwrap();
         let addr = format!("127.0.0.1:{}", listener.local_port());
         let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2)).unwrap();
         sender.send(WireMessage::signal("x", 0)).unwrap();
@@ -1006,8 +959,8 @@ mod tests {
             listener.recv_timeout(Duration::from_secs(2)).unwrap().seq,
             0
         );
-        // Kill the listener mid-stream: the reader thread exits and the
-        // peer socket closes underneath the sender.
+        // Kill the listener mid-stream: the endpoint closes and the peer
+        // socket closes underneath the sender.
         drop(listener);
         // The kernel may accept a few writes into its buffer before the
         // reset surfaces; keep sending until the failure shows up.
@@ -1034,7 +987,7 @@ mod tests {
 
     #[test]
     fn reconnect_policy_survives_mid_stream_disconnect() {
-        let listener = TcpListenerHandle::bind("127.0.0.1:0").unwrap();
+        let mut listener = Pull::bind("127.0.0.1:0").unwrap();
         let addr = format!("127.0.0.1:{}", listener.local_port());
         let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2))
             .unwrap()
@@ -1122,7 +1075,7 @@ mod tests {
                     // callers check a deadline between passes, so end the
                     // wait the way another thread would.
                     ingress.poller.notify();
-                    ingress.turn(|_, msg| sink(msg)).unwrap()
+                    ingress.turn(None, |_, msg| sink(msg)).unwrap()
                 }
             };
             if n == 0 {
@@ -1324,7 +1277,7 @@ mod tests {
                     // No timeout: only the peer (or the final notify) can
                     // end this turn's wait.
                     ingress
-                        .turn(|_, m| frame_tx.send((m.seq, Instant::now())).unwrap())
+                        .turn(None, |_, m| frame_tx.send((m.seq, Instant::now())).unwrap())
                         .unwrap();
                 }
                 ingress.endpoints[0].1.accepted()
@@ -1348,6 +1301,31 @@ mod tests {
         stop.store(true, Ordering::SeqCst);
         waker.notify();
         assert_eq!(io.join().unwrap(), 1);
+    }
+
+    #[test]
+    fn a_frame_sent_mid_wait_ends_the_wait_early() {
+        let (mut ingress, addr) = ingress_of_one();
+        let peer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2)).unwrap();
+            sender.send(WireMessage::signal("x", 4)).unwrap();
+            sender
+        });
+        let until = Instant::now() + Duration::from_secs(5);
+        let mut got = None;
+        // The first turn may end on the accept alone; the frame ends the next.
+        while got.is_none() && Instant::now() < until {
+            ingress.turn(Some(until), |_, m| got = Some(m.seq)).unwrap();
+        }
+        assert_eq!(got, Some(4));
+        let left = until.saturating_duration_since(Instant::now());
+        assert!(
+            left > Duration::from_secs(4),
+            "the wait ran {:?} past the frame",
+            Duration::from_secs(5) - left
+        );
+        drop(peer.join().unwrap());
     }
 
     /// What only real readiness can show: that nothing is reported for a
@@ -1445,6 +1423,67 @@ mod tests {
             }
         }
 
+        #[test]
+        fn an_idle_turn_returns_at_its_deadline() {
+            let (mut ingress, _addr) = ingress_of_one();
+            let until = Instant::now() + Duration::from_millis(30);
+            let delivered = ingress
+                .turn(Some(until), |_, _| panic!("nothing was sent"))
+                .unwrap();
+            let woke = Instant::now();
+            assert_eq!(delivered, 0);
+            assert!(woke >= until, "woke {:?} early", until - woke);
+            assert!(
+                woke - until < Duration::from_millis(10),
+                "woke {:?} late",
+                woke - until
+            );
+        }
+
+        #[test]
+        fn a_backlog_means_no_wait_whatever_the_deadline() {
+            let (mut ingress, addr) = ingress_of_one();
+            ingress.budget = 10;
+            let mut raw = TcpStream::connect(addr).unwrap();
+            let mut framed = BytesMut::new();
+            for i in 0..25u64 {
+                WireMessage::signal("x", i)
+                    .encode_framed_into(&mut framed)
+                    .unwrap();
+            }
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while ingress.endpoints[0].1.connections() == 0 {
+                assert!(Instant::now() < deadline, "peer never accepted");
+                ingress.turn(Some(deadline), |_, _| {}).unwrap();
+            }
+            // The whole burst sits in the socket before the first read, so
+            // that read takes it all and the kernel has nothing more to say.
+            raw.write_all(&framed).unwrap();
+            let mut probe = vec![0u8; framed.len()];
+            while ingress.endpoints[0].1.conns[0]
+                .stream
+                .peek(&mut probe)
+                .unwrap_or(0)
+                < framed.len()
+            {
+                assert!(Instant::now() < deadline, "burst never arrived");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut got = Vec::new();
+            let far = Instant::now() + Duration::from_secs(5);
+            for expected in [10, 10, 5] {
+                let started = Instant::now();
+                let n = ingress.turn(Some(far), |_, m| got.push(m.seq)).unwrap();
+                assert_eq!(n, expected);
+                assert!(
+                    started.elapsed() < Duration::from_secs(1),
+                    "a turn with {expected} frames queued waited {:?}",
+                    started.elapsed()
+                );
+            }
+            assert_eq!(got, (0..25).collect::<Vec<_>>());
+        }
+
         /// Pauses the one listener of `ingress` as a hard `accept` error
         /// does, and queues its key so the next turn hears the verdict from
         /// `service` — the way the loop learns it in production, where the
@@ -1474,7 +1513,7 @@ mod tests {
                 let mut turns = 0;
                 let mut got = None;
                 while got.is_none() {
-                    ingress.turn(|_, m| got = Some(m.seq)).unwrap();
+                    ingress.turn(None, |_, m| got = Some(m.seq)).unwrap();
                     turns += 1;
                 }
                 frame_tx.send((got, turns, Instant::now())).unwrap();
@@ -1492,7 +1531,7 @@ mod tests {
         fn listener_handle_paused_by_an_accept_error_still_merges_a_later_peer() {
             let (mut ingress, addr) = ingress_of_one();
             pause_listener(&mut ingress);
-            let listener = TcpListenerHandle::spawn(ingress);
+            let mut listener = Pull::of(ingress);
             let early = TcpSender::connect(&addr).unwrap();
             early.send(WireMessage::signal("x", 1)).unwrap();
             assert_eq!(
@@ -1512,7 +1551,7 @@ mod tests {
     fn reconnect_buffer_is_bounded_and_counts_drops() {
         // Connect to a real listener, then kill it so re-dials fail and the
         // buffer can only grow.
-        let listener = TcpListenerHandle::bind("127.0.0.1:0").unwrap();
+        let listener = Pull::bind("127.0.0.1:0").unwrap();
         let addr = format!("127.0.0.1:{}", listener.local_port());
         let sender = TcpSender::connect_retry(&addr, Duration::from_secs(2))
             .unwrap()

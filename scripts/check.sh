@@ -161,12 +161,19 @@ cargo test -q --offline -p videopipe-core --test deploy_footprint -- --nocapture
 cargo test -q --offline -p videopipe-ml --lib bounded_search_measures -- --nocapture 2>&1 |
     grep -E 'rows measured per query' | sed 's/^/    /'
 
-echo "==> one ingress (a single accept loop and a single readiness loop; videopipe-net size)"
+echo "==> one ingress (a single accept loop and a single readiness loop; videopipe-net and fleet control-plane size)"
 # Every TCP receiver is a PollEndpoint turned by videopipe_net::Ingress. A
 # second `.accept()` in the shipping part of tcp.rs is a second receive
 # stack; a `Poller::wait` call under crates/core/src is a driver growing its
 # own copy of the wait -> service -> backlog/retry loop again: fail on
-# either. The line count is printed, not gated (3721 before PR 18).
+# either. The fleet's control loops (coordinator, node agent) sleep in
+# Ingress::turn up to their next duty: a listener thread feeding them
+# through a channel (the retired TcpListenerHandle), a timed receive
+# pacing them, or a sleep in the coordinator's shipping code is a polling
+# loop again: fail on any. The bracketed letters keep this step from
+# matching itself. The line counts are printed, not gated (net: 3721
+# before the two receive stacks merged; tcp.rs + cluster: 879 + 2182
+# before the listener thread went).
 accepts=$(awk '/#\[cfg\(test\)\]/ { exit } /\.accept\(\)/ { n++ } END { print n + 0 }' crates/net/src/tcp.rs)
 if [ "$accepts" -ne 1 ]; then
     echo "expected exactly one .accept() call in the non-test part of crates/net/src/tcp.rs, found $accepts"
@@ -176,7 +183,22 @@ if grep -nE 'Poller::wait|\.wait\(&mut ready' crates/core/src/*.rs; then
     echo "crates/core/src waits on a Poller itself; that loop belongs to videopipe_net::Ingress"
     exit 1
 fi
+if grep -rn 'TcpListenerHandl[e]' crates src tests examples; then
+    echo "TcpListenerHandle is back: receive with a PollEndpoint on an Ingress"
+    exit 1
+fi
+polls=$(for f in crates/cluster/src/coordinator.rs crates/cluster/src/node.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit } /recv_timeou[t]\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done
+awk '/#\[cfg\(test\)\]/ { exit } /thread::slee[p]\(/ { print FILENAME ":" FNR ": " $0 }' crates/cluster/src/coordinator.rs)
+if [ -n "$polls" ]; then
+    echo "a fleet control loop polls instead of waiting in Ingress::turn:"
+    printf '%s\n' "$polls"
+    exit 1
+fi
 count_non_test crates/net/src/*.rs
+count_non_test crates/cluster/src/*.rs
+count_non_test crates/net/src/tcp.rs crates/cluster/src/*.rs | tail -n 1
 
 echo "==> cargo test (whole workspace: default-members covers every crate)"
 cargo test -q
@@ -193,8 +215,9 @@ CARGO_TARGET_DIR=target/vendor cargo test -q --offline --manifest-path vendor/cr
 
 echo "==> one-CPU rerun (prop_core and cluster_harness pinned to CPU 0)"
 # Both binaries have failed only when the process had a single CPU (a
-# reactor sized to one worker, a listener thread that had not yet run).
-# Pinning runs them on that shape every time. Nothing is rebuilt.
+# reactor sized to one worker). Pinning runs them on that shape every
+# time; cluster_harness also takes its thread and wake-up census there.
+# Nothing is rebuilt.
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q -p videopipe-core --test prop_core
     taskset -c 0 cargo test -q --test cluster_harness

@@ -5,7 +5,9 @@
 //! [`LocalProcessRunner`] against the freshly built binaries. The tests
 //! serialize on a global gate: every scenario spawns several OS processes
 //! hosting hundreds of pipelines, and timing assertions (detection < 1 s,
-//! MTTR < 2 s) are only fair when scenarios do not fight for cores.
+//! MTTR < 2 s) are only fair when scenarios do not fight for cores. The
+//! `census` test holds the same gate while it counts an idle fleet's
+//! threads and wake-ups from outside.
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -186,4 +188,157 @@ fn graceful_sigterm_drains_clean() {
     );
     // Both nodes said goodbye.
     assert_eq!(outcome.status.u64("byes"), 2);
+}
+
+/// An idle fleet of one node, counted from outside through `/proc`.
+#[cfg(target_os = "linux")]
+mod census {
+    use super::GATE;
+    use std::process::{Child, Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    /// Ceiling on the idle coordinator's voluntary context switches per
+    /// second.
+    const COORDINATOR_WAKEUPS_PER_S: f64 = 170.0;
+    /// Ceiling on an idle node's main-thread voluntary context switches per
+    /// second.
+    const NODE_WAKEUPS_PER_S: f64 = 20.0;
+
+    /// Kills and reaps the child when the census ends, pass or fail.
+    struct Reaped(Child);
+
+    impl Drop for Reaped {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    /// `key`'s value in the coordinator's `key=value` status file.
+    fn status_value(path: &std::path::Path, key: &str) -> Option<String> {
+        let text = std::fs::read_to_string(path).ok()?;
+        text.lines()
+            .find_map(|line| line.strip_prefix(key)?.strip_prefix('='))
+            .map(str::to_string)
+    }
+
+    /// Voluntary context switches of task `tid` of process `pid`.
+    fn voluntary_switches(pid: u32, tid: u32) -> u64 {
+        let status = std::fs::read_to_string(format!("/proc/{pid}/task/{tid}/status"))
+            .expect("task status readable");
+        status
+            .lines()
+            .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("voluntary_ctxt_switches in task status")
+    }
+
+    /// The tids of process `pid`.
+    fn tasks(pid: u32) -> Vec<u32> {
+        std::fs::read_dir(format!("/proc/{pid}/task"))
+            .expect("task list readable")
+            .filter_map(|entry| entry.ok()?.file_name().to_str()?.parse().ok())
+            .collect()
+    }
+
+    /// The control loops sleep in their listener's readiness wait up to
+    /// their next duty, so the coordinator is one thread and the node
+    /// `workers + 2` (main loop, heartbeat thread, two reactor workers),
+    /// and neither wakes on a polling timer: the coordinator switches out
+    /// for its 20 ms sweeps, the node's heartbeats and inside each status
+    /// write's `fsync`, the node's main thread for its report cadence. Each
+    /// ceiling is at least 1.5× the highest of twenty measured runs
+    /// (EXPERIMENTS.md, fleet census); a 5 ms / 10 ms receive poll reads
+    /// about 250/s and 100/s.
+    #[test]
+    fn idle_fleet_threads_and_wakeups() {
+        let _gate = GATE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let status = std::env::temp_dir().join(format!("vp-census-{}.status", std::process::id()));
+        let _ = std::fs::remove_file(&status);
+        let spawn = |exe: &str, args: &[&str]| {
+            Reaped(
+                Command::new(exe)
+                    .args(args)
+                    .stdout(Stdio::null())
+                    .stderr(Stdio::null())
+                    .spawn()
+                    .expect("spawn fleet process"),
+            )
+        };
+        let coordinator = spawn(
+            env!("CARGO_BIN_EXE_videopipe-coordinator"),
+            &[
+                "--status",
+                status.to_str().expect("utf-8 temp path"),
+                "--expect-nodes",
+                "1",
+                "--tenants",
+                "0",
+                "--run-for-ms",
+                "60000",
+            ],
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let port = loop {
+            if let Some(port) = status_value(&status, "control_port") {
+                break port;
+            }
+            assert!(Instant::now() < deadline, "coordinator published no port");
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let node = spawn(
+            env!("CARGO_BIN_EXE_videopipe-node"),
+            &[
+                "--node-id",
+                "census",
+                "--coordinator",
+                &format!("127.0.0.1:{port}"),
+                "--workers",
+                "2",
+                "--run-for-ms",
+                "60000",
+            ],
+        );
+        while status_value(&status, "deployed").as_deref() != Some("1") {
+            assert!(Instant::now() < deadline, "the node never joined");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        // Past start-up: the node's heartbeat thread is beating.
+        std::thread::sleep(Duration::from_millis(300));
+        let (coordinator_pid, node_pid) = (coordinator.0.id(), node.0.id());
+        let coordinator_tasks = tasks(coordinator_pid);
+        assert_eq!(coordinator_tasks.len(), 1, "coordinator threads");
+        assert_eq!(tasks(node_pid).len(), 2 + 2, "node threads (2 workers)");
+
+        let coordinator_before = voluntary_switches(coordinator_pid, coordinator_pid);
+        let node_before = voluntary_switches(node_pid, node_pid);
+        let started = Instant::now();
+        std::thread::sleep(Duration::from_secs(2));
+        let seconds = started.elapsed().as_secs_f64();
+        let coordinator_after = voluntary_switches(coordinator_pid, coordinator_pid);
+        let node_after = voluntary_switches(node_pid, node_pid);
+        assert_eq!(
+            tasks(coordinator_pid),
+            coordinator_tasks,
+            "coordinator grew a thread"
+        );
+        drop((node, coordinator));
+        let _ = std::fs::remove_file(status.with_extension("tmp"));
+        let _ = std::fs::remove_file(&status);
+        let coordinator_rate = (coordinator_after - coordinator_before) as f64 / seconds;
+        let node_rate = (node_after - node_before) as f64 / seconds;
+        eprintln!(
+            "census: coordinator {coordinator_rate:.1} wake-ups/s, node main thread {node_rate:.1}/s"
+        );
+        assert!(
+            coordinator_rate <= COORDINATOR_WAKEUPS_PER_S,
+            "idle coordinator woke {coordinator_rate:.1} times/s"
+        );
+        assert!(
+            node_rate <= NODE_WAKEUPS_PER_S,
+            "idle node's main thread woke {node_rate:.1} times/s"
+        );
+    }
 }

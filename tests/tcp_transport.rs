@@ -2,19 +2,63 @@
 //! encoded on the "phone" process side, shipped as a length-prefixed wire
 //! message, decoded and pose-detected on the "desktop" side.
 
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 use videopipe::core::message::Payload;
 use videopipe::media::codec;
 use videopipe::media::motion::{ExerciseKind, MotionClip};
 use videopipe::media::{FrameStore, SourceConfig, SyntheticVideoSource};
 use videopipe::ml::PoseDetector;
-use videopipe::net::tcp::{TcpListenerHandle, TcpSender};
-use videopipe::net::{MsgReceiver, MsgSender, WireMessage};
+use videopipe::net::tcp::TcpSender;
+use videopipe::net::{Ingress, MsgSender, NetError, PollEndpoint, WireMessage};
+
+/// A PULL socket: an [`Ingress`] over one bound endpoint, turned only while
+/// a receive waits. Frames a turn delivers beyond the one asked for queue
+/// here, in order.
+struct Pull {
+    ingress: Ingress<()>,
+    port: u16,
+    queued: VecDeque<WireMessage>,
+}
+
+impl Pull {
+    fn bind(addr: &str) -> Result<Self, NetError> {
+        let endpoint = PollEndpoint::bind(addr)?;
+        let port = endpoint.local_port();
+        let mut ingress = Ingress::new()?;
+        ingress.add((), endpoint)?;
+        Ok(Pull {
+            ingress,
+            port,
+            queued: VecDeque::new(),
+        })
+    }
+
+    fn local_port(&self) -> u16 {
+        self.port
+    }
+
+    /// The next frame, turning until one came or `timeout` passed.
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<WireMessage, NetError> {
+        let until = Instant::now() + timeout;
+        loop {
+            if let Some(msg) = self.queued.pop_front() {
+                return Ok(msg);
+            }
+            if Instant::now() >= until {
+                return Err(NetError::Timeout);
+            }
+            let queued = &mut self.queued;
+            self.ingress
+                .turn(Some(until), |_, msg| queued.push_back(msg))?;
+        }
+    }
+}
 
 #[test]
 fn frames_survive_a_real_tcp_hop_and_remain_detectable() {
     // "Desktop": listens for frames.
-    let listener = TcpListenerHandle::bind("127.0.0.1:0").expect("bind");
+    let mut listener = Pull::bind("127.0.0.1:0").expect("bind");
     let addr = format!("127.0.0.1:{}", listener.local_port());
 
     // "Phone": captures and ships 10 frames.
@@ -62,9 +106,9 @@ fn frames_survive_a_real_tcp_hop_and_remain_detectable() {
 fn service_request_roundtrip_over_tcp() {
     use videopipe::core::service::{ServiceRequest, ServiceResponse};
 
-    let listener = TcpListenerHandle::bind("127.0.0.1:0").expect("bind");
+    let mut listener = Pull::bind("127.0.0.1:0").expect("bind");
     let addr = format!("127.0.0.1:{}", listener.local_port());
-    let back_listener = TcpListenerHandle::bind("127.0.0.1:0").expect("bind back");
+    let mut back_listener = Pull::bind("127.0.0.1:0").expect("bind back");
     let back_addr = format!("127.0.0.1:{}", back_listener.local_port());
 
     // Client sends a request with a reply address; a server thread answers.
