@@ -43,7 +43,6 @@ fn bench_wire_codec(c: &mut Criterion) {
         corr_id: 42,
         seq: 1000,
         timestamp_ns: 123_456_789,
-        epoch: 0,
         payload: bytes::Bytes::from(vec![9u8; 28_000]),
     };
     let encoded = msg.encode().unwrap();

@@ -228,7 +228,7 @@ impl LocalProcessRunner {
     ///
     /// # Errors
     ///
-    /// [`ScenarioError`] when spawning fails, the coordinator never
+    /// `ScenarioError` when spawning fails, the coordinator never
     /// publishes status, or the fleet misses a shutdown deadline.
     pub fn run(&self, scenario: &ClusterScenario) -> Result<ClusterOutcome, ScenarioError> {
         let run_id = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);

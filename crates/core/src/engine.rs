@@ -4,8 +4,8 @@
 //! `signal_source`) over one flow-control loop. This module owns all of it —
 //! the [`ModuleCtx`] implementation (breaker gate → cached transcode → retry
 //! loop → last-known-good), the module step, the service batch, the pacer's
-//! credit accounting, the SLO and heartbeat tick bodies and the
-//! deploy-time wiring — generic over the three-method [`Exec`] seam.
+//! credit accounting, the SLO tick body and the deploy-time wiring —
+//! generic over the three-method [`Exec`] seam.
 //! [`ReactorRuntime`](crate::reactor::ReactorRuntime) decides *when* a step
 //! runs (scheduled tasks, timers) and lends its `Exec` for *how* a wait is
 //! spent (helping other ready tasks); the unit tests below lend a scripted
@@ -22,16 +22,15 @@
 //! **Channels are resolved at deploy.** [`Shared::deploy`] gives every
 //! channel of a pipeline a dense id and an in-process queue, and each
 //! sending site — a module edge, a service request, a reply, a completion
-//! signal or credit return, a pacer tick, a heartbeat — resolves its
-//! destination once into a [`Route`]. An in-process message therefore
-//! carries no channel or reply name: the queue is the address, and a send
-//! spells, hashes and allocates no name. Only a route to another device
-//! holds names, to stamp on the unchanged TCP wire.
+//! signal or credit return, a pacer tick — resolves its destination once
+//! into a [`Route`]. An in-process message therefore carries no channel or
+//! reply name: the queue is the address, and a send spells, hashes and
+//! allocates no name. Only a route to another device holds names, to stamp
+//! on the TCP wire.
 
 use crate::deploy::{DeploymentPlan, ServiceBinding};
 use crate::error::PipelineError;
 use crate::flow::{CreditController, SourcePacer};
-use crate::health::FailureDetector;
 use crate::message::{Header, Message, Payload};
 use crate::metrics::{LabelMap, PipelineMetrics, Slot};
 use crate::module::{Event, Module, ModuleCtx, ModuleFactory, ModuleRegistry};
@@ -176,7 +175,7 @@ pub(crate) fn reply_route<'r>(routes: &'r [Route], reply: &WireMessage) -> Optio
 /// How a pipeline's channel ids are laid out, and which device owns each:
 /// per module, in plan order, its inbox (`2i`) and its reply channel
 /// (`2i + 1`); then one inbox per service host; then flow control, owned by
-/// the source device; then heartbeats, whose monitor runs beside the pacer.
+/// the source device.
 struct Layout {
     /// Plan device names; a device index points in here.
     devices: Vec<String>,
@@ -239,12 +238,8 @@ impl Layout {
         self.host(self.hosts.len())
     }
 
-    fn hb(&self) -> usize {
-        self.fc() + 1
-    }
-
     fn len(&self) -> usize {
-        self.hb() + 1
+        self.fc() + 1
     }
 
     fn module(&self, name: &str) -> Result<usize, PipelineError> {
@@ -282,10 +277,8 @@ impl Layout {
         } else if id < self.fc() {
             let (device, service) = &self.hosts[id - modules];
             format!("svc/{pipeline}/{}/{service}", self.devices[*device])
-        } else if id == self.fc() {
-            format!("fc/{pipeline}")
         } else {
-            format!("hb/{pipeline}")
+            format!("fc/{pipeline}")
         }
     }
 }
@@ -318,15 +311,8 @@ pub(crate) struct Shared {
     /// otherwise); callers hold their slot.
     pub(crate) breakers: Mutex<LabelMap<CircuitBreaker>>,
     pub(crate) restarts: AtomicU64,
-    /// Pipeline fence epoch: bumped once per confirmed device loss;
-    /// messages stamped with an older epoch are fenced by the pacer.
-    pub(crate) fence_epoch: AtomicU64,
-    /// Heartbeat failure detector (`None` when heartbeats are disabled).
-    pub(crate) detector: Mutex<Option<FailureDetector>>,
     /// Latest module snapshots by module name, for checkpointed restarts.
     pub(crate) checkpoints: Mutex<HashMap<String, Vec<u8>>>,
-    /// Devices whose heartbeat sender is suppressed (chaos hook).
-    pub(crate) muted_heartbeats: Mutex<HashSet<String>>,
     /// Live SLO knob actuators, written by the controller tick and read
     /// lock-free at the actuation sites (encode path, service drain, pacer
     /// admission). All-baseline when no controller is configured.
@@ -423,10 +409,10 @@ fn tcp_peers(
 }
 
 impl Shared {
-    /// Builds one pipeline's shared state from its plan: its channels, one
-    /// frame store per device and the failure detector. In `Tcp` mode the
-    /// second value is one ingress endpoint per device, reading into
-    /// `ingress_pool`, for the runtime to run; it is empty otherwise.
+    /// Builds one pipeline's shared state from its plan: its channels and
+    /// one frame store per device. In `Tcp` mode the second value is one
+    /// ingress endpoint per device, reading into `ingress_pool`, for the
+    /// runtime to run; it is empty otherwise.
     ///
     /// # Errors
     ///
@@ -458,13 +444,6 @@ impl Shared {
                 (peers, endpoints, names.collect())
             }
         };
-        let detector = config.heartbeats.clone().map(|h| {
-            let mut d = FailureDetector::new(h);
-            for dev in &plan.devices {
-                d.expect(&dev.name, 0);
-            }
-            d
-        });
         let shared = Arc::new(Shared {
             pipeline,
             sources,
@@ -491,10 +470,7 @@ impl Shared {
             config,
             breakers: Mutex::new(LabelMap::new()),
             restarts: AtomicU64::new(0),
-            fence_epoch: AtomicU64::new(0),
-            detector: Mutex::new(detector),
             checkpoints: Mutex::new(HashMap::new()),
-            muted_heartbeats: Mutex::new(HashSet::new()),
             knobs: KnobActuators::baseline(),
         });
         Ok((shared, endpoints))
@@ -525,14 +501,6 @@ impl Shared {
     /// The channel a frame received from the TCP wire is addressed to.
     pub(crate) fn ingress_channel(&self, name: &str) -> Option<&Channel> {
         self.ingress.get(name).map(|&id| &*self.channels[id])
-    }
-
-    /// Each plan device with its route to the heartbeat monitor.
-    pub(crate) fn heartbeat_routes(&self) -> Vec<(String, Route)> {
-        let hb = self.layout.hb();
-        (0..self.layout.devices.len())
-            .map(|d| (self.layout.devices[d].clone(), self.route(d, hb)))
-            .collect()
     }
 
     pub(crate) fn now_ns(&self) -> u64 {
@@ -593,27 +561,18 @@ impl Shared {
     /// clones them, leaving them for the final report.
     pub(crate) fn report(&self, last: bool) -> RunReport {
         let metrics = self.metrics_so_far(last);
-        let run_duration_ns = metrics.run_duration_ns;
         let breakers = self
             .breakers
             .lock()
             .iter()
             .map(|(name, b)| (name.clone(), b.snapshot()))
             .collect();
-        let device_statuses = self
-            .detector
-            .lock()
-            .as_ref()
-            .map(|d| d.statuses(run_duration_ns))
-            .unwrap_or_default();
         RunReport {
             metrics,
             logs: hand_over(&mut *self.logs.lock(), last),
             errors: hand_over(&mut *self.errors.lock(), last),
             restarts: self.restarts.load(Ordering::Relaxed),
             breakers,
-            device_statuses,
-            fence_epoch: self.fence_epoch.load(Ordering::SeqCst),
             slo_level: self.knobs.level.load(Ordering::Relaxed),
             slo_moves: self.knobs.moves.load(Ordering::Relaxed),
             slo_flaps: self.knobs.flaps.load(Ordering::Relaxed),
@@ -636,7 +595,7 @@ fn hand_over<T: Clone + Default>(value: &mut T, last: bool) -> T {
 /// A payload-free message carrying a frame's identity: flow-control
 /// signals, error-path credit returns and camera ticks. Its route is its
 /// address, so it names no channel.
-fn frame_msg(kind: MessageKind, header: Header, epoch: u64) -> WireMessage {
+fn frame_msg(kind: MessageKind, header: Header) -> WireMessage {
     WireMessage {
         kind,
         channel: String::new(),
@@ -644,7 +603,6 @@ fn frame_msg(kind: MessageKind, header: Header, epoch: u64) -> WireMessage {
         corr_id: 0,
         seq: header.frame_seq,
         timestamp_ns: header.capture_ts_ns,
-        epoch,
         payload: bytes::Bytes::new(),
     }
 }
@@ -659,7 +617,6 @@ fn response_to(request: &WireMessage, payload: bytes::Bytes) -> WireMessage {
         corr_id: request.corr_id,
         seq: request.seq,
         timestamp_ns: request.timestamp_ns,
-        epoch: request.epoch,
         payload,
     }
 }
@@ -714,10 +671,6 @@ struct ServiceWire {
 /// Per-module context state that survives from one event to the next.
 struct CtxState {
     header: Header,
-    /// Fence epoch of the event being processed; stamped onto every
-    /// outgoing message so the pacer can fence frames admitted before a
-    /// failover.
-    epoch: u64,
     corr: u64,
     reply_rx: Arc<Channel>,
     /// Last successful response per bound service, indexed like
@@ -868,7 +821,7 @@ impl<X: Exec> Ctx<'_, X> {
     /// Control-kind message distinguishes this from a real completion so the
     /// pacer does not count it as delivered.
     fn return_credit(&self) {
-        let credit = frame_msg(MessageKind::Control, self.st.header, self.st.epoch);
+        let credit = frame_msg(MessageKind::Control, self.st.header);
         let _ = self.exec.send(&self.wiring.fc, credit);
     }
 }
@@ -969,11 +922,11 @@ impl<X: Exec> ModuleCtx for Ctx<'_, X> {
             header.capture_ts_ns,
             payload.encode(),
         );
-        self.exec.send(&edge.route, msg.with_epoch(self.st.epoch))
+        self.exec.send(&edge.route, msg)
     }
 
     fn signal_source(&mut self) -> Result<(), PipelineError> {
-        let signal = frame_msg(MessageKind::Signal, self.st.header, self.st.epoch);
+        let signal = frame_msg(MessageKind::Signal, self.st.header);
         self.exec.send(&self.wiring.fc, signal)
     }
 
@@ -1099,7 +1052,6 @@ impl ModuleTask {
             factory: modules.factory(&m.include)?,
             st: CtxState {
                 header: Header::default(),
-                epoch: 0,
                 corr: 0,
                 reply_rx: Arc::clone(&shared.channels[Layout::reply(i)]),
                 lkg,
@@ -1156,7 +1108,6 @@ impl ModuleTask {
             st,
             ..
         } = self;
-        st.epoch = msg.epoch;
         let header = Header {
             frame_seq: msg.seq,
             capture_ts_ns: msg.timestamp_ns,
@@ -1498,16 +1449,10 @@ pub(crate) struct Pacer {
     pacer: SourcePacer,
     controller: CreditController,
     interval: Duration,
+    /// The credit lease. When set, outstanding admissions are tracked by
+    /// frame seq in `outstanding` so an expired one can be reclaimed.
     lease: Option<Duration>,
-    /// Outstanding admissions are tracked by frame seq for credit-lease
-    /// expiry and for epoch fencing (either feature needs the set).
-    track_outstanding: bool,
     outstanding: HashMap<u64, Instant>,
-    /// Fence epoch this pacer is admitting under. A bump (confirmed device
-    /// loss) fences everything in flight: those frames may be lost, half
-    /// delivered, or redelivered — their credits come back here and any
-    /// late signal they still produce is ignored.
-    current_epoch: u64,
     /// Recently delivered frame seqs, for redelivery dedup (at-least-once
     /// delivery must not double-count).
     dedup_window: usize,
@@ -1542,33 +1487,11 @@ impl Pacer {
             pacer,
             controller: CreditController::new(config.credits),
             lease,
-            track_outstanding: lease.is_some() || config.heartbeats.is_some(),
             outstanding: HashMap::new(),
-            current_epoch: shared.fence_epoch.load(Ordering::SeqCst),
             dedup_window: config.dedup_window,
             dedup_order: VecDeque::with_capacity(config.dedup_window),
             dedup_set: HashSet::with_capacity(config.dedup_window),
         })
-    }
-
-    /// Epoch bump: proactively fault every outstanding admission so the
-    /// source regains its credits immediately instead of waiting out a
-    /// lease on frames the dead device will never finish.
-    pub(crate) fn check_fence(&mut self, shared: &Shared) {
-        let fence = shared.fence_epoch.load(Ordering::SeqCst);
-        if fence != self.current_epoch {
-            self.current_epoch = fence;
-            let fenced = self.outstanding.len() as u64;
-            for _ in self.outstanding.drain() {
-                self.controller.fault();
-            }
-            if fenced > 0 {
-                self.publish_credits(&mut shared.metrics.lock());
-                shared.logs.lock().push(format!(
-                    "pacer: fenced {fenced} in-flight frame(s) at epoch {fence}"
-                ));
-            }
-        }
     }
 
     /// Accounts one message from the flow-control inbox: a completion
@@ -1582,17 +1505,13 @@ impl Pacer {
         {
             return;
         }
-        // When admissions are tracked, only outstanding frames may return
-        // a credit: anything else is a late echo of an already expired
-        // lease or a fenced epoch, and honouring it would free a credit
-        // that belongs to a different frame.
-        let known = !self.track_outstanding || self.outstanding.remove(&msg.seq).is_some();
-        // Signals from a dead epoch are fenced: the credit (if still held)
-        // is reclaimed through the fault path, and the delivery is NOT
-        // counted.
-        let fenced = msg.epoch != self.current_epoch;
+        // Under a lease, only outstanding frames may return a credit:
+        // anything else is a late echo of an already expired lease, and
+        // honouring it would free a credit that belongs to a different
+        // frame.
+        let known = self.lease.is_none() || self.outstanding.remove(&msg.seq).is_some();
         match msg.kind {
-            MessageKind::Signal if known && !fenced => {
+            MessageKind::Signal if known => {
                 // A signal that finds nothing in flight (a sink signalling
                 // twice for one frame) took no credit back, so it delivered
                 // nothing either.
@@ -1616,9 +1535,8 @@ impl Pacer {
                 self.publish_credits(&mut metrics);
                 shared.deliveries.fetch_add(1, Ordering::Relaxed);
             }
-            // A fenced completion, or the error path: the frame died
-            // mid-pipeline.
-            MessageKind::Signal | MessageKind::Control if known => {
+            // The error path: the frame died mid-pipeline.
+            MessageKind::Control if known => {
                 self.controller.fault();
                 self.publish_credits(&mut shared.metrics.lock());
             }
@@ -1672,7 +1590,7 @@ impl Pacer {
         if !admitted {
             return;
         }
-        if self.track_outstanding {
+        if self.lease.is_some() {
             self.outstanding.insert(seq, Instant::now());
         }
         let header = Header {
@@ -1680,7 +1598,7 @@ impl Pacer {
             capture_ts_ns: shared.now_ns(),
         };
         for route in &self.sources {
-            let tick = frame_msg(MessageKind::Signal, header, self.current_epoch);
+            let tick = frame_msg(MessageKind::Signal, header);
             let _ = exec.send(route, tick);
         }
     }
@@ -1733,69 +1651,6 @@ pub(crate) fn slo_tick(controller: &mut SloController, shared: &Shared) {
     ));
 }
 
-/// One heartbeat from `device` down its `route` to the monitor, unless the
-/// chaos hook has muted the device or the pipeline is stopping.
-pub(crate) fn heartbeat<X: Exec>(shared: &Shared, exec: &X, device: &str, route: &Route) {
-    if shared.stopped() || shared.muted_heartbeats.lock().contains(device) {
-        return;
-    }
-    let at = Header {
-        frame_seq: 0,
-        capture_ts_ns: shared.now_ns(),
-    };
-    let beat = WireMessage {
-        payload: bytes::Bytes::copy_from_slice(device.as_bytes()),
-        ..frame_msg(MessageKind::Control, at, 0)
-    };
-    let _ = exec.send(route, beat);
-}
-
-/// The heartbeat monitor: feeds the failure detector and bumps the fence
-/// epoch on a confirmed device loss.
-pub(crate) struct HbMonitor {
-    pub(crate) inbox: Arc<Channel>,
-    confirmed: HashSet<String>,
-}
-
-impl HbMonitor {
-    /// Takes the pipeline's heartbeat inbox.
-    pub(crate) fn deploy(shared: &Shared) -> Self {
-        HbMonitor {
-            inbox: Arc::clone(&shared.channels[shared.layout.hb()]),
-            confirmed: HashSet::new(),
-        }
-    }
-
-    pub(crate) fn on_beat(&self, shared: &Shared, msg: &WireMessage) {
-        if msg.kind != MessageKind::Control {
-            return;
-        }
-        if let Ok(device) = std::str::from_utf8(&msg.payload) {
-            if let Some(d) = shared.detector.lock().as_mut() {
-                d.record_heartbeat(device, shared.now_ns());
-            }
-        }
-    }
-
-    /// Walks suspicion to confirmed loss; each newly confirmed device
-    /// fences one epoch.
-    pub(crate) fn sweep(&mut self, shared: &Shared) {
-        let now_ns = shared.now_ns();
-        let dead = match shared.detector.lock().as_ref() {
-            Some(d) => d.dead_devices(now_ns),
-            None => Vec::new(),
-        };
-        for device in dead {
-            if self.confirmed.insert(device.clone()) {
-                let epoch = shared.fence_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-                shared.logs.lock().push(format!(
-                    "monitor: device {device} confirmed dead; fencing epoch {epoch}"
-                ));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1805,7 +1660,7 @@ mod tests {
 
     /// A pipeline's shared state with nothing deployed on it: one device
     /// (`"one"`) and the channels of one module (`"m"`) on it, in-process,
-    /// no detector, and a breaker for service `"svc"` when breakers are on.
+    /// and a breaker for service `"svc"` when breakers are on.
     fn bare_shared(config: RuntimeConfig) -> Arc<Shared> {
         let mut stores = HashMap::new();
         stores.insert("one".to_string(), Arc::new(FrameStore::new()));
@@ -1838,10 +1693,7 @@ mod tests {
             config,
             breakers: Mutex::new(breakers),
             restarts: AtomicU64::new(0),
-            fence_epoch: AtomicU64::new(0),
-            detector: Mutex::new(None),
             checkpoints: Mutex::new(HashMap::new()),
-            muted_heartbeats: Mutex::new(HashSet::new()),
             knobs: KnobActuators::baseline(),
         })
     }
@@ -1987,7 +1839,6 @@ mod tests {
             };
             let st = CtxState {
                 header: Header::default(),
-                epoch: 0,
                 corr: 0,
                 reply_rx: Arc::clone(reply_channel(&shared)),
                 lkg: if keeps_lkg { vec![None] } else { Vec::new() },
@@ -2263,14 +2114,14 @@ mod tests {
     fn a_second_signal_for_one_frame_counts_no_second_delivery() {
         let shared = bare_shared(RuntimeConfig::default());
         let mut pacer = Pacer::deploy(&shared).unwrap();
-        assert!(!pacer.track_outstanding);
+        assert!(pacer.lease.is_none());
         pacer.tick(&shared, &FakeExec::new(&shared, Vec::new()));
         let header = Header {
             frame_seq: 1,
             capture_ts_ns: 0,
         };
         for _ in 0..2 {
-            pacer.on_signal(&shared, &frame_msg(MessageKind::Signal, header, 0));
+            pacer.on_signal(&shared, &frame_msg(MessageKind::Signal, header));
         }
         assert_eq!(shared.deliveries.load(Ordering::Relaxed), 1);
         let metrics = shared.metrics.lock();

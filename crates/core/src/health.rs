@@ -10,10 +10,10 @@
 //! dropped packet never tears a pipeline apart.
 //!
 //! The detector is clock-agnostic: callers supply `now_ns` as nanoseconds
-//! on any monotonic axis. The runtime feeds it nanoseconds since its
-//! pipeline's start `Instant`; the simulator feeds it `SimTime` nanoseconds. That
-//! keeps the transition logic identical — and identically testable — in
-//! both worlds.
+//! on any monotonic axis. The fleet coordinator (`videopipe-cluster`) feeds
+//! it nanoseconds since its own start `Instant`; the simulator feeds it
+//! `SimTime` nanoseconds. That keeps the transition logic identical — and
+//! identically testable — in both worlds.
 
 use std::collections::HashMap;
 use std::time::Duration;

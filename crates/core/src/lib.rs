@@ -20,8 +20,8 @@
 //! * [`deploy`] — devices, placements, service-binding resolution
 //!   (co-located vs remote), and latency-model-driven automatic placement.
 //! * [`flow`] — the no-queue, drop-at-source flow control (§2.3).
-//! * [`health`] — heartbeat-based device failure detection feeding the
-//!   self-healing failover path.
+//! * [`health`] — heartbeat-based device failure detection, shared by the
+//!   fleet coordinator and the simulator's failover path.
 //! * [`resilience`] — retry policies, per-service circuit breakers and
 //!   degradation policies that keep the §2.3 design from wedging when
 //!   services fail.

@@ -165,7 +165,7 @@ pub(crate) struct Slot(usize);
 /// A small map from labels to cells — a pipeline's stages or service hosts,
 /// a handful of them: one `Vec` of `(label, value)` pairs in insertion
 /// order. The runtime registers every label at deploy and records through
-/// the [`Slot`]s it was handed, so the hot path neither compares nor
+/// the `Slot`s it was handed, so the hot path neither compares nor
 /// searches a string; lookups by label (`map["label"]`,
 /// [`LabelMap::get`]) search linearly. Iteration is in label order, as a
 /// `BTreeMap`'s was.
@@ -425,9 +425,8 @@ impl PipelineMetrics {
     }
 
     /// Records a stage latency sample, registering `stage` the first time
-    /// it is seen. The runtime records through [`record_stage_at`] instead.
-    ///
-    /// [`record_stage_at`]: PipelineMetrics::record_stage_at
+    /// it is seen. The runtime records through the slot it registered at
+    /// deploy instead.
     pub fn record_stage(&mut self, stage: &str, ns: u64) {
         let slot = self.stages.slot(stage);
         self.record_stage_at(slot, ns);

@@ -23,14 +23,14 @@
 //!   from siblings (randomized victim sweep) as the escape valve under
 //!   imbalance, and local-queue overflow spills to a pair of global MPMC
 //!   queues visible to all.
-//! * **Worker-owned timers, not sleeps.** Pacer ticks, SLO and heartbeat
-//!   intervals, checkpoint periods and *modeled service costs* are exact
-//!   nanosecond deadlines on the timer shard of the pipeline's home
-//!   worker. A worker fires its shard's due entries at the top of
-//!   every scheduling step (one clock read, one atomic load) and, with
-//!   nothing to run, sleeps until its next deadline: a pacer goes from
-//!   "due" to "running" on one thread. Every reactor thread asks the
-//!   kernel for 1 ns timer slack when it starts
+//! * **Worker-owned timers, not sleeps.** Pacer ticks, SLO intervals,
+//!   checkpoint periods and *modeled service costs* are exact nanosecond
+//!   deadlines on the timer shard of the pipeline's home worker. A worker
+//!   fires its shard's due entries at the top of every scheduling step
+//!   (one clock read, one atomic load) and, with nothing to run, sleeps
+//!   until its next deadline: a pacer goes from "due" to "running" on one
+//!   thread. Every reactor thread asks the kernel for 1 ns timer slack
+//!   when it starts
 //!   ([`exact_timer_wakeups`](videopipe_net::exact_timer_wakeups)), so
 //!   that sleep ends at the deadline, not up to the default 50 µs after
 //!   it; the same holds for the threads' reply waits, helping naps and the
@@ -50,9 +50,8 @@
 //!   pacers, watchers) — and replies are always produced by non-blocking
 //!   tasks, so the wait always makes progress even with a single worker.
 //! * **One I/O thread.** TCP ingress is one thread turning one
-//!   [`Ingress`](videopipe_net::Ingress) — the readiness loop the fleet's
-//!   control loops turn too — over the sockets of every
-//!   [`PollEndpoint`](videopipe_net::PollEndpoint) of every pipeline: it
+//!   [`Ingress`] — the readiness loop the fleet's control loops turn too —
+//!   over the sockets of every [`PollEndpoint`] of every pipeline: it
 //!   wakes when bytes arrive, services exactly the sockets that are ready
 //!   and feeds completed frames to the readiness queues. No per-connection
 //!   reader threads, no polling interval.
@@ -63,12 +62,12 @@
 //! What a task *does* with a message — the module step, the service batch,
 //! the pacer's accounting, the watcher ticks — lives in the crate-private
 //! `engine` module. This file keeps only what is genuinely scheduled:
-//! tasks, queues, stealing, timers, [`Rearm`], the service horizon,
+//! tasks, queues, stealing, timers, `Rearm`, the service horizon,
 //! `Deliver` deferral and the I/O thread (DESIGN.md §5.11).
 
 use crate::deploy::DeploymentPlan;
 use crate::engine::{
-    self, reply_route, Channel, Exec, HbMonitor, ModuleTask, Pacer, Route, ServiceHost, Shared,
+    self, reply_route, Channel, Exec, ModuleTask, Pacer, Route, ServiceHost, Shared,
 };
 use crate::error::PipelineError;
 use crate::metrics::PipelineMetrics;
@@ -158,10 +157,6 @@ const SERVICE_BATCH_QUANTUM: usize = 4;
 /// worker's queue without bound — and spilled tasks become visible to
 /// every worker, which doubles as a pressure valve.
 const LOCAL_QUEUE_CAP: usize = 256;
-
-/// How often the heartbeat monitor sweeps for overdue devices between
-/// beats.
-const HB_SWEEP: Duration = Duration::from_millis(20);
 
 /// Pads and aligns a value to a cache line so per-worker hot state (queue
 /// locks, stats counters, timer shards) never false-shares a line with a
@@ -1055,8 +1050,8 @@ impl TaskRunner for ServiceRunner {
 }
 
 /// The per-pipeline pacer as a non-blocking task: drains completion
-/// signals, expires credit leases, fences dead epochs and emits camera
-/// ticks, then re-arms itself on its worker's timers for the next tick.
+/// signals, expires credit leases and emits camera ticks, then re-arms
+/// itself on its worker's timers for the next tick.
 struct PacerRunner {
     pipe: Arc<PipeRt>,
     pacer: Pacer,
@@ -1070,7 +1065,6 @@ impl TaskRunner for PacerRunner {
         if shared.stopped() {
             return false;
         }
-        pacer.check_fence(shared);
         while let Some(msg) = pacer.fc_inbox.try_recv() {
             pacer.on_signal(shared, &msg);
         }
@@ -1089,8 +1083,8 @@ impl TaskRunner for PacerRunner {
     }
 }
 
-/// A watcher (SLO controller, heartbeat sender) as a self-rearming timer
-/// task: runs `tick` each time `interval` has elapsed.
+/// A watcher (the SLO controller) as a self-rearming timer task: runs
+/// `tick` each time `interval` has elapsed.
 struct IntervalRunner<F> {
     pipe: Arc<PipeRt>,
     interval: Duration,
@@ -1099,8 +1093,8 @@ struct IntervalRunner<F> {
     tick: F,
 }
 
-impl<F: FnMut(&Shared, &ReactorExec<'_>) + Send> TaskRunner for IntervalRunner<F> {
-    fn run(&mut self, core: &Core, me: &Arc<Task>, depth: usize) -> bool {
+impl<F: FnMut(&Shared) + Send> TaskRunner for IntervalRunner<F> {
+    fn run(&mut self, core: &Core, me: &Arc<Task>, _depth: usize) -> bool {
         let pipe = &*self.pipe;
         if pipe.shared.stopped() {
             return false;
@@ -1108,35 +1102,7 @@ impl<F: FnMut(&Shared, &ReactorExec<'_>) + Send> TaskRunner for IntervalRunner<F
         let now = Instant::now();
         if now >= self.next_at {
             self.next_at = now + self.interval;
-            (self.tick)(&pipe.shared, &ReactorExec { core, depth });
-        }
-        self.rearm.ensure(core, me, self.next_at);
-        false
-    }
-}
-
-/// The heartbeat monitor as a task: woken by each beat (channel notify)
-/// and by a periodic sweep that walks suspicion to confirmed loss.
-struct HbMonitorRunner {
-    pipe: Arc<PipeRt>,
-    monitor: HbMonitor,
-    next_at: Instant,
-    rearm: Rearm,
-}
-
-impl TaskRunner for HbMonitorRunner {
-    fn run(&mut self, core: &Core, me: &Arc<Task>, _depth: usize) -> bool {
-        let shared = &self.pipe.shared;
-        if shared.stopped() {
-            return false;
-        }
-        while let Some(msg) = self.monitor.inbox.try_recv() {
-            self.monitor.on_beat(shared, &msg);
-        }
-        self.monitor.sweep(shared);
-        let now = Instant::now();
-        if now >= self.next_at {
-            self.next_at = now + HB_SWEEP;
+            (self.tick)(&pipe.shared);
         }
         self.rearm.ensure(core, me, self.next_at);
         false
@@ -1242,23 +1208,6 @@ impl ReactorRuntime {
         }
         waker.notify();
         Ok(())
-    }
-
-    /// Builds a watcher ticking every `interval`, first at `first_at`.
-    fn interval_task(
-        pipe: &Arc<PipeRt>,
-        interval: Duration,
-        first_at: Instant,
-        tick: impl FnMut(&Shared, &ReactorExec<'_>) + Send + 'static,
-    ) -> Arc<Task> {
-        let runner = IntervalRunner {
-            pipe: Arc::clone(pipe),
-            interval,
-            next_at: first_at,
-            rearm: Rearm::default(),
-            tick,
-        };
-        new_task(pipe.home, false, runner)
     }
 
     /// Deploys one more pipeline onto the shared reactor and returns its
@@ -1373,29 +1322,14 @@ impl ReactorRuntime {
         if let Some(slo_cfg) = shared.config.slo.clone() {
             let mut slo = SloController::new(slo_cfg);
             let interval = slo.config().interval;
-            let tick =
-                move |shared: &Shared, _: &ReactorExec<'_>| engine::slo_tick(&mut slo, shared);
-            watchers.push(Self::interval_task(pipe, interval, now + interval, tick));
-        }
-        if let Some(health) = &shared.config.heartbeats {
-            let monitor = HbMonitor::deploy(shared);
-            for (device, route) in shared.heartbeat_routes() {
-                let beat = move |shared: &Shared, exec: &ReactorExec<'_>| {
-                    engine::heartbeat(shared, exec, &device, &route)
-                };
-                let interval = health.heartbeat_interval;
-                watchers.push(Self::interval_task(pipe, interval, now, beat));
-            }
-            let inbox = Arc::clone(&monitor.inbox);
-            let runner = HbMonitorRunner {
+            let runner = IntervalRunner {
                 pipe: Arc::clone(pipe),
-                monitor,
-                next_at: now,
+                interval,
+                next_at: now + interval,
                 rearm: Rearm::default(),
+                tick: move |shared: &Shared| engine::slo_tick(&mut slo, shared),
             };
-            let task = new_task(home, false, runner);
-            inbox.set_consumer(&task);
-            watchers.push(task);
+            watchers.push(new_task(home, false, runner));
         }
 
         // --- Pacer task. Its first run fires the first camera tick
@@ -1636,20 +1570,10 @@ impl ReactorRuntime {
     /// Collects a report for live pipeline `id` from its shared state
     /// (non-consuming: metrics, logs and errors are cloned and stay for the
     /// final report; `None` once [`ReactorRuntime::stop_pipeline`] has
-    /// taken that). Mid-run, this is where the failure detector's device
-    /// view, the fence epoch, the SLO level and the restart count are
-    /// read.
+    /// taken that). Mid-run, this is where the SLO level, the breakers and
+    /// the restart count are read.
     pub(crate) fn report_for(&self, id: usize) -> Option<RunReport> {
         Some(self.pipe(id)?.shared.report(false))
-    }
-
-    /// Chaos hook: silences `device`'s heartbeat sender on pipeline `id`,
-    /// as if the device dropped off the network. The failure detector will
-    /// walk it through suspicion to confirmed loss. Returns whether the
-    /// device was newly muted.
-    pub(crate) fn inject_heartbeat_loss(&self, id: usize, device: &str) -> bool {
-        self.pipe(id)
-            .is_some_and(|p| p.shared.muted_heartbeats.lock().insert(device.to_string()))
     }
 }
 

@@ -9,8 +9,8 @@
 //! quickly and returns its credit:
 //!
 //! * [`RetryPolicy`] — bounded exponential backoff with deterministic,
-//!   seeded jitter ([`SeededJitter`]), so retried runs are reproducible.
-//! * [`CircuitBreaker`] — per-service closed → open → half-open breaker
+//!   seeded jitter (`SeededJitter`), so retried runs are reproducible.
+//! * `CircuitBreaker` — per-service closed → open → half-open breaker
 //!   that fast-fails calls to a service that keeps failing, instead of
 //!   burning the frame interval on doomed retries.
 //! * [`DegradationPolicy`] — what a module does once retries and the
@@ -119,7 +119,7 @@ impl RetryPolicy {
     }
 }
 
-/// State of a [`CircuitBreaker`].
+/// State of a `CircuitBreaker`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Calls flow normally; consecutive failures are counted.
@@ -256,7 +256,7 @@ impl CircuitBreaker {
     }
 }
 
-/// Observable counters of a [`CircuitBreaker`], surfaced in run reports.
+/// Observable counters of a `CircuitBreaker`, surfaced in run reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerSnapshot {
     /// State at snapshot time.
@@ -312,7 +312,7 @@ pub struct ResilienceConfig {
     /// link). `None` disables the lease and preserves seed behaviour.
     pub credit_timeout: Option<Duration>,
     /// Base seed for deterministic retry jitter (per-module streams are
-    /// derived via [`seed_for`]).
+    /// derived via `seed_for`).
     pub seed: u64,
 }
 

@@ -12,7 +12,6 @@
 //! `videopipe-sim` for calibrated, deterministic numbers.
 
 use crate::error::PipelineError;
-use crate::health::{DeviceStatus, HealthConfig};
 use crate::metrics::PipelineMetrics;
 use crate::resilience::{BreakerSnapshot, ResilienceConfig};
 use crate::slo::SloConfig;
@@ -86,13 +85,6 @@ pub struct RuntimeConfig {
     /// Service-dispatch micro-batching defaults for every service host.
     /// The default (`max_batch` 1) preserves request-at-a-time dispatch.
     pub batch: BatchConfig,
-    /// When set, every device emits heartbeats on the `hb/<pipeline>`
-    /// channel and a failure detector maintains a live
-    /// [`DeviceStatus`] view; a *confirmed* device loss bumps the
-    /// pipeline's fence epoch so in-flight frames from before the loss are
-    /// fenced and their credits reclaimed. `None` (the default) disables
-    /// the health layer entirely and preserves seed behaviour.
-    pub heartbeats: Option<HealthConfig>,
     /// Interval at which module state is snapshotted
     /// ([`Module::snapshot`](crate::module::Module::snapshot)) into the runtime's checkpoint store, so a
     /// supervised restart resumes near where the old instance died.
@@ -167,7 +159,6 @@ impl Default for RuntimeConfig {
             transport: EdgeTransport::Inproc,
             resilience: ResilienceConfig::default(),
             batch: BatchConfig::disabled(),
-            heartbeats: None,
             checkpoint_period: None,
             dedup_window: 0,
             slo: None,
@@ -175,7 +166,9 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// The outcome of a runtime run.
+/// The outcome of a runtime run. It says nothing of device liveness: a
+/// runtime's devices share its process, and a fleet's node liveness is the
+/// coordinator's to report.
 #[derive(Debug, Default)]
 pub struct RunReport {
     /// Collected metrics.
@@ -189,11 +182,6 @@ pub struct RunReport {
     /// Final circuit-breaker counters, keyed by service name (empty unless
     /// [`ResilienceConfig::breaker_failure_threshold`] is set).
     pub breakers: HashMap<String, BreakerSnapshot>,
-    /// Final failure-detector view per device (empty unless
-    /// [`RuntimeConfig::heartbeats`] is set).
-    pub device_statuses: Vec<(String, DeviceStatus)>,
-    /// Fence epoch at the end of the run (0 = no confirmed device loss).
-    pub fence_epoch: u64,
     /// Final SLO controller lattice level (0 = baseline; also 0 when no
     /// controller was configured).
     pub slo_level: usize,
@@ -1346,78 +1334,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn heartbeat_loss_is_detected_and_fences_the_epoch() {
-        let devices = vec![
-            DeviceSpec::new("phone", 1.0)
-                .with_containers(1)
-                .with_service("doubler"),
-            DeviceSpec::new("desktop", 2.0),
-        ];
-        // All modules and the service live on the phone: the desktop only
-        // heartbeats, so losing it fences in-flight work without stalling
-        // the new epoch's traffic.
-        let placement = Placement::new()
-            .assign("src", "phone")
-            .assign("mid", "phone")
-            .assign("sink", "phone");
-        let plan = plan(&test_spec(), &devices, &placement).unwrap();
-        let (modules, services) = registries();
-        let config = RuntimeConfig {
-            fps: 200.0,
-            heartbeats: Some(HealthConfig {
-                heartbeat_interval: Duration::from_millis(20),
-                lease: Duration::from_millis(60),
-                suspicion_threshold: 1,
-                confirmation_threshold: 2,
-            }),
-            ..RuntimeConfig::default()
-        };
-        let runtime = start(&plan, &modules, &services, config).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let live = || runtime.report_for(0).expect("pipeline 0");
-        let status = |report: &RunReport, device: &str| {
-            let statuses = &report.device_statuses;
-            statuses.iter().find(|(d, _)| d == device).map(|(_, s)| *s)
-        };
-        await_deliveries(&runtime, 5);
-        let before_loss = live();
-        assert_eq!(status(&before_loss, "desktop"), Some(DeviceStatus::Alive));
-        assert_eq!(before_loss.fence_epoch, 0);
-        assert!(runtime.inject_heartbeat_loss(0, "desktop"));
-        while live().fence_epoch == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let fenced = live();
-        assert_eq!(status(&fenced, "desktop"), Some(DeviceStatus::Dead));
-        assert_eq!(status(&fenced, "phone"), Some(DeviceStatus::Alive));
-        // New-epoch frames keep flowing after the fence.
-        let before = runtime.deliveries();
-        await_deliveries(&runtime, before + 5);
-        // The mid-run reports above left the log in place.
-        let report = runtime.finish().remove(0);
-        assert_eq!(report.fence_epoch, 1);
-        assert!(
-            report
-                .device_statuses
-                .iter()
-                .any(|(d, s)| d == "desktop" && *s == DeviceStatus::Dead),
-            "{:?}",
-            report.device_statuses
-        );
-        assert!(
-            report.logs.iter().any(|l| l.contains("confirmed dead")),
-            "{:?}",
-            report.logs
-        );
-        assert!(
-            report.metrics.frames_delivered >= before + 5,
-            "post-fence deliveries stalled: {} vs {before}",
-            report.metrics.frames_delivered
-        );
-        assert!(report.metrics.credits_balanced(), "{:?}", report.metrics);
-    }
-
     /// Sink that tallies frames, checkpoints the tally, and panics once.
     struct CheckpointedTally {
         count: u64,
@@ -1564,9 +1480,9 @@ mod tests {
 
     #[test]
     fn teardown_wakes_interval_parked_watchers_promptly() {
-        // Watchers wait out their FULL interval on a timer. With
-        // multi-second heartbeat/SLO intervals, teardown must
-        // still take milliseconds, not an interval.
+        // Watchers wait out their FULL interval on a timer. With a
+        // multi-second SLO interval, teardown must still take
+        // milliseconds, not an interval.
         let devices = vec![DeviceSpec::new("one", 1.0)
             .with_containers(2)
             .with_service("doubler")];
@@ -1579,11 +1495,6 @@ mod tests {
         let long = Duration::from_secs(30);
         let config = RuntimeConfig {
             fps: 100.0,
-            heartbeats: Some(HealthConfig {
-                heartbeat_interval: long,
-                lease: long * 4,
-                ..HealthConfig::default()
-            }),
             slo: Some(crate::slo::SloConfig::p99(Duration::from_millis(100)).with_interval(long)),
             ..RuntimeConfig::default()
         };

@@ -25,7 +25,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slo {
     /// Median end-to-end latency bound. Optional — most deployments only
-    /// bound the tail. When set, it must not exceed [`Slo::p99`]
+    /// bound the tail. When set, it must not exceed `Slo::p99`
     /// (validated at deploy time).
     pub p50: Option<Duration>,
     /// End-to-end p99 latency target the controller defends.
@@ -259,7 +259,7 @@ pub enum SloAction {
 ///
 /// Drive it by calling [`SloController::observe`] once per control tick
 /// with the pipeline's *cumulative* end-to-end histogram; the controller
-/// internally diffs successive snapshots ([`LatencyHistogram::since`]) so
+/// internally diffs successive snapshots (`LatencyHistogram::since`) so
 /// each decision sees only the window since the last tick.
 #[derive(Debug, Clone)]
 pub struct SloController {

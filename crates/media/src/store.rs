@@ -101,7 +101,7 @@ impl FrameStore {
         }
     }
 
-    /// Creates a store with [`FrameStore::DEFAULT_CAPACITY`].
+    /// Creates a store with `FrameStore::DEFAULT_CAPACITY`.
     pub fn new() -> Self {
         Self::with_capacity(Self::DEFAULT_CAPACITY)
     }

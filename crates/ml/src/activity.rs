@@ -35,7 +35,7 @@ impl ActivityModel {
     ///
     /// # Errors
     ///
-    /// Propagates [`KnnError`] for malformed datasets.
+    /// Propagates `KnnError` for malformed datasets.
     pub fn train(k: usize, dataset: WindowDataset) -> Result<Self, KnnError> {
         let classes: BTreeSet<&String> = dataset.labels.iter().collect();
         let classes = classes.into_iter().cloned().collect();
@@ -66,7 +66,7 @@ impl ActivityModel {
     ///
     /// # Errors
     ///
-    /// Returns [`KnnError::DimensionMismatch`] when the vector is not
+    /// Returns `KnnError::DimensionMismatch` when the vector is not
     /// `WINDOW_DIM` long.
     pub fn classify_features(&self, features: &[f32]) -> Result<&str, KnnError> {
         self.knn.predict(features)
@@ -80,7 +80,7 @@ impl ActivityModel {
     ///
     /// # Errors
     ///
-    /// Returns [`KnnError::DimensionMismatch`] on the first wrong-sized
+    /// Returns `KnnError::DimensionMismatch` on the first wrong-sized
     /// vector.
     pub fn classify_features_batch<Q: AsRef<[f32]>>(
         &self,
@@ -101,7 +101,7 @@ impl ActivityModel {
         self.knn.accuracy(&dataset.features, &dataset.labels)
     }
 
-    /// Feature dimensionality (always [`WINDOW_DIM`]).
+    /// Feature dimensionality (always `WINDOW_DIM`).
     pub fn dim(&self) -> usize {
         WINDOW_DIM
     }

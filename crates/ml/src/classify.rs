@@ -136,7 +136,7 @@ impl ImageClassifier {
     ///
     /// # Errors
     ///
-    /// Returns [`ClassifyError::EmptyTrainingSet`] when no examples are
+    /// Returns `ClassifyError::EmptyTrainingSet` when no examples are
     /// given.
     pub fn train<'a, I>(examples: I) -> Result<Self, ClassifyError>
     where

@@ -87,7 +87,7 @@ impl KMeans {
     ///
     /// # Errors
     ///
-    /// Returns [`KMeansError`] when samples are fewer than `k`, dimensions
+    /// Returns `KMeansError` when samples are fewer than `k`, dimensions
     /// are inconsistent, or any value is non-finite.
     pub fn fit(&self, samples: &[Vec<f32>]) -> Result<KMeansModel, KMeansError> {
         if samples.len() < self.k {

@@ -138,7 +138,7 @@ pub struct KdTree {
 
 impl KdTree {
     /// Builds a balanced KD-tree over `samples` (median splits, points
-    /// bucketed into leaves of at most [`KDTREE_LEAF_SIZE`]).
+    /// bucketed into leaves of at most `KDTREE_LEAF_SIZE`).
     ///
     /// # Panics
     ///
@@ -438,13 +438,13 @@ pub struct KnnClassifier {
 
 impl KnnClassifier {
     /// Trains ("memorises") the classifier: builds the KD-tree for
-    /// dimensions up to [`KDTREE_MAX_DIM`]; above that sketches a training
+    /// dimensions up to `KDTREE_MAX_DIM`; above that sketches a training
     /// set of [`BOUNDED_MIN_BYTES`] or more for the bounded search and
     /// freezes a smaller one into a [`PointBlock`].
     ///
     /// # Errors
     ///
-    /// Returns [`KnnError`] on an empty training set, mismatched label
+    /// Returns `KnnError` on an empty training set, mismatched label
     /// counts, inconsistent dimensions, or `k == 0`.
     pub fn fit(k: usize, samples: Vec<Vec<f32>>, labels: Vec<String>) -> Result<Self, KnnError> {
         if k == 0 {
@@ -509,7 +509,7 @@ impl KnnClassifier {
     ///
     /// # Errors
     ///
-    /// Returns [`KnnError::DimensionMismatch`] if the query has the wrong
+    /// Returns `KnnError::DimensionMismatch` if the query has the wrong
     /// dimension.
     pub fn predict(&self, query: &[f32]) -> Result<&str, KnnError> {
         Ok(self.predict_batch(&[query])?[0])
@@ -526,7 +526,7 @@ impl KnnClassifier {
     ///
     /// # Errors
     ///
-    /// Returns [`KnnError::DimensionMismatch`] on the first wrong-sized
+    /// Returns `KnnError::DimensionMismatch` on the first wrong-sized
     /// query, before any distance is computed.
     pub fn predict_batch<Q: AsRef<[f32]>>(&self, queries: &[Q]) -> Result<Vec<&str>, KnnError> {
         for q in queries {
@@ -596,7 +596,7 @@ impl KnnClassifier {
     ///
     /// # Errors
     ///
-    /// Returns [`KnnError::DimensionMismatch`] on a wrong-sized query.
+    /// Returns `KnnError::DimensionMismatch` on a wrong-sized query.
     pub fn neighbours(&self, query: &[f32]) -> Result<Vec<usize>, KnnError> {
         self.check_dim(query)?;
         Ok(match &self.index {

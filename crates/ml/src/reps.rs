@@ -34,7 +34,7 @@ impl RepCounterModel {
     ///
     /// # Errors
     ///
-    /// Returns [`KMeansError`] when the calibration window is too small or
+    /// Returns `KMeansError` when the calibration window is too small or
     /// degenerate.
     pub fn fit(calibration: &[Pose]) -> Result<Self, KMeansError> {
         let samples: Vec<Vec<f32>> = calibration.iter().map(frame_features).collect();

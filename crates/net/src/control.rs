@@ -2,7 +2,7 @@
 //!
 //! The node ↔ coordinator control plane rides the same [`WireMessage`]
 //! framing as the data plane (kind [`MessageKind::Control`], channel
-//! [`CONTROL_CHANNEL`]): one TCP transport, one codec, one set of frame
+//! `CONTROL_CHANNEL`): one TCP transport, one codec, one set of frame
 //! limits. A [`ControlMsg`] is the typed payload — handshake, heartbeats,
 //! tenant placement commands and epoch-stamped tenant reports carrying
 //! module checkpoints for failover redeploys.
@@ -275,7 +275,6 @@ impl ControlMsg {
             corr_id: 0,
             seq: 0,
             timestamp_ns: 0,
-            epoch: 0,
             payload: bytes::Bytes::from(self.encode()),
         }
     }

@@ -220,7 +220,7 @@ mod imp {
         }
 
         /// Makes the current — or, when nobody is waiting, the next —
-        /// [`Poller::wait`] return. Notifies that land before the waiter
+        /// `Poller::wait` return. Notifies that land before the waiter
         /// wakes collapse into one wake-up. Publish whatever the waiter
         /// should see *before* calling this.
         pub fn notify(&self) {

@@ -26,7 +26,8 @@ pub enum MessageKind {
     Response = 2,
     /// Flow-control signal (the final module's "send the next frame").
     Signal = 3,
-    /// Runtime control (deploy, shutdown, telemetry).
+    /// Control: the fleet's control plane (`ControlMsg` frames) and a
+    /// pipeline's error-path credit returns.
     Control = 4,
 }
 
@@ -49,7 +50,9 @@ impl MessageKind {
 /// `channel` addresses the destination (module name, service name, or pub/sub
 /// topic); `reply_to` carries the requester's inbox for REQ/REP; `corr_id`
 /// correlates a response to its request; `seq`/`timestamp_ns` propagate the
-/// frame identity end-to-end for latency accounting.
+/// frame identity end-to-end for latency accounting. Nothing else rides in
+/// the header: a fleet's tenant epochs travel inside the control plane's
+/// payload ([`ControlMsg`](crate::control::ControlMsg)), not on every frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireMessage {
     /// Message kind.
@@ -64,10 +67,6 @@ pub struct WireMessage {
     pub seq: u64,
     /// Source frame capture timestamp (nanoseconds).
     pub timestamp_ns: u64,
-    /// Pipeline failover epoch the message belongs to. Each confirmed
-    /// device-loss failover bumps the epoch; receivers fence messages from
-    /// dead epochs so redelivered frames cannot double-count.
-    pub epoch: u64,
     /// Opaque payload bytes (the core crate defines the payload codec).
     pub payload: Bytes,
 }
@@ -82,7 +81,6 @@ impl WireMessage {
             corr_id: 0,
             seq,
             timestamp_ns,
-            epoch: 0,
             payload,
         }
     }
@@ -101,7 +99,6 @@ impl WireMessage {
             corr_id,
             seq: 0,
             timestamp_ns: 0,
-            epoch: 0,
             payload,
         }
     }
@@ -115,7 +112,6 @@ impl WireMessage {
             corr_id: request.corr_id,
             seq: request.seq,
             timestamp_ns: request.timestamp_ns,
-            epoch: request.epoch,
             payload,
         }
     }
@@ -129,32 +125,15 @@ impl WireMessage {
             corr_id: 0,
             seq,
             timestamp_ns: 0,
-            epoch: 0,
             payload: Bytes::new(),
         }
-    }
-
-    /// Returns the message stamped with a failover epoch.
-    #[must_use]
-    pub fn with_epoch(mut self, epoch: u64) -> Self {
-        self.epoch = epoch;
-        self
     }
 
     /// Encoded size in bytes (exact).
     pub fn encoded_len(&self) -> usize {
         // kind(1) + channel(1+len) + reply_to(1+len) + corr(8) + seq(8)
-        // + ts(8) + epoch(8) + payload(4+len)
-        1 + 1
-            + self.channel.len()
-            + 1
-            + self.reply_to.len()
-            + 8
-            + 8
-            + 8
-            + 8
-            + 4
-            + self.payload.len()
+        // + ts(8) + payload(4+len)
+        1 + 1 + self.channel.len() + 1 + self.reply_to.len() + 8 + 8 + 8 + 4 + self.payload.len()
     }
 
     /// Encodes into a fresh buffer (no length prefix).
@@ -162,7 +141,7 @@ impl WireMessage {
     /// # Errors
     ///
     /// Returns [`NetError::BadFrame`] when a channel name exceeds
-    /// [`MAX_CHANNEL_LEN`].
+    /// `MAX_CHANNEL_LEN`.
     pub fn encode(&self) -> Result<Bytes, NetError> {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
         self.put_header(&mut buf)?;
@@ -189,7 +168,6 @@ impl WireMessage {
         buf.put_u64(self.corr_id);
         buf.put_u64(self.seq);
         buf.put_u64(self.timestamp_ns);
-        buf.put_u64(self.epoch);
         buf.put_u32(self.payload.len() as u32);
         Ok(())
     }
@@ -274,7 +252,6 @@ struct DecodedFields {
     corr_id: u64,
     seq: u64,
     timestamp_ns: u64,
-    epoch: u64,
 }
 
 impl DecodedFields {
@@ -286,7 +263,6 @@ impl DecodedFields {
             corr_id: self.corr_id,
             seq: self.seq,
             timestamp_ns: self.timestamp_ns,
-            epoch: self.epoch,
             payload,
         }
     }
@@ -321,11 +297,10 @@ fn decode_fields(full: &[u8]) -> Result<(DecodedFields, std::ops::Range<usize>),
         .map_err(|_| NetError::BadFrame("reply_to not utf-8"))?
         .to_string();
     buf.advance(reply_len);
-    need(buf, 8 + 8 + 8 + 8 + 4)?;
+    need(buf, 8 + 8 + 8 + 4)?;
     let corr_id = buf.get_u64();
     let seq = buf.get_u64();
     let timestamp_ns = buf.get_u64();
-    let epoch = buf.get_u64();
     let payload_len = buf.get_u32() as usize;
     if payload_len > MAX_FRAME_LEN {
         return Err(NetError::FrameTooLarge { len: payload_len });
@@ -344,7 +319,6 @@ fn decode_fields(full: &[u8]) -> Result<(DecodedFields, std::ops::Range<usize>),
             corr_id,
             seq,
             timestamp_ns,
-            epoch,
         },
         payload_start..payload_start + payload_len,
     ))
@@ -801,7 +775,6 @@ mod tests {
             corr_id: 77,
             seq: 1234,
             timestamp_ns: 999_999_999,
-            epoch: 7,
             payload: Bytes::from_static(b"hello frame"),
         }
     }
@@ -837,15 +810,43 @@ mod tests {
         assert_eq!(WireMessage::signal("src", 3).kind, MessageKind::Signal);
     }
 
+    /// One request frame, byte for byte: the wire format is pinned, so a
+    /// change to the header is a deliberate one.
+    #[rustfmt::skip]
+    const GOLDEN_REQUEST: &[u8] = &[
+        0, 0, 0, 39,               // body length
+        1,                         // kind: request
+        3, b's', b'v', b'c',       // channel
+        3, b'r', b'p', b'l',       // reply_to
+        0, 0, 0, 0, 0, 0, 1, 2,    // corr_id
+        0, 0, 0, 0, 0, 0, 0, 3,    // seq
+        0, 0, 0, 0, 0, 0, 4, 5,    // timestamp_ns
+        0, 0, 0, 2,                // payload length
+        b'h', b'i',                // payload
+    ];
+
     #[test]
-    fn epoch_survives_roundtrip_and_replies() {
-        let msg = WireMessage::signal("src", 3).with_epoch(42);
-        assert_eq!(msg.epoch, 42);
-        let decoded = WireMessage::decode(&msg.encode().unwrap()).unwrap();
-        assert_eq!(decoded.epoch, 42);
-        let req = WireMessage::request("svc", "inbox", 9, Bytes::new()).with_epoch(5);
-        let resp = WireMessage::response_to(&req, Bytes::new());
-        assert_eq!(resp.epoch, 5, "responses belong to the request's epoch");
+    fn request_frame_matches_golden_bytes() {
+        let msg = WireMessage {
+            kind: MessageKind::Request,
+            channel: "svc".into(),
+            reply_to: "rpl".into(),
+            corr_id: 0x0102,
+            seq: 3,
+            timestamp_ns: 0x0405,
+            payload: Bytes::from_static(b"hi"),
+        };
+        let mut framed = BytesMut::new();
+        msg.encode_framed_into(&mut framed).unwrap();
+        assert_eq!(&framed[..], GOLDEN_REQUEST);
+        let mut batch = FrameBatch::new();
+        batch.stage(&msg).unwrap();
+        let mut wire = Vec::new();
+        while !batch.is_empty() {
+            batch.write_some(&mut wire, usize::MAX, 64).unwrap();
+        }
+        assert_eq!(wire, GOLDEN_REQUEST);
+        assert_eq!(decode_stream(GOLDEN_REQUEST), [msg]);
     }
 
     // Corruption resistance (truncation, bit flips, unknown kinds, bad

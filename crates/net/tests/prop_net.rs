@@ -45,19 +45,15 @@ fn arb_wire_message() -> impl Strategy<Value = WireMessage> {
         any::<u64>(),
         any::<u64>(),
         any::<u64>(),
-        any::<u64>(),
         proptest::collection::vec(any::<u8>(), 0..256),
     )
-        .prop_map(
-            |(kind, channel, reply_to, corr_id, seq, ts, epoch, payload)| {
-                let mut msg = WireMessage::data(channel, seq, ts, bytes::Bytes::from(payload));
-                msg.kind = videopipe_net::MessageKind::from_u8(kind).expect("kind in range");
-                msg.reply_to = reply_to;
-                msg.corr_id = corr_id;
-                msg.epoch = epoch;
-                msg
-            },
-        )
+        .prop_map(|(kind, channel, reply_to, corr_id, seq, ts, payload)| {
+            let mut msg = WireMessage::data(channel, seq, ts, bytes::Bytes::from(payload));
+            msg.kind = videopipe_net::MessageKind::from_u8(kind).expect("kind in range");
+            msg.reply_to = reply_to;
+            msg.corr_id = corr_id;
+            msg
+        })
 }
 
 proptest! {

@@ -11,10 +11,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (offline, deny warnings)"
 cargo clippy --offline --all-targets -- -D warnings
 
-echo "==> cargo doc (every intra-doc link resolves)"
+echo "==> cargo doc (no rustdoc warnings: every intra-doc link resolves to a public page)"
 # A link to an item that is gone or not in scope renders as plain text and
-# points the reader nowhere; rustdoc only warns about it by default.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps --workspace
+# points the reader nowhere, and a link from a public item to a private one
+# points at a page the public docs do not have; rustdoc only warns about
+# either by default. Every rustdoc warning is an error here.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 count_non_test() { # lines before each file's first #[cfg(test)], and their sum
     awk 'FNR == 1 { counting = 1 }
@@ -81,7 +83,7 @@ if [ -n "$hubs" ]; then
 fi
 count_non_test crates/core/src/*.rs crates/net/src/*.rs | tail -n 1
 
-echo "==> one engine, one driver (a single ModuleCtx implementation, no threaded runtime; runtime + reactor + engine size)"
+echo "==> one engine, one driver (a single ModuleCtx implementation, no threaded runtime, no in-runtime device watch; runtime + reactor + engine and wire.rs size)"
 # The per-message runtime logic lives once, in crates/core/src/engine.rs,
 # under one driver, the reactor. A second `impl ... ModuleCtx for` under
 # crates/core/src is a fork of the call chain (breaker, retry, LKG): fail.
@@ -89,7 +91,8 @@ echo "==> one engine, one driver (a single ModuleCtx implementation, no threaded
 # its Exec, its executor loop, its shutdown latch) in the code. The line
 # count — lines before each file's first #[cfg(test)] — is printed, not
 # gated, so the next anchor reads the trend instead of recounting (4638
-# before PR 16, 3876 before the threaded driver went).
+# before PR 16, 3876 before the threaded driver went, 3629 before the
+# in-runtime heartbeat layer went).
 impls=$(grep -E '^\s*impl\b.*\bModuleCtx for\b' crates/core/src/*.rs || true)
 if [ "$(printf '%s\n' "$impls" | grep -c .)" -ne 1 ]; then
     echo "expected exactly one ModuleCtx implementation under crates/core/src, found:"
@@ -101,7 +104,19 @@ if grep -rnE 'LocalRunt[i]me|ThreadEx[e]c|service_executor_lo[o]p|ShutdownGat[e]
     echo "a second driver is back: the reactor is the only runtime"
     exit 1
 fi
+# A runtime's devices are tasks of its own process, so it watches none of
+# them: device loss is detected by the fleet coordinator (real processes)
+# and the simulator (virtual time). The in-runtime heartbeat layer, the
+# fence epoch only it moved and the wire header's epoch stamp are gone:
+# fail if any of it is back. The bracketed letters keep this step from
+# matching itself. wire.rs's line count is printed beside the runtime +
+# reactor + engine count (782 before the header's epoch went).
+if grep -rnE 'HbMonit[o]r|muted_heartbea[t]s|fence_epoc[h]|heartbeat_route[s]|inject_heartbeat_los[s]|with_epoc[h]' crates src tests examples; then
+    echo "the in-runtime device watch is back: device loss is the coordinator's and the simulator's"
+    exit 1
+fi
 count_non_test crates/core/src/runtime.rs crates/core/src/reactor.rs crates/core/src/engine.rs
+count_non_test crates/net/src/wire.rs | tail -n 1
 
 echo "==> one route table (channels and metric cells resolved at deploy, tasks owned by their pipeline; vendored channel size; relay footprint; k-NN rows per query)"
 # Every sending site holds a route resolved once in Shared::deploy: the

@@ -93,14 +93,23 @@ fn main() -> ExitCode {
         print!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    match parse(&args).and_then(|opts| run_coordinator(&opts)) {
+    let opts = match parse(&args) {
+        Ok(opts) => opts,
+        Err(message) => {
+            eprintln!("error: {message}");
+            eprintln!("\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // A failure past the command line is not a usage mistake: no usage
+    // text.
+    match run_coordinator(&opts) {
         Ok(failovers) => {
             eprintln!("coordinator: exiting clean ({failovers} failover(s) handled)");
             ExitCode::SUCCESS
         }
         Err(message) => {
             eprintln!("error: {message}");
-            eprintln!("\n{USAGE}");
             ExitCode::FAILURE
         }
     }

@@ -74,14 +74,23 @@ fn main() -> ExitCode {
         print!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    match parse(&args).and_then(|opts| run_node(&opts)) {
+    let opts = match parse(&args) {
+        Ok(opts) => opts,
+        Err(message) => {
+            eprintln!("error: {message}");
+            eprintln!("\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // A failure past the command line is not a usage mistake: no usage
+    // text.
+    match run_node(&opts) {
         Ok(hosted) => {
             eprintln!("node: drained {hosted} tenant(s), exiting clean");
             ExitCode::SUCCESS
         }
         Err(message) => {
             eprintln!("error: {message}");
-            eprintln!("\n{USAGE}");
             ExitCode::FAILURE
         }
     }

@@ -190,6 +190,33 @@ fn graceful_sigterm_drains_clean() {
     assert_eq!(outcome.status.u64("byes"), 2);
 }
 
+/// A bad flag is a command-line mistake and is answered with the usage
+/// text; a failure past the command line (a listener that cannot bind) is
+/// reported as `error: …` alone. Both exit 1, for either binary.
+#[test]
+fn usage_text_only_for_command_line_mistakes() {
+    for bin in [
+        env!("CARGO_BIN_EXE_videopipe-coordinator"),
+        env!("CARGO_BIN_EXE_videopipe-node"),
+    ] {
+        let run = |args: &[&str]| {
+            let out = std::process::Command::new(bin)
+                .args(args)
+                .output()
+                .expect("the binary starts");
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            (out.status.code(), stderr)
+        };
+        let (code, stderr) = run(&["--listen", "nonsense:x"]);
+        assert_eq!(code, Some(1), "{bin}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{bin}: {stderr}");
+        assert!(!stderr.contains("USAGE:"), "{bin}: {stderr}");
+        let (code, stderr) = run(&["--no-such-flag"]);
+        assert_eq!(code, Some(1), "{bin}: {stderr}");
+        assert!(stderr.contains("USAGE:"), "{bin}: {stderr}");
+    }
+}
+
 /// An idle fleet of one node, counted from outside through `/proc`.
 #[cfg(target_os = "linux")]
 mod census {

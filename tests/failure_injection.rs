@@ -470,9 +470,9 @@ mod chaos_matrix {
     }
 
     /// Partition-heal + retry must not double-count deliveries: with
-    /// outstanding-admission tracking off (no credit lease, no heartbeats),
-    /// the dedup window is the only thing between a duplicate completion
-    /// signal and a double-counted delivery, which pins its semantics.
+    /// outstanding-admission tracking off (no credit lease), the dedup
+    /// window is the only thing between a duplicate completion signal and
+    /// a double-counted delivery, which pins its semantics.
     #[test]
     fn partition_heal_with_redelivery_does_not_double_count() {
         let spec = PipelineSpec::new("chaos")

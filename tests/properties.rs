@@ -63,7 +63,6 @@ proptest! {
         corr in any::<u64>(),
         seq in any::<u64>(),
         ts in any::<u64>(),
-        epoch in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..1024),
     ) {
         let msg = WireMessage {
@@ -73,7 +72,6 @@ proptest! {
             corr_id: corr,
             seq,
             timestamp_ns: ts,
-            epoch,
             payload: bytes::Bytes::from(payload),
         };
         let encoded = msg.encode().unwrap();
