@@ -9,6 +9,7 @@
 use crate::services::{rep_classify_request, rep_model_from_payload};
 use crate::IotHub;
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::Arc;
 use videopipe_core::message::Payload;
 use videopipe_core::module::{Event, Module, ModuleCtx};
@@ -385,22 +386,28 @@ impl Module for DisplayModule {
             return Ok(());
         }
         let parts = self.pending.remove(&seq).expect("entry exists");
-        let mut summary = String::new();
+        // One string holds the log line, `frame <seq>: <summary>`; the
+        // summary is its tail. Writing to a `String` cannot fail.
+        let mut line = String::with_capacity(48);
+        let _ = write!(line, "frame {seq}:");
+        let head = line.len();
         for part in &parts {
-            match part {
-                Payload::Label { label, .. } => summary.push_str(&format!("activity={label} ")),
-                Payload::Count(n) => summary.push_str(&format!("reps={n} ")),
-                other => summary.push_str(&format!("{} ", other.kind_name())),
-            }
+            let _ = match part {
+                Payload::Label { label, .. } => write!(line, " activity={label}"),
+                Payload::Count(n) => write!(line, " reps={n}"),
+                other => write!(line, " {}", other.kind_name()),
+            };
         }
+        line.truncate(line.trim_end().len());
         if let Some(service) = &self.service {
+            let summary = line[head..].trim_start().to_string();
             let _ = ctx.call_service(
                 service,
-                ServiceRequest::new("render", Payload::Text(summary.trim().to_string())),
+                ServiceRequest::new("render", Payload::Text(summary)),
             )?;
         }
         self.frames_displayed += 1;
-        ctx.log(&format!("frame {seq}: {}", summary.trim()));
+        ctx.log(&line);
         ctx.signal_source()
     }
 }
@@ -842,6 +849,42 @@ mod tests {
         assert_eq!(ctx.signalled, 1);
         assert_eq!(module.frames_displayed(), 1);
         assert!(ctx.logs.iter().any(|l| l.contains("reps=3")));
+    }
+
+    #[test]
+    fn display_renders_and_logs_the_exact_summary() {
+        /// Records the text of every request it renders.
+        struct Recorder(std::sync::Mutex<Vec<Payload>>);
+        impl Service for Recorder {
+            fn name(&self) -> &str {
+                "display"
+            }
+            fn handle(
+                &self,
+                request: &ServiceRequest,
+                _store: &FrameStore,
+            ) -> Result<ServiceResponse, PipelineError> {
+                self.0.lock().unwrap().push(request.payload.clone());
+                Ok(ServiceResponse::new(Payload::Empty))
+            }
+        }
+        let recorder = Arc::new(Recorder(std::sync::Mutex::new(Vec::new())));
+        let mut ctx = StubCtx::new().with_service(Arc::clone(&recorder) as Arc<dyn Service>);
+        let mut module = DisplayModule::new(Some("display".into()), 2);
+        let label = Payload::Label {
+            label: "squat".into(),
+            confidence: 0.9,
+        };
+        module.on_event(msg(label, 41), &mut ctx).unwrap();
+        module
+            .on_event(msg(Payload::Count(12), 41), &mut ctx)
+            .unwrap();
+        // vpbench's checked display parses `activity=… reps=…` out of this.
+        assert_eq!(
+            *recorder.0.lock().unwrap(),
+            [Payload::Text("activity=squat reps=12".into())]
+        );
+        assert_eq!(ctx.logs, ["frame 41: activity=squat reps=12"]);
     }
 
     #[test]

@@ -36,12 +36,13 @@ use crate::metrics::{LabelMap, PipelineMetrics, Slot};
 use crate::module::{Event, Module, ModuleCtx, ModuleFactory, ModuleRegistry};
 use crate::reactor::Task;
 use crate::resilience::{seed_for, CircuitBreaker, DegradationPolicy, SeededJitter};
-use crate::runtime::{EdgeTransport, RunReport, RuntimeConfig};
+use crate::runtime::{EdgeTransport, RunReport, RuntimeConfig, LOG_LINES};
 use crate::service::{Service, ServiceRegistry, ServiceRequest, ServiceResponse};
 use crate::slo::{KnobSettings, SloAction, SloController};
 use crate::spec::ModuleSpec;
 use crossbeam::channel::Queue;
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -300,7 +301,7 @@ pub(crate) struct Shared {
     ingress: HashMap<String, usize>,
     pub(crate) stores: HashMap<String, Arc<FrameStore>>,
     pub(crate) metrics: Mutex<PipelineMetrics>,
-    pub(crate) logs: Mutex<Vec<String>>,
+    pub(crate) log: Mutex<PipelineLog>,
     pub(crate) errors: Mutex<Vec<String>>,
     pub(crate) stop: AtomicBool,
     pub(crate) epoch: Instant,
@@ -317,6 +318,70 @@ pub(crate) struct Shared {
     /// lock-free at the actuation sites (encode path, service drain, pacer
     /// admission). All-baseline when no controller is configured.
     pub(crate) knobs: KnobActuators,
+}
+
+/// A pipeline's log lines, in two parts. Module lines (`ModuleCtx::log`)
+/// go to a ring of the newest [`LOG_LINES`]: a sink may log every frame,
+/// and a pipeline runs for as long as its user keeps going. The runtime's
+/// own lines (a failed service request, an SLO step) are all kept: callers
+/// count them. Each kept line records how many module lines came before
+/// it, so a report merges the two oldest first.
+#[derive(Clone, Default)]
+pub(crate) struct PipelineLog {
+    /// Module lines. Grows to [`LOG_LINES`] as lines arrive (a pipeline
+    /// that never logs allocates nothing); line `n` (counted from 0) goes
+    /// to slot `n % LOG_LINES`, so once full, the next line overwrites the
+    /// oldest.
+    ring: Vec<String>,
+    /// Module lines ever written; those not in `ring` were dropped.
+    written: u64,
+    /// The runtime's lines, never dropped, each after the number of module
+    /// lines written before it.
+    kept: Vec<(u64, String)>,
+}
+
+impl PipelineLog {
+    /// Appends a module line, built by the caller in `line`. Once the ring
+    /// is full the oldest line's `String` is swapped into `line` for the
+    /// caller to reuse, so a steady-state line allocates nothing and copies
+    /// nothing here.
+    fn push(&mut self, line: &mut String) {
+        if self.ring.len() < LOG_LINES {
+            self.ring.push(std::mem::take(line));
+        } else {
+            let oldest = (self.written % LOG_LINES as u64) as usize;
+            std::mem::swap(&mut self.ring[oldest], line);
+        }
+        self.written += 1;
+    }
+
+    /// Appends one of the runtime's lines, which is never dropped.
+    fn keep(&mut self, line: String) {
+        self.kept.push((self.written, line));
+    }
+
+    /// Every line held, oldest first, and the number of module lines
+    /// dropped.
+    fn into_lines(self) -> (Vec<String>, u64) {
+        let dropped = self.written - self.ring.len() as u64;
+        let mut ring = self.ring;
+        // While the ring is not full this rotates by its length: a no-op.
+        ring.rotate_left((self.written % LOG_LINES as u64) as usize);
+        if self.kept.is_empty() {
+            // The ring is the list: no second copy of it at the end of a run.
+            return (ring, dropped);
+        }
+        let mut lines = Vec::with_capacity(ring.len() + self.kept.len());
+        let mut kept = self.kept.into_iter().peekable();
+        for (written, line) in (dropped..).zip(ring) {
+            while let Some((_, k)) = kept.next_if(|&(before, _)| before <= written) {
+                lines.push(k);
+            }
+            lines.push(line);
+        }
+        lines.extend(kept.map(|(_, k)| k));
+        (lines, dropped)
+    }
 }
 
 /// Lock-free actuation state for the SLO controller's knob lattice.
@@ -462,7 +527,7 @@ impl Shared {
                 })
                 .collect(),
             metrics: Mutex::new(PipelineMetrics::new()),
-            logs: Mutex::new(Vec::new()),
+            log: Mutex::new(PipelineLog::default()),
             errors: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             epoch: Instant::now(),
@@ -561,6 +626,10 @@ impl Shared {
     /// clones them, leaving them for the final report.
     pub(crate) fn report(&self, last: bool) -> RunReport {
         let metrics = self.metrics_so_far(last);
+        // Merged outside the lock: a module logging meanwhile waits only for
+        // the hand-over.
+        let log = hand_over(&mut *self.log.lock(), last);
+        let (logs, logs_dropped) = log.into_lines();
         let breakers = self
             .breakers
             .lock()
@@ -569,7 +638,8 @@ impl Shared {
             .collect();
         RunReport {
             metrics,
-            logs: hand_over(&mut *self.logs.lock(), last),
+            logs,
+            logs_dropped,
             errors: hand_over(&mut *self.errors.lock(), last),
             restarts: self.restarts.load(Ordering::Relaxed),
             breakers,
@@ -682,6 +752,13 @@ struct CtxState {
     lkg: Vec<Option<bytes::Bytes>>,
     /// Deterministic per-module retry jitter stream.
     jitter: SeededJitter,
+}
+
+thread_local! {
+    /// Where [`ModuleCtx::log`] builds a line before taking the pipeline
+    /// log's lock; a full ring hands back the buffer of the line it
+    /// overwrote.
+    static LOG_LINE: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
 /// The execution context handed to module handlers.
@@ -955,10 +1032,13 @@ impl<X: Exec> ModuleCtx for Ctx<'_, X> {
     }
 
     fn log(&mut self, text: &str) {
-        self.shared
-            .logs
-            .lock()
-            .push(format!("{}: {text}", self.wiring.name));
+        LOG_LINE.with_borrow_mut(|line| {
+            line.clear();
+            line.push_str(&self.wiring.name);
+            line.push_str(": ");
+            line.push_str(text);
+            self.shared.log.lock().push(line);
+        });
     }
 }
 
@@ -1170,10 +1250,8 @@ impl ModuleTask {
             if shared.stopped() {
                 return;
             }
-            shared
-                .errors
-                .lock()
-                .push(format!("{}: {reason}", wiring.name));
+            let line = format!("{}: {reason}", wiring.name);
+            shared.errors.lock().push(line);
             // The frame died here: return its credit so the pipeline keeps
             // flowing — with the paper's single credit and no lease, a frame
             // that dies silently stalls the source for good.
@@ -1310,10 +1388,8 @@ impl ServiceHost {
                         Ok(frame) => req.payload = Payload::FrameRef(self.store.insert(frame)),
                         Err(e) => {
                             let reason = format!("frame decode failed: {e}");
-                            shared
-                                .errors
-                                .lock()
-                                .push(format!("service {name}: {reason}"));
+                            let line = format!("service {name}: {reason}");
+                            shared.errors.lock().push(line);
                             return Err(PipelineError::Service {
                                 service: name.to_string(),
                                 reason,
@@ -1348,7 +1424,8 @@ impl ServiceHost {
                     // or degrade instead of timing out, and only an
                     // *unrecovered* failure is recorded (by the module
                     // step). Keep a log line for diagnostics.
-                    shared.logs.lock().push(format!("service {name}: {e}"));
+                    let line = format!("service {name}: {e}");
+                    shared.log.lock().keep(line);
                     ServiceResponse::new(Payload::Error(e.to_string()))
                 });
                 response_to(m, response.encode())
@@ -1562,8 +1639,8 @@ impl Pacer {
         for &seq in &expired {
             self.outstanding.remove(&seq);
             self.controller.fault();
-            let mut errors = shared.errors.lock();
-            errors.push(format!("pacer: credit lease expired for frame {seq}"));
+            let line = format!("pacer: credit lease expired for frame {seq}");
+            shared.errors.lock().push(line);
         }
         self.publish_credits(&mut shared.metrics.lock());
     }
@@ -1642,20 +1719,21 @@ pub(crate) fn slo_tick(controller: &mut SloController, shared: &Shared) {
         SloAction::StepDown { .. } => "down",
         _ => "up",
     };
-    shared.logs.lock().push(format!(
+    let line = format!(
         "slo: step {dir} to level {level} \
          (window p99 {:.1} ms vs target {:.1} ms, {:?})",
         controller.last_window_p99_ns() as f64 / 1e6,
         controller.config().slo.p99.as_secs_f64() * 1e3,
         controller.settings(),
-    ));
+    );
+    shared.log.lock().keep(line);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::resilience::{ResilienceConfig, RetryPolicy};
-    use std::cell::{Cell, RefCell};
+    use std::cell::Cell;
     use videopipe_media::FrameBuf;
 
     /// A pipeline's shared state with nothing deployed on it: one device
@@ -1685,7 +1763,7 @@ mod tests {
             ingress: HashMap::new(),
             stores,
             metrics: Mutex::new(PipelineMetrics::new()),
-            logs: Mutex::new(Vec::new()),
+            log: Mutex::new(PipelineLog::default()),
             errors: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             epoch: Instant::now(),
@@ -1874,6 +1952,27 @@ mod tests {
             breaker_cooldown: Duration::from_secs(3600),
             ..ResilienceConfig::default()
         }
+    }
+
+    #[test]
+    fn log_merges_kept_lines_between_the_module_lines_around_them() {
+        let mut log = PipelineLog::default();
+        log.keep("k first".to_string());
+        for i in 0..LOG_LINES + 2 {
+            log.push(&mut format!("m{i}"));
+            if i == 1 || i == LOG_LINES {
+                log.keep(format!("k after m{i}"));
+            }
+        }
+        log.keep("k last".to_string());
+        let (lines, dropped) = log.into_lines();
+        assert_eq!(dropped, 2);
+        let mut expected = vec!["k first".to_string(), "k after m1".to_string()];
+        expected.extend((2..=LOG_LINES).map(|i| format!("m{i}")));
+        expected.push(format!("k after m{LOG_LINES}"));
+        expected.push(format!("m{}", LOG_LINES + 1));
+        expected.push("k last".to_string());
+        assert_eq!(lines, expected);
     }
 
     #[test]

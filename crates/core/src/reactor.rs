@@ -2620,6 +2620,146 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn module_log_keeps_its_newest_lines_and_counts_the_rest() {
+        use crate::runtime::LOG_LINES;
+        /// Logs 3 × `LOG_LINES` numbered lines on its first frame.
+        struct Chatty(bool);
+        impl Module for Chatty {
+            fn on_event(
+                &mut self,
+                event: Event,
+                ctx: &mut dyn ModuleCtx,
+            ) -> Result<(), PipelineError> {
+                if let Event::Message(_) = event {
+                    if !std::mem::replace(&mut self.0, true) {
+                        for i in 0..3 * LOG_LINES {
+                            ctx.log(&format!("line {i}"));
+                        }
+                    }
+                    ctx.signal_source()?;
+                }
+                Ok(())
+            }
+        }
+        let (mut modules, services) = registries();
+        modules.register("TestSink", || Box::new(Chatty(false)));
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        let config = RuntimeConfig {
+            fps: 200.0,
+            ..RuntimeConfig::default()
+        };
+        rt.add_pipeline(&single_device_plan("chatty"), &modules, &services, config)
+            .unwrap();
+        let report = rt
+            .run_until_total_deliveries(3, Duration::from_secs(10))
+            .remove(0);
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        let newest: Vec<String> = (2 * LOG_LINES..3 * LOG_LINES)
+            .map(|i| format!("sink: line {i}"))
+            .collect();
+        assert_eq!(report.logs, newest);
+        assert_eq!(report.logs_dropped, 2 * LOG_LINES as u64);
+    }
+
+    #[test]
+    fn every_failed_request_keeps_its_line_past_the_module_bound() {
+        use crate::runtime::LOG_LINES;
+        const FRAMES: u64 = 200;
+        /// Logs eight lines a tick and forwards the first `FRAMES` ticks;
+        /// the next tick keeps its credit, so the pipeline then idles.
+        struct Chatty(u64);
+        impl Module for Chatty {
+            fn on_event(
+                &mut self,
+                event: Event,
+                ctx: &mut dyn ModuleCtx,
+            ) -> Result<(), PipelineError> {
+                if let Event::FrameTick { .. } = event {
+                    for _ in 0..8 {
+                        ctx.log("tick");
+                    }
+                    if self.0 < FRAMES {
+                        self.0 += 1;
+                        ctx.call_module("mid", Payload::Count(self.0))?;
+                    }
+                }
+                Ok(())
+            }
+        }
+        /// Calls the service; its failure is this module's error.
+        struct Caller;
+        impl Module for Caller {
+            fn on_event(
+                &mut self,
+                event: Event,
+                ctx: &mut dyn ModuleCtx,
+            ) -> Result<(), PipelineError> {
+                if let Event::Message(msg) = event {
+                    let resp =
+                        ctx.call_service("doubler", ServiceRequest::new("double", msg.payload))?;
+                    ctx.call_module("sink", resp.payload)?;
+                }
+                Ok(())
+            }
+        }
+        /// Fails every request it is handed, counting them.
+        struct Failing(Arc<AtomicU64>);
+        impl Service for Failing {
+            fn name(&self) -> &str {
+                "doubler"
+            }
+            fn handle(
+                &self,
+                _request: &ServiceRequest,
+                _store: &FrameStore,
+            ) -> Result<ServiceResponse, PipelineError> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                Err(PipelineError::BadPayload("always fails"))
+            }
+        }
+        let (mut modules, _) = registries();
+        modules.register("TestSource", || Box::new(Chatty(0)));
+        modules.register("TestMid", || Box::new(Caller));
+        let failed = Arc::new(AtomicU64::new(0));
+        let mut services = ServiceRegistry::new();
+        services.install(Arc::new(Failing(Arc::clone(&failed))));
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        let config = RuntimeConfig {
+            fps: 1000.0,
+            ..RuntimeConfig::default()
+        };
+        let id = rt
+            .add_pipeline(&single_device_plan("failing"), &modules, &services, config)
+            .unwrap();
+        let start = Instant::now();
+        while (rt.report_for(id).unwrap().errors.len() as u64) < FRAMES {
+            assert!(start.elapsed() < Duration::from_secs(10), "frames stalled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let report = rt.finish().remove(0);
+        let failed = failed.load(Ordering::Relaxed);
+        assert_eq!(failed, FRAMES);
+        let service_lines = report
+            .logs
+            .iter()
+            .filter(|l| l.starts_with("service "))
+            .count() as u64;
+        assert_eq!(service_lines, failed, "{:?}", report.logs);
+        assert_eq!(report.errors.len() as u64, FRAMES, "{:?}", report.errors);
+        assert!(report.errors.iter().all(|e| e.starts_with("mid: ")));
+        let module_lines = report.logs.iter().filter(|l| *l == "src: tick").count();
+        assert_eq!(module_lines, LOG_LINES);
+        assert!(report.logs_dropped > 0);
+        assert_eq!(report.logs.len(), LOG_LINES + FRAMES as usize);
+    }
+
+    #[test]
     fn report_for_leaves_the_stage_counts_for_the_final_report() {
         let (modules, services) = registries();
         let mut rt = ReactorRuntime::new(ReactorConfig {

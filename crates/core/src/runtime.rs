@@ -166,6 +166,10 @@ impl Default for RuntimeConfig {
     }
 }
 
+/// How many of its modules' log lines a running pipeline keeps: the newest
+/// ones, in a ring that overwrites the oldest (see [`RunReport::logs`]).
+pub const LOG_LINES: usize = 1024;
+
 /// The outcome of a runtime run. It says nothing of device liveness: a
 /// runtime's devices share its process, and a fleet's node liveness is the
 /// coordinator's to report.
@@ -173,9 +177,25 @@ impl Default for RuntimeConfig {
 pub struct RunReport {
     /// Collected metrics.
     pub metrics: PipelineMetrics,
-    /// Module log lines, in arrival order (`"module: text"`).
+    /// Log lines, oldest first. Two kinds, kept differently:
+    ///
+    /// - module lines (`"module: text"`, written with `ModuleCtx::log`):
+    ///   only the newest [`LOG_LINES`]. A sink may log every frame, and a
+    ///   pipeline runs for as long as its user keeps going, so an unbounded
+    ///   log would grow the process by every frame it ever showed; the lines
+    ///   overwritten are counted in [`RunReport::logs_dropped`].
+    /// - the runtime's own lines: `"service <name>: <error>"` for every
+    ///   request a service host failed, and `"slo: step …"` for every SLO
+    ///   controller move. All of them, whatever their number: callers count
+    ///   the first to learn how many requests failed.
     pub logs: Vec<String>,
-    /// Handler errors observed (pipeline kept running).
+    /// Module log lines the ring overwrote: written, but no longer in
+    /// [`RunReport::logs`]. 0 while a pipeline has logged at most
+    /// [`LOG_LINES`] lines.
+    pub logs_dropped: u64,
+    /// Handler errors observed (pipeline kept running). Every one: callers
+    /// count them as failed operations, so this stays unbounded until a
+    /// failure count replaces that reading.
     pub errors: Vec<String>,
     /// Module instances restarted by supervision after a panic.
     pub restarts: u64,

@@ -25,6 +25,13 @@
 //! After `finish()` and its reports, this round too must leave no more than
 //! [`LEFT_CEILING`].
 //!
+//! A fourth round deploys one relay whose sink logs a line every frame, as
+//! a display does. Once its log ring is full (at [`RING_FULL`] deliveries)
+//! the live bytes are read, and again at [`LOGGED`] deliveries: a running
+//! pipeline's memory may not grow with the frames it logs
+//! ([`LOG_CEILING`]). While every line was kept, it grew ≈ 1 MB over that
+//! span.
+//!
 //! Readings (x86-64 Linux, debug build; they repeat to within a few bytes):
 //!
 //! | code                                                  | B per pipeline | B per report |
@@ -37,6 +44,8 @@
 //! | the runtime owns its tasks (no task table, no ids), a |          9 522 |          735 |
 //! | channel names its consumer by a `Weak`                |                |              |
 //! | no telemetry hub per pipeline                         |          9 317 |          735 |
+//! | no in-runtime heartbeat layer                         |          8 896 |          703 |
+//! | a bounded log ring per pipeline                       |          8 928 |          703 |
 //!
 //! The ceilings are the second row plus 10 %. Before the runtime owned its
 //! tasks (a channel held its consumer, whose runner held the channel), this
@@ -137,6 +146,16 @@ const STOPPED_CEILING: i64 = 3000;
 
 const PIPELINES: usize = 200;
 
+/// Deliveries by which a relay logging every frame has filled its log ring.
+const RING_FULL: u64 = 4_000;
+
+/// Deliveries at which the logging relay's live bytes are read again.
+const LOGGED: u64 = 20_000;
+
+/// Live heap bytes the logging relay may gain between [`RING_FULL`] and
+/// [`LOGGED`] deliveries.
+const LOG_CEILING: i64 = 2048;
+
 /// Forwards each camera tick to `work`.
 struct Src;
 impl Module for Src {
@@ -165,6 +184,18 @@ struct Sink;
 impl Module for Sink {
     fn on_event(&mut self, event: Event, ctx: &mut dyn ModuleCtx) -> Result<(), PipelineError> {
         if let Event::Message(_) = event {
+            ctx.signal_source()?;
+        }
+        Ok(())
+    }
+}
+
+/// Logs a line and returns the frame's credit.
+struct LoggingSink;
+impl Module for LoggingSink {
+    fn on_event(&mut self, event: Event, ctx: &mut dyn ModuleCtx) -> Result<(), PipelineError> {
+        if let Event::Message(_) = event {
+            ctx.log("frame shown");
             ctx.signal_source()?;
         }
         Ok(())
@@ -294,6 +325,36 @@ fn a_deployed_relay_and_its_final_report_stay_under_their_ceilings() {
     drop(reports);
     let after_stop = LIVE.load(Ordering::Relaxed) - at_start;
 
+    // Fourth round: one relay whose sink logs every frame, as fast as it
+    // goes.
+    let mut logging = ModuleRegistry::new();
+    logging.register("Src", || Box::new(Src));
+    logging.register("Work", || Box::new(Work));
+    logging.register("Sink", || Box::new(LoggingSink));
+    let mut rt = one_worker();
+    let config = RuntimeConfig {
+        fps: 100_000.0,
+        credits: 1,
+        ..RuntimeConfig::default()
+    };
+    let id = rt
+        .add_pipeline(&plans[0], &logging, &services, config)
+        .unwrap();
+    let live_at = |deliveries: u64| {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while rt.deliveries_for(id) < deliveries {
+            assert!(Instant::now() < deadline, "the logging relay stalled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        (LIVE.load(Ordering::Relaxed), rt.deliveries_for(id))
+    };
+    let (full, full_at) = live_at(RING_FULL);
+    let (logged, logged_at) = live_at(LOGGED);
+    let log_growth = logged - full;
+    let per_10k = log_growth * 10_000 / (logged_at - full_at) as i64;
+    let report = rt.finish().remove(0);
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+
     println!("{per_pipeline} live heap bytes per relay pipeline, {per_report} added per report");
     println!(
         "{after_finish} live heap bytes left by {PIPELINES} relays after finish() and their \
@@ -302,6 +363,10 @@ fn a_deployed_relay_and_its_final_report_stay_under_their_ceilings() {
     println!(
         "{per_stopped} live heap bytes per stopped relay, {after_stop} left after stopping \
          {PIPELINES} relays, finish() and their reports"
+    );
+    println!(
+        "{log_growth} live heap bytes grown by a relay logging every frame from {full_at} to \
+         {logged_at} deliveries: {per_10k} bytes grown per 10 000 logged frames"
     );
     assert!(
         per_pipeline <= PIPELINE_CEILING,
@@ -314,6 +379,10 @@ fn a_deployed_relay_and_its_final_report_stay_under_their_ceilings() {
     assert!(
         per_stopped <= STOPPED_CEILING,
         "{per_stopped} B per stopped relay, ceiling {STOPPED_CEILING}"
+    );
+    assert!(
+        log_growth <= LOG_CEILING,
+        "{log_growth} B grown from {full_at} to {logged_at} logged frames, ceiling {LOG_CEILING}"
     );
     for (left, how) in [
         (after_finish, "finish()"),

@@ -57,7 +57,7 @@ if [ -n "$allows" ]; then
     exit 1
 fi
 
-echo "==> one metrics model (a pipeline's metrics are read, not published; core + net size)"
+echo "==> one metrics model (a pipeline's metrics are read, not published; its log is a bounded ring; core + net size)"
 # A running pipeline's metrics are read with ReactorRuntime::metrics(id): a
 # copy of its PipelineMetrics, from which callers derive rates, quantiles
 # and stage means. The telemetry feed that used to format them into a text
@@ -79,6 +79,20 @@ done)
 if [ -n "$hubs" ]; then
     echo "an InprocHub in the shipping part of crates/core/src:"
     printf '%s\n' "$hubs"
+    exit 1
+fi
+# A pipeline's module log lines go to a ring of the newest LOG_LINES, whose
+# full slots are recycled, and every line is built before the log's lock is
+# taken. A Vec<String> of log lines on Shared grows the process by every
+# frame a display logs (≈ 100 B a frame on fitness_saturated), and a push
+# through the lock formats the line while holding it: fail on either in the
+# shipping part of engine.rs.
+unbounded=$(awk '/#\[cfg\(test\)\]/ { exit }
+                 /logs: Mutex<Vec<Strin[g]>>|logs\.lock\(\)\.pus[h]\(/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/core/src/engine.rs)
+if [ -n "$unbounded" ]; then
+    echo "an unbounded log, or a line formatted under its lock, in the shipping part of engine.rs:"
+    printf '%s\n' "$unbounded"
     exit 1
 fi
 count_non_test crates/core/src/*.rs crates/net/src/*.rs | tail -n 1
@@ -134,7 +148,9 @@ echo "==> one route table (channels and metric cells resolved at deploy, tasks o
 # a dropped fleet leave live (1 487 890 B for 200 relays while the reactor
 # kept a task table; gated in the test itself) and what a stopped relay
 # keeps (7 761 B while it kept its whole shared state; gated in the test
-# itself).
+# itself) and what a relay logging every frame grows by once its log ring
+# is full (≈ 600 000 B per 10 000 frames while every line was kept; gated
+# in the test itself).
 routing=$(for f in crates/core/src/engine.rs crates/core/src/reactor.rs; do
     awk '/#\[cfg\(test\)\]/ { exit }
          /channel_device|task_for|wake_channel|hub\.connect\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
@@ -169,7 +185,7 @@ if [ -n "$keyed" ]; then
 fi
 count_non_test vendor/crossbeam/src/lib.rs
 cargo test -q --offline -p videopipe-core --test deploy_footprint -- --nocapture 2>&1 |
-    grep -E 'bytes per relay pipeline|bytes left by|bytes per stopped relay' | sed 's/^/    /'
+    grep -E 'bytes per relay pipeline|bytes left by|bytes per stopped relay|per 10 000 logged frames' | sed 's/^/    /'
 # The activity classifier's footprint per query: rows of the deployed
 # fitness model whose exact distance the bound-pruned search measures (the
 # test itself fails above its ceiling; a whole-model scan reads 450).
