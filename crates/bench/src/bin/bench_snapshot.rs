@@ -1717,8 +1717,8 @@ impl Module for LagSrc {
 
 /// One arm of the timer-lag cell: `deadlines` recurring 25 Hz pacer ticks
 /// with evenly spread phases, alone or next to a CPU-bound filler fleet.
-/// Returns (p50 µs, p99 µs, parks per second).
-fn timer_lag_arm(deadlines: usize, filler: usize, wall: Duration) -> (f64, f64, f64) {
+/// Returns (p50 µs, p99 µs, parks per second, µs spun per second).
+fn timer_lag_arm(deadlines: usize, filler: usize, wall: Duration) -> (f64, f64, f64, f64) {
     const INTERVAL_NS: u64 = 40_000_000;
     let late_us = Arc::new(Mutex::new(Vec::new()));
     let mut modules = ModuleRegistry::new();
@@ -1757,10 +1757,14 @@ fn timer_lag_arm(deadlines: usize, filler: usize, wall: Duration) -> (f64, f64, 
             .expect("timer-lag pipeline");
     }
     let parks = |rt: &ReactorRuntime| -> u64 { rt.scheduler_stats().iter().map(|w| w.parks).sum() };
-    let parks_before = parks(&rt);
+    let spin_ns =
+        |rt: &ReactorRuntime| -> u64 { rt.scheduler_stats().iter().map(|w| w.spin_ns).sum() };
+    let (parks_before, spin_before) = (parks(&rt), spin_ns(&rt));
     let started = Instant::now();
     std::thread::sleep(wall);
-    let parks_per_s = (parks(&rt) - parks_before) as f64 / started.elapsed().as_secs_f64();
+    let secs = started.elapsed().as_secs_f64();
+    let parks_per_s = (parks(&rt) - parks_before) as f64 / secs;
+    let spin_us_per_s = (spin_ns(&rt) - spin_before) as f64 / 1e3 / secs;
     drop(rt.finish());
     let mut late = late_us.lock().unwrap().clone();
     late.sort_by(f64::total_cmp);
@@ -1768,6 +1772,7 @@ fn timer_lag_arm(deadlines: usize, filler: usize, wall: Duration) -> (f64, f64, 
         percentile(&late, 50.0),
         percentile(&late, 99.0),
         parks_per_s,
+        spin_us_per_s,
     )
 }
 
@@ -1776,7 +1781,8 @@ fn timer_lag_arm(deadlines: usize, filler: usize, wall: Duration) -> (f64, f64, 
 /// spread phases — 25k firings a second — on an otherwise idle reactor,
 /// then again with a CPU-bound filler fleet keeping every worker busy, in
 /// which case a deadline waits for the task in front of it. Reports p50 /
-/// p99 lateness and how often the workers went to sleep.
+/// p99 lateness, how often the workers went to sleep and how long they
+/// spun ahead of a deadline (µs of CPU per second).
 fn reactor_timer_lag_section(quick: bool, out: &mut String) {
     let deadlines = 1_000;
     let wall = if quick {
@@ -1784,16 +1790,17 @@ fn reactor_timer_lag_section(quick: bool, out: &mut String) {
     } else {
         Duration::from_secs(3)
     };
-    let (idle_p50, idle_p99, idle_parks) = timer_lag_arm(deadlines, 0, wall);
-    let (busy_p50, busy_p99, busy_parks) = timer_lag_arm(deadlines, 32, wall);
+    let (idle_p50, idle_p99, idle_parks, idle_spin) = timer_lag_arm(deadlines, 0, wall);
+    let (busy_p50, busy_p99, busy_parks, _) = timer_lag_arm(deadlines, 32, wall);
     println!(
-        "reactor timer lag ({deadlines} x 25 Hz deadlines): idle p50 {idle_p50:.0} us, \
-         p99 {idle_p99:.0} us, {idle_parks:.0} parks/s; with a CPU-bound filler fleet \
-         p50 {busy_p50:.0} us, p99 {busy_p99:.0} us, {busy_parks:.0} parks/s"
+        "reactor timer lag ({deadlines} x 25 Hz deadlines): idle p50 {idle_p50:.1} us, \
+         p99 {idle_p99:.0} us, {idle_parks:.0} parks/s, {idle_spin:.0} us spun/s; with a \
+         CPU-bound filler fleet p50 {busy_p50:.0} us, p99 {busy_p99:.0} us, \
+         {busy_parks:.0} parks/s"
     );
     let _ = writeln!(
         out,
-        r#"  "reactor_timer_lag": {{"deadlines": {deadlines}, "hz": 25, "idle_p50_us": {idle_p50:.1}, "idle_p99_us": {idle_p99:.1}, "idle_parks_per_s": {idle_parks:.0}, "loaded_p50_us": {busy_p50:.1}, "loaded_p99_us": {busy_p99:.1}, "loaded_parks_per_s": {busy_parks:.0}}},"#
+        r#"  "reactor_timer_lag": {{"deadlines": {deadlines}, "hz": 25, "idle_p50_us": {idle_p50:.1}, "idle_p99_us": {idle_p99:.1}, "idle_parks_per_s": {idle_parks:.0}, "idle_spin_us_per_s": {idle_spin:.0}, "loaded_p50_us": {busy_p50:.1}, "loaded_p99_us": {busy_p99:.1}, "loaded_parks_per_s": {busy_parks:.0}}},"#
     );
 }
 

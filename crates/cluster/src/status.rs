@@ -28,7 +28,12 @@ impl StatusFile {
     }
 
     /// Atomically replaces the file with `entries` (sorted by key for
-    /// stable diffs).
+    /// stable diffs): a running reader sees the old file or the new one,
+    /// never a torn one — the rename alone gives that. Nothing is synced
+    /// to disk: the file is a live view, rewritten every 100 ms while the
+    /// coordinator runs (after an OS crash it may read empty), and an
+    /// `fsync` here blocked the coordinator's control loop behind a
+    /// journal commit ten times a second.
     ///
     /// # Errors
     ///
@@ -43,11 +48,7 @@ impl StatusFile {
             out.push_str(v);
             out.push('\n');
         }
-        {
-            let mut f = std::fs::File::create(&self.tmp)?;
-            f.write_all(out.as_bytes())?;
-            f.sync_all()?;
-        }
+        std::fs::File::create(&self.tmp)?.write_all(out.as_bytes())?;
         std::fs::rename(&self.tmp, &self.path)
     }
 }

@@ -376,6 +376,10 @@ pub struct WorkerSchedStats {
     pub unparks: u64,
     /// Times this worker went to sleep for want of anything to run.
     pub parks: u64,
+    /// Nanoseconds this worker spun at the end of a final approach to one
+    /// of its own deadlines, having woken ahead of it by its learnt
+    /// wake-up latency: CPU spent so that the deadline fires on time.
+    pub spin_ns: u64,
 }
 
 /// Metrics for one pipeline run.

@@ -28,13 +28,16 @@
 //!   deadlines on the timer shard of the pipeline's home worker. A worker
 //!   fires its shard's due entries at the top of every scheduling step
 //!   (one clock read, one atomic load) and, with nothing to run, sleeps
-//!   until its next deadline: a pacer goes from "due" to "running" on one
-//!   thread. Every reactor thread asks the kernel for 1 ns timer slack
+//!   towards its next deadline: a pacer goes from "due" to "running" on
+//!   one thread. Every reactor thread asks the kernel for 1 ns timer slack
 //!   when it starts
 //!   ([`exact_timer_wakeups`](videopipe_net::exact_timer_wakeups)), so
-//!   that sleep ends at the deadline, not up to the default 50 µs after
-//!   it; the same holds for the threads' reply waits, helping naps and the
-//!   I/O thread's retry timeout. A slow modeled service defers its
+//!   a sleep ends at its wake, not up to the default 50 µs after it; the
+//!   same holds for the threads' reply waits, helping naps and the I/O
+//!   thread's retry timeout. What is left is the host's time to run the
+//!   woken thread, so a worker learns that latency from its own sleeps,
+//!   wakes that far ahead of the deadline and spins the rest on its own
+//!   scheduling search. A slow modeled service defers its
 //!   replies through the shard instead of occupying a worker, so it
 //!   cannot starve co-hosted services.
 //! * **Modeled capacity is a horizon.** A service host serves at most its
@@ -135,10 +138,30 @@ const HELP_PARK: Duration = Duration::from_micros(200);
 
 /// How far past its deadline a sibling's timer must be before an idle
 /// worker (stealing on) fires it for the owner: an owner merely asleep
-/// fires within its wake-up latency (tens of µs: the thread asks for 1 ns
-/// timer slack, so this is the scheduler's, or on a VM the host's, time
-/// to run it), one stuck in a long handler does not.
+/// fires within microseconds — it wakes ahead of its own deadlines by its
+/// learnt wake-up latency, and a last nap that overslept anyway is late
+/// by the host's time to run the thread, 4–9 µs after the nap of at most
+/// [`FINAL_APPROACH_NS`] that precedes every deadline on a 2-vCPU KVM
+/// guest — while one stuck in a long handler does not.
 const SIBLING_GRACE_NS: u64 = 1_000_000;
+
+/// An idle worker sleeps towards an own deadline further away than this
+/// only up to this far before it, then plans again: the last sleep before
+/// a deadline is always a short one, and a short one is what the learnt
+/// wake-up latency is learnt from. With 1 ns timer slack on a 2-vCPU KVM
+/// guest, `park_timeout` overslept (p50 of two probes, p90 in brackets)
+/// 4–6 [≤ 6.4] µs on naps of 10–150 µs, 6–9 [≤ 12] µs on 200 µs,
+/// 19–20 [44–52] µs on 1 ms and 69–87 [111–218] µs on 16.7 ms, a paced
+/// camera's interval.
+const FINAL_APPROACH_NS: u64 = 200_000;
+
+/// Ceiling of a worker's learnt wake-up latency (`WorkerQueue::wake_lat`)
+/// and so of the spin that ends a final approach; a sample above it
+/// counts as this much. Short naps oversleep 4–9 µs (p90 ≤ 12 µs) on a
+/// 2-vCPU KVM guest; a sample of milliseconds (the vCPU descheduled, the
+/// CPU busy with a sibling) would otherwise leave the worker spinning
+/// that long ahead of several deadlines to come.
+const SPIN_CAP_NS: u64 = 50_000;
 
 /// How deep wait-by-helping may nest through *blocking-capable* module
 /// tasks. Helpers above this depth only run non-blocking tasks, which
@@ -255,6 +278,7 @@ struct WorkerStats {
     timer_fires: AtomicU64,
     unparks: AtomicU64,
     parks: AtomicU64,
+    spin_ns: AtomicU64,
 }
 
 /// One worker's scheduling state: a LIFO slot for the just-woken task, a
@@ -275,6 +299,10 @@ struct WorkerQueue {
     parker: Parker,
     /// Owner-only xorshift state for randomized steal victim selection.
     steal_seed: AtomicU64,
+    /// Owner-only: how far this worker's final-approach parks overslept
+    /// their wake, in ns — an EWMA (α = 1/8, see [`learn_wake_lat`]) that
+    /// starts at 0. The worker wakes this far ahead of its own deadlines.
+    wake_lat: AtomicU64,
     stats: WorkerStats,
 }
 
@@ -290,9 +318,48 @@ impl WorkerQueue {
             },
             parker: Parker::default(),
             steal_seed: AtomicU64::new(seed | 1),
+            wake_lat: AtomicU64::new(0),
             stats: WorkerStats::default(),
         }
     }
+}
+
+/// How a worker sleeps towards one of its own deadlines: see
+/// [`plan_nap`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Nap {
+    /// Park until this instant, [`FINAL_APPROACH_NS`] before a deadline
+    /// further away than that, then plan again.
+    Approach(u64),
+    /// The final approach: park until this instant — the deadline less
+    /// the learnt wake-up latency, or the deadline itself when it is
+    /// nearer than that — and, if the park runs its course, spin the rest
+    /// of the way.
+    Final(u64),
+}
+
+/// The plan for sleeping from `now_ns` towards `deadline_ns` (both on the
+/// shards' clock) for a worker whose parks oversleep by `wake_lat_ns`.
+fn plan_nap(deadline_ns: u64, now_ns: u64, wake_lat_ns: u64) -> Nap {
+    let ahead = deadline_ns.saturating_sub(now_ns);
+    if ahead > FINAL_APPROACH_NS {
+        Nap::Approach(deadline_ns - FINAL_APPROACH_NS)
+    } else if ahead > wake_lat_ns {
+        Nap::Final(deadline_ns - wake_lat_ns)
+    } else {
+        Nap::Final(deadline_ns)
+    }
+}
+
+/// Folds a final-approach park that asked to wake at `wake_ns` and woke
+/// at `woke_ns` into the learnt latency `wake_lat_ns`: an EWMA with
+/// α = 1/8 of oversleeps capped at [`SPIN_CAP_NS`]. A park that returned
+/// before its wake — unparked, or a spurious return — is no sample.
+fn learn_wake_lat(wake_lat_ns: u64, wake_ns: u64, woke_ns: u64) -> u64 {
+    if woke_ns < wake_ns {
+        return wake_lat_ns;
+    }
+    (wake_lat_ns * 7 + (woke_ns - wake_ns).min(SPIN_CAP_NS)) / 8
 }
 
 thread_local! {
@@ -812,11 +879,8 @@ impl Core {
                 task = self.next_task(0);
                 if task.is_none() && !self.stop.load(Ordering::SeqCst) {
                     // No deadline is `u64::MAX`: a nap of centuries.
-                    let nap = self.next_deadline_ns(wid).saturating_sub(self.now_ns());
-                    if nap > 0 {
-                        wq.stats.parks.fetch_add(1, Ordering::Relaxed);
-                        std::thread::park_timeout(Duration::from_nanos(nap));
-                    }
+                    let own = wq.timers.earliest.load(Ordering::SeqCst);
+                    task = self.nap(own, self.next_deadline_ns(wid), 0);
                 }
                 wq.parker.idle.store(false, Ordering::SeqCst);
             }
@@ -860,17 +924,88 @@ impl Core {
     }
 
     /// Helps run other tasks until `deadline` (modeled link/backoff delays:
-    /// the wait is real wall time, but the worker stays productive).
+    /// the wait is real wall time, but the worker stays productive). A
+    /// helper is not announced idle, so no push unparks it: it looks for
+    /// work again at least every [`HELP_PARK`], and its worker's own timers
+    /// are deadlines it naps towards like `deadline`.
     fn help_until(&self, depth: usize, deadline: Instant) {
+        let deadline_ns = deadline.saturating_duration_since(self.origin).as_nanos() as u64;
         loop {
-            let now = Instant::now();
-            if now >= deadline || self.stop.load(Ordering::SeqCst) {
+            let now = self.now_ns();
+            if now >= deadline_ns || self.stop.load(Ordering::SeqCst) {
                 return;
             }
-            if !self.try_run_one(depth + 1) {
-                std::thread::sleep(self.cap_nap((deadline - now).min(HELP_PARK)));
+            if self.try_run_one(depth + 1) {
+                continue;
+            }
+            let timers = self.current_worker().map_or(u64::MAX, |wid| {
+                self.workers[wid].timers.earliest.load(Ordering::SeqCst)
+            });
+            let look_again = now + HELP_PARK.as_nanos() as u64;
+            if let Some(task) = self.nap(deadline_ns.min(timers), look_again, depth + 1) {
+                self.run_queued(&task, depth + 1);
             }
         }
+    }
+
+    /// The one place a reactor thread sleeps for a deadline: the worker
+    /// loop's idle wait and the naps of [`Core::help_until`]. Sleeps
+    /// towards `deadline_ns`, the caller's own deadline on the shards'
+    /// clock, as [`plan_nap`] says, but wakes no later than `latest_ns` (a
+    /// sibling's overdue timers, a helper's next look for work).
+    ///
+    /// Only a final-approach park that ran its course is a sample of the
+    /// worker's wake-up latency: an unpark or another early return says
+    /// nothing about it, and a long nap's oversleep is not what the next
+    /// short one will see. Only such a park, ended early on purpose, is
+    /// followed by a spin: the worker, announced awake so pushers need not
+    /// unpark it, repeats the scheduler's own search (`next_task(depth)`)
+    /// until it yields a task — returned, to run at once — or the deadline
+    /// has come, which that search then fires, never before it. A spin
+    /// never follows an unpark or a push, so waking a worker never sets it
+    /// spinning beside the thread that woke it (the deploying one, the I/O
+    /// thread).
+    fn nap(&self, deadline_ns: u64, latest_ns: u64, depth: usize) -> Option<Arc<Task>> {
+        let now = self.now_ns();
+        let Some(wid) = self.current_worker() else {
+            // Deploy-time init helping its own service calls: no timers,
+            // no learnt latency.
+            let nap = deadline_ns.min(latest_ns).saturating_sub(now);
+            std::thread::park_timeout(Duration::from_nanos(nap));
+            return None;
+        };
+        let wq = &self.workers[wid];
+        let wake_lat = wq.wake_lat.load(Ordering::Relaxed);
+        let (wake, final_approach) = match plan_nap(deadline_ns, now, wake_lat) {
+            Nap::Final(wake) if wake <= latest_ns => (wake, true),
+            Nap::Final(wake) | Nap::Approach(wake) => (wake.min(latest_ns), false),
+        };
+        if wake <= now {
+            return None;
+        }
+        wq.stats.parks.fetch_add(1, Ordering::Relaxed);
+        std::thread::park_timeout(Duration::from_nanos(wake - now));
+        let woke = self.now_ns();
+        if !final_approach {
+            return None;
+        }
+        wq.wake_lat
+            .store(learn_wake_lat(wake_lat, wake, woke), Ordering::Relaxed);
+        if woke < wake || woke >= deadline_ns {
+            return None;
+        }
+        // Awake from here on: a push finds the spinner's next search.
+        wq.parker.idle.store(false, Ordering::SeqCst);
+        let found = loop {
+            let task = self.next_task(depth);
+            if task.is_some() || self.now_ns() >= deadline_ns || self.stop.load(Ordering::SeqCst) {
+                break task;
+            }
+            std::hint::spin_loop();
+        };
+        let spun = self.now_ns() - woke;
+        wq.stats.spin_ns.fetch_add(spun, Ordering::Relaxed);
+        found
     }
 
     /// Snapshot of the per-worker scheduler counters.
@@ -887,6 +1022,7 @@ impl Core {
                 timer_fires: wq.stats.timer_fires.load(Ordering::Relaxed),
                 unparks: wq.stats.unparks.load(Ordering::Relaxed),
                 parks: wq.stats.parks.load(Ordering::Relaxed),
+                spin_ns: wq.stats.spin_ns.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -3267,6 +3403,198 @@ pub(crate) mod tests {
         // time the scheduler (on a VM, the host) takes to run the woken
         // thread: 25–55 µs idle, less on a busy machine.
         assert!(median < 100, "median lateness {median} µs");
+    }
+
+    #[test]
+    fn a_far_deadline_is_approached_and_a_near_one_woken_ahead_of() {
+        const MS: u64 = 1_000_000;
+        // Further away than the final approach: sleep to its start.
+        assert_eq!(
+            plan_nap(10 * MS, 0, 6_000),
+            Nap::Approach(10 * MS - FINAL_APPROACH_NS)
+        );
+        assert_eq!(
+            plan_nap(MS + FINAL_APPROACH_NS + 1, MS, 6_000),
+            Nap::Approach(MS + 1)
+        );
+        // Within it: wake ahead by the learnt latency.
+        assert_eq!(
+            plan_nap(MS + FINAL_APPROACH_NS, MS, 6_000),
+            Nap::Final(MS + FINAL_APPROACH_NS - 6_000)
+        );
+        assert_eq!(plan_nap(MS + 50_000, MS, 6_000), Nap::Final(MS + 44_000));
+        // Nothing learnt yet: the deadline itself.
+        assert_eq!(plan_nap(MS + 50_000, MS, 0), Nap::Final(MS + 50_000));
+        // Nearer than the latency, or already due: the deadline itself, so
+        // a park there runs its course at or after it and nothing spins.
+        assert_eq!(plan_nap(MS + 4_000, MS, 6_000), Nap::Final(MS + 4_000));
+        assert_eq!(plan_nap(MS, 2 * MS, 6_000), Nap::Final(MS));
+        // No deadline at all: an approach of centuries.
+        assert_eq!(
+            plan_nap(u64::MAX, MS, 6_000),
+            Nap::Approach(u64::MAX - FINAL_APPROACH_NS)
+        );
+    }
+
+    #[test]
+    fn the_learnt_wake_up_latency_is_an_eighth_weight_average_under_a_cap() {
+        const WAKE: u64 = 1_000_000;
+        let overslept = |lat: u64, by: u64| learn_wake_lat(lat, WAKE, WAKE + by);
+        assert_eq!(overslept(0, 8_000), 1_000);
+        assert_eq!(overslept(8_000, 0), 7_000);
+        assert_eq!(overslept(6_000, 6_000), 6_000);
+        // A steady oversleep is learnt to within rounding.
+        let steady = (0..200).fold(0, |lat, _| overslept(lat, 5_600));
+        assert!((5_590..=5_600).contains(&steady), "{steady}");
+        // A descheduled vCPU's milliseconds count as the cap, and the
+        // average never exceeds it.
+        assert_eq!(overslept(0, 3_000_000), SPIN_CAP_NS / 8);
+        let capped = (0..200).fold(0, |lat, _| overslept(lat, u64::MAX - WAKE));
+        assert!(capped <= SPIN_CAP_NS, "{capped}");
+        assert!(capped > SPIN_CAP_NS - 8, "{capped}");
+        // A park that returned before its wake is no sample.
+        assert_eq!(learn_wake_lat(6_000, WAKE, WAKE - 1), 6_000);
+        assert_eq!(learn_wake_lat(6_000, WAKE, 0), 6_000);
+    }
+
+    /// Re-arms itself every `interval` and records, in ns, how late each
+    /// firing ran, and how often it ran before its deadline.
+    struct OnTimeRunner {
+        due: Instant,
+        interval: Duration,
+        left: u32,
+        rearm: Rearm,
+        late_ns: Arc<Mutex<Vec<u64>>>,
+        early: Arc<AtomicU64>,
+    }
+
+    impl TaskRunner for OnTimeRunner {
+        fn run(&mut self, core: &Core, task: &Arc<Task>, _depth: usize) -> bool {
+            let now = Instant::now();
+            if now < self.due {
+                self.early.fetch_add(1, Ordering::SeqCst);
+                return false;
+            }
+            self.late_ns.lock().push((now - self.due).as_nanos() as u64);
+            self.left -= 1;
+            if self.left > 0 {
+                self.due += self.interval;
+                self.rearm.ensure(core, task, self.due);
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn deadlines_fire_on_time_once_the_wake_up_latency_is_learnt() {
+        const DEADLINES: u32 = 500;
+        const INTERVAL: Duration = Duration::from_millis(1);
+        let _timing = TIMING.lock();
+        let median = |mut late: Vec<u64>| {
+            late.sort_unstable();
+            late[late.len() / 2]
+        };
+        // Unlearnt: a thread with the workers' 1 ns timer slack parks
+        // straight to each deadline, as an idle worker used to.
+        let unlearnt = std::thread::spawn(|| {
+            let _ = videopipe_net::exact_timer_wakeups();
+            let mut due = Instant::now() + INTERVAL;
+            let mut late = Vec::new();
+            for _ in 0..DEADLINES {
+                let mut now = Instant::now();
+                while now < due {
+                    std::thread::park_timeout(due - now);
+                    now = Instant::now();
+                }
+                late.push((now - due).as_nanos() as u64);
+                due += INTERVAL;
+            }
+            late
+        })
+        .join()
+        .unwrap();
+        let unlearnt = median(unlearnt);
+        let rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        let late_ns = Arc::new(Mutex::new(Vec::new()));
+        let early = Arc::new(AtomicU64::new(0));
+        let first = Instant::now() + INTERVAL;
+        let task = new_task(
+            0,
+            false,
+            OnTimeRunner {
+                due: first,
+                interval: INTERVAL,
+                left: DEADLINES,
+                rearm: Rearm::default(),
+                late_ns: Arc::clone(&late_ns),
+                early: Arc::clone(&early),
+            },
+        );
+        rt.core.arm(0, first, TimerEntry::Wake(task));
+        let start = Instant::now();
+        while late_ns.lock().len() < DEADLINES as usize {
+            assert!(start.elapsed() < Duration::from_secs(10));
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(early.load(Ordering::SeqCst), 0, "a deadline fired early");
+        let learnt = median(late_ns.lock().clone());
+        let spun: u64 = rt.scheduler_stats().iter().map(|w| w.spin_ns).sum();
+        println!(
+            "median lateness {learnt} ns learnt, {unlearnt} ns parking to the deadline; \
+             {} µs spun",
+            spun / 1_000
+        );
+        assert!(
+            learnt < unlearnt,
+            "median lateness {learnt} ns learnt, {unlearnt} ns unlearnt"
+        );
+        assert!(spun > 0, "no deadline was woken ahead of");
+    }
+
+    #[test]
+    fn deploying_a_fleet_spins_no_worker_before_its_first_timed_park() {
+        let _timing = TIMING.lock();
+        let (modules, services) = registries();
+        let mut rt = ReactorRuntime::new(ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        });
+        // As if the workers had learnt the largest latency there is: a
+        // spin after every wake would now show.
+        for wq in &rt.core.workers {
+            wq.wake_lat.store(SPIN_CAP_NS, Ordering::Relaxed);
+        }
+        let deployed = Instant::now();
+        for i in 0..200 {
+            let config = RuntimeConfig {
+                fps: 1.0,
+                ..RuntimeConfig::default()
+            };
+            rt.add_pipeline(
+                &single_device_plan(&format!("fleet{i}")),
+                &modules,
+                &services,
+                config,
+            )
+            .unwrap();
+        }
+        await_all_parked(&rt.core);
+        // Every pipeline ticked as it deployed; its next tick is a second
+        // away, so nothing has been near a deadline yet.
+        assert!(deployed.elapsed() < Duration::from_millis(800));
+        let stats = rt.scheduler_stats();
+        let unparks: u64 = stats.iter().map(|w| w.unparks).sum();
+        assert!(unparks > 0, "the deploy woke no worker");
+        for w in &stats {
+            assert_eq!(w.spin_ns, 0, "worker {} spun while deploying", w.worker);
+        }
+        // The second ticks are the first own deadlines approached.
+        std::thread::sleep(Duration::from_millis(1_300).saturating_sub(deployed.elapsed()));
+        let spun: u64 = rt.scheduler_stats().iter().map(|w| w.spin_ns).sum();
+        assert!(spun > 0, "no final approach ended in a spin");
     }
 
     // Only the Linux build sets the slack; elsewhere the call is a no-op.

@@ -52,22 +52,22 @@ pub struct FrameStoreStats {
     pub encode_misses: u64,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    frames: HashMap<u64, Arc<Frame>>,
-    order: VecDeque<u64>,
-    /// Transcoding cache: `(frame id, quality shift)` → encoded bytes.
-    /// Entries live exactly as long as their frame; [`Bytes`] clones are
-    /// refcount bumps, so N fan-out destinations share one encoding.
-    encoded: HashMap<(u64, u8), Bytes>,
-    next_id: u64,
-    stats: FrameStoreStats,
+/// One resident frame and its transcoding cache: the encodings made of it,
+/// by quality shift. They live in the frame's slot, so eviction and
+/// release drop them with the frame; [`Bytes`] clones are refcount bumps,
+/// so N fan-out destinations share one encoding.
+#[derive(Debug)]
+struct Slot {
+    frame: Arc<Frame>,
+    encoded: Vec<(u8, Bytes)>,
 }
 
-impl Inner {
-    fn purge_encoded(&mut self, frame_id: u64) {
-        self.encoded.retain(|&(fid, _), _| fid != frame_id);
-    }
+#[derive(Debug, Default)]
+struct Inner {
+    frames: HashMap<u64, Slot>,
+    order: VecDeque<u64>,
+    next_id: u64,
+    stats: FrameStoreStats,
 }
 
 /// A per-device registry of in-flight frames, shared by all modules and
@@ -115,7 +115,6 @@ impl FrameStore {
             if let Some(old) = inner.order.pop_front() {
                 if inner.frames.remove(&old).is_some() {
                     inner.stats.evicted += 1;
-                    inner.purge_encoded(old);
                 }
             } else {
                 break;
@@ -123,7 +122,11 @@ impl FrameStore {
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.frames.insert(id, Arc::new(frame));
+        let slot = Slot {
+            frame: Arc::new(frame),
+            encoded: Vec::new(),
+        };
+        inner.frames.insert(id, slot);
         inner.order.push_back(id);
         inner.stats.inserted += 1;
         FrameId(id)
@@ -138,7 +141,7 @@ impl FrameStore {
     pub fn get(&self, id: FrameId) -> Result<Arc<Frame>, MediaError> {
         let mut inner = self.inner.lock();
         match inner.frames.get(&id.0) {
-            Some(frame) => Ok(Arc::clone(frame)),
+            Some(slot) => Ok(Arc::clone(&slot.frame)),
             None => {
                 inner.stats.misses += 1;
                 Err(MediaError::UnknownFrame(id.0))
@@ -153,7 +156,6 @@ impl FrameStore {
         if inner.frames.remove(&id.0).is_some() {
             inner.stats.released += 1;
             inner.order.retain(|&o| o != id.0);
-            inner.purge_encoded(id.0);
         }
     }
 
@@ -171,31 +173,36 @@ impl FrameStore {
     /// Returns [`MediaError::UnknownFrame`] if the id was released, evicted
     /// or never inserted.
     pub fn encoded(&self, id: FrameId, quality: Quality) -> Result<Bytes, MediaError> {
-        let key = (id.0, quality.shift());
+        let shift = quality.shift();
+        let cached = |slot: &Slot| {
+            slot.encoded
+                .iter()
+                .find(|(s, _)| *s == shift)
+                .map(|(_, bytes)| bytes.clone())
+        };
         let frame = {
             let mut inner = self.inner.lock();
-            if let Some(bytes) = inner.encoded.get(&key).cloned() {
+            let Some(slot) = inner.frames.get(&id.0) else {
+                inner.stats.misses += 1;
+                return Err(MediaError::UnknownFrame(id.0));
+            };
+            if let Some(bytes) = cached(slot) {
                 inner.stats.encode_hits += 1;
                 return Ok(bytes);
             }
-            match inner.frames.get(&id.0).map(Arc::clone) {
-                Some(frame) => {
-                    inner.stats.encode_misses += 1;
-                    frame
-                }
-                None => {
-                    inner.stats.misses += 1;
-                    return Err(MediaError::UnknownFrame(id.0));
-                }
-            }
+            let frame = Arc::clone(&slot.frame);
+            inner.stats.encode_misses += 1;
+            frame
         };
         // Encode outside the lock: the codec is the expensive part and must
         // not serialise unrelated store traffic. Two racing callers may both
         // encode (byte-identical output), but only one entry is kept.
         let bytes = codec::encode(&frame, quality);
         let mut inner = self.inner.lock();
-        if inner.frames.contains_key(&id.0) {
-            inner.encoded.entry(key).or_insert_with(|| bytes.clone());
+        if let Some(slot) = inner.frames.get_mut(&id.0) {
+            if cached(slot).is_none() {
+                slot.encoded.push((shift, bytes.clone()));
+            }
         }
         Ok(bytes)
     }

@@ -596,6 +596,12 @@ impl PollConn {
     /// from a budget-capped call (they must drain even when the kernel has
     /// nothing new), then whatever can be read. Returns the frames
     /// delivered and whether the connection should be kept.
+    ///
+    /// A read that fills less than the space it offered has taken all the
+    /// kernel held, so the drain stops there instead of paying a second
+    /// `recv` for its `EAGAIN`: whatever arrives later — more bytes, the
+    /// peer's FIN — keeps the socket readable, and the level-triggered
+    /// [`Poller`] reports it again on the next turn.
     fn drain(&mut self, budget: usize, sink: &mut dyn FnMut(WireMessage)) -> (usize, bool) {
         let mut delivered = self.flush(budget, sink);
         if self.decoder.is_corrupt() {
@@ -607,7 +613,8 @@ impl PollConn {
             // Read straight into the decoder's pooled chunk: no
             // intermediate stack buffer, no copy into a reassembly Vec.
             let space = self.decoder.read_space();
-            if space.is_empty() {
+            let offered = space.len();
+            if offered == 0 {
                 break;
             }
             match self.stream.read(space) {
@@ -624,6 +631,9 @@ impl PollConn {
                     delivered += self.flush(budget - delivered, sink);
                     if self.decoder.is_corrupt() {
                         return (delivered, self.decoder.pending_frames() > 0);
+                    }
+                    if n < offered {
+                        break;
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -1482,6 +1492,101 @@ mod tests {
                 );
             }
             assert_eq!(got, (0..25).collect::<Vec<_>>());
+        }
+
+        /// Connects a raw peer to the one endpoint of `ingress` and turns
+        /// until it is accepted.
+        fn accepted_peer(ingress: &mut Ingress<()>, addr: &str) -> TcpStream {
+            let raw = TcpStream::connect(addr).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while ingress.endpoints[0].1.connections() == 0 {
+                assert!(Instant::now() < deadline, "peer never accepted");
+                ingress.turn(Some(deadline), |_, _| {}).unwrap();
+            }
+            raw
+        }
+
+        /// Waits until the accepted peer's socket holds `len` bytes.
+        fn await_buffered(ingress: &Ingress<()>, len: usize) {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let mut probe = vec![0u8; len];
+            while ingress.endpoints[0].1.conns[0]
+                .stream
+                .peek(&mut probe)
+                .unwrap_or(0)
+                < len
+            {
+                assert!(Instant::now() < deadline, "bytes never arrived");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        #[test]
+        fn a_burst_written_across_several_writes_arrives_whole_over_turns() {
+            let (mut ingress, addr) = ingress_of_one();
+            let mut raw = accepted_peer(&mut ingress, &addr);
+            let mut framed = BytesMut::new();
+            for i in 0..40u64 {
+                WireMessage::data("x", i, 0, Bytes::from(vec![i as u8; 100 + i as usize]))
+                    .encode_framed_into(&mut framed)
+                    .unwrap();
+            }
+            // Four writes, each ending inside a frame; each turn takes what
+            // has landed with one read and leaves the rest to readiness.
+            let mut got = Vec::new();
+            let far = Instant::now() + Duration::from_secs(5);
+            for chunk in framed.chunks(framed.len() / 4 + 1) {
+                raw.write_all(chunk).unwrap();
+                let before = got.len();
+                while got.len() == before {
+                    assert!(Instant::now() < far, "a written chunk never arrived");
+                    ingress.turn(Some(far), |_, m| got.push(m)).unwrap();
+                }
+            }
+            while got.len() < 40 {
+                assert!(Instant::now() < far, "{} of 40 frames", got.len());
+                ingress.turn(Some(far), |_, m| got.push(m)).unwrap();
+            }
+            for (i, msg) in got.iter().enumerate() {
+                assert_eq!(msg.seq, i as u64);
+                assert_eq!(&msg.payload[..], &vec![i as u8; 100 + i][..]);
+            }
+        }
+
+        #[test]
+        fn a_peer_closing_right_after_a_short_read_is_seen_on_the_next_turn() {
+            let (mut ingress, addr) = ingress_of_one();
+            let mut raw = accepted_peer(&mut ingress, &addr);
+            let mut framed = BytesMut::new();
+            for i in 0..3u64 {
+                WireMessage::signal("x", i)
+                    .encode_framed_into(&mut framed)
+                    .unwrap();
+            }
+            raw.write_all(&framed).unwrap();
+            drop(raw);
+            await_buffered(&ingress, framed.len());
+            let poller = ingress.waker();
+            let ep = &mut ingress.endpoints[0].1;
+            let key = poll_key(0, ep.conns[0].id);
+            let mut got = Vec::new();
+            // One read, shorter than the space it offered: the frames are
+            // out and the drain stops without a second `recv`...
+            assert_eq!(
+                ep.service(key, 256, &mut |m| got.push(m.seq)),
+                (3, Serviced::Idle)
+            );
+            assert_eq!(got, [0, 1, 2]);
+            assert_eq!(ep.connections(), 1);
+            // ...and the peer's FIN keeps the socket readable, so the next
+            // turn hears it and the connection goes.
+            let mut ready = Vec::new();
+            poller
+                .wait(&mut ready, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(ready, [key]);
+            assert_eq!(ep.service(key, 256, &mut |_| {}), (0, Serviced::Idle));
+            assert_eq!(ep.connections(), 0);
         }
 
         /// Pauses the one listener of `ingress` as a hard `accept` error

@@ -132,6 +132,36 @@ fi
 count_non_test crates/core/src/runtime.rs crates/core/src/reactor.rs crates/core/src/engine.rs
 count_non_test crates/net/src/wire.rs | tail -n 1
 
+echo "==> one deadline wait (a reactor worker sleeps only in Core::nap; no environment knobs in core or net)"
+# An idle worker sleeps towards its own deadline to its learnt wake-up
+# latency before it and spins the rest (DESIGN.md §5.12): a deadline is
+# late by the host's time to run a woken thread only if every sleep goes
+# through that one helper. Fail on a park_timeout( or thread::sleep( in
+# the shipping part of Core's impl outside `fn nap` (comment lines aside).
+sleeps=$(awk '/#\[cfg\(test\)\]/ { exit }
+              /^impl Core \{/ { in_core = 1 }
+              in_core && /^    fn nap\(/ { in_nap = 1 }
+              in_core && !in_nap && !/^ *\/\// && /park_timeout\(|thread::sleep\(/ {
+                  print FILENAME ":" FNR ": " $0 }
+              in_nap && /^    }$/ { in_nap = 0 }
+              in_core && /^}$/ { in_core = 0 }' crates/core/src/reactor.rs)
+if [ -n "$sleeps" ]; then
+    echo "a reactor worker sleeps outside Core::nap, the one deadline wait:"
+    printf '%s\n' "$sleeps"
+    exit 1
+fi
+# The wake-ahead constants, like every other scheduling constant, are
+# constants: no environment variable tunes the shipping part of
+# crates/core/src or crates/net/src.
+knobs=$(for f in crates/core/src/*.rs crates/net/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit } /env::va[r]/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$knobs" ]; then
+    echo "an environment variable read in the shipping part of crates/core/src or crates/net/src:"
+    printf '%s\n' "$knobs"
+    exit 1
+fi
+
 echo "==> one route table (channels and metric cells resolved at deploy, tasks owned by their pipeline; vendored channel size; relay footprint; k-NN rows per query)"
 # Every sending site holds a route resolved once in Shared::deploy: the
 # destination's queue and the task that consumes it. A channel -> device
@@ -693,11 +723,12 @@ fi
 echo "==> reactor timer lag gate (idle p50 lateness <= 100 us)"
 # The reactor.timer_lag cell fires 1000 recurring 25 Hz deadlines on an
 # idle reactor. Workers own their timers, run with 1 ns timer slack and
-# sleep straight towards the next deadline, so a tick is late by the time
-# the scheduler (on a VM, the host) takes to run a woken thread and little
-# else; a timer thread, a slot quantisation or a poll in that path shows
-# up here as 150 us and more. The loaded arm (a CPU-bound fleet
-# in front of every deadline) is reported, not gated. One retry.
+# wake ahead of their next deadline by their learnt wake-up latency, then
+# spin to it, so a tick is late by little more than the part of a
+# wake-up the learnt average missed; a timer thread, a slot quantisation
+# or a poll in that path shows up here as 150 us and more. The spin's CPU
+# (idle_spin_us_per_s) and the loaded arm (a CPU-bound fleet in front of
+# every deadline) are reported, not gated. One retry.
 timer_lag_gate() { # timer_lag_gate SNAPSHOT -> 0 if idle p50 lateness holds
     local snapshot="$1"
     p50=$(extract "$snapshot" reactor_timer_lag idle_p50_us)

@@ -272,11 +272,11 @@ mod census {
     /// their next duty, so the coordinator is one thread and the node
     /// `workers + 2` (main loop, heartbeat thread, two reactor workers),
     /// and neither wakes on a polling timer: the coordinator switches out
-    /// for its 20 ms sweeps, the node's heartbeats and inside each status
-    /// write's `fsync`, the node's main thread for its report cadence. Each
-    /// ceiling is at least 1.5× the highest of twenty measured runs
-    /// (EXPERIMENTS.md, fleet census); a 5 ms / 10 ms receive poll reads
-    /// about 250/s and 100/s.
+    /// for its 20 ms sweeps, the node's heartbeats and each status write's
+    /// rename (≈ 70/s; ≈ 110/s while each write was `fsync`ed), the node's
+    /// main thread for its report cadence. Each ceiling is at least 1.5×
+    /// the highest of twenty measured runs (EXPERIMENTS.md, fleet census);
+    /// a 5 ms / 10 ms receive poll reads about 250/s and 100/s.
     #[test]
     fn idle_fleet_threads_and_wakeups() {
         let _gate = GATE
